@@ -218,7 +218,7 @@ pub fn experiment_m1_span(keyspace: u64, operations: usize, ps: &[usize]) -> Vec
     let spec = WorkloadSpec::read_only(keyspace, operations, Pattern::Zipf(1.0), 3);
     let ops = spec.full_sequence();
     for &p in ps {
-        let mut m1 = M1::new(p);
+        let mut m1 = M1::new(p).with_batch_log();
         run_batched(&mut m1, &ops, p * p);
         let max_span = m1
             .batch_log()
@@ -246,7 +246,7 @@ pub fn experiment_m1_span(keyspace: u64, operations: usize, ps: &[usize]) -> Vec
 
 /// E6: per-operation pipeline latency of M2 by access recency.
 pub fn experiment_m2_latency(keyspace: u64, p: usize) -> Vec<Row> {
-    let mut m2 = M2::new(p);
+    let mut m2 = M2::new(p).with_latency_records();
     let load: Vec<MapOpKind<u64>> = (0..keyspace).map(MapOpKind::Insert).collect();
     run_batched(&mut m2, &load, p * p);
     // Touch a hot set, then measure latency of hot vs progressively colder
@@ -508,7 +508,7 @@ pub fn experiment_combine_ablation(keyspace: u64, dup: usize) -> Vec<Row> {
 pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
     // M2: measure average latency of hot operations that share batches with
     // cold misses.
-    let mut m2 = M2::new(p);
+    let mut m2 = M2::new(p).with_latency_records();
     let load: Vec<MapOpKind<u64>> = (0..keyspace).map(MapOpKind::Insert).collect();
     run_batched(&mut m2, &load, p * p);
     run_batched(&mut m2, &[MapOpKind::Search(1)], p * p);
@@ -529,7 +529,7 @@ pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
 
     // M1: every operation in a batch waits for the whole batch, so the cheap
     // operations inherit the cold operations' span.
-    let mut m1 = M1::new(p);
+    let mut m1 = M1::new(p).with_batch_log();
     run_batched(&mut m1, &load, p * p);
     run_batched(&mut m1, &[MapOpKind::Search(1)], p * p);
     let before_batches = m1.batch_log().len();
@@ -959,16 +959,15 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// The fused design's claim is structural: locating an item in the key-map
 /// yields its recency position for free (the arena index *is* the paper's
 /// direct pointer), so every segment operation drives **one** tree where the
-/// old stamp-keyed two-tree design drove two — tree passes halve on every
-/// path (small batches go through the point loop at one counted traversal
-/// per item, on one tree instead of two).
+/// old stamp-keyed two-tree design drove two — and since the sorted-batch
+/// sweep drives it once per batch, whatever the batch size.
 /// `wsm_twothree::cost::tree_passes` counts root-originating `Tree23`
 /// traversals; this experiment records, per structure and workload, the
 /// passes and touched nodes per map operation, plus a micro row family
-/// measuring isolated segment-op shapes at `b = 64` — the
-/// divide-and-conquer regime, where the counts are exact small integers: 1
-/// pass for a one-sided op (batch removal, batch push, an eviction take), 2
-/// for a transfer (take + push), where the two-tree design paid 2 and 4.
+/// measuring isolated segment-op shapes at `b = 64`, where the counts are
+/// exact small integers: 1 pass for a one-sided op (batch removal, batch
+/// push, an eviction take), 2 for a transfer (take + push), where the
+/// two-tree design paid 2 and 4.
 ///
 /// Since the fanout-B arena rewrite every row also records `nodes/op`
 /// (thread-local metered tree-node touches) and `ns/op` (wall time), and an

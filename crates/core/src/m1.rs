@@ -34,7 +34,8 @@ fn tree_fanout() -> u64 {
     wsm_twothree::default_fanout() as u64
 }
 
-/// Statistics recorded for every cut batch M1 processes.
+/// Statistics recorded for every cut batch M1 processes, when the map was
+/// built with [`M1::with_batch_log`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchStats {
     /// Number of operations in the cut batch.
@@ -60,7 +61,9 @@ pub struct M1<K, V> {
     /// constant factor E17 tracks.
     bound_work: u64,
     next_id: OpId,
-    batch_log: Vec<BatchStats>,
+    /// Per-cut-batch diagnostics; `None` (the default) records nothing, so a
+    /// long-running map's memory does not grow with the batches it served.
+    batch_log: Option<Vec<BatchStats>>,
     /// Reusable sort/group buffers: after the first few batches the
     /// sort-and-combine step allocates nothing (see `pesort_group_into`).
     key_buf: Vec<K>,
@@ -70,6 +73,9 @@ pub struct M1<K, V> {
     /// member vectors live across batches instead of being reallocated.
     groups_buf: Vec<GroupOp<K, V>>,
     ops_pool: Vec<Vec<TaggedOp<K, V>>>,
+    /// The cut batch with its operations made movable, reused across
+    /// batches.
+    batch_buf: Vec<Option<TaggedOp<K, V>>>,
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
@@ -86,13 +92,22 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
             meter: CostMeter::new(),
             bound_work: 0,
             next_id: 0,
-            batch_log: Vec::new(),
+            batch_log: None,
             key_buf: Vec::new(),
             scratch: SortScratch::default(),
             grouped: GroupedBatch::default(),
             groups_buf: Vec::new(),
             ops_pool: Vec::new(),
+            batch_buf: Vec::new(),
         }
+    }
+
+    /// Additionally keeps one [`BatchStats`] per cut batch (read back with
+    /// [`M1::batch_log`]) — for the experiment harness; the log grows without
+    /// bound, so serving paths leave it off.
+    pub fn with_batch_log(mut self) -> Self {
+        self.batch_log = Some(Vec::new());
+        self
     }
 
     /// The processor count this instance is configured for.
@@ -115,15 +130,16 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         self.segments.iter().map(RecencyMap::len).collect()
     }
 
-    /// Per-cut-batch statistics recorded so far.
+    /// Per-cut-batch statistics recorded so far (empty unless constructed
+    /// with [`M1::with_batch_log`]).
     pub fn batch_log(&self) -> &[BatchStats] {
-        &self.batch_log
+        self.batch_log.as_deref().unwrap_or_default()
     }
 
     /// Total worst-case work (the closed-form Appendix A.2 bounds) for every
     /// charge this map has paid.  [`BatchedMap::effective_work`] reports the
     /// measured touched-node work, which is at most this (up to
-    /// [`tcost::measured_ceiling`], asserted in debug builds).
+    /// [`tcost::MEASURED_CEILING`], asserted in debug builds).
     pub fn analytic_bound_work(&self) -> u64 {
         self.bound_work
     }
@@ -185,11 +201,13 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         self.bound_work += form_cost.work + charge.bound.work;
         self.meter.charge_in_batch(cost);
         self.meter.end_batch();
-        self.batch_log.push(BatchStats {
-            batch_size,
-            map_size_before: stats_before,
-            cost,
-        });
+        if let Some(log) = &mut self.batch_log {
+            log.push(BatchStats {
+                batch_size,
+                map_size_before: stats_before,
+                cost,
+            });
+        }
         Some((results, cost))
     }
 
@@ -226,14 +244,21 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         ));
         let mut groups: Vec<GroupOp<K, V>> = std::mem::take(&mut self.groups_buf);
         debug_assert!(groups.is_empty());
+        // Every position lands in exactly one group, so the operations move.
+        self.batch_buf.extend(batch.into_iter().map(Some));
         for (key, idxs) in self.grouped.iter() {
             let mut ops = self.ops_pool.pop().unwrap_or_default();
-            ops.extend(idxs.iter().map(|&i| batch[i as usize].clone()));
+            ops.extend(idxs.iter().map(|&i| {
+                self.batch_buf[i as usize]
+                    .take()
+                    .expect("grouping is a partition of the batch positions")
+            }));
             groups.push(GroupOp {
                 key: key.clone(),
                 ops,
             });
         }
+        self.batch_buf.clear();
 
         let mut results: Vec<(OpId, OpResult<V>)> = Vec::with_capacity(b);
 
@@ -727,7 +752,7 @@ mod tests {
 
     #[test]
     fn cut_batches_are_bounded_by_p_squared_times_logn() {
-        let mut m = M1::new(4);
+        let mut m = M1::new(4).with_batch_log();
         // One huge input batch gets cut into pieces of at most
         // ceil(log n / p) * p^2 operations.
         let ops: Vec<Operation<u64, u64>> = (0..5000u64).map(|i| insert(i, i)).collect();

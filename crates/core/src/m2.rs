@@ -32,7 +32,7 @@
 
 use crate::feed::FeedBuffer;
 use crate::ops::{BatchedMap, GroupOp, OpId, OpResult, Operation, TaggedOp};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use wsm_model::{ceil_log2, Cost, CostMeter};
 use wsm_seq::segment_capacity;
 use wsm_sort::{pesort_group_into, GroupedBatch, SortScratch};
@@ -48,7 +48,8 @@ fn tree_fanout() -> u64 {
 }
 
 /// Latency record for one operation: virtual submit and finish times in the
-/// pipeline simulation.
+/// pipeline simulation.  Kept only by maps built with
+/// [`M2::with_latency_records`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyRecord {
     /// The operation's identifier.
@@ -64,6 +65,15 @@ impl LatencyRecord {
     pub fn latency(&self) -> u64 {
         self.finish.saturating_sub(self.submit)
     }
+}
+
+/// The opt-in per-operation latency diagnostics.
+#[derive(Debug, Default)]
+struct LatencyLog {
+    /// Virtual submit time of every pending operation.
+    submit_times: HashMap<OpId, u64>,
+    /// One record per completed operation, in completion order.
+    records: Vec<LatencyRecord>,
 }
 
 /// A token travelling through the final slab: one in-flight distinct item.
@@ -113,9 +123,13 @@ pub struct M2<K, V> {
     /// finished a run.
     interface_clock: u64,
     segment_clocks: Vec<u64>,
-    /// Virtual submit time of every pending operation.
-    submit_times: Vec<(OpId, u64)>,
-    latencies: Vec<LatencyRecord>,
+    /// Virtual time of the latest enqueue: the earliest the interface can
+    /// start on what the feed buffer holds.
+    latest_submit: u64,
+    /// Per-operation latency diagnostics; `None` (the default) records
+    /// nothing, so a long-running map's memory does not grow with the
+    /// operations it served.
+    latency_log: Option<LatencyLog>,
     /// Reusable sort/group buffers: after the first few batches the
     /// sort-and-combine step allocates nothing (see `pesort_group_into`).
     key_buf: Vec<K>,
@@ -147,12 +161,20 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             results: Vec::new(),
             interface_clock: 0,
             segment_clocks: Vec::new(),
-            submit_times: Vec::new(),
-            latencies: Vec::new(),
+            latest_submit: 0,
+            latency_log: None,
             key_buf: Vec::new(),
             scratch: SortScratch::default(),
             grouped: GroupedBatch::default(),
         }
+    }
+
+    /// Additionally keeps one [`LatencyRecord`] per completed operation (read
+    /// back with [`M2::latencies`]) — for the experiment harness; the log
+    /// grows without bound, so serving paths leave it off.
+    pub fn with_latency_records(mut self) -> Self {
+        self.latency_log = Some(LatencyLog::default());
+        self
     }
 
     /// The processor count this instance is configured for.
@@ -186,15 +208,18 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         self.filter.len()
     }
 
-    /// Latency records of all completed operations.
+    /// Latency records of all completed operations, in completion order
+    /// (empty unless constructed with [`M2::with_latency_records`]).
     pub fn latencies(&self) -> &[LatencyRecord] {
-        &self.latencies
+        self.latency_log
+            .as_ref()
+            .map_or(&[], |log| log.records.as_slice())
     }
 
     /// Total worst-case work (the closed-form Appendix A.2 bounds) for every
     /// charge this map has paid; [`BatchedMap::effective_work`] reports the
     /// measured touched-node work, which is at most this (up to
-    /// [`tcost::measured_ceiling`], asserted in debug builds).
+    /// [`tcost::MEASURED_CEILING`], asserted in debug builds).
     pub fn analytic_bound_work(&self) -> u64 {
         self.bound_work
     }
@@ -236,9 +261,12 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Enqueues an input batch, as if flushed from the parallel buffer.
     pub fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
         let now = self.virtual_now();
+        self.latest_submit = now;
         for t in &batch {
             self.next_id = self.next_id.max(t.id + 1);
-            self.submit_times.push((t.id, now));
+        }
+        if let Some(log) = &mut self.latency_log {
+            log.submit_times.extend(batch.iter().map(|t| (t.id, now)));
         }
         let cost = self.feed.push_input(batch);
         self.bound_work += cost.work;
@@ -541,8 +569,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
         // Advance the interface clock by the span of this run and stamp the
         // operations that finished in the first slab.
-        self.interface_clock =
-            self.interface_clock.max(self.virtual_now_feed()) + cost.measured.span;
+        // The feed buffer does not track times; whatever it holds was
+        // enqueued by `latest_submit` (stage clocks never run backwards).
+        self.interface_clock = self.interface_clock.max(self.latest_submit) + cost.measured.span;
         let finish_time = self.interface_clock;
         self.record_finishes(&finish_now, finish_time);
         self.results.extend(finish_now);
@@ -556,13 +585,6 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         if self.interface_ready() {
             self.activate(Target::Interface);
         }
-    }
-
-    /// Lower bound on when the interface can start (input was enqueued at this
-    /// virtual time); the feed buffer itself does not track times, so use the
-    /// latest recorded submit time.
-    fn virtual_now_feed(&self) -> u64 {
-        self.submit_times.iter().map(|&(_, t)| t).max().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -916,23 +938,18 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     }
 
     fn record_finishes(&mut self, finished: &[(OpId, OpResult<V>)], time: u64) {
-        if finished.is_empty() {
+        let Some(log) = &mut self.latency_log else {
             return;
-        }
-        let ids: std::collections::BTreeSet<OpId> = finished.iter().map(|(id, _)| *id).collect();
-        let mut remaining = Vec::with_capacity(self.submit_times.len());
-        for &(id, submit) in &self.submit_times {
-            if ids.contains(&id) {
-                self.latencies.push(LatencyRecord {
-                    id,
+        };
+        for (id, _) in finished {
+            if let Some(submit) = log.submit_times.remove(id) {
+                log.records.push(LatencyRecord {
+                    id: *id,
                     submit,
                     finish: time,
                 });
-            } else {
-                remaining.push((id, submit));
             }
         }
-        self.submit_times = remaining;
     }
 
     /// Checks structural invariants in the spirit of Lemma 16: internal tree
@@ -1168,7 +1185,7 @@ mod tests {
         // access rank, so repeatedly touched items finish much faster than
         // long-untouched ones.
         let n = 1 << 14;
-        let mut m = M2::new(4);
+        let mut m = M2::new(4).with_latency_records();
         m.run_ops((0..n).map(|i| insert(i, i)).collect());
         // Prime a hot item near the front.
         m.run_ops(vec![search(5), search(5)]);

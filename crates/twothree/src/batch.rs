@@ -3,64 +3,62 @@
 //!
 //! All batch operations take an *item-sorted* batch of distinct keys, exactly
 //! as the paper requires (the working-set maps entropy-sort and combine each
-//! batch before it reaches the trees).  The divide-and-conquer over the batch
-//! performs `Θ(b log n)` work; the recursion is parallelised with
-//! `rayon::join` above a grain size in the `par_*` variants, which the
-//! concurrent front-ends use for wall-clock throughput.
+//! batch before it reaches the trees), and every batch size takes the same
+//! path: a **sorted-batch sweep**.  The whole sorted slice descends from the
+//! root once; each internal node cuts it among its children with one merge
+//! scan over its routing keys and recurses only into children that receive
+//! keys; the leaf parents apply their share in one merge; and on the way back
+//! each *touched* node is repaired once — split into as many nodes as it
+//! needs when it gained more than one node's worth of children, merged with
+//! or evened out against a neighbour when it fell under `min_children`,
+//! dropped when it emptied — with the root growing or shrinking by as many
+//! levels as the batch requires.  That is `Θ(b log n)` node visits in the
+//! worst case and fewer whenever keys share upper levels: a clustered batch
+//! walks one subtree, and the per-key cost falls as the batch grows.
 //!
-//! Both the point-loop and the divide-and-conquer paths count every node they
-//! visit through [`crate::cost::metered`], so the maps can charge measured
-//! work instead of the closed-form worst case.  The `par_*` variants count on
-//! whichever worker thread performs each half, so only the sequential paths
-//! (the ones the analytic charging uses) have exact per-call counts.
+//! The sweep counts one `cost::touch` per internal node visited and
+//! one per leaf read, created or freed, and one [`crate::cost::tree_passes`]
+//! pass per batch, so the maps can charge measured work instead of the
+//! closed-form worst case.  The `par_*` variants count on whichever worker
+//! thread performs each chunk, so only the sequential paths (the ones the
+//! analytic charging uses) have exact per-call counts.
 //!
-//! Since the arena rewrite a tree owns its node slab, so the parallel
-//! variants cannot hand two halves of one arena to two threads.  They
-//! *partition* instead: split the tree at the batch midpoint, move the right
-//! part into its own fresh arena (`Arena::extract`, O(size of that part)),
-//! recurse on the now-independent trees, and splice the right arena back
-//! (`Arena::absorb`) on the way out.  That repartitioning costs
-//! `O(n log(b / grain))` slab moves on top of the D&C itself — these are the
-//! bulk-throughput entry points used above `PAR_GRAIN`, not the analytically
+//! A tree owns its node slab, so the parallel update variants cannot hand
+//! two halves of one arena to two threads.  They *partition* instead: split
+//! the tree at the batch midpoint, move the right part into its own fresh
+//! arena (`Arena::extract`, O(size of that part)), recurse on the
+//! now-independent trees down to [`PAR_GRAIN`]-key chunks, sweep each chunk,
+//! and splice the right arena back (`Arena::absorb`) on the way out.  That
+//! repartitioning costs `O(n log(b / grain))` slab moves on top of the
+//! sweeps — these are the bulk-throughput entry points, not the analytically
 //! charged paths, which all go through the sequential variants.
 
-use crate::cost::pass;
-use crate::node::{Arena, NIL};
+use crate::cost::{pass, touch};
+use crate::node::NIL;
 use crate::tree::Tree23;
 
 /// Minimum batch size before the parallel variants split work across rayon.
 pub const PAR_GRAIN: usize = 256;
 
-/// Batches at or below this size are executed as a loop of in-place point
-/// operations instead of the divide-and-conquer split/join recursion.  Both
-/// cost `Θ(b log n)` work, but the point loop touches only the search paths
-/// and allocates only on actual node splits, where split/join rebuilds entire
-/// spines — a large constant factor on the small batches that dominate the
-/// working-set maps' segment cascade (ROADMAP "`tcost::batch_op` constants").
-pub const POINT_BATCH: usize = 32;
-
 impl<K: Ord + Clone, V> Tree23<K, V> {
     /// Looks up each key of a sorted batch; returns one result per key in the
-    /// same order.
+    /// same order.  One shared read-only descent.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        keys.iter().map(|k| self.get(k)).collect()
+        if !keys.is_empty() {
+            pass();
+        }
+        self.sweep_get(keys)
     }
 
     /// Like [`Tree23::batch_remove`] but discards the stored keys, returning
     /// only the removed values.  The arena-fused recency map uses this on its
     /// take paths, where the caller already owns the keys (they came off the
-    /// intrusive recency list) and the per-item key clone of the point-loop
-    /// path would be pure waste.
+    /// intrusive recency list).
     pub fn batch_remove_values(&mut self, keys: &[K]) -> Vec<Option<V>> {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        if keys.len() <= POINT_BATCH {
-            return keys.iter().map(|k| self.remove(k)).collect();
-        }
-        pass();
-        let (root, removed) = batch_remove_node(&mut self.arena, self.root, keys);
-        self.root = root;
-        removed.into_iter().map(|r| r.map(|(_, v)| v)).collect()
+        let mut out = Vec::with_capacity(keys.len());
+        self.batch_remove_with(keys, |item| out.push(item.map(|(_, v)| v)));
+        out
     }
 
     /// Inserts a sorted batch of distinct keys.  Returns, per item, the value
@@ -70,29 +68,91 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
             items.windows(2).all(|w| w[0].0 < w[1].0),
             "batch must be sorted with distinct keys"
         );
-        if items.len() <= POINT_BATCH {
-            return items.into_iter().map(|(k, v)| self.insert(k, v)).collect();
+        if !items.is_empty() {
+            pass();
         }
-        pass();
-        let (root, replaced) = batch_insert_node(&mut self.arena, self.root, items);
-        self.root = root;
-        replaced
+        self.sweep_insert(items)
     }
 
     /// Removes a sorted batch of distinct keys.  Returns, per key, the removed
     /// item (if it was present).
     pub fn batch_remove(&mut self, keys: &[K]) -> Vec<Option<(K, V)>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.batch_remove_with(keys, |item| out.push(item));
+        out
+    }
+
+    fn batch_remove_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<(K, V)>)) {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        if keys.len() <= POINT_BATCH {
-            return keys
-                .iter()
-                .map(|k| self.remove(k).map(|v| (k.clone(), v)))
-                .collect();
+        if !keys.is_empty() {
+            pass();
         }
-        pass();
-        let (root, removed) = batch_remove_node(&mut self.arena, self.root, keys);
-        self.root = root;
-        removed
+        self.sweep_remove(keys, &mut emit);
+    }
+
+    /// The read-only sweep from the root, without registering a pass.
+    fn sweep_get(&self, keys: &[K]) -> Vec<Option<&V>> {
+        let mut out = Vec::with_capacity(keys.len());
+        if self.root == NIL || keys.is_empty() {
+            out.resize(keys.len(), None);
+        } else if self.arena.is_leaf(self.root) {
+            let key = self.arena.max_key(self.root);
+            let found = self.arena.get(self.root, key);
+            out.extend(keys.iter().map(|k| if k == key { found } else { None }));
+        } else {
+            self.arena.sweep_get(self.root, keys, &mut out);
+        }
+        out
+    }
+
+    /// The insert sweep from the root, without registering a pass; grows the
+    /// root by as many levels as the batch needs.
+    fn sweep_insert(&mut self, mut items: Vec<(K, V)>) -> Vec<Option<V>> {
+        let n = items.len();
+        let mut out = Vec::with_capacity(n);
+        if n == 0 {
+            return out;
+        }
+        if self.root == NIL || self.arena.is_leaf(self.root) {
+            // No internal node to sweep: fold the lone item (if any) into the
+            // batch and build the tree over it bottom-up.
+            out.resize_with(n, || None);
+            if self.root != NIL {
+                touch(1);
+                let (key, val) = self.arena.take_leaf(self.root);
+                match items.binary_search_by(|(k, _)| k.cmp(&key)) {
+                    Ok(at) => out[at] = Some(val),
+                    Err(at) => items.insert(at, (key, val)),
+                }
+            }
+            self.root = self.arena.build_sorted(items);
+            return out;
+        }
+        let mut items = items.into_iter();
+        let (_, siblings) = self.arena.sweep_insert(self.root, &mut items, n, &mut out);
+        if !siblings.is_empty() {
+            let mut level = vec![self.root];
+            level.extend(siblings);
+            self.root = self.arena.build_levels(level);
+        }
+        out
+    }
+
+    /// The remove sweep from the root, without registering a pass; shrinks
+    /// the root by as many levels as the batch emptied.
+    fn sweep_remove(&mut self, keys: &[K], emit: &mut impl FnMut(Option<(K, V)>)) {
+        if self.root == NIL || keys.is_empty() {
+            keys.iter().for_each(|_| emit(None));
+        } else if self.arena.is_leaf(self.root) {
+            touch(1);
+            for key in keys {
+                let hit = self.root != NIL && self.arena.max_key(self.root) == key;
+                emit(hit.then(|| self.arena.take_leaf(std::mem::replace(&mut self.root, NIL))));
+            }
+        } else {
+            self.arena.sweep_remove(self.root, keys, emit);
+            self.root = self.arena.collapse(self.root);
+        }
     }
 
     /// Detaches everything with key `>= key` into its own tree (exact match
@@ -129,13 +189,14 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Send + Sync> Tree23<K, V> {
-    /// Parallel variant of [`Tree23::batch_get`].
+    /// Parallel variant of [`Tree23::batch_get`]: the key slice is halved
+    /// down to [`PAR_GRAIN`]-key chunks, each swept from the root.
     pub fn par_batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        use rayon::prelude::*;
-        if keys.len() < PAR_GRAIN {
-            return self.batch_get(keys);
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
+        if !keys.is_empty() {
+            pass();
         }
-        keys.par_iter().map(|k| self.get(k)).collect()
+        par_batch_get_tree(self, keys)
     }
 
     /// Parallel variant of [`Tree23::batch_insert`].
@@ -156,80 +217,20 @@ impl<K: Ord + Clone + Send + Sync, V: Send + Sync> Tree23<K, V> {
     }
 }
 
-type InsertOut<V> = (usize, Vec<Option<V>>);
-type RemoveOut<K, V> = (usize, Vec<Option<(K, V)>>);
-
-fn batch_insert_node<K: Ord + Clone, V>(
-    arena: &mut Arena<K, V>,
-    t: usize,
-    mut items: Vec<(K, V)>,
-) -> InsertOut<V> {
-    match items.len() {
-        0 => (t, Vec::new()),
-        1 => {
-            let (k, v) = items.pop().expect("one item");
-            let (left, found, right) = if t == NIL {
-                (NIL, None, NIL)
-            } else {
-                arena.split_at_key(t, &k)
-            };
-            let leaf = arena.leaf(k, v);
-            let left = arena.join_opt(left, leaf);
-            let joined = arena.join_opt(left, right);
-            (joined, vec![found.map(|(_, v)| v)])
-        }
-        len => {
-            let mid = len / 2;
-            let mut right_items = items.split_off(mid);
-            let (mid_k, mid_v) = right_items.remove(0);
-            let (left_t, found, right_t) = if t == NIL {
-                (NIL, None, NIL)
-            } else {
-                arena.split_at_key(t, &mid_k)
-            };
-            let (left_t, mut out) = batch_insert_node(arena, left_t, items);
-            out.push(found.map(|(_, v)| v));
-            let (right_t, right_out) = batch_insert_node(arena, right_t, right_items);
-            out.extend(right_out);
-            let leaf = arena.leaf(mid_k, mid_v);
-            let left_t = arena.join_opt(left_t, leaf);
-            let joined = arena.join_opt(left_t, right_t);
-            (joined, out)
-        }
-    }
-}
-
-fn batch_remove_node<K: Ord + Clone, V>(
-    arena: &mut Arena<K, V>,
-    t: usize,
+fn par_batch_get_tree<'a, K: Ord + Clone + Send + Sync, V: Send + Sync>(
+    tree: &'a Tree23<K, V>,
     keys: &[K],
-) -> RemoveOut<K, V> {
-    match keys.len() {
-        0 => (t, Vec::new()),
-        1 => {
-            let k = &keys[0];
-            let (left, found, right) = if t == NIL {
-                (NIL, None, NIL)
-            } else {
-                arena.split_at_key(t, k)
-            };
-            (arena.join_opt(left, right), vec![found])
-        }
-        len => {
-            let mid = len / 2;
-            let mid_k = &keys[mid];
-            let (left_t, found, right_t) = if t == NIL {
-                (NIL, None, NIL)
-            } else {
-                arena.split_at_key(t, mid_k)
-            };
-            let (left_t, mut out) = batch_remove_node(arena, left_t, &keys[..mid]);
-            out.push(found);
-            let (right_t, right_out) = batch_remove_node(arena, right_t, &keys[mid + 1..]);
-            out.extend(right_out);
-            (arena.join_opt(left_t, right_t), out)
-        }
+) -> Vec<Option<&'a V>> {
+    if keys.len() < PAR_GRAIN {
+        return tree.sweep_get(keys);
     }
+    let (left_keys, right_keys) = keys.split_at(keys.len() / 2);
+    let (mut out, right_out) = rayon::join(
+        || par_batch_get_tree(tree, left_keys),
+        || par_batch_get_tree(tree, right_keys),
+    );
+    out.extend(right_out);
+    out
 }
 
 fn par_batch_insert_tree<K: Ord + Clone + Send + Sync, V: Send + Sync>(
@@ -238,9 +239,7 @@ fn par_batch_insert_tree<K: Ord + Clone + Send + Sync, V: Send + Sync>(
 ) -> Vec<Option<V>> {
     let len = items.len();
     if len < PAR_GRAIN {
-        let (root, out) = batch_insert_node(&mut tree.arena, tree.root, items);
-        tree.root = root;
-        return out;
+        return tree.sweep_insert(items);
     }
     let mut items = items;
     let right_items = items.split_off(len / 2);
@@ -266,8 +265,8 @@ fn par_batch_remove_tree<K: Ord + Clone + Send + Sync, V: Send + Sync>(
 ) -> Vec<Option<(K, V)>> {
     let len = keys.len();
     if len < PAR_GRAIN {
-        let (root, out) = batch_remove_node(&mut tree.arena, tree.root, keys);
-        tree.root = root;
+        let mut out = Vec::with_capacity(len);
+        tree.sweep_remove(keys, &mut |item| out.push(item));
         return out;
     }
     let (left_keys, right_keys) = keys.split_at(len / 2);

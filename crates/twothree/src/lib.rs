@@ -36,9 +36,10 @@
 //! This crate provides:
 //!
 //! * [`BTree`] (alias [`Tree23`]) — the leaf-based fanout-B arena tree with
-//!   join/split based single and batch operations (batch get / insert /
-//!   remove, split by rank, take-front/back), parallelised with rayon above
-//!   a grain size;
+//!   in-place point operations, one-pass sorted-batch sweeps (batch get /
+//!   insert / remove, parallelised with rayon above a grain size) and
+//!   join/split structural operations (split by key or rank,
+//!   take-front/back, join);
 //! * [`RecencyMap`] — the arena-fused key/recency map used by every segment
 //!   of M0, M1 and M2: one key-ordered [`BTree`] over a slab arena whose
 //!   slots carry an intrusive doubly-linked recency list, realising the

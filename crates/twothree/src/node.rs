@@ -19,16 +19,18 @@
 //! (any root may have 2 children); every other internal node keeps
 //! `min..=max`.
 //!
-//! All structural operations are expressed through `join` (concatenate two
-//! trees whose key ranges do not interleave) and `split` (cut a tree at a key
-//! or at a rank), the classic building blocks for batch parallel operations
-//! on balanced trees.  Equal-height joins merge or evenly redistribute
-//! top-level children so no under-occupied node is ever buried inside a tree.
+//! Point operations and the sorted-batch sweep (one descent per batch, see
+//! [`crate::batch`]) work in place: they split, merge and even out nodes on
+//! the way back up and keep the cached `size` and routing keys current
+//! incrementally.  Whole-tree surgery is expressed through `join`
+//! (concatenate two trees whose key ranges do not interleave) and `split`
+//! (cut a tree at a key or at a rank).  Equal-height joins merge or evenly
+//! redistribute top-level children so no under-occupied node is ever buried
+//! inside a tree.
 //!
-//! Every recursion step of the structural operations calls
-//! [`crate::cost::touch`] once **per node visited** — in-node work is O(B)
-//! and is the point of the layout (one cache-friendly sweep), while the
-//! measured cost model counts node visits, which is what shrinks by
+//! Every operation calls [`crate::cost::touch`] once **per node visited** —
+//! in-node work is O(B) and is the point of the layout (one cache-friendly
+//! scan), while the measured cost model counts node visits, which shrink by
 //! `~log₂ B` at wide fanouts.  Whole root-originating traversals are counted
 //! separately as *passes* at the [`crate::BTree`] entry points
 //! (`cost::tree_passes`).  Read-only diagnostic traversals (`for_each`,
@@ -55,6 +57,18 @@ pub(crate) struct Internal<K> {
     pub size: usize,
     pub keys: Vec<K>,
     pub children: Vec<usize>,
+}
+
+// Not derived: an empty node needs no `K: Default`.
+impl<K> Default for Internal<K> {
+    fn default() -> Self {
+        Internal {
+            height: 0,
+            size: 0,
+            keys: Vec::new(),
+            children: Vec::new(),
+        }
+    }
 }
 
 /// The node slab: every node of one tree lives here, free slots are threaded
@@ -190,21 +204,42 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// this way is (transiently) a root; attachment into a larger tree
     /// repairs occupancy (see [`Arena::join`]).
     pub fn make_internal(&mut self, children: Vec<usize>) -> usize {
-        touch(1);
         debug_assert!((2..=self.max_c).contains(&children.len()));
-        let idx = self.alloc(Slot::Internal(Internal {
-            height: 0,
-            size: 0,
-            keys: Vec::new(),
+        let keys = children.iter().map(|&c| self.max_key(c).clone()).collect();
+        self.make_internal_keyed(children, keys)
+    }
+
+    /// Builds an internal node from a child list and its routing keys, which
+    /// the caller already holds (a split hands over both halves) — no key is
+    /// cloned and, over leaves, no child is dereferenced.
+    fn make_internal_keyed(&mut self, children: Vec<usize>, keys: Vec<K>) -> usize {
+        touch(1);
+        debug_assert_eq!(children.len(), keys.len());
+        let height = self.height(children[0]) + 1;
+        let size = self.total_size(height, &children);
+        self.alloc(Slot::Internal(Internal {
+            height,
+            size,
+            keys,
             children,
-        }));
-        self.refresh(idx);
-        idx
+        }))
+    }
+
+    /// Items under `children`, the children of a node of height `height`
+    /// (leaves count one each without being dereferenced).
+    fn total_size(&self, height: usize, children: &[usize]) -> usize {
+        if height == 1 {
+            children.len()
+        } else {
+            children.iter().map(|&c| self.size(c)).sum()
+        }
     }
 
     /// Recomputes the cached height/size and rebuilds the routing-key array
-    /// of an internal node from its children — O(B) per call, the in-node
-    /// cost unit of the wide layout.
+    /// of an internal node from its children — O(B) dereferences and key
+    /// clones, so it is kept to the join/split paths, which rebuild child
+    /// lists wholesale.  Point operations and the batch sweep maintain `size`
+    /// and the affected routing keys incrementally instead.
     fn refresh(&mut self, idx: usize) {
         let children = std::mem::take(&mut self.internal_mut(idx).children);
         debug_assert!(!children.is_empty());
@@ -285,6 +320,10 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// overfull nodes on the way back up.  Returns the previous value for
     /// the key (if any) and, when this node overflowed, a new right sibling
     /// of the same height that the caller must adopt.
+    ///
+    /// Cached metadata is maintained incrementally: `size` grows by one and
+    /// only the routing key of the child actually descended into is
+    /// rewritten, and only when that child's maximum moved.
     pub fn insert_point(&mut self, idx: usize, key: K, val: V) -> (Option<V>, Option<usize>) {
         touch(1);
         match &mut self.slots[idx] {
@@ -304,11 +343,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 std::cmp::Ordering::Greater => (None, Some(self.alloc(Slot::Leaf { key, val }))),
             },
             Slot::Internal(int) => {
-                let pos = int
-                    .keys
-                    .iter()
-                    .position(|m| &key <= m)
-                    .unwrap_or(int.children.len() - 1);
+                let route = int.keys.iter().position(|m| &key <= m);
+                let pos = route.unwrap_or(int.children.len() - 1);
                 let child = int.children[pos];
                 let (prev, overflow) = self.insert_point(child, key, val);
                 if prev.is_some() {
@@ -317,18 +353,21 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                     debug_assert!(overflow.is_none());
                     return (prev, None);
                 }
-                if let Some(sib) = overflow {
-                    self.internal_mut(idx).children.insert(pos + 1, sib);
+                // The child's maximum moved iff it split (its upper part left)
+                // or the key went in above every routing key.
+                let child_max =
+                    (overflow.is_some() || route.is_none()).then(|| self.max_key(child).clone());
+                let adopted = overflow.map(|sib| (sib, self.max_key(sib).clone()));
+                let int = self.internal_mut(idx);
+                int.size += 1;
+                if let Some(max) = child_max {
+                    int.keys[pos] = max;
                 }
-                let overflow = if self.children_len(idx) > self.max_c {
-                    let keep = self.max_c.div_ceil(2);
-                    let right = self.internal_mut(idx).children.split_off(keep);
-                    let right = self.make_internal(right);
-                    Some(right)
-                } else {
-                    None
-                };
-                self.refresh(idx);
+                if let Some((sib, max)) = adopted {
+                    int.children.insert(pos + 1, sib);
+                    int.keys.insert(pos + 1, max);
+                }
+                let overflow = self.split_overfull(idx).pop();
                 (prev, overflow)
             }
             Slot::Free { .. } => unreachable!("insert reached a free slot"),
@@ -337,7 +376,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
 
     /// In-place point removal from the internal node `idx`: one root-to-leaf
     /// traversal that repairs underfull children (borrow from or merge with
-    /// a sibling) on the way back up.  Returns the removed item.
+    /// a sibling) on the way back up.  Returns the removed item.  `size` and
+    /// the one affected routing key are maintained incrementally.
     ///
     /// After the call `idx` may itself be below `min_children` — only the
     /// caller (the parent, or [`crate::BTree::remove`] at the root) can
@@ -347,68 +387,435 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         let int = self.internal(idx);
         let pos = int.keys.iter().position(|m| key <= m)?;
         let child = int.children[pos];
-        let removed = if self.is_leaf(child) {
-            if self.max_key(child) == key {
-                let int = self.internal_mut(idx);
-                int.children.remove(pos);
-                int.keys.remove(pos);
-                Some(self.take_leaf(child))
-            } else {
-                None
+        let was_max = int.keys[pos] == *key;
+        if int.height == 1 {
+            if !was_max {
+                return None;
             }
-        } else {
-            let removed = self.remove_point(child, key);
-            if removed.is_some() && self.children_len(child) < self.min_c {
-                self.fix_underflow(idx, pos);
-            }
-            removed
-        };
-        if removed.is_some() && !self.internal(idx).children.is_empty() {
-            self.refresh(idx);
-        }
-        removed
-    }
-
-    /// Repairs `children[pos]` of `idx`, an internal child one below
-    /// `min_children`: borrow a grandchild from an adjacent sibling with
-    /// spare occupancy, or merge into that sibling (dropping the child).
-    /// `2·min - 1 <= max` for every fanout, so the merge never overflows.
-    fn fix_underflow(&mut self, idx: usize, pos: usize) {
-        touch(1);
-        let sib_pos = if pos > 0 { pos - 1 } else { pos + 1 };
-        let (child, sib) = {
-            let int = self.internal(idx);
-            (int.children[pos], int.children[sib_pos])
-        };
-        if self.children_len(sib) > self.min_c {
-            // Borrow the adjacent grandchild.
-            let moved = if sib_pos < pos {
-                self.internal_mut(sib).children.pop().expect("spare child")
-            } else {
-                self.internal_mut(sib).children.remove(0)
-            };
-            self.refresh(sib);
-            let c = self.internal_mut(child);
-            if sib_pos < pos {
-                c.children.insert(0, moved);
-            } else {
-                c.children.push(moved);
-            }
-            self.refresh(child);
-        } else {
-            // Merge the underfull child into the sibling.
-            let orphans = self.take_internal(child).children;
-            let s = self.internal_mut(sib);
-            if sib_pos < pos {
-                s.children.extend(orphans);
-            } else {
-                s.children.splice(0..0, orphans);
-            }
-            self.refresh(sib);
             let int = self.internal_mut(idx);
             int.children.remove(pos);
             int.keys.remove(pos);
+            int.size -= 1;
+            return Some(self.take_leaf(child));
         }
+        let removed = self.remove_point(child, key)?;
+        self.internal_mut(idx).size -= 1;
+        if was_max {
+            let max = self.max_key(child).clone();
+            self.internal_mut(idx).keys[pos] = max;
+        }
+        if self.children_len(child) < self.min_c {
+            self.rebalance(idx, pos);
+        }
+        Some(removed)
+    }
+
+    /// Splits `idx` into as many evenly filled nodes as its child count
+    /// needs (none when it fits in `max_children`): `idx` keeps the first
+    /// group, the rest are returned left to right as new right siblings of
+    /// the same height for the caller to adopt.  Every group lands in
+    /// `min..=max` (`2·min - 1 <= max`).  `size` of `idx` must be current.
+    fn split_overfull(&mut self, idx: usize) -> Vec<usize> {
+        let max_c = self.max_c;
+        let int = self.internal_mut(idx);
+        let len = int.children.len();
+        if len <= max_c {
+            return Vec::new();
+        }
+        let groups = len.div_ceil(max_c);
+        let (base, extra) = (len / groups, len % groups);
+        // Every group moves into lists of its own size, so a bulk insert's
+        // long merge buffers are not kept by the node that stays.
+        let mut children = std::mem::take(&mut int.children).into_iter();
+        let mut keys = std::mem::take(&mut int.keys).into_iter();
+        let mut group = |g: usize| {
+            let n = base + usize::from(g < extra);
+            let c: Vec<usize> = children.by_ref().take(n).collect();
+            let k: Vec<K> = keys.by_ref().take(n).collect();
+            (c, k)
+        };
+        let first = group(0);
+        let mut moved = 0;
+        let mut siblings = Vec::with_capacity(groups - 1);
+        for g in 1..groups {
+            let (c, k) = group(g);
+            let sib = self.make_internal_keyed(c, k);
+            moved += self.size(sib);
+            siblings.push(sib);
+        }
+        let int = self.internal_mut(idx);
+        (int.children, int.keys) = first;
+        int.size -= moved;
+        siblings
+    }
+
+    /// Repairs `children[pos]` of `idx`, a child below `min_children` whose
+    /// own children are all well-formed: merge it with an adjacent sibling
+    /// when the pair fits in one node, else even the pair out (both halves
+    /// end `>= min` because `2·min - 1 <= max`).  Uses the left sibling when
+    /// there is one.  Returns the position the batch sweep resumes from: the
+    /// pair's left node when that is the start of the list (its key range
+    /// grew to the right, over keys not yet swept), else the first position
+    /// after the repaired pair.
+    fn rebalance(&mut self, idx: usize, pos: usize) -> usize {
+        touch(1);
+        let lpos = pos.saturating_sub(1);
+        let (l, r) = {
+            let int = self.internal(idx);
+            (int.children[lpos], int.children[lpos + 1])
+        };
+        let height = self.height(l);
+        let merged = self.children_len(l) + self.children_len(r) <= self.max_c;
+        if merged {
+            let right = self.take_internal(r);
+            let left = self.internal_mut(l);
+            left.children.extend(right.children);
+            left.keys.extend(right.keys);
+            left.size += right.size;
+            let int = self.internal_mut(idx);
+            int.children.remove(lpos + 1);
+            // The pair's maximum is the right node's; the left one's goes.
+            int.keys.remove(lpos);
+        } else {
+            let mut left = std::mem::take(self.internal_mut(l));
+            let mut right = std::mem::take(self.internal_mut(r));
+            let target = (left.children.len() + right.children.len()) / 2;
+            if left.children.len() > target {
+                let children = left.children.split_off(target);
+                let moved = self.total_size(height, &children);
+                right.children.splice(0..0, children);
+                right.keys.splice(0..0, left.keys.split_off(target));
+                left.size -= moved;
+                right.size += moved;
+            } else {
+                let n = target - left.children.len();
+                let moved = self.total_size(height, &right.children[..n]);
+                left.children.extend(right.children.drain(..n));
+                left.keys.extend(right.keys.drain(..n));
+                left.size += moved;
+                right.size -= moved;
+            }
+            let left_max = left.keys.last().expect("non-empty half").clone();
+            *self.internal_mut(l) = left;
+            *self.internal_mut(r) = right;
+            self.internal_mut(idx).keys[lpos] = left_max;
+        }
+        if pos == 0 {
+            0
+        } else if merged {
+            pos
+        } else {
+            pos + 1
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Sorted-batch sweep (the "normal batch operation" of Appendix A.2)
+    // ------------------------------------------------------------------
+    //
+    // One descent from the root with the whole sorted batch: each internal
+    // node cuts the batch among its children with one merge scan over its
+    // routing keys, recurses only into children that receive keys, and on the
+    // way back repairs each touched child once.  One `touch` per internal
+    // node visited plus one per leaf read, created or freed.
+
+    /// Read-only sweep: pushes one result per key of the sorted batch `keys`
+    /// onto `out`, in order.  `idx` is an internal node.
+    pub fn sweep_get<'a>(&'a self, idx: usize, keys: &[K], out: &mut Vec<Option<&'a V>>) {
+        touch(1);
+        let int = self.internal(idx);
+        if int.height == 1 {
+            let mut at = 0;
+            for key in keys {
+                at += int.keys[at..].iter().take_while(|m| *m < key).count();
+                out.push(match int.keys.get(at) {
+                    Some(m) if m == key => {
+                        touch(1);
+                        match &self.slots[int.children[at]] {
+                            Slot::Leaf { val, .. } => Some(val),
+                            _ => unreachable!("leaf parents hold leaves"),
+                        }
+                    }
+                    _ => None,
+                });
+            }
+            return;
+        }
+        let mut lo = 0;
+        for (bound, &child) in int.keys.iter().zip(&int.children) {
+            let hi = lo + keys[lo..].iter().take_while(|k| *k <= bound).count();
+            if hi > lo {
+                self.sweep_get(child, &keys[lo..hi], out);
+                lo = hi;
+            }
+        }
+        // Keys above the node's maximum (possible at the root only).
+        out.extend(keys[lo..].iter().map(|_| None));
+    }
+
+    /// Insert sweep: merges the next `n` items of the sorted batch `items`
+    /// under the internal node `idx`, pushing the replaced value (if any)
+    /// per item onto `out`.  Returns how many items were new, plus the right
+    /// siblings `idx` split off when it gained more than one node's worth of
+    /// children (same height, left to right, for the caller to adopt).
+    pub fn sweep_insert(
+        &mut self,
+        idx: usize,
+        items: &mut std::vec::IntoIter<(K, V)>,
+        n: usize,
+        out: &mut Vec<Option<V>>,
+    ) -> (usize, Vec<usize>) {
+        touch(1);
+        if self.internal(idx).height == 1 {
+            let added = self.insert_leaves(idx, items, n, out);
+            return (added, self.split_overfull(idx));
+        }
+        let mut total_added = 0;
+        let mut left = n;
+        let mut pos = 0;
+        while left > 0 {
+            let int = self.internal(idx);
+            let last = pos + 1 == int.children.len();
+            // Items above every routing key extend the last child.
+            let take = if last {
+                left
+            } else {
+                let bound = &int.keys[pos];
+                let pending = &items.as_slice()[..left];
+                pending.iter().take_while(|(k, _)| k <= bound).count()
+            };
+            if take == 0 {
+                pos += 1;
+                continue;
+            }
+            let child = int.children[pos];
+            let (added, siblings) = self.sweep_insert(child, items, take, out);
+            left -= take;
+            total_added += added;
+            // The child's maximum moved iff it split or grew past the end.
+            let child_max =
+                (!siblings.is_empty() || (last && added > 0)).then(|| self.max_key(child).clone());
+            let sibling_keys: Vec<K> = siblings.iter().map(|&s| self.max_key(s).clone()).collect();
+            let int = self.internal_mut(idx);
+            int.size += added;
+            if let Some(max) = child_max {
+                int.keys[pos] = max;
+            }
+            let at = pos + 1;
+            pos = at + siblings.len();
+            int.keys.splice(at..at, sibling_keys);
+            int.children.splice(at..at, siblings);
+        }
+        (total_added, self.split_overfull(idx))
+    }
+
+    /// Leaf-parent step of the insert sweep: one merge of the next `n` items
+    /// into the leaf list of `idx`, in place (which may leave it overfull).
+    /// Each new leaf shifts only the old leaves above its key, and a leaf
+    /// parent holds at most `max_children` of those, so the merge is
+    /// `O(n · max_children)` however long the list grows.  Returns the
+    /// number of new leaves.
+    fn insert_leaves(
+        &mut self,
+        idx: usize,
+        items: &mut std::vec::IntoIter<(K, V)>,
+        n: usize,
+        out: &mut Vec<Option<V>>,
+    ) -> usize {
+        touch(n as u64);
+        let int = self.internal_mut(idx);
+        let mut children = std::mem::take(&mut int.children);
+        let mut keys = std::mem::take(&mut int.keys);
+        let mut at = 0;
+        let mut added = 0;
+        for (key, val) in items.take(n) {
+            at += keys[at..].iter().take_while(|k| **k < key).count();
+            if keys.get(at) == Some(&key) {
+                let Slot::Leaf { val: v, .. } = &mut self.slots[children[at]] else {
+                    unreachable!("leaf parents hold leaves")
+                };
+                out.push(Some(std::mem::replace(v, val)));
+            } else {
+                out.push(None);
+                added += 1;
+                let leaf = self.alloc(Slot::Leaf {
+                    key: key.clone(),
+                    val,
+                });
+                children.insert(at, leaf);
+                keys.insert(at, key);
+            }
+            at += 1;
+        }
+        let int = self.internal_mut(idx);
+        int.size = children.len();
+        int.children = children;
+        int.keys = keys;
+        added
+    }
+
+    /// Remove sweep: removes the keys of the sorted batch `keys` from under
+    /// the internal node `idx`, handing `emit` the removed item (or `None`)
+    /// per key, in order.  Returns the number removed.
+    ///
+    /// On return every child of `idx` is well-formed (`min..=max` children)
+    /// unless `idx` is left with a single child; `idx` itself may hold fewer
+    /// than `min_children` — even none — which only its caller can repair.
+    pub fn sweep_remove<F: FnMut(Option<(K, V)>)>(
+        &mut self,
+        idx: usize,
+        keys: &[K],
+        emit: &mut F,
+    ) -> usize {
+        touch(1);
+        if self.internal(idx).height == 1 {
+            return self.remove_leaves(idx, keys, emit);
+        }
+        let mut total_removed = 0;
+        let mut lo = 0;
+        let mut pos = 0;
+        // Routing is lazy — each child's share is cut against its *current*
+        // routing key — so a repair may reshape everything from `pos` on.
+        while lo < keys.len() && pos < self.children_len(idx) {
+            let int = self.internal(idx);
+            let bound = &int.keys[pos];
+            let hi = lo + keys[lo..].iter().take_while(|k| *k <= bound).count();
+            if hi == lo {
+                pos += 1;
+                continue;
+            }
+            let child = int.children[pos];
+            let max_hit = keys[hi - 1] == *bound;
+            let removed = self.sweep_remove(child, &keys[lo..hi], emit);
+            lo = hi;
+            if removed == 0 {
+                pos += 1;
+                continue;
+            }
+            total_removed += removed;
+            self.internal_mut(idx).size -= removed;
+            pos = self.settle(idx, pos, max_hit);
+        }
+        for _ in lo..keys.len() {
+            emit(None);
+        }
+        total_removed
+    }
+
+    /// Leaf-parent step of the remove sweep: one merge of `keys` against the
+    /// leaf list of `idx`, compacting the survivors in place.
+    fn remove_leaves<F: FnMut(Option<(K, V)>)>(
+        &mut self,
+        idx: usize,
+        keys: &[K],
+        emit: &mut F,
+    ) -> usize {
+        let int = self.internal_mut(idx);
+        let mut children = std::mem::take(&mut int.children);
+        let mut node_keys = std::mem::take(&mut int.keys);
+        let mut pending = keys.iter().peekable();
+        let mut kept = 0;
+        for at in 0..children.len() {
+            while pending.next_if(|k| **k < node_keys[at]).is_some() {
+                emit(None);
+            }
+            if pending.next_if(|k| **k == node_keys[at]).is_some() {
+                emit(Some(self.take_leaf(children[at])));
+            } else {
+                children.swap(kept, at);
+                node_keys.swap(kept, at);
+                kept += 1;
+            }
+        }
+        for _ in pending {
+            emit(None);
+        }
+        let removed = children.len() - kept;
+        touch(removed as u64);
+        children.truncate(kept);
+        node_keys.truncate(kept);
+        let int = self.internal_mut(idx);
+        int.size = kept;
+        int.children = children;
+        int.keys = node_keys;
+        removed
+    }
+
+    /// Brings `children[pos]` of `idx` back into shape after a remove sweep
+    /// took items from under it (`max_hit`: possibly its maximum), and
+    /// returns the position the sweep resumes from.
+    fn settle(&mut self, idx: usize, pos: usize, max_hit: bool) -> usize {
+        let child = self.internal(idx).children[pos];
+        let len = self.children_len(child);
+        if len == 0 {
+            self.take_internal(child);
+            let int = self.internal_mut(idx);
+            int.children.remove(pos);
+            int.keys.remove(pos);
+            return pos;
+        }
+        if max_hit {
+            let max = self.max_key(child).clone();
+            self.internal_mut(idx).keys[pos] = max;
+        }
+        if len >= self.min_c || self.children_len(idx) == 1 {
+            // Well-formed, or an only child: the caller of `idx` sees a
+            // one-child node and dissolves the chain.
+            return pos + 1;
+        }
+        let only = self.internal(child).children[0];
+        if len > 1 || self.is_leaf(only) || self.children_len(only) >= self.min_c {
+            return self.rebalance(idx, pos);
+        }
+        // The child is a chain down to an underfull node, which must not be
+        // buried in a sibling: cut the chain out and re-attach what hangs
+        // from it along a neighbour's spine, as a join would.
+        let int = self.internal_mut(idx);
+        int.children.remove(pos);
+        int.keys.remove(pos);
+        let piece = self.collapse(child);
+        if pos > 0 {
+            let left = self.internal(idx).children[pos - 1];
+            let overflow = self.attach_right(left, piece);
+            let max = self.max_key(left).clone();
+            self.internal_mut(idx).keys[pos - 1] = max;
+            self.adopt(idx, pos, overflow)
+        } else {
+            let right = self.internal(idx).children[0];
+            let overflow = self.attach_left(piece, right);
+            self.adopt(idx, 0, overflow);
+            0
+        }
+    }
+
+    /// Inserts an attachment's overflow node (if any) as `children[pos]` of
+    /// `idx`; returns the position after it.
+    fn adopt(&mut self, idx: usize, pos: usize, overflow: Option<usize>) -> usize {
+        let Some(node) = overflow else {
+            return pos;
+        };
+        let max = self.max_key(node).clone();
+        let int = self.internal_mut(idx);
+        int.children.insert(pos, node);
+        int.keys.insert(pos, max);
+        pos + 1
+    }
+
+    /// Frees the chain of one-child nodes hanging from `idx` and returns the
+    /// first node below it that is a leaf or has several children — or NIL,
+    /// freeing that too, when the chain ends in an empty node.
+    pub fn collapse(&mut self, mut idx: usize) -> usize {
+        while !self.is_leaf(idx) {
+            match self.children_len(idx) {
+                0 => {
+                    self.take_internal(idx);
+                    return NIL;
+                }
+                1 => idx = self.take_internal(idx).children[0],
+                _ => break,
+            }
+        }
+        idx
     }
 
     // ------------------------------------------------------------------
@@ -659,20 +1066,23 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     // Bulk build / drain / move
     // ------------------------------------------------------------------
 
-    /// Builds a balanced tree from sorted, deduplicated items in O(n),
-    /// distributing each level's nodes evenly so every group lands in
-    /// `min..=max` (a single undersized group can only be the root).
+    /// Builds a balanced tree from sorted, deduplicated items in O(n).
     pub fn build_sorted(&mut self, items: Vec<(K, V)>) -> usize {
-        if items.is_empty() {
-            return NIL;
-        }
         // A linear build touches every created leaf (internal nodes are a
         // constant fraction on top, folded into the ceiling).
         touch(items.len() as u64);
-        let mut level: Vec<usize> = items
+        let leaves = items
             .into_iter()
             .map(|(k, v)| self.alloc(Slot::Leaf { key: k, val: v }))
             .collect();
+        self.build_levels(leaves)
+    }
+
+    /// Stacks internal levels over `level` (same-height nodes in key order)
+    /// until one root remains, distributing each level's nodes evenly so
+    /// every group lands in `min..=max` (a single undersized group can only
+    /// be the root).  NIL for an empty level.
+    pub fn build_levels(&mut self, mut level: Vec<usize>) -> usize {
         while level.len() > 1 {
             let groups = level.len().div_ceil(self.max_c);
             let base = level.len() / groups;
@@ -687,7 +1097,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             debug_assert!(iter.next().is_none(), "grouping left a dangling child");
             level = next;
         }
-        level.pop().expect("non-empty level")
+        level.pop().unwrap_or(NIL)
     }
 
     /// In-order traversal into `out`, freeing the visited slots.

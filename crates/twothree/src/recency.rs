@@ -25,10 +25,9 @@
 //!   key-ordered batch removal.
 //!
 //! Every segment operation thus drives **one** tree where the stamp design
-//! drove two — its tree passes are halved on every path: one
-//! divide-and-conquer sweep per batch above `batch::POINT_BATCH`, one point
-//! traversal per item below it (the stamp design paid the same shape on
-//! *both* trees).  The O(1)-per-item list work is metered as one
+//! drove two, and drives it **once**: a batch of any size is one sorted-batch
+//! sweep of the key map (see [`crate::batch`]), a single-item operation one
+//! point traversal.  The O(1)-per-item list work is metered as one
 //! [`crate::cost::touch`] per splice so measured charges stay honest.  The
 //! measured effect is tracked by experiment E18 (tree-passes-per-op) and the
 //! E17 constants (`BENCH_e17*.json`).
@@ -857,7 +856,7 @@ mod tests {
 
     #[test]
     fn metered_segment_transfers_stay_under_the_transfer_bound() {
-        use crate::cost::{measured_ceiling, metered, transfer_b};
+        use crate::cost::{metered, transfer_b, MEASURED_CEILING};
         // The segment-cascade transfer shape: take k off one map's back and
         // push them onto another's front; the measured node visits must stay
         // under the ceiling on the (fanout-parameterized) transfer bound the
@@ -879,7 +878,7 @@ mod tests {
                 });
                 let bound = transfer_b(k as u64, larger, fan as u64).work;
                 assert!(
-                    touched <= measured_ceiling(fan as u64) * bound,
+                    touched <= MEASURED_CEILING * bound,
                     "transfer of {k} at fanout {fan}: touched {touched} exceeds \
                      ceiling on bound {bound}"
                 );
@@ -966,8 +965,8 @@ mod tests {
     fn segment_ops_pay_one_tree_pass_not_two() {
         use crate::cost::{reset_tree_passes, tree_passes};
         // The headline of the fusion, pinned at the pass-counter level: a
-        // divide-and-conquer batch removal is exactly one key-map sweep (the
-        // stamp design paid one per tree), and a transfer is exactly two (one
+        // batch removal is exactly one key-map sweep (the stamp design paid
+        // one per tree), and a transfer is exactly two (one
         // take-side removal, one push-side insertion — it used to be four).
         // Pass counts are structural, so they hold at every fanout.
         for fan in [2usize, 8, 16] {

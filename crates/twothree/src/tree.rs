@@ -7,7 +7,9 @@ use crate::node::{Arena, NIL};
 
 /// Take-counts at or below this size use repeated point removals instead of
 /// a rank split: for tiny `k` the point path avoids the split/join spine
-/// rebuild entirely (see `batch::POINT_BATCH` for the same trade-off).
+/// rebuild entirely.  (Takes are by rank, so the key-sorted batch sweep of
+/// [`crate::batch`] does not apply; the recency map's takes go through the
+/// sweep, with keys read off its list.)
 const POINT_TAKE: usize = 8;
 
 /// A leaf-based fanout-B search tree storing key-value items in key order.

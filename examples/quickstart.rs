@@ -32,9 +32,10 @@ fn main() {
         m1.effective_span()
     );
 
-    // M2 has the same interface but pipelines its final slab; per-operation
-    // latencies are available after processing.
-    let mut m2: M2<u64, u64> = M2::new(8);
+    // M2 has the same interface but pipelines its final slab; built with
+    // `with_latency_records`, per-operation latencies are available after
+    // processing.
+    let mut m2: M2<u64, u64> = M2::new(8).with_latency_records();
     m2.run_ops((0..10_000).map(|i| Operation::Insert(i, i)).collect());
     m2.run_ops(vec![Operation::Search(1), Operation::Search(9_999)]);
     let lat: Vec<u64> = m2

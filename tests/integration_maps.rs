@@ -195,8 +195,23 @@ fn effective_work_of_all_structures_respects_working_set_bound_shape() {
     // mirroring the gap in the bounds themselves.
     assert!(wl_hot * 2.0 < wl_uniform);
     assert!(h0 * 2 < u0);
-    assert!(h1 * 2 < u1);
-    assert!(h2 * 2 < u2);
+    // M1 and M2 entropy-sort every 64-op cut batch before a segment is
+    // touched; that charge depends on the batch's key multiset only, not on
+    // where the items sit, so the 2x gap is asserted on the work the
+    // segments did (total minus the sort charge, which is a pure function
+    // of each chunk's keys).
+    let sort_work_of = |kinds: &[MapOpKind<u64>]| -> u64 {
+        to_ops(kinds)
+            .chunks(64)
+            .map(|chunk| {
+                let keys: Vec<u64> = chunk.iter().map(|op| *op.key()).collect();
+                wsm_sort::pesort_group(&keys).1.work
+            })
+            .sum()
+    };
+    let (hs, us) = (sort_work_of(&hot), sort_work_of(&uniform));
+    assert!((h1 - hs) * 2 < u1 - us);
+    assert!((h2 - hs) * 2 < u2 - us);
 }
 
 #[test]
