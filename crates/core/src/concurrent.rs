@@ -395,32 +395,26 @@ where
         matches!(self.handoff, Handoff::Cell | Handoff::Waker) || crate::context::in_service_task()
     }
 
-    /// Deposits one call and drives combining until its result is available.
+    /// Drives combining until `done` reports that the caller's results have
+    /// arrived; `done` is the caller's probe of its own result cell(s) and is
+    /// called again after every step of the wait.
     ///
-    /// The loop below is deadlock-free by a pairing argument: a caller parks
-    /// only after (a) capturing the doorbell generation, then (b) attempting
-    /// the activation itself.  If the attempt lost, some other thread held
-    /// the activation at that moment, and that holder's activation finishes
-    /// with a [`Doorbell::ring`] *after* releasing — i.e. after our capture —
-    /// so our park is bounded by it.  If the attempt won, we combined until
-    /// the buffer was empty and our own result was delivered (possibly by an
+    /// The loop is deadlock-free by a pairing argument: a caller parks only
+    /// after (a) capturing the doorbell generation, then (b) attempting the
+    /// activation itself.  If the attempt lost, some other thread held the
+    /// activation at that moment, and that holder's activation finishes with
+    /// a [`Doorbell::ring`] *after* releasing — i.e. after our capture — so
+    /// our park is bounded by it.  If the attempt won, we combined until the
+    /// buffer was empty and our own results were delivered (possibly by an
     /// earlier combiner).
-    pub fn call(&self, shard: usize, op: Operation<K, V>) -> OpResult<V> {
-        let slot = Arc::new(ResultCell::new());
-        self.buffer.push(
-            shard,
-            Pending {
-                op,
-                slot: Arc::clone(&slot),
-            },
-        );
+    fn wait(&self, mut done: impl FnMut() -> bool) {
         let never_park = self.never_park();
         let mut backoff = Backoff::new();
         loop {
             let seen = self.doorbell.current();
             self.drive();
-            if let Some(r) = slot.try_take() {
-                return r;
+            if done() {
+                return;
             }
             // Another thread holds the combiner role.  Spin briefly before
             // pausing: with small batches the combiner's whole cycle is
@@ -429,15 +423,15 @@ where
             // the combiner on oversubscribed machines.
             if never_park {
                 // Slot-free hand-off: never park.  Spin on our own
-                // sequence-stamped cell, then loop back to re-attempt the
+                // sequence-stamped cells, then loop back to re-attempt the
                 // activation (if our op is still buffered, we will
                 // eventually win the election and combine it ourselves).
                 // The pauses escalate into the bounded backoff, so a long
                 // wait costs capped sleeps rather than a pegged core.
                 for _ in 0..self.spin_wait.max(1) {
                     std::thread::yield_now();
-                    if let Some(r) = slot.try_take() {
-                        return r;
+                    if done() {
+                        return;
                     }
                 }
                 backoff.pause();
@@ -445,8 +439,8 @@ where
                 let mut delivered = false;
                 for _ in 0..self.spin_wait {
                     std::thread::yield_now();
-                    if let Some(r) = slot.try_take() {
-                        return r;
+                    if done() {
+                        return;
                     }
                     if self.doorbell.current() != seen {
                         // A hand-off happened; re-attempt the activation
@@ -465,6 +459,25 @@ where
         }
     }
 
+    /// Deposits one call and drives combining until its result is available
+    /// (the private `wait` holds the waiting protocol).
+    pub fn call(&self, shard: usize, op: Operation<K, V>) -> OpResult<V> {
+        let slot = Arc::new(ResultCell::new());
+        self.buffer.push(
+            shard,
+            Pending {
+                op,
+                slot: Arc::clone(&slot),
+            },
+        );
+        let mut result = None;
+        self.wait(|| {
+            result = slot.try_take();
+            result.is_some()
+        });
+        result.expect("wait returns once the cell was taken")
+    }
+
     /// Deposits a whole sub-batch of operations (sharing one buffer shard)
     /// and drives combining until every result is available, returning them
     /// in operation order.  This is the batch entry point the `wsm-shard`
@@ -473,9 +486,8 @@ where
     ///
     /// The deposited operations need not execute in a single combine — a
     /// concurrent combiner may drain a prefix of the publication while the
-    /// rest is still in flight — so the waiting loop harvests cells
-    /// incrementally until all have been filled.  Deadlock-freedom follows
-    /// from the same pairing argument as [`ConcurrentMap::call`].
+    /// rest is still in flight — so the probe harvests cells incrementally
+    /// until all have been filled.
     pub fn call_batch(&self, shard: usize, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
         let n = ops.len();
         if n == 0 {
@@ -484,51 +496,21 @@ where
         let cells = self.submit_batch(shard, ops);
         let mut results: Vec<Option<OpResult<V>>> = (0..n).map(|_| None).collect();
         let mut remaining = n;
-        let harvest = |results: &mut Vec<Option<OpResult<V>>>, remaining: &mut usize| {
+        self.wait(|| {
             for (cell, out) in cells.iter().zip(results.iter_mut()) {
                 if out.is_none() {
                     if let Some(r) = cell.try_take() {
                         *out = Some(r);
-                        *remaining -= 1;
+                        remaining -= 1;
                     }
                 }
             }
-            *remaining == 0
-        };
-        let never_park = self.never_park();
-        let mut backoff = Backoff::new();
-        loop {
-            let seen = self.doorbell.current();
-            self.drive();
-            if harvest(&mut results, &mut remaining) {
-                break;
-            }
-            if never_park {
-                for _ in 0..self.spin_wait.max(1) {
-                    std::thread::yield_now();
-                    if harvest(&mut results, &mut remaining) {
-                        return finish(results);
-                    }
-                }
-                backoff.pause();
-            } else {
-                let mut delivered = false;
-                for _ in 0..self.spin_wait {
-                    std::thread::yield_now();
-                    if harvest(&mut results, &mut remaining) {
-                        return finish(results);
-                    }
-                    if self.doorbell.current() != seen {
-                        delivered = true;
-                        break;
-                    }
-                }
-                if !delivered {
-                    self.doorbell.wait_past(seen);
-                }
-            }
-        }
-        finish(results)
+            remaining == 0
+        });
+        results
+            .into_iter()
+            .map(|r| r.expect("wait returns once every cell was taken"))
+            .collect()
     }
 
     /// Deposits a sub-batch of operations *without waiting*, returning each
@@ -679,14 +661,6 @@ where
         slots.clear();
         drained
     }
-}
-
-/// Unwraps a fully harvested result vector (every cell was taken).
-fn finish<V>(results: Vec<Option<OpResult<V>>>) -> Vec<OpResult<V>> {
-    results
-        .into_iter()
-        .map(|r| r.expect("call_batch returned with an unharvested cell"))
-        .collect()
 }
 
 fn kind<V>(r: &OpResult<V>) -> &'static str {

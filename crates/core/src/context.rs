@@ -1,4 +1,5 @@
-//! Caller-context tracking: is the current thread an async service task?
+//! Caller-context tracking: is the current thread an async service task,
+//! and which buffer shard should its deposits use ([`caller_hint`])?
 //!
 //! The blocking wait paths of [`crate::ConcurrentMap`] (doorbell park, cell
 //! spin) assume the calling thread is an ordinary OS thread that can afford
@@ -25,10 +26,36 @@
 //! nested future stays "in service").
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
     /// Depth of service-task polls on this thread (0 = ordinary thread).
     static SERVICE_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Distinct-per-thread submitter hint for a parallel buffer's `shard`
+/// argument (`ConcurrentMap::call` and friends), for front-ends whose
+/// callers do not name one.
+///
+/// The hint only picks which lock-free ring a deposit lands in; it affects
+/// contention, never correctness, so a process-wide counter handed out once
+/// per thread is all that's needed.
+pub fn caller_hint() -> usize {
+    static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HINT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+    HINT.with(|hint| match hint.get() {
+        Some(h) => h,
+        None => {
+            // ord: Relaxed — the counter only hands out distinct ring hints;
+            // nothing is published through it and no other memory access
+            // depends on its order.
+            let h = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
+            hint.set(Some(h));
+            h
+        }
+    })
 }
 
 /// True while the current thread is polling an async service task (an

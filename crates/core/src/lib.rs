@@ -16,6 +16,10 @@
 //!   are on distinct items.  Theorems 22/25: effective work `O(W_L + e_L log
 //!   p)` and effective span `O(W_L/p + d(log p)² + s_L)` under a weak-priority
 //!   scheduler.
+//! * `cascade` (crate-private, `src/cascade.rs`) — the segment cascade both
+//!   maps own: sort + combine, the per-segment pass of Section 6.1 step 3
+//!   (= Section 7.1 step 3 for M2's first slab), boundary balancing and every
+//!   metered segment operation, written once.
 //! * [`buffer::ParallelBuffer`] — the implicit-batching parallel buffer
 //!   (Appendix A.1, Theorem 26).
 //! * [`concurrent::ConcurrentMap`] — a thread-safe front-end that lets an
@@ -34,6 +38,7 @@
 pub use wsm_check::env;
 
 pub mod buffer;
+mod cascade;
 pub mod concurrent;
 pub mod context;
 pub mod doorbell;
@@ -45,7 +50,7 @@ pub mod ops;
 
 pub use buffer::ParallelBuffer;
 pub use concurrent::{CommitHook, ConcurrentMap, Handoff, BACKOFF_CAP_US, DEFAULT_INLINE_BATCH};
-pub use context::{in_service_task, ServiceTaskGuard};
+pub use context::{caller_hint, in_service_task, ServiceTaskGuard};
 pub use feed::{Bunch, FeedBuffer};
 pub use handoff::ResultCell;
 pub use m1::M1;

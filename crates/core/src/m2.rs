@@ -2,7 +2,9 @@
 //!
 //! M2 splits the segment cascade into a **first slab** (the first
 //! `m = ⌈log log 2p²⌉ + 1` segments, processed batch-at-a-time exactly like
-//! M1) and a **final slab** (the remaining segments), which is *pipelined*:
+//! M1 — Section 7.1 step 3 is literally M1's pass, and both call the one in
+//! `crates/core/src/cascade.rs`) and a **final slab** (the remaining
+//! segments), which is *pipelined*:
 //! every final-slab segment has an input buffer of in-flight items, and a
 //! **filter** in front of the final slab guarantees that all in-flight
 //! final-slab operations are on distinct items — later operations on an item
@@ -30,22 +32,14 @@
 //! prefix deficit at `2p²` between runs (asserted by [`M2::check_invariants`];
 //! a `3p²` transient is tolerated only mid-cascade, in debug builds).
 
+use crate::cascade::{tree_fanout, Cascade};
 use crate::feed::FeedBuffer;
-use crate::ops::{BatchedMap, GroupOp, OpId, OpResult, Operation, TaggedOp};
+use crate::ops::{self, BatchedMap, GroupOp, OpId, OpResult, Operation, TaggedOp};
 use std::collections::{HashMap, VecDeque};
 use wsm_model::{ceil_log2, Cost, CostMeter};
 use wsm_seq::segment_capacity;
-use wsm_sort::{pesort_group_into, GroupedBatch, SortScratch};
 use wsm_twothree::cost::{self as tcost, Charge};
-use wsm_twothree::{RecencyMap, Tree23};
-
-/// The fanout of the segment trees and the filter (all built at the process
-/// default, which reads `WSM_TREE_FANOUT`), threaded into every measured
-/// charge so the Lemma bounds are the ones of the tree actually running —
-/// `2` reproduces the closed-form Appendix A.2 reference.
-fn tree_fanout() -> u64 {
-    wsm_twothree::default_fanout() as u64
-}
+use wsm_twothree::Tree23;
 
 /// Latency record for one operation: virtual submit and finish times in the
 /// pipeline simulation.  Kept only by maps built with
@@ -76,19 +70,6 @@ struct LatencyLog {
     records: Vec<LatencyRecord>,
 }
 
-/// A token travelling through the final slab: one in-flight distinct item.
-#[derive(Clone, Debug)]
-struct Token<K> {
-    key: K,
-}
-
-/// What the two-priority activation queue can schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Target {
-    Interface,
-    Segment(usize),
-}
-
 /// The pipelined parallel working-set map.
 #[derive(Debug)]
 pub struct M2<K, V> {
@@ -97,14 +78,14 @@ pub struct M2<K, V> {
     m: usize,
     feed: FeedBuffer<TaggedOp<K, V>>,
     staged: Vec<TaggedOp<K, V>>,
-    segments: Vec<RecencyMap<K, V>>,
-    /// Input buffer of each final-slab segment, indexed by `segment - m`.
-    buffers: Vec<VecDeque<Token<K>>>,
+    cascade: Cascade<K, V>,
+    /// Input buffer of each final-slab segment, indexed by `segment - m`:
+    /// the keys of the distinct in-flight items waiting to enter it.
+    buffers: Vec<VecDeque<K>>,
     /// Virtual time at which each final-slab buffer last received input.
     buffer_ready: Vec<u64>,
     /// The filter: key → operations pending on that key in the final slab.
     filter: Tree23<K, Vec<TaggedOp<K, V>>>,
-    size: usize,
     meter: CostMeter,
     /// Worst-case (Lemma A.2) work the processed batches would have been
     /// charged; the meter holds the measured work actually paid (see
@@ -114,10 +95,10 @@ pub struct M2<K, V> {
     /// no tokens to process) executed so far.
     maintenance_runs: u64,
     next_id: OpId,
-    /// Two-priority activation queues: final-slab segments (Q1) and the
-    /// interface (Q2).
-    q1: VecDeque<Target>,
-    q2: VecDeque<Target>,
+    /// Two-priority activation queues: final-slab segments (Q1), each queued
+    /// at most once, and the interface (Q2, so one flag).
+    q1: VecDeque<usize>,
+    interface_queued: bool,
     results: Vec<(OpId, OpResult<V>)>,
     /// Pipeline virtual clocks: when the interface / each segment last
     /// finished a run.
@@ -130,11 +111,6 @@ pub struct M2<K, V> {
     /// nothing, so a long-running map's memory does not grow with the
     /// operations it served.
     latency_log: Option<LatencyLog>,
-    /// Reusable sort/group buffers: after the first few batches the
-    /// sort-and-combine step allocates nothing (see `pesort_group_into`).
-    key_buf: Vec<K>,
-    scratch: SortScratch,
-    grouped: GroupedBatch<K>,
 }
 
 impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
@@ -147,25 +123,21 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             m,
             feed: FeedBuffer::new(p * p),
             staged: Vec::new(),
-            segments: Vec::new(),
+            cascade: Cascade::new(),
             buffers: Vec::new(),
             buffer_ready: Vec::new(),
             filter: Tree23::new(),
-            size: 0,
             meter: CostMeter::new(),
             bound_work: 0,
             maintenance_runs: 0,
             next_id: 0,
             q1: VecDeque::new(),
-            q2: VecDeque::new(),
+            interface_queued: false,
             results: Vec::new(),
             interface_clock: 0,
             segment_clocks: Vec::new(),
             latest_submit: 0,
             latency_log: None,
-            key_buf: Vec::new(),
-            scratch: SortScratch::default(),
-            grouped: GroupedBatch::default(),
         }
     }
 
@@ -190,17 +162,17 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Number of items currently stored (items travelling through the final
     /// slab with a pending net-insert are not yet counted).
     pub fn size(&self) -> usize {
-        self.size
+        self.cascade.size()
     }
 
     /// Number of segments currently allocated.
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.cascade.num_segments()
     }
 
     /// Sizes of the segments, front to back.
     pub fn segment_sizes(&self) -> Vec<usize> {
-        self.segments.iter().map(RecencyMap::len).collect()
+        self.cascade.segment_sizes()
     }
 
     /// Number of distinct items currently held by the filter.
@@ -232,12 +204,13 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
     /// Index of the segment currently holding `key` (tests/probing only).
     pub fn segment_of(&self, key: &K) -> Option<usize> {
-        self.segments.iter().position(|s| s.contains(key))
+        self.cascade.segments().iter().position(|s| s.contains(key))
     }
+
     /// Non-adjusting lookup for tests (does not see values still in flight in
     /// the filter).
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.segments.iter().find_map(|s| s.get(key))
+        self.cascade.peek(key)
     }
 
     /// The current virtual pipeline time (maximum over all stage clocks).
@@ -271,7 +244,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         let cost = self.feed.push_input(batch);
         self.bound_work += cost.work;
         self.meter.charge(cost);
-        self.activate(Target::Interface);
+        self.interface_queued = true;
     }
 
     /// Number of operations not yet resolved (buffered, staged, or waiting in
@@ -286,13 +259,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         n
     }
 
-    fn activate(&mut self, target: Target) {
-        let q = match target {
-            Target::Interface => &mut self.q2,
-            Target::Segment(_) => &mut self.q1,
-        };
-        if !q.contains(&target) {
-            q.push_back(target);
+    fn activate_segment(&mut self, k: usize) {
+        if !self.q1.contains(&k) {
+            self.q1.push_back(k);
         }
     }
 
@@ -301,21 +270,14 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Returns `false` when nothing was ready to run.
     pub fn step(&mut self) -> bool {
         // Q1 (final slab) has weak priority over Q2 (interface).
-        if let Some(target) = self.q1.pop_front() {
-            match target {
-                Target::Segment(k) => self.run_segment(k),
-                Target::Interface => unreachable!("interface never queued on Q1"),
-            }
-            return true;
+        if let Some(k) = self.q1.pop_front() {
+            self.run_segment(k);
+        } else if std::mem::take(&mut self.interface_queued) {
+            self.run_interface();
+        } else {
+            return false;
         }
-        if let Some(target) = self.q2.pop_front() {
-            match target {
-                Target::Interface => self.run_interface(),
-                Target::Segment(_) => unreachable!("segments never queued on Q2"),
-            }
-            return true;
-        }
-        false
+        true
     }
 
     /// Drives the pipeline until all pending operations have resolved, then
@@ -326,16 +288,16 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             self.enqueue_batch(staged);
         }
         loop {
-            if self.q1.is_empty() && self.q2.is_empty() {
+            if self.q1.is_empty() && !self.interface_queued {
                 // Re-arm: any final-slab segment with buffered tokens, and the
                 // interface whenever input is waiting and the filter has room.
                 for i in 0..self.buffers.len() {
                     if !self.buffers[i].is_empty() {
-                        self.activate(Target::Segment(self.m + i));
+                        self.activate_segment(self.m + i);
                     }
                 }
                 if self.interface_ready() {
-                    self.activate(Target::Interface);
+                    self.interface_queued = true;
                 }
             }
             if !self.step() {
@@ -348,27 +310,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Convenience wrapper mirroring [`crate::M1::run_ops`].
     pub fn run_ops(&mut self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
         let base = self.next_id;
-        let batch: Vec<TaggedOp<K, V>> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| TaggedOp {
-                id: base + i as OpId,
-                op,
-            })
-            .collect();
-        self.next_id = base + batch.len() as OpId;
-        let n = batch.len();
-        self.enqueue_batch(batch);
-        let mut results: Vec<Option<OpResult<V>>> = vec![None; n];
-        for (id, r) in self.process_all() {
-            if id >= base && ((id - base) as usize) < n {
-                results[(id - base) as usize] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every operation produces a result"))
-            .collect()
+        ops::run_ops(self, base, ops)
     }
 
     /// The full contents, segment by segment, each segment's items in
@@ -383,25 +325,15 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             self.pending() == 0,
             "snapshot_segments requires a batch boundary (no in-flight operations)"
         );
-        self.segments
-            .iter()
-            .map(RecencyMap::items_in_recency_order)
-            .collect()
+        self.cascade.snapshot()
     }
 
     /// Rebuilds the map's contents from a [`M2::snapshot_segments`] image.
     /// Only valid on a fresh map (clocks, meters and latency logs restart —
     /// durability restores *state*, not accounting history).
     pub fn restore_segments(&mut self, segments: Vec<Vec<(K, V)>>) {
-        assert!(
-            self.size == 0 && self.segments.is_empty() && self.pending() == 0,
-            "restore_segments requires a fresh map"
-        );
-        self.size = segments.iter().map(Vec::len).sum();
-        self.segments = segments
-            .into_iter()
-            .map(RecencyMap::from_recency_items)
-            .collect();
+        assert!(self.pending() == 0, "restore_segments requires a fresh map");
+        self.cascade.restore(segments);
         // Re-create the per-segment buffers and clocks for the final slab
         // (all empty/zero: nothing is in flight at a boundary), then trim
         // exactly as a normal batch run would.
@@ -429,130 +361,65 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         if batch.is_empty() {
             return;
         }
-        // Step 2: entropy-sort and combine duplicates, through the reusable
-        // scratch buffers.
-        self.key_buf.clear();
-        self.key_buf
-            .extend(batch.iter().map(|t| t.op.key().clone()));
-        cost += Charge::exact(pesort_group_into(
-            &self.key_buf,
-            &mut self.scratch,
-            &mut self.grouped,
-        ));
-        let mut groups: Vec<GroupOp<K, V>> = self
-            .grouped
-            .iter()
-            .map(|(key, idxs)| GroupOp {
-                key: key.clone(),
-                ops: idxs.iter().map(|&i| batch[i as usize].clone()).collect(),
-            })
-            .collect();
-
-        // Step 3: pass through the first slab (segments 0..m-1), as in M1.
-        let first_slab_end = self.m.min(self.segments.len());
+        // Steps 2-3: entropy-sort and combine duplicates, then pass through
+        // the first slab (segments 0..m-1) as in M1 — see `crate::cascade`.
+        // Holes accumulate in S[m-1]; S[m]'s maintenance run refills them.
+        let (mut groups, sort_charge) = self.cascade.group(batch);
+        cost += sort_charge;
         let mut finish_now: Vec<(OpId, OpResult<V>)> = Vec::new();
-        let mut k = 0;
-        while k < first_slab_end && !groups.is_empty() {
-            let seg_len = self.segments[k].len() as u64;
-            self.key_buf.clear();
-            self.key_buf.extend(groups.iter().map(|g| g.key.clone()));
-            let seg = &mut self.segments[k];
-            let keys: &[K] = &self.key_buf;
-            let (removed, touched) = tcost::metered(|| seg.remove_batch(keys));
-            cost += tcost::batch_op_charge(touched, keys.len() as u64, seg_len, tree_fanout());
-            let mut shift: Vec<(K, V)> = Vec::new();
-            let mut remaining: Vec<GroupOp<K, V>> = Vec::new();
-            for (group, found) in groups.into_iter().zip(removed) {
-                match found {
-                    Some(v) => {
-                        let (rs, fin) = group.resolve(Some(v));
-                        finish_now.extend(rs);
-                        match fin {
-                            Some(v2) => shift.push((group.key.clone(), v2)),
-                            None => self.size -= 1,
-                        }
-                    }
-                    None => remaining.push(group),
-                }
-            }
-            let dest = k.saturating_sub(1);
-            if !shift.is_empty() {
-                let shift_len = shift.len() as u64;
-                // Insert bound on the final size: the tree grows to
-                // dest_len + shift_len during the batch.
-                let dest_len = self.segments[dest].len() as u64 + shift_len;
-                let dest_seg = &mut self.segments[dest];
-                let ((), touched) = tcost::metered(|| dest_seg.push_front_batch(shift));
-                cost += tcost::batch_op_charge(touched, shift_len, dest_len, tree_fanout());
-            }
-            // Restore the prefix capacity invariant inside the first slab only
-            // (holes accumulate in S[m-1]; S[m]'s maintenance run refills
-            // them).
-            cost += self.restore_range(k.min(first_slab_end.saturating_sub(1)));
-            groups = remaining;
-            k += 1;
-        }
+        cost += self.cascade.pass(self.m, &mut groups, &mut finish_now);
 
-        let has_final_slab = self.segments.len() > self.m;
-        if has_final_slab && first_slab_end > 0 {
+        if self.num_segments() <= self.m {
+            // Step 4 (degenerate): no final slab — finish everything here, as
+            // in M1.
+            let inserts = self.cascade.resolve_absent(groups, &mut finish_now);
+            if !inserts.is_empty() {
+                cost += self.cascade.append_inserts(inserts);
+                self.ensure_final_slab_state();
+            }
+            cost += self.cascade.restore_all();
+            self.drop_empty_tail();
+        } else {
             // Deletion-heavy batches can resolve entirely inside the first
-            // slab; the in-loop restores above stop at the deepest segment
-            // the batch reached, so holes in front of that boundary would
+            // slab; the pass's restores stop at the deepest segment the
+            // batch reached, so holes in front of that boundary would
             // strand (for p=3 the strandable mass 2+4+16 = 22 exceeds the
             // 2p² = 18 allowance).  Restore the whole first slab so every
             // hole lands in S[m-1], where the eager S[m] maintenance cascade
             // scheduled below refills it — the hand-off Lemma 16's bound
             // depends on.
-            cost += self.restore_range(first_slab_end - 1);
-        }
-        if !has_final_slab {
-            // Step 4 (degenerate): no final slab — finish everything here, as
-            // in M1.
-            let mut inserts: Vec<(K, V)> = Vec::new();
-            for group in groups {
-                let (rs, fin) = group.resolve(None);
-                finish_now.extend(rs);
-                if let Some(v) = fin {
-                    inserts.push((group.key.clone(), v));
-                }
-            }
-            if !inserts.is_empty() {
-                cost += self.append_inserts(inserts);
-            }
-            cost += self.restore_range(self.segments.len().saturating_sub(1));
-            self.drop_empty_tail();
-        } else if !groups.is_empty() {
-            // Step 4: pass the unfinished operations through the filter.
-            // Insert bound on the final size: the filter can gain up to one
-            // entry per group during the pass.
-            let filter_len = self.filter.len() as u64 + groups.len() as u64;
-            let group_count = groups.len() as u64;
-            let filter = &mut self.filter;
-            let (new_tokens, touched) = tcost::metered(|| {
-                let mut new_tokens: Vec<Token<K>> = Vec::new();
-                for group in groups {
-                    match filter.get_mut(&group.key) {
-                        Some(entry) => entry.extend(group.ops),
-                        None => {
-                            filter.insert(group.key.clone(), group.ops);
-                            new_tokens.push(Token { key: group.key });
+            cost += self.cascade.restore_range(self.m - 1);
+            if !groups.is_empty() {
+                // Step 4: pass the unfinished operations through the filter.
+                // Groups on an item already in flight join its entry; the
+                // others become new in-flight items at the head of the final
+                // slab.  Insert bound on the final size: the filter can gain
+                // up to one entry per group during the pass.
+                let filter_len = self.filter.len() as u64 + groups.len() as u64;
+                let group_count = groups.len() as u64;
+                let filter = &mut self.filter;
+                let (new_keys, touched) = tcost::metered(|| {
+                    let mut new_keys: Vec<K> = Vec::new();
+                    for group in groups.drain(..) {
+                        match filter.get_mut(&group.key) {
+                            Some(entry) => entry.extend(group.ops),
+                            None => {
+                                filter.insert(group.key.clone(), group.ops);
+                                new_keys.push(group.key);
+                            }
                         }
                     }
+                    new_keys
+                });
+                cost += tcost::batch_op_charge(touched, group_count, filter_len, tree_fanout());
+                if !new_keys.is_empty() {
+                    self.ensure_final_slab_state();
+                    let ready_at = self.interface_clock.max(self.virtual_now());
+                    self.buffer_ready[0] = self.buffer_ready[0].max(ready_at);
+                    self.buffers[0].extend(new_keys);
                 }
-                new_tokens
-            });
-            cost += tcost::batch_op_charge(touched, group_count, filter_len, tree_fanout());
-            if !new_tokens.is_empty() {
-                self.ensure_final_slab_state();
-                let ready_at = self.interface_clock.max(self.virtual_now());
-                self.buffer_ready[0] = self.buffer_ready[0].max(ready_at);
-                self.buffers[0].extend(new_tokens);
             }
-            // Activate S[m] even when every operation was absorbed by the
-            // filter or finished in the first slab: its (possibly maintenance)
-            // run refills any holes that first-slab deletions left in S[m-1]
-            // (Invariant 2 of Lemma 16).
-            self.activate(Target::Segment(self.m));
+            self.cascade.recycle(groups);
         }
 
         // Whenever a final slab exists, schedule the eager maintenance
@@ -562,9 +429,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // `run_segment`), so the Lemma 16 prefix deficit is back under 2p²
         // before the next interface run instead of piggybacking on the next
         // token-carrying batch.
-        if self.segments.len() > self.m {
+        if self.num_segments() > self.m {
             self.ensure_final_slab_state();
-            self.activate(Target::Segment(self.m));
+            self.activate_segment(self.m);
         }
 
         // Advance the interface clock by the span of this run and stamp the
@@ -583,7 +450,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // Step 6: reactivate ourselves if more input is waiting and the filter
         // has room.
         if self.interface_ready() {
-            self.activate(Target::Interface);
+            self.interface_queued = true;
         }
     }
 
@@ -592,14 +459,14 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     // ------------------------------------------------------------------
 
     fn ensure_final_slab_state(&mut self) {
-        while self.segments.len() <= self.m {
-            self.segments.push(RecencyMap::new());
+        while self.num_segments() <= self.m {
+            self.cascade.push_segment();
         }
-        while self.buffers.len() < self.segments.len() - self.m {
+        while self.buffers.len() < self.num_segments() - self.m {
             self.buffers.push(VecDeque::new());
             self.buffer_ready.push(0);
         }
-        while self.segment_clocks.len() < self.segments.len() {
+        while self.segment_clocks.len() < self.num_segments() {
             self.segment_clocks.push(0);
         }
     }
@@ -607,7 +474,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     fn run_segment(&mut self, k: usize) {
         self.ensure_final_slab_state();
         let buf_idx = k - self.m;
-        if buf_idx >= self.buffers.len() || k >= self.segments.len() {
+        if buf_idx >= self.buffers.len() || k >= self.num_segments() {
             return;
         }
         if self.buffers[buf_idx].is_empty() {
@@ -634,103 +501,57 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             // Pipeline-clock accounting: the refill occupies this segment
             // from its previous availability for the span of the transfer.
             self.segment_clocks[k] += charge.measured.span;
-            if k + 1 < self.segments.len() {
-                self.activate(Target::Segment(k + 1));
-                // If the refill ran S[k] dry before the deficit was cleared,
-                // re-run this boundary after S[k+1]'s run has refilled S[k].
-                if clamped {
-                    self.activate(Target::Segment(k));
-                }
-            }
-            self.drop_empty_final_tail();
+            self.cascade_on(k, clamped);
+            self.drop_empty_tail();
             self.debug_check_transient_deficit();
             return;
         }
         let mut cost = Charge::ZERO;
 
         // Step 3: extend the structure if the terminal segment is overflowing.
-        let is_terminal = k + 1 == self.segments.len();
-        if is_terminal {
-            let total: u64 = self.segments[k - 1].len() as u64 + self.segments[k].len() as u64;
+        if k + 1 == self.num_segments() {
+            let segments = self.cascade.segments();
+            let total = segments[k - 1].len() as u64 + segments[k].len() as u64;
             let cap = segment_capacity((k - 1) as u32).saturating_add(segment_capacity(k as u32));
             if total > cap {
-                self.segments.push(RecencyMap::new());
+                self.cascade.push_segment();
                 self.ensure_final_slab_state();
             }
         }
-        let is_terminal = k + 1 == self.segments.len();
+        let is_terminal = k + 1 == self.num_segments();
 
-        // Step 4: flush the buffer and process its tokens.
-        let mut tokens: Vec<Token<K>> = self.buffers[buf_idx].drain(..).collect();
-        tokens.sort_by(|a, b| a.key.cmp(&b.key));
-        let keys: Vec<K> = tokens.iter().map(|t| t.key.clone()).collect();
-        let seg_len = self.segments[k].len() as u64;
-        let seg = &mut self.segments[k];
-        let (removed, touched) = tcost::metered(|| seg.remove_batch(&keys));
-        cost += tcost::batch_op_charge(touched, keys.len() as u64, seg_len, tree_fanout());
+        // Step 4: flush the buffer and look its (distinct) items up in S[k].
+        let mut keys: Vec<K> = self.buffers[buf_idx].drain(..).collect();
+        keys.sort();
+        let (removed, charge) = self.cascade.remove_batch(k, &keys);
+        cost += charge;
 
-        // m' = min(k-1, m): where accessed (and newly inserted) items go.
-        let dest = (k - 1).min(self.m);
         let mut front_inserts: Vec<(K, V)> = Vec::new();
         let mut finish_now: Vec<(OpId, OpResult<V>)> = Vec::new();
-        let mut pass_on: Vec<Token<K>> = Vec::new();
-        for (token, found) in tokens.into_iter().zip(removed) {
-            match found {
-                Some(v) => {
-                    let filter = &mut self.filter;
-                    let (ops, touched) = tcost::metered(|| filter.remove(&token.key));
-                    let ops = ops.expect("in-flight item must have a filter entry");
-                    cost += tcost::single_op_charge(
-                        touched,
-                        self.filter.len() as u64 + 1,
-                        tree_fanout(),
-                    );
-                    let group = GroupOp {
-                        key: token.key.clone(),
-                        ops,
-                    };
-                    let (rs, fin) = group.resolve(Some(v));
-                    finish_now.extend(rs);
-                    match fin {
-                        Some(v2) => front_inserts.push((token.key, v2)),
-                        None => self.size -= 1,
-                    }
-                }
-                None if is_terminal => {
-                    // The item is nowhere in the map: resolve against absence.
-                    let filter = &mut self.filter;
-                    let (ops, touched) = tcost::metered(|| filter.remove(&token.key));
-                    let ops = ops.expect("in-flight item must have a filter entry");
-                    cost += tcost::single_op_charge(
-                        touched,
-                        self.filter.len() as u64 + 1,
-                        tree_fanout(),
-                    );
-                    let group = GroupOp {
-                        key: token.key.clone(),
-                        ops,
-                    };
-                    let (rs, fin) = group.resolve(None);
-                    finish_now.extend(rs);
-                    if let Some(v) = fin {
-                        front_inserts.push((token.key, v));
-                        self.size += 1;
-                    }
-                }
-                None => pass_on.push(token),
+        let mut pass_on: Vec<K> = Vec::new();
+        for (key, found) in keys.into_iter().zip(removed) {
+            if found.is_none() && !is_terminal {
+                pass_on.push(key);
+                continue;
             }
+            // The item is here, or nowhere in the map: either way its
+            // pending operations leave the filter and resolve now.
+            let filter = &mut self.filter;
+            let (ops, touched) = tcost::metered(|| filter.remove(&key));
+            let ops = ops.expect("in-flight item must have a filter entry");
+            cost += tcost::single_op_charge(touched, self.filter.len() as u64 + 1, tree_fanout());
+            let group = GroupOp { key, ops };
+            let (rs, fin) = group.resolve(found);
+            finish_now.extend(rs);
+            if let Some(v) = fin {
+                front_inserts.push((group.key, v));
+            }
+            self.cascade.recycle_ops(group.ops);
         }
 
         // Step 4d: shift accessed / newly inserted items to the front of
-        // S[m'].
-        if !front_inserts.is_empty() {
-            let front_len = front_inserts.len() as u64;
-            // Insert bound on the final size (the tree grows by front_len).
-            let dest_len = self.segments[dest].len() as u64 + front_len;
-            let dest_seg = &mut self.segments[dest];
-            let ((), touched) = tcost::metered(|| dest_seg.push_front_batch(front_inserts));
-            cost += tcost::batch_op_charge(touched, front_len, dest_len, tree_fanout());
-        }
+        // S[m'], m' = min(k-1, m).
+        cost += self.cascade.push_front((k - 1).min(self.m), front_inserts);
 
         // Steps 4g/4h: rebalance with the previous segment.
         let (balance_charge, clamped) = self.balance_with_previous(k);
@@ -739,19 +560,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // Step 4i: pass unfinished tokens to the next segment.
         if !pass_on.is_empty() {
             debug_assert!(!is_terminal, "terminal segment must finish every token");
-            let next_idx = buf_idx + 1;
-            self.buffers[next_idx].extend(pass_on);
+            self.buffers[buf_idx + 1].extend(pass_on);
         }
-        // Always let the next segment run (with tokens, or as a dedicated
-        // maintenance run — the role of the paper's tagged deletions
-        // travelling the final slab), and re-run this boundary afterwards if
-        // the refill ran S[k] dry before the deficit was cleared.
-        if k + 1 < self.segments.len() {
-            self.activate(Target::Segment(k + 1));
-            if clamped {
-                self.activate(Target::Segment(k));
-            }
-        }
+        self.cascade_on(k, clamped);
 
         // Pipeline timing: this run starts when both the segment is free and
         // its input buffer was ready.
@@ -770,15 +581,29 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
         // Step 5: drop an empty terminal segment (only if it has no pending
         // input).
-        self.drop_empty_final_tail();
+        self.drop_empty_tail();
 
         // Step 4e / 6: wake the interface if the filter has room, and
         // reactivate ourselves if more input arrived.
         if self.interface_ready() {
-            self.activate(Target::Interface);
+            self.interface_queued = true;
         }
         if self.buffers.get(buf_idx).is_some_and(|b| !b.is_empty()) {
-            self.activate(Target::Segment(k));
+            self.activate_segment(k);
+        }
+    }
+
+    /// Always lets the next segment run after `S[k]` did (with tokens, or as a
+    /// dedicated maintenance run — the role of the paper's tagged deletions
+    /// travelling the final slab), and re-runs this boundary afterwards if the
+    /// refill ran `S[k]` dry before the deficit was cleared (`clamped`), once
+    /// `S[k+1]`'s run has refilled `S[k]`.
+    fn cascade_on(&mut self, k: usize, clamped: bool) {
+        if k + 1 < self.num_segments() {
+            self.activate_segment(k + 1);
+            if clamped {
+                self.activate_segment(k);
+            }
         }
     }
 
@@ -790,151 +615,39 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// still hold items.  A clamped refill means the cascade must revisit
     /// this boundary once `S[k+1]`'s run has refilled `S[k]`.
     fn balance_with_previous(&mut self, k: usize) -> (Charge, bool) {
+        let segments = self.cascade.segments();
         let cap_prev = segment_capacity((k - 1) as u32);
-        let prev_len = self.segments[k - 1].len() as u64;
-        let larger = (self.segments[k - 1].len()).max(self.segments[k].len()) as u64;
+        let prev_len = segments[k - 1].len() as u64;
+        let here_len = segments[k].len();
+        let deeper_items = segments[k + 1..].iter().any(|s| !s.is_empty());
         if prev_len > cap_prev {
-            let x = (prev_len - cap_prev) as usize;
-            let charge = self.metered_transfer(k, x, larger, |prev, next, x| {
-                let moved = prev.take_back(x);
-                next.push_front_batch(moved);
-            });
-            (charge, false)
-        } else if prev_len < cap_prev && !self.segments[k].is_empty() {
+            let excess = (prev_len - cap_prev) as usize;
+            (self.cascade.spill(k, excess), false)
+        } else if prev_len < cap_prev && here_len > 0 {
             // Only refill holes left by deletions; never drain the suffix just
             // because the structure is small overall.
             let deficit = (cap_prev - prev_len) as usize;
-            let x = deficit.min(self.segments[k].len());
-            let clamped = x < deficit && self.segments[k + 1..].iter().any(|s| !s.is_empty());
-            let charge = self.metered_transfer(k, x, larger, |prev, next, x| {
-                let moved = next.take_front(x);
-                prev.push_back_batch(moved);
-            });
-            (charge, clamped)
+            let charge = self.cascade.refill(k, deficit.min(here_len));
+            (charge, here_len < deficit && deeper_items)
         } else {
-            let deficit = cap_prev.saturating_sub(prev_len);
-            let clamped = deficit > 0 && self.segments[k + 1..].iter().any(|s| !s.is_empty());
-            (Charge::ZERO, clamped)
+            (Charge::ZERO, prev_len < cap_prev && deeper_items)
         }
     }
 
-    /// Moves `count` items across the boundary between `S[k-1]` and `S[k]`
-    /// with `mv`, metering the touched nodes into a transfer charge.
-    fn metered_transfer(
-        &mut self,
-        k: usize,
-        count: usize,
-        larger: u64,
-        mv: impl FnOnce(&mut RecencyMap<K, V>, &mut RecencyMap<K, V>, usize),
-    ) -> Charge {
-        if count == 0 {
-            return Charge::ZERO;
-        }
-        let (left, right) = self.segments.split_at_mut(k);
-        let prev = &mut left[k - 1];
-        let next = &mut right[0];
-        let ((), touched) = tcost::metered(|| mv(prev, next, count));
-        // The receiving segment grows to its size + count during the insert
-        // half of the transfer, so the bound covers the final size.
-        tcost::transfer_charge(touched, count as u64, larger + count as u64, tree_fanout())
-    }
-
-    // ------------------------------------------------------------------
-    // Shared helpers (same roles as in M1)
-    // ------------------------------------------------------------------
-
-    fn prefix_capacity(i: usize) -> u64 {
-        (0..i).fold(0u64, |acc, j| {
-            acc.saturating_add(segment_capacity(j as u32))
-        })
-    }
-
-    fn prefix_size(&self, i: usize) -> u64 {
-        self.segments[..i].iter().map(|s| s.len() as u64).sum()
-    }
-
-    fn balance_boundary(&mut self, i: usize) -> Charge {
-        let target = Self::prefix_capacity(i);
-        let current = self.prefix_size(i);
-        let larger = self.segments[i - 1].len().max(self.segments[i].len()) as u64;
-        if current > target {
-            let x = (current - target) as usize;
-            self.metered_transfer(i, x, larger, |prev, next, x| {
-                let moved = prev.take_back(x);
-                next.push_front_batch(moved);
-            })
-        } else if current < target && !self.segments[i].is_empty() {
-            let x = ((target - current) as usize).min(self.segments[i].len());
-            self.metered_transfer(i, x, larger, |prev, next, x| {
-                let moved = next.take_front(x);
-                prev.push_back_batch(moved);
-            })
-        } else {
-            Charge::ZERO
-        }
-    }
-
-    /// Balances boundaries `1..=k` from back to front (within the given
-    /// range only — the interface never reaches past the first slab).
-    fn restore_range(&mut self, k: usize) -> Charge {
-        let mut cost = Charge::ZERO;
-        for i in (1..=k.min(self.segments.len().saturating_sub(1))).rev() {
-            cost += self.balance_boundary(i);
-        }
-        cost
-    }
-
-    fn append_inserts(&mut self, items: Vec<(K, V)>) -> Charge {
-        let mut cost = Charge::ZERO;
-        if self.segments.is_empty() {
-            self.segments.push(RecencyMap::new());
-        }
-        self.size += items.len();
-        let mut l = self.segments.len() - 1;
-        let items_len = items.len() as u64;
-        // Insert bound on the final size (the tree grows during the batch).
-        let seg_len = self.segments[l].len() as u64 + items_len;
-        let seg = &mut self.segments[l];
-        let ((), touched) = tcost::metered(|| seg.push_back_batch(items));
-        cost += tcost::batch_op_charge(touched, items_len, seg_len, tree_fanout());
-        while self.segments[l].len() as u64 > segment_capacity(l as u32) {
-            let excess = (self.segments[l].len() as u64 - segment_capacity(l as u32)) as usize;
-            let larger = self.segments[l].len() as u64;
-            self.segments.push(RecencyMap::new());
-            l += 1;
-            cost += self.metered_transfer(l, excess, larger, |prev, next, x| {
-                let moved = prev.take_back(x);
-                next.push_front_batch(moved);
-            });
-        }
-        self.ensure_final_slab_state();
-        cost
-    }
-
+    /// Drops empty terminal segments — a final-slab one only while its input
+    /// buffer is empty too, and together with that buffer.
     fn drop_empty_tail(&mut self) {
-        while matches!(self.segments.last(), Some(s) if s.is_empty())
-            && self.segments.len() > self.m
-        {
-            // Never drop a final-slab segment whose buffer still has tokens.
-            let idx = self.segments.len() - 1 - self.m;
-            if self.buffers.get(idx).is_some_and(|b| !b.is_empty()) {
-                break;
+        let (m, buffers, buffer_ready) = (self.m, &mut self.buffers, &mut self.buffer_ready);
+        self.cascade.drop_empty_tail(|k| {
+            if k >= m {
+                if buffers.get(k - m).is_some_and(|b| !b.is_empty()) {
+                    return false;
+                }
+                buffers.truncate(k - m);
+                buffer_ready.truncate(k - m);
             }
-            self.segments.pop();
-            if self.buffers.len() > idx {
-                self.buffers.pop();
-                self.buffer_ready.pop();
-            }
-        }
-        while matches!(self.segments.last(), Some(s) if s.is_empty())
-            && self.segments.len() <= self.m
-        {
-            self.segments.pop();
-        }
-    }
-
-    fn drop_empty_final_tail(&mut self) {
-        self.drop_empty_tail();
+            true
+        });
     }
 
     fn record_finishes(&mut self, finished: &[(OpId, OpResult<V>)], time: u64) {
@@ -956,26 +669,19 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// consistency, cached size, filter bound, final-slab segments within
     /// `3 · 2^(2^k)`, and prefixes at most `2p²` below capacity.
     pub fn check_invariants(&self) {
-        let mut total = 0usize;
-        for (k, seg) in self.segments.iter().enumerate() {
-            seg.check_invariants();
-            total += seg.len();
-            let cap = segment_capacity(k as u32);
-            if k >= self.m {
-                assert!(
-                    (seg.len() as u64) <= cap.saturating_mul(3),
-                    "final-slab segment {k} exceeds 3x capacity: {}",
-                    seg.len()
-                );
+        self.cascade.check_invariants();
+        for (k, seg) in self.cascade.segments().iter().enumerate() {
+            let (slab, factor) = if k >= self.m {
+                ("final", 3)
             } else {
-                assert!(
-                    (seg.len() as u64) <= cap.saturating_mul(2),
-                    "first-slab segment {k} exceeds 2x capacity: {}",
-                    seg.len()
-                );
-            }
+                ("first", 2)
+            };
+            assert!(
+                seg.len() as u64 <= segment_capacity(k as u32).saturating_mul(factor),
+                "{slab}-slab segment {k} exceeds {factor}x capacity: {}",
+                seg.len()
+            );
         }
-        assert_eq!(total, self.size, "cached size out of date");
         // Filter bound (Section 7.1, steps 1 and 6): the interface only runs
         // while at most p² keys are resident, and one run adds at most one
         // p²-operation cut batch of new keys — 2p² distinct in-flight items.
@@ -1006,15 +712,15 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// items below its capacity, unless the suffix from `S[k]` on is empty
     /// (the structure simply ends early).
     fn check_prefix_deficits(&self, slack: u64) {
-        for k in self.m..self.segments.len() {
-            let suffix: usize = self.segments[k..].iter().map(RecencyMap::len).sum();
+        for k in self.m..self.num_segments() {
+            let prefix = self.cascade.prefix_size(k);
+            let suffix = self.size() as u64 - prefix;
             if suffix == 0 {
                 continue;
             }
-            let prefix = self.prefix_size(k);
-            let cap = Self::prefix_capacity(k);
+            let cap = Cascade::<K, V>::prefix_capacity(k);
             assert!(
-                prefix.saturating_add(slack) >= cap.min(prefix + suffix as u64),
+                prefix.saturating_add(slack) >= cap.min(prefix + suffix),
                 "prefix S[0..{k}] more than {slack} below capacity: {prefix} vs {cap}"
             );
         }
@@ -1025,13 +731,11 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// extra cut batch of first-slab holes (≤ p² operations) may be awaiting
     /// the cascade that was scheduled together with it, on top of the 2p²
     /// resting allowance — never more.
-    #[cfg(debug_assertions)]
     fn debug_check_transient_deficit(&self) {
-        self.check_prefix_deficits(self.resting_slack() + (self.p * self.p) as u64);
+        if cfg!(debug_assertions) {
+            self.check_prefix_deficits(self.resting_slack() + (self.p * self.p) as u64);
+        }
     }
-
-    #[cfg(not(debug_assertions))]
-    fn debug_check_transient_deficit(&self) {}
 }
 
 impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> for M2<K, V> {
@@ -1050,7 +754,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> 
     }
 
     fn len(&self) -> usize {
-        self.size
+        self.size()
     }
 
     fn effective_work(&self) -> u64 {

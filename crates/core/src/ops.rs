@@ -55,6 +55,14 @@ impl<V> OpResult<V> {
         }
     }
 
+    /// Collapses the result to its carried value, whatever the operation
+    /// kind.
+    pub fn into_value(self) -> Option<V> {
+        match self {
+            OpResult::Search(v) | OpResult::Insert(v) | OpResult::Delete(v) => v,
+        }
+    }
+
     /// True if the operation found / affected an existing item.
     pub fn was_present(&self) -> bool {
         self.value().is_some()
@@ -160,6 +168,33 @@ pub trait BatchedMap<K, V> {
     }
 }
 
+/// `M1::run_ops` / `M2::run_ops`: tags `ops` with consecutive identifiers
+/// from `base` (the map's next free one), runs them as one input batch and
+/// returns the results in operation order.  Results of operations staged
+/// before the call carry smaller identifiers and are skipped.
+pub(crate) fn run_ops<K, V, M: BatchedMap<K, V>>(
+    map: &mut M,
+    base: OpId,
+    ops: Vec<Operation<K, V>>,
+) -> Vec<OpResult<V>> {
+    let n = ops.len();
+    let batch = (base..).zip(ops).map(|(id, op)| TaggedOp { id, op });
+    let (tagged, _) = map.run_batch(batch.collect());
+    let mut results: Vec<Option<OpResult<V>>> = (0..n).map(|_| None).collect();
+    for (id, r) in tagged {
+        if let Some(slot) = id
+            .checked_sub(base)
+            .and_then(|i| results.get_mut(i as usize))
+        {
+            *slot = Some(r);
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every operation produces a result"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +261,9 @@ mod tests {
         let r: OpResult<u64> = OpResult::Search(Some(4));
         assert!(r.was_present());
         assert_eq!(r.value(), Some(&4));
+        assert_eq!(r.into_value(), Some(4));
         let r: OpResult<u64> = OpResult::Delete(None);
         assert!(!r.was_present());
+        assert_eq!(r.into_value(), None);
     }
 }

@@ -74,11 +74,9 @@ pub mod partition;
 
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use wsm_core::{BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
+use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
 
 /// Submitter-ring count for each shard's parallel buffer (the same default a
 /// standalone front-end would pick for a handful of threads).
@@ -91,29 +89,6 @@ type DispatchJob<K, V> = (usize, Mutex<Option<Vec<Operation<K, V>>>>);
 /// garbage warns once on stderr instead of silently running unsharded.
 fn shards_from_env() -> usize {
     wsm_core::env::parse("WSM_SHARDS", "a shard count >= 1", 1, |&s| s >= 1)
-}
-
-/// Distinct-per-thread submitter hint for the shards' parallel buffers.
-///
-/// The hint only picks which lock-free ring a deposit lands in; it affects
-/// contention, never correctness, so a process-wide counter handed out once
-/// per thread is all that's needed.
-fn caller_hint() -> usize {
-    static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-    HINT.with(|hint| match hint.get() {
-        Some(h) => h,
-        None => {
-            // ord: Relaxed — the counter only hands out distinct ring hints;
-            // nothing is published through it and no other memory access
-            // depends on its order.
-            let h = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
-            hint.set(Some(h));
-            h
-        }
-    })
 }
 
 /// Point-in-time counters for one shard, for occupancy / load-balance
@@ -457,7 +432,7 @@ where
     /// Batch search: one result per key, in input order.
     pub fn get_batch(&self, keys: Vec<K>) -> Vec<Option<V>> {
         let results = self.run_batch(keys.into_iter().map(Operation::Search).collect());
-        results.into_iter().map(unwrap_value).collect()
+        results.into_iter().map(OpResult::into_value).collect()
     }
 
     /// Batch insert: the previous value per pair, in input order.
@@ -468,20 +443,13 @@ where
                 .map(|(k, v)| Operation::Insert(k, v))
                 .collect(),
         );
-        results.into_iter().map(unwrap_value).collect()
+        results.into_iter().map(OpResult::into_value).collect()
     }
 
     /// Batch remove: the removed value per key, in input order.
     pub fn remove_batch(&self, keys: Vec<K>) -> Vec<Option<V>> {
         let results = self.run_batch(keys.into_iter().map(Operation::Delete).collect());
-        results.into_iter().map(unwrap_value).collect()
-    }
-}
-
-/// Collapses an [`OpResult`] to its carried value, whatever the op kind.
-fn unwrap_value<V>(result: OpResult<V>) -> Option<V> {
-    match result {
-        OpResult::Search(v) | OpResult::Insert(v) | OpResult::Delete(v) => v,
+        results.into_iter().map(OpResult::into_value).collect()
     }
 }
 

@@ -67,35 +67,14 @@ pub use exec::{
     block_on, oneshot, Canceled, Executor, JoinHandle, Receiver, Sender, Sleep, TimerHandle,
 };
 
-use std::cell::Cell;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use wsm_core::{BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
+use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
 use wsm_shard::{Partitioner, ShardedMap};
-
-/// Distinct-per-thread submitter hint for deposits made through the service
-/// (picks a publication ring; affects contention, never correctness).
-fn caller_hint() -> usize {
-    static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-    HINT.with(|hint| match hint.get() {
-        Some(h) => h,
-        None => {
-            // ord: Relaxed — the counter only hands out distinct ring hints;
-            // nothing is published through it.
-            let h = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
-            hint.set(Some(h));
-            h
-        }
-    })
-}
 
 /// The key/value-independent half of a service backend: what a pending
 /// [`BatchCall`] needs to drive completion after its ops are deposited.
@@ -263,7 +242,7 @@ where
     /// Batch search: one result per key, in input order.
     pub async fn batch_search(&self, keys: Vec<K>) -> Vec<Option<V>> {
         let call = self.call_batch(keys.into_iter().map(Operation::Search).collect());
-        call.await.into_iter().map(into_value).collect()
+        call.await.into_iter().map(OpResult::into_value).collect()
     }
 
     /// Batch insert: the previous value per pair, in input order.
@@ -274,20 +253,13 @@ where
                 .map(|(k, v)| Operation::Insert(k, v))
                 .collect(),
         );
-        call.await.into_iter().map(into_value).collect()
+        call.await.into_iter().map(OpResult::into_value).collect()
     }
 
     /// Batch remove: the removed value per key, in input order.
     pub async fn batch_remove(&self, keys: Vec<K>) -> Vec<Option<V>> {
         let call = self.call_batch(keys.into_iter().map(Operation::Delete).collect());
-        call.await.into_iter().map(into_value).collect()
-    }
-}
-
-/// Collapses an [`OpResult`] to its carried value, whatever the op kind.
-fn into_value<V>(result: OpResult<V>) -> Option<V> {
-    match result {
-        OpResult::Search(v) | OpResult::Insert(v) | OpResult::Delete(v) => v,
+        call.await.into_iter().map(OpResult::into_value).collect()
     }
 }
 

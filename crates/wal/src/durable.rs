@@ -16,10 +16,11 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use wsm_core::{BatchedMap, ConcurrentMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
+use wsm_core::{
+    caller_hint, BatchedMap, ConcurrentMap, OpId, OpResult, Operation, TaggedOp, M1, M2,
+};
 use wsm_shard::{HashPartitioner, ShardedMap};
 
 use crate::codec::Codec;
@@ -104,25 +105,6 @@ impl Default for DurableOptions {
             ),
         }
     }
-}
-
-/// Distinct-per-thread submitter hint for the wrapped front-end's parallel
-/// buffer (contention only, never correctness) — same idiom as `wsm-shard`.
-fn caller_hint() -> usize {
-    static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    }
-    HINT.with(|hint| match hint.get() {
-        Some(h) => h,
-        None => {
-            // ord: Relaxed — the counter only hands out distinct ring hints;
-            // nothing is published through it.
-            let h = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
-            hint.set(Some(h));
-            h
-        }
-    })
 }
 
 /// Replays one logged batch through the ordinary batch path (results are

@@ -131,6 +131,49 @@ proptest! {
         }
     }
 
+    /// Section 7.1 step 3 processes M2's first slab "as in M1": while M2 has
+    /// no final slab, the two maps are the same machine.  Single-bunch
+    /// batches (at most p² operations) over a keyspace that fits the first
+    /// slab keep both on one cut batch per input batch and M2 below its
+    /// final slab, so results, segment shapes and working-set order must
+    /// agree after every batch.
+    #[test]
+    fn m2_below_final_slab_is_m1(
+        raw in prop::collection::vec((0u8..4, any::<u16>(), any::<u16>()), 1..600),
+        cuts in prop::collection::vec(any::<u16>(), 1..64),
+    ) {
+        for p in [2usize, 3, 4, 8] {
+            let mut m1: M1<u64, u64> = M1::new(p);
+            let mut m2: M2<u64, u64> = M2::new(p);
+            let first_slab_capacity: u64 = (0..m2.first_slab_len() as u32)
+                .map(wsm_seq::segment_capacity)
+                .sum();
+            let mut rest = raw.as_slice();
+            for cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let b = (1 + *cut as usize % (p * p)).min(rest.len());
+                let (chunk, tail) = rest.split_at(b);
+                rest = tail;
+                let ops: Vec<Operation<u64, u64>> = chunk.iter().map(|&(kind, k, v)| {
+                    let key = k as u64 % first_slab_capacity;
+                    match kind {
+                        0 | 1 => Operation::Search(key),
+                        2 => Operation::Insert(key, v as u64),
+                        _ => Operation::Delete(key),
+                    }
+                }).collect();
+                prop_assert_eq!(m1.run_ops(ops.clone()), m2.run_ops(ops));
+                prop_assert!(m2.num_segments() <= m2.first_slab_len());
+                prop_assert_eq!(m1.segment_sizes(), m2.segment_sizes());
+                prop_assert_eq!(m1.snapshot_segments(), m2.snapshot_segments());
+                m1.check_invariants();
+                m2.check_invariants();
+            }
+        }
+    }
+
     #[test]
     fn work_never_decreases_and_size_is_bounded(
         ops in prop::collection::vec(op_strategy(), 1..200),
