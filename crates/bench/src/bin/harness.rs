@@ -344,8 +344,8 @@ fn main() {
         );
     }
     if run("e19") {
-        // E19 spawns its own OS threads and the sharded maps own their
-        // router pools, so it runs outside the `in_pool` wrapper.
+        // E19 spawns its own OS threads, which block in `run_batch`, so it
+        // runs outside the `in_pool` wrapper.
         let t = threads.unwrap_or(4).max(1);
         let rows = bench::experiment_sharded(
             sizes.keyspace,
@@ -380,8 +380,8 @@ fn main() {
         );
     }
     if run("e21") {
-        // E21 owns its async executor and the sharded maps own their router
-        // pools, so it runs outside the `in_pool` wrapper.
+        // E21 owns its async executor, so it runs outside the `in_pool`
+        // wrapper.
         let t = threads.unwrap_or(2).max(1);
         let (clients, requests, batch, interval_us) = if small {
             (8, 40, 16, 2_000)

@@ -1,6 +1,6 @@
 //! Model-checks the slot-free result hand-off: `wsm_core::handoff::ResultCell`
 //! and the `WSM_HANDOFF=cell` waiter loop of `ConcurrentMap` (and of the
-//! `wsm_shard` router, whose `call_batch` waits run the same loop per cell).
+//! `wsm_shard` router, whose per-shard `wait_batch` runs the same loop).
 //!
 //! The harness mirrors the cell-mode `ConcurrentMap::call` loop exactly:
 //! deposit the op with its own sequence-stamped cell, then alternate between

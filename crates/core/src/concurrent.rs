@@ -49,12 +49,11 @@
 //! and a blocked worker cannot help execute the very batch it is waiting on.
 //! Ordinary OS threads (as in the tests, examples and benches) are the
 //! intended callers, matching the paper's model of `p` processors calling
-//! the map.  The `wsm-shard` router respects this rule by dispatching its
-//! blocking [`ConcurrentMap::call_batch`] calls on a *dedicated* router pool
-//! (never the batch-execution pool): a router worker that wins a shard's
-//! combiner election runs the batch inline on itself (`wsm_pool::run` is
-//! inline on a worker, and un-stolen `join` halves execute on the caller),
-//! so its progress never depends on another blocked router worker.
+//! the map.  `wsm-shard`'s `ShardedMap::run_batch` puts no thread between
+//! those callers and the shards: the calling thread deposits its sub-batches
+//! with [`ConcurrentMap::submit_batch`], makes one election pass over the
+//! shards, then waits shard by shard in [`ConcurrentMap::wait_batch`], on
+//! that shard's own doorbell.
 
 use crate::buffer::ParallelBuffer;
 use crate::doorbell::Doorbell;
@@ -121,23 +120,12 @@ fn handoff_from_env() -> Handoff {
 /// [`ConcurrentMap::with_inline_threshold`].
 pub const DEFAULT_INLINE_BATCH: usize = 64;
 
-/// Default for how many yield-and-recheck rounds a waiting caller performs
-/// before parking on the doorbell.  A combiner cycle for a small batch
-/// completes in a few microseconds — comparable to a futex sleep/wake round
-/// trip — so a few yields usually deliver the result without a park; large
-/// values only burn sched_yield calls.  Override with `WSM_SPIN_WAIT`.
-pub const DEFAULT_SPIN_WAIT: u32 = 4;
-
-/// The process-wide spin count: `WSM_SPIN_WAIT` or [`DEFAULT_SPIN_WAIT`].
-/// Garbage values warn once and keep the default.
-fn spin_wait_from_env() -> u32 {
-    crate::env::parse(
-        "WSM_SPIN_WAIT",
-        "a yield count (non-negative integer)",
-        DEFAULT_SPIN_WAIT,
-        |_| true,
-    )
-}
+/// How many yield-and-recheck rounds a waiting caller performs before parking
+/// on the doorbell.  A combiner cycle for a small batch completes in a few
+/// microseconds — comparable to a futex sleep/wake round trip — so a few
+/// yields usually deliver the result without a park; large values only burn
+/// sched_yield calls.
+const SPIN_WAIT: u32 = 4;
 
 /// The process-wide inline threshold: `WSM_INLINE_BATCH` if set to a valid
 /// number (0 disables the fast path entirely), otherwise
@@ -232,9 +220,6 @@ pub struct ConcurrentMap<K, V, M> {
     /// Batches of at most this many operations run inline on the combiner
     /// thread instead of round-tripping through the pool.
     inline_threshold: usize,
-    /// Yield-and-recheck rounds before a waiting caller parks (doorbell
-    /// mode) or re-attempts the activation (cell mode).
-    spin_wait: u32,
     /// How waiting callers learn their result arrived.
     handoff: Handoff,
     /// Commit-point observer (see [`CommitHook`]); `None` for ordinary maps.
@@ -270,7 +255,6 @@ where
             doorbell: Doorbell::default(),
             pool,
             inline_threshold: inline_threshold_from_env(),
-            spin_wait: spin_wait_from_env(),
             handoff: handoff_from_env(),
             commit_hook: None,
         }
@@ -428,7 +412,7 @@ where
                 // eventually win the election and combine it ourselves).
                 // The pauses escalate into the bounded backoff, so a long
                 // wait costs capped sleeps rather than a pegged core.
-                for _ in 0..self.spin_wait.max(1) {
+                for _ in 0..SPIN_WAIT {
                     std::thread::yield_now();
                     if done() {
                         return;
@@ -437,7 +421,7 @@ where
                 backoff.pause();
             } else {
                 let mut delivered = false;
-                for _ in 0..self.spin_wait {
+                for _ in 0..SPIN_WAIT {
                     std::thread::yield_now();
                     if done() {
                         return;
@@ -480,22 +464,29 @@ where
 
     /// Deposits a whole sub-batch of operations (sharing one buffer shard)
     /// and drives combining until every result is available, returning them
-    /// in operation order.  This is the batch entry point the `wsm-shard`
-    /// router uses: one publication-ring pass and one waiting loop for the
-    /// entire sub-batch instead of a blocking round trip per operation.
+    /// in operation order: one publication-ring pass and one waiting loop
+    /// for the entire sub-batch instead of a blocking round trip per
+    /// operation.
+    pub fn call_batch(&self, shard: usize, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
+        self.wait_batch(&self.submit_batch(shard, ops))
+    }
+
+    /// Drives combining until every cell of an earlier
+    /// [`ConcurrentMap::submit_batch`] on this map has been filled, and
+    /// returns the results in cell order.  This is the blocking half of
+    /// [`ConcurrentMap::call_batch`]; `wsm-shard` calls it per shard after
+    /// depositing all of a caller's sub-batches.
     ///
     /// The deposited operations need not execute in a single combine — a
     /// concurrent combiner may drain a prefix of the publication while the
     /// rest is still in flight — so the probe harvests cells incrementally
     /// until all have been filled.
-    pub fn call_batch(&self, shard: usize, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let n = ops.len();
-        if n == 0 {
+    pub fn wait_batch(&self, cells: &[Arc<ResultCell<OpResult<V>>>]) -> Vec<OpResult<V>> {
+        if cells.is_empty() {
             return Vec::new();
         }
-        let cells = self.submit_batch(shard, ops);
-        let mut results: Vec<Option<OpResult<V>>> = (0..n).map(|_| None).collect();
-        let mut remaining = n;
+        let mut results: Vec<Option<OpResult<V>>> = cells.iter().map(|_| None).collect();
+        let mut remaining = cells.len();
         self.wait(|| {
             for (cell, out) in cells.iter().zip(results.iter_mut()) {
                 if out.is_none() {

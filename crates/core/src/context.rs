@@ -13,13 +13,14 @@
 //! The executor therefore brackets every poll with [`ServiceTaskGuard`], and
 //! the blocking paths consult [`in_service_task`]:
 //!
-//! * `ConcurrentMap::call`/`call_batch` in doorbell mode fall back to the
-//!   never-parking bounded-backoff loop (the cell-mode wait) instead of
-//!   parking;
-//! * `ShardedMap::run_batch` routes every sub-batch through the dedicated
-//!   router pool instead of running one inline on the caller, so the
-//!   blocking combiner election happens on a router worker that is allowed
-//!   to block (see the `wsm-shard` crate docs).
+//! * `ConcurrentMap::call`/`call_batch`/`wait_batch` in doorbell mode fall
+//!   back to the never-parking bounded-backoff loop (the cell-mode wait)
+//!   instead of parking;
+//! * `ShardedMap::run_batch` has no rule of its own: it waits only through
+//!   `wait_batch`, and not parking suffices, because an activation is never
+//!   held across a suspension point — a task that loses a combiner election
+//!   is waiting on a thread that is running, and one whose operations are
+//!   still buffered wins the election itself.
 //!
 //! The flag is a plain thread-local — it needs no atomicity (a thread only
 //! consults its own flag) and it nests (a service task that itself polls a

@@ -11,14 +11,31 @@
 //!             caller batch [op, op, op, …]
 //!                          │ split by Partitioner::shard_of
 //!             ┌────────────┼────────────┐
-//!             ▼            ▼            ▼
-//!        shard 0       shard 1   …  shard S-1        (each: ParallelBuffer →
-//!      call_batch     call_batch    call_batch        combiner → M1/M2)
-//!             │            │            │
-//!             └────────────┼────────────┘
+//!             ▼            ▼            ▼         1. deposit: submit_batch into each
+//!        shard 0       shard 1   …  shard S-1        shard's ParallelBuffer
+//!        buffer →      buffer →      buffer →     2. pump: one combiner-election
+//!        combiner      combiner      combiner        attempt per buffered shard
+//!             │            │            │         3. wait: wait_batch, shard by
+//!             └────────────┼────────────┘            shard, on its own doorbell
 //!                          ▼ stitch by route map
 //!             results in caller order
 //! ```
+//!
+//! The router has no threads: the callers are the processors.
+//! [`ShardedMap::run_batch`] deposits every sub-batch, makes one election
+//! pass ([`ShardedMap::pump`]) — after which each touched shard has either
+//! been combined by this caller or is held by an active combiner, whose
+//! activation re-runs while its buffer is non-empty — and then blocks in
+//! [`ConcurrentMap::wait_batch`] shard by shard.  Async callers (`wsm-svc`)
+//! stop after the deposit: [`ShardedMap::submit_batch`] returns the result
+//! cells and the caller pumps from its polls.  Sub-batches of different
+//! callers meet in whichever combiner is active on their shard.
+//!
+//! A `run_batch` from an async service task takes the same road; the one rule
+//! it needs is the shards' own, that a service task never parks (see
+//! [`wsm_core::context`]).  An activation is never held across a suspension
+//! point, so a task that loses an election is waiting on a thread that is
+//! running, and one whose operations are still buffered wins it itself.
 //!
 //! Per-key operation order is preserved: the partitioner is a pure function
 //! of the key, so every operation on a key flows through exactly one shard,
@@ -26,37 +43,6 @@
 //! operations in sub-batch order.  Cross-key (cross-shard) operations carry
 //! no ordering obligation — each shard is independently linearizable, which
 //! is exactly the per-key guarantee the property suite checks.
-//!
-//! ## Dispatch discipline (deadlock freedom)
-//!
-//! Routing a batch to several busy shards means making several *blocking*
-//! [`ConcurrentMap::call_batch`] calls.  Running those on the global
-//! work-stealing pool could deadlock: every worker could end up parked
-//! waiting on some shard's doorbell while the batch job that would ring it
-//! sits unclaimed in the injector.  The router therefore owns a **dedicated**
-//! pool, used for nothing but dispatch.  A router worker that wins a shard's
-//! combiner election executes the batch *inline on itself* (`wsm_pool::run`
-//! is inline on any pool worker, and un-stolen `join` halves run on the
-//! caller), so its progress never depends on another — possibly blocked —
-//! router worker.  When only one shard has work (or `S == 1`) the router
-//! pool is bypassed and the call runs inline on the caller.
-//!
-//! **Service-task callers never run sub-batches inline.**  The
-//! inline-on-caller shortcut assumes the caller is an ordinary OS thread
-//! that may block in `call_batch`'s waiting loop.  A caller that is an
-//! *async service task* (an executor worker polling a `wsm-svc` future —
-//! [`wsm_core::in_service_task`]) must not: the combiner election it would
-//! wait on can depend on other tasks of the same executor being polled, and
-//! with a single executor worker that wait is a deadlock.  When the caller
-//! context is a service task, [`ShardedMap::run_batch`] therefore routes
-//! *every* sub-batch — including a single busy shard, and including `S == 1`
-//! (whose router pool is created lazily on first need) — through the
-//! dedicated router pool: the blocking election runs on a router worker
-//! that is allowed to block, and the service task's wait shrinks to a
-//! bounded join on work actually in progress.  (The genuinely non-blocking
-//! surface for async callers is [`ShardedMap::submit_batch`] +
-//! [`ShardedMap::pump`], which never waits at all — `run_batch` from a
-//! service task is the degraded-but-safe path.)
 //!
 //! ## Knobs
 //!
@@ -74,7 +60,7 @@ pub mod partition;
 
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
 
@@ -82,8 +68,23 @@ use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operat
 /// standalone front-end would pick for a handful of threads).
 const BUFFER_SHARDS: usize = 8;
 
-/// Router dispatch job: `(shard index, take-once slot with its sub-batch)`.
-type DispatchJob<K, V> = (usize, Mutex<Option<Vec<Operation<K, V>>>>);
+/// One sub-batch's result cells ([`ConcurrentMap::submit_batch`]).
+type Cells<V> = Vec<Arc<ResultCell<OpResult<V>>>>;
+
+/// Undoes a split: `route[i]` names the shard operation `i` went to, and a
+/// shard's sub-batch keeps caller order, so operation `i`'s item is the next
+/// one its shard has not handed out yet.
+fn stitch<T>(route: &[usize], per_shard: Vec<Vec<T>>) -> Vec<T> {
+    let mut per_shard: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+    route
+        .iter()
+        .map(|&shard| {
+            per_shard[shard]
+                .next()
+                .expect("every routed operation has exactly one item")
+        })
+        .collect()
+}
 
 /// Shard count from `WSM_SHARDS`, default 1 (unsharded).  `WSM_SHARDS=0` or
 /// garbage warns once on stderr instead of silently running unsharded.
@@ -107,16 +108,10 @@ pub struct ShardStats {
 }
 
 /// A hash- or range-partitioned family of [`ConcurrentMap`] shards behind a
-/// batch router.  See the [crate docs](crate) for the architecture and the
-/// dispatch discipline.
+/// batch router.  See the [crate docs](crate) for the architecture.
 pub struct ShardedMap<K, V, M, P = HashPartitioner> {
     shards: Vec<ConcurrentMap<K, V, M>>,
     partitioner: P,
-    /// Dedicated dispatch pool.  Built eagerly for multi-shard maps (whose
-    /// `run_batch` fan-out always needs it) and lazily for `S == 1` maps,
-    /// which only need one if a service-task caller ever shows up (see the
-    /// dispatch discipline in the crate docs).
-    router: OnceLock<wsm_pool::ThreadPool>,
 }
 
 impl<K, V, M> ShardedMap<K, V, M, HashPartitioner>
@@ -134,17 +129,11 @@ where
     /// Builds a sharded map with exactly `shards` shards (at least one).
     /// `make(i)` constructs the batched map for shard `i`.
     pub fn with_shards(shards: usize, mut make: impl FnMut(usize) -> M) -> Self {
-        let shards = shards.max(1);
-        let router = OnceLock::new();
-        if shards > 1 {
-            let _ = router.set(wsm_pool::ThreadPool::new(shards));
-        }
         ShardedMap {
-            shards: (0..shards)
+            shards: (0..shards.max(1))
                 .map(|i| ConcurrentMap::new(make(i), BUFFER_SHARDS))
                 .collect(),
             partitioner: HashPartitioner,
-            router,
         }
     }
 }
@@ -164,7 +153,6 @@ where
         ShardedMap {
             shards: self.shards,
             partitioner,
-            router: self.router,
         }
     }
 
@@ -293,123 +281,64 @@ where
         self.shards[shard].delete(caller_hint(), key)
     }
 
-    /// The dedicated router pool, created on first need for `S == 1` maps
-    /// (multi-shard maps build it eagerly in the constructor).
-    fn router(&self) -> &wsm_pool::ThreadPool {
-        self.router
-            .get_or_init(|| wsm_pool::ThreadPool::new(self.shards.len()))
+    /// Splits `ops` by the partitioner and deposits each sub-batch into its
+    /// shard's parallel buffer ([`ConcurrentMap::submit_batch`]).  Returns
+    /// the result cells per shard and the route map for [`stitch`].
+    fn deposit(&self, ops: Vec<Operation<K, V>>) -> (Vec<Cells<V>>, Vec<usize>) {
+        let s = self.shards.len();
+        let hint = caller_hint();
+        if s == 1 {
+            let route = vec![0; ops.len()];
+            return (vec![self.shards[0].submit_batch(hint, ops)], route);
+        }
+        let mut per_shard: Vec<Vec<Operation<K, V>>> = (0..s).map(|_| Vec::new()).collect();
+        let mut route = Vec::with_capacity(ops.len());
+        for op in ops {
+            let shard = self.shard_of(op.key());
+            route.push(shard);
+            per_shard[shard].push(op);
+        }
+        let cells = self
+            .shards
+            .iter()
+            .zip(per_shard)
+            .map(|(shard, sub)| shard.submit_batch(hint, sub))
+            .collect();
+        (cells, route)
     }
 
     /// Runs a batch of operations, returning results in operation order.
     ///
-    /// The batch is split by the partitioner into per-shard sub-batches;
-    /// each sub-batch is one [`ConcurrentMap::call_batch`] on its shard.
-    /// With one busy shard the call runs inline on the caller; with several,
-    /// sub-batches dispatch concurrently on the router pool (see the crate
-    /// docs for why that pool is dedicated).  Exception: when the caller is
-    /// an async service task ([`wsm_core::in_service_task`]), *every*
-    /// sub-batch — even a lone one — dispatches through the router pool, so
-    /// the blocking combiner election never runs on an executor worker.
-    /// Per-key order within the batch is preserved — same-key operations
-    /// stay in one sub-batch, in order.
+    /// The calling thread deposits the batch as [`ShardedMap::submit_batch`]
+    /// does, makes one election pass over the shards ([`ShardedMap::pump`])
+    /// and then waits for each shard's results in turn
+    /// ([`ConcurrentMap::wait_batch`]); see the crate docs.  Per-key order
+    /// within the batch is preserved — same-key operations stay in one
+    /// sub-batch, in order.
     pub fn run_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let s = self.shards.len();
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        // Service tasks must not run a blocking call_batch inline (see the
-        // crate docs' dispatch discipline): push it onto the router pool.
-        let inline_allowed = !wsm_core::in_service_task();
-        if s == 1 && inline_allowed {
-            return self.shards[0].call_batch(caller_hint(), ops);
-        }
-
-        // Split: route[i] = (shard, position within that shard's sub-batch).
-        let mut per_shard: Vec<Vec<Operation<K, V>>> = (0..s).map(|_| Vec::new()).collect();
-        let mut route = Vec::with_capacity(ops.len());
-        for op in ops {
-            let shard = self.partitioner.shard_of(op.key(), s);
-            route.push((shard, per_shard[shard].len()));
-            per_shard[shard].push(op);
-        }
-
-        let busy: Vec<usize> = (0..s).filter(|&i| !per_shard[i].is_empty()).collect();
-        let hint = caller_hint();
-        let mut shard_results: Vec<Vec<Option<OpResult<V>>>> = (0..s).map(|_| Vec::new()).collect();
-
-        if busy.len() == 1 && inline_allowed {
-            // One busy shard: no fan-out to pay for, run on the caller.
-            let shard = busy[0];
-            let results =
-                self.shards[shard].call_batch(hint, std::mem::take(&mut per_shard[shard]));
-            shard_results[shard] = results.into_iter().map(Some).collect();
-        } else {
-            // Fan out on the dedicated router pool.  Jobs hand their
-            // sub-batch over through a take-once slot so nothing is cloned.
-            let jobs: Vec<DispatchJob<K, V>> = busy
-                .iter()
-                .map(|&i| (i, Mutex::new(Some(std::mem::take(&mut per_shard[i])))))
-                .collect();
-            let results: Vec<(usize, Vec<OpResult<V>>)> = self.router().install(|| {
-                wsm_pool::par_map(&jobs, |(shard, slot)| {
-                    let ops = slot
-                        .lock()
-                        .expect("job slot mutex")
-                        .take()
-                        .expect("each dispatch job runs exactly once");
-                    (*shard, self.shards[*shard].call_batch(hint, ops))
-                })
-            });
-            for (shard, result) in results {
-                shard_results[shard] = result.into_iter().map(Some).collect();
-            }
-        }
-
-        // Stitch back into caller order.
-        route
-            .into_iter()
-            .map(|(shard, idx)| {
-                shard_results[shard][idx]
-                    .take()
-                    .expect("every routed slot is filled exactly once")
-            })
-            .collect()
+        let (cells, route) = self.deposit(ops);
+        self.pump();
+        let results = self
+            .shards
+            .iter()
+            .zip(&cells)
+            .map(|(shard, cells)| shard.wait_batch(cells))
+            .collect();
+        stitch(&route, results)
     }
 
     /// Deposits a batch without waiting: the async submission surface.
     ///
-    /// The batch is split by the partitioner exactly as in
-    /// [`ShardedMap::run_batch`], each sub-batch is deposited into its
-    /// shard's parallel buffer via [`ConcurrentMap::submit_batch`], and the
-    /// returned cells are stitched back into caller order — `cells[i]` is
-    /// operation `i`'s result cell.  Nothing blocks and no combiner runs;
-    /// pair with [`ShardedMap::pump`] and the cells' waker registration
-    /// ([`ResultCell::set_waker`]) to drive completion (this is what
-    /// `wsm-svc` does).
+    /// The batch is split by the partitioner into per-shard sub-batches,
+    /// each sub-batch is deposited into its shard's parallel buffer via
+    /// [`ConcurrentMap::submit_batch`], and the returned cells are stitched
+    /// back into caller order — `cells[i]` is operation `i`'s result cell.
+    /// Nothing blocks and no combiner runs; pair with [`ShardedMap::pump`]
+    /// and the cells' waker registration ([`ResultCell::set_waker`]) to drive
+    /// completion (this is what `wsm-svc` does).
     pub fn submit_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<Arc<ResultCell<OpResult<V>>>> {
-        let s = self.shards.len();
-        let hint = caller_hint();
-        if s == 1 {
-            return self.shards[0].submit_batch(hint, ops);
-        }
-        let mut per_shard: Vec<Vec<Operation<K, V>>> = (0..s).map(|_| Vec::new()).collect();
-        let mut route = Vec::with_capacity(ops.len());
-        for op in ops {
-            let shard = self.partitioner.shard_of(op.key(), s);
-            route.push((shard, per_shard[shard].len()));
-            per_shard[shard].push(op);
-        }
-        let mut shard_cells: Vec<Vec<Arc<ResultCell<OpResult<V>>>>> =
-            (0..s).map(|_| Vec::new()).collect();
-        for (i, sub) in per_shard.into_iter().enumerate() {
-            if !sub.is_empty() {
-                shard_cells[i] = self.shards[i].submit_batch(hint, sub);
-            }
-        }
-        route
-            .into_iter()
-            .map(|(shard, idx)| Arc::clone(&shard_cells[shard][idx]))
-            .collect()
+        let (cells, route) = self.deposit(ops);
+        stitch(&route, cells)
     }
 
     /// Makes one non-blocking combiner-election attempt on every shard with
@@ -495,55 +424,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batches_stitch_results_into_caller_order() {
-        for shards in [1usize, 2, 4] {
-            let map = sharded(shards);
-            let keys: Vec<u64> = (0..256).collect();
-            let prev = map.insert_batch(keys.iter().map(|&k| (k, k * 10)).collect());
-            assert!(prev.iter().all(Option::is_none));
+    /// 256 keys from `base`: results must track input order exactly.
+    fn check_stitch_order(map: &ShardedMap<u64, u64, M1<u64, u64>>, base: u64) {
+        let keys: Vec<u64> = (base..base + 256).collect();
+        let prev = map.insert_batch(keys.iter().map(|&k| (k, k * 10)).collect());
+        assert!(prev.iter().all(Option::is_none));
 
-            // Mixed batch whose result order must exactly track input order.
-            let ops: Vec<Operation<u64, u64>> = (0..256u64)
-                .map(|k| match k % 3 {
-                    0 => Operation::Search(k),
-                    1 => Operation::Insert(k, k + 1),
-                    _ => Operation::Delete(k),
-                })
-                .collect();
-            let results = map.run_batch(ops);
-            for (k, r) in (0..256u64).zip(&results) {
-                match k % 3 {
-                    0 => assert_eq!(r, &OpResult::Search(Some(k * 10)), "S={shards} k={k}"),
-                    1 => assert_eq!(r, &OpResult::Insert(Some(k * 10)), "S={shards} k={k}"),
-                    _ => assert_eq!(r, &OpResult::Delete(Some(k * 10)), "S={shards} k={k}"),
-                }
+        let ops: Vec<Operation<u64, u64>> = keys
+            .iter()
+            .map(|&k| match k % 3 {
+                0 => Operation::Search(k),
+                1 => Operation::Insert(k, k + 1),
+                _ => Operation::Delete(k),
+            })
+            .collect();
+        let results = map.run_batch(ops);
+        for (&k, r) in keys.iter().zip(&results) {
+            match k % 3 {
+                0 => assert_eq!(r, &OpResult::Search(Some(k * 10)), "k={k}"),
+                1 => assert_eq!(r, &OpResult::Insert(Some(k * 10)), "k={k}"),
+                _ => assert_eq!(r, &OpResult::Delete(Some(k * 10)), "k={k}"),
             }
+        }
 
-            let got = map.get_batch(keys.clone());
-            for (k, v) in keys.iter().zip(got) {
-                match k % 3 {
-                    1 => assert_eq!(v, Some(k + 1)),
-                    0 => assert_eq!(v, Some(k * 10)),
-                    _ => assert_eq!(v, None),
-                }
+        let got = map.get_batch(keys.clone());
+        for (k, v) in keys.iter().zip(got) {
+            match k % 3 {
+                1 => assert_eq!(v, Some(k + 1)),
+                0 => assert_eq!(v, Some(k * 10)),
+                _ => assert_eq!(v, None),
             }
         }
     }
 
-    #[test]
-    fn same_key_order_preserved_within_a_batch() {
-        let map = sharded(4);
+    /// Same-key operations inside one batch apply in batch order.
+    fn check_same_key_order(map: &ShardedMap<u64, u64, M1<u64, u64>>, key: u64) {
         let ops = vec![
-            Operation::Insert(5, 1),
-            Operation::Insert(5, 2),
-            Operation::Search(5),
-            Operation::Delete(5),
-            Operation::Search(5),
+            Operation::Insert(key, 1),
+            Operation::Insert(key, 2),
+            Operation::Search(key),
+            Operation::Delete(key),
+            Operation::Search(key),
         ];
-        let results = map.run_batch(ops);
         assert_eq!(
-            results,
+            map.run_batch(ops),
             vec![
                 OpResult::Insert(None),
                 OpResult::Insert(Some(1)),
@@ -551,6 +475,71 @@ mod tests {
                 OpResult::Delete(Some(2)),
                 OpResult::Search(None),
             ]
+        );
+    }
+
+    #[test]
+    fn batches_stitch_results_into_caller_order() {
+        for shards in [1usize, 2, 4] {
+            check_stitch_order(&sharded(shards), 0);
+        }
+    }
+
+    #[test]
+    fn same_key_order_preserved_within_a_batch() {
+        check_same_key_order(&sharded(4), 5);
+    }
+
+    #[test]
+    fn order_checks_hold_when_callers_share_combiners() {
+        // Six OS threads on disjoint key ranges: sub-batches of different
+        // callers meet in one shard combiner, and each caller must still get
+        // its own results back in its own order.
+        let map = sharded(4);
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            for t in 0..6u64 {
+                let (map, start) = (&map, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..20 {
+                        let base = (t * 20 + round) * 1_000;
+                        check_stitch_order(map, base);
+                        check_same_key_order(map, base + 500);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn lone_caller_combines_every_sub_batch_itself() {
+        // No thread stands between a caller and the shards: with one caller,
+        // every shard's combiner (where the commit hook runs) is that caller.
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let map = sharded(4).configure_shards(|_, shard| {
+            let seen = Arc::clone(&seen);
+            shard.with_commit_hook(move |_| {
+                seen.lock().unwrap().push(std::thread::current().id());
+            })
+        });
+        for round in 0..8u64 {
+            let keys: Vec<u64> = (round * 256..(round + 1) * 256).collect();
+            let shards_hit: std::collections::BTreeSet<usize> =
+                keys.iter().map(|k| map.shard_of(k)).collect();
+            assert_eq!(shards_hit.len(), 4, "the batch must touch every shard");
+            map.insert_batch(keys.iter().map(|&k| (k, k)).collect());
+            assert_eq!(
+                map.get_batch(keys.clone()),
+                keys.iter().map(|&k| Some(k)).collect::<Vec<_>>()
+            );
+        }
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4 * 16, "every shard combines every batch");
+        let me = std::thread::current().id();
+        assert!(
+            seen.iter().all(|&id| id == me),
+            "a sub-batch was combined on another thread"
         );
     }
 
@@ -648,10 +637,9 @@ mod tests {
     }
 
     #[test]
-    fn service_task_batches_route_through_router_pool() {
-        // A service-task caller must get correct results through the router
-        // dispatch path for every shard count — including S == 1, whose
-        // router pool is created lazily by this very call.
+    fn service_task_callers_get_correct_results() {
+        // A service-task caller takes the same deposit → pump → wait road as
+        // an OS thread (only its wait never parks), at every shard count.
         for shards in [1usize, 2, 4] {
             let map = sharded(shards);
             let _guard = wsm_core::ServiceTaskGuard::new();

@@ -55,8 +55,8 @@
 //!   the one that parks idle tasks for free.
 //!
 //! Blocking `ConcurrentMap`/`ShardedMap` calls issued from inside a service
-//! task degrade safely rather than deadlocking: see `wsm_core::context` and
-//! the `wsm-shard` dispatch discipline.
+//! task degrade safely rather than deadlocking: their waits never park (see
+//! `wsm_core::context`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

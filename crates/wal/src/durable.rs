@@ -134,6 +134,25 @@ where
     recovered.report
 }
 
+/// The periodic checkpoint, run with the map's inner lock held (inside
+/// `with_inner` / `with_shard_inner`): checkpoints `map` into `wal` only if
+/// `every` batches were logged since the last checkpoint.  Appends and
+/// checkpoints both happen under that lock, so the count read here is exact —
+/// of several callers whose operations rode one combined batch and who all
+/// saw the threshold crossed from outside the lock, only the first to get in
+/// still finds it crossed.
+fn checkpoint_if_due<K, V, M>(wal: &Wal<K, V>, every: u64, map: &M)
+where
+    K: Codec,
+    V: Codec,
+    M: DurableState<K, V>,
+{
+    if wal.since_checkpoint() >= every {
+        wal.checkpoint(&map.snapshot_segments())
+            .expect("WAL checkpoint failed; refusing to let the log grow unbounded");
+    }
+}
+
 /// A [`ConcurrentMap`] whose committed batches are write-ahead logged and
 /// periodically checkpointed, and which resumes from the log on open.
 ///
@@ -261,9 +280,10 @@ where
     }
 
     fn maybe_checkpoint(&self) {
+        // The unlocked read only keeps the common case off the inner lock.
         if self.wal.since_checkpoint() >= self.checkpoint_every {
-            self.checkpoint()
-                .expect("WAL checkpoint failed; refusing to let the log grow unbounded");
+            self.map
+                .with_inner(|m| checkpoint_if_due(&self.wal, self.checkpoint_every, m));
         }
     }
 }
@@ -382,8 +402,8 @@ where
         prev
     }
 
-    /// Runs a batch of operations through the router, returning results in
-    /// operation order.  Durability is per shard: under a crash, each shard's
+    /// Runs a batch of operations through the sharded map, returning results
+    /// in operation order.  Durability is per shard: under a crash, each shard's
     /// durable prefix is a prefix of *its* sub-batches.
     pub fn run_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
         let results = self.map.run_batch(ops);
@@ -431,9 +451,11 @@ where
 
     fn maybe_checkpoint(&self) {
         for (i, wal) in self.wals.iter().enumerate() {
+            // The unlocked read only keeps the common case off the inner lock.
             if wal.since_checkpoint() >= self.checkpoint_every {
-                self.checkpoint_shard(i)
-                    .expect("WAL checkpoint failed; refusing to let the log grow unbounded");
+                self.map.with_shard_inner(i, |m| {
+                    checkpoint_if_due(wal, self.checkpoint_every, m);
+                });
             }
         }
     }

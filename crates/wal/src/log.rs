@@ -480,8 +480,10 @@ impl<K: Codec, V: Codec> Wal<K, V> {
     /// Batches appended since the last checkpoint (drives the
     /// checkpoint-every-N policy).
     pub fn since_checkpoint(&self) -> u64 {
-        // ord: Relaxed — heuristic trigger read; off-by-a-batch is harmless
-        // (the checkpoint itself runs under the inner lock).
+        // ord: Relaxed — the durable maps append (commit hook) and
+        // checkpoint under the map's inner lock, so a read under that lock
+        // is exact by the mutex's own ordering; a read outside it is a
+        // pre-check that the periodic checkpoint repeats under the lock.
         self.since_checkpoint.load(Ordering::Relaxed)
     }
 

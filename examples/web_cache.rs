@@ -5,9 +5,8 @@
 //! request-serving OS threads defaults to 4 and can be overridden with
 //! `WSM_WORKERS=n`; the map's combiner runs small batches inline
 //! (`WSM_INLINE_BATCH`, default 64) and fans larger ones out on the
-//! work-stealing pool (`wsm-pool`, sized by `WSM_POOL_THREADS`).  Waiters
-//! spin `WSM_SPIN_WAIT` yields before parking.  Experiment E16
-//! (`harness e16`) tracks this workload's map-vs-AVL gap as a regression.
+//! work-stealing pool (`wsm-pool`, sized by `WSM_POOL_THREADS`).  Experiment
+//! E16 (`harness e16`) tracks this workload's map-vs-AVL gap as a regression.
 //!
 //! With `WSM_SHARDS=n` (n > 1) the cache is served by a
 //! [`wsm_shard::ShardedMap`] instead: the keyspace is hash-partitioned

@@ -19,6 +19,11 @@
 //!   suite — `tests/common/linearize.rs`) must find a linearization of each
 //!   shard's projected history.
 //!
+//! A fourth, deterministic sweep covers *blocking* `ShardedMap::run_batch`
+//! calls issued from service tasks: on a single-worker executor, beside
+//! sibling tasks that hold deposited-but-unawaited service calls, every call
+//! must complete (wall-clock guard) and match its oracle.
+//!
 //! Batches through the service share their interval soundly for the same
 //! reason as the blocking `run_batch` suite: per-key order within a batch is
 //! preserved by the shard's group resolution, and distinct keys commute in
@@ -26,8 +31,13 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::task::{Context, Poll};
+use std::time::Duration;
 use wsm_core::{BatchedMap, Handoff, M1, M2};
 use wsm_shard::ShardedMap;
 use wsm_svc::{block_on, Executor, WsMapService};
@@ -67,6 +77,10 @@ fn to_operation(op: Op) -> wsm_core::Operation<u64, u64> {
         Op::Insert(k, v) => wsm_core::Operation::Insert(k, v),
         Op::Delete(k) => wsm_core::Operation::Delete(k),
     }
+}
+
+fn to_operations(batch: &[Op]) -> Vec<wsm_core::Operation<u64, u64>> {
+    batch.iter().map(|&op| to_operation(op)).collect()
 }
 
 /// What a sequential `BTreeMap` oracle says each op returns, in order.
@@ -110,7 +124,7 @@ where
     let mut dones = Vec::with_capacity(ops.len());
     for batch in ops.chunks(chunk.max(1)) {
         let invoke = clock.fetch_add(1, Ordering::SeqCst);
-        let call = svc.call_batch(batch.iter().map(|&op| to_operation(op)).collect());
+        let call = svc.call_batch(to_operations(batch));
         let results = call.await;
         let ret = clock.fetch_add(1, Ordering::SeqCst);
         for (&op, result) in batch.iter().zip(results) {
@@ -295,4 +309,149 @@ fn service_surface_matches_oracle_waker_mode() {
     assert!(removed.iter().all(Option::is_some));
     let rest = block_on(svc.batch_search((0..100u64).collect()));
     assert_eq!(rest.iter().filter(|v| v.is_some()).count(), 50);
+}
+
+/// Resolves on its second poll, waking itself in between: the task goes to
+/// the back of the run queue and the worker polls its other tasks.
+struct YieldNow(bool);
+
+impl Future for YieldNow {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            return Poll::Ready(());
+        }
+        self.0 = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    }
+}
+
+fn values(results: Vec<wsm_core::OpResult<u64>>) -> impl Iterator<Item = Option<u64>> {
+    results.into_iter().map(wsm_core::OpResult::into_value)
+}
+
+/// A service client that deposits each batch and then *leaves the future
+/// un-awaited* across a yield, so its operations sit in the shard buffers
+/// while the worker polls the sibling tasks.
+async fn holding_client<M>(
+    svc: WsMapService<u64, u64, Backend<M>>,
+    ops: Vec<Op>,
+    chunk: usize,
+) -> Vec<Option<u64>>
+where
+    M: BatchedMap<u64, u64> + Send,
+{
+    let mut got = Vec::with_capacity(ops.len());
+    for batch in ops.chunks(chunk) {
+        let call = svc.call_batch(to_operations(batch));
+        YieldNow(false).await;
+        got.extend(values(call.await));
+    }
+    got
+}
+
+/// A task that makes *blocking* `run_batch` calls from inside its poll.
+async fn blocking_client<M>(map: Arc<Backend<M>>, ops: Vec<Op>, chunk: usize) -> Vec<Option<u64>>
+where
+    M: BatchedMap<u64, u64> + Send,
+{
+    let mut got = Vec::with_capacity(ops.len());
+    for batch in ops.chunks(chunk) {
+        got.extend(values(map.run_batch(to_operations(batch))));
+        YieldNow(false).await;
+    }
+    got
+}
+
+/// Runs `f` on a thread of its own and fails the test if it has not returned
+/// within `limit` — a blocked executor worker must fail, not hang the suite.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            runner.join().expect("runner thread");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no completion within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("runner dropped its sender"))
+        }
+    }
+}
+
+/// One configuration of the sweep: on a single executor worker, two tasks
+/// issue blocking `run_batch` calls while two siblings hold un-awaited
+/// service calls over the same map, and an OS thread adds blocking calls of
+/// its own so the worker also loses elections to a running thread.  Clients
+/// own disjoint key ranges, so each must match its sequential oracle.
+fn check_blocking_calls_from_service_tasks<M>(make: fn(usize) -> M, shards: usize, handoff: Handoff)
+where
+    M: BatchedMap<u64, u64> + Send + 'static,
+{
+    let raw: Vec<Vec<(u8, u8)>> = (0..5u32)
+        .map(|t| {
+            (0..60u32)
+                .map(|i| (((i * 7 + t) % 3) as u8, ((i * 5 + t) % 16) as u8))
+                .collect()
+        })
+        .collect();
+    let per_client = make_disjoint(&decode_history(&raw));
+    let what = format!("S={shards}, {handoff:?}");
+    let histories = within(Duration::from_secs(60), &what, {
+        let per_client = per_client.clone();
+        move || {
+            let (map, svc) = service(make, shards, handoff);
+            let exec = Executor::new(1);
+            let chunk = 6;
+            std::thread::scope(|scope| {
+                let (os_map, os_ops) = (Arc::clone(&map), per_client[4].clone());
+                let os_thread = scope.spawn(move || {
+                    os_ops
+                        .chunks(chunk)
+                        .flat_map(|batch| values(os_map.run_batch(to_operations(batch))))
+                        .collect::<Vec<_>>()
+                });
+                // Holders and blockers alternate in the worker's run queue.
+                let handles: Vec<_> = per_client[..4]
+                    .iter()
+                    .enumerate()
+                    .map(|(client, ops)| match client % 2 {
+                        0 => exec.spawn(holding_client(svc.clone(), ops.clone(), chunk)),
+                        _ => exec.spawn(blocking_client(Arc::clone(&map), ops.clone(), chunk)),
+                    })
+                    .collect();
+                let mut histories: Vec<_> = handles.into_iter().map(block_on).collect();
+                histories.push(os_thread.join().expect("os caller"));
+                histories
+            })
+        }
+    });
+    for (client, (ops, got)) in per_client.iter().zip(&histories).enumerate() {
+        assert_eq!(
+            got,
+            &oracle_results(ops),
+            "client {client} diverged ({what})"
+        );
+    }
+}
+
+/// Blocking `ShardedMap::run_batch` from tasks of a single-worker executor,
+/// beside held service calls: S ∈ {1, 2, 4} × all hand-off modes × M1, M2.
+#[test]
+fn blocking_run_batch_from_single_worker_tasks_completes() {
+    for shards in [1usize, 2, 4] {
+        for handoff in HANDOFFS {
+            check_blocking_calls_from_service_tasks(|_| M1::<u64, u64>::new(4), shards, handoff);
+            check_blocking_calls_from_service_tasks(|_| M2::<u64, u64>::new(4), shards, handoff);
+        }
+    }
 }

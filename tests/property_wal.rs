@@ -11,13 +11,17 @@
 //! `BTreeMap` oracle of exactly the durable prefix of batches — never a
 //! partially applied batch, never bytes past the damage — and opening twice
 //! must be idempotent.
+//!
+//! One property is about a healthy run instead: the periodic checkpoint fires
+//! once per `checkpoint_every` logged batches however many callers see the
+//! threshold crossed at the same moment.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wsm_core::{Operation, M1};
-use wsm_wal::{DurableMap, DurableOptions, SyncPolicy};
+use wsm_wal::{DurableMap, DurableOptions, DurableShardedMap, SyncPolicy};
 
 type Map = DurableMap<u64, u64, M1<u64, u64>>;
 
@@ -304,4 +308,85 @@ proptest! {
         assert_state(&map, &oracle_after[durable]);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Callers whose operations rode one combined batch all see the checkpoint
+/// threshold crossed when they return; only one of them may checkpoint.  Two
+/// threads hammer a two-shard map with a short interval: per shard, the
+/// checkpoints taken must fit into the batches logged, the reopened map must
+/// hold exactly what the threads wrote, and an explicit `checkpoint_all`
+/// stays unconditional.
+#[test]
+fn periodic_checkpoints_fire_once_per_interval_under_concurrent_callers() {
+    const THREADS: u64 = 2;
+    const BATCHES: u64 = 4_000;
+    const BATCH: u64 = 64;
+    const EVERY: u64 = 64;
+    let dir = fresh_dir("ckpt-once");
+    let opts = DurableOptions {
+        sync: SyncPolicy::Batch,
+        checkpoint_every: EVERY,
+    };
+    let open =
+        || DurableShardedMap::open_with(&dir, 2, opts, |_| M1::<u64, u64>::new(4)).expect("open");
+
+    let map = open();
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let models: Vec<BTreeMap<u64, u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (map, start) = (&map, &start);
+                scope.spawn(move || {
+                    // Thread `t` owns keys `THREADS * k + t`, and rewrites
+                    // them as it cycles so the checkpoints stay small.
+                    let mut model = BTreeMap::new();
+                    start.wait();
+                    for i in 0..BATCHES {
+                        let ops: Vec<Operation<u64, u64>> = (0..BATCH)
+                            .map(|j| {
+                                let n = i * BATCH + j;
+                                Operation::Insert(THREADS * (n % 1_000) + t, n)
+                            })
+                            .collect();
+                        for op in &ops {
+                            if let Operation::Insert(k, v) = op {
+                                model.insert(*k, *v);
+                            }
+                        }
+                        map.run_batch(ops);
+                    }
+                    model
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("writer thread"))
+            .collect()
+    });
+
+    let stats = map.wal_stats();
+    for (shard, s) in stats.iter().enumerate() {
+        assert!(s.checkpoints > 0, "shard {shard} never checkpointed: {s:?}");
+        assert!(
+            s.checkpoints * EVERY <= s.batches_logged,
+            "shard {shard} checkpointed more than once per {EVERY} batches: {s:?}"
+        );
+    }
+    for round in 1..=2 {
+        map.checkpoint_all().expect("explicit checkpoint");
+        for (before, after) in stats.iter().zip(map.wal_stats()) {
+            assert_eq!(after.checkpoints, before.checkpoints + round);
+        }
+    }
+    drop(map);
+
+    let map = open();
+    let expect: BTreeMap<u64, u64> = models.into_iter().flatten().collect();
+    assert_eq!(map.len(), expect.len());
+    let got = map.get_batch(expect.keys().copied().collect());
+    for ((k, v), got) in expect.iter().zip(got) {
+        assert_eq!(got, Some(*v), "key {k}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
