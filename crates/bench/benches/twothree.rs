@@ -1,5 +1,6 @@
-//! Substrate benchmark: batched parallel 2-3 tree operations against
-//! `std::collections::BTreeMap` (single-threaded) on the same batches.
+//! Substrate benchmark: the tree's sorted-batch operations — the bulk build
+//! and the one-pass sweep every segment operation runs — against
+//! `std::collections::BTreeMap` on the same batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
@@ -23,17 +24,6 @@ fn bench_twothree(c: &mut Criterion) {
             })
         });
         group.bench_with_input(
-            BenchmarkId::new("par_batch_insert", n),
-            &items,
-            |b, items| {
-                b.iter(|| {
-                    let mut t: Tree23<u64, u64> = Tree23::new();
-                    t.par_batch_insert(items.clone());
-                    t
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("btreemap_insert", n),
             &items,
             |b, items| {
@@ -50,9 +40,28 @@ fn bench_twothree(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batch_get", n), &probe, |b, probe| {
             b.iter(|| tree.batch_get(probe))
         });
-        group.bench_with_input(BenchmarkId::new("par_batch_get", n), &probe, |b, probe| {
-            b.iter(|| tree.par_batch_get(probe))
+        // The sweep proper: a batch interleaved with (insert) or thinning
+        // (remove) a populated tree, so every leaf parent is touched.
+        let odd: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 2 + 1, i)).collect();
+        group.bench_with_input(BenchmarkId::new("batch_insert_sweep", n), &odd, |b, odd| {
+            b.iter(|| {
+                let mut t = tree.clone();
+                t.batch_insert(odd.clone());
+                t
+            })
         });
+        let every_other: Vec<u64> = (0..n as u64).step_by(2).map(|i| i * 2).collect();
+        group.bench_with_input(
+            BenchmarkId::new("batch_remove", n),
+            &every_other,
+            |b, keys| {
+                b.iter(|| {
+                    let mut t = tree.clone();
+                    t.batch_remove(keys);
+                    t
+                })
+            },
+        );
     }
     group.finish();
 }

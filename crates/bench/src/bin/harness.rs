@@ -23,9 +23,8 @@ struct Sizes {
     keyspace: u64,
     operations: usize,
     sort_n: usize,
-    /// E15 input sizes: pesort keys, tree batch items, concurrent-map ops.
+    /// E15 input sizes: pesort keys, concurrent-map ops.
     scale_sort_n: usize,
-    scale_tree_n: usize,
     scale_map_ops: usize,
     scale_reps: usize,
     /// E16 input sizes: cached pages and requests per serving thread.
@@ -143,7 +142,7 @@ fn warn_missing_artifacts(small: bool) {
 }
 
 fn main() {
-    let parsed = parse_args(std::env::args().skip(1));
+    let parsed = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg));
     let small = parsed.small;
     let threads = parsed.threads;
     let which: Vec<&str> = parsed.which.iter().map(String::as_str).collect();
@@ -156,7 +155,6 @@ fn main() {
             operations: 1 << 12,
             sort_n: 1 << 12,
             scale_sort_n: 1 << 13,
-            scale_tree_n: 1 << 12,
             scale_map_ops: 1 << 11,
             scale_reps: 2,
             hot_pages: 1 << 12,
@@ -168,7 +166,6 @@ fn main() {
             operations: 1 << 16,
             sort_n: 1 << 15,
             scale_sort_n: 1 << 20,
-            scale_tree_n: 1 << 16,
             scale_map_ops: 1 << 14,
             scale_reps: 3,
             hot_pages: 1 << 14,
@@ -427,14 +424,13 @@ fn main() {
         }
         let rows = bench::experiment_scaling(
             sizes.scale_sort_n,
-            sizes.scale_tree_n,
             sizes.scale_map_ops,
             &sweep,
             sizes.scale_reps,
         );
         emit(
             &["e15"],
-            "E15: wall-clock scaling on the work-stealing pool (pesort / tree batch / concurrent map)",
+            "E15: wall-clock scaling on the work-stealing pool (pesort / concurrent map)",
             &rows,
             threads,
             small,
@@ -444,16 +440,19 @@ fn main() {
 }
 
 /// Parsed command line.
+#[derive(Debug, PartialEq)]
 struct ParsedArgs {
     small: bool,
     threads: Option<usize>,
     which: Vec<String>,
 }
 
-/// Single-pass argument parser.  Invalid or incomplete flags abort with a
-/// message rather than being silently ignored (a typo'd `--threads` must not
-/// produce results labeled as if pinning worked).
-fn parse_args(args: impl Iterator<Item = String>) -> ParsedArgs {
+/// Single-pass argument parser.  Invalid or incomplete flags and unknown
+/// experiment ids are errors (the caller aborts with the message) rather
+/// than being silently ignored: a typo'd `--threads` must not produce results
+/// labeled as if pinning worked, and a typo'd id must not look like a run
+/// that printed nothing.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<ParsedArgs, String> {
     let mut parsed = ParsedArgs {
         small: false,
         threads: None,
@@ -464,32 +463,78 @@ fn parse_args(args: impl Iterator<Item = String>) -> ParsedArgs {
         if arg == "--small" {
             parsed.small = true;
         } else if arg == "--threads" {
-            let value = args
-                .next()
-                .unwrap_or_else(|| usage_error("--threads requires a value"));
-            parsed.threads = Some(parse_positive("--threads", &value));
+            let value = args.next().ok_or("--threads requires a value")?;
+            parsed.threads = Some(parse_positive("--threads", &value)?);
         } else if let Some(value) = arg.strip_prefix("--threads=") {
-            parsed.threads = Some(parse_positive("--threads", value));
+            parsed.threads = Some(parse_positive("--threads", value)?);
         } else if arg.starts_with("--") {
-            usage_error(&format!("unknown flag {arg}"));
-        } else {
+            return Err(format!("unknown flag {arg}"));
+        } else if arg == "all" || ALL_IDS.contains(&arg.as_str()) {
             parsed.which.push(arg);
+        } else {
+            return Err(format!("unknown experiment {arg:?}"));
         }
     }
-    parsed
+    Ok(parsed)
 }
 
-fn parse_positive(flag: &str, value: &str) -> usize {
+fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
     match value.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => usage_error(&format!("{flag} needs a positive integer, got {value:?}")),
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer, got {value:?}")),
     }
 }
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("harness: {msg}");
     eprintln!(
-        "usage: harness [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e16|e17|e18|e19|e20|e21|all] [--small] [--threads N]"
+        "usage: harness [{}|all] [--small] [--threads N]",
+        ALL_IDS.join("|")
     );
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ParsedArgs, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_args_accepts_known_ids_and_flags() {
+        let parsed = parse(&["e15", "all", "--small", "--threads", "2"]).unwrap();
+        assert_eq!(
+            parsed,
+            ParsedArgs {
+                small: true,
+                threads: Some(2),
+                which: vec!["e15".to_string(), "all".to_string()],
+            }
+        );
+        assert_eq!(parse(&["--threads=3"]).unwrap().threads, Some(3));
+        assert!(parse(&[]).unwrap().which.is_empty());
+        for id in ALL_IDS {
+            assert!(parse(&[id]).is_ok(), "{id}");
+        }
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_experiment_ids() {
+        for bad in ["e99", "E15", "e", "15", "e 15", ""] {
+            let err = parse(&[bad, "--small"]).unwrap_err();
+            assert!(err.contains("unknown experiment"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_args_rejects_bad_flags() {
+        assert!(parse(&["--smal"]).unwrap_err().contains("unknown flag"));
+        assert!(parse(&["--threads"])
+            .unwrap_err()
+            .contains("requires a value"));
+        assert!(parse(&["--threads", "0"]).unwrap_err().contains("positive"));
+        assert!(parse(&["--threads=x"]).unwrap_err().contains("positive"));
+    }
 }

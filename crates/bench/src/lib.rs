@@ -553,12 +553,11 @@ pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
 /// E15: wall-clock scaling of the parallel substrates on the work-stealing
 /// pool (`wsm-pool`) at increasing worker counts.
 ///
-/// Three workloads, each timed end-to-end and reported as mean ns per
-/// operation plus speedup over the first (usually 1-worker) configuration:
+/// Two workloads — the two places production code forks onto the pool —
+/// each timed end-to-end and reported as mean ns per operation plus speedup
+/// over the first (usually 1-worker) configuration:
 ///
 /// * `pesort` — one parallel entropy sort of `sort_n` random keys;
-/// * `tree batch` — one `par_batch_insert` of `tree_n` sorted items into an
-///   empty 2-3 tree followed by one `par_batch_get` of every key;
 /// * `concurrent map` — `t` OS threads hammering a [`wsm_core::ConcurrentMap`]
 ///   (insert + search on disjoint ranges), whose combiner runs batches on a
 ///   dedicated `t`-worker pool.
@@ -568,7 +567,6 @@ pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
 /// its output is meaningful only on a multi-core runner.
 pub fn experiment_scaling(
     sort_n: usize,
-    tree_n: usize,
     map_ops: usize,
     thread_counts: &[usize],
     reps: usize,
@@ -577,7 +575,6 @@ pub fn experiment_scaling(
     use std::time::Instant;
     use wsm_core::ConcurrentMap;
     use wsm_sort::pesort;
-    use wsm_twothree::Tree23;
 
     let reps = reps.max(1);
     let mut state = 0x1234_5678_9abc_def0u64;
@@ -588,8 +585,6 @@ pub fn experiment_scaling(
         state
     };
     let sort_input: Vec<u64> = (0..sort_n).map(|_| next()).collect();
-    let tree_items: Vec<(u64, u64)> = (0..tree_n as u64).map(|i| (i * 2, i)).collect();
-    let tree_keys: Vec<u64> = tree_items.iter().map(|(k, _)| *k).collect();
 
     let mut rows = Vec::new();
     let mut baselines: std::collections::BTreeMap<&'static str, f64> =
@@ -628,29 +623,6 @@ pub fn experiment_scaling(
             t,
             sort_n,
             total_ns / (reps * sort_n) as f64,
-        );
-
-        // 2-3 tree batch insert + batch get (2 * tree_n operations total).
-        let mut total_ns = 0.0;
-        for _ in 0..reps {
-            let items = tree_items.clone();
-            let keys = &tree_keys;
-            total_ns += pool.install(move || {
-                let start = Instant::now();
-                let mut tree: Tree23<u64, u64> = Tree23::new();
-                tree.par_batch_insert(items);
-                let found = tree.par_batch_get(keys);
-                let ns = start.elapsed().as_nanos() as f64;
-                assert_eq!(found.len(), keys.len());
-                ns
-            });
-        }
-        record(
-            &mut rows,
-            "tree batch",
-            t,
-            tree_n,
-            total_ns / (reps * 2 * tree_n) as f64,
         );
 
         // ConcurrentMap: `t` OS threads, combiner batches on the same pool.
@@ -1883,9 +1855,9 @@ mod tests {
 
     #[test]
     fn scaling_experiment_rows_are_well_formed() {
-        let rows = experiment_scaling(1 << 10, 1 << 9, 1 << 8, &[1, 2], 1);
-        // 3 workloads x 2 thread counts.
-        assert_eq!(rows.len(), 6);
+        let rows = experiment_scaling(1 << 10, 1 << 8, &[1, 2], 1);
+        // 2 workloads x 2 thread counts.
+        assert_eq!(rows.len(), 4);
         for row in &rows {
             assert_eq!(row.values.len(), 4, "row {}", row.label);
             let ns_op = row

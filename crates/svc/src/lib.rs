@@ -47,9 +47,6 @@
 //!
 //! * `WSM_SVC_WORKERS` — executor worker threads ([`Executor::from_env`],
 //!   default 2).
-//! * `WSM_SVC_MAX_BATCH` — largest chunk one service call deposits at once
-//!   (default 1024); larger batches split into several deposits so a single
-//!   giant call cannot monopolize the publication rings.
 //! * `WSM_HANDOFF=waker` — selects the waker hand-off on the *backend map*
 //!   (see [`Handoff`]); the service works in all three modes, waker mode is
 //!   the one that parks idle tasks for free.
@@ -160,18 +157,11 @@ where
     }
 }
 
-/// Largest chunk one service call deposits at once, from
-/// `WSM_SVC_MAX_BATCH` (default 1024, minimum 1).
-fn max_batch_from_env() -> usize {
-    wsm_core::env::parse("WSM_SVC_MAX_BATCH", "a batch cap >= 1", 1024, |&b| b >= 1)
-}
-
 /// The async service front-end over a [`ServiceBackend`] map.  Cheap to
 /// clone (shares the backend); see the [crate docs](crate) for the
 /// architecture.
 pub struct WsMapService<K, V, B> {
     backend: Arc<B>,
-    max_batch: usize,
     _kv: PhantomData<fn(K) -> V>,
 }
 
@@ -179,7 +169,6 @@ impl<K, V, B> Clone for WsMapService<K, V, B> {
     fn clone(&self) -> Self {
         WsMapService {
             backend: Arc::clone(&self.backend),
-            max_batch: self.max_batch,
             _kv: PhantomData,
         }
     }
@@ -199,16 +188,8 @@ where
     pub fn from_arc(backend: Arc<B>) -> Self {
         WsMapService {
             backend,
-            max_batch: max_batch_from_env(),
             _kv: PhantomData,
         }
-    }
-
-    /// Overrides the `WSM_SVC_MAX_BATCH` submission cap for this handle.
-    #[must_use]
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
     }
 
     /// The shared backend map.
@@ -221,15 +202,7 @@ where
     /// (before the first poll) and never blocks; the returned [`BatchCall`]
     /// drives completion.
     pub fn call_batch(&self, ops: Vec<Operation<K, V>>) -> BatchCall<V, B> {
-        let mut cells = Vec::with_capacity(ops.len());
-        let mut ops = ops.into_iter();
-        loop {
-            let chunk: Vec<Operation<K, V>> = ops.by_ref().take(self.max_batch).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            cells.extend(self.backend.submit(chunk));
-        }
+        let cells = self.backend.submit(ops);
         let remaining = cells.len();
         BatchCall {
             backend: Arc::clone(&self.backend),
@@ -373,14 +346,33 @@ mod tests {
         assert!(block_on(svc.batch_search(Vec::new())).is_empty());
     }
 
+    /// One call deposits more ops than a publication ring holds (1024
+    /// cells, the rest spills to the shard's overflow list); the second half
+    /// overwrites the first, so any reordering across the ring/overflow
+    /// boundary shows in the previous values.
+    fn overwrites_in_one_batch_see_submission_order<B: ServiceBackend<u64, u64>>(backend: B) {
+        let svc = WsMapService::new(backend);
+        let half = 3 * 1024u64;
+        let ops: Vec<Operation<u64, u64>> = (0..2 * half)
+            .map(|i| Operation::Insert(i % half, i))
+            .collect();
+        let prev = block_on(svc.call_batch(ops));
+        for (i, p) in (0..2 * half).zip(prev) {
+            assert_eq!(p.into_value(), i.checked_sub(half), "op {i}");
+        }
+        let got = block_on(svc.batch_search((0..half).collect()));
+        assert!((0..half).zip(got).all(|(k, v)| v == Some(k + half)));
+    }
+
     #[test]
-    fn call_batch_preserves_submission_order_across_chunks() {
-        let svc = service(Handoff::Waker).with_max_batch(7);
-        let ops: Vec<Operation<u64, u64>> = (0..100u64).map(|k| Operation::Insert(k, k)).collect();
-        let results = block_on(svc.call_batch(ops));
-        assert_eq!(results.len(), 100);
-        let got = block_on(svc.batch_search((0..100u64).collect()));
-        assert!(got.iter().enumerate().all(|(k, v)| *v == Some(k as u64)));
+    fn call_batch_preserves_submission_order_across_the_ring_overflow_boundary() {
+        overwrites_in_one_batch_see_submission_order(
+            ConcurrentMap::new(M1::<u64, u64>::new(4), 8).with_handoff(Handoff::Waker),
+        );
+        // ~1536 ops per shard: every shard's ring overflows too.
+        overwrites_in_one_batch_see_submission_order(
+            ShardedMap::with_shards(4, |_| M1::<u64, u64>::new(4)).with_handoff(Handoff::Waker),
+        );
     }
 
     #[test]

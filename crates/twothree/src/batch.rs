@@ -19,36 +19,32 @@
 //! The sweep counts one `cost::touch` per internal node visited and
 //! one per leaf read, created or freed, and one [`crate::cost::tree_passes`]
 //! pass per batch, so the maps can charge measured work instead of the
-//! closed-form worst case.  The `par_*` variants count on whichever worker
-//! thread performs each chunk, so only the sequential paths (the ones the
-//! analytic charging uses) have exact per-call counts.
-//!
-//! A tree owns its node slab, so the parallel update variants cannot hand
-//! two halves of one arena to two threads.  They *partition* instead: split
-//! the tree at the batch midpoint, move the right part into its own fresh
-//! arena (`Arena::extract`, O(size of that part)), recurse on the
-//! now-independent trees down to [`PAR_GRAIN`]-key chunks, sweep each chunk,
-//! and splice the right arena back (`Arena::absorb`) on the way out.  That
-//! repartitioning costs `O(n log(b / grain))` slab moves on top of the
-//! sweeps — these are the bulk-throughput entry points, not the analytically
-//! charged paths, which all go through the sequential variants.
+//! closed-form worst case.
 
 use crate::cost::{pass, touch};
 use crate::node::NIL;
 use crate::tree::Tree23;
-
-/// Minimum batch size before the parallel variants split work across rayon.
-pub const PAR_GRAIN: usize = 256;
 
 impl<K: Ord + Clone, V> Tree23<K, V> {
     /// Looks up each key of a sorted batch; returns one result per key in the
     /// same order.  One shared read-only descent.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        if !keys.is_empty() {
-            pass();
+        let mut out = Vec::with_capacity(keys.len());
+        if keys.is_empty() {
+            return out;
         }
-        self.sweep_get(keys)
+        pass();
+        if self.root == NIL {
+            out.resize(keys.len(), None);
+        } else if self.arena.is_leaf(self.root) {
+            let key = self.arena.max_key(self.root);
+            let found = self.arena.get(self.root, key);
+            out.extend(keys.iter().map(|k| if k == key { found } else { None }));
+        } else {
+            self.arena.sweep_get(self.root, keys, &mut out);
+        }
+        out
     }
 
     /// Like [`Tree23::batch_remove`] but discards the stored keys, returning
@@ -62,57 +58,19 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
     }
 
     /// Inserts a sorted batch of distinct keys.  Returns, per item, the value
-    /// previously stored under that key (if any).
-    pub fn batch_insert(&mut self, items: Vec<(K, V)>) -> Vec<Option<V>> {
+    /// previously stored under that key (if any).  The root grows by as many
+    /// levels as the batch needs.
+    pub fn batch_insert(&mut self, mut items: Vec<(K, V)>) -> Vec<Option<V>> {
         debug_assert!(
             items.windows(2).all(|w| w[0].0 < w[1].0),
             "batch must be sorted with distinct keys"
         );
-        if !items.is_empty() {
-            pass();
-        }
-        self.sweep_insert(items)
-    }
-
-    /// Removes a sorted batch of distinct keys.  Returns, per key, the removed
-    /// item (if it was present).
-    pub fn batch_remove(&mut self, keys: &[K]) -> Vec<Option<(K, V)>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.batch_remove_with(keys, |item| out.push(item));
-        out
-    }
-
-    fn batch_remove_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<(K, V)>)) {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        if !keys.is_empty() {
-            pass();
-        }
-        self.sweep_remove(keys, &mut emit);
-    }
-
-    /// The read-only sweep from the root, without registering a pass.
-    fn sweep_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        let mut out = Vec::with_capacity(keys.len());
-        if self.root == NIL || keys.is_empty() {
-            out.resize(keys.len(), None);
-        } else if self.arena.is_leaf(self.root) {
-            let key = self.arena.max_key(self.root);
-            let found = self.arena.get(self.root, key);
-            out.extend(keys.iter().map(|k| if k == key { found } else { None }));
-        } else {
-            self.arena.sweep_get(self.root, keys, &mut out);
-        }
-        out
-    }
-
-    /// The insert sweep from the root, without registering a pass; grows the
-    /// root by as many levels as the batch needs.
-    fn sweep_insert(&mut self, mut items: Vec<(K, V)>) -> Vec<Option<V>> {
         let n = items.len();
         let mut out = Vec::with_capacity(n);
         if n == 0 {
             return out;
         }
+        pass();
         if self.root == NIL || self.arena.is_leaf(self.root) {
             // No internal node to sweep: fold the lone item (if any) into the
             // batch and build the tree over it bottom-up.
@@ -138,10 +96,23 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
         out
     }
 
-    /// The remove sweep from the root, without registering a pass; shrinks
-    /// the root by as many levels as the batch emptied.
-    fn sweep_remove(&mut self, keys: &[K], emit: &mut impl FnMut(Option<(K, V)>)) {
-        if self.root == NIL || keys.is_empty() {
+    /// Removes a sorted batch of distinct keys.  Returns, per key, the removed
+    /// item (if it was present).
+    pub fn batch_remove(&mut self, keys: &[K]) -> Vec<Option<(K, V)>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.batch_remove_with(keys, |item| out.push(item));
+        out
+    }
+
+    /// The remove sweep from the root; shrinks the root by as many levels as
+    /// the batch emptied.
+    fn batch_remove_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<(K, V)>)) {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
+        if keys.is_empty() {
+            return;
+        }
+        pass();
+        if self.root == NIL {
             keys.iter().for_each(|_| emit(None));
         } else if self.arena.is_leaf(self.root) {
             touch(1);
@@ -150,138 +121,10 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
                 emit(hit.then(|| self.arena.take_leaf(std::mem::replace(&mut self.root, NIL))));
             }
         } else {
-            self.arena.sweep_remove(self.root, keys, emit);
+            self.arena.sweep_remove(self.root, keys, &mut emit);
             self.root = self.arena.collapse(self.root);
         }
     }
-
-    /// Detaches everything with key `>= key` into its own tree (exact match
-    /// included), without registering a pass — internal partition primitive
-    /// of the parallel paths; the public entry points charge the pass.
-    fn partition_at(&mut self, key: &K) -> Tree23<K, V> {
-        let mut right = Self::with_fanout(self.arena.fanout());
-        if self.root == NIL {
-            return right;
-        }
-        let (l, found, r) = self.arena.split_at_key(self.root, key);
-        self.root = l;
-        let mut right_root = if r == NIL {
-            NIL
-        } else {
-            self.arena.extract(r, &mut right.arena)
-        };
-        if let Some((k, v)) = found {
-            // The boundary item belongs to the right part, whose recursion
-            // owns (and reports) the boundary key.
-            let leaf = right.arena.leaf(k, v);
-            right_root = right.arena.join_opt(leaf, right_root);
-        }
-        right.root = right_root;
-        right
-    }
-
-    /// Splices a partitioned-off greater tree back, without a pass.
-    fn reabsorb(&mut self, greater: Tree23<K, V>) {
-        let Tree23 { arena, root } = greater;
-        let r = self.arena.absorb(arena, root);
-        self.root = self.arena.join_opt(self.root, r);
-    }
-}
-
-impl<K: Ord + Clone + Send + Sync, V: Send + Sync> Tree23<K, V> {
-    /// Parallel variant of [`Tree23::batch_get`]: the key slice is halved
-    /// down to [`PAR_GRAIN`]-key chunks, each swept from the root.
-    pub fn par_batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        if !keys.is_empty() {
-            pass();
-        }
-        par_batch_get_tree(self, keys)
-    }
-
-    /// Parallel variant of [`Tree23::batch_insert`].
-    pub fn par_batch_insert(&mut self, items: Vec<(K, V)>) -> Vec<Option<V>> {
-        debug_assert!(
-            items.windows(2).all(|w| w[0].0 < w[1].0),
-            "batch must be sorted with distinct keys"
-        );
-        pass();
-        par_batch_insert_tree(self, items)
-    }
-
-    /// Parallel variant of [`Tree23::batch_remove`].
-    pub fn par_batch_remove(&mut self, keys: &[K]) -> Vec<Option<(K, V)>> {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
-        pass();
-        par_batch_remove_tree(self, keys)
-    }
-}
-
-fn par_batch_get_tree<'a, K: Ord + Clone + Send + Sync, V: Send + Sync>(
-    tree: &'a Tree23<K, V>,
-    keys: &[K],
-) -> Vec<Option<&'a V>> {
-    if keys.len() < PAR_GRAIN {
-        return tree.sweep_get(keys);
-    }
-    let (left_keys, right_keys) = keys.split_at(keys.len() / 2);
-    let (mut out, right_out) = rayon::join(
-        || par_batch_get_tree(tree, left_keys),
-        || par_batch_get_tree(tree, right_keys),
-    );
-    out.extend(right_out);
-    out
-}
-
-fn par_batch_insert_tree<K: Ord + Clone + Send + Sync, V: Send + Sync>(
-    tree: &mut Tree23<K, V>,
-    items: Vec<(K, V)>,
-) -> Vec<Option<V>> {
-    let len = items.len();
-    if len < PAR_GRAIN {
-        return tree.sweep_insert(items);
-    }
-    let mut items = items;
-    let right_items = items.split_off(len / 2);
-    // Partition at the right half's first key; the boundary item (exact
-    // match included) lands in the right tree, whose recursion reports it.
-    let mut right_tree = tree.partition_at(&right_items[0].0);
-    let (mut out, right_out) = rayon::join(
-        || par_batch_insert_tree(tree, items),
-        || {
-            let out = par_batch_insert_tree(&mut right_tree, right_items);
-            (right_tree, out)
-        },
-    );
-    let (right_tree, right_out) = right_out;
-    out.extend(right_out);
-    tree.reabsorb(right_tree);
-    out
-}
-
-fn par_batch_remove_tree<K: Ord + Clone + Send + Sync, V: Send + Sync>(
-    tree: &mut Tree23<K, V>,
-    keys: &[K],
-) -> Vec<Option<(K, V)>> {
-    let len = keys.len();
-    if len < PAR_GRAIN {
-        let mut out = Vec::with_capacity(len);
-        tree.sweep_remove(keys, &mut |item| out.push(item));
-        return out;
-    }
-    let (left_keys, right_keys) = keys.split_at(len / 2);
-    let mut right_tree = tree.partition_at(&right_keys[0]);
-    let (mut out, right_out) = rayon::join(
-        || par_batch_remove_tree(tree, left_keys),
-        || {
-            let out = par_batch_remove_tree(&mut right_tree, right_keys);
-            (right_tree, out)
-        },
-    );
-    let (right_tree, right_out) = right_out;
-    out.extend(right_out);
-    tree.reabsorb(right_tree);
-    out
 }
 
 #[cfg(test)]
@@ -393,47 +236,6 @@ mod tests {
                 assert_eq!(tree.get(k), Some(v));
             }
         }
-    }
-
-    #[test]
-    fn par_variants_match_sequential() {
-        for fanout in [2usize, 16] {
-            let items: Vec<(u64, u64)> = (0..5000u64).map(|i| (i * 2, i)).collect();
-            let mut seq_tree: Tree23<u64, u64> = Tree23::with_fanout(fanout);
-            let mut par_tree: Tree23<u64, u64> = Tree23::with_fanout(fanout);
-            assert_eq!(
-                seq_tree.batch_insert(items.clone()),
-                par_tree.par_batch_insert(items)
-            );
-            seq_tree.check_invariants();
-            par_tree.check_invariants();
-
-            let keys: Vec<u64> = (0..10000u64).collect();
-            assert_eq!(seq_tree.batch_get(&keys), par_tree.par_batch_get(&keys));
-
-            let remove_keys: Vec<u64> = (0..10000u64).step_by(3).collect();
-            assert_eq!(
-                seq_tree.batch_remove(&remove_keys),
-                par_tree.par_batch_remove(&remove_keys)
-            );
-            assert_eq!(seq_tree.len(), par_tree.len());
-            par_tree.check_invariants();
-        }
-    }
-
-    #[test]
-    fn par_inserts_report_replacements_across_the_partition_boundary() {
-        // Regression for the partition-extract-merge path: an existing item
-        // that falls exactly on a partition boundary must still be reported
-        // as replaced by the chunk that owns it.
-        let mut t: Tree23<u64, u64> = (0..4096u64).map(|i| (i, i)).collect();
-        let items: Vec<(u64, u64)> = (0..4096u64).map(|i| (i, i + 1)).collect();
-        let replaced = t.par_batch_insert(items);
-        assert!(replaced
-            .iter()
-            .enumerate()
-            .all(|(i, r)| *r == Some(i as u64)));
-        t.check_invariants();
     }
 
     #[test]

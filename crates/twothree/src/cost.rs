@@ -14,8 +14,8 @@
 //! the paper's *worst-case* bounds: they charge the full `b · (⌈log n⌉ + 1)`
 //! regardless of what the tree actually did.  Since PR 4 the tree layer also
 //! counts the nodes it really visits (every node a point operation, the
-//! sorted-batch sweep, a split, a join or a collect steps through increments
-//! a thread-local counter — see [`metered`]), and the maps charge those
+//! sorted-batch sweep, a bulk build or a collect steps through increments a
+//! thread-local counter — see [`metered`]), and the maps charge those
 //! **measured** counts
 //! through [`single_op_charge`], [`batch_op_charge`] and [`transfer_charge`].
 //! Each returns a [`Charge`] carrying both numbers, so the experiments can
@@ -150,9 +150,9 @@ pub(crate) fn touch(n: u64) {
 }
 
 /// Records one *tree pass*: a root-originating traversal of a [`crate::Tree23`]
-/// (a point search/insert/remove, a select, a split, or one sorted-batch
-/// sweep, whatever the batch size).  Unlike [`touch`], the pass counter is
-/// monotone per thread
+/// (a point search/insert/remove, a select, a bulk build, or one
+/// sorted-batch sweep, whatever the batch size).  Unlike [`touch`], the pass
+/// counter is monotone per thread
 /// and is **not** reset by [`metered`] — it exists so experiments (E18) can
 /// report tree-passes-per-segment-op across a whole workload: the fused
 /// recency map pays one pass where the old two-tree design paid two.

@@ -16,7 +16,7 @@
 //!
 //! The paper states its bounds for 2-3 trees, but nothing in the analysis
 //! forbids a wider node: any (a,b)-tree with `b >= 2a - 1` supports the same
-//! split/join/borrow/merge algebra.  Since the fanout generalization the tree
+//! split/borrow/merge algebra.  Since the fanout generalization the tree
 //! here is [`BTree`]: nodes hold up to `B` children (`B = 16` by default,
 //! `WSM_TREE_FANOUT` to override), each internal node carries a **contiguous
 //! routing-key array** scanned linearly, and all nodes live in a slab arena
@@ -36,10 +36,10 @@
 //! This crate provides:
 //!
 //! * [`BTree`] (alias [`Tree23`]) — the leaf-based fanout-B arena tree with
-//!   in-place point operations, one-pass sorted-batch sweeps (batch get /
-//!   insert / remove, parallelised with rayon above a grain size) and
-//!   join/split structural operations (split by key or rank,
-//!   take-front/back, join);
+//!   in-place point operations, rank selection, one-pass sorted-batch
+//!   sweeps (batch get / insert / remove), an `O(n)` build from sorted items
+//!   and a drain into a sorted vector — the sweep is the only structural
+//!   algebra, nothing splits or joins whole trees;
 //! * [`RecencyMap`] — the arena-fused key/recency map used by every segment
 //!   of M0, M1 and M2: one key-ordered [`BTree`] over a slab arena whose
 //!   slots carry an intrusive doubly-linked recency list, realising the

@@ -1,4 +1,5 @@
-//! Arena-backed node layer of the fanout-B tree and its join/split primitives.
+//! Arena-backed node layer of the fanout-B tree: point operations, the
+//! sorted-batch sweep, bulk build and drain.
 //!
 //! The tree is leaf-based: every item lives in a leaf, internal nodes hold
 //! `min_children..=max_children` children of equal height together with a
@@ -14,7 +15,7 @@
 //! exactly the 2-3 tree of paper Appendix A.2 (2..=3 children), which stays
 //! as the analytic reference instantiation; `B = 8` gives 4..=8, `B = 16`
 //! (the default) gives 8..=16.  For every such pair `2·min - 1 <= max`, so
-//! the split/join/borrow/merge algebra is the classic (a,b)-tree algebra and
+//! the split/borrow/merge algebra is the classic (a,b)-tree algebra and
 //! underflow repair always terminates.  The root is exempt from the minimum
 //! (any root may have 2 children); every other internal node keeps
 //! `min..=max`.
@@ -22,11 +23,9 @@
 //! Point operations and the sorted-batch sweep (one descent per batch, see
 //! [`crate::batch`]) work in place: they split, merge and even out nodes on
 //! the way back up and keep the cached `size` and routing keys current
-//! incrementally.  Whole-tree surgery is expressed through `join`
-//! (concatenate two trees whose key ranges do not interleave) and `split`
-//! (cut a tree at a key or at a rank).  Equal-height joins merge or evenly
-//! redistribute top-level children so no under-occupied node is ever buried
-//! inside a tree.
+//! incrementally.  That is the whole structural algebra: segments are built
+//! in bulk ([`Arena::build_sorted`]) and drained in bulk
+//! ([`Arena::collect_into`]), and nothing splits or joins whole trees.
 //!
 //! Every operation calls [`crate::cost::touch`] once **per node visited** —
 //! in-node work is O(B) and is the point of the layout (one cache-friendly
@@ -200,9 +199,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     }
 
     /// Builds an internal node over `children` (equal heights, 2..=max).  A
-    /// node below `min_children` is permitted here because every node built
-    /// this way is (transiently) a root; attachment into a larger tree
-    /// repairs occupancy (see [`Arena::join`]).
+    /// node below `min_children` is permitted here because only a root is
+    /// ever built that small (a root split, or the top of a bulk build).
     pub fn make_internal(&mut self, children: Vec<usize>) -> usize {
         debug_assert!((2..=self.max_c).contains(&children.len()));
         let keys = children.iter().map(|&c| self.max_key(c).clone()).collect();
@@ -233,24 +231,6 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         } else {
             children.iter().map(|&c| self.size(c)).sum()
         }
-    }
-
-    /// Recomputes the cached height/size and rebuilds the routing-key array
-    /// of an internal node from its children — O(B) dereferences and key
-    /// clones, so it is kept to the join/split paths, which rebuild child
-    /// lists wholesale.  Point operations and the batch sweep maintain `size`
-    /// and the affected routing keys incrementally instead.
-    fn refresh(&mut self, idx: usize) {
-        let children = std::mem::take(&mut self.internal_mut(idx).children);
-        debug_assert!(!children.is_empty());
-        let height = self.height(children[0]) + 1;
-        let size = children.iter().map(|&c| self.size(c)).sum();
-        let keys: Vec<K> = children.iter().map(|&c| self.max_key(c).clone()).collect();
-        let int = self.internal_mut(idx);
-        int.children = children;
-        int.height = height;
-        int.size = size;
-        int.keys = keys;
     }
 
     // ------------------------------------------------------------------
@@ -768,30 +748,62 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             return self.rebalance(idx, pos);
         }
         // The child is a chain down to an underfull node, which must not be
-        // buried in a sibling: cut the chain out and re-attach what hangs
-        // from it along a neighbour's spine, as a join would.
+        // buried in a sibling: cut the chain out and hang what it ends in on
+        // the facing edge of a neighbour, at its own height.
         let int = self.internal_mut(idx);
         int.children.remove(pos);
         int.keys.remove(pos);
         let piece = self.collapse(child);
-        if pos > 0 {
-            let left = self.internal(idx).children[pos - 1];
-            let overflow = self.attach_right(left, piece);
-            let max = self.max_key(left).clone();
-            self.internal_mut(idx).keys[pos - 1] = max;
-            self.adopt(idx, pos, overflow)
-        } else {
-            let right = self.internal(idx).children[0];
-            let overflow = self.attach_left(piece, right);
-            self.adopt(idx, 0, overflow);
+        let at = pos.saturating_sub(1);
+        let neighbour = self.internal(idx).children[at];
+        let overflow = self.attach(neighbour, piece, pos == 0);
+        let max = self.max_key(neighbour).clone();
+        self.internal_mut(idx).keys[at] = max;
+        let next = self.adopt(idx, at + 1, overflow);
+        // A neighbour to the right has not been swept yet.
+        if pos == 0 {
             0
+        } else {
+            next
         }
     }
 
-    /// Inserts an attachment's overflow node (if any) as `children[pos]` of
-    /// `idx`; returns the position after it.
-    fn adopt(&mut self, idx: usize, pos: usize, overflow: Option<usize>) -> usize {
-        let Some(node) = overflow else {
+    /// Hangs `piece` — a leaf, or a subtree whose root alone may hold fewer
+    /// than `min_children` — on the `front` (else back) edge of the taller,
+    /// well-formed subtree `spine`; the keys of `piece` all lie beyond that
+    /// edge.  `size` and the edge routing key are kept current down the
+    /// spine, an underfull `piece` is merged with or evened out against the
+    /// sibling it lands next to, and each spine node that ends up overfull
+    /// splits.  Returns the right sibling `spine` itself split off, for the
+    /// caller to adopt.
+    fn attach(&mut self, spine: usize, piece: usize, front: bool) -> Option<usize> {
+        touch(1);
+        let added = self.size(piece);
+        let below = self.height(piece);
+        let int = self.internal_mut(spine);
+        int.size += added;
+        let len = int.children.len();
+        if int.height == below + 1 {
+            let at = if front { 0 } else { len };
+            self.adopt(spine, at, Some(piece));
+            if below > 0 && self.children_len(piece) < self.min_c {
+                self.rebalance(spine, at);
+            }
+        } else {
+            let edge = if front { 0 } else { len - 1 };
+            let child = int.children[edge];
+            let overflow = self.attach(child, piece, front);
+            let max = self.max_key(child).clone();
+            self.internal_mut(spine).keys[edge] = max;
+            self.adopt(spine, edge + 1, overflow);
+        }
+        self.split_overfull(spine).pop()
+    }
+
+    /// Inserts `node` (if any) as `children[pos]` of `idx`, whose `size`
+    /// already counts it; returns the position after it.
+    fn adopt(&mut self, idx: usize, pos: usize, node: Option<usize>) -> usize {
+        let Some(node) = node else {
             return pos;
         };
         let max = self.max_key(node).clone();
@@ -819,251 +831,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     }
 
     // ------------------------------------------------------------------
-    // Join
-    // ------------------------------------------------------------------
-
-    /// Joins two trees whose key ranges satisfy `max(l) <= min(r)` (callers
-    /// guarantee strict ordering for distinct keys).  Returns the new root.
-    pub fn join(&mut self, l: usize, r: usize) -> usize {
-        use std::cmp::Ordering::*;
-        touch(1);
-        match self.height(l).cmp(&self.height(r)) {
-            Equal => self.join_equal(l, r),
-            Greater => match self.attach_right(l, r) {
-                None => l,
-                Some(b) => self.make_internal(vec![l, b]),
-            },
-            Less => match self.attach_left(l, r) {
-                None => r,
-                Some(a) => self.make_internal(vec![a, r]),
-            },
-        }
-    }
-
-    /// Joins two optional trees (NIL = empty).
-    pub fn join_opt(&mut self, l: usize, r: usize) -> usize {
-        if l == NIL {
-            return r;
-        }
-        if r == NIL {
-            return l;
-        }
-        self.join(l, r)
-    }
-
-    /// Equal-height join.  Merging the two top-level child lists (or evenly
-    /// redistributing when they exceed `max`) keeps every buried node at
-    /// `min..=max`; only the returned root may sit below `min`.
-    fn join_equal(&mut self, l: usize, r: usize) -> usize {
-        if self.is_leaf(l) {
-            return self.make_internal(vec![l, r]);
-        }
-        let total = self.children_len(l) + self.children_len(r);
-        if total <= self.max_c {
-            let orphans = self.take_internal(r).children;
-            self.internal_mut(l).children.extend(orphans);
-            self.refresh(l);
-            l
-        } else if self.children_len(l) < self.min_c || self.children_len(r) < self.min_c {
-            // total > max >= 2·min - 1, so an even split puts both halves at
-            // or above min.
-            let mut all = std::mem::take(&mut self.internal_mut(l).children);
-            let orphans = self.take_internal(r).children;
-            all.extend(orphans);
-            let right = all.split_off(total / 2);
-            self.internal_mut(l).children = all;
-            self.refresh(l);
-            let right = self.make_internal(right);
-            self.make_internal(vec![l, right])
-        } else {
-            self.make_internal(vec![l, r])
-        }
-    }
-
-    /// Attaches tree `r` (strictly smaller height, keys all greater) onto the
-    /// right spine of `l`.  Returns `l`'s overflow sibling, if it split.
-    fn attach_right(&mut self, l: usize, r: usize) -> Option<usize> {
-        touch(1);
-        debug_assert!(self.height(l) > self.height(r));
-        if self.height(l) == self.height(r) + 1 {
-            self.internal_mut(l).children.push(r);
-            if !self.is_leaf(r) && self.children_len(r) < self.min_c {
-                self.balance_edge(l, false);
-            }
-        } else {
-            let last = *self.internal(l).children.last().expect("internal node");
-            if let Some(b) = self.attach_right(last, r) {
-                self.internal_mut(l).children.push(b);
-            }
-        }
-        let overflow = if self.children_len(l) > self.max_c {
-            let keep = self.max_c.div_ceil(2);
-            let right = self.internal_mut(l).children.split_off(keep);
-            Some(self.make_internal(right))
-        } else {
-            None
-        };
-        self.refresh(l);
-        overflow
-    }
-
-    /// Attaches tree `l` (strictly smaller height, keys all smaller) onto the
-    /// left spine of `r`.  Returns `r`'s overflow *left* sibling, if it split.
-    fn attach_left(&mut self, l: usize, r: usize) -> Option<usize> {
-        touch(1);
-        debug_assert!(self.height(r) > self.height(l));
-        if self.height(r) == self.height(l) + 1 {
-            self.internal_mut(r).children.insert(0, l);
-            if !self.is_leaf(l) && self.children_len(l) < self.min_c {
-                self.balance_edge(r, true);
-            }
-        } else {
-            let first = self.internal(r).children[0];
-            if let Some(a) = self.attach_left(l, first) {
-                self.internal_mut(r).children.insert(0, a);
-            }
-        }
-        let overflow = if self.children_len(r) > self.max_c {
-            let keep = self.max_c.div_ceil(2);
-            // Keep the *right* part in place so `r` stays the spine node; the
-            // split-off left half becomes the overflow sibling.
-            let split_at = self.children_len(r) - keep;
-            let mut left = std::mem::take(&mut self.internal_mut(r).children);
-            let right = left.split_off(split_at);
-            self.internal_mut(r).children = right;
-            Some(self.make_internal(left))
-        } else {
-            None
-        };
-        self.refresh(r);
-        overflow
-    }
-
-    /// Repairs the just-attached edge child of `idx` (`children[0]` when
-    /// `front`, else the last child), which may be an internal node below
-    /// `min_children`: merge it with its inner neighbour when they fit in
-    /// one node, otherwise redistribute evenly (both halves end `>= min`).
-    fn balance_edge(&mut self, idx: usize, front: bool) {
-        touch(1);
-        let n = self.children_len(idx);
-        debug_assert!(n >= 2, "attachment target keeps at least two children");
-        let (inner_pos, edge_pos) = if front { (1, 0) } else { (n - 2, n - 1) };
-        let (inner, edge) = {
-            let int = self.internal(idx);
-            (int.children[inner_pos], int.children[edge_pos])
-        };
-        let total = self.children_len(inner) + self.children_len(edge);
-        if total <= self.max_c {
-            let orphans = self.take_internal(edge).children;
-            let s = self.internal_mut(inner);
-            if front {
-                s.children.splice(0..0, orphans);
-            } else {
-                s.children.extend(orphans);
-            }
-            self.refresh(inner);
-            self.internal_mut(idx).children.remove(edge_pos);
-        } else {
-            // Even redistribution across the pair; total > max >= 2·min - 1.
-            let give = total / 2 - self.children_len(edge);
-            for _ in 0..give {
-                let moved = if front {
-                    self.internal_mut(inner).children.remove(0)
-                } else {
-                    self.internal_mut(inner).children.pop().expect("spare")
-                };
-                let e = self.internal_mut(edge);
-                if front {
-                    e.children.push(moved);
-                } else {
-                    e.children.insert(0, moved);
-                }
-            }
-            self.refresh(inner);
-            self.refresh(edge);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Split
-    // ------------------------------------------------------------------
-
-    /// Groups a run of same-height siblings into a single (transient-root)
-    /// node: NIL for none, the child itself for one, else one internal node.
-    fn sub_node(&mut self, children: Vec<usize>) -> usize {
-        match children.len() {
-            0 => NIL,
-            1 => children[0],
-            _ => self.make_internal(children),
-        }
-    }
-
-    /// Splits the tree at `key`: everything `< key` goes left, an exact
-    /// match is returned separately, everything `> key` goes right.
-    pub fn split_at_key(&mut self, idx: usize, key: &K) -> (usize, Option<(K, V)>, usize) {
-        touch(1);
-        if self.is_leaf(idx) {
-            return match key.cmp(self.max_key(idx)) {
-                std::cmp::Ordering::Equal => {
-                    let item = self.take_leaf(idx);
-                    (NIL, Some(item), NIL)
-                }
-                std::cmp::Ordering::Less => (NIL, None, idx),
-                std::cmp::Ordering::Greater => (idx, None, NIL),
-            };
-        }
-        let int = self.take_internal(idx);
-        let pos = int
-            .keys
-            .iter()
-            .position(|m| key <= m)
-            .unwrap_or(int.children.len() - 1);
-        let mut children = int.children;
-        let suffix = children.split_off(pos + 1);
-        let at = children.pop().expect("pos is in range");
-        let left = self.sub_node(children);
-        let right_tail = self.sub_node(suffix);
-        let (l, found, r) = self.split_at_key(at, key);
-        let left = self.join_opt(left, l);
-        let right = self.join_opt(r, right_tail);
-        (left, found, right)
-    }
-
-    /// Splits the tree by rank: the first `rank` items (key order) go left,
-    /// the rest right.
-    pub fn split_at_rank(&mut self, idx: usize, rank: usize) -> (usize, usize) {
-        touch(1);
-        if rank == 0 {
-            return (NIL, idx);
-        }
-        if rank >= self.size(idx) {
-            return (idx, NIL);
-        }
-        // Neither 0 nor the full size, so idx cannot be a leaf.
-        let int = self.take_internal(idx);
-        let mut children = int.children;
-        let mut remaining = rank;
-        let mut pos = 0;
-        for (i, &c) in children.iter().enumerate() {
-            let sz = self.size(c);
-            if remaining < sz {
-                pos = i;
-                break;
-            }
-            remaining -= sz;
-        }
-        let suffix = children.split_off(pos + 1);
-        let at = children.pop().expect("pos is in range");
-        let left = self.sub_node(children);
-        let right_tail = self.sub_node(suffix);
-        let (l, r) = self.split_at_rank(at, remaining);
-        let left = self.join_opt(left, l);
-        let right = self.join_opt(r, right_tail);
-        (left, right)
-    }
-
-    // ------------------------------------------------------------------
-    // Bulk build / drain / move
+    // Bulk build / drain
     // ------------------------------------------------------------------
 
     /// Builds a balanced tree from sorted, deduplicated items in O(n).
@@ -1124,71 +892,6 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 }
             }
             Slot::Free { .. } => unreachable!("for_each reached a free slot"),
-        }
-    }
-
-    /// Moves the subtree under `idx` into `dst` (freeing the source slots),
-    /// returning its root index in `dst`.  O(subtree size); this is the
-    /// repartition primitive behind the owned-split surface and the parallel
-    /// bulk paths, not an analytically charged operation.
-    pub fn extract(&mut self, idx: usize, dst: &mut Arena<K, V>) -> usize {
-        match self.take_slot(idx) {
-            Slot::Leaf { key, val } => dst.alloc(Slot::Leaf { key, val }),
-            Slot::Internal(int) => {
-                let children = int.children.iter().map(|&c| self.extract(c, dst)).collect();
-                dst.alloc(Slot::Internal(Internal {
-                    height: int.height,
-                    size: int.size,
-                    keys: int.keys,
-                    children,
-                }))
-            }
-            Slot::Free { .. } => unreachable!("extract reached a free slot"),
-        }
-    }
-
-    /// Appends every slot of `other` (live and free) into this arena with a
-    /// uniform index offset, returning `other_root` rebased.  O(slots of
-    /// `other`); both arenas must share a fanout.
-    pub fn absorb(&mut self, other: Arena<K, V>, other_root: usize) -> usize {
-        debug_assert_eq!(self.min_c, other.min_c, "fanout mismatch in absorb");
-        debug_assert_eq!(self.max_c, other.max_c, "fanout mismatch in absorb");
-        let offset = self.slots.len();
-        for mut slot in other.slots {
-            match &mut slot {
-                Slot::Free { next } => {
-                    if *next != NIL {
-                        *next += offset;
-                    }
-                }
-                Slot::Internal(int) => {
-                    for c in &mut int.children {
-                        *c += offset;
-                    }
-                }
-                Slot::Leaf { .. } => {}
-            }
-            self.slots.push(slot);
-        }
-        if other.free != NIL {
-            // Chain the rebased free list in front of ours.
-            let mut cur = other.free + offset;
-            loop {
-                let Slot::Free { next } = &mut self.slots[cur] else {
-                    unreachable!("free list visits a live slot")
-                };
-                if *next == NIL {
-                    *next = self.free;
-                    break;
-                }
-                cur = *next;
-            }
-            self.free = other.free + offset;
-        }
-        if other_root == NIL {
-            NIL
-        } else {
-            other_root + offset
         }
     }
 
@@ -1269,5 +972,92 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             "arena slot leak: {live} live + {free_count} free != {} slots",
             self.slots.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Directed tests of `settle`'s chain case, the one caller of `attach`:
+    //! one `batch_remove` thins a whole subtree of the root down to a chain
+    //! over an underfull node, which must be hung on a neighbour's spine.
+
+    use crate::tree::BTree;
+    use std::collections::BTreeMap;
+
+    /// Removes, in one batch, every key under `children[pos]` of the root
+    /// except its `keep` largest, checks the tree against a `BTreeMap`, and
+    /// returns the root's child count before and after.
+    fn thin_to_chain(tree: &mut BTree<u64, u64>, pos: usize, keep: u64) -> (usize, usize) {
+        let mut model: BTreeMap<u64, u64> = tree.keys().into_iter().map(|k| (k, k)).collect();
+        assert!(tree.height() >= 3, "the thinned subtree must be a chain");
+        let root = tree.arena.internal(tree.root);
+        let before = root.children.len();
+        // Keys are dense, so the subtree holds exactly `lo..=hi`.
+        let lo = if pos == 0 { 0 } else { root.keys[pos - 1] + 1 };
+        let hi = root.keys[pos];
+        let batch: Vec<u64> = (lo..=hi - keep).collect();
+        let removed = tree.batch_remove(&batch);
+        for (k, r) in batch.iter().zip(removed) {
+            assert_eq!(r, model.remove(k).map(|v| (*k, v)));
+        }
+        tree.check_invariants();
+        assert!(tree.keys().iter().eq(model.keys()));
+        (before, tree.arena.children_len(tree.root))
+    }
+
+    /// A tree with slack in every node: ascending point inserts leave each
+    /// node off the right spine about half full.  Grown until the root has
+    /// a child to lose without collapsing.
+    fn half_full(fanout: usize) -> BTree<u64, u64> {
+        let mut tree = BTree::with_fanout(fanout);
+        let mut k = 0;
+        while tree.height() < 3 || tree.arena.children_len(tree.root) < 3 {
+            tree.insert(k, k);
+            k += 1;
+        }
+        tree
+    }
+
+    /// A tree with no slack anywhere: `max_children³` items, every node full.
+    fn packed(fanout: usize) -> BTree<u64, u64> {
+        let max_c = fanout.max(3) as u64;
+        let tree =
+            BTree::from_sorted_with_fanout((0..max_c.pow(3)).map(|k| (k, k)).collect(), fanout);
+        assert_eq!(tree.height(), 3);
+        tree
+    }
+
+    /// Thins `children[pos]` of the root of a fresh `build(fanout)` tree to a
+    /// chain, at every fanout and for every `keep` that leaves the chain
+    /// ending in a lone leaf (1) or, at wider fanouts, in an underfull leaf
+    /// parent (2 ≤ keep < min_children); the root must end `lost` children
+    /// short.
+    fn thin_at_every_fanout(build: fn(usize) -> BTree<u64, u64>, pos: usize, lost: usize) {
+        for fanout in [2usize, 8, 16] {
+            for keep in 1..build(fanout).arena.min_c as u64 {
+                let mut tree = build(fanout);
+                let (before, after) = thin_to_chain(&mut tree, pos, keep);
+                assert_eq!(after, before - lost, "B={fanout} keep={keep} pos={pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn chain_with_a_left_neighbour_hangs_on_its_back_edge() {
+        thin_at_every_fanout(half_full, 1, 1);
+    }
+
+    #[test]
+    fn chain_as_the_first_child_hangs_on_its_right_neighbours_front_edge() {
+        thin_at_every_fanout(half_full, 0, 1);
+    }
+
+    /// Every spine node is full, so the attachment splits each one and the
+    /// root adopts a sibling in place of the child it lost — behind a left
+    /// neighbour and in front of a right one.
+    #[test]
+    fn attachment_that_overflows_the_spine_hands_the_parent_a_sibling() {
+        thin_at_every_fanout(packed, 1, 0);
+        thin_at_every_fanout(packed, 0, 0);
     }
 }

@@ -1,16 +1,10 @@
 //! The public tree surface: [`BTree`] (with [`Tree23`] kept as the alias the
-//! rest of the workspace was written against) plus single-item and structural
-//! (split/join/rank) operations.  Batch operations live in [`crate::batch`].
+//! rest of the workspace was written against) with its single-item, rank,
+//! bulk-build and drain operations.  Batch operations live in
+//! [`crate::batch`].
 
 use crate::cost::{pass, touch};
 use crate::node::{Arena, NIL};
-
-/// Take-counts at or below this size use repeated point removals instead of
-/// a rank split: for tiny `k` the point path avoids the split/join spine
-/// rebuild entirely.  (Takes are by rank, so the key-sorted batch sweep of
-/// [`crate::batch`] does not apply; the recency map's takes go through the
-/// sweep, with keys read off its list.)
-const POINT_TAKE: usize = 8;
 
 /// A leaf-based fanout-B search tree storing key-value items in key order.
 ///
@@ -24,9 +18,10 @@ const POINT_TAKE: usize = 8;
 /// as the analytic reference instantiation; the process default is 16
 /// (`WSM_TREE_FANOUT`).
 ///
-/// Beyond ordinary ordered-map operations it has the structural operations
-/// batch algorithms need: `join` with a disjoint greater tree, `split` by key
-/// or rank, and `take_front` / `take_back` by count.
+/// Beyond ordinary ordered-map operations it has what the batch algorithms
+/// need: rank selection, sorted-batch get / insert / remove
+/// ([`crate::batch`]), an `O(n)` build from sorted items and a drain into a
+/// sorted vector.
 #[derive(Clone, Debug)]
 pub struct BTree<K, V> {
     pub(crate) arena: Arena<K, V>,
@@ -201,103 +196,6 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         removed.map(|(_, v)| v)
     }
 
-    /// Splits off everything with key `>= key` into a new tree, keeping the
-    /// rest (and returning the exact match separately, if present).
-    pub fn split_off(&mut self, key: &K) -> (Option<(K, V)>, BTree<K, V>) {
-        pass();
-        let mut right = Self::with_fanout(self.arena.fanout());
-        if self.root == NIL {
-            return (None, right);
-        }
-        let (l, found, r) = self.arena.split_at_key(self.root, key);
-        self.root = l;
-        if r != NIL {
-            // The split-off part moves into its own arena so both trees own
-            // their slabs independently (O(size of the right part)).
-            right.root = self.arena.extract(r, &mut right.arena);
-        }
-        (found, right)
-    }
-
-    /// Splits the tree by rank: `self` keeps the first `rank` items, the rest
-    /// are returned.
-    pub fn split_at_rank(&mut self, rank: usize) -> BTree<K, V> {
-        pass();
-        let mut right = Self::with_fanout(self.arena.fanout());
-        if self.root == NIL {
-            return right;
-        }
-        let (l, r) = self.arena.split_at_rank(self.root, rank);
-        self.root = l;
-        if r != NIL {
-            right.root = self.arena.extract(r, &mut right.arena);
-        }
-        right
-    }
-
-    /// Removes and returns the first (smallest) `k` items, in key order.
-    pub fn take_front(&mut self, k: usize) -> Vec<(K, V)> {
-        let k = k.min(self.len());
-        if k <= POINT_TAKE {
-            let mut out = Vec::with_capacity(k);
-            for _ in 0..k {
-                let key = self.first().expect("k <= len").0.clone();
-                let val = self.remove(&key).expect("first key present");
-                out.push((key, val));
-            }
-            return out;
-        }
-        // One pass: rank-split in place and drain the detached front — the
-        // remainder stays in this arena, nothing is copied across slabs.
-        pass();
-        let (l, r) = self.arena.split_at_rank(self.root, k);
-        self.root = r;
-        let mut out = Vec::with_capacity(k);
-        self.arena.collect_into(l, &mut out);
-        out
-    }
-
-    /// Removes and returns the last (largest) `k` items, in key order.
-    pub fn take_back(&mut self, k: usize) -> Vec<(K, V)> {
-        let len = self.len();
-        let k = k.min(len);
-        if k <= POINT_TAKE {
-            let mut out = Vec::with_capacity(k);
-            for _ in 0..k {
-                let key = self.last().expect("k <= len").0.clone();
-                let val = self.remove(&key).expect("last key present");
-                out.push((key, val));
-            }
-            out.reverse();
-            return out;
-        }
-        pass();
-        let (l, r) = self.arena.split_at_rank(self.root, len - k);
-        self.root = l;
-        let mut out = Vec::with_capacity(k);
-        self.arena.collect_into(r, &mut out);
-        out
-    }
-
-    /// Concatenates `other` onto this tree.  Every key of `other` must be
-    /// strictly greater than every key of `self`.
-    ///
-    /// The join itself is O(height difference) node visits; bringing
-    /// `other`'s arena into ours is an O(slots of `other`) slab append.
-    pub fn join_greater(&mut self, other: BTree<K, V>) {
-        pass();
-        debug_assert!(
-            self.is_empty()
-                || other.is_empty()
-                || self.arena.max_key(self.root)
-                    < other.arena.select(other.root, 0).expect("non-empty").0,
-            "join_greater key ranges overlap"
-        );
-        let BTree { arena, root } = other;
-        let r = self.arena.absorb(arena, root);
-        self.root = self.arena.join_opt(self.root, r);
-    }
-
     /// Consumes the tree into a sorted vector of items.
     pub fn into_sorted_vec(mut self) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(self.len());
@@ -436,81 +334,6 @@ mod tests {
         assert_eq!(t.select(50), None);
         assert_eq!(t.first(), Some((&0, &())));
         assert_eq!(t.last(), Some((&98, &())));
-    }
-
-    #[test]
-    fn split_off_by_key() {
-        for fanout in [2usize, 8, 16] {
-            let mut t: Tree23<u64, u64> =
-                Tree23::from_sorted_with_fanout((0..100u64).map(|i| (i, i)).collect(), fanout);
-            let (found, right) = t.split_off(&60);
-            assert_eq!(found, Some((60, 60)));
-            assert_eq!(t.len(), 60);
-            assert_eq!(right.len(), 39);
-            t.check_invariants();
-            right.check_invariants();
-            assert!(t.keys().iter().all(|&k| k < 60));
-            assert!(right.keys().iter().all(|&k| k > 60));
-        }
-    }
-
-    #[test]
-    fn split_at_rank_and_take() {
-        for fanout in [2usize, 8, 16] {
-            let mut t: Tree23<u64, u64> =
-                Tree23::from_sorted_with_fanout((0..100u64).map(|i| (i, i)).collect(), fanout);
-            let right = t.split_at_rank(30);
-            assert_eq!(t.len(), 30);
-            assert_eq!(right.len(), 70);
-            t.check_invariants();
-            right.check_invariants();
-
-            let mut t: Tree23<u64, u64> =
-                Tree23::from_sorted_with_fanout((0..10u64).map(|i| (i, i)).collect(), fanout);
-            let front = t.take_front(3);
-            assert_eq!(front.iter().map(|x| x.0).collect::<Vec<_>>(), vec![0, 1, 2]);
-            assert_eq!(t.len(), 7);
-            let back = t.take_back(2);
-            assert_eq!(back.iter().map(|x| x.0).collect::<Vec<_>>(), vec![8, 9]);
-            assert_eq!(t.len(), 5);
-            // Taking more than available is clamped.
-            let rest = t.take_front(100);
-            assert_eq!(rest.len(), 5);
-            assert!(t.is_empty());
-
-            // The split path (k > POINT_TAKE) agrees with the point path.
-            let mut t: Tree23<u64, u64> =
-                Tree23::from_sorted_with_fanout((0..100u64).map(|i| (i, i)).collect(), fanout);
-            let front = t.take_front(20);
-            assert_eq!(front, (0..20u64).map(|i| (i, i)).collect::<Vec<_>>());
-            let back = t.take_back(20);
-            assert_eq!(back, (80..100u64).map(|i| (i, i)).collect::<Vec<_>>());
-            assert_eq!(t.len(), 60);
-            t.check_invariants();
-        }
-    }
-
-    #[test]
-    fn join_greater_concatenates() {
-        for fanout in [2usize, 8, 16] {
-            let mut a: Tree23<u64, ()> =
-                Tree23::from_sorted_with_fanout((0..37u64).map(|i| (i, ())).collect(), fanout);
-            let b: Tree23<u64, ()> =
-                Tree23::from_sorted_with_fanout((100..153u64).map(|i| (i, ())).collect(), fanout);
-            a.join_greater(b);
-            a.check_invariants();
-            assert_eq!(a.len(), 37 + 53);
-            assert!(a.contains(&0) && a.contains(&36) && a.contains(&100) && a.contains(&152));
-        }
-    }
-
-    #[test]
-    fn join_with_empty_sides() {
-        let mut a: Tree23<u64, ()> = Tree23::new();
-        a.join_greater((0..5u64).map(|i| (i, ())).collect());
-        assert_eq!(a.len(), 5);
-        a.join_greater(Tree23::new());
-        assert_eq!(a.len(), 5);
     }
 
     #[test]

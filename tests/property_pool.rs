@@ -3,15 +3,14 @@
 //! counterparts, at every pool size.
 //!
 //! This is the workspace-level safety net for PR 2's tentpole: `rayon::join`
-//! now runs on real threads, so `pesort` and the `Tree23::par_*` batch
-//! operations execute with genuine interleaving.  Determinism is a theorem
-//! about the algorithms (divide-and-conquer with order-preserving merges),
-//! and these tests check it empirically under randomized inputs and
-//! different worker counts.
+//! runs on real threads, so `pesort` — the one algorithm that forks through
+//! it — executes with genuine interleaving.  Determinism is a theorem about
+//! the algorithm (divide-and-conquer with order-preserving merges), and
+//! these tests check it empirically under randomized inputs and different
+//! worker counts.
 
 use proptest::prelude::*;
 use wsm_sort::{pesort, pesort_by, pesort_group};
-use wsm_twothree::Tree23;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -59,75 +58,10 @@ proptest! {
         let seq = wsm_pool::with_threads(1, move || pesort_group(&keys).0);
         prop_assert_eq!(par, seq);
     }
-
-    #[test]
-    fn par_batch_insert_matches_sequential(
-        keys in prop::collection::btree_set(any::<u16>(), 0..3000),
-        threads in 1usize..5,
-    ) {
-        let items: Vec<(u16, u16)> = keys.iter().map(|&k| (k, k.wrapping_mul(7))).collect();
-        let seq_replaced = {
-            let mut tree: Tree23<u16, u16> = Tree23::new();
-            let replaced = tree.batch_insert(items.clone());
-            tree.check_invariants();
-            replaced
-        };
-        let (par_replaced, len) = wsm_pool::with_threads(threads, move || {
-            let mut tree: Tree23<u16, u16> = Tree23::new();
-            let replaced = tree.par_batch_insert(items);
-            tree.check_invariants();
-            (replaced, tree.len())
-        });
-        prop_assert_eq!(par_replaced, seq_replaced);
-        prop_assert_eq!(len, keys.len());
-    }
-
-    #[test]
-    fn par_batch_roundtrip_matches_sequential(
-        insert_keys in prop::collection::btree_set(any::<u16>(), 1..2000),
-        remove_keys in prop::collection::btree_set(any::<u16>(), 1..2000),
-    ) {
-        // Insert one sorted batch, remove another (overlapping) one, read
-        // everything back — in parallel and sequentially — and compare all
-        // three result vectors plus the surviving content.
-        let items: Vec<(u16, u32)> = insert_keys.iter().map(|&k| (k, u32::from(k) + 1)).collect();
-        let removals: Vec<u16> = remove_keys.iter().copied().collect();
-        let probe: Vec<u16> = (0..2048).map(|i| (i * 31) as u16).collect();
-
-        let run = |parallel: bool| {
-            let items = items.clone();
-            let removals = removals.clone();
-            let probe = probe.clone();
-            move || {
-                let mut tree: Tree23<u16, u32> = Tree23::new();
-                let replaced = if parallel {
-                    tree.par_batch_insert(items)
-                } else {
-                    tree.batch_insert(items)
-                };
-                let removed = if parallel {
-                    tree.par_batch_remove(&removals)
-                } else {
-                    tree.batch_remove(&removals)
-                };
-                tree.check_invariants();
-                let found: Vec<Option<u32>> = if parallel {
-                    tree.par_batch_get(&probe).into_iter().map(|v| v.copied()).collect()
-                } else {
-                    tree.batch_get(&probe).into_iter().map(|v| v.copied()).collect()
-                };
-                (replaced, removed, found, tree.len())
-            }
-        };
-        let par = wsm_pool::with_threads(4, run(true));
-        let seq = run(false)();
-        prop_assert_eq!(par, seq);
-    }
 }
 
 /// Stress: many OS threads running parallel sorts concurrently on the global
-/// pool, interleaved with fork-join tree batch operations — results must
-/// still be deterministic.
+/// pool — results must still be deterministic.
 #[test]
 fn concurrent_external_sorts_stay_correct() {
     let handles: Vec<_> = (0..6u64)

@@ -45,29 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn tree23_split_and_join_preserve_content(
-        keys in prop::collection::btree_set(any::<u32>(), 1..200),
-        pivot in any::<u32>(),
-        fan in prop::sample::select(vec![2usize, 8, 16]),
-    ) {
-        let items: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k)).collect();
-        let mut tree: Tree23<u32, u32> = Tree23::from_sorted_with_fanout(items.clone(), fan);
-        let (found, right) = tree.split_off(&pivot);
-        tree.check_invariants();
-        right.check_invariants();
-        prop_assert_eq!(found.is_some(), keys.contains(&pivot));
-        prop_assert!(tree.keys().iter().all(|&k| k < pivot));
-        prop_assert!(right.keys().iter().all(|&k| k > pivot));
-        // Re-join (re-inserting the pivot if it was split out).
-        if let Some((k, v)) = found {
-            tree.insert(k, v);
-        }
-        tree.join_greater(right);
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), keys.len());
-    }
-
-    #[test]
     fn recency_map_pop_order_is_lru(
         keys in prop::collection::vec(any::<u16>(), 1..100),
     ) {
