@@ -939,7 +939,11 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// measuring isolated segment-op shapes at `b = 64`, where the counts are
 /// exact small integers: 1 pass for a one-sided op (batch removal, batch
 /// push, an eviction take), 2 for a transfer (take + push), where the
-/// two-tree design paid 2 and 4.
+/// two-tree design paid 2 and 4.  A *sweep* row family times the three
+/// segment-op shapes of the cascade (`get_batch`, `remove_batch` +
+/// `push_front_batch`, `take_back` + `push_front_batch`) per key on a
+/// 2^17-item map — the size at which a segment tree outgrows the cache and
+/// the node layout, not the node count, decides the cost.
 ///
 /// Since the fanout-B arena rewrite every row also records `nodes/op`
 /// (thread-local metered tree-node touches) and `ns/op` (wall time), and an
@@ -1083,6 +1087,73 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
     micro(&mut rows, "segment take_front k=64 (eviction)", &mut || {
         let evicted = m.take_front(64);
         assert_eq!(evicted.len(), 64);
+    });
+
+    // Sweep rows: the three segment-op shapes of the cascade at the size
+    // where a segment tree no longer fits the cache — 80 random sorted keys
+    // per batch (an M1 cut batch at p = 4) against a 2^17-item map built
+    // outside the timed body, mean per key over 256 batches.
+    const SWEEP_ITEMS: u64 = 1 << 17;
+    const SWEEP_BATCHES: usize = 256;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut big: RecencyMap<u64, u64> = RecencyMap::new();
+    let mut shuffled: Vec<(u64, u64)> = (0..SWEEP_ITEMS).map(|k| (k, k)).collect();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    big.push_back_batch(shuffled);
+    let batches: Vec<Vec<u64>> = (0..SWEEP_BATCHES)
+        .map(|_| {
+            let mut keys: Vec<u64> = (0..80).map(|_| next() % SWEEP_ITEMS).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        })
+        .collect();
+    let swept_keys = batches.iter().map(Vec::len).sum::<usize>() as f64;
+    type Segment = RecencyMap<u64, u64>;
+    let mut sweep = |label: &str, body: &mut dyn FnMut(&mut Segment, &[u64])| {
+        tcost::reset_tree_passes();
+        let (mut ns, mut nodes) = (0.0, 0u64);
+        for keys in &batches {
+            let start = Instant::now();
+            let ((), touched) = tcost::metered(|| body(&mut big, keys));
+            ns += start.elapsed().as_nanos() as f64;
+            nodes += touched;
+        }
+        let passes = tcost::tree_passes() as f64;
+        tcost::reset_tree_passes();
+        rows.push(Row::new(
+            format!("{label} b=80 n=2^17"),
+            vec![
+                ("ops", swept_keys),
+                ("tree passes", passes),
+                ("passes/op", passes / swept_keys),
+                ("nodes/op", nodes as f64 / swept_keys),
+                ("ns/op", ns / swept_keys),
+                ("W/op", 0.0),
+            ],
+        ));
+    };
+    sweep("sweep get_batch", &mut |map, keys| {
+        assert!(std::hint::black_box(map.get_batch(keys))
+            .iter()
+            .all(Option::is_some));
+    });
+    sweep("sweep remove_batch + push_front_batch", &mut |map, keys| {
+        let found = map.remove_batch(keys);
+        let items = keys.iter().zip(found);
+        map.push_front_batch(items.map(|(&k, v)| (k, v.expect("key present"))).collect());
+    });
+    sweep("sweep take_back + push_front_batch", &mut |map, keys| {
+        let moved = map.take_back(keys.len());
+        map.push_front_batch(moved);
     });
 
     // A/B micro family: the same op shapes on the 2-3 reference (B = 2) and
@@ -1729,8 +1800,9 @@ mod tests {
     #[test]
     fn tree_passes_experiment_pins_single_pass_segment_ops() {
         let rows = experiment_tree_passes(1 << 9, 1 << 11);
-        // 3 workloads x 2 structures + 4 micro rows + 2 fanouts x 3 A/B rows.
-        assert_eq!(rows.len(), 16);
+        // 3 workloads x 2 structures + 4 micro rows + 3 sweep rows + 2 fanouts
+        // x 3 A/B rows.
+        assert_eq!(rows.len(), 19);
         let get = |label: &str, key: &str| -> f64 {
             rows.iter()
                 .find(|r| r.label == label)
@@ -1759,6 +1831,13 @@ mod tests {
             get("segment take_front k=64 (eviction)", "tree passes"),
             1.0
         );
+        // The sweep rows: one pass per batch for the read, two per round
+        // trip, over 256 batches.
+        assert_eq!(get("sweep get_batch b=80 n=2^17", "tree passes"), 256.0);
+        for round_trip in ["remove_batch", "take_back"] {
+            let label = format!("sweep {round_trip} + push_front_batch b=80 n=2^17");
+            assert_eq!(get(&label, "tree passes"), 512.0);
+        }
         // The A/B family: passes are structural (fanout-independent), while
         // the wide node must touch strictly fewer nodes on every shape.
         let n = 1u64 << 9;

@@ -26,7 +26,7 @@ pub(crate) fn tree_fanout() -> u64 {
 
 /// The segments, their item count, and the buffers one batch reuses from the
 /// last: after the first few batches, sorting, grouping and the pass
-/// allocate nothing per segment.
+/// allocate nothing per group or per segment.
 #[derive(Debug)]
 pub(crate) struct Cascade<K, V> {
     segments: Vec<RecencyMap<K, V>>,
@@ -42,6 +42,10 @@ pub(crate) struct Cascade<K, V> {
     ops_pool: Vec<Vec<TaggedOp<K, V>>>,
     /// The cut batch with its operations made movable.
     batch_buf: Vec<Option<TaggedOp<K, V>>>,
+    /// Per segment of a pass: what the removal found per group, and the
+    /// surviving items on their way to the segment in front.
+    found_buf: Vec<Option<V>>,
+    shift_buf: Vec<(K, V)>,
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
@@ -55,6 +59,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
             groups_buf: Vec::new(),
             ops_pool: Vec::new(),
             batch_buf: Vec::new(),
+            found_buf: Vec::new(),
+            shift_buf: Vec::new(),
         }
     }
 
@@ -175,35 +181,35 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         let mut cost = Charge::ZERO;
         let end = end.min(self.segments.len());
         let mut keys = std::mem::take(&mut self.key_buf);
+        let mut found = std::mem::take(&mut self.found_buf);
+        let mut shift = std::mem::take(&mut self.shift_buf);
         let mut k = 0;
         while k < end && !groups.is_empty() {
             keys.clear();
             keys.extend(groups.iter().map(|g| g.key.clone()));
-            let (removed, charge) = self.remove_batch(k, &keys);
-            cost += charge;
-            let mut shift: Vec<(K, V)> = Vec::new();
+            cost += self.remove_batch(k, &keys, &mut found);
             let mut write = 0;
-            for (read, found) in removed.into_iter().enumerate() {
-                if found.is_none() {
+            for (read, hit) in found.drain(..).enumerate() {
+                if hit.is_none() {
                     groups.swap(write, read);
                     write += 1;
                     continue;
                 }
                 let group = &mut groups[read];
-                let (rs, fin) = group.resolve(found);
-                results.extend(rs);
-                if let Some(v) = fin {
+                if let Some(v) = group.resolve_into(hit, results) {
                     shift.push((group.key.clone(), v));
                 }
                 let ops = std::mem::take(&mut group.ops);
                 self.recycle_ops(ops);
             }
             groups.truncate(write);
-            cost += self.push_front(k.saturating_sub(1), shift);
+            cost += self.push_front(k.saturating_sub(1), &mut shift);
             cost += self.restore_range(k);
             k += 1;
         }
         self.key_buf = keys;
+        self.found_buf = found;
+        self.shift_buf = shift;
         cost
     }
 
@@ -217,9 +223,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
     ) -> Vec<(K, V)> {
         let mut inserts: Vec<(K, V)> = Vec::new();
         for group in groups.drain(..) {
-            let (rs, fin) = group.resolve(None);
-            results.extend(rs);
-            if let Some(v) = fin {
+            if let Some(v) = group.resolve_into(None, results) {
                 inserts.push((group.key, v));
             }
             self.recycle_ops(group.ops);
@@ -240,37 +244,37 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         self.ops_pool.push(ops);
     }
 
-    /// Removes the sorted `keys` from `S[k]`, returning the value found per
-    /// key.
-    pub(crate) fn remove_batch(&mut self, k: usize, keys: &[K]) -> (Vec<Option<V>>, Charge) {
-        let seg = &mut self.segments[k];
-        let seg_len = seg.len() as u64;
-        let (removed, touched) = tcost::metered(|| seg.remove_batch(keys));
-        self.size -= removed.iter().flatten().count();
-        let charge = tcost::batch_op_charge(touched, keys.len() as u64, seg_len, tree_fanout());
-        (removed, charge)
-    }
-
-    /// Inserts `items` (absent keys) at the front of `S[k]`.
-    pub(crate) fn push_front(&mut self, k: usize, items: Vec<(K, V)>) -> Charge {
-        self.push(k, items, RecencyMap::push_front_batch)
-    }
-
-    fn push(
+    /// Removes the sorted `keys` from `S[k]`, appending the value found per
+    /// key to `found`.
+    pub(crate) fn remove_batch(
         &mut self,
         k: usize,
-        items: Vec<(K, V)>,
-        push: impl FnOnce(&mut RecencyMap<K, V>, Vec<(K, V)>),
+        keys: &[K],
+        found: &mut Vec<Option<V>>,
     ) -> Charge {
-        if items.is_empty() {
+        let seg = &mut self.segments[k];
+        let seg_len = seg.len() as u64;
+        let ((), touched) = tcost::metered(|| seg.remove_batch_with(keys, |v| found.push(v)));
+        self.size -= seg_len as usize - seg.len();
+        tcost::batch_op_charge(touched, keys.len() as u64, seg_len, tree_fanout())
+    }
+
+    /// Moves `items` (absent keys) to the front of `S[k]`, leaving the
+    /// buffer empty.
+    pub(crate) fn push_front(&mut self, k: usize, items: &mut Vec<(K, V)>) -> Charge {
+        self.push(k, items.len(), |seg| seg.push_front_from(items))
+    }
+
+    /// Runs `push`, which inserts `count` absent keys into `S[k]`.
+    fn push(&mut self, k: usize, count: usize, push: impl FnOnce(&mut RecencyMap<K, V>)) -> Charge {
+        if count == 0 {
             return Charge::ZERO;
         }
-        let count = items.len();
         self.size += count;
         let seg = &mut self.segments[k];
         // Insert bound on the final size: the tree grows during the batch.
         let final_len = (seg.len() + count) as u64;
-        let ((), touched) = tcost::metered(|| push(seg, items));
+        let ((), touched) = tcost::metered(|| push(seg));
         tcost::batch_op_charge(touched, count as u64, final_len, tree_fanout())
     }
 
@@ -357,7 +361,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
             self.push_segment();
         }
         let mut l = self.segments.len() - 1;
-        let mut cost = self.push(l, items, RecencyMap::push_back_batch);
+        let mut cost = self.push(l, items.len(), |seg| seg.push_back_batch(items));
         while self.segments[l].len() as u64 > segment_capacity(l as u32) {
             let excess = self.segments[l].len() as u64 - segment_capacity(l as u32);
             self.push_segment();

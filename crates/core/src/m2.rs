@@ -523,8 +523,8 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // Step 4: flush the buffer and look its (distinct) items up in S[k].
         let mut keys: Vec<K> = self.buffers[buf_idx].drain(..).collect();
         keys.sort();
-        let (removed, charge) = self.cascade.remove_batch(k, &keys);
-        cost += charge;
+        let mut removed = Vec::with_capacity(keys.len());
+        cost += self.cascade.remove_batch(k, &keys, &mut removed);
 
         let mut front_inserts: Vec<(K, V)> = Vec::new();
         let mut finish_now: Vec<(OpId, OpResult<V>)> = Vec::new();
@@ -541,9 +541,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             let ops = ops.expect("in-flight item must have a filter entry");
             cost += tcost::single_op_charge(touched, self.filter.len() as u64 + 1, tree_fanout());
             let group = GroupOp { key, ops };
-            let (rs, fin) = group.resolve(found);
-            finish_now.extend(rs);
-            if let Some(v) = fin {
+            if let Some(v) = group.resolve_into(found, &mut finish_now) {
                 front_inserts.push((group.key, v));
             }
             self.cascade.recycle_ops(group.ops);
@@ -551,7 +549,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
         // Step 4d: shift accessed / newly inserted items to the front of
         // S[m'], m' = min(k-1, m).
-        cost += self.cascade.push_front((k - 1).min(self.m), front_inserts);
+        cost += self
+            .cascade
+            .push_front((k - 1).min(self.m), &mut front_inserts);
 
         // Steps 4g/4h: rebalance with the previous segment.
         let (balance_charge, clamped) = self.balance_with_previous(k);

@@ -106,30 +106,27 @@ impl<K: Clone, V: Clone> GroupOp<K, V> {
     }
 
     /// Resolves the whole group given the value currently stored under the
-    /// key (`None` if absent): returns one result per member operation plus
-    /// the final value the map should hold for the key (`None` = absent).
+    /// key (`None` if absent): appends one result per member operation to
+    /// `results` and returns the final value the map should hold for the key
+    /// (`None` = absent).
     ///
     /// This is the "single operation with the same effect as the whole group
     /// of operations in the given order" of Section 6.1.
-    pub fn resolve(&self, current: Option<V>) -> (Vec<(OpId, OpResult<V>)>, Option<V>) {
+    pub fn resolve_into(
+        &self,
+        current: Option<V>,
+        results: &mut Vec<(OpId, OpResult<V>)>,
+    ) -> Option<V> {
         let mut state = current;
-        let mut results = Vec::with_capacity(self.ops.len());
         for tagged in &self.ops {
-            match &tagged.op {
-                Operation::Search(_) => {
-                    results.push((tagged.id, OpResult::Search(state.clone())));
-                }
-                Operation::Insert(_, v) => {
-                    let prev = state.replace(v.clone());
-                    results.push((tagged.id, OpResult::Insert(prev)));
-                }
-                Operation::Delete(_) => {
-                    let prev = state.take();
-                    results.push((tagged.id, OpResult::Delete(prev)));
-                }
-            }
+            let result = match &tagged.op {
+                Operation::Search(_) => OpResult::Search(state.clone()),
+                Operation::Insert(_, v) => OpResult::Insert(state.replace(v.clone())),
+                Operation::Delete(_) => OpResult::Delete(state.take()),
+            };
+            results.push((tagged.id, result));
         }
-        (results, state)
+        state
     }
 }
 
@@ -213,14 +210,15 @@ mod tests {
     #[test]
     fn resolve_search_only_group() {
         let g = group(vec![Operation::Search(5), Operation::Search(5)]);
-        let (results, fin) = g.resolve(Some(7));
+        let mut results = Vec::new();
+        let fin = g.resolve_into(Some(7), &mut results);
         assert_eq!(fin, Some(7));
         assert!(results
             .iter()
             .all(|(_, r)| matches!(r, OpResult::Search(Some(7)))));
-        let (results, fin) = g.resolve(None);
+        let fin = g.resolve_into(None, &mut results);
         assert_eq!(fin, None);
-        assert!(results
+        assert!(results[2..]
             .iter()
             .all(|(_, r)| matches!(r, OpResult::Search(None))));
         assert!(g.is_read_only());
@@ -229,7 +227,8 @@ mod tests {
     #[test]
     fn resolve_insert_then_search() {
         let g = group(vec![Operation::Insert(3, 30), Operation::Search(3)]);
-        let (results, fin) = g.resolve(None);
+        let mut results = Vec::new();
+        let fin = g.resolve_into(None, &mut results);
         assert_eq!(fin, Some(30));
         assert_eq!(results[0].1, OpResult::Insert(None));
         assert_eq!(results[1].1, OpResult::Search(Some(30)));
@@ -242,7 +241,8 @@ mod tests {
             Operation::Search(3),
             Operation::Insert(3, 99),
         ]);
-        let (results, fin) = g.resolve(Some(1));
+        let mut results = Vec::new();
+        let fin = g.resolve_into(Some(1), &mut results);
         assert_eq!(fin, Some(99));
         assert_eq!(results[0].1, OpResult::Delete(Some(1)));
         assert_eq!(results[1].1, OpResult::Search(None));
@@ -252,8 +252,7 @@ mod tests {
     #[test]
     fn resolve_net_delete() {
         let g = group(vec![Operation::Insert(3, 1), Operation::Delete(3)]);
-        let (_, fin) = g.resolve(Some(0));
-        assert_eq!(fin, None);
+        assert_eq!(g.resolve_into(Some(0), &mut Vec::new()), None);
     }
 
     #[test]

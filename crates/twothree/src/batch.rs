@@ -5,23 +5,27 @@
 //! as the paper requires (the working-set maps entropy-sort and combine each
 //! batch before it reaches the trees), and every batch size takes the same
 //! path: a **sorted-batch sweep**.  The whole sorted slice descends from the
-//! root once; each internal node cuts it among its children with one merge
-//! scan over its routing keys and recurses only into children that receive
-//! keys; the leaf parents apply their share in one merge; and on the way back
-//! each *touched* node is repaired once — split into as many nodes as it
-//! needs when it gained more than one node's worth of children, merged with
-//! or evened out against a neighbour when it fell under `min_children`,
-//! dropped when it emptied — with the root growing or shrinking by as many
-//! levels as the batch requires.  That is `Θ(b log n)` node visits in the
-//! worst case and fewer whenever keys share upper levels: a clustered batch
-//! walks one subtree, and the per-key cost falls as the batch grows.
+//! root once; each node above the items cuts it among its children against
+//! its routing keys and recurses only into children that receive keys; the
+//! height-1 nodes merge their share into (or out of) their item cells; and on
+//! the way back each *touched* node is repaired once — split into as many
+//! nodes as it needs when it gained more than one node's worth of cells,
+//! merged with or evened out against a neighbour when it fell under
+//! `min_children`, dropped when it emptied — with the root growing or
+//! shrinking by as many levels as the batch requires.  That is `Θ(b log n)`
+//! node visits in the worst case and fewer whenever keys share upper levels:
+//! a clustered batch walks one subtree, and the per-key cost falls as the
+//! batch grows.
 //!
-//! The sweep counts one `cost::touch` per internal node visited and
-//! one per leaf read, created or freed, and one [`crate::cost::tree_passes`]
-//! pass per batch, so the maps can charge measured work instead of the
-//! closed-form worst case.
+//! The sweep counts one `cost::touch` per node visited and one per item cell
+//! read, created or freed, and one [`crate::cost::tree_passes`] pass per
+//! batch, so the maps can charge measured work instead of the closed-form
+//! worst case.  Each sweep hands its per-key results to a closure
+//! (`batch_*_with`), so a caller that consumes them on the spot —
+//! [`crate::RecencyMap`] — collects nothing; the `Vec`-returning methods are
+//! that closure pushing.
 
-use crate::cost::{pass, touch};
+use crate::cost::pass;
 use crate::node::NIL;
 use crate::tree::Tree23;
 
@@ -29,71 +33,72 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
     /// Looks up each key of a sorted batch; returns one result per key in the
     /// same order.  One shared read-only descent.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
         let mut out = Vec::with_capacity(keys.len());
-        if keys.is_empty() {
-            return out;
-        }
-        pass();
-        if self.root == NIL {
-            out.resize(keys.len(), None);
-        } else if self.arena.is_leaf(self.root) {
-            let key = self.arena.max_key(self.root);
-            let found = self.arena.get(self.root, key);
-            out.extend(keys.iter().map(|k| if k == key { found } else { None }));
-        } else {
-            self.arena.sweep_get(self.root, keys, &mut out);
-        }
+        self.batch_get_with(keys, |found| out.push(found));
         out
     }
 
-    /// Like [`Tree23::batch_remove`] but discards the stored keys, returning
-    /// only the removed values.  The arena-fused recency map uses this on its
-    /// take paths, where the caller already owns the keys (they came off the
-    /// intrusive recency list).
-    pub fn batch_remove_values(&mut self, keys: &[K]) -> Vec<Option<V>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.batch_remove_with(keys, |item| out.push(item.map(|(_, v)| v)));
-        out
+    /// The read-only sweep from the root, handing `emit` one result per key.
+    pub(crate) fn batch_get_with<'a>(&'a self, keys: &[K], mut emit: impl FnMut(Option<&'a V>)) {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
+        if keys.is_empty() {
+            return;
+        }
+        pass();
+        if self.root == NIL {
+            keys.iter().for_each(|_| emit(None));
+        } else {
+            self.arena.sweep_get(self.root, keys, &mut emit);
+        }
     }
 
     /// Inserts a sorted batch of distinct keys.  Returns, per item, the value
     /// previously stored under that key (if any).  The root grows by as many
     /// levels as the batch needs.
     pub fn batch_insert(&mut self, mut items: Vec<(K, V)>) -> Vec<Option<V>> {
+        let mut out = Vec::with_capacity(items.len());
+        self.batch_insert_with(&mut items, |replaced| out.push(replaced));
+        out
+    }
+
+    /// The insert sweep from the root: drains `items` (its buffer stays with
+    /// the caller) and hands `emit` the replaced value per item, in order.
+    pub(crate) fn batch_insert_with(
+        &mut self,
+        items: &mut Vec<(K, V)>,
+        mut emit: impl FnMut(Option<V>),
+    ) {
         debug_assert!(
             items.windows(2).all(|w| w[0].0 < w[1].0),
             "batch must be sorted with distinct keys"
         );
         let n = items.len();
-        let mut out = Vec::with_capacity(n);
         if n == 0 {
-            return out;
+            return;
         }
         pass();
-        if self.root == NIL || self.arena.is_leaf(self.root) {
-            // No internal node to sweep: fold the lone item (if any) into the
+        if self.len() <= 1 {
+            // Nothing worth sweeping: fold the lone item (if any) into the
             // batch and build the tree over it bottom-up.
-            out.resize_with(n, || None);
+            let mut replaced = None;
             if self.root != NIL {
-                touch(1);
-                let (key, val) = self.arena.take_leaf(self.root);
+                let root = std::mem::replace(&mut self.root, NIL);
+                self.arena.collect_into(root, items);
+                let (key, val) = items.pop().expect("a single-item tree");
                 match items.binary_search_by(|(k, _)| k.cmp(&key)) {
-                    Ok(at) => out[at] = Some(val),
+                    Ok(at) => replaced = Some((at, val)),
                     Err(at) => items.insert(at, (key, val)),
                 }
             }
-            self.root = self.arena.build_sorted(items);
-            return out;
+            for at in 0..n {
+                emit(replaced.take_if(|(hit, _)| *hit == at).map(|(_, val)| val));
+            }
+            self.root = self.arena.build_sorted(items.len(), items.drain(..));
+            return;
         }
-        let mut items = items.into_iter();
-        let (_, siblings) = self.arena.sweep_insert(self.root, &mut items, n, &mut out);
-        if !siblings.is_empty() {
-            let mut level = vec![self.root];
-            level.extend(siblings);
-            self.root = self.arena.build_levels(level);
-        }
-        out
+        self.arena
+            .sweep_insert(self.root, &mut items.drain(..), n, &mut emit);
+        self.root = self.arena.grow_root(self.root);
     }
 
     /// Removes a sorted batch of distinct keys.  Returns, per key, the removed
@@ -104,9 +109,9 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
         out
     }
 
-    /// The remove sweep from the root; shrinks the root by as many levels as
-    /// the batch emptied.
-    fn batch_remove_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<(K, V)>)) {
+    /// The remove sweep from the root, handing `emit` the removed item per
+    /// key; shrinks the root by as many levels as the batch emptied.
+    pub(crate) fn batch_remove_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<(K, V)>)) {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch must be sorted");
         if keys.is_empty() {
             return;
@@ -114,12 +119,6 @@ impl<K: Ord + Clone, V> Tree23<K, V> {
         pass();
         if self.root == NIL {
             keys.iter().for_each(|_| emit(None));
-        } else if self.arena.is_leaf(self.root) {
-            touch(1);
-            for key in keys {
-                let hit = self.root != NIL && self.arena.max_key(self.root) == key;
-                emit(hit.then(|| self.arena.take_leaf(std::mem::replace(&mut self.root, NIL))));
-            }
         } else {
             self.arena.sweep_remove(self.root, keys, &mut emit);
             self.root = self.arena.collapse(self.root);

@@ -17,14 +17,24 @@
 //! The paper states its bounds for 2-3 trees, but nothing in the analysis
 //! forbids a wider node: any (a,b)-tree with `b >= 2a - 1` supports the same
 //! split/borrow/merge algebra.  Since the fanout generalization the tree
-//! here is [`BTree`]: nodes hold up to `B` children (`B = 16` by default,
-//! `WSM_TREE_FANOUT` to override), each internal node carries a **contiguous
-//! routing-key array** scanned linearly, and all nodes live in a slab arena
-//! (`Vec` + intrusive free list — the `recency.rs` arena idiom applied to
-//! tree nodes), so descending a level is an index hop into a dense slab
-//! rather than a pointer chase.  Height shrinks from `log₂ n` to
-//! `log_{B/2} n`, and with it every measured touched-node count and tree
-//! pass in the stack (E18 shows the drop; E17 re-checks the Lemma ceilings).
+//! here is [`BTree`]: nodes hold up to `B` entries (`B = 16` by default,
+//! `WSM_TREE_FANOUT` to override), each node carries a **contiguous key
+//! array** searched in place, and all nodes live in a slab arena (`Vec` +
+//! intrusive free list — the `recency.rs` arena idiom applied to tree
+//! nodes), so descending a level is an index hop into a dense slab rather
+//! than a pointer chase.  The **items live in the height-1 nodes**, as a
+//! value array in step with the keys — there is no slot per item and no
+//! leaf level to hop to, so the bottom of a descent is one key scan and one
+//! indexed read — and every node's arrays are allocated once, with room for
+//! `B + 1` entries, so the steady-state sweep (insert a cell, split at
+//! `B + 1`, merge, even out) does not touch the allocator except to create
+//! the node a split adds.  Height shrinks from `log₂ n` to `log_{B/2} n`,
+//! and with it every measured touched-node count and tree pass in the stack
+//! (E18 shows the drop and times the sweep on a 2^17-item map; E17 re-checks
+//! the Lemma ceilings).  The cost model is the layout's older sibling: one
+//! touch per node visited and one per item cell read, created or freed —
+//! what the one-slot-per-item tree charged — pinned by
+//! `tests/golden_counts.rs`.
 //!
 //! `B = 2` instantiates exactly the 2-3 tree of Appendix A.2 (2..=3 children
 //! per node) and stays the **analytic reference**: the closed-form bounds in
@@ -35,7 +45,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`BTree`] (alias [`Tree23`]) — the leaf-based fanout-B arena tree with
+//! * [`BTree`] (alias [`Tree23`]) — the fanout-B arena tree with
 //!   in-place point operations, rank selection, one-pass sorted-batch
 //!   sweeps (batch get / insert / remove), an `O(n)` build from sorted items
 //!   and a drain into a sorted vector — the sweep is the only structural

@@ -1,24 +1,29 @@
 //! Arena-backed node layer of the fanout-B tree: point operations, the
 //! sorted-batch sweep, bulk build and drain.
 //!
-//! The tree is leaf-based: every item lives in a leaf, internal nodes hold
-//! `min_children..=max_children` children of equal height together with a
-//! **contiguous routing-key array** (`keys[i]` is the maximum key of
-//! `children[i]`), so descending one level is a linear scan of one small key
-//! array instead of a pointer chase per comparison.  Nodes live in a slab
-//! [`Arena`] (the `recency.rs` arena idiom applied to tree nodes): a
-//! `Vec<Slot>` with an intrusive free list, and `usize` indices instead of
-//! owned boxes — structural operations move indices, not allocations.
+//! Items live in the **height-1 nodes**: such a node holds
+//! `min_children..=max_children` item *cells* as two parallel arrays, `keys`
+//! and `vals`, so the bottom of a descent is one scan of a contiguous key
+//! array followed by one indexed read — no slot per item, no hop to a leaf.
+//! A node of height ≥ 2 holds as many children of equal height, with the same
+//! **contiguous routing-key array** (`keys[i]` is the maximum key under
+//! `children[i]`).  Nodes live in a slab [`Arena`] (the `recency.rs` arena
+//! idiom applied to tree nodes): a `Vec<Slot>` with an intrusive free list,
+//! and `usize` indices instead of owned boxes — structural operations move
+//! indices, not allocations.  Every node's arrays are created with room for
+//! `max_children + 1` entries and keep it, so the steady-state sweep (insert
+//! a cell, split at `max + 1`, merge, even out) never reallocates one.
 //!
 //! The occupancy bounds derive from the configured fanout `B`:
-//! `min_children = max(2, B/2)`, `max_children = max(3, B)`.  `B = 2` gives
-//! exactly the 2-3 tree of paper Appendix A.2 (2..=3 children), which stays
-//! as the analytic reference instantiation; `B = 8` gives 4..=8, `B = 16`
-//! (the default) gives 8..=16.  For every such pair `2·min - 1 <= max`, so
-//! the split/borrow/merge algebra is the classic (a,b)-tree algebra and
-//! underflow repair always terminates.  The root is exempt from the minimum
-//! (any root may have 2 children); every other internal node keeps
-//! `min..=max`.
+//! `min_children = max(2, B/2)`, `max_children = max(3, B)`, counted in
+//! cells at height 1 and in children above.  `B = 2` gives exactly the 2-3
+//! tree of paper Appendix A.2 (2..=3 per node) with its bottom internal level
+//! holding the items, which stays as the analytic reference instantiation;
+//! `B = 8` gives 4..=8, `B = 16` (the default) gives 8..=16.  For every such
+//! pair `2·min - 1 <= max`, so the split/borrow/merge algebra is the classic
+//! (a,b)-tree algebra and underflow repair always terminates.  The root is
+//! exempt from the minimum (a root may hold one cell, or two children);
+//! every other node keeps `min..=max`.
 //!
 //! Point operations and the sorted-batch sweep (one descent per batch, see
 //! [`crate::batch`]) work in place: they split, merge and even out nodes on
@@ -27,46 +32,110 @@
 //! in bulk ([`Arena::build_sorted`]) and drained in bulk
 //! ([`Arena::collect_into`]), and nothing splits or joins whole trees.
 //!
-//! Every operation calls [`crate::cost::touch`] once **per node visited** —
-//! in-node work is O(B) and is the point of the layout (one cache-friendly
-//! scan), while the measured cost model counts node visits, which shrink by
-//! `~log₂ B` at wide fanouts.  Whole root-originating traversals are counted
+//! Every operation calls [`crate::cost::touch`] once **per node visited**
+//! and once **per item cell read, created or freed** — in-node work is O(B)
+//! and is the point of the layout (one cache-friendly scan), while the
+//! measured cost model counts visits, which shrink by `~log₂ B` at wide
+//! fanouts.  A cell's touch is what visiting the item's own leaf slot used to
+//! cost, so the counts are those of the one-slot-per-item layout this one
+//! replaced (`tests/golden_counts.rs` pins them); the one cell of a
+//! single-item tree is covered by the visit of its root, as the bare leaf
+//! was ([`touch_cells`]).  Whole root-originating traversals are counted
 //! separately as *passes* at the [`crate::BTree`] entry points
 //! (`cost::tree_passes`).  Read-only diagnostic traversals (`for_each`,
 //! invariant checks) are deliberately uncounted by either counter.
 
 use crate::cost::touch;
+use std::ops::Range;
 
 /// Null arena index: "no node" (empty tree, end of the free list).
 pub(crate) const NIL: usize = usize::MAX;
 
-/// One arena slot: a leaf item, an internal node, or a free-list link.
+/// One arena slot: a node or a free-list link.
 #[derive(Clone, Debug)]
 pub(crate) enum Slot<K, V> {
     Free { next: usize },
-    Leaf { key: K, val: V },
-    Internal(Internal<K>),
+    Node(Node<K, V>),
 }
 
-/// An internal node: children indices plus the contiguous routing-key array
-/// (`keys[i]` = max key under `children[i]`), with cached height and size.
+/// A node: the contiguous key array plus, in step with it, the values
+/// (height 1) or the children (above), with cached height and size.
 #[derive(Clone, Debug)]
-pub(crate) struct Internal<K> {
+pub(crate) struct Node<K, V> {
     pub height: usize,
+    /// Items in the subtree.
     pub size: usize,
     pub keys: Vec<K>,
-    pub children: Vec<usize>,
+    pub kids: Kids<V>,
 }
 
-// Not derived: an empty node needs no `K: Default`.
-impl<K> Default for Internal<K> {
-    fn default() -> Self {
-        Internal {
-            height: 0,
-            size: 0,
-            keys: Vec::new(),
-            children: Vec::new(),
+/// What a node's keys stand for.
+#[derive(Clone, Debug)]
+pub(crate) enum Kids<V> {
+    /// Height 1: `vals[i]` is the value stored under `keys[i]`.
+    Vals(Vec<V>),
+    /// Height ≥ 2: `keys[i]` is the maximum key under `children[i]`.
+    Children(Vec<usize>),
+}
+
+impl<K, V> Node<K, V> {
+    /// Number of cells (height 1) or children (above).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    pub fn max_key(&self) -> &K {
+        self.keys.last().expect("a linked node is never empty")
+    }
+
+    pub fn children(&self) -> &[usize] {
+        match &self.kids {
+            Kids::Children(children) => children,
+            Kids::Vals(_) => unreachable!("expected a node above height 1"),
         }
+    }
+
+    fn children_mut(&mut self) -> &mut Vec<usize> {
+        match &mut self.kids {
+            Kids::Children(children) => children,
+            Kids::Vals(_) => unreachable!("expected a node above height 1"),
+        }
+    }
+
+    fn vals_mut(&mut self) -> &mut Vec<V> {
+        match &mut self.kids {
+            Kids::Vals(vals) => vals,
+            Kids::Children(_) => unreachable!("expected a height-1 node"),
+        }
+    }
+}
+
+/// A move of cells between two adjacent siblings, `keys` and `kids` in step.
+#[derive(Clone, Copy)]
+enum Shift {
+    /// The left node's cells from this position on go to the front of the
+    /// right node.
+    Right(usize),
+    /// The right node's first `n` cells go to the back of the left node.
+    Left(usize),
+}
+
+impl Shift {
+    fn apply<T>(self, left: &mut Vec<T>, right: &mut Vec<T>) {
+        match self {
+            Shift::Right(from) => drop(right.splice(0..0, left.drain(from..))),
+            Shift::Left(n) => left.extend(right.drain(..n)),
+        }
+    }
+}
+
+/// Charges `n` item cells of a height-1 node that holds `len` of them.  The
+/// one cell of a single-item tree is covered by the visit of its root: the
+/// tree has height 0, and an operation on it costs the one touch the bare
+/// leaf slot used to.
+fn touch_cells(len: usize, n: usize) {
+    if len > 1 {
+        touch(n as u64);
     }
 }
 
@@ -77,6 +146,7 @@ impl<K> Default for Internal<K> {
 pub(crate) struct Arena<K, V> {
     slots: Vec<Slot<K, V>>,
     free: usize,
+    fanout: usize,
     min_c: usize,
     max_c: usize,
 }
@@ -86,26 +156,38 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         Arena {
             slots: Vec::new(),
             free: NIL,
+            fanout: fanout.max(2),
             min_c: (fanout / 2).max(2),
             max_c: fanout.max(3),
         }
     }
 
-    /// The fanout this arena was configured with (`max_children`, with the
-    /// 2-3 instantiation reporting 2).
+    /// The fanout this arena was configured with (`3` shares the 2..=3
+    /// bounds of the 2-3 instantiation but reports itself).
     pub fn fanout(&self) -> usize {
-        if self.max_c == 3 && self.min_c == 2 {
-            2
-        } else {
-            self.max_c
-        }
+        self.fanout
     }
 
     // ------------------------------------------------------------------
     // Slab primitives
     // ------------------------------------------------------------------
 
-    fn alloc(&mut self, slot: Slot<K, V>) -> usize {
+    /// Allocates an empty node of `height` whose arrays have room for one
+    /// entry over the maximum — what an insertion holds just before it
+    /// splits — so no later repair of the node reallocates them.
+    fn new_node(&mut self, height: usize) -> usize {
+        touch(1);
+        let cap = self.max_c + 1;
+        let slot = Slot::Node(Node {
+            height,
+            size: 0,
+            keys: Vec::with_capacity(cap),
+            kids: if height == 1 {
+                Kids::Vals(Vec::with_capacity(cap))
+            } else {
+                Kids::Children(Vec::with_capacity(cap))
+            },
+        });
         match self.free {
             NIL => {
                 self.slots.push(slot);
@@ -122,114 +204,89 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         }
     }
 
-    /// Vacates a slot onto the free list, returning what it held.
-    fn take_slot(&mut self, idx: usize) -> Slot<K, V> {
+    /// Vacates a slot onto the free list, returning the node it held.
+    fn free_node(&mut self, idx: usize) -> Node<K, V> {
         let slot = std::mem::replace(&mut self.slots[idx], Slot::Free { next: self.free });
-        debug_assert!(!matches!(slot, Slot::Free { .. }), "double free of a slot");
         self.free = idx;
-        slot
-    }
-
-    /// Allocates a new leaf.
-    pub fn leaf(&mut self, key: K, val: V) -> usize {
-        touch(1);
-        self.alloc(Slot::Leaf { key, val })
-    }
-
-    /// Frees a leaf slot, returning its item.
-    pub fn take_leaf(&mut self, idx: usize) -> (K, V) {
-        match self.take_slot(idx) {
-            Slot::Leaf { key, val } => (key, val),
-            _ => unreachable!("expected a leaf slot"),
+        match slot {
+            Slot::Node(node) => node,
+            Slot::Free { .. } => unreachable!("double free of a slot"),
         }
     }
 
-    /// Frees an internal slot, returning its node.
-    pub fn take_internal(&mut self, idx: usize) -> Internal<K> {
-        match self.take_slot(idx) {
-            Slot::Internal(int) => int,
-            _ => unreachable!("expected an internal slot"),
-        }
-    }
-
-    pub fn is_leaf(&self, idx: usize) -> bool {
-        matches!(self.slots[idx], Slot::Leaf { .. })
-    }
-
-    fn internal(&self, idx: usize) -> &Internal<K> {
+    pub fn node(&self, idx: usize) -> &Node<K, V> {
         match &self.slots[idx] {
-            Slot::Internal(int) => int,
-            _ => unreachable!("expected an internal node"),
+            Slot::Node(node) => node,
+            Slot::Free { .. } => unreachable!("tree references a free slot"),
         }
     }
 
-    fn internal_mut(&mut self, idx: usize) -> &mut Internal<K> {
+    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
         match &mut self.slots[idx] {
-            Slot::Internal(int) => int,
-            _ => unreachable!("expected an internal node"),
+            Slot::Node(node) => node,
+            Slot::Free { .. } => unreachable!("tree references a free slot"),
         }
     }
 
-    pub fn height(&self, idx: usize) -> usize {
-        match &self.slots[idx] {
-            Slot::Leaf { .. } => 0,
-            Slot::Internal(int) => int.height,
-            Slot::Free { .. } => unreachable!("height of a free slot"),
+    fn max_key(&self, idx: usize) -> &K {
+        self.node(idx).max_key()
+    }
+
+    /// Builds a node over `children` (equal heights, at most `max`).  A node
+    /// below `min_children` is permitted here because only a root is ever
+    /// built that small (over a root about to split, or the top of a bulk
+    /// build).
+    fn make_internal(&mut self, children: &[usize]) -> usize {
+        debug_assert!((1..=self.max_c).contains(&children.len()));
+        let idx = self.new_node(self.node(children[0]).height + 1);
+        for (pos, &child) in children.iter().enumerate() {
+            self.node_mut(idx).size += self.node(child).size;
+            self.adopt(idx, pos, child);
+        }
+        idx
+    }
+
+    /// Items under the cells `range` of node `idx`.
+    fn span_size(&self, idx: usize, range: Range<usize>) -> usize {
+        match &self.node(idx).kids {
+            Kids::Vals(_) => range.len(),
+            Kids::Children(children) => children[range].iter().map(|&c| self.node(c).size).sum(),
         }
     }
 
-    pub fn size(&self, idx: usize) -> usize {
-        match &self.slots[idx] {
-            Slot::Leaf { .. } => 1,
-            Slot::Internal(int) => int.size,
-            Slot::Free { .. } => unreachable!("size of a free slot"),
-        }
-    }
-
-    pub fn max_key(&self, idx: usize) -> &K {
-        match &self.slots[idx] {
-            Slot::Leaf { key, .. } => key,
-            Slot::Internal(int) => int.keys.last().expect("internal node has children"),
-            Slot::Free { .. } => unreachable!("max_key of a free slot"),
-        }
-    }
-
-    pub fn children_len(&self, idx: usize) -> usize {
-        self.internal(idx).children.len()
-    }
-
-    /// Builds an internal node over `children` (equal heights, 2..=max).  A
-    /// node below `min_children` is permitted here because only a root is
-    /// ever built that small (a root split, or the top of a bulk build).
-    pub fn make_internal(&mut self, children: Vec<usize>) -> usize {
-        debug_assert!((2..=self.max_c).contains(&children.len()));
-        let keys = children.iter().map(|&c| self.max_key(c).clone()).collect();
-        self.make_internal_keyed(children, keys)
-    }
-
-    /// Builds an internal node from a child list and its routing keys, which
-    /// the caller already holds (a split hands over both halves) — no key is
-    /// cloned and, over leaves, no child is dereferenced.
-    fn make_internal_keyed(&mut self, children: Vec<usize>, keys: Vec<K>) -> usize {
-        touch(1);
-        debug_assert_eq!(children.len(), keys.len());
-        let height = self.height(children[0]) + 1;
-        let size = self.total_size(height, &children);
-        self.alloc(Slot::Internal(Internal {
-            height,
-            size,
-            keys,
-            children,
-        }))
-    }
-
-    /// Items under `children`, the children of a node of height `height`
-    /// (leaves count one each without being dereferenced).
-    fn total_size(&self, height: usize, children: &[usize]) -> usize {
-        if height == 1 {
-            children.len()
+    /// Moves cells between the adjacent siblings `l` and `r` (equal heights),
+    /// keeping both cached sizes current.
+    fn shift(&mut self, l: usize, r: usize, op: Shift) {
+        let moved = match op {
+            Shift::Right(from) => self.span_size(l, from..self.node(l).len()),
+            Shift::Left(n) => self.span_size(r, 0..n),
+        };
+        debug_assert_ne!(l, r);
+        let (left, right) = if l < r {
+            let (lo, hi) = self.slots.split_at_mut(r);
+            (&mut lo[l], &mut hi[0])
         } else {
-            children.iter().map(|&c| self.size(c)).sum()
+            let (lo, hi) = self.slots.split_at_mut(l);
+            (&mut hi[0], &mut lo[r])
+        };
+        let (Slot::Node(left), Slot::Node(right)) = (left, right) else {
+            unreachable!("tree references a free slot")
+        };
+        op.apply(&mut left.keys, &mut right.keys);
+        match (&mut left.kids, &mut right.kids) {
+            (Kids::Vals(left), Kids::Vals(right)) => op.apply(left, right),
+            (Kids::Children(left), Kids::Children(right)) => op.apply(left, right),
+            _ => unreachable!("siblings have equal height"),
+        }
+        match op {
+            Shift::Right(_) => {
+                left.size -= moved;
+                right.size += moved;
+            }
+            Shift::Left(_) => {
+                left.size += moved;
+                right.size -= moved;
+            }
         }
     }
 
@@ -237,51 +294,57 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     // Point operations
     // ------------------------------------------------------------------
 
-    /// Descends from `idx` to the leaf holding `key`, if present.  Linear
-    /// in-node routing scan; one touch per node visited.
-    fn find_leaf(&self, mut idx: usize, key: &K) -> Option<usize> {
+    /// Descends from `idx` to the cell holding `key`, if present: `(node,
+    /// position)`.  One touch per node visited and one for the cell the key
+    /// routes to.
+    fn find(&self, mut idx: usize, key: &K) -> Option<(usize, usize)> {
         loop {
             touch(1);
-            match &self.slots[idx] {
-                Slot::Leaf { key: k, .. } => return (k == key).then_some(idx),
-                Slot::Internal(int) => {
-                    let pos = int.keys.iter().position(|m| key <= m)?;
-                    idx = int.children[pos];
+            let node = self.node(idx);
+            let pos = node.keys.partition_point(|m| m < key);
+            if pos == node.len() {
+                return None;
+            }
+            match &node.kids {
+                Kids::Children(children) => idx = children[pos],
+                Kids::Vals(_) => {
+                    touch_cells(node.len(), 1);
+                    return (node.keys[pos] == *key).then_some((idx, pos));
                 }
-                Slot::Free { .. } => unreachable!("search reached a free slot"),
             }
         }
     }
 
     pub fn get(&self, idx: usize, key: &K) -> Option<&V> {
-        let leaf = self.find_leaf(idx, key)?;
-        match &self.slots[leaf] {
-            Slot::Leaf { val, .. } => Some(val),
-            _ => unreachable!("find_leaf returns leaves"),
+        let (node, pos) = self.find(idx, key)?;
+        match &self.node(node).kids {
+            Kids::Vals(vals) => Some(&vals[pos]),
+            Kids::Children(_) => unreachable!("find ends at height 1"),
         }
     }
 
     pub fn get_mut(&mut self, idx: usize, key: &K) -> Option<&mut V> {
-        let leaf = self.find_leaf(idx, key)?;
-        match &mut self.slots[leaf] {
-            Slot::Leaf { val, .. } => Some(val),
-            _ => unreachable!("find_leaf returns leaves"),
-        }
+        let (node, pos) = self.find(idx, key)?;
+        Some(&mut self.node_mut(node).vals_mut()[pos])
     }
 
     /// The item with rank `rank` (0-based, key order) under `idx`.
     pub fn select(&self, mut idx: usize, mut rank: usize) -> Option<(&K, &V)> {
-        if rank >= self.size(idx) {
+        if rank >= self.node(idx).size {
             return None;
         }
         loop {
             touch(1);
-            match &self.slots[idx] {
-                Slot::Leaf { key, val } => return Some((key, val)),
-                Slot::Internal(int) => {
+            let node = self.node(idx);
+            match &node.kids {
+                Kids::Vals(vals) => {
+                    touch_cells(vals.len(), 1);
+                    return Some((&node.keys[rank], &vals[rank]));
+                }
+                Kids::Children(children) => {
                     let mut next = NIL;
-                    for &c in &int.children {
-                        let sz = self.size(c);
+                    for &c in children {
+                        let sz = self.node(c).size;
                         if rank < sz {
                             next = c;
                             break;
@@ -291,142 +354,144 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                     debug_assert_ne!(next, NIL, "rank under size must land in a child");
                     idx = next;
                 }
-                Slot::Free { .. } => unreachable!("select reached a free slot"),
             }
         }
     }
 
-    /// In-place point insertion: one root-to-leaf traversal that splits
-    /// overfull nodes on the way back up.  Returns the previous value for
-    /// the key (if any) and, when this node overflowed, a new right sibling
-    /// of the same height that the caller must adopt.
+    /// In-place point insertion: one root-to-cell traversal that splits
+    /// overfull children on the way back up.  Returns the previous value for
+    /// the key, if any.
     ///
     /// Cached metadata is maintained incrementally: `size` grows by one and
     /// only the routing key of the child actually descended into is
-    /// rewritten, and only when that child's maximum moved.
-    pub fn insert_point(&mut self, idx: usize, key: K, val: V) -> (Option<V>, Option<usize>) {
+    /// rewritten, and only when that child's maximum moved.  After the call
+    /// `idx` may itself hold `max_children + 1` — which only the caller (the
+    /// parent, or [`Arena::grow_root`] at the root) can repair, as with the
+    /// underflow of [`Arena::remove_point`].
+    pub fn insert_point(&mut self, idx: usize, key: K, val: V) -> Option<V> {
         touch(1);
-        match &mut self.slots[idx] {
-            Slot::Leaf { key: k, val: v } => match key.cmp(k) {
-                std::cmp::Ordering::Equal => (Some(std::mem::replace(v, val)), None),
-                std::cmp::Ordering::Less => {
-                    // The new leaf takes this slot; the old item becomes the
-                    // right sibling the parent adopts.
-                    let old_key = std::mem::replace(k, key);
-                    let old_val = std::mem::replace(v, val);
-                    let sib = self.alloc(Slot::Leaf {
-                        key: old_key,
-                        val: old_val,
-                    });
-                    (None, Some(sib))
+        let node = self.node_mut(idx);
+        let at = node.keys.partition_point(|m| *m < key);
+        let above_all = at == node.len();
+        let (pos, child) = match &mut node.kids {
+            Kids::Vals(vals) => {
+                if !above_all && node.keys[at] == key {
+                    touch_cells(vals.len(), 1);
+                    return Some(std::mem::replace(&mut vals[at], val));
                 }
-                std::cmp::Ordering::Greater => (None, Some(self.alloc(Slot::Leaf { key, val }))),
-            },
-            Slot::Internal(int) => {
-                let route = int.keys.iter().position(|m| &key <= m);
-                let pos = route.unwrap_or(int.children.len() - 1);
-                let child = int.children[pos];
-                let (prev, overflow) = self.insert_point(child, key, val);
-                if prev.is_some() {
-                    // Pure value replacement: no structural or key change
-                    // anywhere on the path, so the cached metadata is intact.
-                    debug_assert!(overflow.is_none());
-                    return (prev, None);
-                }
-                // The child's maximum moved iff it split (its upper part left)
-                // or the key went in above every routing key.
-                let child_max =
-                    (overflow.is_some() || route.is_none()).then(|| self.max_key(child).clone());
-                let adopted = overflow.map(|sib| (sib, self.max_key(sib).clone()));
-                let int = self.internal_mut(idx);
-                int.size += 1;
-                if let Some(max) = child_max {
-                    int.keys[pos] = max;
-                }
-                if let Some((sib, max)) = adopted {
-                    int.children.insert(pos + 1, sib);
-                    int.keys.insert(pos + 1, max);
-                }
-                let overflow = self.split_overfull(idx).pop();
-                (prev, overflow)
-            }
-            Slot::Free { .. } => unreachable!("insert reached a free slot"),
-        }
-    }
-
-    /// In-place point removal from the internal node `idx`: one root-to-leaf
-    /// traversal that repairs underfull children (borrow from or merge with
-    /// a sibling) on the way back up.  Returns the removed item.  `size` and
-    /// the one affected routing key are maintained incrementally.
-    ///
-    /// After the call `idx` may itself be below `min_children` — only the
-    /// caller (the parent, or [`crate::BTree::remove`] at the root) can
-    /// repair that, exactly as with the overflow of [`Arena::insert_point`].
-    pub fn remove_point(&mut self, idx: usize, key: &K) -> Option<(K, V)> {
-        touch(1);
-        let int = self.internal(idx);
-        let pos = int.keys.iter().position(|m| key <= m)?;
-        let child = int.children[pos];
-        let was_max = int.keys[pos] == *key;
-        if int.height == 1 {
-            if !was_max {
+                touch(1);
+                node.keys.insert(at, key);
+                vals.insert(at, val);
+                node.size += 1;
                 return None;
             }
-            let int = self.internal_mut(idx);
-            int.children.remove(pos);
-            int.keys.remove(pos);
-            int.size -= 1;
-            return Some(self.take_leaf(child));
+            Kids::Children(children) => {
+                let pos = at.min(children.len() - 1);
+                (pos, children[pos])
+            }
+        };
+        let prev = self.insert_point(child, key, val);
+        if prev.is_some() {
+            // Pure value replacement: no structural or key change anywhere
+            // on the path, so the cached metadata is intact.
+            return prev;
         }
-        let removed = self.remove_point(child, key)?;
-        self.internal_mut(idx).size -= 1;
-        if was_max {
+        self.node_mut(idx).size += 1;
+        if above_all {
+            // The key went in above every routing key.
             let max = self.max_key(child).clone();
-            self.internal_mut(idx).keys[pos] = max;
+            self.node_mut(idx).keys[pos] = max;
         }
-        if self.children_len(child) < self.min_c {
+        self.split_child(idx, pos);
+        None
+    }
+
+    /// In-place point removal from under `idx`: one root-to-cell traversal
+    /// that repairs underfull children (borrow from or merge with a sibling)
+    /// on the way back up.  Returns the removed item.  `size` and the one
+    /// affected routing key are maintained incrementally.
+    ///
+    /// After the call `idx` may itself be below `min_children` — even empty,
+    /// if it was a one-cell root — which only the caller (the parent, or
+    /// [`crate::BTree::remove`] at the root) can repair, exactly as with the
+    /// overflow of [`Arena::insert_point`].
+    pub fn remove_point(&mut self, idx: usize, key: &K) -> Option<(K, V)> {
+        touch(1);
+        let node = self.node_mut(idx);
+        let pos = node.keys.partition_point(|m| m < key);
+        let was_max = *node.keys.get(pos)? == *key;
+        let child = match &mut node.kids {
+            Kids::Vals(vals) => {
+                if !was_max {
+                    return None;
+                }
+                node.size -= 1;
+                return Some((node.keys.remove(pos), vals.remove(pos)));
+            }
+            Kids::Children(children) => children[pos],
+        };
+        let removed = self.remove_point(child, key)?;
+        let child_max = was_max.then(|| self.max_key(child).clone());
+        let node = self.node_mut(idx);
+        node.size -= 1;
+        if let Some(max) = child_max {
+            node.keys[pos] = max;
+        }
+        if self.node(child).len() < self.min_c {
             self.rebalance(idx, pos);
         }
         Some(removed)
     }
 
-    /// Splits `idx` into as many evenly filled nodes as its child count
-    /// needs (none when it fits in `max_children`): `idx` keeps the first
-    /// group, the rest are returned left to right as new right siblings of
-    /// the same height for the caller to adopt.  Every group lands in
-    /// `min..=max` (`2·min - 1 <= max`).  `size` of `idx` must be current.
-    fn split_overfull(&mut self, idx: usize) -> Vec<usize> {
+    /// Splits `children[pos]` of `idx` into as many evenly filled nodes as
+    /// its cell count needs (none when it fits in `max_children`): the child
+    /// keeps the first group, the rest become new right siblings of the same
+    /// height, adopted by `idx` — whose `size` already counts them — right
+    /// after it.  Every group lands in `min..=max` (`2·min - 1 <= max`).
+    /// Returns the number of siblings added.
+    fn split_child(&mut self, idx: usize, pos: usize) -> usize {
         let max_c = self.max_c;
-        let int = self.internal_mut(idx);
-        let len = int.children.len();
+        let child = self.node(idx).children()[pos];
+        let (len, height) = (self.node(child).len(), self.node(child).height);
         if len <= max_c {
-            return Vec::new();
+            return 0;
         }
         let groups = len.div_ceil(max_c);
         let (base, extra) = (len / groups, len % groups);
-        // Every group moves into lists of its own size, so a bulk insert's
-        // long merge buffers are not kept by the node that stays.
-        let mut children = std::mem::take(&mut int.children).into_iter();
-        let mut keys = std::mem::take(&mut int.keys).into_iter();
-        let mut group = |g: usize| {
-            let n = base + usize::from(g < extra);
-            let c: Vec<usize> = children.by_ref().take(n).collect();
-            let k: Vec<K> = keys.by_ref().take(n).collect();
-            (c, k)
-        };
-        let first = group(0);
-        let mut moved = 0;
-        let mut siblings = Vec::with_capacity(groups - 1);
-        for g in 1..groups {
-            let (c, k) = group(g);
-            let sib = self.make_internal_keyed(c, k);
-            moved += self.size(sib);
-            siblings.push(sib);
+        // Groups come off the tail, last first: each move is the end of the
+        // child's arrays, and each sibling lands right behind the child.
+        let mut end = len;
+        for g in (1..groups).rev() {
+            let start = end - (base + usize::from(g < extra));
+            let sibling = self.new_node(height);
+            self.shift(child, sibling, Shift::Right(start));
+            self.adopt(idx, pos + 1, sibling);
+            end = start;
         }
-        let int = self.internal_mut(idx);
-        (int.children, int.keys) = first;
-        int.size -= moved;
-        siblings
+        let max = self.max_key(child).clone();
+        self.node_mut(idx).keys[pos] = max;
+        // A bulk insert's long merge buffers are not kept by the node that
+        // stays; a few cells of slack are, so a node that overflows by more
+        // than one cell now and then settles on a capacity and stays there.
+        let node = self.node_mut(child);
+        if node.keys.capacity() > 2 * (max_c + 1) {
+            node.keys.shrink_to(max_c + 1);
+            match &mut node.kids {
+                Kids::Vals(vals) => vals.shrink_to(max_c + 1),
+                Kids::Children(children) => children.shrink_to(max_c + 1),
+            }
+        }
+        groups - 1
+    }
+
+    /// Puts as many levels over `root` as it takes for it to fit in
+    /// `max_children` again after an insertion, and returns the new root.
+    pub fn grow_root(&mut self, mut root: usize) -> usize {
+        while self.node(root).len() > self.max_c {
+            root = self.make_internal(&[root]);
+            self.split_child(root, 0);
+        }
+        root
     }
 
     /// Repairs `children[pos]` of `idx`, a child below `min_children` whose
@@ -441,44 +506,28 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         touch(1);
         let lpos = pos.saturating_sub(1);
         let (l, r) = {
-            let int = self.internal(idx);
-            (int.children[lpos], int.children[lpos + 1])
+            let children = self.node(idx).children();
+            (children[lpos], children[lpos + 1])
         };
-        let height = self.height(l);
-        let merged = self.children_len(l) + self.children_len(r) <= self.max_c;
+        let (llen, rlen) = (self.node(l).len(), self.node(r).len());
+        let merged = llen + rlen <= self.max_c;
         if merged {
-            let right = self.take_internal(r);
-            let left = self.internal_mut(l);
-            left.children.extend(right.children);
-            left.keys.extend(right.keys);
-            left.size += right.size;
-            let int = self.internal_mut(idx);
-            int.children.remove(lpos + 1);
+            self.shift(l, r, Shift::Left(rlen));
+            self.free_node(r);
+            let node = self.node_mut(idx);
+            node.children_mut().remove(lpos + 1);
             // The pair's maximum is the right node's; the left one's goes.
-            int.keys.remove(lpos);
+            node.keys.remove(lpos);
         } else {
-            let mut left = std::mem::take(self.internal_mut(l));
-            let mut right = std::mem::take(self.internal_mut(r));
-            let target = (left.children.len() + right.children.len()) / 2;
-            if left.children.len() > target {
-                let children = left.children.split_off(target);
-                let moved = self.total_size(height, &children);
-                right.children.splice(0..0, children);
-                right.keys.splice(0..0, left.keys.split_off(target));
-                left.size -= moved;
-                right.size += moved;
+            let target = (llen + rlen) / 2;
+            let op = if llen > target {
+                Shift::Right(target)
             } else {
-                let n = target - left.children.len();
-                let moved = self.total_size(height, &right.children[..n]);
-                left.children.extend(right.children.drain(..n));
-                left.keys.extend(right.keys.drain(..n));
-                left.size += moved;
-                right.size -= moved;
-            }
-            let left_max = left.keys.last().expect("non-empty half").clone();
-            *self.internal_mut(l) = left;
-            *self.internal_mut(r) = right;
-            self.internal_mut(idx).keys[lpos] = left_max;
+                Shift::Left(target - llen)
+            };
+            self.shift(l, r, op);
+            let left_max = self.max_key(l).clone();
+            self.node_mut(idx).keys[lpos] = left_max;
         }
         if pos == 0 {
             0
@@ -493,154 +542,140 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     // Sorted-batch sweep (the "normal batch operation" of Appendix A.2)
     // ------------------------------------------------------------------
     //
-    // One descent from the root with the whole sorted batch: each internal
-    // node cuts the batch among its children with one merge scan over its
-    // routing keys, recurses only into children that receive keys, and on the
-    // way back repairs each touched child once.  One `touch` per internal
-    // node visited plus one per leaf read, created or freed.
+    // One descent from the root with the whole sorted batch: each node above
+    // height 1 cuts the batch among its children against its routing keys,
+    // recurses only into children that receive keys, and on the way back
+    // repairs each touched child once; a height-1 node merges its
+    // share into (or out of) its cells.  One `touch` per node visited plus
+    // one per cell read, created or freed.
 
-    /// Read-only sweep: pushes one result per key of the sorted batch `keys`
-    /// onto `out`, in order.  `idx` is an internal node.
-    pub fn sweep_get<'a>(&'a self, idx: usize, keys: &[K], out: &mut Vec<Option<&'a V>>) {
+    /// Read-only sweep: hands `emit` one result per key of the sorted batch
+    /// `keys`, in order.
+    pub fn sweep_get<'a, F: FnMut(Option<&'a V>)>(&'a self, idx: usize, keys: &[K], emit: &mut F) {
         touch(1);
-        let int = self.internal(idx);
-        if int.height == 1 {
-            let mut at = 0;
-            for key in keys {
-                at += int.keys[at..].iter().take_while(|m| *m < key).count();
-                out.push(match int.keys.get(at) {
-                    Some(m) if m == key => {
-                        touch(1);
-                        match &self.slots[int.children[at]] {
-                            Slot::Leaf { val, .. } => Some(val),
-                            _ => unreachable!("leaf parents hold leaves"),
+        let node = self.node(idx);
+        match &node.kids {
+            Kids::Vals(vals) => {
+                let mut at = 0;
+                for key in keys {
+                    at += node.keys[at..].partition_point(|m| m < key);
+                    emit(match node.keys.get(at) {
+                        Some(m) if m == key => {
+                            touch_cells(vals.len(), 1);
+                            Some(&vals[at])
                         }
-                    }
-                    _ => None,
-                });
+                        _ => None,
+                    });
+                }
             }
-            return;
-        }
-        let mut lo = 0;
-        for (bound, &child) in int.keys.iter().zip(&int.children) {
-            let hi = lo + keys[lo..].iter().take_while(|k| *k <= bound).count();
-            if hi > lo {
-                self.sweep_get(child, &keys[lo..hi], out);
-                lo = hi;
+            Kids::Children(children) => {
+                let mut lo = 0;
+                let mut pos = 0;
+                while lo < keys.len() {
+                    pos += node.keys[pos..].partition_point(|m| *m < keys[lo]);
+                    let Some(bound) = node.keys.get(pos) else {
+                        break;
+                    };
+                    let hi = lo + keys[lo..].partition_point(|k| k <= bound);
+                    self.sweep_get(children[pos], &keys[lo..hi], emit);
+                    lo = hi;
+                    pos += 1;
+                }
+                // Keys above the node's maximum (possible at the root only).
+                keys[lo..].iter().for_each(|_| emit(None));
             }
         }
-        // Keys above the node's maximum (possible at the root only).
-        out.extend(keys[lo..].iter().map(|_| None));
     }
 
     /// Insert sweep: merges the next `n` items of the sorted batch `items`
-    /// under the internal node `idx`, pushing the replaced value (if any)
-    /// per item onto `out`.  Returns how many items were new, plus the right
-    /// siblings `idx` split off when it gained more than one node's worth of
-    /// children (same height, left to right, for the caller to adopt).
-    pub fn sweep_insert(
+    /// under the node `idx`, handing `emit` the replaced value (if any) per
+    /// item.  Returns how many items were new.  Children that gained more
+    /// than a node's worth of cells are split on the way back; `idx` itself
+    /// may end overfull, which only its caller can repair.
+    pub fn sweep_insert<F: FnMut(Option<V>)>(
         &mut self,
         idx: usize,
-        items: &mut std::vec::IntoIter<(K, V)>,
+        items: &mut std::vec::Drain<'_, (K, V)>,
         n: usize,
-        out: &mut Vec<Option<V>>,
-    ) -> (usize, Vec<usize>) {
+        emit: &mut F,
+    ) -> usize {
         touch(1);
-        if self.internal(idx).height == 1 {
-            let added = self.insert_leaves(idx, items, n, out);
-            return (added, self.split_overfull(idx));
+        if self.node(idx).height == 1 {
+            return self.insert_cells(idx, items, n, emit);
         }
         let mut total_added = 0;
         let mut left = n;
         let mut pos = 0;
         while left > 0 {
-            let int = self.internal(idx);
-            let last = pos + 1 == int.children.len();
+            let node = self.node(idx);
+            let pending = &items.as_slice()[..left];
             // Items above every routing key extend the last child.
+            let last_pos = node.len() - 1;
+            pos += node.keys[pos..last_pos].partition_point(|m| *m < pending[0].0);
+            let last = pos == last_pos;
             let take = if last {
                 left
             } else {
-                let bound = &int.keys[pos];
-                let pending = &items.as_slice()[..left];
-                pending.iter().take_while(|(k, _)| k <= bound).count()
+                pending.partition_point(|(k, _)| *k <= node.keys[pos])
             };
-            if take == 0 {
-                pos += 1;
-                continue;
-            }
-            let child = int.children[pos];
-            let (added, siblings) = self.sweep_insert(child, items, take, out);
+            let child = node.children()[pos];
+            let added = self.sweep_insert(child, items, take, emit);
             left -= take;
             total_added += added;
-            // The child's maximum moved iff it split or grew past the end.
-            let child_max =
-                (!siblings.is_empty() || (last && added > 0)).then(|| self.max_key(child).clone());
-            let sibling_keys: Vec<K> = siblings.iter().map(|&s| self.max_key(s).clone()).collect();
-            let int = self.internal_mut(idx);
-            int.size += added;
-            if let Some(max) = child_max {
-                int.keys[pos] = max;
+            self.node_mut(idx).size += added;
+            if last && added > 0 {
+                // The child may have grown past the end.
+                let max = self.max_key(child).clone();
+                self.node_mut(idx).keys[pos] = max;
             }
-            let at = pos + 1;
-            pos = at + siblings.len();
-            int.keys.splice(at..at, sibling_keys);
-            int.children.splice(at..at, siblings);
+            pos += 1 + self.split_child(idx, pos);
         }
-        (total_added, self.split_overfull(idx))
+        total_added
     }
 
-    /// Leaf-parent step of the insert sweep: one merge of the next `n` items
-    /// into the leaf list of `idx`, in place (which may leave it overfull).
-    /// Each new leaf shifts only the old leaves above its key, and a leaf
-    /// parent holds at most `max_children` of those, so the merge is
-    /// `O(n · max_children)` however long the list grows.  Returns the
-    /// number of new leaves.
-    fn insert_leaves(
+    /// Height-1 step of the insert sweep: one merge of the next `n` items
+    /// into the cells of `idx`, in place (which may leave it overfull).
+    /// Each new cell shifts only the old cells above its key, and the node
+    /// held at most `max_children` of those, so the merge is
+    /// `O(n · max_children)` however long the arrays grow.  Returns the
+    /// number of new cells.
+    fn insert_cells<F: FnMut(Option<V>)>(
         &mut self,
         idx: usize,
-        items: &mut std::vec::IntoIter<(K, V)>,
+        items: &mut std::vec::Drain<'_, (K, V)>,
         n: usize,
-        out: &mut Vec<Option<V>>,
+        emit: &mut F,
     ) -> usize {
         touch(n as u64);
-        let int = self.internal_mut(idx);
-        let mut children = std::mem::take(&mut int.children);
-        let mut keys = std::mem::take(&mut int.keys);
+        let node = self.node_mut(idx);
+        let Kids::Vals(vals) = &mut node.kids else {
+            unreachable!("expected a height-1 node")
+        };
         let mut at = 0;
         let mut added = 0;
         for (key, val) in items.take(n) {
-            at += keys[at..].iter().take_while(|k| **k < key).count();
-            if keys.get(at) == Some(&key) {
-                let Slot::Leaf { val: v, .. } = &mut self.slots[children[at]] else {
-                    unreachable!("leaf parents hold leaves")
-                };
-                out.push(Some(std::mem::replace(v, val)));
+            at += node.keys[at..].partition_point(|k| *k < key);
+            if node.keys.get(at) == Some(&key) {
+                emit(Some(std::mem::replace(&mut vals[at], val)));
             } else {
-                out.push(None);
+                emit(None);
                 added += 1;
-                let leaf = self.alloc(Slot::Leaf {
-                    key: key.clone(),
-                    val,
-                });
-                children.insert(at, leaf);
-                keys.insert(at, key);
+                node.keys.insert(at, key);
+                vals.insert(at, val);
             }
             at += 1;
         }
-        let int = self.internal_mut(idx);
-        int.size = children.len();
-        int.children = children;
-        int.keys = keys;
+        node.size += added;
         added
     }
 
     /// Remove sweep: removes the keys of the sorted batch `keys` from under
-    /// the internal node `idx`, handing `emit` the removed item (or `None`)
-    /// per key, in order.  Returns the number removed.
+    /// the node `idx`, handing `emit` the removed item (or `None`) per key,
+    /// in order.  Returns the number removed.
     ///
-    /// On return every child of `idx` is well-formed (`min..=max` children)
-    /// unless `idx` is left with a single child; `idx` itself may hold fewer
-    /// than `min_children` — even none — which only its caller can repair.
+    /// On return every child of `idx` is well-formed (`min..=max`) unless
+    /// `idx` is left with a single child; `idx` itself may hold fewer than
+    /// `min_children` — even none — which only its caller can repair.
     pub fn sweep_remove<F: FnMut(Option<(K, V)>)>(
         &mut self,
         idx: usize,
@@ -648,23 +683,22 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         emit: &mut F,
     ) -> usize {
         touch(1);
-        if self.internal(idx).height == 1 {
-            return self.remove_leaves(idx, keys, emit);
+        if self.node(idx).height == 1 {
+            return self.remove_cells(idx, keys, emit);
         }
         let mut total_removed = 0;
         let mut lo = 0;
         let mut pos = 0;
         // Routing is lazy — each child's share is cut against its *current*
         // routing key — so a repair may reshape everything from `pos` on.
-        while lo < keys.len() && pos < self.children_len(idx) {
-            let int = self.internal(idx);
-            let bound = &int.keys[pos];
-            let hi = lo + keys[lo..].iter().take_while(|k| *k <= bound).count();
-            if hi == lo {
-                pos += 1;
-                continue;
-            }
-            let child = int.children[pos];
+        while lo < keys.len() {
+            let node = self.node(idx);
+            pos += node.keys[pos..].partition_point(|m| *m < keys[lo]);
+            let Some(bound) = node.keys.get(pos) else {
+                break;
+            };
+            let hi = lo + keys[lo..].partition_point(|k| k <= bound);
+            let child = node.children()[pos];
             let max_hit = keys[hi - 1] == *bound;
             let removed = self.sweep_remove(child, &keys[lo..hi], emit);
             lo = hi;
@@ -673,51 +707,34 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 continue;
             }
             total_removed += removed;
-            self.internal_mut(idx).size -= removed;
+            self.node_mut(idx).size -= removed;
             pos = self.settle(idx, pos, max_hit);
         }
-        for _ in lo..keys.len() {
-            emit(None);
-        }
+        keys[lo..].iter().for_each(|_| emit(None));
         total_removed
     }
 
-    /// Leaf-parent step of the remove sweep: one merge of `keys` against the
-    /// leaf list of `idx`, compacting the survivors in place.
-    fn remove_leaves<F: FnMut(Option<(K, V)>)>(
+    /// Height-1 step of the remove sweep: one merge of `keys` against the
+    /// cells of `idx`, closing each gap in place.
+    fn remove_cells<F: FnMut(Option<(K, V)>)>(
         &mut self,
         idx: usize,
         keys: &[K],
         emit: &mut F,
     ) -> usize {
-        let int = self.internal_mut(idx);
-        let mut children = std::mem::take(&mut int.children);
-        let mut node_keys = std::mem::take(&mut int.keys);
-        let mut pending = keys.iter().peekable();
-        let mut kept = 0;
-        for at in 0..children.len() {
-            while pending.next_if(|k| **k < node_keys[at]).is_some() {
-                emit(None);
-            }
-            if pending.next_if(|k| **k == node_keys[at]).is_some() {
-                emit(Some(self.take_leaf(children[at])));
-            } else {
-                children.swap(kept, at);
-                node_keys.swap(kept, at);
-                kept += 1;
-            }
+        let node = self.node_mut(idx);
+        let Kids::Vals(vals) = &mut node.kids else {
+            unreachable!("expected a height-1 node")
+        };
+        let before = vals.len();
+        let mut at = 0;
+        for key in keys {
+            at += node.keys[at..].partition_point(|m| m < key);
+            emit((node.keys.get(at) == Some(key)).then(|| (node.keys.remove(at), vals.remove(at))));
         }
-        for _ in pending {
-            emit(None);
-        }
-        let removed = children.len() - kept;
-        touch(removed as u64);
-        children.truncate(kept);
-        node_keys.truncate(kept);
-        let int = self.internal_mut(idx);
-        int.size = kept;
-        int.children = children;
-        int.keys = node_keys;
+        let removed = before - vals.len();
+        touch_cells(before, removed);
+        node.size -= removed;
         removed
     }
 
@@ -725,41 +742,39 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// took items from under it (`max_hit`: possibly its maximum), and
     /// returns the position the sweep resumes from.
     fn settle(&mut self, idx: usize, pos: usize, max_hit: bool) -> usize {
-        let child = self.internal(idx).children[pos];
-        let len = self.children_len(child);
+        let child = self.node(idx).children()[pos];
+        let len = self.node(child).len();
         if len == 0 {
-            self.take_internal(child);
-            let int = self.internal_mut(idx);
-            int.children.remove(pos);
-            int.keys.remove(pos);
+            self.free_node(child);
+            self.remove_child(idx, pos);
             return pos;
         }
         if max_hit {
             let max = self.max_key(child).clone();
-            self.internal_mut(idx).keys[pos] = max;
+            self.node_mut(idx).keys[pos] = max;
         }
-        if len >= self.min_c || self.children_len(idx) == 1 {
+        if len >= self.min_c || self.node(idx).len() == 1 {
             // Well-formed, or an only child: the caller of `idx` sees a
             // one-child node and dissolves the chain.
             return pos + 1;
         }
-        let only = self.internal(child).children[0];
-        if len > 1 || self.is_leaf(only) || self.children_len(only) >= self.min_c {
+        let chain = len == 1
+            && matches!(&self.node(child).kids,
+                Kids::Children(only) if self.node(only[0]).len() < self.min_c);
+        if !chain {
             return self.rebalance(idx, pos);
         }
         // The child is a chain down to an underfull node, which must not be
         // buried in a sibling: cut the chain out and hang what it ends in on
         // the facing edge of a neighbour, at its own height.
-        let int = self.internal_mut(idx);
-        int.children.remove(pos);
-        int.keys.remove(pos);
+        self.remove_child(idx, pos);
         let piece = self.collapse(child);
         let at = pos.saturating_sub(1);
-        let neighbour = self.internal(idx).children[at];
-        let overflow = self.attach(neighbour, piece, pos == 0);
+        let neighbour = self.node(idx).children()[at];
+        self.attach(neighbour, piece, pos == 0);
         let max = self.max_key(neighbour).clone();
-        self.internal_mut(idx).keys[at] = max;
-        let next = self.adopt(idx, at + 1, overflow);
+        self.node_mut(idx).keys[at] = max;
+        let next = at + 1 + self.split_child(idx, at);
         // A neighbour to the right has not been swept yet.
         if pos == 0 {
             0
@@ -768,101 +783,136 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         }
     }
 
-    /// Hangs `piece` — a leaf, or a subtree whose root alone may hold fewer
-    /// than `min_children` — on the `front` (else back) edge of the taller,
-    /// well-formed subtree `spine`; the keys of `piece` all lie beyond that
-    /// edge.  `size` and the edge routing key are kept current down the
-    /// spine, an underfull `piece` is merged with or evened out against the
-    /// sibling it lands next to, and each spine node that ends up overfull
-    /// splits.  Returns the right sibling `spine` itself split off, for the
-    /// caller to adopt.
-    fn attach(&mut self, spine: usize, piece: usize, front: bool) -> Option<usize> {
+    /// Hangs `piece` — a subtree whose root alone may hold fewer than
+    /// `min_children`, down to a height-1 node with a single cell — on the
+    /// `front` (else back) edge of the taller, well-formed subtree `spine`;
+    /// the keys of `piece` all lie beyond that edge.  `size` and the edge
+    /// routing key are kept current down the spine, an underfull `piece` is
+    /// merged with or evened out against the sibling it lands next to (a
+    /// single cell simply joins the height-1 node at the edge), and each
+    /// spine node below `spine` that ends up overfull splits; `spine` itself
+    /// is the caller's to split.
+    fn attach(&mut self, spine: usize, piece: usize, front: bool) {
         touch(1);
-        let added = self.size(piece);
-        let below = self.height(piece);
-        let int = self.internal_mut(spine);
-        int.size += added;
-        let len = int.children.len();
-        if int.height == below + 1 {
+        let (added, below) = {
+            let piece = self.node(piece);
+            let lone_cell = piece.height == 1 && piece.len() == 1;
+            (piece.size, if lone_cell { 0 } else { piece.height })
+        };
+        let node = self.node_mut(spine);
+        node.size += added;
+        let len = node.len();
+        if node.height == below + 1 {
             let at = if front { 0 } else { len };
-            self.adopt(spine, at, Some(piece));
-            if below > 0 && self.children_len(piece) < self.min_c {
-                self.rebalance(spine, at);
+            if below == 0 {
+                let mut cell = self.free_node(piece);
+                let (key, val) = (cell.keys.pop(), cell.vals_mut().pop());
+                let node = self.node_mut(spine);
+                node.keys.insert(at, key.expect("a lone cell"));
+                node.vals_mut().insert(at, val.expect("a lone cell"));
+            } else {
+                self.adopt(spine, at, piece);
+                if self.node(piece).len() < self.min_c {
+                    self.rebalance(spine, at);
+                }
             }
         } else {
             let edge = if front { 0 } else { len - 1 };
-            let child = int.children[edge];
-            let overflow = self.attach(child, piece, front);
+            let child = node.children()[edge];
+            self.attach(child, piece, front);
             let max = self.max_key(child).clone();
-            self.internal_mut(spine).keys[edge] = max;
-            self.adopt(spine, edge + 1, overflow);
+            self.node_mut(spine).keys[edge] = max;
+            self.split_child(spine, edge);
         }
-        self.split_overfull(spine).pop()
     }
 
-    /// Inserts `node` (if any) as `children[pos]` of `idx`, whose `size`
-    /// already counts it; returns the position after it.
-    fn adopt(&mut self, idx: usize, pos: usize, node: Option<usize>) -> usize {
-        let Some(node) = node else {
-            return pos;
-        };
-        let max = self.max_key(node).clone();
-        let int = self.internal_mut(idx);
-        int.children.insert(pos, node);
-        int.keys.insert(pos, max);
-        pos + 1
+    /// Inserts `child` as `children[pos]` of `idx`, whose `size` already
+    /// counts it.
+    fn adopt(&mut self, idx: usize, pos: usize, child: usize) {
+        let max = self.max_key(child).clone();
+        let node = self.node_mut(idx);
+        node.children_mut().insert(pos, child);
+        node.keys.insert(pos, max);
+    }
+
+    /// Unlinks `children[pos]` of `idx` with its routing key; `size` is the
+    /// caller's to keep.
+    fn remove_child(&mut self, idx: usize, pos: usize) {
+        let node = self.node_mut(idx);
+        node.children_mut().remove(pos);
+        node.keys.remove(pos);
     }
 
     /// Frees the chain of one-child nodes hanging from `idx` and returns the
-    /// first node below it that is a leaf or has several children — or NIL,
+    /// first node below it that holds items or several children — or NIL,
     /// freeing that too, when the chain ends in an empty node.
     pub fn collapse(&mut self, mut idx: usize) -> usize {
-        while !self.is_leaf(idx) {
-            match self.children_len(idx) {
-                0 => {
-                    self.take_internal(idx);
+        loop {
+            let node = self.node(idx);
+            match (&node.kids, node.len()) {
+                (_, 0) => {
+                    self.free_node(idx);
                     return NIL;
                 }
-                1 => idx = self.take_internal(idx).children[0],
-                _ => break,
+                (Kids::Children(only), 1) => {
+                    let only = only[0];
+                    self.free_node(idx);
+                    idx = only;
+                }
+                _ => return idx,
             }
         }
-        idx
     }
 
     // ------------------------------------------------------------------
     // Bulk build / drain
     // ------------------------------------------------------------------
 
-    /// Builds a balanced tree from sorted, deduplicated items in O(n).
-    pub fn build_sorted(&mut self, items: Vec<(K, V)>) -> usize {
-        // A linear build touches every created leaf (internal nodes are a
+    /// Builds a balanced tree from `n` sorted, deduplicated items in O(n).
+    pub fn build_sorted(&mut self, n: usize, mut items: impl Iterator<Item = (K, V)>) -> usize {
+        // A linear build touches every created cell (the nodes are a
         // constant fraction on top, folded into the ceiling).
-        touch(items.len() as u64);
-        let leaves = items
-            .into_iter()
-            .map(|(k, v)| self.alloc(Slot::Leaf { key: k, val: v }))
-            .collect();
-        self.build_levels(leaves)
+        touch_cells(n, n);
+        if n == 0 {
+            return NIL;
+        }
+        let groups = n.div_ceil(self.max_c);
+        let (base, extra) = (n / groups, n % groups);
+        let mut level = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let take = base + usize::from(g < extra);
+            let idx = self.new_node(1);
+            let node = self.node_mut(idx);
+            let Kids::Vals(vals) = &mut node.kids else {
+                unreachable!("expected a height-1 node")
+            };
+            for (key, val) in items.by_ref().take(take) {
+                node.keys.push(key);
+                vals.push(val);
+            }
+            node.size = take;
+            level.push(idx);
+        }
+        debug_assert!(items.next().is_none(), "more items than announced");
+        self.build_levels(level)
     }
 
-    /// Stacks internal levels over `level` (same-height nodes in key order)
-    /// until one root remains, distributing each level's nodes evenly so
-    /// every group lands in `min..=max` (a single undersized group can only
-    /// be the root).  NIL for an empty level.
-    pub fn build_levels(&mut self, mut level: Vec<usize>) -> usize {
+    /// Stacks levels over `level` (same-height nodes in key order) until one
+    /// root remains, distributing each level's nodes evenly so every group
+    /// lands in `min..=max` (a single undersized group can only be the
+    /// root).  NIL for an empty level.
+    fn build_levels(&mut self, mut level: Vec<usize>) -> usize {
         while level.len() > 1 {
             let groups = level.len().div_ceil(self.max_c);
-            let base = level.len() / groups;
-            let extra = level.len() % groups;
+            let (base, extra) = (level.len() / groups, level.len() % groups);
             let mut next = Vec::with_capacity(groups);
-            let mut iter = level.into_iter();
+            let mut rest = level.as_slice();
             for g in 0..groups {
-                let take = base + usize::from(g < extra);
-                let children: Vec<usize> = iter.by_ref().take(take).collect();
+                let (children, tail) = rest.split_at(base + usize::from(g < extra));
                 next.push(self.make_internal(children));
+                rest = tail;
             }
-            debug_assert!(iter.next().is_none(), "grouping left a dangling child");
+            debug_assert!(rest.is_empty(), "grouping left a dangling child");
             level = next;
         }
         level.pop().unwrap_or(NIL)
@@ -871,27 +921,30 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// In-order traversal into `out`, freeing the visited slots.
     pub fn collect_into(&mut self, idx: usize, out: &mut Vec<(K, V)>) {
         touch(1);
-        match self.take_slot(idx) {
-            Slot::Leaf { key, val } => out.push((key, val)),
-            Slot::Internal(int) => {
-                for child in int.children {
+        let node = self.free_node(idx);
+        match node.kids {
+            Kids::Vals(vals) => {
+                touch_cells(vals.len(), vals.len());
+                out.extend(node.keys.into_iter().zip(vals));
+            }
+            Kids::Children(children) => {
+                for child in children {
                     self.collect_into(child, out);
                 }
             }
-            Slot::Free { .. } => unreachable!("collect reached a free slot"),
         }
     }
 
     /// In-order traversal by reference (diagnostic; uncounted).
     pub fn for_each<'a, F: FnMut(&'a K, &'a V)>(&'a self, idx: usize, f: &mut F) {
-        match &self.slots[idx] {
-            Slot::Leaf { key, val } => f(key, val),
-            Slot::Internal(int) => {
-                for &child in &int.children {
+        let node = self.node(idx);
+        match &node.kids {
+            Kids::Vals(vals) => node.keys.iter().zip(vals).for_each(|(k, v)| f(k, v)),
+            Kids::Children(children) => {
+                for &child in children {
                     self.for_each(child, f);
                 }
             }
-            Slot::Free { .. } => unreachable!("for_each reached a free slot"),
         }
     }
 
@@ -906,47 +959,48 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     where
         K: std::fmt::Debug,
     {
-        match &self.slots[idx] {
-            Slot::Leaf { .. } => (0, 1),
-            Slot::Internal(int) => {
-                let lo = if is_root { 2 } else { self.min_c };
-                assert!(
-                    (lo..=self.max_c).contains(&int.children.len()),
-                    "internal node must have {lo}..={} children, has {}",
-                    self.max_c,
-                    int.children.len()
-                );
+        let Slot::Node(node) = &self.slots[idx] else {
+            panic!("tree references free slot {idx}")
+        };
+        let mut nodes = 1usize;
+        let lo = match &node.kids {
+            Kids::Vals(vals) => {
+                assert_eq!(node.keys.len(), vals.len(), "keys out of step with values");
+                assert_eq!(node.height, 1, "items live at height 1");
+                assert_eq!(node.size, vals.len(), "cached size wrong");
+                1
+            }
+            Kids::Children(children) => {
                 assert_eq!(
-                    int.keys.len(),
-                    int.children.len(),
+                    node.keys.len(),
+                    children.len(),
                     "routing-key array out of step with children"
                 );
-                let mut nodes = 1usize;
-                let mut heights = Vec::with_capacity(int.children.len());
-                for (&c, k) in int.children.iter().zip(&int.keys) {
+                let mut size = 0;
+                for (&c, k) in children.iter().zip(&node.keys) {
                     let (h, n) = self.check_subtree(c, false);
-                    heights.push(h);
                     nodes += n;
+                    size += self.node(c).size;
+                    assert_eq!(node.height, h + 1, "cached height wrong, or heights differ");
                     assert_eq!(k, self.max_key(c), "routing key is not the child max");
                 }
-                assert!(
-                    heights.windows(2).all(|w| w[0] == w[1]),
-                    "children heights differ: {heights:?}"
-                );
-                assert_eq!(int.height, heights[0] + 1, "cached height wrong");
-                assert_eq!(
-                    int.size,
-                    int.children.iter().map(|&c| self.size(c)).sum::<usize>(),
-                    "cached size wrong"
-                );
-                assert!(
-                    int.keys.windows(2).all(|w| w[0] < w[1]),
-                    "routing keys out of order"
-                );
-                (int.height, nodes)
+                assert_eq!(node.size, size, "cached size wrong");
+                2
             }
-            Slot::Free { .. } => panic!("tree references free slot {idx}"),
-        }
+        };
+        let lo = if is_root { lo } else { self.min_c };
+        assert!(
+            (lo..=self.max_c).contains(&node.len()),
+            "node at height {} must hold {lo}..={}, holds {}",
+            node.height,
+            self.max_c,
+            node.len()
+        );
+        assert!(
+            node.keys.windows(2).all(|w| w[0] < w[1]),
+            "keys out of order"
+        );
+        (node.height, nodes)
     }
 
     /// Validates the slab itself: every slot is reachable either from the
@@ -977,12 +1031,241 @@ impl<K: Ord + Clone, V> Arena<K, V> {
 
 #[cfg(test)]
 mod tests {
-    //! Directed tests of `settle`'s chain case, the one caller of `attach`:
-    //! one `batch_remove` thins a whole subtree of the root down to a chain
-    //! over an underfull node, which must be hung on a neighbour's spine.
+    //! Directed tests of the height-1 nodes (items move with their keys
+    //! through every split, merge and even-out) and of `settle`'s chain case,
+    //! the one caller of `attach`: one `batch_remove` thins a whole subtree
+    //! of the root down to a chain over an underfull node, which must be hung
+    //! on a neighbour's spine.
 
+    use super::{Kids, Slot};
     use crate::tree::BTree;
     use std::collections::BTreeMap;
+
+    const FANOUTS: [usize; 3] = [2, 8, 16];
+
+    fn val(k: u64) -> u64 {
+        k * 10 + 1
+    }
+
+    /// Invariants, then content (values included) against the model.
+    fn agree(tree: &BTree<u64, u64>, model: &BTreeMap<u64, u64>) {
+        tree.check_invariants();
+        assert_eq!(tree.len(), model.len());
+        let mut items = Vec::new();
+        tree.for_each(|k, v| items.push((*k, *v)));
+        assert!(items
+            .iter()
+            .copied()
+            .eq(model.iter().map(|(k, v)| (*k, *v))));
+    }
+
+    /// `leaves` full height-1 nodes under one root, keys `0, 100, 200, …`.
+    fn full_leaves(fanout: usize, leaves: u64) -> (BTree<u64, u64>, BTreeMap<u64, u64>, u64) {
+        let max_c = fanout.max(3) as u64;
+        let keys = (0..leaves * max_c).map(|i| i * 100);
+        let model: BTreeMap<u64, u64> = keys.map(|k| (k, val(k))).collect();
+        let tree = BTree::from_sorted_with_fanout(model.clone().into_iter().collect(), fanout);
+        assert_eq!(tree.height(), 2);
+        assert_eq!(tree.arena.node(tree.root).len() as u64, leaves);
+        (tree, model, max_c)
+    }
+
+    /// Cell counts of the height-1 nodes under a height-2 root.
+    fn leaf_lens(tree: &BTree<u64, u64>) -> Vec<usize> {
+        let root = tree.arena.node(tree.root);
+        assert_eq!(root.height, 2);
+        let lens = root.children().iter();
+        lens.map(|&c| tree.arena.node(c).len()).collect()
+    }
+
+    fn remove_checked(tree: &mut BTree<u64, u64>, model: &mut BTreeMap<u64, u64>, keys: &[u64]) {
+        let removed = tree.batch_remove(keys);
+        for (k, r) in keys.iter().zip(removed) {
+            assert_eq!(r, model.remove(k).map(|v| (*k, v)));
+        }
+        agree(tree, model);
+    }
+
+    #[test]
+    fn slot_stays_within_eighty_bytes() {
+        assert!(std::mem::size_of::<Slot<u64, usize>>() <= 80);
+    }
+
+    #[test]
+    fn configured_fanout_is_reported_as_given() {
+        for fanout in [2usize, 3, 4, 8, 16, 64] {
+            assert_eq!(BTree::<u64, u64>::with_fanout(fanout).fanout(), fanout);
+            let built = BTree::from_sorted_with_fanout(vec![(1u64, 1u64)], fanout);
+            assert_eq!(built.fanout(), fanout);
+            let map = crate::RecencyMap::<u64, u64>::with_fanout(fanout);
+            assert_eq!(map.fanout(), fanout);
+        }
+    }
+
+    #[test]
+    fn zero_to_one_to_zero_items() {
+        for fanout in FANOUTS {
+            let mut model = BTreeMap::new();
+            let mut tree: BTree<u64, u64> = BTree::with_fanout(fanout);
+            // Point operations.
+            assert_eq!(tree.insert(5, 50), model.insert(5, 50));
+            agree(&tree, &model);
+            assert_eq!((tree.len(), tree.height()), (1, 0));
+            assert_eq!(tree.first(), Some((&5, &50)));
+            assert_eq!(tree.last(), Some((&5, &50)));
+            assert_eq!(tree.insert(5, 51), model.insert(5, 51));
+            assert_eq!(tree.remove(&4), None);
+            assert_eq!(tree.remove(&5), model.remove(&5));
+            agree(&tree, &model);
+            assert!(tree.is_empty());
+            // Batch operations, through a miss on either side of the item.
+            assert_eq!(tree.batch_insert(vec![(5, 50)]), vec![None]);
+            model.insert(5, 50);
+            agree(&tree, &model);
+            assert_eq!(tree.batch_get(&[4, 5, 6]), vec![None, Some(&50), None]);
+            assert_eq!(tree.batch_insert(vec![(5, 52)]), vec![Some(50)]);
+            assert_eq!(tree.batch_remove(&[4, 6]), vec![None, None]);
+            assert_eq!(
+                tree.batch_remove(&[4, 5, 6]),
+                vec![None, Some((5, 52)), None]
+            );
+            model.clear();
+            agree(&tree, &model);
+            assert!(tree.is_empty());
+            assert_eq!(tree.batch_get(&[5]), vec![None]);
+            // A single item folds into the batch that follows it.
+            tree.insert(5, 50);
+            let replaced = tree.batch_insert(vec![(3, 30), (5, 55), (9, 90)]);
+            assert_eq!(replaced, vec![None, Some(50), None]);
+            model.extend([(3, 30), (5, 55), (9, 90)]);
+            agree(&tree, &model);
+        }
+    }
+
+    #[test]
+    fn one_batch_insert_splits_a_leaf_node_three_ways() {
+        for fanout in FANOUTS {
+            let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+            // All between the first two keys of the middle node.
+            let lo = max_c * 100;
+            let items: Vec<(u64, u64)> =
+                (1..=2 * max_c + 1).map(|i| (lo + i, val(lo + i))).collect();
+            let replaced = tree.batch_insert(items.clone());
+            assert!(replaced.iter().all(Option::is_none));
+            model.extend(items);
+            agree(&tree, &model);
+            // 3·max + 1 cells in one node make four groups; the root keeps
+            // them all only at wide fanouts.
+            assert_eq!(tree.len() as u64, 5 * max_c + 1);
+            if 6 <= max_c {
+                assert_eq!(leaf_lens(&tree).len(), 6);
+            }
+            // The same keys again: pure replacement, no structural change.
+            let again: Vec<(u64, u64)> = model.keys().map(|&k| (k, k)).collect();
+            let replaced = tree.batch_insert(again.clone());
+            assert!(replaced.into_iter().eq(model.values().map(|v| Some(*v))));
+            model.extend(again);
+            agree(&tree, &model);
+        }
+    }
+
+    #[test]
+    fn batch_remove_empties_merges_and_evens_out_leaf_nodes() {
+        for fanout in FANOUTS {
+            let min_c = (fanout / 2).max(2) as u64;
+            let node_keys =
+                |max_c: u64, node: u64| (node * max_c..(node + 1) * max_c).map(|i| i * 100);
+
+            // A node emptied entirely is dropped, with its routing key.
+            let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+            let whole: Vec<u64> = node_keys(max_c, 1).collect();
+            remove_checked(&mut tree, &mut model, &whole);
+            assert_eq!(leaf_lens(&tree), vec![max_c as usize; 2]);
+
+            // (a) Underfull with a left neighbour it fits into: they merge.
+            let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+            let thin: Vec<u64> = (node_keys(max_c, 0).skip(min_c as usize))
+                .chain(node_keys(max_c, 1).skip(min_c as usize - 1))
+                .collect();
+            remove_checked(&mut tree, &mut model, &thin);
+            let lens = leaf_lens(&tree);
+            assert_eq!(lens.len(), 2, "B={fanout}: {lens:?}");
+            assert_eq!(lens[0] as u64, 2 * min_c - 1);
+
+            // (b) Underfull with no left neighbour: the right one joins it.
+            let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+            let thin: Vec<u64> = (node_keys(max_c, 0).skip(min_c as usize - 1))
+                .chain(node_keys(max_c, 1).skip(min_c as usize))
+                .collect();
+            // Right first, so the left node underflows beside a thin one.
+            let (left, right) = thin.split_at((max_c - min_c + 1) as usize);
+            remove_checked(&mut tree, &mut model, right);
+            remove_checked(&mut tree, &mut model, left);
+            let lens = leaf_lens(&tree);
+            assert_eq!(lens.len(), 2, "B={fanout}: {lens:?}");
+            assert_eq!(lens[0] as u64, 2 * min_c - 1);
+
+            // (c) Underfull beside a neighbour too full to merge: the pair is
+            // evened out, values moving with their keys — from the left
+            // neighbour, and (first node) from the right one.
+            for node in [1u64, 0] {
+                let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+                let thin: Vec<u64> = node_keys(max_c, node).skip(min_c as usize - 1).collect();
+                remove_checked(&mut tree, &mut model, &thin);
+                let lens = leaf_lens(&tree);
+                let total = (max_c + min_c - 1) as usize;
+                assert_eq!(lens.len(), 3, "B={fanout}: {lens:?}");
+                assert_eq!((lens[0], lens[1]), (total / 2, total - total / 2));
+                for (k, v) in &model {
+                    assert_eq!(tree.get(k), Some(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_selection_crosses_leaf_node_boundaries() {
+        for fanout in FANOUTS {
+            let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
+            // Uneven nodes: thin the middle one.
+            remove_checked(&mut tree, &mut model, &[(max_c + 1) * 100]);
+            for (rank, (k, v)) in model.iter().enumerate() {
+                assert_eq!(tree.select(rank), Some((k, v)));
+            }
+            assert_eq!(tree.select(model.len()), None);
+            assert_eq!(tree.first(), model.iter().next());
+            assert_eq!(tree.last(), model.iter().next_back());
+        }
+    }
+
+    #[test]
+    fn height_counts_levels_above_the_items() {
+        for fanout in FANOUTS {
+            let max_c = fanout.max(3);
+            for (n, height) in [
+                (0, 0),
+                (1, 0),
+                (2, 1),
+                (max_c, 1),
+                (max_c + 1, 2),
+                (max_c * max_c, 2),
+                (max_c * max_c + 1, 3),
+            ] {
+                let items: Vec<(u64, u64)> = (0..n as u64).map(|k| (k, k)).collect();
+                let tree = BTree::from_sorted_with_fanout(items, fanout);
+                assert_eq!(tree.height(), height, "B={fanout} n={n}");
+                tree.check_invariants();
+                // Every item cell sits in a height-1 node.
+                if n > 0 {
+                    let mut idx = tree.root;
+                    while let Kids::Children(children) = &tree.arena.node(idx).kids {
+                        idx = children[0];
+                    }
+                    assert_eq!(tree.arena.node(idx).height, 1);
+                }
+            }
+        }
+    }
 
     /// Removes, in one batch, every key under `children[pos]` of the root
     /// except its `keep` largest, checks the tree against a `BTreeMap`, and
@@ -990,8 +1273,8 @@ mod tests {
     fn thin_to_chain(tree: &mut BTree<u64, u64>, pos: usize, keep: u64) -> (usize, usize) {
         let mut model: BTreeMap<u64, u64> = tree.keys().into_iter().map(|k| (k, k)).collect();
         assert!(tree.height() >= 3, "the thinned subtree must be a chain");
-        let root = tree.arena.internal(tree.root);
-        let before = root.children.len();
+        let root = tree.arena.node(tree.root);
+        let before = root.len();
         // Keys are dense, so the subtree holds exactly `lo..=hi`.
         let lo = if pos == 0 { 0 } else { root.keys[pos - 1] + 1 };
         let hi = root.keys[pos];
@@ -1002,7 +1285,7 @@ mod tests {
         }
         tree.check_invariants();
         assert!(tree.keys().iter().eq(model.keys()));
-        (before, tree.arena.children_len(tree.root))
+        (before, tree.arena.node(tree.root).len())
     }
 
     /// A tree with slack in every node: ascending point inserts leave each
@@ -1011,7 +1294,7 @@ mod tests {
     fn half_full(fanout: usize) -> BTree<u64, u64> {
         let mut tree = BTree::with_fanout(fanout);
         let mut k = 0;
-        while tree.height() < 3 || tree.arena.children_len(tree.root) < 3 {
+        while tree.height() < 3 || tree.arena.node(tree.root).len() < 3 {
             tree.insert(k, k);
             k += 1;
         }

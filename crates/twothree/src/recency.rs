@@ -27,10 +27,16 @@
 //! Every segment operation thus drives **one** tree where the stamp design
 //! drove two, and drives it **once**: a batch of any size is one sorted-batch
 //! sweep of the key map (see [`crate::batch`]), a single-item operation one
-//! point traversal.  The O(1)-per-item list work is metered as one
+//! point traversal.  The sweeps hand their per-key results straight to the
+//! list code through a closure, and the batch in flight (the slots walked off
+//! the list, their keys in key order, the `(key, slot)` pairs bound for the
+//! tree) lives in buffers the map keeps, so a warmed map moves a batch
+//! without allocating anything but the `Vec` it returns
+//! (`tests/alloc_budget.rs`).  The O(1)-per-item list work is metered as one
 //! [`crate::cost::touch`] per splice so measured charges stay honest.  The
-//! measured effect is tracked by experiment E18 (tree-passes-per-op) and the
-//! E17 constants (`BENCH_e17*.json`).
+//! measured effect is tracked by experiment E18 (tree-passes-per-op, and the
+//! per-key cost of the sweeps on a 2^17-item map) and the E17 constants
+//! (`BENCH_e17*.json`).
 
 use crate::cost::touch;
 use crate::tree::Tree23;
@@ -47,19 +53,12 @@ struct Slot<K, V> {
     item: Option<(K, V)>,
 }
 
-/// An ordered-by-key and ordered-by-recency map: the building block of every
-/// segment in M0, M1 and M2.
-///
-/// "Front" always means *most recent*; "back" means *least recent*.  Items
-/// taken from one `RecencyMap` and pushed to the front or back of another
-/// keep their relative recency order, which is what the segment cascade of
-/// the working-set maps requires.
+/// The item arena with the recency order threaded through it.  Live slots
+/// are on the recency list, free slots on the free list.  Every primitive is
+/// O(1) and metered one touch per splice, so measured segment charges
+/// include the list work.
 #[derive(Clone, Debug)]
-pub struct RecencyMap<K, V> {
-    /// Key order: `key → arena index`, one balanced tree — the only tree.
-    key_map: Tree23<K, usize>,
-    /// The arena.  Live slots are threaded into the recency list; free slots
-    /// are threaded into the free list.
+struct RecencyList<K, V> {
     slots: Vec<Slot<K, V>>,
     /// Most recent item (list head), `NIL` when empty.
     head: usize,
@@ -67,118 +66,15 @@ pub struct RecencyMap<K, V> {
     tail: usize,
     /// Head of the free-slot list, `NIL` when none.
     free: usize,
-    /// Number of live items.
-    len: usize,
 }
 
-impl<K: Ord + Clone, V: Clone> Default for RecencyMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
-    /// Creates an empty map at the process-default tree fanout
-    /// (`WSM_TREE_FANOUT`, default 16).
-    // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
-    pub fn new() -> Self {
-        Self::with_fanout(crate::default_fanout())
-    }
-
-    /// Creates an empty map whose key tree uses an explicit fanout (`2` is
-    /// the 2-3 reference instantiation; the property suites sweep this).
-    // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
-    pub fn with_fanout(fanout: usize) -> Self {
-        RecencyMap {
-            key_map: Tree23::with_fanout(fanout),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: NIL,
-            len: 0,
-        }
-    }
-
-    /// The key tree's fanout.
-    // lint: allow(unmetered) — O(1) configuration accessor, no traversal
-    pub fn fanout(&self) -> usize {
-        self.key_map.fanout()
-    }
-
-    /// Number of items.
-    // lint: allow(unmetered) — O(1) cached arena count, no traversal
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the map holds no items.
-    // lint: allow(unmetered) — O(1) counter probe, no traversal
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn slot_item(&self, idx: usize) -> &(K, V) {
+impl<K, V> RecencyList<K, V> {
+    fn item(&self, idx: usize) -> &(K, V) {
         self.slots[idx]
             .item
             .as_ref()
             .expect("key-map points at a live arena slot")
     }
-
-    fn slot_key(&self, idx: usize) -> &K {
-        &self.slot_item(idx).0
-    }
-
-    /// Looks up a key.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let idx = *self.key_map.get(key)?;
-        Some(&self.slot_item(idx).1)
-    }
-
-    /// Looks up a key, returning a mutable reference to its value.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = *self.key_map.get(key)?;
-        let (_, val) = self.slots[idx]
-            .item
-            .as_mut()
-            .expect("key-map points at a live arena slot");
-        Some(val)
-    }
-
-    /// True if the key is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.key_map.contains(key)
-    }
-
-    /// Looks up a sorted batch of keys.
-    pub fn get_batch(&self, keys: &[K]) -> Vec<Option<&V>> {
-        self.key_map
-            .batch_get(keys)
-            .into_iter()
-            .map(|idx| idx.map(|&idx| &self.slot_item(idx).1))
-            .collect()
-    }
-
-    /// The recency rank of a key: 0 for the most recent item, `len - 1` for
-    /// the least recent.  `None` if absent.  Costs O(log n + rank): the
-    /// key-map lookup yields the arena slot, then the list is walked from the
-    /// front until the slot is reached.
-    pub fn recency_rank(&self, key: &K) -> Option<usize> {
-        let idx = *self.key_map.get(key)?;
-        let mut rank = 0usize;
-        let mut cur = self.head;
-        while cur != idx {
-            touch(1);
-            rank += 1;
-            cur = self.slots[cur].next;
-            debug_assert!(cur != NIL, "keyed slot must be on the recency list");
-        }
-        Some(rank)
-    }
-
-    // ------------------------------------------------------------------
-    // Arena + intrusive-list primitives (all O(1), metered one touch per
-    // splice so measured segment charges include the list work)
-    // ------------------------------------------------------------------
 
     /// Takes a slot off the free list (or grows the arena) and fills it.
     /// The returned slot is *not* linked into the recency list.
@@ -251,31 +147,6 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         self.tail = idx;
     }
 
-    /// Allocates slots for `items` and chains them together in the given
-    /// order, returning `(first, last)` of the chain and pushing
-    /// `(key, index)` pairs (in item order) into `tree_items`.
-    fn alloc_chain(
-        &mut self,
-        items: Vec<(K, V)>,
-        tree_items: &mut Vec<(K, usize)>,
-    ) -> (usize, usize) {
-        let mut first = NIL;
-        let mut last = NIL;
-        for (k, v) in items {
-            let idx = self.alloc(k.clone(), v);
-            touch(1);
-            tree_items.push((k, idx));
-            if first == NIL {
-                first = idx;
-            } else {
-                self.slots[last].next = idx;
-                self.slots[idx].prev = last;
-            }
-            last = idx;
-        }
-        (first, last)
-    }
-
     /// Splices a prepared chain (`first..last`, already internally linked)
     /// before the current head.
     fn splice_chain_front(&mut self, first: usize, last: usize) {
@@ -295,6 +166,131 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             t => self.slots[t].next = first,
         }
         self.tail = last;
+    }
+}
+
+/// An ordered-by-key and ordered-by-recency map: the building block of every
+/// segment in M0, M1 and M2.
+///
+/// "Front" always means *most recent*; "back" means *least recent*.  Items
+/// taken from one `RecencyMap` and pushed to the front or back of another
+/// keep their relative recency order, which is what the segment cascade of
+/// the working-set maps requires.
+#[derive(Clone, Debug)]
+pub struct RecencyMap<K, V> {
+    /// Key order: `key → arena index`, one balanced tree — the only tree.
+    key_map: Tree23<K, usize>,
+    list: RecencyList<K, V>,
+    /// Number of live items.
+    len: usize,
+    /// Scratch the batch operations reuse from one call to the next, so a
+    /// warmed map moves items without allocating: the slots walked off the
+    /// list by a take, the keys of the batch in key order, the `(key, slot)`
+    /// pairs bound for the key-map, and the item-order permutation
+    /// [`RecencyMap::insert_batch`] scatters its results through.
+    taken: Vec<usize>,
+    sorted_keys: Vec<K>,
+    staged: Vec<(K, usize)>,
+    order: Vec<u32>,
+}
+
+impl<K: Ord + Clone, V: Clone> Default for RecencyMap<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
+    /// Creates an empty map at the process-default tree fanout
+    /// (`WSM_TREE_FANOUT`, default 16).
+    // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
+    pub fn new() -> Self {
+        Self::with_fanout(crate::default_fanout())
+    }
+
+    /// Creates an empty map whose key tree uses an explicit fanout (`2` is
+    /// the 2-3 reference instantiation; the property suites sweep this).
+    // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
+    pub fn with_fanout(fanout: usize) -> Self {
+        RecencyMap {
+            key_map: Tree23::with_fanout(fanout),
+            list: RecencyList {
+                slots: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                free: NIL,
+            },
+            len: 0,
+            taken: Vec::new(),
+            sorted_keys: Vec::new(),
+            staged: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
+    /// The key tree's fanout.
+    // lint: allow(unmetered) — O(1) configuration accessor, no traversal
+    pub fn fanout(&self) -> usize {
+        self.key_map.fanout()
+    }
+
+    /// Number of items.
+    // lint: allow(unmetered) — O(1) cached arena count, no traversal
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the map holds no items.
+    // lint: allow(unmetered) — O(1) counter probe, no traversal
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Looks up a key.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let idx = *self.key_map.get(key)?;
+        Some(&self.list.item(idx).1)
+    }
+
+    /// Looks up a key, returning a mutable reference to its value.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.key_map.get(key)?;
+        let (_, val) = self.list.slots[idx]
+            .item
+            .as_mut()
+            .expect("key-map points at a live arena slot");
+        Some(val)
+    }
+
+    /// True if the key is present.
+    pub fn contains(&self, key: &K) -> bool {
+        self.key_map.contains(key)
+    }
+
+    /// Looks up a sorted batch of keys.
+    pub fn get_batch(&self, keys: &[K]) -> Vec<Option<&V>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.key_map.batch_get_with(keys, |idx| {
+            out.push(idx.map(|&idx| &self.list.item(idx).1));
+        });
+        out
+    }
+
+    /// The recency rank of a key: 0 for the most recent item, `len - 1` for
+    /// the least recent.  `None` if absent.  Costs O(log n + rank): the
+    /// key-map lookup yields the arena slot, then the list is walked from the
+    /// front until the slot is reached.
+    pub fn recency_rank(&self, key: &K) -> Option<usize> {
+        let idx = *self.key_map.get(key)?;
+        let mut rank = 0usize;
+        let mut cur = self.list.head;
+        while cur != idx {
+            touch(1);
+            rank += 1;
+            cur = self.list.slots[cur].next;
+            debug_assert!(cur != NIL, "keyed slot must be on the recency list");
+        }
+        Some(rank)
     }
 
     // ------------------------------------------------------------------
@@ -318,20 +314,44 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     }
 
     fn fused_insert(&mut self, key: K, val: V, at_front: bool) -> Option<V> {
-        let idx = self.alloc(key.clone(), val);
+        let idx = self.list.alloc(key.clone(), val);
         let old = self.key_map.insert(key, idx).map(|old_idx| {
-            self.unlink(old_idx);
-            self.release(old_idx).1
+            self.list.unlink(old_idx);
+            self.list.release(old_idx).1
         });
         if old.is_none() {
             self.len += 1;
         }
         if at_front {
-            self.link_front(idx);
+            self.list.link_front(idx);
         } else {
-            self.link_back(idx);
+            self.list.link_back(idx);
         }
         old
+    }
+
+    /// Allocates slots for `items`, chains them together in the given order
+    /// and stages their `(key, slot)` pairs, in item order, for the key-map.
+    /// Counts every item as new.  Returns `(first, last)` of the chain, or
+    /// `None` for no items.
+    fn stage_chain(&mut self, items: impl IntoIterator<Item = (K, V)>) -> Option<(usize, usize)> {
+        debug_assert!(self.staged.is_empty());
+        let mut first = NIL;
+        let mut last = NIL;
+        for (k, v) in items {
+            let idx = self.list.alloc(k.clone(), v);
+            touch(1);
+            self.staged.push((k, idx));
+            if first == NIL {
+                first = idx;
+            } else {
+                self.list.slots[last].next = idx;
+                self.list.slots[idx].prev = last;
+            }
+            last = idx;
+        }
+        self.len += self.staged.len();
+        (first != NIL).then_some((first, last))
     }
 
     /// Inserts a batch of items at the front, preserving their given order
@@ -341,40 +361,36 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// remove before re-inserting).  One key-map pass; the recency splice is
     /// O(b).
     pub fn push_front_batch(&mut self, items: Vec<(K, V)>) {
-        if items.is_empty() {
-            return;
-        }
-        let n = items.len();
-        let mut tree_items: Vec<(K, usize)> = Vec::with_capacity(n);
-        let (first, last) = self.alloc_chain(items, &mut tree_items);
-        self.splice_chain_front(first, last);
-        self.len += n;
-        tree_items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let replaced = self.key_map.batch_insert(tree_items);
-        debug_assert!(
-            replaced.iter().all(Option::is_none),
-            "push_front_batch requires absent keys"
-        );
+        self.push_chain(items, true);
+    }
+
+    /// [`RecencyMap::push_front_batch`] draining a buffer the caller keeps
+    /// (and reuses: the cascade pushes once per segment per batch).
+    pub fn push_front_from(&mut self, items: &mut Vec<(K, V)>) {
+        self.push_chain(items.drain(..), true);
     }
 
     /// Inserts a batch of items at the back, preserving their given order
     /// (`items[0]` is the most recent of the inserted group, i.e. closest to
     /// the front).  Keys must be distinct and absent.
     pub fn push_back_batch(&mut self, items: Vec<(K, V)>) {
-        if items.is_empty() {
+        self.push_chain(items, false);
+    }
+
+    fn push_chain(&mut self, items: impl IntoIterator<Item = (K, V)>, front: bool) {
+        let Some((first, last)) = self.stage_chain(items) else {
             return;
+        };
+        if front {
+            self.list.splice_chain_front(first, last);
+        } else {
+            self.list.splice_chain_back(first, last);
         }
-        let n = items.len();
-        let mut tree_items: Vec<(K, usize)> = Vec::with_capacity(n);
-        let (first, last) = self.alloc_chain(items, &mut tree_items);
-        self.splice_chain_back(first, last);
-        self.len += n;
-        tree_items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let replaced = self.key_map.batch_insert(tree_items);
-        debug_assert!(
-            replaced.iter().all(Option::is_none),
-            "push_back_batch requires absent keys"
-        );
+        self.staged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.key_map
+            .batch_insert_with(&mut self.staged, |replaced| {
+                debug_assert!(replaced.is_none(), "batch pushes require absent keys");
+            });
     }
 
     /// Batch upsert at the front: inserts every item as most-recent in the
@@ -393,38 +409,34 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// cascade ops.
     pub fn insert_batch(&mut self, items: Vec<(K, V)>) -> Vec<Option<V>> {
         let n = items.len();
-        if n == 0 {
+        let Some((first, last)) = self.stage_chain(items) else {
             return Vec::new();
-        }
-        let mut entries: Vec<(K, usize)> = Vec::with_capacity(n);
-        let (first, last) = self.alloc_chain(items, &mut entries);
-        self.splice_chain_front(first, last);
-        // Sort a position permutation so replaced values can be scattered
-        // back to item order after the single key-map pass.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| entries[a as usize].0.cmp(&entries[b as usize].0));
+        };
+        self.list.splice_chain_front(first, last);
+        // Sort a position permutation alongside the pairs, so replaced
+        // values can be scattered back to item order after the single
+        // key-map pass.
+        let staged = &self.staged;
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        self.order
+            .sort_unstable_by(|&a, &b| staged[a as usize].0.cmp(&staged[b as usize].0));
+        self.staged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         debug_assert!(
-            order
-                .windows(2)
-                .all(|w| entries[w[0] as usize].0 < entries[w[1] as usize].0),
+            self.staged.windows(2).all(|w| w[0].0 < w[1].0),
             "insert_batch requires distinct keys"
         );
-        let mut tree_items: Vec<(K, usize)> = Vec::with_capacity(n);
-        let mut entries_opt: Vec<Option<(K, usize)>> = entries.into_iter().map(Some).collect();
-        for &pos in &order {
-            tree_items.push(entries_opt[pos as usize].take().expect("permutation"));
-        }
-        let replaced = self.key_map.batch_insert(tree_items);
         let mut out: Vec<Option<V>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut fresh = n;
-        for (&pos, old_idx) in order.iter().zip(replaced) {
+        let mut order = self.order.iter();
+        let (list, len) = (&mut self.list, &mut self.len);
+        self.key_map.batch_insert_with(&mut self.staged, |old_idx| {
+            let pos = *order.next().expect("one result per staged pair") as usize;
             if let Some(old_idx) = old_idx {
-                self.unlink(old_idx);
-                out[pos as usize] = Some(self.release(old_idx).1);
-                fresh -= 1;
+                list.unlink(old_idx);
+                out[pos] = Some(list.release(old_idx).1);
+                *len -= 1;
             }
-        }
-        self.len += fresh;
+        });
         out
     }
 
@@ -436,26 +448,31 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// O(1) unlink.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.key_map.remove(key)?;
-        self.unlink(idx);
+        self.list.unlink(idx);
         self.len -= 1;
-        Some(self.release(idx).1)
+        Some(self.list.release(idx).1)
     }
 
     /// Removes a sorted batch of distinct keys; returns per key the removed
     /// value (if it was present).  One tree pass; each located item is
     /// unlinked from the recency list in O(1).
     pub fn remove_batch(&mut self, keys: &[K]) -> Vec<Option<V>> {
-        let removed = self.key_map.batch_remove_values(keys);
-        removed
-            .into_iter()
-            .map(|idx| {
-                idx.map(|idx| {
-                    self.unlink(idx);
-                    self.len -= 1;
-                    self.release(idx).1
-                })
-            })
-            .collect()
+        let mut out = Vec::with_capacity(keys.len());
+        self.remove_batch_with(keys, |found| out.push(found));
+        out
+    }
+
+    /// [`RecencyMap::remove_batch`] handing each key's result to `emit`, in
+    /// key order, instead of collecting them.
+    pub fn remove_batch_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<V>)) {
+        let (list, len) = (&mut self.list, &mut self.len);
+        self.key_map.batch_remove_with(keys, |item| {
+            emit(item.map(|(_, idx)| {
+                list.unlink(idx);
+                *len -= 1;
+                list.release(idx).1
+            }))
+        });
     }
 
     /// Removes and returns the `k` most recent items, most recent first.
@@ -463,25 +480,22 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// with one key-ordered batch removal.
     pub fn take_front(&mut self, k: usize) -> Vec<(K, V)> {
         let k = k.min(self.len);
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut idxs = Vec::with_capacity(k);
-        let mut cur = self.head;
+        self.taken.clear();
+        let mut cur = self.list.head;
         for _ in 0..k {
             touch(1);
-            idxs.push(cur);
-            cur = self.slots[cur].next;
+            self.taken.push(cur);
+            cur = self.list.slots[cur].next;
         }
-        // Detach the whole prefix in O(1).
-        self.head = cur;
-        match cur {
-            NIL => self.tail = NIL,
-            h => self.slots[h].prev = NIL,
+        if k > 0 {
+            // Detach the whole prefix in O(1).
+            self.list.head = cur;
+            match cur {
+                NIL => self.list.tail = NIL,
+                h => self.list.slots[h].prev = NIL,
+            }
         }
-        self.len -= k;
-        self.remove_taken_keys(&idxs);
-        idxs.into_iter().map(|idx| self.release(idx)).collect()
+        self.release_taken()
     }
 
     /// Removes and returns the `k` least recent items, *most recent of them
@@ -490,51 +504,50 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// preserving relative order).
     pub fn take_back(&mut self, k: usize) -> Vec<(K, V)> {
         let k = k.min(self.len);
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut idxs = Vec::with_capacity(k);
-        let mut cur = self.tail;
+        self.taken.clear();
+        let mut cur = self.list.tail;
         for _ in 0..k {
             touch(1);
-            idxs.push(cur);
-            cur = self.slots[cur].prev;
+            self.taken.push(cur);
+            cur = self.list.slots[cur].prev;
         }
-        // Detach the whole suffix in O(1); walk order was back-to-front, so
-        // reverse for the most-recent-first return order.
-        self.tail = cur;
-        match cur {
-            NIL => self.head = NIL,
-            t => self.slots[t].next = NIL,
+        if k > 0 {
+            // Detach the whole suffix in O(1); the walk went back to front,
+            // so reverse for the most-recent-first return order.
+            self.list.tail = cur;
+            match cur {
+                NIL => self.list.head = NIL,
+                t => self.list.slots[t].next = NIL,
+            }
+            self.taken.reverse();
         }
-        self.len -= k;
-        idxs.reverse();
-        self.remove_taken_keys(&idxs);
-        idxs.into_iter().map(|idx| self.release(idx)).collect()
+        self.release_taken()
     }
 
-    /// Clears the key-map entries of already-detached slots with one sorted
-    /// batch removal (the reverse-indexing operation of Appendix A.2: the
-    /// arena indices *are* the direct pointers).
-    fn remove_taken_keys(&mut self, idxs: &[usize]) {
-        let mut order: Vec<u32> = (0..idxs.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.slot_key(idxs[a as usize])
-                .cmp(self.slot_key(idxs[b as usize]))
+    /// Clears the key-map entries of the already-detached `taken` slots with
+    /// one sorted batch removal (the reverse-indexing operation of Appendix
+    /// A.2: the arena indices *are* the direct pointers) and releases the
+    /// slots, returning their items in `taken` order.
+    fn release_taken(&mut self) -> Vec<(K, V)> {
+        if self.taken.is_empty() {
+            return Vec::new();
+        }
+        self.len -= self.taken.len();
+        let list = &mut self.list;
+        self.sorted_keys.clear();
+        self.sorted_keys
+            .extend(self.taken.iter().map(|&idx| list.item(idx).0.clone()));
+        self.sorted_keys.sort_unstable();
+        self.key_map.batch_remove_with(&self.sorted_keys, |entry| {
+            debug_assert!(
+                entry.is_some_and(|(key, idx)| list.slots[idx]
+                    .item
+                    .as_ref()
+                    .is_some_and(|(k, _)| *k == key)),
+                "key-map and recency list out of sync"
+            );
         });
-        let keys: Vec<K> = order
-            .iter()
-            .map(|&i| self.slot_key(idxs[i as usize]).clone())
-            .collect();
-        let removed = self.key_map.batch_remove_values(&keys);
-        debug_assert!(
-            order
-                .iter()
-                .zip(&removed)
-                .all(|(&i, r)| *r == Some(idxs[i as usize])),
-            "key-map and recency list out of sync"
-        );
-        let _ = removed;
+        self.taken.iter().map(|&idx| list.release(idx)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -544,8 +557,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// The most recent item without removing it.  O(1): the list head.
     // lint: allow(unmetered) — O(1) list-head read, touches no tree node
     pub fn peek_front(&self) -> Option<(&K, &V)> {
-        (self.head != NIL).then(|| {
-            let (k, v) = self.slot_item(self.head);
+        (self.list.head != NIL).then(|| {
+            let (k, v) = self.list.item(self.list.head);
             (k, v)
         })
     }
@@ -553,8 +566,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// The least recent item without removing it.  O(1): the list tail.
     // lint: allow(unmetered) — O(1) list-tail read, touches no tree node
     pub fn peek_back(&self) -> Option<(&K, &V)> {
-        (self.tail != NIL).then(|| {
-            let (k, v) = self.slot_item(self.tail);
+        (self.list.tail != NIL).then(|| {
+            let (k, v) = self.list.item(self.list.tail);
             (k, v)
         })
     }
@@ -564,10 +577,10 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     // lint: allow(unmetered) — diagnostic whole-list walk over the arena, not a map operation
     pub fn items_in_recency_order(&self) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head;
+        let mut cur = self.list.head;
         while cur != NIL {
-            out.push(self.slot_item(cur).clone());
-            cur = self.slots[cur].next;
+            out.push(self.list.item(cur).clone());
+            cur = self.list.slots[cur].next;
         }
         out
     }
@@ -603,13 +616,13 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         // the live slots.
         let mut count = 0usize;
         let mut prev = NIL;
-        let mut cur = self.head;
+        let mut cur = self.list.head;
         while cur != NIL {
             assert!(
                 count < self.len + 1,
                 "recency list longer than len (cycle?)"
             );
-            let slot = &self.slots[cur];
+            let slot = &self.list.slots[cur];
             assert!(slot.item.is_some(), "recency list visits free slot {cur}");
             assert_eq!(slot.prev, prev, "broken prev link at slot {cur}");
             prev = cur;
@@ -617,10 +630,10 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             count += 1;
         }
         assert_eq!(count, self.len, "recency list length mismatch");
-        assert_eq!(self.tail, prev, "tail does not end the recency list");
+        assert_eq!(self.list.tail, prev, "tail does not end the recency list");
         // Every key-map entry points at a live slot holding the same key.
         self.key_map.for_each(|key, &idx| {
-            let (slot_key, _) = self.slots[idx]
+            let (slot_key, _) = self.list.slots[idx]
                 .item
                 .as_ref()
                 .unwrap_or_else(|| panic!("key {key:?} maps to free slot {idx}"));
@@ -628,17 +641,24 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         });
         // The free list accounts for every vacant slot, with no leaks.
         let mut free_count = 0usize;
-        let mut cur = self.free;
+        let mut cur = self.list.free;
         while cur != NIL {
             assert!(
-                free_count < self.slots.len() + 1,
+                free_count < self.list.slots.len() + 1,
                 "free list cycle at slot {cur}"
             );
-            assert!(self.slots[cur].item.is_none(), "free list visits live slot");
-            cur = self.slots[cur].next;
+            assert!(
+                self.list.slots[cur].item.is_none(),
+                "free list visits live slot"
+            );
+            cur = self.list.slots[cur].next;
             free_count += 1;
         }
-        assert_eq!(self.len + free_count, self.slots.len(), "arena slot leak");
+        assert_eq!(
+            self.len + free_count,
+            self.list.slots.len(),
+            "arena slot leak"
+        );
     }
 }
 
@@ -840,7 +860,7 @@ mod tests {
         for i in 0..64u64 {
             m.insert_back(i, i);
         }
-        let arena_size = m.slots.len();
+        let arena_size = m.list.slots.len();
         // Churn: remove and re-insert repeatedly; the arena must not grow.
         for round in 0..10u64 {
             let taken = m.take_back(16);
@@ -850,7 +870,11 @@ mod tests {
             m.insert_front(round % 64, round);
             m.check_invariants();
         }
-        assert_eq!(m.slots.len(), arena_size, "arena grew despite free list");
+        assert_eq!(
+            m.list.slots.len(),
+            arena_size,
+            "arena grew despite free list"
+        );
         assert_eq!(m.len(), 64);
     }
 

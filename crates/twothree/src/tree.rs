@@ -3,17 +3,18 @@
 //! bulk-build and drain operations.  Batch operations live in
 //! [`crate::batch`].
 
-use crate::cost::{pass, touch};
+use crate::cost::pass;
 use crate::node::{Arena, NIL};
 
-/// A leaf-based fanout-B search tree storing key-value items in key order.
+/// A fanout-B search tree storing key-value items in key order.
 ///
 /// `BTree` is the balanced-search-tree substrate of every segment of the
-/// working-set maps.  Nodes live in a slab [`Arena`] — contiguous routing-key
-/// arrays, `usize` child indices, an intrusive free list — so descending one
-/// level is a linear scan of one small array rather than a pointer chase.
-/// The occupancy bounds come from the per-tree fanout `B`: `max(2, B/2)..=
-/// max(3, B)` children per internal node (root exempt from the minimum).
+/// working-set maps.  Nodes live in a slab [`Arena`] — contiguous key
+/// arrays, the items themselves in the height-1 nodes, `usize` child indices
+/// above, an intrusive free list — so descending one level is a linear scan
+/// of one small array rather than a pointer chase.  The occupancy bounds
+/// come from the per-tree fanout `B`: `max(2, B/2)..=max(3, B)` items or
+/// children per node (root exempt from the minimum).
 /// `B = 2` is exactly the 2-3 tree of paper Appendix A.2 and stays available
 /// as the analytic reference instantiation; the process default is 16
 /// (`WSM_TREE_FANOUT`).
@@ -81,7 +82,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
             "from_sorted requires strictly increasing keys"
         );
         let mut arena = Arena::new(fanout);
-        let root = arena.build_sorted(items);
+        let root = arena.build_sorted(items.len(), items.into_iter());
         BTree { arena, root }
     }
 
@@ -91,7 +92,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         if self.root == NIL {
             0
         } else {
-            self.arena.size(self.root)
+            self.arena.node(self.root).size
         }
     }
 
@@ -101,13 +102,13 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         self.root == NIL
     }
 
-    /// Height of the tree (`0` for empty or single-leaf trees).
+    /// Height of the tree (`0` for empty or single-item trees).
     // lint: allow(unmetered) — O(1) cached height, no node traversal
     pub fn height(&self) -> usize {
-        if self.root == NIL {
+        if self.len() <= 1 {
             0
         } else {
-            self.arena.height(self.root)
+            self.arena.node(self.root).height
         }
     }
 
@@ -155,19 +156,17 @@ impl<K: Ord + Clone, V> BTree<K, V> {
 
     /// Inserts an item; returns the previous value for the key, if any.
     ///
-    /// One in-place root-to-leaf traversal (`Arena::insert_point`): only the
+    /// One in-place root-to-cell traversal (`Arena::insert_point`): only the
     /// nodes on the search path are touched, and a node is allocated only
     /// when one actually splits.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         pass();
         if self.root == NIL {
-            self.root = self.arena.leaf(key, val);
+            self.root = self.arena.build_sorted(1, std::iter::once((key, val)));
             return None;
         }
-        let (prev, overflow) = self.arena.insert_point(self.root, key, val);
-        if let Some(sibling) = overflow {
-            self.root = self.arena.make_internal(vec![self.root, sibling]);
-        }
+        let prev = self.arena.insert_point(self.root, key, val);
+        self.root = self.arena.grow_root(self.root);
         prev
     }
 
@@ -178,22 +177,10 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         if self.root == NIL {
             return None;
         }
-        if self.arena.is_leaf(self.root) {
-            touch(1);
-            if self.arena.max_key(self.root) == key {
-                let (_, val) = self.arena.take_leaf(self.root);
-                self.root = NIL;
-                return Some(val);
-            }
-            return None;
-        }
-        let removed = self.arena.remove_point(self.root, key);
-        if removed.is_some() && self.arena.children_len(self.root) == 1 {
-            // Height collapse at the root.
-            let int = self.arena.take_internal(self.root);
-            self.root = int.children[0];
-        }
-        removed.map(|(_, v)| v)
+        let (_, val) = self.arena.remove_point(self.root, key)?;
+        // Height collapse at the root, down to nothing after the last item.
+        self.root = self.arena.collapse(self.root);
+        Some(val)
     }
 
     /// Consumes the tree into a sorted vector of items.
