@@ -328,13 +328,14 @@ fn main() {
         );
     }
     if run("e16") {
-        // E16 spawns its own OS threads and a dedicated pool, like E15.
+        // E16 spawns its own OS threads, so it runs outside the `in_pool`
+        // wrapper.
         let t = threads.unwrap_or(4).max(1);
         let rows =
             bench::experiment_hot_paths(sizes.hot_pages, sizes.hot_requests, t, sizes.scale_reps);
         emit(
             &["e16"],
-            "E16: hot-path constant factors (ConcurrentMap vs coarse-locked AVL, inline-threshold sweep, W/W_L)",
+            "E16: hot-path constant factors (ConcurrentMap vs coarse-locked AVL, per hand-off mode, W/W_L)",
             &rows,
             threads,
             small,
@@ -430,7 +431,7 @@ fn main() {
         );
         emit(
             &["e15"],
-            "E15: wall-clock scaling on the work-stealing pool (pesort / concurrent map)",
+            "E15: wall-clock scaling (pesort by pool workers / concurrent map by callers)",
             &rows,
             threads,
             small,

@@ -559,8 +559,9 @@ pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
 ///
 /// * `pesort` — one parallel entropy sort of `sort_n` random keys;
 /// * `concurrent map` — `t` OS threads hammering a [`wsm_core::ConcurrentMap`]
-///   (insert + search on disjoint ranges), whose combiner runs batches on a
-///   dedicated `t`-worker pool.
+///   (insert + search on disjoint ranges): caller scaling, with every batch
+///   run on the thread that wins the combiner election (these batches stay
+///   far below PESort's fork, so the pool size does not enter).
 ///
 /// Unlike E1–E14 this measures *wall-clock* time, not analytic cost: it is
 /// the experiment that justifies the pool's existence (speedup curves), so
@@ -625,15 +626,11 @@ pub fn experiment_scaling(
             total_ns / (reps * sort_n) as f64,
         );
 
-        // ConcurrentMap: `t` OS threads, combiner batches on the same pool.
+        // ConcurrentMap: `t` OS threads, batches on the combiner thread.
         let mut total_ns = 0.0;
         let ops_per_thread = (map_ops / t.max(1)).max(1);
         for _ in 0..reps {
-            let map = Arc::new(ConcurrentMap::with_pool(
-                M1::<u64, u64>::new(8),
-                t,
-                Arc::clone(&pool),
-            ));
+            let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), t));
             let start = Instant::now();
             std::thread::scope(|s| {
                 for th in 0..t {
@@ -670,14 +667,12 @@ pub fn experiment_scaling(
 /// * `web-cache avl` — the coarse-locked AVL baseline: `threads` OS threads
 ///   serving Zipfian page lookups through one mutex (mean ns/op and
 ///   comparison work per request);
-/// * `web-cache map inline=T` — the implicitly batched working-set map on
-///   the same stream with the small-batch inline threshold pinned to `T`
-///   (`0` disables the fast path, reproducing the pre-inline behaviour, so
-///   the `inline=0` row *is* the old-regime baseline the ROADMAP's 100x gap
-///   was measured against); `… cell` rows repeat the winning thresholds with
-///   the slot-free `WSM_HANDOFF=cell` waiter hand-off (spin on the caller's
-///   own result cell instead of parking on the shared doorbell), A/B-ing the
-///   two hand-off modes on identical streams;
+/// * `web-cache map` — the implicitly batched working-set map on the same
+///   stream, one row per blocking hand-off mode: the default doorbell, and
+///   `… cell`, the slot-free `WSM_HANDOFF=cell` waiter hand-off (spin on the
+///   caller's own result cell instead of parking on the shared doorbell),
+///   A/B-ing the two on identical streams.  A blocking call on a waker-mode
+///   map waits exactly like `cell`, so it gets no row of its own;
 /// * `constants` — thread-independent analytic constant factors: effective
 ///   work of M1/M2 over `W_L` on the Zipf stream, and the
 ///   `tcost::batch_op(b, n)` charge per `b·(log n + 1)` unit.
@@ -763,27 +758,15 @@ pub fn experiment_hot_paths(
         ],
     ));
 
-    // --- implicitly batched map: inline threshold × hand-off mode --------
-    let pool = Arc::new(wsm_pool::ThreadPool::new(threads));
-    for (threshold, handoff) in [
-        (0usize, Handoff::Doorbell),
-        (8, Handoff::Doorbell),
-        (64, Handoff::Doorbell),
-        (256, Handoff::Doorbell),
-        (64, Handoff::Cell),
-        (256, Handoff::Cell),
-    ] {
+    // --- implicitly batched map, per hand-off mode -----------------------
+    for (handoff, mode) in [(Handoff::Doorbell, ""), (Handoff::Cell, " cell")] {
         let mut total_ns = 0.0;
         let mut work_per_req = 0.0;
         for _ in 0..reps {
             let mut inner = M1::<u64, u64>::new(threads.max(2));
             inner.run_ops((0..pages).map(|p| Operation::Insert(p, p)).collect());
             let warm_work = inner.effective_work();
-            let map = Arc::new(
-                ConcurrentMap::with_pool(inner, threads, Arc::clone(&pool))
-                    .with_inline_threshold(threshold)
-                    .with_handoff(handoff),
-            );
+            let map = Arc::new(ConcurrentMap::new(inner, threads).with_handoff(handoff));
             let start = Instant::now();
             std::thread::scope(|s| {
                 for (w, stream) in streams.iter().enumerate() {
@@ -802,13 +785,8 @@ pub fn experiment_hot_paths(
             work_per_req = (map.effective_work() - warm_work) as f64 / total_ops as f64;
         }
         let ns_op = total_ns / (reps as u64 * total_ops) as f64;
-        let mode = match handoff {
-            Handoff::Doorbell => String::new(),
-            Handoff::Cell => " cell".to_string(),
-            Handoff::Waker => " waker".to_string(),
-        };
         rows.push(Row::new(
-            format!("web-cache map inline={threshold}{mode} t={threads}"),
+            format!("web-cache map{mode} t={threads}"),
             vec![
                 ("mean ns/op", ns_op),
                 ("wall vs avl", ns_op / avl_ns_op),
@@ -1717,13 +1695,13 @@ mod tests {
     #[test]
     fn hot_path_experiment_rows_are_well_formed() {
         let rows = experiment_hot_paths(1 << 9, 1 << 8, 2, 1);
-        // 1 AVL row + 6 threshold×hand-off rows + 1 constants row.
-        assert_eq!(rows.len(), 8);
+        // 1 AVL row + 2 hand-off rows + 1 constants row.
+        assert_eq!(rows.len(), 4);
         assert_eq!(
             rows.iter().filter(|r| r.label.contains(" cell ")).count(),
-            2
+            1
         );
-        for row in &rows[..7] {
+        for row in &rows[..3] {
             let ns_op = row
                 .values
                 .iter()

@@ -1,8 +1,7 @@
 //! Centralized parsing for `WSM_*` environment knobs.
 //!
 //! Every tunable in the workspace (`WSM_SHARDS`, `WSM_POOL_THREADS`,
-//! `WSM_INLINE_BATCH`, `WSM_HANDOFF`, the `WSM_WAL_*`
-//! family) goes through this module instead of hand-rolled
+//! `WSM_HANDOFF`, the `WSM_WAL_*` family) goes through this module instead of hand-rolled
 //! `var(..).ok().and_then(parse)` chains.  The difference is observability:
 //! an invalid value used to be silently swallowed into the default —
 //! `WSM_SHARDS=0` ran unsharded without a word, a typo'd

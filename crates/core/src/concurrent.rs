@@ -11,42 +11,34 @@
 //! results.  This is exactly the flat-combining / work-stealing realisation
 //! the paper sketches in Section 8.
 //!
-//! Two things make the combiner loop fast:
+//! The combiner runs the batch itself, on its own thread: whoever wins the
+//! activation runs the batch, as in the paper's implicit batching.  No pool
+//! hop sits between the election and `run_batch` — the batched map's only
+//! internal fork (PESort's, above 2 048 keys) reaches the work-stealing pool
+//! by itself.
 //!
-//! * **Park/notify wake-ups.**  Waiting callers park on a single
-//!   generation-counting [`Doorbell`]; the combiner rings it once per
-//!   activation (after distributing a whole batch of results), so there is no
-//!   fixed-timeout polling.  A caller re-attempts the activation on every
-//!   wake-up, which also closes the classic flat-combining hand-off race (a
-//!   combiner observing an empty buffer and exiting just as a new operation
-//!   lands): the ring that follows every activation guarantees somebody
-//!   re-checks.  Alternatively, `WSM_HANDOFF=cell` (or
-//!   [`ConcurrentMap::with_handoff`]) selects the *slot-free* hand-off: a
-//!   waiter spins on its own sequence-stamped
-//!   [`crate::handoff::ResultCell`] with yields escalating into a bounded
-//!   exponential backoff, and never parks — removing the park/wake futex
-//!   round trip entirely — see [`Handoff`] and experiment E16's A/B rows.
-//!   `WSM_HANDOFF=waker` is the third, *await-able* hand-off for async
-//!   callers: [`ConcurrentMap::submit_batch`] deposits operations without
-//!   waiting at all, and the combiner's `fill` wakes the task
-//!   [`Waker`](std::task::Waker) registered on each cell (the `wsm-svc`
-//!   front-end and experiment E21's latency rows).
-//! * **Pool-driven batches, with a small-batch inline fast path.**  The
-//!   combiner executes large batches inside the work-stealing pool
-//!   (`wsm_pool`), so the parallel recursions inside the batched map (PESort,
-//!   2-3 tree batch splits) actually fan out across workers.  Batches at or
-//!   below a tunable threshold (env `WSM_INLINE_BATCH`, default
-//!   [`DEFAULT_INLINE_BATCH`]; see [`ConcurrentMap::with_inline_threshold`])
-//!   run directly on the combiner thread instead: a tiny batch has no
-//!   internal parallelism to exploit, and the ship-to-pool round trip
-//!   (enqueue, wake a worker, park, hand back) costs far more than the batch
-//!   itself.  This is the single biggest constant-factor lever for
-//!   low-concurrency callers — see experiment E16.
+//! Waiting callers park on a single generation-counting [`Doorbell`]; the
+//! combiner rings it once per activation (after distributing a whole batch
+//! of results), so there is no fixed-timeout polling.  A caller re-attempts
+//! the activation on every wake-up, which also closes the classic
+//! flat-combining hand-off race (a combiner observing an empty buffer and
+//! exiting just as a new operation lands): the ring that follows every
+//! activation guarantees somebody re-checks.  Alternatively,
+//! `WSM_HANDOFF=cell` (or [`ConcurrentMap::with_handoff`]) selects the
+//! *slot-free* hand-off: a waiter spins on its own sequence-stamped
+//! [`crate::handoff::ResultCell`] with yields escalating into a bounded
+//! exponential backoff, and never parks — removing the park/wake futex round
+//! trip entirely — see [`Handoff`] and experiment E16's A/B rows.
+//! `WSM_HANDOFF=waker` is the third, *await-able* hand-off for async callers:
+//! [`ConcurrentMap::submit_batch`] deposits operations without waiting at
+//! all, and the combiner's `fill` wakes the task [`Waker`](std::task::Waker)
+//! registered on each cell (the `wsm-svc` front-end and experiment E21's
+//! latency rows).
 //!
-//! One usage rule follows from the pool dispatch: do not call the map from
-//! *inside* a task of the pool that executes its batches
-//! (`wsm_pool::join`/`scope` closures) — map calls block on the doorbell,
-//! and a blocked worker cannot help execute the very batch it is waiting on.
+//! One usage rule follows from PESort's fork: do not call the map from
+//! *inside* a work-stealing pool task (`wsm_pool::join`/`scope` closures) —
+//! map calls block on the doorbell, and a blocked worker cannot help execute
+//! the fork of a batch above 2 048 keys that another caller is combining.
 //! Ordinary OS threads (as in the tests, examples and benches) are the
 //! intended callers, matching the paper's model of `p` processors calling
 //! the map.  `wsm-shard`'s `ShardedMap::run_batch` puts no thread between
@@ -113,31 +105,12 @@ fn handoff_from_env() -> Handoff {
     )
 }
 
-/// Default inline-batch threshold: batches of at most this many operations
-/// run on the combiner thread instead of being shipped to the pool.  Chosen
-/// by the E16 threshold sweep (`harness e16`); override per process with
-/// `WSM_INLINE_BATCH=n` or per map with
-/// [`ConcurrentMap::with_inline_threshold`].
-pub const DEFAULT_INLINE_BATCH: usize = 64;
-
 /// How many yield-and-recheck rounds a waiting caller performs before parking
 /// on the doorbell.  A combiner cycle for a small batch completes in a few
 /// microseconds — comparable to a futex sleep/wake round trip — so a few
 /// yields usually deliver the result without a park; large values only burn
 /// sched_yield calls.
 const SPIN_WAIT: u32 = 4;
-
-/// The process-wide inline threshold: `WSM_INLINE_BATCH` if set to a valid
-/// number (0 disables the fast path entirely), otherwise
-/// [`DEFAULT_INLINE_BATCH`].  Garbage values warn once and keep the default.
-fn inline_threshold_from_env() -> usize {
-    crate::env::parse(
-        "WSM_INLINE_BATCH",
-        "a batch size (non-negative integer; 0 disables the inline path)",
-        DEFAULT_INLINE_BATCH,
-        |_| true,
-    )
-}
 
 /// Longest single backoff sleep of a never-parking waiter, in microseconds.
 /// The cap keeps the hand-off latency bounded (a result deposited while the
@@ -214,12 +187,6 @@ pub struct ConcurrentMap<K, V, M> {
     inner: Mutex<M>,
     scratch: Mutex<CombineScratch<K, V>>,
     doorbell: Doorbell,
-    /// When set, batches run on this dedicated pool instead of the global
-    /// one (used by the E15 scaling experiment to pin the worker count).
-    pool: Option<Arc<wsm_pool::ThreadPool>>,
-    /// Batches of at most this many operations run inline on the combiner
-    /// thread instead of round-tripping through the pool.
-    inline_threshold: usize,
     /// How waiting callers learn their result arrived.
     handoff: Handoff,
     /// Commit-point observer (see [`CommitHook`]); `None` for ordinary maps.
@@ -233,18 +200,9 @@ where
     M: BatchedMap<K, V> + Send,
 {
     /// Wraps a batched map, sharding the parallel buffer for `shards`
-    /// submitting threads.  Batches execute on the global work-stealing pool.
+    /// submitting threads.  Each batch executes on the thread that wins the
+    /// combiner election.
     pub fn new(inner: M, shards: usize) -> Self {
-        Self::build(inner, shards, None)
-    }
-
-    /// Like [`ConcurrentMap::new`], but batch execution runs on the given
-    /// dedicated pool (so experiments can fix the worker count).
-    pub fn with_pool(inner: M, shards: usize, pool: Arc<wsm_pool::ThreadPool>) -> Self {
-        Self::build(inner, shards, Some(pool))
-    }
-
-    fn build(inner: M, shards: usize, pool: Option<Arc<wsm_pool::ThreadPool>>) -> Self {
         ConcurrentMap {
             buffer: ParallelBuffer::new(shards),
             inner: Mutex::new(inner),
@@ -253,27 +211,16 @@ where
                 slots: Vec::new(),
             }),
             doorbell: Doorbell::default(),
-            pool,
-            inline_threshold: inline_threshold_from_env(),
             handoff: handoff_from_env(),
             commit_hook: None,
         }
     }
 
-    /// Overrides the inline-batch threshold for this map: batches of at most
-    /// `threshold` operations execute on the combiner thread, larger ones on
-    /// the pool.  `0` disables the fast path (every batch goes to the pool);
-    /// `usize::MAX` forces every batch inline.  The default comes from
-    /// `WSM_INLINE_BATCH` / [`DEFAULT_INLINE_BATCH`].
-    #[must_use]
-    pub fn with_inline_threshold(mut self, threshold: usize) -> Self {
-        self.inline_threshold = threshold;
-        self
-    }
-
-    /// The current inline-batch threshold.
+    /// Always `usize::MAX`: every batch runs on the combiner thread, whatever
+    /// its size.  Kept only because the benchmark's run metadata still
+    /// records it; it goes with the next change to the benchmark.
     pub fn inline_threshold(&self) -> usize {
-        self.inline_threshold
+        usize::MAX
     }
 
     /// Overrides the waiter hand-off mode for this map (the default comes
@@ -597,9 +544,9 @@ where
     }
 
     /// Flushes the buffer and runs the accumulated batch through the
-    /// underlying map (inside the work-stealing pool, so the batch's internal
-    /// parallelism fans out), delivering each result to its caller.  Returns
-    /// the number of operations the flush actually drained.
+    /// underlying map on this (the combiner's) thread, delivering each result
+    /// to its caller.  Returns the number of operations the flush actually
+    /// drained.
     fn combine(&self) -> usize {
         // Uncontended by construction: only the activation holder combines.
         let mut scratch = self.scratch.lock();
@@ -634,17 +581,7 @@ where
         if let Some(hook) = &self.commit_hook {
             hook(&batch);
         }
-        let map: &mut M = &mut inner;
-        // Small batches have no internal parallelism worth a pool round trip;
-        // run them right here on the combiner thread.
-        let (results, _cost) = if batch.len() <= self.inline_threshold {
-            map.run_batch(batch)
-        } else {
-            match &self.pool {
-                Some(pool) => pool.install(move || map.run_batch(batch)),
-                None => wsm_pool::run(move || map.run_batch(batch)),
-            }
-        };
+        let (results, _cost) = inner.run_batch(batch);
         drop(inner);
         for (id, result) in results {
             slots[id as usize].fill(result);
@@ -682,42 +619,8 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_on_dedicated_pool() {
-        let pool = Arc::new(wsm_pool::ThreadPool::new(2));
-        let map = ConcurrentMap::with_pool(M1::<u64, u64>::new(4), 4, pool);
-        for k in 0..500u64 {
-            assert_eq!(map.insert(0, k, k + 1), None);
-        }
-        for k in 0..500u64 {
-            assert_eq!(map.search(0, k), Some(k + 1));
-        }
-        assert_eq!(map.len(), 500);
-    }
-
-    #[test]
-    fn inline_and_pooled_paths_agree() {
-        // Force every batch down each path in turn; results must match.
-        for threshold in [0usize, usize::MAX] {
-            let map =
-                ConcurrentMap::new(M1::<u64, u64>::new(4), 4).with_inline_threshold(threshold);
-            assert_eq!(map.inline_threshold(), threshold);
-            for k in 0..200u64 {
-                assert_eq!(map.insert(0, k, k * 3), None);
-            }
-            for k in 0..200u64 {
-                assert_eq!(map.search(0, k), Some(k * 3));
-            }
-            assert_eq!(map.delete(0, 7), Some(21));
-            assert_eq!(map.search(0, 7), None);
-            assert_eq!(map.len(), 199);
-        }
-    }
-
-    #[test]
     fn inline_path_under_contention() {
-        let map = Arc::new(
-            ConcurrentMap::new(M1::<u64, u64>::new(8), 8).with_inline_threshold(usize::MAX),
-        );
+        let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8));
         let threads = 8u64;
         let per = 1_000u64;
         let handles: Vec<_> = (0..threads)

@@ -49,7 +49,7 @@ pub mod m2;
 pub mod ops;
 
 pub use buffer::ParallelBuffer;
-pub use concurrent::{CommitHook, ConcurrentMap, Handoff, BACKOFF_CAP_US, DEFAULT_INLINE_BATCH};
+pub use concurrent::{CommitHook, ConcurrentMap, Handoff, BACKOFF_CAP_US};
 pub use context::{caller_hint, in_service_task, ServiceTaskGuard};
 pub use feed::{Bunch, FeedBuffer};
 pub use handoff::ResultCell;

@@ -168,18 +168,6 @@ where
         self
     }
 
-    /// Overrides the inline-batch threshold of every shard (see
-    /// [`ConcurrentMap::with_inline_threshold`]).
-    #[must_use]
-    pub fn with_inline_threshold(mut self, threshold: usize) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|shard| shard.with_inline_threshold(threshold))
-            .collect();
-        self
-    }
-
     /// Rebuilds each shard's front-end through `f` (builder style).  This is
     /// how `wsm-wal` installs per-shard commit hooks: each shard's combiner
     /// is its own serialization point, so durability wraps the shard's

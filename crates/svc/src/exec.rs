@@ -16,16 +16,19 @@
 //! [`Executor::new`] spawns a fixed pool of worker threads sharing one run
 //! queue (a mutexed `VecDeque` — contention on it is dwarfed by the map work
 //! each poll performs) and one timer heap.  A task is an `Arc` holding its
-//! boxed future; the task *is* its own waker ([`Wake`] impl), and a `queued`
-//! flag dedupes concurrent wakes.  Workers bracket every poll with
-//! [`wsm_core::ServiceTaskGuard`], so map code reached from a poll knows it
-//! must not park the worker (see `wsm_core::context`).
+//! boxed future; the task *is* its own waker ([`Wake`] impl).  Workers
+//! bracket every poll with [`wsm_core::ServiceTaskGuard`], so map code
+//! reached from a poll knows it must not park the worker (see
+//! `wsm_core::context`).
 //!
-//! A task woken *while it is being polled* is re-enqueued immediately; the
-//! worker that pops it then briefly blocks on the task's future mutex until
-//! the in-flight poll finishes.  That serialization is momentary and safe
-//! (polls never wait on other polls), and it keeps the state machine to one
-//! atomic flag.
+//! A task's atomic state is `IDLE`, `SCHEDULED` (in the run queue),
+//! `RUNNING` (being polled) or `NOTIFIED` (woken while being polled).  Only
+//! a wake of an `IDLE` task enqueues it; a wake during a poll merely marks
+//! it `NOTIFIED`, and the polling worker itself re-enqueues the task once
+//! the poll returns `Pending`.  So a task sits in the queue at most once,
+//! is never polled by two workers at a time, and its future mutex is never
+//! contended — a task that wakes itself mid-poll cannot make a second
+//! worker block behind that poll.
 //!
 //! [`block_on`] drives a future on the calling thread with a park/unpark
 //! waker (`std::thread` park tokens are sticky, so a wake that lands before
@@ -37,7 +40,7 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -145,20 +148,41 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 struct Task {
     exec: Weak<Core>,
-    /// `Some` until the future completes.  Also the poll lock: the worker
-    /// holding it is the one polling this task.
+    /// `Some` until the future completes.  Only the worker that moved the
+    /// task to `RUNNING` locks it, so the lock is never contended.
     future: Mutex<Option<BoxFuture>>,
-    /// True while the task sits in the run queue; dedupes concurrent wakes.
-    queued: AtomicBool,
+    /// `IDLE`, `SCHEDULED`, `RUNNING` or `NOTIFIED` (see the module docs).
+    state: AtomicU8,
 }
+
+/// Not queued and not being polled: the next wake enqueues the task.
+const IDLE: u8 = 0;
+/// In the run queue (exactly once).
+const SCHEDULED: u8 = 1;
+/// Being polled by a worker.
+const RUNNING: u8 = 2;
+/// Woken while being polled: the polling worker re-enqueues it.
+const NOTIFIED: u8 = 3;
 
 impl Task {
     fn schedule(self: Arc<Self>) {
-        // ord: AcqRel — the winning swap claims the sole queue slot for this
-        // task and orders it with the flag clear in `poll_task`.
-        if self.queued.swap(true, Ordering::AcqRel) {
-            return;
+        // ord: AcqRel — the successful transition out of IDLE claims the
+        // sole queue slot for this task, and the one out of RUNNING hands
+        // the re-enqueue to the polling worker; both order with that
+        // worker's Release/AcqRel transitions in `poll_task`.
+        let prev = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| match s {
+                IDLE => Some(SCHEDULED),
+                RUNNING => Some(NOTIFIED),
+                _ => None, // already queued or already notified
+            });
+        if prev == Ok(IDLE) {
+            self.enqueue();
         }
+    }
+
+    fn enqueue(self: Arc<Self>) {
         if let Some(core) = self.exec.upgrade() {
             core.queue.lock().expect("run queue mutex").push_back(self);
             core.idle.notify_one();
@@ -268,7 +292,7 @@ impl Executor {
             future: Mutex::new(Some(Box::pin(async move {
                 tx.send(future.await);
             }))),
-            queued: AtomicBool::new(false),
+            state: AtomicU8::new(IDLE),
         });
         task.schedule();
         JoinHandle(rx)
@@ -387,20 +411,45 @@ fn worker_loop(core: &Arc<Core>) {
 }
 
 fn poll_task(task: &Arc<Task>) {
-    // Clear the queue slot *before* polling: a wake arriving mid-poll must
-    // re-enqueue the task so progress made by that wake is observed.
-    // ord: Release — pairs with the AcqRel swap in `Task::schedule`.
-    task.queued.store(false, Ordering::Release);
-    let waker = Waker::from(Arc::clone(task));
-    let mut cx = Context::from_waker(&waker);
-    let mut slot = task.future.lock().expect("task future mutex");
-    let Some(future) = slot.as_mut() else {
-        return; // already completed; a late wake popped a stale queue entry
+    // Leave SCHEDULED *before* polling: a wake arriving mid-poll must be
+    // recorded (as NOTIFIED) so progress made by that wake is observed.
+    // ord: Release — pairs with the AcqRel update in `Task::schedule`; only
+    // this worker holds the queue entry, so a plain store suffices.
+    task.state.store(RUNNING, Ordering::Release);
+    let pending = {
+        let mut slot = task.future.lock().expect("task future mutex");
+        match slot.as_mut() {
+            // Already completed; a late wake popped a stale queue entry.
+            None => false,
+            Some(future) => {
+                let waker = Waker::from(Arc::clone(task));
+                let mut cx = Context::from_waker(&waker);
+                // Map code reached from this poll must never park this worker.
+                let _guard = ServiceTaskGuard::new();
+                let ready = future.as_mut().poll(&mut cx).is_ready();
+                if ready {
+                    *slot = None;
+                }
+                !ready
+            }
+        }
     };
-    // Map code reached from this poll must never park this worker.
-    let _guard = ServiceTaskGuard::new();
-    if future.as_mut().poll(&mut cx).is_ready() {
-        *slot = None;
+    // The future lock is released before the task can be queued again, so
+    // the next worker to poll it never waits on this one.
+    // ord: AcqRel — the failed exchange reads a NOTIFIED written by
+    // `schedule`'s AcqRel update; the successful one publishes this poll to
+    // the next `schedule` that claims the task.
+    let woken = task
+        .state
+        .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+        .is_err();
+    // Woken mid-poll.  A finished task just stays NOTIFIED, which turns
+    // every later wake into a no-op.
+    if woken && pending {
+        // ord: Release — this worker owns the NOTIFIED state (no wake
+        // changes it), so a plain store re-claims the queue slot.
+        task.state.store(SCHEDULED, Ordering::Release);
+        Arc::clone(task).enqueue();
     }
 }
 
@@ -553,6 +602,43 @@ mod tests {
             assert_eq!(block_on(handle), i * 2);
         }
         assert_eq!(counter.load(Ordering::SeqCst), 32);
+    }
+
+    #[test]
+    fn self_wake_mid_poll_leaves_the_other_worker_free() {
+        // Task A wakes itself during its poll and then holds its worker
+        // until task B has run (capped at 2 s).  B is spawned only after
+        // A's self-wake, so it can run only if the other worker is not
+        // blocked behind A's in-flight poll.
+        let exec = Executor::new(2);
+        let woke = Arc::new(AtomicBool::new(false));
+        let b_ran = Arc::new(AtomicBool::new(false));
+        let a = {
+            let (woke, b_ran) = (Arc::clone(&woke), Arc::clone(&b_ran));
+            let mut saw_b = None;
+            exec.spawn(std::future::poll_fn(move |cx| {
+                if let Some(saw) = saw_b {
+                    return Poll::Ready(saw);
+                }
+                cx.waker().wake_by_ref();
+                woke.store(true, Ordering::SeqCst);
+                let start = Instant::now();
+                while !b_ran.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(2) {
+                    std::thread::yield_now();
+                }
+                saw_b = Some(b_ran.load(Ordering::SeqCst));
+                Poll::Pending
+            }))
+        };
+        while !woke.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let b = {
+            let b_ran = Arc::clone(&b_ran);
+            exec.spawn(async move { b_ran.store(true, Ordering::SeqCst) })
+        };
+        assert!(block_on(a), "B waited behind A's self-woken poll");
+        block_on(b);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //!
 //! Run with `cargo run --example web_cache --release`.  The number of
 //! request-serving OS threads defaults to 4 and can be overridden with
-//! `WSM_WORKERS=n`; the map's combiner runs small batches inline
-//! (`WSM_INLINE_BATCH`, default 64) and fans larger ones out on the
-//! work-stealing pool (`wsm-pool`, sized by `WSM_POOL_THREADS`).  Experiment
-//! E16 (`harness e16`) tracks this workload's map-vs-AVL gap as a regression.
+//! `WSM_WORKERS=n`; whichever serving thread wins the map's combiner election
+//! runs the batch on its own thread.  Experiment E16 (`harness e16`) tracks
+//! this workload's map-vs-AVL gap as a regression.
 //!
 //! With `WSM_SHARDS=n` (n > 1) the cache is served by a
 //! [`wsm_shard::ShardedMap`] instead: the keyspace is hash-partitioned

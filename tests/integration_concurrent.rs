@@ -2,8 +2,11 @@
 //! OS threads hammer the same map and per-key sequential consistency is
 //! checked.
 
-use std::sync::Arc;
-use wsm_core::{ConcurrentMap, M1, M2};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+use wsm_core::{BatchedMap, ConcurrentMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
+use wsm_model::Cost;
+use wsm_shard::ShardedMap;
 
 #[test]
 fn concurrent_m1_per_key_history_is_sequential() {
@@ -108,4 +111,66 @@ fn concurrent_map_survives_bursty_contention() {
             assert!(present, "key {key} must be present");
         }
     }
+}
+
+/// An M1 that records which thread ran each of its batches.
+struct ThreadRecording {
+    inner: M1<u64, u64>,
+    ran_on: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl BatchedMap<u64, u64> for ThreadRecording {
+    fn run_batch(&mut self, batch: Vec<TaggedOp<u64, u64>>) -> (Vec<(OpId, OpResult<u64>)>, Cost) {
+        self.ran_on
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        self.inner.run_batch(batch)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn effective_work(&self) -> u64 {
+        self.inner.effective_work()
+    }
+
+    fn effective_span(&self) -> u64 {
+        self.inner.effective_span()
+    }
+}
+
+/// Asserts that batches ran, and all on the calling thread.
+fn assert_ran_here(ran_on: &Mutex<Vec<ThreadId>>, surface: &str) {
+    let ran_on = ran_on.lock().unwrap();
+    assert!(!ran_on.is_empty(), "{surface}: no batch ran");
+    let me = std::thread::current().id();
+    assert!(
+        ran_on.iter().all(|&id| id == me),
+        "{surface}: a batch ran off the calling thread: {ran_on:?}"
+    );
+}
+
+#[test]
+fn large_batches_run_on_the_calling_thread() {
+    // Whoever wins the combiner election runs the batch itself, whatever its
+    // size: a lone caller's large batches never leave its thread.
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let recording = || ThreadRecording {
+        inner: M1::new(4),
+        ran_on: Arc::clone(&ran_on),
+    };
+
+    let map = ConcurrentMap::new(recording(), 4);
+    let results = map.call_batch(0, (0..256u64).map(|k| Operation::Insert(k, k)).collect());
+    assert!(results.iter().all(|r| *r == OpResult::Insert(None)));
+    assert_ran_here(&ran_on, "ConcurrentMap::call_batch of 256 ops");
+
+    ran_on.lock().unwrap().clear();
+    let sharded = ShardedMap::with_shards(2, |_| recording());
+    let results = sharded.run_batch((0..512u64).map(|k| Operation::Insert(k, k)).collect());
+    assert!(results.iter().all(|r| *r == OpResult::Insert(None)));
+    assert_eq!(sharded.len(), 512);
+    assert_ran_here(&ran_on, "ShardedMap::run_batch of 512 ops at S=2");
 }

@@ -12,10 +12,6 @@
 //! walks one-op-per-thread frontiers with memoization on (frontier, oracle
 //! state), which keeps it polynomial for these history sizes.
 //!
-//! Both combiner regimes are exercised per history: the small-batch inline
-//! fast path (threshold `usize::MAX`) and the pooled path (threshold `0`,
-//! every batch shipped to the work-stealing pool).
-//!
 //! The sharded front-end (`wsm_shard::ShardedMap`) is checked *per shard*:
 //! the partitioner is a pure function of the key, so every operation on a key
 //! flows through exactly one shard, and the front-end's guarantee is that
@@ -219,65 +215,53 @@ fn check_sharded(per_thread: &[Vec<Op>], shards: usize) {
     }
 }
 
-/// Preloads an M1-backed map sequentially, executes the history at both
-/// combiner regimes, and asserts a linearization exists from the preloaded
-/// state.
+/// Preloads an M1-backed map sequentially, executes the history, and
+/// asserts a linearization exists from the preloaded state.
 fn check_preloaded_m1(per_thread: &[Vec<Op>], preload: &BTreeMap<u64, u64>) {
-    let shards = per_thread.len().max(1);
-    for threshold in [usize::MAX, 0] {
-        let mut inner = M1::<u64, u64>::new(4);
-        inner.run_ops(
-            preload
-                .iter()
-                .map(|(&k, &v)| wsm_core::Operation::Insert(k, v))
-                .collect(),
-        );
-        let map = ConcurrentMap::new(inner, shards).with_inline_threshold(threshold);
-        let histories = execute(map, per_thread);
-        assert!(
-            linearizable_from(&histories, preload.clone()),
-            "no linearization over preloaded M1 (inline threshold {threshold}): {histories:#?}"
-        );
-    }
+    let mut inner = M1::<u64, u64>::new(4);
+    inner.run_ops(
+        preload
+            .iter()
+            .map(|(&k, &v)| wsm_core::Operation::Insert(k, v))
+            .collect(),
+    );
+    let map = ConcurrentMap::new(inner, per_thread.len().max(1));
+    let histories = execute(map, per_thread);
+    assert!(
+        linearizable_from(&histories, preload.clone()),
+        "no linearization over preloaded M1: {histories:#?}"
+    );
 }
 
 /// [`check_preloaded_m1`] for the pipelined M2.
 fn check_preloaded_m2(per_thread: &[Vec<Op>], preload: &BTreeMap<u64, u64>) {
-    let shards = per_thread.len().max(1);
-    for threshold in [usize::MAX, 0] {
-        let mut inner = M2::<u64, u64>::new(4);
-        inner.run_ops(
-            preload
-                .iter()
-                .map(|(&k, &v)| wsm_core::Operation::Insert(k, v))
-                .collect(),
-        );
-        let map = ConcurrentMap::new(inner, shards).with_inline_threshold(threshold);
-        let histories = execute(map, per_thread);
-        assert!(
-            linearizable_from(&histories, preload.clone()),
-            "no linearization over preloaded M2 (inline threshold {threshold}): {histories:#?}"
-        );
-    }
-}
-
-/// Executes the history on an M1-backed map at the given inline threshold
-/// and asserts a linearization exists.
-fn check_m1(per_thread: &[Vec<Op>], inline_threshold: usize) {
-    let shards = per_thread.len().max(1);
-    let map =
-        ConcurrentMap::new(M1::<u64, u64>::new(4), shards).with_inline_threshold(inline_threshold);
+    let mut inner = M2::<u64, u64>::new(4);
+    inner.run_ops(
+        preload
+            .iter()
+            .map(|(&k, &v)| wsm_core::Operation::Insert(k, v))
+            .collect(),
+    );
+    let map = ConcurrentMap::new(inner, per_thread.len().max(1));
     let histories = execute(map, per_thread);
     assert!(
-        linearizable(&histories),
-        "no linearization (inline threshold {inline_threshold}): {histories:#?}"
+        linearizable_from(&histories, preload.clone()),
+        "no linearization over preloaded M2: {histories:#?}"
     );
+}
+
+/// Executes the history on an M1-backed map and asserts a linearization
+/// exists.
+fn check_m1(per_thread: &[Vec<Op>]) {
+    let map = ConcurrentMap::new(M1::<u64, u64>::new(4), per_thread.len().max(1));
+    let histories = execute(map, per_thread);
+    assert!(linearizable(&histories), "no linearization: {histories:#?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random histories on M1, both combiner regimes.
+    /// Random histories on M1.
     #[test]
     fn concurrent_m1_histories_linearize(
         raw in prop::collection::vec(
@@ -285,12 +269,10 @@ proptest! {
             1..5,
         )
     ) {
-        let per_thread = decode_history(&raw);
-        check_m1(&per_thread, usize::MAX); // inline small-batch fast path
-        check_m1(&per_thread, 0); // every batch through the pool
+        check_m1(&decode_history(&raw));
     }
 
-    /// Random histories on the pipelined M2, both combiner regimes.
+    /// Random histories on the pipelined M2.
     #[test]
     fn concurrent_m2_histories_linearize(
         raw in prop::collection::vec(
@@ -299,23 +281,16 @@ proptest! {
         )
     ) {
         let per_thread = decode_history(&raw);
-        let shards = per_thread.len().max(1);
-        for threshold in [usize::MAX, 0] {
-            let map = ConcurrentMap::new(M2::<u64, u64>::new(4), shards)
-                .with_inline_threshold(threshold);
-            let histories = execute(map, &per_thread);
-            prop_assert!(
-                linearizable(&histories),
-                "no linearization (inline threshold {threshold}): {histories:#?}"
-            );
-        }
+        let map = ConcurrentMap::new(M2::<u64, u64>::new(4), per_thread.len().max(1));
+        let histories = execute(map, &per_thread);
+        prop_assert!(linearizable(&histories), "no linearization: {histories:#?}");
     }
 
     /// Working-set-order reads over a preloaded cascade: threads hammer a
     /// tiny hot set (plus occasional cold keys), so every batch exercises the
     /// recency-list move-to-front and promotion-transfer paths of the fused
     /// `RecencyMap` — the arena splice code, not just tree lookups.  Checked
-    /// on M1 and M2, both combiner regimes.
+    /// on M1 and M2.
     #[test]
     fn working_set_order_reads_linearize(
         raw in prop::collection::vec(
