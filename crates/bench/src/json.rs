@@ -1,11 +1,9 @@
 //! Minimal JSON emission for machine-readable benchmark artifacts.
 //!
-//! The vendored `serde` is a no-op stand-in (its derives generate nothing),
-//! so this module hand-writes the tiny subset of JSON the harness needs:
-//! objects, arrays, strings and finite numbers.  Every harness run persists
-//! one `BENCH_<experiment>.json` per experiment so results can be
-//! regression-tracked across commits (ROADMAP "Benches are not wired to
-//! BENCH_*.json output").
+//! The workspace has no serialization dependency, so this module hand-writes
+//! the tiny subset of JSON the harness needs: objects, arrays, strings and
+//! finite numbers.  Every harness run persists one `BENCH_<experiment>.json`
+//! per experiment so results can be regression-tracked across commits.
 
 use crate::Row;
 use std::fmt::Write as _;

@@ -1,22 +1,21 @@
 //! # wsm-bench — experiment harness library
 //!
-//! Helper routines shared by the Criterion benches and the `harness` binary.
-//! Each `eN` function regenerates one experiment from DESIGN.md /
-//! EXPERIMENTS.md and returns printable rows; the harness binary formats them
-//! as the tables recorded in EXPERIMENTS.md.
+//! Helper routines behind the `harness` binary.  Each `eN` function
+//! regenerates one experiment from DESIGN.md / EXPERIMENTS.md and returns
+//! printable rows; the harness binary formats them as the tables recorded in
+//! EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 
 pub mod json;
 
-use serde::Serialize;
 use wsm_core::{BatchedMap, OpId, Operation, TaggedOp, M1, M2};
 use wsm_model::{working_set_bound, Cost, MapOpKind};
 use wsm_seq::{AvlMap, IaconoMap, InstrumentedMap, SplayMap, M0};
 use wsm_workloads::{analysis, Pattern, WorkloadSpec};
 
 /// A generic experiment row: a label plus named numeric columns.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Row {
     /// Row label (workload, structure or parameter value).
     pub label: String,
@@ -921,7 +920,9 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// segment-op shapes of the cascade (`get_batch`, `remove_batch` +
 /// `push_front_batch`, `take_back` + `push_front_batch`) per key on a
 /// 2^17-item map — the size at which a segment tree outgrows the cache and
-/// the node layout, not the node count, decides the cost.
+/// the node layout, not the node count, decides the cost — and two
+/// `std::collections::BTreeMap` rows on the same keys give the yardstick: a
+/// `get` per key, and a remove + insert per key.
 ///
 /// Since the fanout-B arena rewrite every row also records `nodes/op`
 /// (thread-local metered tree-node touches) and `ns/op` (wall time), and an
@@ -938,6 +939,7 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// Results are persisted to `BENCH_e18.json` so the constant-factor drop is
 /// a tracked regression, not a one-off PR note.
 pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
+    use std::collections::BTreeMap;
     use std::time::Instant;
     use wsm_twothree::cost as tcost;
     use wsm_twothree::{RecencyMap, Tree23};
@@ -1085,6 +1087,10 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
     for i in (1..shuffled.len()).rev() {
         shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
     }
+    let mut std_map = BTreeMap::new();
+    for &(k, v) in &shuffled {
+        std_map.insert(k, v);
+    }
     big.push_back_batch(shuffled);
     let batches: Vec<Vec<u64>> = (0..SWEEP_BATCHES)
         .map(|_| {
@@ -1095,13 +1101,12 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
         })
         .collect();
     let swept_keys = batches.iter().map(Vec::len).sum::<usize>() as f64;
-    type Segment = RecencyMap<u64, u64>;
-    let mut sweep = |label: &str, body: &mut dyn FnMut(&mut Segment, &[u64])| {
+    let mut sweep = |label: &str, body: &mut dyn FnMut(&[u64])| {
         tcost::reset_tree_passes();
         let (mut ns, mut nodes) = (0.0, 0u64);
         for keys in &batches {
             let start = Instant::now();
-            let ((), touched) = tcost::metered(|| body(&mut big, keys));
+            let ((), touched) = tcost::metered(|| body(keys));
             ns += start.elapsed().as_nanos() as f64;
             nodes += touched;
         }
@@ -1119,19 +1124,32 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
             ],
         ));
     };
-    sweep("sweep get_batch", &mut |map, keys| {
-        assert!(std::hint::black_box(map.get_batch(keys))
+    sweep("sweep get_batch", &mut |keys| {
+        assert!(std::hint::black_box(big.get_batch(keys))
             .iter()
             .all(Option::is_some));
     });
-    sweep("sweep remove_batch + push_front_batch", &mut |map, keys| {
-        let found = map.remove_batch(keys);
+    sweep("sweep remove_batch + push_front_batch", &mut |keys| {
+        let found = big.remove_batch(keys);
         let items = keys.iter().zip(found);
-        map.push_front_batch(items.map(|(&k, v)| (k, v.expect("key present"))).collect());
+        big.push_front_batch(items.map(|(&k, v)| (k, v.expect("key present"))).collect());
     });
-    sweep("sweep take_back + push_front_batch", &mut |map, keys| {
-        let moved = map.take_back(keys.len());
-        map.push_front_batch(moved);
+    sweep("sweep take_back + push_front_batch", &mut |keys| {
+        let moved = big.take_back(keys.len());
+        big.push_front_batch(moved);
+    });
+    // The same keys, one at a time, on `std::BTreeMap` (no batching, no
+    // recency order, no metered tree).
+    sweep("btreemap get", &mut |keys| {
+        for k in keys {
+            assert!(std::hint::black_box(std_map.get(k)).is_some());
+        }
+    });
+    sweep("btreemap remove + insert", &mut |keys| {
+        for &k in keys {
+            let v = std_map.remove(&k).expect("key present");
+            std_map.insert(k, v);
+        }
     });
 
     // A/B micro family: the same op shapes on the 2-3 reference (B = 2) and
@@ -1385,10 +1403,11 @@ pub fn experiment_sharded(
 }
 
 /// E20 — durability overhead: per-operation cost of write-ahead logging
-/// every committed batch, swept across the three `WSM_WAL_SYNC` policies and
-/// measured against a WAL-free [`ConcurrentMap`](wsm_core::ConcurrentMap)
-/// baseline, plus the recovery costs (reopen + full-log replay, and reopen
-/// from a checkpoint).
+/// every committed batch, swept across the three `WSM_WAL_SYNC` policies on a
+/// one-shard [`DurableShardedMap`](wsm_wal::DurableShardedMap) and measured
+/// against a WAL-free one-shard [`ShardedMap`](wsm_shard::ShardedMap) — the
+/// same front-end without the commit hook — plus the recovery costs (reopen +
+/// full-log replay, and reopen from a checkpoint).
 ///
 /// `t` OS threads each insert their own keyspace slice in 64-operation
 /// batches — inserts, because only mutations hit the log; search-only
@@ -1403,7 +1422,8 @@ pub fn experiment_sharded(
 /// * `batches logged` — how many combiner batches actually reached the log
 ///   (combining under contention means fewer, larger batches).
 ///
-/// The two `reopen` rows time [`DurableMap::open_with`](wsm_wal::DurableMap)
+/// The two `reopen` rows time
+/// [`DurableShardedMap::open_with`](wsm_wal::DurableShardedMap::open_with)
 /// against the artifacts the `sync=batch` run left behind: once replaying the
 /// whole log, once after a checkpoint truncated it.  Persisted to
 /// `BENCH_e20.json`.
@@ -1415,8 +1435,8 @@ pub fn experiment_wal_overhead(
 ) -> Vec<Row> {
     use std::sync::Arc;
     use std::time::Instant;
-    use wsm_core::ConcurrentMap;
-    use wsm_wal::{DurableMap, DurableOptions, SyncPolicy};
+    use wsm_shard::ShardedMap;
+    use wsm_wal::{DurableOptions, DurableShardedMap, SyncPolicy};
 
     const CHUNK: usize = 64;
     let t = threads.max(1);
@@ -1438,14 +1458,16 @@ pub fn experiment_wal_overhead(
     // --- WAL-free baseline: the same front-end, no commit hook ------------
     let mut base_ns = 0.0;
     for _ in 0..reps {
-        let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(t.max(2)), t));
+        let map = Arc::new(ShardedMap::with_shards(1, |_| {
+            M1::<u64, u64>::new(t.max(2))
+        }));
         let start = Instant::now();
         std::thread::scope(|s| {
-            for (w, stream) in streams.iter().enumerate() {
+            for stream in &streams {
                 let map = Arc::clone(&map);
                 s.spawn(move || {
                     for chunk in stream.chunks(CHUNK) {
-                        map.call_batch(w, chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
+                        map.run_batch(chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
                     }
                 });
             }
@@ -1479,7 +1501,7 @@ pub fn experiment_wal_overhead(
                 checkpoint_every: u64::MAX,
             };
             let map = Arc::new(
-                DurableMap::open_with(&dir, opts, || M1::<u64, u64>::new(t.max(2)))
+                DurableShardedMap::open_with(&dir, 1, opts, |_| M1::<u64, u64>::new(t.max(2)))
                     .expect("open E20 WAL dir"),
             );
             let start = Instant::now();
@@ -1488,16 +1510,14 @@ pub fn experiment_wal_overhead(
                     let map = Arc::clone(&map);
                     s.spawn(move || {
                         for chunk in stream.chunks(CHUNK) {
-                            map.call_batch(
-                                chunk.iter().map(|&k| Operation::Insert(k, k)).collect(),
-                            );
+                            map.run_batch(chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
                         }
                     });
                 }
             });
             map.flush().expect("flush E20 WAL");
             total_ns += start.elapsed().as_nanos() as f64;
-            let stats = map.wal_stats();
+            let stats = map.wal_stats()[0];
             batches = stats.batches_logged as f64;
             bytes_per_batch = stats.bytes_appended as f64 / stats.batches_logged.max(1) as f64;
         }
@@ -1519,11 +1539,11 @@ pub fn experiment_wal_overhead(
         sync: SyncPolicy::Batch,
         checkpoint_every: u64::MAX,
     };
+    let open = || DurableShardedMap::open_with(&dir, 1, opts, |_| M1::<u64, u64>::new(t.max(2)));
     let start = Instant::now();
-    let map = DurableMap::open_with(&dir, opts, || M1::<u64, u64>::new(t.max(2)))
-        .expect("reopen E20 WAL dir");
+    let map = open().expect("reopen E20 WAL dir");
     let open_ms = start.elapsed().as_nanos() as f64 / 1e6;
-    let report = map.recovery();
+    let report = map.recovery()[0];
     rows.push(Row::new(
         "reopen: replay full log",
         vec![
@@ -1533,13 +1553,12 @@ pub fn experiment_wal_overhead(
             ("checkpoint items", report.checkpoint_items as f64),
         ],
     ));
-    map.checkpoint().expect("E20 checkpoint");
+    map.checkpoint_all().expect("E20 checkpoint");
     drop(map);
     let start = Instant::now();
-    let map = DurableMap::open_with(&dir, opts, || M1::<u64, u64>::new(t.max(2)))
-        .expect("reopen E20 checkpoint");
+    let map = open().expect("reopen E20 checkpoint");
     let open_ms = start.elapsed().as_nanos() as f64 / 1e6;
-    let report = map.recovery();
+    let report = map.recovery()[0];
     rows.push(Row::new(
         "reopen: from checkpoint",
         vec![
@@ -1778,9 +1797,9 @@ mod tests {
     #[test]
     fn tree_passes_experiment_pins_single_pass_segment_ops() {
         let rows = experiment_tree_passes(1 << 9, 1 << 11);
-        // 3 workloads x 2 structures + 4 micro rows + 3 sweep rows + 2 fanouts
-        // x 3 A/B rows.
-        assert_eq!(rows.len(), 19);
+        // 3 workloads x 2 structures + 4 micro rows + 3 sweep rows + 2
+        // BTreeMap rows + 2 fanouts x 3 A/B rows.
+        assert_eq!(rows.len(), 21);
         let get = |label: &str, key: &str| -> f64 {
             rows.iter()
                 .find(|r| r.label == label)
@@ -1838,8 +1857,14 @@ mod tests {
                 get(&narrow, "nodes/op"),
             );
         }
-        // Workload-level pass counts are positive and finite.
-        for row in &rows {
+        // The BTreeMap yardstick drives no `Tree23`; it is timed, not metered.
+        for label in ["get", "remove + insert"] {
+            let label = format!("btreemap {label} b=80 n=2^17");
+            assert_eq!(get(&label, "tree passes"), 0.0);
+            assert!(get(&label, "ns/op") > 0.0, "{label}: non-positive timing");
+        }
+        // Every other row's pass count is positive and finite.
+        for row in rows.iter().filter(|r| !r.label.starts_with("btreemap")) {
             let passes = row
                 .values
                 .iter()

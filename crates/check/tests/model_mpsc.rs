@@ -69,7 +69,7 @@ fn producers_race_concurrent_drain(producers: usize, ring: usize, per: usize) {
     }
 }
 
-/// The headline criterion run: three producers, ring of 2 (so the wrap and
+/// The headline acceptance run: three producers, ring of 2 (so the wrap and
 /// overflow paths are hot), preemption bound 3, >= 10k distinct schedules.
 #[test]
 fn mpsc_no_lost_or_duplicated_publication() {

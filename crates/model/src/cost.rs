@@ -6,8 +6,6 @@
 //! mirrors exactly how the paper reasons about effective work and effective
 //! span (Definition 5).
 
-use serde::{Deserialize, Serialize};
-
 /// A `(work, span)` pair in the dynamic multithreading cost model.
 ///
 /// All instrumented operations in the workspace return a `Cost`.  The two
@@ -15,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// (parallel).  `Cost` is a commutative monoid under `par` and a (non
 /// commutative in general, but here commutative because both fields are
 /// symmetric) monoid under `then`, with [`Cost::ZERO`] as identity for both.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cost {
     /// Total number of unit operations.
     pub work: u64,

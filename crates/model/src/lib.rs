@@ -1,4 +1,4 @@
-//! # wsm-model — QRMW-style cost model and scheduler simulation
+//! # wsm-model — QRMW-style cost model and the working-set bound
 //!
 //! The paper "Parallel Working-Set Search Structures" (SPAA 2018) analyses its
 //! data structures in the QRMW parallel pointer machine model, measuring
@@ -15,12 +15,9 @@
 //!   parallel).
 //! * [`CostMeter`] — an accumulator used by instrumented data structures to
 //!   record the cost of each operation or batch.
-//! * [`dag`] — a small program-DAG builder used by the experiments to model a
-//!   parallel program that makes map calls (computing `T_1`, `T_inf`, `d` and
-//!   the weighted span `s_L` of Theorem 4).
-//! * [`sched`] — discrete list-scheduling simulation of a greedy scheduler and
-//!   of the weak-priority scheduler of Section 7.2, used to turn effective
-//!   work/span numbers into simulated running times (Theorems 3 and 4).
+//! * [`wsbound`] — the working-set bound `W_L = sum(log r_i + 1)` of an
+//!   operation sequence (access ranks via a Fenwick tree), with the entropy
+//!   bound used by the sorting experiments.
 //!
 //! The cost model is exact rather than asymptotic: data structures count unit
 //! operations (key comparisons, node visits, transfers, lock-queue steps) so
@@ -31,15 +28,11 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod dag;
 pub mod meter;
-pub mod sched;
 pub mod wsbound;
 
 pub use cost::Cost;
-pub use dag::{NodeId, NodeKind, ProgramDag};
 pub use meter::{CostMeter, OpCostRecord};
-pub use sched::{Priority, SchedulePolicy, ScheduleResult, TaskGraph, TaskId};
 pub use wsbound::{
     access_ranks, entropy_bound, insert_working_set_bound, sequence_entropy, working_set_bound,
     Fenwick, MapOpKind,

@@ -1,13 +1,13 @@
 //! Hand-rolled binary codec for WAL records and checkpoint images.
 //!
-//! The vendored `serde` is a deliberate no-op stub (the build environment is
-//! offline), so — exactly as `wsm_bench::json` hand-rolls its JSON writer —
-//! the durability layer hand-rolls its wire format: fixed-width little-endian
-//! integers, length-prefixed byte strings, one tag byte per enum variant.
-//! Nothing here is self-describing; the record framing in [`crate::log`]
-//! carries the length and checksum that make decoding safe against torn or
-//! corrupt input, and every decoder returns `None` instead of panicking on
-//! malformed bytes.
+//! The workspace has no serialization dependency, so — exactly as
+//! `wsm_bench::json` hand-rolls its JSON writer — the durability layer
+//! hand-rolls its wire format: fixed-width little-endian integers,
+//! length-prefixed byte strings, one tag byte per enum variant.  Nothing here
+//! is self-describing; the record framing in [`crate::log`] carries the
+//! length and checksum that make decoding safe against torn or corrupt
+//! input, and every decoder returns `None` instead of panicking on malformed
+//! bytes.
 
 use wsm_core::Operation;
 

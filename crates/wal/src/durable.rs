@@ -1,11 +1,12 @@
-//! Durable front-ends: [`DurableMap`] (one combiner, one log) and
-//! [`DurableShardedMap`] (one log per shard).
+//! The durable front-end: [`DurableShardedMap`], one log per shard (at one
+//! shard, one combiner and one log).
 //!
-//! Both wrap the existing front-ends unchanged and add exactly two behaviors:
+//! It wraps [`ShardedMap`] unchanged and adds exactly two behaviors:
 //!
 //! * every committed batch is appended to a [`Wal`] *before* it is applied,
-//!   via the [`ConcurrentMap`] commit hook (under the inner-map lock, so no
-//!   caller ever observes a result whose batch is not in the log), and
+//!   via each shard's [`ConcurrentMap`](wsm_core::ConcurrentMap) commit hook
+//!   (under the inner-map lock, so no caller ever observes a result whose
+//!   batch is not in the log), and
 //! * every `checkpoint_every` logged batches the map's segments are written
 //!   as an atomic checkpoint and the log is truncated.
 //!
@@ -14,21 +15,16 @@
 //! than let the log silently stop shrinking.  A durability layer that keeps
 //! answering after its log device died is lying to its callers.
 
+use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use wsm_core::{
-    caller_hint, BatchedMap, ConcurrentMap, OpId, OpResult, Operation, TaggedOp, M1, M2,
-};
+use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
 use wsm_shard::{HashPartitioner, ShardedMap};
 
 use crate::codec::Codec;
 use crate::log::{Recovered, RecoveryReport, SyncPolicy, Wal, WalStats};
-
-/// Submitter-ring count for the wrapped front-end's parallel buffer (same
-/// default as `wsm-shard` uses per shard).
-const BUFFER_SHARDS: usize = 8;
 
 /// A batched map whose whole semantic state can round-trip through a
 /// checkpoint image: the per-segment item lists in recency order.
@@ -153,141 +149,6 @@ where
     }
 }
 
-/// A [`ConcurrentMap`] whose committed batches are write-ahead logged and
-/// periodically checkpointed, and which resumes from the log on open.
-///
-/// ```no_run
-/// use wsm_core::M1;
-/// use wsm_wal::{DurableMap, DurableOptions};
-///
-/// let opts = DurableOptions::default();
-/// let map = DurableMap::open_with("wal-dir".as_ref(), opts, || M1::<u64, u64>::new(8)).unwrap();
-/// map.insert(1, 10);
-/// drop(map); // or crash —
-/// let map = DurableMap::open_with("wal-dir".as_ref(), opts, || M1::<u64, u64>::new(8)).unwrap();
-/// assert_eq!(map.search(1), Some(10));
-/// ```
-pub struct DurableMap<K, V, M> {
-    map: ConcurrentMap<K, V, M>,
-    wal: Arc<Wal<K, V>>,
-    checkpoint_every: u64,
-    recovery: RecoveryReport,
-}
-
-impl<K, V, M> DurableMap<K, V, M>
-where
-    K: Codec + Ord + Clone + Send + Sync + 'static,
-    V: Codec + Clone + Send + 'static,
-    M: DurableState<K, V> + Send,
-{
-    /// Opens (creating if needed) a durable map in `dir` with options from
-    /// the environment (`WSM_WAL_SYNC`, `WSM_WAL_CHECKPOINT_EVERY`).
-    /// `make()` constructs the *empty* batched map; recovery fills it.
-    pub fn open(dir: &Path, make: impl FnOnce() -> M) -> io::Result<Self> {
-        Self::open_with(dir, DurableOptions::default(), make)
-    }
-
-    /// Opens with explicit [`DurableOptions`]: loads the newest valid
-    /// checkpoint, replays the log tail (truncating a torn final record),
-    /// asserts the structure's invariants, then installs the commit hook so
-    /// every later batch is logged before it is applied.
-    pub fn open_with(
-        dir: &Path,
-        opts: DurableOptions,
-        make: impl FnOnce() -> M,
-    ) -> io::Result<Self> {
-        let (wal, recovered) = Wal::open(dir, opts.sync)?;
-        let mut inner = make();
-        let recovery = recover_into(&mut inner, recovered);
-        let wal = Arc::new(wal);
-        let hook_wal = Arc::clone(&wal);
-        let map = ConcurrentMap::new(inner, BUFFER_SHARDS).with_commit_hook(move |batch| {
-            // Fail-stop: applying a batch the log refused would hand out
-            // results that a reopen could not reproduce.
-            hook_wal
-                .append(batch)
-                .expect("WAL append failed; refusing to apply an unlogged batch");
-        });
-        Ok(DurableMap {
-            map,
-            wal,
-            checkpoint_every: opts.checkpoint_every.max(1),
-            recovery,
-        })
-    }
-
-    /// What recovery found when this map was opened.
-    pub fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    /// Point-in-time WAL counters.
-    pub fn wal_stats(&self) -> WalStats {
-        self.wal.stats()
-    }
-
-    /// Current number of items.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Searches for a key (never logged: searches change only recency order,
-    /// which the next checkpoint re-captures).
-    pub fn search(&self, key: K) -> Option<V> {
-        self.map.search(caller_hint(), key)
-    }
-
-    /// Inserts a key/value pair, returning the previous value.  The batch
-    /// carrying this insert is on the log before this returns.
-    pub fn insert(&self, key: K, val: V) -> Option<V> {
-        let prev = self.map.insert(caller_hint(), key, val);
-        self.maybe_checkpoint();
-        prev
-    }
-
-    /// Deletes a key, returning its value if present.
-    pub fn delete(&self, key: K) -> Option<V> {
-        let prev = self.map.delete(caller_hint(), key);
-        self.maybe_checkpoint();
-        prev
-    }
-
-    /// Runs a batch of operations, returning results in operation order.
-    pub fn call_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let results = self.map.call_batch(caller_hint(), ops);
-        self.maybe_checkpoint();
-        results
-    }
-
-    /// Takes a checkpoint now: snapshots the segments under the inner-map
-    /// lock (serialized against the combiner and its commit hook, so the
-    /// image is exactly the logged prefix) and truncates the log.  Returns
-    /// the checkpoint sequence.
-    pub fn checkpoint(&self) -> io::Result<u64> {
-        self.map
-            .with_inner(|m| self.wal.checkpoint(&m.snapshot_segments()))
-    }
-
-    /// Pushes any user-space-buffered records ([`SyncPolicy::Off`]) to the
-    /// OS.  No-op under the other policies.
-    pub fn flush(&self) -> io::Result<()> {
-        self.wal.flush()
-    }
-
-    fn maybe_checkpoint(&self) {
-        // The unlocked read only keeps the common case off the inner lock.
-        if self.wal.since_checkpoint() >= self.checkpoint_every {
-            self.map
-                .with_inner(|m| checkpoint_if_due(&self.wal, self.checkpoint_every, m));
-        }
-    }
-}
-
 /// A [`ShardedMap`] with one [`Wal`] per shard (under `dir/shard-<i>/`).
 ///
 /// Each shard's combiner is its own serialization point, so per-shard logs
@@ -297,6 +158,18 @@ where
 /// shards' sub-batches may be durable while others are not — matching the
 /// map's live semantics, where cross-key operations carry no ordering
 /// obligation.
+///
+/// ```no_run
+/// use wsm_core::M1;
+/// use wsm_wal::{DurableOptions, DurableShardedMap};
+///
+/// let (dir, opts) = ("wal-dir".as_ref(), DurableOptions::default());
+/// let map = DurableShardedMap::open_with(dir, 1, opts, |_| M1::<u64, u64>::new(8)).unwrap();
+/// map.insert(1, 10);
+/// drop(map); // or crash —
+/// let map = DurableShardedMap::open_with(dir, 1, opts, |_| M1::<u64, u64>::new(8)).unwrap();
+/// assert_eq!(map.get(1), Some(10));
+/// ```
 pub struct DurableShardedMap<K, V, M> {
     map: ShardedMap<K, V, M, HashPartitioner>,
     wals: Vec<Arc<Wal<K, V>>>,
@@ -318,8 +191,15 @@ where
     }
 
     /// Opens with explicit [`DurableOptions`].  Each shard recovers
-    /// independently from its own `dir/shard-<i>/` WAL; the shard count must
-    /// match across opens (keys do not migrate).
+    /// independently from its own `dir/shard-<i>/` WAL: it loads the newest
+    /// valid checkpoint, replays the log tail (truncating a torn final
+    /// record) and asserts the structure's invariants; then the commit hooks
+    /// are installed so every later batch is logged before it is applied.
+    ///
+    /// The shard count must match across opens, because keys do not migrate.
+    /// If `dir` already holds shard directories other than exactly
+    /// `shard-0..shard-{shards-1}`, this returns
+    /// [`io::ErrorKind::InvalidInput`] and creates or replays nothing.
     pub fn open_with(
         dir: &Path,
         shards: usize,
@@ -327,6 +207,7 @@ where
         mut make: impl FnMut(usize) -> M,
     ) -> io::Result<Self> {
         let shards = shards.max(1);
+        check_shard_count(dir, shards)?;
         let mut wals = Vec::with_capacity(shards);
         let mut recovery = Vec::with_capacity(shards);
         let mut recovered: Vec<Option<M>> = Vec::with_capacity(shards);
@@ -430,7 +311,10 @@ where
         results
     }
 
-    /// Checkpoints one shard now (see [`DurableMap::checkpoint`]).
+    /// Checkpoints one shard now: snapshots its segments under the shard's
+    /// inner-map lock (serialized against its combiner and commit hook, so
+    /// the image is exactly the logged prefix) and truncates its log.
+    /// Returns the checkpoint sequence.
     pub fn checkpoint_shard(&self, shard: usize) -> io::Result<u64> {
         self.map.with_shard_inner(shard, |m| {
             self.wals[shard].checkpoint(&m.snapshot_segments())
@@ -461,6 +345,41 @@ where
     }
 }
 
+/// Refuses a `dir` whose logs were written at another shard count: keys are
+/// routed by the partitioner over the shard count, so a reopen at another
+/// count would look keys up in the wrong shard's log.  A `dir` with no
+/// `shard-*` directory yet takes any count.
+fn check_shard_count(dir: &Path, shards: usize) -> io::Result<()> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with("shard-") && entry.file_type()?.is_dir() {
+            found.push(name);
+        }
+    }
+    let mut expected: Vec<String> = (0..shards).map(|i| format!("shard-{i}")).collect();
+    found.sort();
+    expected.sort();
+    if found.is_empty() || found == expected {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{} holds {} shard directories but {shards} shards were requested; \
+             reopen a durable map at the shard count it was created with",
+            dir.display(),
+            found.len()
+        ),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,31 +400,36 @@ mod tests {
         }
     }
 
+    /// The single-shard M1 map: one combiner, one log.
+    fn open_m1(dir: &Path, o: DurableOptions) -> DurableShardedMap<u64, u64, M1<u64, u64>> {
+        DurableShardedMap::open_with(dir, 1, o, |_| M1::new(4)).unwrap()
+    }
+
     #[test]
     fn reopen_recovers_every_mutation_m1() {
         let dir = fresh_dir("reopen-m1");
         let o = opts(SyncPolicy::Batch, u64::MAX);
         {
-            let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
-            assert_eq!(map.recovery(), RecoveryReport::default());
+            let map = open_m1(&dir, o);
+            assert_eq!(map.recovery(), [RecoveryReport::default()]);
             for k in 0..300u64 {
                 assert_eq!(map.insert(k, k * 2), None);
             }
             for k in 0..100u64 {
-                assert_eq!(map.delete(k * 3), Some(k * 6));
+                assert_eq!(map.remove(k * 3), Some(k * 6));
             }
-            let stats = map.wal_stats();
+            let stats = map.wal_stats()[0];
             assert_eq!(stats.ops_logged, 400);
             assert_eq!(stats.checkpoints, 0);
         }
-        let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
-        let report = map.recovery();
+        let map = open_m1(&dir, o);
+        let report = map.recovery()[0];
         assert_eq!(report.checkpoint_seq, 0);
         assert_eq!(report.replayed_ops, 400);
         assert!(!report.truncated_torn_tail);
         for k in 0..300u64 {
             let expect = (k % 3 != 0).then_some(k * 2);
-            assert_eq!(map.search(k), expect, "k={k}");
+            assert_eq!(map.get(k), expect, "k={k}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -514,12 +438,13 @@ mod tests {
     fn periodic_checkpoints_truncate_the_log_m2() {
         let dir = fresh_dir("ckpt-m2");
         let o = opts(SyncPolicy::Always, 4);
+        let open = || DurableShardedMap::open_with(&dir, 1, o, |_| M2::<u64, u64>::new(4)).unwrap();
         {
-            let map = DurableMap::open_with(&dir, o, || M2::<u64, u64>::new(4)).unwrap();
+            let map = open();
             for k in 0..200u64 {
                 map.insert(k, k + 1);
             }
-            let stats = map.wal_stats();
+            let stats = map.wal_stats()[0];
             assert!(stats.checkpoints > 0, "checkpoint_every=4 must checkpoint");
             assert!(stats.since_checkpoint < stats.batches_logged);
             assert!(
@@ -527,8 +452,8 @@ mod tests {
                 "Always syncs per batch"
             );
         }
-        let map = DurableMap::open_with(&dir, o, || M2::<u64, u64>::new(4)).unwrap();
-        let report = map.recovery();
+        let map = open();
+        let report = map.recovery()[0];
         assert!(report.checkpoint_seq > 0, "reopen must use the checkpoint");
         assert_eq!(
             report.checkpoint_items + report.replayed_ops,
@@ -536,7 +461,7 @@ mod tests {
             "checkpoint + tail must cover every mutation: {report:?}"
         );
         for k in 0..200u64 {
-            assert_eq!(map.search(k), Some(k + 1), "k={k}");
+            assert_eq!(map.get(k), Some(k + 1), "k={k}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -546,16 +471,16 @@ mod tests {
         let dir = fresh_dir("off-flush");
         let o = opts(SyncPolicy::Off, u64::MAX);
         {
-            let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
+            let map = open_m1(&dir, o);
             for k in 0..50u64 {
                 map.insert(k, k);
             }
             // Drop flushes the user-space buffer (a crash here could lose
             // the un-flushed suffix — that's the policy's contract).
         }
-        let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
+        let map = open_m1(&dir, o);
         assert_eq!(map.len(), 50);
-        assert_eq!(map.recovery().replayed_ops, 50);
+        assert_eq!(map.recovery()[0].replayed_ops, 50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -564,21 +489,21 @@ mod tests {
         let dir = fresh_dir("batch");
         let o = opts(SyncPolicy::Batch, u64::MAX);
         {
-            let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
+            let map = open_m1(&dir, o);
             let ops: Vec<Operation<u64, u64>> = (0..64u64)
                 .map(|k| Operation::Insert(k, k))
                 .chain((0..64u64).map(Operation::Search))
                 .collect();
-            let results = map.call_batch(ops);
+            let results = map.run_batch(ops);
             assert_eq!(results.len(), 128);
             // Search-only traffic appends nothing.
-            let logged_before = map.wal_stats().ops_logged;
-            map.call_batch((0..64u64).map(Operation::Search).collect());
-            assert_eq!(map.wal_stats().ops_logged, logged_before);
+            let logged_before = map.wal_stats()[0].ops_logged;
+            map.run_batch((0..64u64).map(Operation::Search).collect());
+            assert_eq!(map.wal_stats()[0].ops_logged, logged_before);
         }
-        let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
+        let map = open_m1(&dir, o);
         assert_eq!(map.len(), 64);
-        assert_eq!(map.recovery().replayed_ops, 64);
+        assert_eq!(map.recovery()[0].replayed_ops, 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -621,21 +546,59 @@ mod tests {
     }
 
     #[test]
+    fn reopen_at_another_shard_count_is_refused() {
+        let dir = fresh_dir("shard-count");
+        let o = opts(SyncPolicy::Batch, u64::MAX);
+        let open = |shards| DurableShardedMap::open_with(&dir, shards, o, |_| M1::new(4));
+        open(4)
+            .unwrap()
+            .insert_batch((0..500u64).map(|k| (k, k)).collect());
+        for shards in [2, 8] {
+            match open(shards) {
+                Ok(map) => panic!("reopened at S={shards} holding {} keys", map.len()),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+                    let msg = e.to_string();
+                    assert!(msg.contains("holds 4 shard directories"), "{msg}");
+                    assert!(
+                        msg.contains(&format!("{shards} shards were requested")),
+                        "{msg}"
+                    );
+                }
+            }
+        }
+        assert!(
+            !dir.join("shard-4").exists(),
+            "a refused open creates nothing"
+        );
+        let map = open(4).unwrap();
+        assert_eq!(map.len(), 500);
+        for k in 0..500u64 {
+            assert_eq!(map.get(k), Some(k), "k={k}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn double_open_is_idempotent() {
         let dir = fresh_dir("double");
         let o = opts(SyncPolicy::Batch, 4);
         {
-            let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
+            let map = open_m1(&dir, o);
             for k in 0..50u64 {
                 map.insert(k, k);
             }
         }
         let first = {
-            let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
-            (map.recovery(), map.len())
+            let map = open_m1(&dir, o);
+            (map.recovery().to_vec(), map.len())
         };
-        let map = DurableMap::open_with(&dir, o, || M1::<u64, u64>::new(4)).unwrap();
-        assert_eq!((map.recovery(), map.len()), first, "reopen must be a no-op");
+        let map = open_m1(&dir, o);
+        assert_eq!(
+            (map.recovery().to_vec(), map.len()),
+            first,
+            "reopen must be a no-op"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

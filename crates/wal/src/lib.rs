@@ -5,10 +5,11 @@
 //! natural seam — the *combiner commit point*.  Every
 //! [`ConcurrentMap`](wsm_core::ConcurrentMap) batch is applied by exactly one
 //! combiner under the inner-map lock, so a commit hook at that point sees a
-//! totally ordered stream of batches per map (and per shard: each shard's
-//! combiner is its own serialization point, so [`DurableShardedMap`] simply
-//! gives every shard its own log — per-key durability needs no cross-shard
-//! ordering).
+//! totally ordered stream of batches per map.  Each shard of a
+//! [`ShardedMap`](wsm_shard::ShardedMap) has its own combiner, hence its own
+//! serialization point, so [`DurableShardedMap`] gives every shard its own
+//! log — per-key durability needs no cross-shard ordering.  One shard is the
+//! single-combiner, single-log case.
 //!
 //! Three pieces:
 //!
@@ -20,8 +21,8 @@
 //!   the map's segments — arena-backed `RecencyMap`s, snapshottable as plain
 //!   item lists in recency order since the PR 5 slab refactor — are written as an
 //!   atomic tmp+fsync+rename checkpoint file and the log is truncated.
-//! * **Replay-on-open** ([`DurableMap::open`]): load the newest valid
-//!   checkpoint, replay the log tail through the ordinary
+//! * **Replay-on-open** ([`DurableShardedMap::open`]): per shard, load the
+//!   newest valid checkpoint, replay the log tail through the ordinary
 //!   [`BatchedMap`](wsm_core::BatchedMap) batch path, detect and cleanly
 //!   truncate a torn final record, then assert the structure's own
 //!   `check_invariants` — recovery is "replay until the invariants hold",
@@ -42,5 +43,5 @@ pub mod durable;
 pub mod log;
 
 pub use codec::Codec;
-pub use durable::{DurableMap, DurableOptions, DurableShardedMap, DurableState};
+pub use durable::{DurableOptions, DurableShardedMap, DurableState};
 pub use log::{RecoveryReport, SyncPolicy, Wal, WalStats};

@@ -196,7 +196,8 @@ fn scan_log<K: Codec, V: Codec>(bytes: &[u8]) -> LogScan<K, V> {
 }
 
 /// What [`Wal::open`] found and did; surfaced through
-/// [`DurableMap::recovery`](crate::DurableMap::recovery).
+/// [`DurableShardedMap::recovery`](crate::DurableShardedMap::recovery), one
+/// per shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Sequence of the checkpoint that seeded the state (0 = none).

@@ -9,12 +9,11 @@
 //! must pay), and [`static_tree_cost_for`] computes the exact cost of the
 //! weight-balanced static tree built from the observed frequencies.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 use wsm_model::{sequence_entropy, working_set_bound, MapOpKind};
 
-/// Summary statistics of a workload, serialisable for the harness output.
-#[derive(Clone, Debug, Serialize)]
+/// Summary statistics of a workload, for the harness output.
+#[derive(Clone, Debug)]
 pub struct WorkloadReport {
     /// Number of operations.
     pub operations: usize,

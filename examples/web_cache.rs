@@ -21,11 +21,12 @@
 //! same request stream and reports wall-clock time and effective work.
 //!
 //! With `WSM_DURABLE_DIR=path` the run finishes with a durability demo: a
-//! burst of inserts is served through a WAL-backed [`wsm_wal::DurableMap`] in
-//! that directory, the process "crashes" (the map is leaked so no destructor
-//! runs), and the directory is reopened to show the recovery report and that
-//! every logged page survived.  `WSM_WAL_SYNC` / `WSM_WAL_CHECKPOINT_EVERY`
-//! tune the demo's WAL exactly as they would a real deployment.
+//! burst of inserts is served through a WAL-backed one-shard
+//! [`wsm_wal::DurableShardedMap`] (one combiner, one log) in that directory,
+//! the process "crashes" (the map is leaked so no destructor runs), and the
+//! directory is reopened to show the recovery report and that every logged
+//! page survived.  `WSM_WAL_SYNC` / `WSM_WAL_CHECKPOINT_EVERY` tune the
+//! demo's WAL exactly as they would a real deployment.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,20 +140,20 @@ fn serve_sharded(shards: usize, workers: usize) -> (Duration, u64, u64) {
 /// "crash" without running a single destructor, then reopen the directory and
 /// prove nothing durable was lost.
 fn durable_demo(dir: &str, workers: usize) {
-    use wsm_wal::DurableMap;
+    use wsm_wal::DurableShardedMap;
 
     const BURST: u64 = 1024;
     let path = std::path::Path::new(dir);
     let _ = std::fs::remove_dir_all(path);
-    let make = move || M1::<u64, u64>::new(workers.max(2));
+    let make = move |_| M1::<u64, u64>::new(workers.max(2));
 
     println!("\ndurability demo (WSM_DURABLE_DIR={dir}):");
-    let cache = DurableMap::open(path, make).expect("open durable cache");
+    let cache = DurableShardedMap::open(path, 1, make).expect("open durable cache");
     for page in 0..BURST {
         cache.insert(page, page);
     }
     cache.flush().expect("flush WAL");
-    let stats = cache.wal_stats();
+    let stats = cache.wal_stats()[0];
     println!(
         "  logged {} batches / {} ops ({} bytes appended, {} fsyncs, {} checkpoints)",
         stats.batches_logged,
@@ -167,8 +168,8 @@ fn durable_demo(dir: &str, workers: usize) {
     // commit hook before the "crash".
     std::mem::forget(cache);
 
-    let cache = DurableMap::open(path, make).expect("reopen durable cache");
-    let rec = cache.recovery();
+    let cache = DurableShardedMap::open(path, 1, make).expect("reopen durable cache");
+    let rec = cache.recovery()[0];
     println!(
         "  reopened: checkpoint seq {} ({} items), replayed {} batches / {} ops{}",
         rec.checkpoint_seq,
@@ -181,7 +182,7 @@ fn durable_demo(dir: &str, workers: usize) {
             ""
         }
     );
-    let survived = (0..BURST).filter(|&p| cache.search(p) == Some(p)).count() as u64;
+    let survived = (0..BURST).filter(|&p| cache.get(p) == Some(p)).count() as u64;
     println!("  {survived}/{BURST} pages survived the crash");
     assert_eq!(survived, BURST, "logged inserts must survive reopen");
 }

@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wsm_core::{Operation, M1};
-use wsm_wal::{DurableMap, DurableOptions, DurableShardedMap, SyncPolicy};
+use wsm_wal::{DurableOptions, DurableShardedMap, RecoveryReport, SyncPolicy};
 
-type Map = DurableMap<u64, u64, M1<u64, u64>>;
+type Map = DurableShardedMap<u64, u64, M1<u64, u64>>;
 
 /// A unique directory per proptest case (cases run concurrently across test
 /// threads and the same property reuses the process id).
@@ -35,12 +35,18 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Opens the single-shard map: one combiner, one log under `dir/shard-0`.
 fn open(dir: &Path, sync: SyncPolicy) -> Map {
     let opts = DurableOptions {
         sync,
         checkpoint_every: u64::MAX,
     };
-    DurableMap::open_with(dir, opts, || M1::new(4)).expect("open WAL dir")
+    DurableShardedMap::open_with(dir, 1, opts, |_| M1::new(4)).expect("open WAL dir")
+}
+
+/// What recovery found in the single shard.
+fn recovery(map: &Map) -> RecoveryReport {
+    map.recovery()[0]
 }
 
 /// Decodes generated `(is_insert, key)` pairs into mutation-only batches with
@@ -64,7 +70,7 @@ fn materialize(raw: &[Vec<(bool, u8)>]) -> Vec<Vec<Operation<u64, u64>>> {
         .collect()
 }
 
-/// Runs the batches through a durable map (one `call_batch` per batch — a
+/// Runs the batches through a durable map (one `run_batch` per batch — a
 /// single-threaded submitter yields exactly one combine, hence one WAL record
 /// per batch) and returns the oracle state after each record prefix:
 /// `oracle_after[r]` is the expected contents once the first `r` records are
@@ -78,7 +84,7 @@ fn run_and_oracle(
     let mut oracle = BTreeMap::new();
     let mut oracle_after = vec![oracle.clone()];
     for batch in batches {
-        map.call_batch(batch.clone());
+        map.run_batch(batch.clone());
         for op in batch {
             match op {
                 Operation::Insert(k, v) => {
@@ -112,7 +118,7 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 }
 
 fn log_file(dir: &Path) -> PathBuf {
-    dir.join("wal.log")
+    dir.join("shard-0").join("wal.log")
 }
 
 /// Asserts the reopened map holds exactly the oracle's contents (the key
@@ -120,7 +126,7 @@ fn log_file(dir: &Path) -> PathBuf {
 fn assert_state(map: &Map, oracle: &BTreeMap<u64, u64>) {
     assert_eq!(map.len(), oracle.len(), "recovered size diverges");
     for k in 0u64..256 {
-        assert_eq!(map.search(k), oracle.get(&k).copied(), "key {k}");
+        assert_eq!(map.get(k), oracle.get(&k).copied(), "key {k}");
     }
 }
 
@@ -160,7 +166,7 @@ proptest! {
         let clean_end = boundaries.last().copied().unwrap_or(0);
 
         let map = open(&dir, SyncPolicy::Batch);
-        let report = map.recovery();
+        let report = recovery(&map);
         prop_assert_eq!(report.replayed_batches, durable as u64);
         prop_assert_eq!(report.truncated_torn_tail, cut != clean_end,
             "torn flag wrong for cut {} (clean prefix ends at {})", cut, clean_end);
@@ -172,8 +178,8 @@ proptest! {
         prop_assert_eq!(repaired.len(), clean_end);
 
         let map = open(&dir, SyncPolicy::Batch);
-        prop_assert_eq!(map.recovery().replayed_batches, durable as u64);
-        prop_assert!(!map.recovery().truncated_torn_tail);
+        prop_assert_eq!(recovery(&map).replayed_batches, durable as u64);
+        prop_assert!(!recovery(&map).truncated_torn_tail);
         assert_state(&map, &oracle_after[durable]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -203,14 +209,14 @@ proptest! {
             .count();
 
         let map = open(&dir, SyncPolicy::Batch);
-        let report = map.recovery();
+        let report = recovery(&map);
         prop_assert_eq!(report.replayed_batches, damaged as u64);
         prop_assert!(report.truncated_torn_tail, "damage at byte {} must truncate", pos);
         assert_state(&map, &oracle_after[damaged]);
         drop(map);
 
         let map = open(&dir, SyncPolicy::Batch);
-        prop_assert!(!map.recovery().truncated_torn_tail, "second open must be clean");
+        prop_assert!(!recovery(&map).truncated_torn_tail, "second open must be clean");
         assert_state(&map, &oracle_after[damaged]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -227,11 +233,11 @@ proptest! {
         let batches = materialize(&raw);
         let oracle_after = run_and_oracle(&dir, SyncPolicy::Batch, &batches);
 
-        let tmp = dir.join("checkpoint-9.tmp");
+        let tmp = dir.join("shard-0").join("checkpoint-9.tmp");
         std::fs::write(&tmp, &garbage).expect("plant stray tmp");
 
         let map = open(&dir, SyncPolicy::Batch);
-        let report = map.recovery();
+        let report = recovery(&map);
         prop_assert_eq!(report.checkpoint_seq, 0, "a .tmp must never seed state");
         prop_assert_eq!(report.replayed_batches, batches.len() as u64);
         assert_state(&map, oracle_after.last().expect("non-empty"));
@@ -255,14 +261,14 @@ proptest! {
         let pre_checkpoint_log = std::fs::read(log_file(&dir)).expect("read log");
         {
             let map = open(&dir, SyncPolicy::Batch);
-            map.checkpoint().expect("checkpoint");
+            map.checkpoint_all().expect("checkpoint");
         }
         // Simulate the crash: the checkpoint rename landed, the truncation
         // did not.
         std::fs::write(log_file(&dir), &pre_checkpoint_log).expect("restore stale log");
 
         let map = open(&dir, SyncPolicy::Batch);
-        let report = map.recovery();
+        let report = recovery(&map);
         prop_assert!(report.checkpoint_seq > 0, "the renamed checkpoint must win");
         prop_assert_eq!(report.skipped_stale_records, batches.len() as u64);
         prop_assert_eq!(report.replayed_batches, 0);
@@ -288,7 +294,7 @@ proptest! {
         {
             let map = open(&dir, SyncPolicy::Off);
             for batch in &batches {
-                map.call_batch(batch.clone());
+                map.run_batch(batch.clone());
                 for op in batch {
                     match op {
                         Operation::Insert(k, v) => { oracle.insert(*k, *v); }
@@ -303,7 +309,7 @@ proptest! {
         }
 
         let map = open(&dir, SyncPolicy::Batch);
-        let durable = map.recovery().replayed_batches as usize;
+        let durable = recovery(&map).replayed_batches as usize;
         prop_assert!(durable <= batches.len());
         assert_state(&map, &oracle_after[durable]);
         let _ = std::fs::remove_dir_all(&dir);
