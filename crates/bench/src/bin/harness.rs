@@ -335,7 +335,7 @@ fn main() {
             bench::experiment_hot_paths(sizes.hot_pages, sizes.hot_requests, t, sizes.scale_reps);
         emit(
             &["e16"],
-            "E16: hot-path constant factors (ConcurrentMap vs coarse-locked AVL, per hand-off mode, W/W_L)",
+            "E16: hot-path constant factors (ConcurrentMap vs coarse-locked AVL, W/W_L)",
             &rows,
             threads,
             small,
@@ -397,7 +397,7 @@ fn main() {
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         emit_extra(
             &["e21"],
-            "E21: async service latency (QPS-paced clients, p50/p99/p999 by hand-off mode x sharding)",
+            "E21: async service latency (QPS-paced clients, p50/p99/p999 by sharding)",
             &rows,
             threads,
             small,

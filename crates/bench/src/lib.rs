@@ -667,11 +667,7 @@ pub fn experiment_scaling(
 ///   serving Zipfian page lookups through one mutex (mean ns/op and
 ///   comparison work per request);
 /// * `web-cache map` — the implicitly batched working-set map on the same
-///   stream, one row per blocking hand-off mode: the default doorbell, and
-///   `… cell`, the slot-free `WSM_HANDOFF=cell` waiter hand-off (spin on the
-///   caller's own result cell instead of parking on the shared doorbell),
-///   A/B-ing the two on identical streams.  A blocking call on a waker-mode
-///   map waits exactly like `cell`, so it gets no row of its own;
+///   stream, its callers parking on the map's doorbell;
 /// * `constants` — thread-independent analytic constant factors: effective
 ///   work of M1/M2 over `W_L` on the Zipf stream, and the
 ///   `tcost::batch_op(b, n)` charge per `b·(log n + 1)` unit.
@@ -687,7 +683,7 @@ pub fn experiment_hot_paths(
 ) -> Vec<Row> {
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
-    use wsm_core::{ConcurrentMap, Handoff};
+    use wsm_core::ConcurrentMap;
     use wsm_twothree::cost as tcost;
 
     let threads = threads.max(1);
@@ -757,42 +753,40 @@ pub fn experiment_hot_paths(
         ],
     ));
 
-    // --- implicitly batched map, per hand-off mode -----------------------
-    for (handoff, mode) in [(Handoff::Doorbell, ""), (Handoff::Cell, " cell")] {
-        let mut total_ns = 0.0;
-        let mut work_per_req = 0.0;
-        for _ in 0..reps {
-            let mut inner = M1::<u64, u64>::new(threads.max(2));
-            inner.run_ops((0..pages).map(|p| Operation::Insert(p, p)).collect());
-            let warm_work = inner.effective_work();
-            let map = Arc::new(ConcurrentMap::new(inner, threads).with_handoff(handoff));
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for (w, stream) in streams.iter().enumerate() {
-                    let map = Arc::clone(&map);
-                    s.spawn(move || {
-                        for &page in stream {
-                            map.search(w, page);
-                            if page % 97 == 0 {
-                                map.insert(w, page, page + 1);
-                            }
+    // --- implicitly batched map -------------------------------------------
+    let mut total_ns = 0.0;
+    let mut work_per_req = 0.0;
+    for _ in 0..reps {
+        let mut inner = M1::<u64, u64>::new(threads.max(2));
+        inner.run_ops((0..pages).map(|p| Operation::Insert(p, p)).collect());
+        let warm_work = inner.effective_work();
+        let map = Arc::new(ConcurrentMap::new(inner, threads));
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            for (w, stream) in streams.iter().enumerate() {
+                let map = Arc::clone(&map);
+                s.spawn(move || {
+                    for &page in stream {
+                        map.search(w, page);
+                        if page % 97 == 0 {
+                            map.insert(w, page, page + 1);
                         }
-                    });
-                }
-            });
-            total_ns += start.elapsed().as_nanos() as f64;
-            work_per_req = (map.effective_work() - warm_work) as f64 / total_ops as f64;
-        }
-        let ns_op = total_ns / (reps as u64 * total_ops) as f64;
-        rows.push(Row::new(
-            format!("web-cache map{mode} t={threads}"),
-            vec![
-                ("mean ns/op", ns_op),
-                ("wall vs avl", ns_op / avl_ns_op),
-                ("work/req", work_per_req),
-            ],
-        ));
+                    }
+                });
+            }
+        });
+        total_ns += start.elapsed().as_nanos() as f64;
+        work_per_req = (map.effective_work() - warm_work) as f64 / total_ops as f64;
     }
+    let ns_op = total_ns / (reps as u64 * total_ops) as f64;
+    rows.push(Row::new(
+        format!("web-cache map t={threads}"),
+        vec![
+            ("mean ns/op", ns_op),
+            ("wall vs avl", ns_op / avl_ns_op),
+            ("work/req", work_per_req),
+        ],
+    ));
 
     // --- analytic constant factors (thread-independent) ------------------
     let spec = WorkloadSpec::read_only(pages, requests_per_worker, Pattern::Zipf(1.1), 11);
@@ -1581,11 +1575,9 @@ pub fn experiment_wal_overhead(
 /// request per `interval_us` microseconds from a fixed start (a late request
 /// fires immediately, degrading toward closed-loop under saturation — the
 /// achieved-throughput column records how far offered load was met).  The
-/// sweep covers all three waiter hand-off modes × {unsharded, S=4}: in
-/// doorbell/cell modes the service future must cooperatively self-wake
-/// (busy re-polling between harvests), while waker mode goes quiescent until
-/// a `ResultCell` fill wakes it — E21 measures exactly the latency and
-/// throughput shape of that difference.
+/// sweep covers {unsharded, S=4}.  A service future wakes itself while any of
+/// its results is missing, so a waiting request costs cooperative re-polls
+/// between harvests; E21 measures the latency and throughput that leaves.
 pub fn experiment_service_latency(
     keyspace: u64,
     clients: usize,
@@ -1596,82 +1588,72 @@ pub fn experiment_service_latency(
 ) -> Vec<Row> {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-    use wsm_core::Handoff;
     use wsm_shard::ShardedMap;
     use wsm_svc::{block_on, Executor, WsMapService};
 
-    let modes = [
-        ("doorbell", Handoff::Doorbell),
-        ("cell", Handoff::Cell),
-        ("waker", Handoff::Waker),
-    ];
     let mut rows = Vec::new();
-    for (mode_name, handoff) in modes {
-        for shards in [1usize, 4] {
-            let map = Arc::new(
-                ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4)).with_handoff(handoff),
-            );
-            let preload: Vec<(u64, u64)> = (0..keyspace).map(|k| (k, k)).collect();
-            for chunk in preload.chunks(512) {
-                map.insert_batch(chunk.to_vec());
-            }
-            let svc = WsMapService::from_arc(map);
-            let exec = Executor::new(workers);
-            let timer = exec.timer();
-            let wall_start = Instant::now();
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let svc = svc.clone();
-                    let timer = timer.clone();
-                    let keys: Vec<u64> = WorkloadSpec::read_only(
-                        keyspace,
-                        requests * batch,
-                        Pattern::Zipf(1.1),
-                        c as u64,
-                    )
-                    .access_phase()
-                    .iter()
-                    .map(|op| *op.key())
-                    .collect();
-                    exec.spawn(async move {
-                        let mut latencies = Vec::with_capacity(requests);
-                        let base = Instant::now();
-                        for r in 0..requests {
-                            let tick = base + Duration::from_micros(interval_us * r as u64);
-                            timer.sleep_until(tick).await;
-                            let issued = Instant::now();
-                            let _ = svc
-                                .batch_search(keys[r * batch..(r + 1) * batch].to_vec())
-                                .await;
-                            latencies.push(issued.elapsed().as_nanos() as u64);
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            let mut latencies: Vec<u64> = handles.into_iter().flat_map(block_on).collect();
-            let wall = wall_start.elapsed().as_secs_f64();
-            latencies.sort_unstable();
-            let pct = |p: f64| {
-                let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                latencies[idx] as f64 / 1_000.0
-            };
-            let total_ops = (clients * requests * batch) as f64;
-            let label = if shards == 1 {
-                format!("{mode_name} unsharded")
-            } else {
-                format!("{mode_name} S={shards}")
-            };
-            rows.push(Row::new(
-                label,
-                vec![
-                    ("p50 us", pct(0.50)),
-                    ("p99 us", pct(0.99)),
-                    ("p999 us", pct(0.999)),
-                    ("achieved kops/s", total_ops / wall / 1_000.0),
-                ],
-            ));
+    for shards in [1usize, 4] {
+        let map = Arc::new(ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4)));
+        let preload: Vec<(u64, u64)> = (0..keyspace).map(|k| (k, k)).collect();
+        for chunk in preload.chunks(512) {
+            map.insert_batch(chunk.to_vec());
         }
+        let svc = WsMapService::from_arc(map);
+        let exec = Executor::new(workers);
+        let timer = exec.timer();
+        let wall_start = Instant::now();
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let svc = svc.clone();
+                let timer = timer.clone();
+                let keys: Vec<u64> = WorkloadSpec::read_only(
+                    keyspace,
+                    requests * batch,
+                    Pattern::Zipf(1.1),
+                    c as u64,
+                )
+                .access_phase()
+                .iter()
+                .map(|op| *op.key())
+                .collect();
+                exec.spawn(async move {
+                    let mut latencies = Vec::with_capacity(requests);
+                    let base = Instant::now();
+                    for r in 0..requests {
+                        let tick = base + Duration::from_micros(interval_us * r as u64);
+                        timer.sleep_until(tick).await;
+                        let issued = Instant::now();
+                        let _ = svc
+                            .batch_search(keys[r * batch..(r + 1) * batch].to_vec())
+                            .await;
+                        latencies.push(issued.elapsed().as_nanos() as u64);
+                    }
+                    latencies
+                })
+            })
+            .collect();
+        let mut latencies: Vec<u64> = handles.into_iter().flat_map(block_on).collect();
+        let wall = wall_start.elapsed().as_secs_f64();
+        latencies.sort_unstable();
+        let pct = |p: f64| {
+            let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
+            latencies[idx] as f64 / 1_000.0
+        };
+        let total_ops = (clients * requests * batch) as f64;
+        let label = if shards == 1 {
+            "unsharded".to_string()
+        } else {
+            format!("S={shards}")
+        };
+        rows.push(Row::new(
+            label,
+            vec![
+                ("p50 us", pct(0.50)),
+                ("p99 us", pct(0.99)),
+                ("p999 us", pct(0.999)),
+                ("achieved kops/s", total_ops / wall / 1_000.0),
+            ],
+        ));
     }
     rows
 }
@@ -1714,13 +1696,9 @@ mod tests {
     #[test]
     fn hot_path_experiment_rows_are_well_formed() {
         let rows = experiment_hot_paths(1 << 9, 1 << 8, 2, 1);
-        // 1 AVL row + 2 hand-off rows + 1 constants row.
-        assert_eq!(rows.len(), 4);
-        assert_eq!(
-            rows.iter().filter(|r| r.label.contains(" cell ")).count(),
-            1
-        );
-        for row in &rows[..3] {
+        // 1 AVL row + 1 map row + 1 constants row.
+        assert_eq!(rows.len(), 3);
+        for row in &rows[..2] {
             let ns_op = row
                 .values
                 .iter()

@@ -1,7 +1,7 @@
 //! Centralized parsing for `WSM_*` environment knobs.
 //!
-//! Every tunable in the workspace (`WSM_SHARDS`, `WSM_POOL_THREADS`,
-//! `WSM_HANDOFF`, the `WSM_WAL_*` family) goes through this module instead of hand-rolled
+//! Every tunable in the workspace (`WSM_SHARDS`, `WSM_POOL_THREADS`, the
+//! `WSM_WAL_*` family) goes through this module instead of hand-rolled
 //! `var(..).ok().and_then(parse)` chains.  The difference is observability:
 //! an invalid value used to be silently swallowed into the default —
 //! `WSM_SHARDS=0` ran unsharded without a word, a typo'd
@@ -59,9 +59,8 @@ fn resolve<T>(
 /// `default` silently; set but rejected by `parse` (or not unicode) →
 /// `default` with a once-per-variable stderr warning describing `expected`.
 ///
-/// Use this form for enum-like knobs (`WSM_HANDOFF=cell|doorbell`,
-/// `WSM_WAL_SYNC=always|batch|off`); numeric knobs have the [`parse`]
-/// shorthand.
+/// Use this form for enum-like knobs (`WSM_WAL_SYNC=always|batch|off`);
+/// numeric knobs have the [`parse`] shorthand.
 pub fn parse_with<T>(
     name: &str,
     expected: &str,

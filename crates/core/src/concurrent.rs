@@ -23,17 +23,16 @@
 //! the activation on every wake-up, which also closes the classic
 //! flat-combining hand-off race (a combiner observing an empty buffer and
 //! exiting just as a new operation lands): the ring that follows every
-//! activation guarantees somebody re-checks.  Alternatively,
-//! `WSM_HANDOFF=cell` (or [`ConcurrentMap::with_handoff`]) selects the
-//! *slot-free* hand-off: a waiter spins on its own sequence-stamped
-//! [`crate::handoff::ResultCell`] with yields escalating into a bounded
-//! exponential backoff, and never parks — removing the park/wake futex round
-//! trip entirely — see [`Handoff`] and experiment E16's A/B rows.
-//! `WSM_HANDOFF=waker` is the third, *await-able* hand-off for async callers:
-//! [`ConcurrentMap::submit_batch`] deposits operations without waiting at
-//! all, and the combiner's `fill` wakes the task [`Waker`](std::task::Waker)
-//! registered on each cell (the `wsm-svc` front-end and experiment E21's
-//! latency rows).
+//! activation guarantees somebody re-checks.  Each result travels through
+//! the caller's own sequence-stamped [`crate::handoff::ResultCell`], which
+//! the caller probes between steps of its wait.
+//!
+//! A caller that is an async service task ([`crate::context`]) never parks:
+//! it re-probes its cells and re-attempts the activation with yields
+//! escalating into a bounded exponential backoff.  Async callers that do not
+//! wait at all deposit with [`ConcurrentMap::submit_batch`] and drive the
+//! election with [`ConcurrentMap::pump`] from their polls (the `wsm-svc`
+//! front-end).
 //!
 //! One usage rule follows from PESort's fork: do not call the map from
 //! *inside* a work-stealing pool task (`wsm_pool::join`/`scope` closures) —
@@ -59,50 +58,15 @@ struct Pending<K, V> {
     slot: Arc<ResultCell<OpResult<V>>>,
 }
 
-/// How a waiting caller learns that its result has been deposited.
-///
-/// Either way the result itself travels through the caller's own
-/// sequence-stamped [`ResultCell`]; the mode only selects what the caller
-/// does when the cell is still empty after its spin window.
+/// How a waiting caller learns that its result has been deposited.  There
+/// is one way: a blocking caller parks on the map's generation-counting
+/// [`Doorbell`], which the combiner rings once per activation.  The type
+/// stays only because the benchmark's run metadata and its service-backend
+/// wrappers still name it; it goes with the next change to the benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Handoff {
-    /// Park on the map's shared generation-counting [`Doorbell`] (the
-    /// default).  One futex word serves every waiter; the combiner rings it
-    /// once per activation.
+    /// Park on the map's shared doorbell.
     Doorbell,
-    /// Never park: keep spinning on the caller's own result cell,
-    /// re-attempting the combiner activation between spin windows, with
-    /// yields escalating into a bounded exponential backoff (so a long wait
-    /// stops burning a core — see [`Backoff`]).  Removes the park/wake futex
-    /// round trip from the hand-off — a good trade when combine cycles are
-    /// short (small batches) or cores outnumber runnable threads.  Selected
-    /// per process with `WSM_HANDOFF=cell`.
-    Cell,
-    /// Await instead of waiting: completed operations wake the
-    /// [`Waker`](std::task::Waker) an async caller registered on its result
-    /// cell, so no thread blocks anywhere in the hand-off.  This is the mode
-    /// the `wsm-svc` async front-end uses via
-    /// [`ConcurrentMap::submit_batch`] + [`ConcurrentMap::pump`]; a
-    /// *blocking* call on a waker-mode map waits like [`Handoff::Cell`]
-    /// (there is no task to wake).  Selected per process with
-    /// `WSM_HANDOFF=waker`.
-    Waker,
-}
-
-/// The process-wide hand-off mode: `WSM_HANDOFF=cell`, `waker` or (default)
-/// `doorbell`.  Any other value warns once and keeps the default.
-fn handoff_from_env() -> Handoff {
-    crate::env::parse_with(
-        "WSM_HANDOFF",
-        "cell|doorbell|waker",
-        Handoff::Doorbell,
-        |raw| match raw {
-            "cell" => Some(Handoff::Cell),
-            "doorbell" => Some(Handoff::Doorbell),
-            "waker" => Some(Handoff::Waker),
-            _ => None,
-        },
-    )
 }
 
 /// How many yield-and-recheck rounds a waiting caller performs before parking
@@ -117,11 +81,11 @@ const SPIN_WAIT: u32 = 4;
 /// waiter sleeps is harvested at most this much later) while a long wait —
 /// e.g. a huge batch combining ahead of us — costs sleeps instead of a
 /// pegged core.
-pub const BACKOFF_CAP_US: u64 = 256;
+const BACKOFF_CAP_US: u64 = 256;
 
-/// Bounded exponential backoff for the never-parking wait loops (cell and
-/// waker hand-offs, and the doorbell path when parking is forbidden because
-/// the caller is a service task — see [`crate::context`]).
+/// Bounded exponential backoff for the never-parking wait loop: the wait of
+/// a caller that is a service task and so must not park (see
+/// [`crate::context`]).
 ///
 /// The first few pauses are plain yields (a small-batch combine finishes in
 /// microseconds, and the yield donates the CPU to the combiner on
@@ -187,8 +151,6 @@ pub struct ConcurrentMap<K, V, M> {
     inner: Mutex<M>,
     scratch: Mutex<CombineScratch<K, V>>,
     doorbell: Doorbell,
-    /// How waiting callers learn their result arrived.
-    handoff: Handoff,
     /// Commit-point observer (see [`CommitHook`]); `None` for ordinary maps.
     commit_hook: Option<CommitHook<K, V>>,
 }
@@ -211,7 +173,6 @@ where
                 slots: Vec::new(),
             }),
             doorbell: Doorbell::default(),
-            handoff: handoff_from_env(),
             commit_hook: None,
         }
     }
@@ -223,18 +184,11 @@ where
         usize::MAX
     }
 
-    /// Overrides the waiter hand-off mode for this map (the default comes
-    /// from `WSM_HANDOFF`): [`Handoff::Cell`] waiters never park on the
-    /// doorbell, they spin on their own sequence-stamped result cell.
-    #[must_use]
-    pub fn with_handoff(mut self, handoff: Handoff) -> Self {
-        self.handoff = handoff;
-        self
-    }
-
-    /// The current waiter hand-off mode.
+    /// Always [`Handoff::Doorbell`], the one hand-off.  Kept only because
+    /// the benchmark's run metadata still records it; it goes with the next
+    /// change to the benchmark.
     pub fn handoff(&self) -> Handoff {
-        self.handoff
+        Handoff::Doorbell
     }
 
     /// Installs a commit-point observer: `hook` runs on the combiner thread
@@ -313,19 +267,6 @@ where
         }
     }
 
-    /// True when the current caller must never park on the doorbell: the
-    /// map's hand-off is slot-free ([`Handoff::Cell`]) or await-able
-    /// ([`Handoff::Waker`] — a *blocking* call has no task to wake, so it
-    /// waits cell-style), or the calling thread is polling an async service
-    /// task ([`crate::context::in_service_task`]).  In the latter case a
-    /// park could deadlock the executor — the parked worker may be the only
-    /// thread that would ever poll the task whose combine rings the bell —
-    /// so the doorbell path degrades, panic- and deadlock-free, to the
-    /// bounded-backoff wait instead of parking.
-    fn never_park(&self) -> bool {
-        matches!(self.handoff, Handoff::Cell | Handoff::Waker) || crate::context::in_service_task()
-    }
-
     /// Drives combining until `done` reports that the caller's results have
     /// arrived; `done` is the caller's probe of its own result cell(s) and is
     /// called again after every step of the wait.
@@ -338,8 +279,13 @@ where
     /// our park is bounded by it.  If the attempt won, we combined until the
     /// buffer was empty and our own results were delivered (possibly by an
     /// earlier combiner).
+    ///
+    /// A caller polling an async service task
+    /// ([`crate::context::in_service_task`]) never parks: the parked worker
+    /// may be the only thread that would ever poll the task whose combine
+    /// rings the bell.  It waits under the bounded backoff instead.
     fn wait(&self, mut done: impl FnMut() -> bool) {
-        let never_park = self.never_park();
+        let never_park = crate::context::in_service_task();
         let mut backoff = Backoff::new();
         loop {
             let seen = self.doorbell.current();
@@ -353,10 +299,10 @@ where
             // arrive within a few yields.  The yield also donates the CPU to
             // the combiner on oversubscribed machines.
             if never_park {
-                // Slot-free hand-off: never park.  Spin on our own
-                // sequence-stamped cells, then loop back to re-attempt the
-                // activation (if our op is still buffered, we will
-                // eventually win the election and combine it ourselves).
+                // Never park.  Spin on our own sequence-stamped cells, then
+                // loop back to re-attempt the activation (if our op is still
+                // buffered, we will eventually win the election and combine
+                // it ourselves).
                 // The pauses escalate into the bounded backoff, so a long
                 // wait costs capped sleeps rather than a pegged core.
                 for _ in 0..SPIN_WAIT {
@@ -454,9 +400,7 @@ where
     /// Deposits a sub-batch of operations *without waiting*, returning each
     /// operation's sequence-stamped result cell in operation order.  This is
     /// the async entry point: an `await`-able caller (the `wsm-svc`
-    /// front-end) registers its task waker on each still-empty cell
-    /// ([`ResultCell::set_waker`]) and is woken by the combiner's fill —
-    /// [`Handoff::Waker`] — instead of blocking here.
+    /// front-end) probes its cells from its polls instead of blocking here.
     ///
     /// The deposit alone does not guarantee execution: some context must
     /// drive the combiner election.  Callers either follow up with
@@ -486,8 +430,8 @@ where
     }
 
     /// One non-blocking combiner election attempt: if the activation is free
-    /// and work is buffered, the calling thread combines it (filling — and
-    /// in waker mode waking — the affected cells); if another thread holds
+    /// and work is buffered, the calling thread combines it (filling the
+    /// affected cells); if another thread holds
     /// the activation, returns immediately.  Never parks and never waits.
     /// This is how async callers donate their poll time to the combiner —
     /// flat combining's "whoever shows up does the work" — without any
@@ -497,11 +441,8 @@ where
     }
 
     /// True while any deposited operation is still in the publication
-    /// buffer (i.e. not yet flushed into a combiner's batch).  An async
-    /// caller whose cells are empty while this is `false` knows its
-    /// operations are in some in-flight batch whose fill will wake it, so it
-    /// can safely suspend; while `true` it must keep pumping (or yield and
-    /// re-poll) because the combiner election may be unheld.
+    /// buffer (i.e. not yet flushed into a combiner's batch).  `wsm-shard`
+    /// pumps only the shards for which this holds.
     pub fn buffered(&self) -> bool {
         !self.buffer.is_empty()
     }
@@ -536,9 +477,7 @@ where
         if runs > 0 {
             // Ring once more *after releasing* the activation: anyone
             // whose activation attempt we beat re-checks against a
-            // released interface, which closes the hand-off race.  In cell
-            // mode nobody parks, so the ring is a cheap uncontended bump
-            // that keeps mixed-mode callers (and `len` observers) correct.
+            // released interface, which closes the hand-off race.
             self.doorbell.ring();
         }
     }
@@ -718,16 +657,19 @@ mod tests {
         assert_eq!(map.len(), 99);
     }
 
+    /// Runs first with doorbell-parking callers, then with every caller a
+    /// service task, which waits in the never-parking backoff loop.
     #[test]
     fn call_batch_under_contention_from_many_threads() {
-        for handoff in [Handoff::Doorbell, Handoff::Cell] {
-            let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8).with_handoff(handoff));
+        for service_task in [false, true] {
+            let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8));
             let threads = 6u64;
             let per = 400u64;
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let map = Arc::clone(&map);
                     std::thread::spawn(move || {
+                        let _task = service_task.then(crate::ServiceTaskGuard::new);
                         let base = t * 1_000_000;
                         for chunk in 0..4 {
                             let ops: Vec<Operation<u64, u64>> = (0..per / 4)
@@ -758,17 +700,18 @@ mod tests {
         }
     }
 
+    /// Point calls from service tasks: every caller waits in the
+    /// never-parking backoff loop, none parks on the doorbell.
     #[test]
-    fn cell_handoff_point_ops_under_contention() {
-        let map =
-            Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8).with_handoff(Handoff::Cell));
-        assert_eq!(map.handoff(), Handoff::Cell);
+    fn never_park_point_ops_under_contention() {
+        let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8));
         let threads = 8u64;
         let per = 500u64;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let map = Arc::clone(&map);
                 std::thread::spawn(move || {
+                    let _task = crate::ServiceTaskGuard::new();
                     for i in 0..per {
                         let key = t * per + i;
                         assert_eq!(map.insert(t as usize, key, key + 1), None);

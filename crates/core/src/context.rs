@@ -1,9 +1,9 @@
 //! Caller-context tracking: is the current thread an async service task,
 //! and which buffer shard should its deposits use ([`caller_hint`])?
 //!
-//! The blocking wait paths of [`crate::ConcurrentMap`] (doorbell park, cell
-//! spin) assume the calling thread is an ordinary OS thread that can afford
-//! to sleep.  A *service task* — a future polled by the `wsm-svc` executor —
+//! The blocking wait of [`crate::ConcurrentMap`] parks on the map's
+//! doorbell: it assumes the calling thread is an ordinary OS thread that can
+//! afford to sleep.  A *service task* — a future polled by the `wsm-svc` executor —
 //! must never park the executor worker it happens to be running on: with a
 //! single worker the park is a deadlock (the parked worker is the only
 //! thread that could poll the task whose combine would ring the doorbell),
@@ -13,9 +13,8 @@
 //! The executor therefore brackets every poll with [`ServiceTaskGuard`], and
 //! the blocking paths consult [`in_service_task`]:
 //!
-//! * `ConcurrentMap::call`/`call_batch`/`wait_batch` in doorbell mode fall
-//!   back to the never-parking bounded-backoff loop (the cell-mode wait)
-//!   instead of parking;
+//! * `ConcurrentMap::call`/`call_batch`/`wait_batch` wait in the
+//!   never-parking bounded-backoff loop instead of parking;
 //! * `ShardedMap::run_batch` has no rule of its own: it waits only through
 //!   `wait_batch`, and not parking suffices, because an activation is never
 //!   held across a suspension point — a task that loses a combiner election

@@ -11,31 +11,19 @@
 //! construction and the *waiting* caller's probe is a read-only atomic load
 //! on the cell it owns, not a lock acquisition.
 //!
-//! This enables the `WSM_HANDOFF=cell` waiting mode: instead of parking on
-//! the map's shared [`crate::doorbell::Doorbell`] (one futex word that every
-//! waiter of every batch contends on, and whose park/wake round trip costs
-//! more than a small combine cycle), a caller spins with yields on its own
-//! cell's stamp.  The doorbell mode keeps using the same cell — its fast-path
-//! probe benefits from the stamp too — and still parks after the spin window.
-//!
-//! The cell also carries the third, *await-able* hand-off
-//! (`WSM_HANDOFF=waker`): an async caller registers its task
-//! [`Waker`](std::task::Waker) with [`ResultCell::set_waker`], and
-//! [`ResultCell::fill`] wakes it after publishing the stamp.  The
-//! registration/fill race is closed by the waker mutex: `set_waker` stores
-//! the waker and then re-probes the stamp, so either `fill`'s take (ordered
-//! after its Release stamp store by the same mutex) sees the waker and wakes
-//! it, or the re-probe sees `FILLED` and the caller harvests immediately —
-//! a wake can never be lost between the two.  See `docs/ORDERINGS.md`
-//! ("waker hand-off") for the full happens-before argument.
+//! Every waiting caller probes its own cells this way.  A blocking caller
+//! yields a few times between probes before it parks on the map's shared
+//! [`crate::doorbell::Doorbell`]; a caller that must never park (a service
+//! task, see [`crate::context`]) keeps probing under a bounded backoff; an
+//! async `wsm-svc` future probes on every poll and wakes itself while any of
+//! its cells is still empty.  No caller is woken *by* its cell: the stamp is
+//! the only signal the cell carries.
 //!
 //! Model harness: `crates/check/tests/model_handoff.rs` drives this cell
 //! through the full combiner election under the deterministic scheduler (and
-//! its TSO store-buffer mode), asserting delivery is exactly-once, the
-//! spin-only waiting loop cannot lose a result, and the waker registration
-//! race cannot lose a wake.  See `docs/ORDERINGS.md`.
+//! its TSO store-buffer mode), asserting delivery is exactly-once and the
+//! never-parking waiting loop cannot lose a result.  See `docs/ORDERINGS.md`.
 
-use std::task::Waker;
 use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
 
 /// Stamp value of a cell whose result has not been deposited yet.
@@ -49,10 +37,6 @@ const FILLED: usize = 1;
 pub struct ResultCell<T> {
     stamp: AtomicUsize,
     value: Mutex<Option<T>>,
-    /// Waker of an async caller awaiting this cell (`WSM_HANDOFF=waker`);
-    /// empty for blocking callers.  Taken (and woken) at most once per
-    /// registration by [`ResultCell::fill`].
-    waker: Mutex<Option<Waker>>,
 }
 
 impl<T> Default for ResultCell<T> {
@@ -67,14 +51,11 @@ impl<T> ResultCell<T> {
         ResultCell {
             stamp: AtomicUsize::new(EMPTY),
             value: Mutex::new(None),
-            waker: Mutex::new(None),
         }
     }
 
     /// Deposits the result and publishes it.  Called once, by the combiner
-    /// that executed the cell's operation.  If an async caller registered a
-    /// waker, it is woken *after* the stamp is released, so the woken task's
-    /// probe observes `FILLED`.
+    /// that executed the cell's operation.
     pub fn fill(&self, value: T) {
         *self.value.lock() = Some(value);
         // ord: Release — the publication stamp.  Pairs with the Acquire load
@@ -82,34 +63,11 @@ impl<T> ResultCell<T> {
         // that produced it) happens-before any probe that observes FILLED.
         // Model: model_handoff.rs (SC + TSO store-buffer mode).
         self.stamp.store(FILLED, Ordering::Release);
-        // Waker hand-off: the take below is ordered after the stamp store on
-        // this thread, and `set_waker`'s store + re-probe are ordered by the
-        // same mutex — so a registration either lands before this take (we
-        // wake it) or after the stamp was visible (the caller's re-probe
-        // harvests without needing the wake).  Model: model_handoff.rs
-        // (`waker_registration_never_loses_a_wake`).
-        let waker = self.waker.lock().take();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    /// Registers the waker of an async caller awaiting this cell.  The
-    /// caller MUST re-probe [`ResultCell::is_filled`] after registering: a
-    /// fill that raced ahead of the registration has already taken (or never
-    /// saw) the waker, and only the re-probe observes its stamp.  Re-registra-
-    /// tion on every poll is fine — the newest waker wins.
-    pub fn set_waker(&self, waker: &Waker) {
-        let mut slot = self.waker.lock();
-        match &mut *slot {
-            Some(existing) => existing.clone_from(waker),
-            none => *none = Some(waker.clone()),
-        }
     }
 
     /// True once the result is deposited.  This is the waiter's spin probe:
-    /// a read-only load on a cell only this caller owns, so cell-mode
-    /// spinning touches no shared line and takes no lock.
+    /// a read-only load on a cell only this caller owns, so spinning on it
+    /// touches no shared line and takes no lock.
     pub fn is_filled(&self) -> bool {
         // ord: Acquire — pairs with the Release stamp in `fill`, making the
         // payload write visible before `try_take` locks the (uncontended)
@@ -143,48 +101,6 @@ mod tests {
         // Single-use: a second take sees the cell emptied (still FILLED, but
         // the payload is gone — the owner never takes twice).
         assert_eq!(cell.try_take(), None);
-    }
-
-    #[test]
-    fn fill_wakes_registered_waker_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::task::Wake;
-        struct CountingWake(AtomicUsize);
-        impl Wake for CountingWake {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let wakes = Arc::new(CountingWake(AtomicUsize::new(0)));
-        let waker = std::task::Waker::from(Arc::clone(&wakes));
-        let cell = ResultCell::new();
-        cell.set_waker(&waker);
-        // Re-registration replaces, it does not stack.
-        cell.set_waker(&waker);
-        cell.fill(3u64);
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-        assert_eq!(cell.try_take(), Some(3));
-        // A fill with no registered waker wakes nobody.
-        let cell = ResultCell::new();
-        cell.fill(4u64);
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn late_registration_still_observes_filled_stamp() {
-        use std::task::Wake;
-        struct NoopWake;
-        impl Wake for NoopWake {
-            fn wake(self: Arc<Self>) {}
-        }
-        // The protocol's race shape: fill lands first, then the caller
-        // registers.  No wake comes — the mandated re-probe must see FILLED.
-        let cell = ResultCell::new();
-        cell.fill(9u64);
-        let waker = std::task::Waker::from(Arc::new(NoopWake));
-        cell.set_waker(&waker);
-        assert!(cell.is_filled());
-        assert_eq!(cell.try_take(), Some(9));
     }
 
     #[test]

@@ -47,9 +47,6 @@
 //! ## Knobs
 //!
 //! * `WSM_SHARDS` — default shard count for [`ShardedMap::new`] (default 1).
-//! * `WSM_HANDOFF` — waiter hand-off inside each shard (`doorbell` | `cell`
-//!   | `waker`), see [`Handoff`]; [`ShardedMap::with_handoff`] overrides per
-//!   map.
 //! * [`Partitioner`] — pluggable placement: [`HashPartitioner`] (default,
 //!   multiplicative hashing) or [`RangePartitioner`] for ordered workloads.
 
@@ -62,7 +59,7 @@ pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 
 use std::sync::Arc;
 
-use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
+use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, OpResult, Operation, ResultCell};
 
 /// Submitter-ring count for each shard's parallel buffer (the same default a
 /// standalone front-end would pick for a handful of threads).
@@ -156,18 +153,6 @@ where
         }
     }
 
-    /// Overrides the waiter hand-off mode of every shard (the default comes
-    /// from `WSM_HANDOFF`; see [`Handoff`]).
-    #[must_use]
-    pub fn with_handoff(mut self, handoff: Handoff) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|shard| shard.with_handoff(handoff))
-            .collect();
-        self
-    }
-
     /// Rebuilds each shard's front-end through `f` (builder style).  This is
     /// how `wsm-wal` installs per-shard commit hooks: each shard's combiner
     /// is its own serialization point, so durability wraps the shard's
@@ -199,12 +184,6 @@ where
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The waiter hand-off mode of the shards (uniform across the map —
-    /// [`ShardedMap::with_handoff`] sets all shards at once).
-    pub fn handoff(&self) -> Handoff {
-        self.shards[0].handoff()
     }
 
     /// The shard that owns `key` under this map's partitioner.
@@ -322,7 +301,7 @@ where
     /// [`ConcurrentMap::submit_batch`], and the returned cells are stitched
     /// back into caller order — `cells[i]` is operation `i`'s result cell.
     /// Nothing blocks and no combiner runs; pair with [`ShardedMap::pump`]
-    /// and the cells' waker registration ([`ResultCell::set_waker`]) to drive
+    /// and probes of the cells ([`ResultCell::try_take`]) to drive
     /// completion (this is what `wsm-svc` does).
     pub fn submit_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<Arc<ResultCell<OpResult<V>>>> {
         let (cells, route) = self.deposit(ops);
@@ -568,16 +547,19 @@ mod tests {
         assert!(map.effective_work() > 0);
     }
 
+    /// Runs first with doorbell-parking callers, then with every caller a
+    /// service task, which waits in the never-parking backoff loop.
     #[test]
     fn concurrent_batches_from_os_threads() {
-        for handoff in [Handoff::Doorbell, Handoff::Cell] {
-            let map = sharded(4).with_handoff(handoff);
+        for service_task in [false, true] {
+            let map = sharded(4);
             let threads = 6;
             let per_thread = 300u64;
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let map = &map;
                     scope.spawn(move || {
+                        let _task = service_task.then(wsm_core::ServiceTaskGuard::new);
                         let base = t * per_thread;
                         let keys: Vec<u64> = (base..base + per_thread).collect();
                         let prev = map.insert_batch(keys.iter().map(|&k| (k, k + 1)).collect());
@@ -596,7 +578,7 @@ mod tests {
     #[test]
     fn submit_then_pump_fills_cells_in_caller_order() {
         for shards in [1usize, 4] {
-            let map = sharded(shards).with_handoff(Handoff::Waker);
+            let map = sharded(shards);
             map.insert_batch((0..64u64).map(|k| (k, k * 2)).collect());
             let ops: Vec<Operation<u64, u64>> = (0..64u64)
                 .map(|k| {

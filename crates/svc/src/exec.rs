@@ -9,7 +9,7 @@
 //! safely via the [`Wake`] trait (no `RawWaker` vtable, so the crate keeps
 //! `#![forbid(unsafe_code)]`), and the executor below is ~150 lines.  The
 //! point of the exercise is the *hand-off* between the combiner and the
-//! awaiting task ([`wsm_core::ResultCell::set_waker`]), not the runtime.
+//! awaiting task (`BatchCall`'s poll protocol), not the runtime.
 //!
 //! ## Executor shape
 //!

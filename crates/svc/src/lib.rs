@@ -8,10 +8,10 @@
 //!
 //! ```text
 //!   client tasks ──┐ submit (non-blocking deposit into ParallelBuffer)
-//!   client tasks ──┼──────────────► per-op ResultCell(+ waker)
+//!   client tasks ──┼──────────────► per-op ResultCell
 //!   client tasks ──┘                      ▲
-//!          poll: pump() — one combiner    │ fill() wakes the task
-//!          election attempt; the polling  │ whose op completed
+//!          poll: pump() — one combiner    │ fill() stamps the cell;
+//!          election attempt; the polling  │ the next poll harvests it
 //!          task may BECOME the combiner ──┘
 //! ```
 //!
@@ -20,7 +20,7 @@
 //! role, so the async layer only needs (a) a non-blocking deposit
 //! ([`ServiceBackend::submit`]), (b) a non-blocking combiner election
 //! attempt ([`BackendDriver::pump`]), and (c) a completion signal — the
-//! result cell's waker hand-off ([`wsm_core::ResultCell::set_waker`]).
+//! result cell's stamp ([`wsm_core::ResultCell::is_filled`]).
 //!
 //! ## The poll protocol
 //!
@@ -28,28 +28,18 @@
 //!
 //! 1. **Harvest** every cell that filled since the last poll; all filled →
 //!    `Ready`.
-//! 2. In `WSM_HANDOFF=waker` mode, **register** the task's waker on each
-//!    unfilled cell, then **re-probe** (mandatory: a fill racing the
-//!    registration has already taken — or never saw — the waker; only the
-//!    re-probe observes its stamp).
-//! 3. **Pump**: one non-blocking combiner-election attempt.  The polling
+//! 2. **Pump**: one non-blocking combiner-election attempt.  The polling
 //!    task may win and execute the batch inline — the async task *is* a
 //!    flat-combining participant, not just a waiter.
-//! 4. Still unfilled: in waker mode, return `Pending` *without* a self-wake
-//!    if the backend's buffer is empty (the ops sit in an in-flight batch
-//!    whose `fill` will wake us — parking the task is free); self-wake if
-//!    ops are still buffered (another election attempt is needed and nobody
-//!    is obliged to make it).  In `doorbell`/`cell` modes there is no wake
-//!    signal for tasks, so the future always self-wakes — cooperative
-//!    busy-polling whose cost experiment E21 measures against waker mode.
+//! 3. **Harvest** again; all filled → `Ready`.
+//! 4. Still unfilled: **self-wake** and return `Pending`.  No fill wakes a
+//!    task, so the future re-polls cooperatively until its results are in;
+//!    experiment E21 measures what that costs.
 //!
 //! ## Knobs
 //!
 //! * `WSM_SVC_WORKERS` — executor worker threads ([`Executor::from_env`],
 //!   default 2).
-//! * `WSM_HANDOFF=waker` — selects the waker hand-off on the *backend map*
-//!   (see [`Handoff`]); the service works in all three modes, waker mode is
-//!   the one that parks idle tasks for free.
 //!
 //! Blocking `ConcurrentMap`/`ShardedMap` calls issued from inside a service
 //! task degrade safely rather than deadlocking: their waits never park (see
@@ -80,12 +70,16 @@ pub trait BackendDriver: Send + Sync {
     /// combiner and execute batches inline; it never waits for one).
     fn pump(&self);
     /// True while deposited operations sit unclaimed in a publication
-    /// buffer.  A future whose cells are empty while this is `false` knows
-    /// its ops are in an in-flight batch and a `fill` is coming.
+    /// buffer.  No [`BatchCall`] reads it; it stays because the benchmark's
+    /// backend wrappers still forward it, and goes with the next change to
+    /// the benchmark.
     fn buffered(&self) -> bool;
-    /// The backend's waiter hand-off mode (decides whether futures park on
-    /// cell wakers or cooperatively self-wake — see the crate docs).
-    fn handoff(&self) -> Handoff;
+    /// Always [`Handoff::Doorbell`], the one hand-off.  Kept only because
+    /// the benchmark's backend wrappers still implement it; it goes with the
+    /// next change to the benchmark.
+    fn handoff(&self) -> Handoff {
+        Handoff::Doorbell
+    }
 }
 
 /// A map the service can submit operation batches to without blocking.
@@ -107,10 +101,6 @@ where
 
     fn buffered(&self) -> bool {
         ConcurrentMap::buffered(self)
-    }
-
-    fn handoff(&self) -> Handoff {
-        ConcurrentMap::handoff(self)
     }
 }
 
@@ -138,10 +128,6 @@ where
 
     fn buffered(&self) -> bool {
         ShardedMap::buffered(self)
-    }
-
-    fn handoff(&self) -> Handoff {
-        ShardedMap::handoff(self)
     }
 }
 
@@ -285,31 +271,13 @@ impl<V, B: BackendDriver> Future for BatchCall<V, B> {
         if this.harvest() {
             return Poll::Ready(this.finish());
         }
-        let waker_mode = this.backend.handoff() == Handoff::Waker;
-        if waker_mode {
-            for (slot, cell) in this.results.iter().zip(&this.cells) {
-                if slot.is_none() {
-                    cell.set_waker(cx.waker());
-                }
-            }
-            // Mandatory re-probe: a fill that raced the registrations above
-            // has already taken (or never saw) the waker.
-            if this.harvest() {
-                return Poll::Ready(this.finish());
-            }
-        }
         // One election attempt — this task may become the combiner.
         this.backend.pump();
         if this.harvest() {
             return Poll::Ready(this.finish());
         }
-        // Waker mode parks for free unless ops are still buffered (then
-        // another election attempt is needed and nobody else is obliged to
-        // make it).  The other modes have no wake signal for tasks: always
-        // self-wake and re-poll cooperatively.
-        if !waker_mode || this.backend.buffered() {
-            cx.waker().wake_by_ref();
-        }
+        // No fill wakes a task: re-poll cooperatively.
+        cx.waker().wake_by_ref();
         Poll::Pending
     }
 }
@@ -319,30 +287,28 @@ mod tests {
     use super::*;
     use wsm_core::M1;
 
-    fn service(handoff: Handoff) -> WsMapService<u64, u64, ConcurrentMap<u64, u64, M1<u64, u64>>> {
-        WsMapService::new(ConcurrentMap::new(M1::new(4), 8).with_handoff(handoff))
+    fn service() -> WsMapService<u64, u64, ConcurrentMap<u64, u64, M1<u64, u64>>> {
+        WsMapService::new(ConcurrentMap::new(M1::new(4), 8))
     }
 
     #[test]
     fn batch_roundtrip_in_every_handoff_mode() {
-        for handoff in [Handoff::Doorbell, Handoff::Cell, Handoff::Waker] {
-            let svc = service(handoff);
-            let prev = block_on(svc.batch_insert((0..128u64).map(|k| (k, k * 3)).collect()));
-            assert!(prev.iter().all(Option::is_none), "{handoff:?}");
-            let got = block_on(svc.batch_search((0..128u64).collect()));
-            for (k, v) in (0..128u64).zip(got) {
-                assert_eq!(v, Some(k * 3), "{handoff:?} k={k}");
-            }
-            let removed = block_on(svc.batch_remove((0..64u64).collect()));
-            assert!(removed.iter().all(Option::is_some), "{handoff:?}");
-            let left = block_on(svc.batch_search((0..128u64).collect()));
-            assert_eq!(left.iter().filter(|v| v.is_some()).count(), 64);
+        let svc = service();
+        let prev = block_on(svc.batch_insert((0..128u64).map(|k| (k, k * 3)).collect()));
+        assert!(prev.iter().all(Option::is_none));
+        let got = block_on(svc.batch_search((0..128u64).collect()));
+        for (k, v) in (0..128u64).zip(got) {
+            assert_eq!(v, Some(k * 3), "k={k}");
         }
+        let removed = block_on(svc.batch_remove((0..64u64).collect()));
+        assert!(removed.iter().all(Option::is_some));
+        let left = block_on(svc.batch_search((0..128u64).collect()));
+        assert_eq!(left.iter().filter(|v| v.is_some()).count(), 64);
     }
 
     #[test]
     fn empty_batch_resolves_immediately() {
-        let svc = service(Handoff::Waker);
+        let svc = service();
         assert!(block_on(svc.batch_search(Vec::new())).is_empty());
     }
 
@@ -366,40 +332,34 @@ mod tests {
 
     #[test]
     fn call_batch_preserves_submission_order_across_the_ring_overflow_boundary() {
-        overwrites_in_one_batch_see_submission_order(
-            ConcurrentMap::new(M1::<u64, u64>::new(4), 8).with_handoff(Handoff::Waker),
-        );
+        overwrites_in_one_batch_see_submission_order(ConcurrentMap::new(M1::<u64, u64>::new(4), 8));
         // ~1536 ops per shard: every shard's ring overflows too.
-        overwrites_in_one_batch_see_submission_order(
-            ShardedMap::with_shards(4, |_| M1::<u64, u64>::new(4)).with_handoff(Handoff::Waker),
-        );
+        overwrites_in_one_batch_see_submission_order(ShardedMap::with_shards(4, |_| {
+            M1::<u64, u64>::new(4)
+        }));
     }
 
     #[test]
     fn concurrent_client_tasks_on_executor() {
-        for handoff in [Handoff::Doorbell, Handoff::Cell, Handoff::Waker] {
-            let exec = Executor::new(2);
-            let svc = WsMapService::new(
-                ShardedMap::with_shards(4, |_| M1::<u64, u64>::new(4)).with_handoff(handoff),
-            );
-            let handles: Vec<_> = (0..8u64)
-                .map(|t| {
-                    let svc = svc.clone();
-                    exec.spawn(async move {
-                        let base = t * 1000;
-                        let keys: Vec<u64> = (base..base + 100).collect();
-                        let prev = svc
-                            .batch_insert(keys.iter().map(|&k| (k, k + 1)).collect())
-                            .await;
-                        assert!(prev.iter().all(Option::is_none));
-                        let got = svc.batch_search(keys.clone()).await;
-                        keys.iter().zip(got).all(|(k, v)| v == Some(k + 1))
-                    })
+        let exec = Executor::new(2);
+        let svc = WsMapService::new(ShardedMap::with_shards(4, |_| M1::<u64, u64>::new(4)));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let svc = svc.clone();
+                exec.spawn(async move {
+                    let base = t * 1000;
+                    let keys: Vec<u64> = (base..base + 100).collect();
+                    let prev = svc
+                        .batch_insert(keys.iter().map(|&k| (k, k + 1)).collect())
+                        .await;
+                    assert!(prev.iter().all(Option::is_none));
+                    let got = svc.batch_search(keys.clone()).await;
+                    keys.iter().zip(got).all(|(k, v)| v == Some(k + 1))
                 })
-                .collect();
-            for handle in handles {
-                assert!(block_on(handle), "{handoff:?}");
-            }
+            })
+            .collect();
+        for handle in handles {
+            assert!(block_on(handle));
         }
     }
 }

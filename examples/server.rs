@@ -8,13 +8,10 @@
 //! are cooperative futures on the service's own [`wsm_svc::Executor`]
 //! (`WSM_SVC_WORKERS` threads, default 2) — no OS thread per connection.
 //!
-//! The backend is a [`wsm_shard::ShardedMap`] (`WSM_SHARDS`, default 4) in
-//! the hand-off mode named by `WSM_HANDOFF` (`doorbell` | `cell` | `waker`,
-//! default waker for a service workload: an awaiting `BatchCall` goes
-//! quiescent until its `ResultCell`s fill, instead of cooperatively
-//! re-polling).  The run ends with a per-mode-relevant latency summary —
-//! p50/p99/p999 over every request — mirroring what experiment E21
-//! (`harness e21`) records as a committed artifact.
+//! The backend is a [`wsm_shard::ShardedMap`] (`WSM_SHARDS`, default 4).
+//! The run ends with a latency summary — p50/p99/p999 over every request —
+//! mirroring what experiment E21 (`harness e21`) records as a committed
+//! artifact.
 //!
 //! A fraction of requests (1 in 8) are writes: each client refreshes its
 //! hottest keys through `batch_insert`, so the combiner sees mixed batches.
@@ -64,9 +61,7 @@ fn main() {
     let (clients, requests, batch, qps, shards) = (clients(), requests(), batch(), qps(), shards());
     let interval = Duration::from_micros(1_000_000 / qps);
 
-    // The maps read `WSM_HANDOFF` themselves at construction.
     let map = Arc::new(ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4)));
-    let handoff = map.handoff();
     let preload: Vec<(u64, u64)> = (0..KEYSPACE).map(|k| (k, k)).collect();
     for chunk in preload.chunks(512) {
         map.insert_batch(chunk.to_vec());
@@ -77,7 +72,7 @@ fn main() {
 
     println!(
         "server: {clients} clients x {requests} req x {batch} keys @ {qps} req/s each, \
-         S={shards}, handoff={handoff:?}"
+         S={shards}"
     );
 
     let wall = Instant::now();

@@ -1,12 +1,11 @@
 //! Property suite for the async service front-end (`wsm_svc::WsMapService`).
 //!
-//! Three layers of evidence, over both working-set maps (M1, M2), shard
-//! counts S ∈ {1, 4}, and all three waiter hand-off modes
-//! ([`wsm_core::Handoff`]):
+//! Three layers of evidence, over both working-set maps (M1, M2) and shard
+//! counts S ∈ {1, 4}:
 //!
 //! * **Sequential differential** — one `block_on` client awaiting batches in
 //!   order must match a `BTreeMap` oracle result-for-result: the async plumbing
-//!   (deposit → pump → waker/self-wake → harvest) adds no reorderings when
+//!   (deposit → pump → self-wake → harvest) adds no reorderings when
 //!   there is no concurrency to blame.
 //! * **Disjoint-range differential** — concurrent client tasks on an
 //!   executor, each owning a private key range.  Each client's completion
@@ -38,7 +37,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
-use wsm_core::{BatchedMap, Handoff, M1, M2};
+use wsm_core::{BatchedMap, M1, M2};
 use wsm_shard::ShardedMap;
 use wsm_svc::{block_on, Executor, WsMapService};
 
@@ -46,9 +45,6 @@ use wsm_svc::{block_on, Executor, WsMapService};
 mod linearize;
 
 use linearize::{linearizable, project_onto, Done, Op};
-
-/// All three waiter hand-off modes — every suite below runs under each.
-const HANDOFFS: [Handoff; 3] = [Handoff::Doorbell, Handoff::Cell, Handoff::Waker];
 
 /// Builds per-task op lists from generated `(kind, key)` pairs; insert
 /// values are globally unique so the oracle can distinguish every write.
@@ -100,12 +96,11 @@ type Backend<M> = ShardedMap<u64, u64, M, wsm_shard::HashPartitioner>;
 fn service<M>(
     make: impl FnMut(usize) -> M,
     shards: usize,
-    handoff: Handoff,
 ) -> (Arc<Backend<M>>, WsMapService<u64, u64, Backend<M>>)
 where
     M: BatchedMap<u64, u64> + Send,
 {
-    let map = Arc::new(ShardedMap::with_shards(shards, make).with_handoff(handoff));
+    let map = Arc::new(ShardedMap::with_shards(shards, make));
     (Arc::clone(&map), WsMapService::from_arc(map))
 }
 
@@ -144,14 +139,13 @@ where
 fn run_async_history<M>(
     make: impl FnMut(usize) -> M,
     shards: usize,
-    handoff: Handoff,
     per_client: &[Vec<Op>],
     chunk: usize,
 ) -> (Arc<Backend<M>>, Vec<Vec<Done>>)
 where
     M: BatchedMap<u64, u64> + Send + 'static,
 {
-    let (map, svc) = service(make, shards, handoff);
+    let (map, svc) = service(make, shards);
     let exec = Executor::new(2);
     let clock = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = per_client
@@ -167,23 +161,19 @@ where
     (map, histories)
 }
 
-/// Sequential differential for one map type across S ∈ {1, 4} and all
-/// hand-off modes.
+/// Sequential differential for one map type across S ∈ {1, 4}.
 fn check_sequential<M>(mut make: impl FnMut(usize) -> M, ops: &[Op], chunk: usize)
 where
     M: BatchedMap<u64, u64> + Send + 'static,
 {
     let expected = oracle_results(ops);
     for shards in [1usize, 4] {
-        for handoff in HANDOFFS {
-            let (_, histories) =
-                run_async_history(&mut make, shards, handoff, &[ops.to_vec()], chunk);
-            let got: Vec<Option<u64>> = histories[0].iter().map(|d| d.result).collect();
-            assert_eq!(
-                got, expected,
-                "sequential async differential diverged (S={shards}, {handoff:?})"
-            );
-        }
+        let (_, histories) = run_async_history(&mut make, shards, &[ops.to_vec()], chunk);
+        let got: Vec<Option<u64>> = histories[0].iter().map(|d| d.result).collect();
+        assert_eq!(
+            got, expected,
+            "sequential async differential diverged (S={shards})"
+        );
     }
 }
 
@@ -194,16 +184,14 @@ where
     M: BatchedMap<u64, u64> + Send + 'static,
 {
     for shards in [1usize, 4] {
-        for handoff in HANDOFFS {
-            let (_, histories) = run_async_history(&mut make, shards, handoff, per_client, chunk);
-            for (client, (ops, history)) in per_client.iter().zip(&histories).enumerate() {
-                let got: Vec<Option<u64>> = history.iter().map(|d| d.result).collect();
-                assert_eq!(
-                    got,
-                    oracle_results(ops),
-                    "disjoint-range client {client} diverged (S={shards}, {handoff:?})"
-                );
-            }
+        let (_, histories) = run_async_history(&mut make, shards, per_client, chunk);
+        for (client, (ops, history)) in per_client.iter().zip(&histories).enumerate() {
+            let got: Vec<Option<u64>> = history.iter().map(|d| d.result).collect();
+            assert_eq!(
+                got,
+                oracle_results(ops),
+                "disjoint-range client {client} diverged (S={shards})"
+            );
         }
     }
 }
@@ -214,16 +202,13 @@ where
     M: BatchedMap<u64, u64> + Send + 'static,
 {
     for shards in [1usize, 4] {
-        for handoff in HANDOFFS {
-            let (map, histories) = run_async_history(&mut make, shards, handoff, per_client, chunk);
-            for shard in 0..shards {
-                let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
-                assert!(
-                    linearizable(&projected),
-                    "shard {shard}/{shards} of async history not linearizable \
-                     ({handoff:?}): {projected:#?}"
-                );
-            }
+        let (map, histories) = run_async_history(&mut make, shards, per_client, chunk);
+        for shard in 0..shards {
+            let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
+            assert!(
+                linearizable(&projected),
+                "shard {shard}/{shards} of async history not linearizable: {projected:#?}"
+            );
         }
     }
 }
@@ -251,7 +236,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// One client, batches awaited in order: async results ≡ BTreeMap, over
-    /// M1 and M2, S ∈ {1, 4}, all three hand-off modes.
+    /// M1 and M2, S ∈ {1, 4}.
     #[test]
     fn sequential_async_batches_match_oracle(
         raw in prop::collection::vec((0u8..3, 0u8..8), 1..24),
@@ -294,10 +279,10 @@ proptest! {
 }
 
 /// Deterministic smoke: the full service surface (`batch_insert` /
-/// `batch_search` / `batch_remove`) against the oracle in waker mode.
+/// `batch_search` / `batch_remove`) against the oracle.
 #[test]
-fn service_surface_matches_oracle_waker_mode() {
-    let (_, svc) = service(|_| M1::<u64, u64>::new(4), 4, Handoff::Waker);
+fn service_surface_matches_oracle() {
+    let (_, svc) = service(|_| M1::<u64, u64>::new(4), 4);
     let prev = block_on(svc.batch_insert((0..100u64).map(|k| (k, k * 2)).collect()));
     assert!(prev.iter().all(Option::is_none));
     let got = block_on(svc.batch_search((0..100u64).collect()));
@@ -393,7 +378,7 @@ fn within<T: Send + 'static>(
 /// service calls over the same map, and an OS thread adds blocking calls of
 /// its own so the worker also loses elections to a running thread.  Clients
 /// own disjoint key ranges, so each must match its sequential oracle.
-fn check_blocking_calls_from_service_tasks<M>(make: fn(usize) -> M, shards: usize, handoff: Handoff)
+fn check_blocking_calls_from_service_tasks<M>(make: fn(usize) -> M, shards: usize)
 where
     M: BatchedMap<u64, u64> + Send + 'static,
 {
@@ -405,11 +390,11 @@ where
         })
         .collect();
     let per_client = make_disjoint(&decode_history(&raw));
-    let what = format!("S={shards}, {handoff:?}");
+    let what = format!("S={shards}");
     let histories = within(Duration::from_secs(60), &what, {
         let per_client = per_client.clone();
         move || {
-            let (map, svc) = service(make, shards, handoff);
+            let (map, svc) = service(make, shards);
             let exec = Executor::new(1);
             let chunk = 6;
             std::thread::scope(|scope| {
@@ -445,13 +430,11 @@ where
 }
 
 /// Blocking `ShardedMap::run_batch` from tasks of a single-worker executor,
-/// beside held service calls: S ∈ {1, 2, 4} × all hand-off modes × M1, M2.
+/// beside held service calls: S ∈ {1, 2, 4} × M1, M2.
 #[test]
 fn blocking_run_batch_from_single_worker_tasks_completes() {
     for shards in [1usize, 2, 4] {
-        for handoff in HANDOFFS {
-            check_blocking_calls_from_service_tasks(|_| M1::<u64, u64>::new(4), shards, handoff);
-            check_blocking_calls_from_service_tasks(|_| M2::<u64, u64>::new(4), shards, handoff);
-        }
+        check_blocking_calls_from_service_tasks(|_| M1::<u64, u64>::new(4), shards);
+        check_blocking_calls_from_service_tasks(|_| M2::<u64, u64>::new(4), shards);
     }
 }
