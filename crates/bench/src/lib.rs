@@ -914,9 +914,11 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// segment-op shapes of the cascade (`get_batch`, `remove_batch` +
 /// `push_front_batch`, `take_back` + `push_front_batch`) per key on a
 /// 2^17-item map — the size at which a segment tree outgrows the cache and
-/// the node layout, not the node count, decides the cost — and two
-/// `std::collections::BTreeMap` rows on the same keys give the yardstick: a
-/// `get` per key, and a remove + insert per key.
+/// the node layout, not the node count, decides the cost — and again on a
+/// 2^12-item map that stays in cache: the two sides of the size gate of
+/// `RecencyMap`'s locate walk.  Two `std::collections::BTreeMap` rows on the
+/// 2^17 keys give the yardstick: a `get` per key, and a remove + insert per
+/// key.
 ///
 /// Since the fanout-B arena rewrite every row also records `nodes/op`
 /// (thread-local metered tree-node touches) and `ns/op` (wall time), and an
@@ -1064,10 +1066,11 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
     });
 
     // Sweep rows: the three segment-op shapes of the cascade at the size
-    // where a segment tree no longer fits the cache — 80 random sorted keys
-    // per batch (an M1 cut batch at p = 4) against a 2^17-item map built
-    // outside the timed body, mean per key over 256 batches.
-    const SWEEP_ITEMS: u64 = 1 << 17;
+    // where a segment tree no longer fits the cache (2^17 items) and at one
+    // where it does (2^12) — the two sides of `RecencyMap`'s locate-walk
+    // gate — 80 random sorted keys per batch (an M1 cut batch at p = 4)
+    // against a map built outside the timed body, mean per key over 256
+    // batches.
     const SWEEP_BATCHES: usize = 256;
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
@@ -1076,75 +1079,78 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
         state ^= state << 17;
         state
     };
-    let mut big: RecencyMap<u64, u64> = RecencyMap::new();
-    let mut shuffled: Vec<(u64, u64)> = (0..SWEEP_ITEMS).map(|k| (k, k)).collect();
-    for i in (1..shuffled.len()).rev() {
-        shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+    for log_items in [17, 12] {
+        let items = 1u64 << log_items;
+        let mut big: RecencyMap<u64, u64> = RecencyMap::new();
+        let mut shuffled: Vec<(u64, u64)> = (0..items).map(|k| (k, k)).collect();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut std_map: BTreeMap<u64, u64> = shuffled.iter().copied().collect();
+        big.push_back_batch(shuffled);
+        let batches: Vec<Vec<u64>> = (0..SWEEP_BATCHES)
+            .map(|_| {
+                let mut keys: Vec<u64> = (0..80).map(|_| next() % items).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys
+            })
+            .collect();
+        let swept_keys = batches.iter().map(Vec::len).sum::<usize>() as f64;
+        let mut sweep = |label: &str, body: &mut dyn FnMut(&[u64])| {
+            tcost::reset_tree_passes();
+            let (mut ns, mut nodes) = (0.0, 0u64);
+            for keys in &batches {
+                let start = Instant::now();
+                let ((), touched) = tcost::metered(|| body(keys));
+                ns += start.elapsed().as_nanos() as f64;
+                nodes += touched;
+            }
+            let passes = tcost::tree_passes() as f64;
+            tcost::reset_tree_passes();
+            rows.push(Row::new(
+                format!("{label} b=80 n=2^{log_items}"),
+                vec![
+                    ("ops", swept_keys),
+                    ("tree passes", passes),
+                    ("passes/op", passes / swept_keys),
+                    ("nodes/op", nodes as f64 / swept_keys),
+                    ("ns/op", ns / swept_keys),
+                    ("W/op", 0.0),
+                ],
+            ));
+        };
+        sweep("sweep get_batch", &mut |keys| {
+            assert!(std::hint::black_box(big.get_batch(keys))
+                .iter()
+                .all(Option::is_some));
+        });
+        sweep("sweep remove_batch + push_front_batch", &mut |keys| {
+            let found = big.remove_batch(keys);
+            let items = keys.iter().zip(found);
+            big.push_front_batch(items.map(|(&k, v)| (k, v.expect("key present"))).collect());
+        });
+        sweep("sweep take_back + push_front_batch", &mut |keys| {
+            let moved = big.take_back(keys.len());
+            big.push_front_batch(moved);
+        });
+        if log_items < 17 {
+            continue;
+        }
+        // The same keys, one at a time, on `std::BTreeMap` (no batching, no
+        // recency order, no metered tree).
+        sweep("btreemap get", &mut |keys| {
+            for k in keys {
+                assert!(std::hint::black_box(std_map.get(k)).is_some());
+            }
+        });
+        sweep("btreemap remove + insert", &mut |keys| {
+            for &k in keys {
+                let v = std_map.remove(&k).expect("key present");
+                std_map.insert(k, v);
+            }
+        });
     }
-    let mut std_map = BTreeMap::new();
-    for &(k, v) in &shuffled {
-        std_map.insert(k, v);
-    }
-    big.push_back_batch(shuffled);
-    let batches: Vec<Vec<u64>> = (0..SWEEP_BATCHES)
-        .map(|_| {
-            let mut keys: Vec<u64> = (0..80).map(|_| next() % SWEEP_ITEMS).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        })
-        .collect();
-    let swept_keys = batches.iter().map(Vec::len).sum::<usize>() as f64;
-    let mut sweep = |label: &str, body: &mut dyn FnMut(&[u64])| {
-        tcost::reset_tree_passes();
-        let (mut ns, mut nodes) = (0.0, 0u64);
-        for keys in &batches {
-            let start = Instant::now();
-            let ((), touched) = tcost::metered(|| body(keys));
-            ns += start.elapsed().as_nanos() as f64;
-            nodes += touched;
-        }
-        let passes = tcost::tree_passes() as f64;
-        tcost::reset_tree_passes();
-        rows.push(Row::new(
-            format!("{label} b=80 n=2^17"),
-            vec![
-                ("ops", swept_keys),
-                ("tree passes", passes),
-                ("passes/op", passes / swept_keys),
-                ("nodes/op", nodes as f64 / swept_keys),
-                ("ns/op", ns / swept_keys),
-                ("W/op", 0.0),
-            ],
-        ));
-    };
-    sweep("sweep get_batch", &mut |keys| {
-        assert!(std::hint::black_box(big.get_batch(keys))
-            .iter()
-            .all(Option::is_some));
-    });
-    sweep("sweep remove_batch + push_front_batch", &mut |keys| {
-        let found = big.remove_batch(keys);
-        let items = keys.iter().zip(found);
-        big.push_front_batch(items.map(|(&k, v)| (k, v.expect("key present"))).collect());
-    });
-    sweep("sweep take_back + push_front_batch", &mut |keys| {
-        let moved = big.take_back(keys.len());
-        big.push_front_batch(moved);
-    });
-    // The same keys, one at a time, on `std::BTreeMap` (no batching, no
-    // recency order, no metered tree).
-    sweep("btreemap get", &mut |keys| {
-        for k in keys {
-            assert!(std::hint::black_box(std_map.get(k)).is_some());
-        }
-    });
-    sweep("btreemap remove + insert", &mut |keys| {
-        for &k in keys {
-            let v = std_map.remove(&k).expect("key present");
-            std_map.insert(k, v);
-        }
-    });
 
     // A/B micro family: the same op shapes on the 2-3 reference (B = 2) and
     // the cache-conscious default (B = 16).  Passes are structural and must
@@ -1775,9 +1781,9 @@ mod tests {
     #[test]
     fn tree_passes_experiment_pins_single_pass_segment_ops() {
         let rows = experiment_tree_passes(1 << 9, 1 << 11);
-        // 3 workloads x 2 structures + 4 micro rows + 3 sweep rows + 2
-        // BTreeMap rows + 2 fanouts x 3 A/B rows.
-        assert_eq!(rows.len(), 21);
+        // 3 workloads x 2 structures + 4 micro rows + 2 sizes x 3 sweep
+        // rows + 2 BTreeMap rows + 2 fanouts x 3 A/B rows.
+        assert_eq!(rows.len(), 24);
         let get = |label: &str, key: &str| -> f64 {
             rows.iter()
                 .find(|r| r.label == label)
@@ -1807,11 +1813,17 @@ mod tests {
             1.0
         );
         // The sweep rows: one pass per batch for the read, two per round
-        // trip, over 256 batches.
-        assert_eq!(get("sweep get_batch b=80 n=2^17", "tree passes"), 256.0);
-        for round_trip in ["remove_batch", "take_back"] {
-            let label = format!("sweep {round_trip} + push_front_batch b=80 n=2^17");
-            assert_eq!(get(&label, "tree passes"), 512.0);
+        // trip, over 256 batches — on either side of the locate-walk gate,
+        // which adds no pass.
+        for n in ["2^17", "2^12"] {
+            assert_eq!(
+                get(&format!("sweep get_batch b=80 n={n}"), "tree passes"),
+                256.0
+            );
+            for round_trip in ["remove_batch", "take_back"] {
+                let label = format!("sweep {round_trip} + push_front_batch b=80 n={n}");
+                assert_eq!(get(&label, "tree passes"), 512.0);
+            }
         }
         // The A/B family: passes are structural (fanout-independent), while
         // the wide node must touch strictly fewer nodes on every shape.

@@ -3,9 +3,9 @@
 //! [`Model::check`] runs a closure (the *harness*) repeatedly, once per
 //! schedule.  Inside a harness, every operation on the shim types of
 //! [`crate::sync`] and every [`crate::thread::spawn`]/`join`/`yield_now`
-//! is a *scheduling point*: the thread parks and a central scheduler decides
-//! who runs next.  The scheduler drives a depth-first search over those
-//! decisions, so the harness is executed under **every** interleaving the
+//! is a *scheduling point*: the scheduler decides who runs next, and the
+//! thread parks unless it is chosen to continue.  The scheduler drives a
+//! depth-first search over those decisions, so the harness is executed under **every** interleaving the
 //! search frontier contains:
 //!
 //! * **Iterative context bounding** (CHESS-style): a schedule may contain at
@@ -40,8 +40,11 @@
 //! [`Model::replay`].
 //!
 //! The engine contains no `unsafe`: model threads are ordinary OS threads
-//! that hand a baton back and forth with the scheduler through mutexes and
-//! condvars, and at most one of them is ever runnable at a time.
+//! that pass a baton among themselves through mutexes and condvars, and at
+//! most one of them is ever runnable at a time.  The thread holding the
+//! baton makes the scheduling decisions itself, at each of its scheduling
+//! points, until one hands the baton to another thread; a step that
+//! continues the same thread costs no OS context switch.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
@@ -207,7 +210,7 @@ enum Grant {
     Abort,
 }
 
-/// Message a model thread hands back to the scheduler.
+/// What a model thread reports as it takes the baton to schedule.
 enum FromThread {
     Declared,
     Exited(ThreadId),
@@ -344,24 +347,26 @@ impl ExecState {
     }
 }
 
-/// Messages-to-scheduler queue.
-struct SchedQueue {
-    q: Mutex<VecDeque<FromThread>>,
+/// Where the thread that ends an execution leaves how it ended for the
+/// searching thread (`Err`: the scheduling logic itself panicked, with this
+/// message).
+struct OutcomeSlot {
+    slot: Mutex<Option<Result<ExecOutcome, String>>>,
     cv: Condvar,
 }
 
-impl SchedQueue {
-    fn push(&self, m: FromThread) {
-        lock(&self.q).push_back(m);
+impl OutcomeSlot {
+    fn set(&self, end: Result<ExecOutcome, String>) {
+        *lock(&self.slot) = Some(end);
         self.cv.notify_all();
     }
-    fn pop(&self) -> FromThread {
-        let mut q = lock(&self.q);
+    fn wait(&self) -> Result<ExecOutcome, String> {
+        let mut slot = lock(&self.slot);
         loop {
-            if let Some(m) = q.pop_front() {
-                return m;
+            if let Some(end) = slot.take() {
+                return end;
             }
-            q = self.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+            slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -369,7 +374,9 @@ impl SchedQueue {
 /// Shared context of one execution; shim operations reach it through TLS.
 pub(crate) struct Exec {
     state: Mutex<ExecState>,
-    sched: SchedQueue,
+    /// The search state, used by whichever thread holds the baton.
+    driver: Mutex<Option<Driver>>,
+    outcome: OutcomeSlot,
     abort: AtomicBool,
 }
 
@@ -433,14 +440,14 @@ impl Exec {
 
     /// Declares `op` for `tid`, parks until the scheduler applies it, and
     /// returns the `(a, b)` result pair of the grant.
-    pub(crate) fn declare(&self, h: &Handle, op: Op) -> (usize, bool) {
+    pub(crate) fn declare(self: &Arc<Self>, h: &Handle, op: Op) -> (usize, bool) {
         self.check_abort();
         let slot = {
             let mut st = lock(&self.state);
             st.threads[h.tid].status = Status::Ready(op);
             Arc::clone(&st.threads[h.tid].slot)
         };
-        self.sched.push(FromThread::Declared);
+        self.drive(Some(FromThread::Declared));
         match slot.await_grant() {
             Grant::Apply { a, b } => (a, b),
             Grant::Run => (0, false),
@@ -486,13 +493,13 @@ impl Exec {
                 }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                 match result {
-                    Ok(()) => exec.sched.push(FromThread::Exited(tid)),
+                    Ok(()) => exec.drive(Some(FromThread::Exited(tid))),
                     Err(payload) => {
                         if payload.downcast_ref::<AbortUnwind>().is_some() {
-                            // Teardown unwind; the scheduler is not listening.
+                            // Teardown unwind; the execution is already over.
                         } else {
                             let msg = panic_message(payload);
-                            exec.sched.push(FromThread::Panicked(tid, msg));
+                            exec.drive(Some(FromThread::Panicked(tid, msg)));
                         }
                     }
                 }
@@ -500,6 +507,29 @@ impl Exec {
             .expect("spawn model thread");
         lock(&self.state).live_os_threads.push(os);
         tid
+    }
+}
+
+impl Exec {
+    /// Schedules from the calling thread, which holds the baton: reports
+    /// `msg`, then takes decisions until a transition hands the baton on
+    /// (when it goes back to the caller, the caller's grant is already in
+    /// its slot and it resumes without parking) or the execution ends, in
+    /// which case the outcome goes to the searching thread.
+    fn drive(self: &Arc<Self>, msg: Option<FromThread>) {
+        let mut guard = lock(&self.driver);
+        let Some(driver) = guard.as_mut().filter(|d| !d.over) else {
+            return;
+        };
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.run(self, msg)));
+        let end = match ran {
+            Ok(None) => return,
+            Ok(Some(outcome)) => Ok(outcome),
+            Err(payload) => Err(panic_message(payload)),
+        };
+        driver.over = true;
+        drop(guard);
+        self.outcome.set(end);
     }
 }
 
@@ -540,6 +570,182 @@ enum ExecOutcome {
     Pruned,
     /// A failure was observed; search stops.
     Failed(Failure),
+}
+
+/// The search state of one execution, held by whichever thread has the
+/// baton: the DFS stack being replayed and extended, the running report, and
+/// the position in the current schedule.
+struct Driver {
+    model: Model,
+    stack: Vec<Node>,
+    report: Report,
+    replay: Option<Vec<usize>>,
+    depth: usize,
+    prev: Option<ThreadId>,
+    budget: u32,
+    sleep: Vec<(Opt, Sig)>,
+    steps: usize,
+    /// The execution has ended; later calls find nothing to schedule.
+    over: bool,
+}
+
+impl Driver {
+    /// Takes the scheduling decisions of the current execution, after
+    /// `msg` from the thread that holds the baton, until a transition wakes
+    /// a thread (`None`: that thread schedules next) or the execution ends.
+    fn run(&mut self, exec: &Arc<Exec>, msg: Option<FromThread>) -> Option<ExecOutcome> {
+        match msg {
+            None | Some(FromThread::Declared) => {}
+            Some(FromThread::Exited(tid)) => {
+                let mut st = lock(&exec.state);
+                st.flush_all(tid, "exit");
+                st.threads[tid].status = Status::Finished;
+                let name = st.threads[tid].name.clone();
+                st.log.push(format!("t{tid}({name}): exited"));
+            }
+            Some(FromThread::Panicked(tid, msg)) => {
+                let st = lock(&exec.state);
+                let name = st.threads[tid].name.clone();
+                let mut trace = st.log.clone();
+                trace.push(format!("t{tid}({name}): panicked: {msg}"));
+                drop(st);
+                return Some(ExecOutcome::Failed(Failure {
+                    message: msg,
+                    trace,
+                    choices: taken_vector(&self.stack, self.depth),
+                }));
+            }
+        }
+        loop {
+            // Compute the enabled options in canonical order.
+            let (options, unfinished) = self.model.enabled_options(exec, self.prev);
+            if options.is_empty() {
+                if unfinished.is_empty() {
+                    return Some(ExecOutcome::Complete);
+                }
+                let st = lock(&exec.state);
+                // Timed waiters whose timeout budget is exhausted are not a
+                // deadlock: the real system would keep waking on its timeout
+                // backstop.  If *every* unfinished thread is such a waiter,
+                // the schedule is complete (liveness-via-timeout).
+                let all_timed_out = unfinished.iter().all(|&t| {
+                    matches!(st.threads[t].status, Status::BlockedCv { timed: true, .. })
+                });
+                if all_timed_out {
+                    return Some(ExecOutcome::Complete);
+                }
+                let who: Vec<String> = unfinished
+                    .iter()
+                    .map(|&t| format!("t{t}({}) {:?}", st.threads[t].name, st.threads[t].status))
+                    .collect();
+                let trace = st.log.clone();
+                drop(st);
+                return Some(ExecOutcome::Failed(Failure {
+                    message: format!("deadlock: no runnable thread; blocked: {}", who.join(", ")),
+                    trace,
+                    choices: taken_vector(&self.stack, self.depth),
+                }));
+            }
+            self.steps += 1;
+            if self.steps > self.model.max_steps {
+                let trace = lock(&exec.state).log.clone();
+                return Some(ExecOutcome::Failed(Failure {
+                    message: format!(
+                        "step budget exhausted ({} scheduling points): livelock suspect",
+                        self.model.max_steps
+                    ),
+                    trace,
+                    choices: taken_vector(&self.stack, self.depth),
+                }));
+            }
+
+            // Pick the branch: replay vector, existing stack, or a new node.
+            let depth = self.depth;
+            let chosen_idx = if let Some(vec) = &self.replay {
+                if depth >= vec.len() {
+                    // Replay vector exhausted: run the remaining schedule
+                    // round-robin-deterministically (first option).
+                    0
+                } else {
+                    vec[depth].min(options.len().saturating_sub(1))
+                }
+            } else if depth < self.stack.len() {
+                let node = &self.stack[depth];
+                debug_assert_eq!(
+                    node.options, options,
+                    "nondeterministic harness: decision point {depth} changed between replays"
+                );
+                node.taken
+            } else {
+                // Fresh node: first candidate that is not asleep and whose
+                // preemption cost fits the budget.
+                let mut node = Node {
+                    options: options.clone(),
+                    taken: usize::MAX,
+                    taken_sig: None,
+                    explored: Vec::new(),
+                    sleep_in: self.sleep.clone(),
+                    budget: self.budget,
+                    prev: self.prev,
+                };
+                match first_candidate(&node, &self.model, &mut self.report) {
+                    Some(idx) => node.taken = idx,
+                    None => {
+                        // Every option is asleep (equivalent schedule already
+                        // explored) or over the preemption budget.
+                        self.stack.push(node);
+                        return Some(ExecOutcome::Pruned);
+                    }
+                }
+                self.stack.push(node);
+                self.stack[depth].taken
+            };
+
+            let opt = options[chosen_idx];
+            let cost = preemption_cost(opt, self.prev, &options);
+            if self.budget < cost {
+                // Only reachable through a stale replay vector.
+                self.budget = 0;
+            } else {
+                self.budget -= cost;
+            }
+
+            // Apply the transition.
+            let sig = self.model.apply(exec, opt);
+
+            // Update the running sleep set: wake sleepers whose pending
+            // transition conflicts with what just executed; drop entries for
+            // the thread that moved.
+            if self.model.sleep_sets {
+                self.sleep
+                    .retain(|(p, psig)| p.tid() != opt.tid() && !psig.conflicts(&sig));
+                if depth < self.stack.len() {
+                    // Branches explored earlier at this node go to sleep in
+                    // the current branch.
+                    for (p, psig) in &self.stack[depth].explored {
+                        if p.tid() != opt.tid() && !psig.conflicts(&sig) {
+                            self.sleep.push((*p, *psig));
+                        }
+                    }
+                }
+            }
+            if let Opt::Step(tid) = opt {
+                self.prev = Some(tid);
+            }
+            if self.replay.is_none() && depth < self.stack.len() {
+                // Record the signature for the taken branch (used when this
+                // branch is moved into `explored` during backtracking).
+                record_sig(&mut self.stack[depth], chosen_idx, sig);
+            }
+            self.depth += 1;
+
+            // If the transition woke a thread, that thread schedules next,
+            // at its next scheduling point or exit.
+            if opt_wakes_thread(exec, opt) {
+                return None;
+            }
+        }
+    }
 }
 
 /// A failing schedule: what went wrong, the executed step list, and the
@@ -769,7 +975,9 @@ impl Model {
     }
 
     /// Runs one execution, replaying `stack[..]`'s taken choices and
-    /// extending the stack at fresh decision points.
+    /// extending the stack at fresh decision points.  The search state moves
+    /// into the execution for its duration: the model threads schedule
+    /// themselves (see [`Exec::drive`]) while this thread waits for the end.
     fn run_once(
         &self,
         harness: &Arc<dyn Fn() + Send + Sync>,
@@ -779,8 +987,9 @@ impl Model {
     ) -> ExecOutcome {
         let exec = Arc::new(Exec {
             state: Mutex::new(ExecState::new()),
-            sched: SchedQueue {
-                q: Mutex::new(VecDeque::new()),
+            driver: Mutex::new(None),
+            outcome: OutcomeSlot {
+                slot: Mutex::new(None),
                 cv: Condvar::new(),
             },
             abort: AtomicBool::new(false),
@@ -788,167 +997,27 @@ impl Model {
         let h = Arc::clone(harness);
         let root = exec.spawn_thread("root".to_string(), move || h());
         debug_assert_eq!(root, 0);
-
-        let mut depth = 0usize;
-        let mut prev: Option<ThreadId> = None;
-        let mut budget = self.preemption_bound.unwrap_or(u32::MAX);
-        let mut sleep: Vec<(Opt, Sig)> = Vec::new();
-        let mut steps = 0usize;
-
-        let outcome = loop {
-            // Compute the enabled options in canonical order.
-            let (options, unfinished) = self.enabled_options(&exec, prev);
-            if options.is_empty() {
-                if unfinished.is_empty() {
-                    break ExecOutcome::Complete;
-                }
-                let st = lock(&exec.state);
-                // Timed waiters whose timeout budget is exhausted are not a
-                // deadlock: the real system would keep waking on its timeout
-                // backstop.  If *every* unfinished thread is such a waiter,
-                // the schedule is complete (liveness-via-timeout).
-                let all_timed_out = unfinished.iter().all(|&t| {
-                    matches!(st.threads[t].status, Status::BlockedCv { timed: true, .. })
-                });
-                if all_timed_out {
-                    drop(st);
-                    break ExecOutcome::Complete;
-                }
-                let who: Vec<String> = unfinished
-                    .iter()
-                    .map(|&t| format!("t{t}({}) {:?}", st.threads[t].name, st.threads[t].status))
-                    .collect();
-                let trace = st.log.clone();
-                drop(st);
-                break ExecOutcome::Failed(Failure {
-                    message: format!("deadlock: no runnable thread; blocked: {}", who.join(", ")),
-                    trace,
-                    choices: taken_vector(stack, depth),
-                });
-            }
-            steps += 1;
-            if steps > self.max_steps {
-                let st = lock(&exec.state);
-                let trace = st.log.clone();
-                drop(st);
-                break ExecOutcome::Failed(Failure {
-                    message: format!(
-                        "step budget exhausted ({} scheduling points): livelock suspect",
-                        self.max_steps
-                    ),
-                    trace,
-                    choices: taken_vector(stack, depth),
-                });
-            }
-
-            // Pick the branch: replay vector, existing stack, or a new node.
-            let chosen_idx = if let Some(vec) = replay {
-                if depth >= vec.len() {
-                    // Replay vector exhausted: run the remaining schedule
-                    // round-robin-deterministically (first option).
-                    0
-                } else {
-                    vec[depth].min(options.len().saturating_sub(1))
-                }
-            } else if depth < stack.len() {
-                let node = &stack[depth];
-                debug_assert_eq!(
-                    node.options, options,
-                    "nondeterministic harness: decision point {depth} changed between replays"
-                );
-                node.taken
-            } else {
-                // Fresh node: first candidate that is not asleep and whose
-                // preemption cost fits the budget.
-                let mut node = Node {
-                    options: options.clone(),
-                    taken: usize::MAX,
-                    taken_sig: None,
-                    explored: Vec::new(),
-                    sleep_in: sleep.clone(),
-                    budget,
-                    prev,
-                };
-                match first_candidate(&node, self, report) {
-                    Some(idx) => node.taken = idx,
-                    None => {
-                        // Every option is asleep (equivalent schedule already
-                        // explored) or over the preemption budget.
-                        stack.push(node);
-                        self.teardown(&exec);
-                        return ExecOutcome::Pruned;
-                    }
-                }
-                stack.push(node);
-                stack[depth].taken
-            };
-
-            let opt = options[chosen_idx];
-            let cost = preemption_cost(opt, prev, &options);
-            if budget < cost {
-                // Only reachable through a stale replay vector.
-                budget = 0;
-            } else {
-                budget -= cost;
-            }
-
-            // Apply the transition.
-            let sig = self.apply(&exec, opt);
-
-            // Update the running sleep set: wake sleepers whose pending
-            // transition conflicts with what just executed; drop entries for
-            // the thread that moved.
-            if self.sleep_sets {
-                sleep.retain(|(p, psig)| p.tid() != opt.tid() && !psig.conflicts(&sig));
-                if depth < stack.len() {
-                    let node = &stack[depth];
-                    // Branches explored earlier at this node go to sleep in
-                    // the current branch.
-                    for (p, psig) in &node.explored {
-                        if p.tid() != opt.tid() && !psig.conflicts(&sig) {
-                            sleep.push((*p, *psig));
-                        }
-                    }
-                }
-            }
-            if let Opt::Step(tid) = opt {
-                prev = Some(tid);
-            }
-            if replay.is_none() && depth < stack.len() {
-                // Record the signature for the taken branch (used when this
-                // branch is moved into `explored` during backtracking).
-                record_sig(&mut stack[depth], chosen_idx, sig);
-            }
-            depth += 1;
-
-            // If the transition woke a thread, wait for it to come back.
-            if opt_wakes_thread(&exec, opt) {
-                match exec.sched.pop() {
-                    FromThread::Declared => {}
-                    FromThread::Exited(tid) => {
-                        let mut st = lock(&exec.state);
-                        st.flush_all(tid, "exit");
-                        st.threads[tid].status = Status::Finished;
-                        let name = st.threads[tid].name.clone();
-                        st.log.push(format!("t{tid}({name}): exited"));
-                    }
-                    FromThread::Panicked(tid, msg) => {
-                        let st = lock(&exec.state);
-                        let name = st.threads[tid].name.clone();
-                        let mut trace = st.log.clone();
-                        trace.push(format!("t{tid}({name}): panicked: {msg}"));
-                        drop(st);
-                        break ExecOutcome::Failed(Failure {
-                            message: msg,
-                            trace,
-                            choices: taken_vector(stack, depth),
-                        });
-                    }
-                }
-            }
-        };
+        *lock(&exec.driver) = Some(Driver {
+            model: self.clone(),
+            stack: std::mem::take(stack),
+            report: std::mem::take(report),
+            replay: replay.map(<[usize]>::to_vec),
+            depth: 0,
+            prev: None,
+            budget: self.preemption_bound.unwrap_or(u32::MAX),
+            sleep: Vec::new(),
+            steps: 0,
+            over: false,
+        });
+        // This thread takes the first decision (starting the root thread);
+        // the model threads take every later one.
+        exec.drive(None);
+        let end = exec.outcome.wait();
         self.teardown(&exec);
-        outcome
+        let driver = lock(&exec.driver).take().expect("search state");
+        *stack = driver.stack;
+        *report = driver.report;
+        end.unwrap_or_else(|msg| panic!("model scheduler panicked: {msg}"))
     }
 
     /// Enabled options in canonical order (prev thread first, then by id;
@@ -1285,13 +1354,6 @@ impl Model {
         }
         for h in handles {
             let _ = h.join();
-        }
-        // Drain any straggler messages (exited threads racing the abort).
-        loop {
-            let mut q = lock(&exec.sched.q);
-            if q.pop_front().is_none() {
-                break;
-            }
         }
     }
 }

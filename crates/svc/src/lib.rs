@@ -292,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_in_every_handoff_mode() {
+    fn batch_roundtrip() {
         let svc = service();
         let prev = block_on(svc.batch_insert((0..128u64).map(|k| (k, k * 3)).collect()));
         assert!(prev.iter().all(Option::is_none));

@@ -44,6 +44,23 @@
 //! separately as *passes* at the [`crate::BTree`] entry points
 //! (`cost::tree_passes`).  Read-only diagnostic traversals (`for_each`,
 //! invariant checks) are deliberately uncounted by either counter.
+//!
+//! So is the **locate walk** ([`Arena::locate`]), the one read-only
+//! traversal that runs ahead of a sweep instead of replacing one.  The
+//! depth-first sweep pays its cache misses one key after another: each
+//! descent waits for a node before it knows the next.  The walk takes the
+//! same sorted batch one height at a time, reading the keys and children of
+//! every node of the frontier before it scans any child, so the misses of a
+//! whole level are independent loads the processor overlaps; it reports the
+//! value cell of every key it finds.  A sweep that follows it over the same
+//! batch then finds its nodes in cache.  It is a cache effect, not work in
+//! the paper's model — the sweep still visits and is charged for every node
+//! — so the walk calls neither `touch` nor `pass`, and every metered count
+//! stays that of the sweep alone.  Which sweeps it runs ahead of, and the
+//! tree and batch sizes below which it does not pay, are
+//! [`crate::RecencyMap`]'s to decide; E18's sweep rows on a 2^12-item map
+//! (in cache: the walk does not pay) and a 2^17-item map (it does) set that
+//! gate.
 
 use crate::cost::touch;
 use std::ops::Range;
@@ -127,6 +144,15 @@ impl Shift {
             Shift::Left(n) => left.extend(right.drain(..n)),
         }
     }
+}
+
+/// Scratch of the locate walk, owned by its tree so a warmed walk allocates
+/// nothing: the nodes of one height with the part of the batch routed to
+/// each, and the next height's, being cut from them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Frontier {
+    level: Vec<(usize, Range<usize>)>,
+    below: Vec<(usize, Range<usize>)>,
 }
 
 /// Charges `n` item cells of a height-1 node that holds `len` of them.  The
@@ -584,6 +610,70 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 // Keys above the node's maximum (possible at the root only).
                 keys[lo..].iter().for_each(|_| emit(None));
             }
+        }
+    }
+
+    /// The locate walk: hands `emit` the value cell of every key of the
+    /// sorted `batch` (keyed by `key`) present under `idx`, in key order,
+    /// one height at a time.  Each height is two loops over its frontier:
+    /// the first only reads every node — its maximum key and its first
+    /// child — so those loads are independent and their misses overlap; the
+    /// second, on nodes now in cache, cuts each node's part of the batch
+    /// among its children (or, at height 1, finds its keys).  Uncounted: a
+    /// cache warm-up ahead of a metered sweep, not work in the cost model
+    /// (see the module docs).
+    pub fn locate<T>(
+        &self,
+        idx: usize,
+        batch: &[T],
+        key: impl Fn(&T) -> &K,
+        frontier: &mut Frontier,
+        emit: &mut impl FnMut(&V),
+    ) {
+        let Frontier { level, below } = frontier;
+        level.clear();
+        level.push((idx, 0..batch.len()));
+        while !level.is_empty() {
+            let mut loaded = 0;
+            for (idx, range) in level.iter() {
+                let node = self.node(*idx);
+                loaded += usize::from(node.max_key() < key(&batch[range.start]));
+                if let Kids::Children(children) = &node.kids {
+                    loaded += children[0];
+                }
+            }
+            std::hint::black_box(loaded);
+            below.clear();
+            for (idx, range) in level.drain(..) {
+                let node = self.node(idx);
+                let children = match &node.kids {
+                    Kids::Children(children) => children,
+                    Kids::Vals(vals) => {
+                        let mut at = 0;
+                        for t in &batch[range] {
+                            at += node.keys[at..].partition_point(|m| m < key(t));
+                            if node.keys.get(at) == Some(key(t)) {
+                                emit(&vals[at]);
+                            }
+                        }
+                        continue;
+                    }
+                };
+                let (mut lo, mut pos) = (range.start, 0);
+                while lo < range.end {
+                    pos += node.keys[pos..].partition_point(|m| m < key(&batch[lo]));
+                    // Keys above the node's maximum (possible at the root
+                    // only) are absent.
+                    let Some(bound) = node.keys.get(pos) else {
+                        break;
+                    };
+                    let hi = lo + batch[lo..range.end].partition_point(|t| key(t) <= bound);
+                    below.push((children[pos], lo..hi));
+                    lo = hi;
+                    pos += 1;
+                }
+            }
+            std::mem::swap(level, below);
         }
     }
 

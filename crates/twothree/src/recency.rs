@@ -35,14 +35,41 @@
 //! (`tests/alloc_budget.rs`).  The O(1)-per-item list work is metered as one
 //! [`crate::cost::touch`] per splice so measured charges stay honest.  The
 //! measured effect is tracked by experiment E18 (tree-passes-per-op, and the
-//! per-key cost of the sweeps on a 2^17-item map) and the E17 constants
-//! (`BENCH_e17*.json`).
+//! per-key cost of the sweeps on a 2^17- and a 2^12-item map) and the E17
+//! constants (`BENCH_e17*.json`).
+//!
+//! On a key tree that outgrows the cache, each of the three mutating sweeps
+//! of a segment — the hit removal ([`RecencyMap::remove_batch_with`]), the
+//! push of a chain, and the key removal of a take — runs behind the tree's
+//! **locate walk** ([`Tree23::locate_batch`]): the same sorted batch, read
+//! one height at a time so the misses of a level overlap, leaves the nodes
+//! the sweep is about to visit in cache.  After a removal's walk the map
+//! reads each found item's arena slot, then both of its list neighbours, in
+//! two loops of their own, so the unlinks find those in cache too.  This is
+//! a cache effect, not work in the paper's model: neither the walk nor the
+//! reads call `touch` or `pass`, and every metered count is the sweep's
+//! alone.  The walk runs on key trees of at least `LOCATE_MIN_ITEMS` items
+//! and batches of at least `LOCATE_MIN_KEYS` keys; E18's `n=2^12` sweep rows
+//! are the in-cache side of that gate and its `n=2^17` rows the other.
 
 use crate::cost::touch;
 use crate::tree::Tree23;
 
 /// Null arena index: end of the recency list / free list.
 const NIL: usize = usize::MAX;
+
+/// The smallest key tree the locate walk runs on.  E18's `n=2^12` sweep
+/// rows are a tree that stays in cache between batches: forced on there, the
+/// walk made both round trips 40–50 % slower per key, a second descent with
+/// no misses to overlap.  Its `n=2^17` rows lie past this bound.
+const LOCATE_MIN_ITEMS: usize = 1 << 13;
+
+/// The smallest batch the locate walk runs for.  A batch of a few keys has
+/// few misses per height to overlap, and where its paths are already in
+/// cache the walk is a second descent for nothing; the 1–5-key sweeps of the
+/// large segments of `fanin-zipf-read` and `hotshift-mixed-m2` stay below
+/// this bound, E18's 80-key batches above it.
+const LOCATE_MIN_KEYS: usize = 16;
 
 /// One arena slot: the intrusive recency links plus the item.  A free slot
 /// holds `None` and reuses `next` as its free-list link.
@@ -107,6 +134,27 @@ impl<K, V> RecencyList<K, V> {
         self.slots[idx].next = self.free;
         self.free = idx;
         item
+    }
+
+    /// Reads the slots `idxs`, then both list neighbours of each, in two
+    /// separate loops: the loads of one loop do not depend on each other, so
+    /// their misses overlap instead of each unlink paying its own.
+    fn warm(&self, idxs: &[usize]) {
+        let mut links = 0;
+        for &idx in idxs {
+            let slot = &self.slots[idx];
+            links ^= slot.prev ^ slot.next;
+        }
+        for &idx in idxs {
+            let Slot { prev, next, .. } = self.slots[idx];
+            if prev != NIL {
+                links ^= self.slots[prev].next;
+            }
+            if next != NIL {
+                links ^= self.slots[next].prev;
+            }
+        }
+        std::hint::black_box(links);
     }
 
     /// Splices `idx` out of the recency list.
@@ -185,9 +233,10 @@ pub struct RecencyMap<K, V> {
     len: usize,
     /// Scratch the batch operations reuse from one call to the next, so a
     /// warmed map moves items without allocating: the slots walked off the
-    /// list by a take, the keys of the batch in key order, the `(key, slot)`
-    /// pairs bound for the key-map, and the item-order permutation
-    /// [`RecencyMap::insert_batch`] scatters its results through.
+    /// list by a take (or found by a removal's locate walk), the keys of the
+    /// batch in key order, the `(key, slot)` pairs bound for the key-map,
+    /// and the item-order permutation [`RecencyMap::insert_batch`] scatters
+    /// its results through.
     taken: Vec<usize>,
     sorted_keys: Vec<K>,
     staged: Vec<(K, usize)>,
@@ -387,6 +436,10 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             self.list.splice_chain_back(first, last);
         }
         self.staged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if self.locate_pays(self.staged.len()) {
+            self.key_map
+                .locate_by(&self.staged, |(k, _)| k, &mut |_| {});
+        }
         self.key_map
             .batch_insert_with(&mut self.staged, |replaced| {
                 debug_assert!(replaced.is_none(), "batch pushes require absent keys");
@@ -465,6 +518,12 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// [`RecencyMap::remove_batch`] handing each key's result to `emit`, in
     /// key order, instead of collecting them.
     pub fn remove_batch_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<V>)) {
+        if self.locate_pays(keys.len()) {
+            self.taken.clear();
+            let taken = &mut self.taken;
+            self.key_map.locate_batch(keys, |&idx| taken.push(idx));
+            self.list.warm(&self.taken);
+        }
         let (list, len) = (&mut self.list, &mut self.len);
         self.key_map.batch_remove_with(keys, |item| {
             emit(item.map(|(_, idx)| {
@@ -533,11 +592,15 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             return Vec::new();
         }
         self.len -= self.taken.len();
-        let list = &mut self.list;
         self.sorted_keys.clear();
+        let list = &self.list;
         self.sorted_keys
             .extend(self.taken.iter().map(|&idx| list.item(idx).0.clone()));
         self.sorted_keys.sort_unstable();
+        if self.locate_pays(self.sorted_keys.len()) {
+            self.key_map.locate_batch(&self.sorted_keys, |_| {});
+        }
+        let list = &mut self.list;
         self.key_map.batch_remove_with(&self.sorted_keys, |entry| {
             debug_assert!(
                 entry.is_some_and(|(key, idx)| list.slots[idx]
@@ -548,6 +611,12 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             );
         });
         self.taken.iter().map(|&idx| list.release(idx)).collect()
+    }
+
+    /// Whether the locate walk pays ahead of a sweep of `keys` keys: on a
+    /// key tree that outgrows the cache, for a batch with misses to overlap.
+    fn locate_pays(&self, keys: usize) -> bool {
+        keys >= LOCATE_MIN_KEYS && self.key_map.len() >= LOCATE_MIN_ITEMS
     }
 
     // ------------------------------------------------------------------

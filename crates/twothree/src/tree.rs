@@ -4,7 +4,7 @@
 //! [`crate::batch`].
 
 use crate::cost::pass;
-use crate::node::{Arena, NIL};
+use crate::node::{Arena, Frontier, NIL};
 
 /// A fanout-B search tree storing key-value items in key order.
 ///
@@ -27,6 +27,8 @@ use crate::node::{Arena, NIL};
 pub struct BTree<K, V> {
     pub(crate) arena: Arena<K, V>,
     pub(crate) root: usize,
+    /// Scratch of [`BTree::locate_batch`], kept from one call to the next.
+    pub(crate) frontier: Frontier,
 }
 
 /// The 2-3-shaped name the workspace was written against.  Since the fanout
@@ -56,6 +58,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         BTree {
             arena: Arena::new(fanout),
             root: NIL,
+            frontier: Frontier::default(),
         }
     }
 
@@ -83,7 +86,11 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         );
         let mut arena = Arena::new(fanout);
         let root = arena.build_sorted(items.len(), items.into_iter());
-        BTree { arena, root }
+        BTree {
+            arena,
+            root,
+            frontier: Frontier::default(),
+        }
     }
 
     /// Number of items.

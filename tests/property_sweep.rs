@@ -257,6 +257,74 @@ fn nodes_touched_per_key_never_rise_with_the_batch_size() {
 }
 
 // ---------------------------------------------------------------------------
+// The locate walk
+// ---------------------------------------------------------------------------
+
+/// Tree sizes on either side of the smallest tree `RecencyMap` runs the
+/// locate walk on (2^13 items).
+const WALK_SIZES: [u32; 2] = [300, 10_000];
+
+/// The walk must hand over exactly the cells `batch_get` finds, in key order.
+fn locate_checked(tree: &mut Tree23<u32, u32>, keys: &[u32]) -> usize {
+    let mut located = Vec::new();
+    tree.locate_batch(keys, |v| located.push(*v));
+    let found: Vec<u32> = tree
+        .batch_get(keys)
+        .into_iter()
+        .flatten()
+        .copied()
+        .collect();
+    assert_eq!(located, found, "locate walk diverged from batch_get");
+    located.len()
+}
+
+/// Odd keys `1, 3, …, 2n - 1`, so every even key is a miss.
+fn odd_tree(n: u32, fan: usize) -> Tree23<u32, u32> {
+    Tree23::from_sorted_with_fanout(pairs((0..n).map(|i| 2 * i + 1), 15), fan)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn locate_walk_reports_the_cells_batch_get_finds(
+        keys in prop::collection::btree_set(0u32..24_000, 0..300),
+        n in prop::sample::select(WALK_SIZES.to_vec()),
+        fan in prop::sample::select(FANOUTS.to_vec()),
+    ) {
+        let keys: Vec<u32> = keys.into_iter().collect();
+        locate_checked(&mut odd_tree(n, fan), &keys);
+    }
+}
+
+#[test]
+fn locate_walk_edge_cases() {
+    for fan in FANOUTS {
+        let spread: Vec<u32> = (0..400).map(|i| i * 29).collect();
+        assert_eq!(locate_checked(&mut Tree23::with_fanout(fan), &spread), 0);
+        assert_eq!(locate_checked(&mut odd_tree(1, fan), &[0, 1, 2]), 1);
+        assert_eq!(locate_checked(&mut odd_tree(1, fan), &[0, 2]), 0);
+        for n in WALK_SIZES {
+            let mut tree = odd_tree(n, fan);
+            // Every key above the root's maximum, then a batch that runs past
+            // it.
+            let above: Vec<u32> = (2 * n..2 * n + 40).collect();
+            assert_eq!(locate_checked(&mut tree, &above), 0);
+            let across: Vec<u32> = (2 * n - 40..2 * n + 40).collect();
+            assert_eq!(locate_checked(&mut tree, &across), 20);
+            // All misses, between items from the bottom to the top.
+            let misses: Vec<u32> = (0..n).step_by(7).map(|i| 2 * i).collect();
+            assert_eq!(locate_checked(&mut tree, &misses), 0);
+            // Every item.
+            let all: Vec<u32> = (0..n).map(|i| 2 * i + 1).collect();
+            assert_eq!(locate_checked(&mut tree, &all), n as usize);
+            assert_eq!(locate_checked(&mut tree, &[]), 0);
+            tree.check_invariants();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The same shapes through the RecencyMap batch surface
 // ---------------------------------------------------------------------------
 
@@ -355,6 +423,55 @@ proptest! {
                     prop_assert_eq!(map.take_back(count), expected);
                 }
             }
+            assert_map_agrees(&map, &model);
+        }
+    }
+}
+
+/// The batch operations the locate walk runs ahead of, on maps past its
+/// gate (2^13 items, 16 keys), with batches on both sides of the key bound.
+#[test]
+fn recency_map_batches_past_the_locate_gate_match_the_deque_model() {
+    for fan in FANOUTS {
+        let mut map: RecencyMap<u32, u32> = RecencyMap::with_fanout(fan);
+        let mut model = Model::default();
+        // Even keys, in scrambled recency order.
+        let mut keys: Vec<u32> = (0..10_000).map(|i| 2 * i).collect();
+        keys.sort_unstable_by_key(|k| k.wrapping_mul(2_654_435_761));
+        let base = pairs(keys, 16);
+        model.order.extend(base.iter().copied());
+        map.push_back_batch(base);
+        assert_map_agrees(&map, &model);
+        for (round, b) in [8u32, 16, 64, 300].into_iter().enumerate() {
+            let salt = round as u32;
+            // Hits and misses spread over the whole key range.
+            let keys: Vec<u32> = (0..b).map(|i| i * (24_000 / b) + salt).collect();
+            let expected: Vec<Option<u32>> = keys.iter().map(|&k| model.remove(k)).collect();
+            assert_eq!(map.remove_batch(&keys), expected);
+            assert_map_agrees(&map, &model);
+            // Push the removed keys back at the front, the misses with them.
+            let fresh = pairs(keys.iter().rev().copied(), salt);
+            for &item in fresh.iter().rev() {
+                model.order.push_front(item);
+            }
+            map.push_front_batch(fresh);
+            assert_map_agrees(&map, &model);
+            // A transfer's shapes: off the back, on at the front; off the
+            // front, on at the back.
+            let at = model.order.len() - b as usize;
+            let expected: Vec<(u32, u32)> = model.order.drain(at..).collect();
+            let taken = map.take_back(b as usize);
+            assert_eq!(taken, expected);
+            for &item in taken.iter().rev() {
+                model.order.push_front(item);
+            }
+            map.push_front_batch(taken);
+            assert_map_agrees(&map, &model);
+            let expected: Vec<(u32, u32)> = model.order.drain(..b as usize).collect();
+            let taken = map.take_front(b as usize);
+            assert_eq!(taken, expected);
+            model.order.extend(taken.iter().copied());
+            map.push_back_batch(taken);
             assert_map_agrees(&map, &model);
         }
     }
