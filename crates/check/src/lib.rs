@@ -36,4 +36,4 @@ pub mod model;
 pub mod sync;
 pub mod thread;
 
-pub use model::{model_active, Failure, Model, Report};
+pub use model::{Failure, Model, Report};

@@ -393,11 +393,9 @@ thread_local! {
 }
 
 /// Whether the calling thread is currently executing under the model
-/// scheduler.  Production code may consult this to shrink bounded spin loops
-/// (every re-load of an atomic is a scheduler step, so a 128-iteration spin
-/// multiplies the state space for no modelling value).
+/// scheduler: the shims' one-branch test between `std` and the scheduler.
 #[inline(always)]
-pub fn model_active() -> bool {
+pub(crate) fn model_active() -> bool {
     MODEL_ACTIVE.with(|c| c.get())
 }
 

@@ -41,8 +41,7 @@ struct Front {
 impl Front {
     fn new(shards: usize) -> Front {
         Front {
-            // Tiny ring so wrap-around is reachable in a few steps.
-            buffer: ParallelBuffer::with_ring_capacity(shards, 2),
+            buffer: ParallelBuffer::new(shards),
             doorbell: Doorbell::new(),
             in_combine: AtomicUsize::new(0),
         }
@@ -112,7 +111,7 @@ impl Front {
 /// calls where the second call races the previous cycle's hand-off.
 #[test]
 fn doorbell_combiner_no_missed_wakeup() {
-    let r = Model::with_bound(3)
+    let r = Model::with_bound(4)
         .check(|| {
             let front = Arc::new(Front::new(2));
             let t = {
@@ -129,7 +128,7 @@ fn doorbell_combiner_no_missed_wakeup() {
         })
         .assert_pass(1_000);
     println!(
-        "doorbell bound 3: {} schedules + {} pruned = {} considered, {} bound hits",
+        "doorbell bound 4: {} schedules + {} pruned = {} considered, {} bound hits",
         r.schedules,
         r.pruned,
         r.considered(),

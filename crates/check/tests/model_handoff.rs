@@ -57,8 +57,7 @@ struct Front {
 impl Front {
     fn new(shards: usize) -> Front {
         Front {
-            // Tiny ring so wrap-around is reachable in a few steps.
-            buffer: ParallelBuffer::with_ring_capacity(shards, 2),
+            buffer: ParallelBuffer::new(shards),
             in_combine: AtomicUsize::new(0),
             keep: std::sync::Mutex::new(Vec::new()),
         }
@@ -121,7 +120,7 @@ impl Front {
 /// never-park protocol with exactly-once delivery and no parking anywhere.
 #[test]
 fn never_park_exactly_once() {
-    let r = Model::with_bound(3)
+    let r = Model::with_bound(4)
         .check(|| {
             let front = Arc::new(Front::new(2));
             let t = {
@@ -138,7 +137,7 @@ fn never_park_exactly_once() {
         })
         .assert_pass(1_000);
     println!(
-        "never-park bound 3: {} schedules + {} pruned = {} considered, {} bound hits",
+        "never-park bound 4: {} schedules + {} pruned = {} considered, {} bound hits",
         r.schedules,
         r.pruned,
         r.considered(),

@@ -5,31 +5,24 @@
 //! receives the accumulated calls as one input batch.  The paper implements
 //! the buffer as a static balanced tree of per-processor sub-buffers with
 //! test-and-set flags on the internal nodes; here each submitting thread owns
-//! a *shard* realised as a lock-free MPSC publication ring
-//! ([`wsm_sync::MpscShard`]: atomic slot claim + sequence-stamped cells), and
-//! the flush drains all shards in publication order — the flat-combining
-//! realisation described in DESIGN.md substitution #4.  Producers never block
-//! the combiner (and vice versa): a deposit is a tail-CAS plus an uncontended
-//! cell hand-off, and the flush skips at most the one in-flight publication
-//! per shard, which the next flush picks up.  The analytic cost per flushed
-//! batch of size `b` is `O(p + b)` work and `O(log p + log b)` span, matching
-//! Theorem 26's requirements.
+//! a *shard*, a mutex-guarded `Vec`, and the flush appends every shard's
+//! items to the combiner's batch — the flat-combining realisation described
+//! in DESIGN.md substitution #4.  A deposit holds its shard's lock for one
+//! `push` or `extend`, a flush holds each shard's lock for one `append`, and
+//! each side keeps its own allocation: the shard's `Vec` keeps its capacity
+//! across flushes and the caller's batch `Vec` is freed by the caller.  The
+//! analytic cost per flushed batch of size `b` is `O(p + b)` work and
+//! `O(log p + log b)` span, matching Theorem 26's requirements.
 
-use wsm_check::sync::{AtomicUsize, Ordering};
+use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
 use wsm_model::{ceil_log2, Cost};
-use wsm_sync::{Activation, MpscShard};
-
-/// Ring capacity per shard: publications held between two flushes without
-/// spilling to a shard's (rare, mutex-protected) overflow list.  The
-/// combiner flushes continuously while calls are outstanding, so in practice
-/// the ring only needs to hold the burst of one activation window.
-const SHARD_RING_CAPACITY: usize = 1024;
+use wsm_sync::Activation;
 
 /// A sharded buffer of pending calls plus the activation interface used to
 /// wake the data structure when work arrives.
 #[derive(Debug)]
 pub struct ParallelBuffer<T> {
-    shards: Vec<MpscShard<T>>,
+    shards: Vec<Mutex<Vec<T>>>,
     pending: AtomicUsize,
     activation: Activation,
 }
@@ -37,19 +30,8 @@ pub struct ParallelBuffer<T> {
 impl<T> ParallelBuffer<T> {
     /// Creates a buffer with one shard per expected submitting processor.
     pub fn new(shards: usize) -> Self {
-        Self::with_ring_capacity(shards, SHARD_RING_CAPACITY)
-    }
-
-    /// Like [`ParallelBuffer::new`], but with an explicit per-shard ring
-    /// capacity.  Model-checking harnesses use tiny rings (2–4 cells) so the
-    /// wrap-around and overflow paths are reachable within a few scheduler
-    /// steps; production code should stay on [`ParallelBuffer::new`].
-    pub fn with_ring_capacity(shards: usize, ring_capacity: usize) -> Self {
-        let shards = shards.max(1);
         ParallelBuffer {
-            shards: (0..shards)
-                .map(|_| MpscShard::with_capacity(ring_capacity))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
             pending: AtomicUsize::new(0),
             activation: Activation::new(),
         }
@@ -64,9 +46,9 @@ impl<T> ParallelBuffer<T> {
     /// when used single-threaded).
     pub fn len(&self) -> usize {
         // ord: Relaxed — advisory occupancy counter; actual item visibility
-        // is carried by the shards' seq-stamp protocol, and the combiner
-        // hand-off race a stale read could cause is closed by the doorbell
-        // ring (model: tests/model_doorbell.rs).
+        // is carried by the shard mutexes, and the combiner hand-off race a
+        // stale read could cause is closed by the doorbell ring (model:
+        // tests/model_doorbell.rs).
         self.pending.load(Ordering::Relaxed)
     }
 
@@ -75,26 +57,29 @@ impl<T> ParallelBuffer<T> {
         self.len() == 0
     }
 
+    fn shard(&self, shard_hint: usize) -> &Mutex<Vec<T>> {
+        &self.shards[shard_hint % self.shards.len()]
+    }
+
     /// Deposits one call into the shard `shard_hint % shards`.  Constant time
-    /// and lock-free; uncontended when each thread uses its own hint.
+    /// (amortised); uncontended when each thread uses its own hint.
     pub fn push(&self, shard_hint: usize, item: T) {
         // Count *before* publishing.  The model checker caught the opposite
         // order underflowing the counter: a combiner could drain the item and
         // `fetch_sub` before this producer's `fetch_add` landed, leaving
         // `pending` at usize::MAX and `is_empty()` false forever (a combiner
-        // livelock).  Counting first means a drain can only subtract items
-        // whose increment happened-before their seq-stamp publication; the
-        // counter may transiently over-count a not-yet-visible item, which
+        // livelock).  Counting first means a flush can only subtract items
+        // whose increment happened-before their push under the shard lock;
+        // the counter may transiently over-count a not-yet-pushed item, which
         // merely costs the combiner one extra (yielding) recheck round.
         // ord: Relaxed — ordering against the item itself is carried by the
-        // shard's Release stamp below (model: tests/model_doorbell.rs).
+        // shard mutex below (model: tests/model_doorbell.rs).
         self.pending.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[shard_hint % self.shards.len()];
-        shard.publish(item);
+        self.shard(shard_hint).lock().push(item);
     }
 
-    /// Deposits a pre-built batch of calls into one shard, preserving the
-    /// batch's order.
+    /// Deposits a pre-built batch of calls into one shard under one lock,
+    /// preserving the batch's order.
     pub fn push_batch(&self, shard_hint: usize, items: Vec<T>) {
         if items.is_empty() {
             return;
@@ -102,10 +87,7 @@ impl<T> ParallelBuffer<T> {
         // ord: Relaxed — counted before publishing, as in `push` (which see
         // for why the other order underflows the counter).
         self.pending.fetch_add(items.len(), Ordering::Relaxed);
-        let shard = &self.shards[shard_hint % self.shards.len()];
-        for item in items {
-            shard.publish(item);
-        }
+        self.shard(shard_hint).lock().extend(items);
     }
 
     /// Flushes every shard, returning the accumulated input batch and the
@@ -121,11 +103,11 @@ impl<T> ParallelBuffer<T> {
     pub fn flush_into(&self, out: &mut Vec<T>) -> Cost {
         let before = out.len();
         for shard in &self.shards {
-            shard.drain_into(out);
+            out.append(&mut shard.lock());
         }
         let drained = out.len() - before;
         // ord: Relaxed — counter decrement only; drained items were already
-        // acquired through their shards' seq stamps.
+        // acquired through their shards' mutexes.
         self.pending.fetch_sub(drained, Ordering::Relaxed);
         Self::flush_cost(self.shards.len() as u64, drained as u64)
     }
@@ -152,6 +134,7 @@ impl<T> ParallelBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -189,17 +172,18 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_a_shard_ring_loses_nothing() {
-        // Everything lands in one shard and far exceeds its ring capacity, so
-        // the overflow path must carry the excess in order.
+    fn a_long_burst_into_one_shard_loses_nothing() {
+        // Everything lands in one shard between two flushes, mixing single
+        // pushes with batches, and comes out whole and in order.
         let buf: ParallelBuffer<u64> = ParallelBuffer::new(1);
-        let n = 3 * SHARD_RING_CAPACITY as u64;
+        let n = 3 * 1024;
         for i in 0..n {
             buf.push(0, i);
         }
-        assert_eq!(buf.len(), n as usize);
+        buf.push_batch(0, (n..2 * n).collect());
+        assert_eq!(buf.len(), 2 * n as usize);
         let (items, _) = buf.flush();
-        assert_eq!(items, (0..n).collect::<Vec<_>>());
+        assert_eq!(items, (0..2 * n).collect::<Vec<_>>());
         assert!(buf.is_empty());
     }
 
@@ -258,6 +242,56 @@ mod tests {
         }
         let distinct: std::collections::BTreeSet<u64> = collected.iter().copied().collect();
         assert_eq!(distinct.len(), (threads as u64 * per_thread) as usize);
+    }
+
+    #[test]
+    fn per_producer_fifo_is_preserved() {
+        // Three producers share one shard, one through `push` and two through
+        // `push_batch`, while a combiner flushes concurrently: each
+        // producer's items come out in the order it deposited them.
+        let buf: Arc<ParallelBuffer<(u64, u64)>> = Arc::new(ParallelBuffer::new(1));
+        let done = Arc::new(AtomicBool::new(false));
+        let producers: Vec<_> = (0..3u64)
+            .map(|p| {
+                let buf = Arc::clone(&buf);
+                std::thread::spawn(move || {
+                    if p == 0 {
+                        for i in 0..2_000 {
+                            buf.push(0, (p, i));
+                        }
+                    } else {
+                        for chunk in 0..200 {
+                            buf.push_batch(0, (0..10).map(|i| (p, chunk * 10 + i)).collect());
+                        }
+                    }
+                })
+            })
+            .collect();
+        let flusher = {
+            let buf = Arc::clone(&buf);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    buf.flush_into(&mut out);
+                    std::thread::yield_now();
+                }
+                buf.flush_into(&mut out);
+                out
+            })
+        };
+        for h in producers {
+            h.join().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        let out = flusher.join().unwrap();
+        assert_eq!(out.len(), 6_000);
+        let mut next = [0u64; 3];
+        for (p, i) in out {
+            assert_eq!(i, next[p as usize], "producer {p} items out of order");
+            next[p as usize] += 1;
+        }
+        assert!(buf.is_empty());
     }
 
     #[test]

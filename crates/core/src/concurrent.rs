@@ -357,9 +357,8 @@ where
 
     /// Deposits a whole sub-batch of operations (sharing one buffer shard)
     /// and drives combining until every result is available, returning them
-    /// in operation order: one publication-ring pass and one waiting loop
-    /// for the entire sub-batch instead of a blocking round trip per
-    /// operation.
+    /// in operation order: one buffer deposit and one waiting loop for the
+    /// entire sub-batch instead of a blocking round trip per operation.
     pub fn call_batch(&self, shard: usize, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
         self.wait_batch(&self.submit_batch(shard, ops))
     }
@@ -370,10 +369,9 @@ where
     /// [`ConcurrentMap::call_batch`]; `wsm-shard` calls it per shard after
     /// depositing all of a caller's sub-batches.
     ///
-    /// The deposited operations need not execute in a single combine — a
-    /// concurrent combiner may drain a prefix of the publication while the
-    /// rest is still in flight — so the probe harvests cells incrementally
-    /// until all have been filled.
+    /// A combiner fills the cells one after another, possibly while this
+    /// caller probes them, so the probe harvests cells incrementally until
+    /// all have been filled.
     pub fn wait_batch(&self, cells: &[Arc<ResultCell<OpResult<V>>>]) -> Vec<OpResult<V>> {
         if cells.is_empty() {
             return Vec::new();
@@ -440,8 +438,8 @@ where
         self.drive();
     }
 
-    /// True while any deposited operation is still in the publication
-    /// buffer (i.e. not yet flushed into a combiner's batch).  `wsm-shard`
+    /// True while any deposited operation is still in the parallel buffer
+    /// (i.e. not yet flushed into a combiner's batch).  `wsm-shard`
     /// pumps only the shards for which this holds.
     pub fn buffered(&self) -> bool {
         !self.buffer.is_empty()
@@ -463,9 +461,9 @@ where
                 let more = !self.buffer.is_empty();
                 if more && drained == 0 {
                     // The buffer claims an item the flush could not see:
-                    // a producer is mid-publish (counted, seq stamp not
-                    // yet released).  Donate the CPU so its store lands
-                    // instead of respinning the activation hot; under
+                    // a producer is mid-deposit (counted, not yet pushed
+                    // under its shard's lock).  Donate the CPU so its push
+                    // lands instead of respinning the activation hot; under
                     // the model checker this yield is also what lets the
                     // fair scheduler run the producer (found as a
                     // starvation livelock by tests/model_doorbell.rs).

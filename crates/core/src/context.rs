@@ -37,7 +37,7 @@ thread_local! {
 /// argument (`ConcurrentMap::call` and friends), for front-ends whose
 /// callers do not name one.
 ///
-/// The hint only picks which lock-free ring a deposit lands in; it affects
+/// The hint only picks which buffer shard a deposit lands in; it affects
 /// contention, never correctness, so a process-wide counter handed out once
 /// per thread is all that's needed.
 pub fn caller_hint() -> usize {
@@ -48,7 +48,7 @@ pub fn caller_hint() -> usize {
     HINT.with(|hint| match hint.get() {
         Some(h) => h,
         None => {
-            // ord: Relaxed — the counter only hands out distinct ring hints;
+            // ord: Relaxed — the counter only hands out distinct shard hints;
             // nothing is published through it and no other memory access
             // depends on its order.
             let h = NEXT_HINT.fetch_add(1, Ordering::Relaxed);

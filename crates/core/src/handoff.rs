@@ -3,9 +3,8 @@
 //!
 //! Every [`crate::ConcurrentMap`] call deposits its operation together with a
 //! [`ResultCell`].  The combiner fills the cell; the caller takes from it.
-//! The cell is *sequence-stamped* in the style of the Vyukov MPSC ring cells
-//! (`wsm_sync::MpscShard`): a single atomic stamp moves `EMPTY → FILLED`
-//! exactly once, and the payload mutex is only ever locked on the two sides
+//! The cell is *sequence-stamped*: a single atomic stamp moves
+//! `EMPTY → FILLED` exactly once, and the payload mutex is only ever locked on the two sides
 //! of that transition — by the combiner before the stamp is released, and by
 //! the caller after it is acquired — so the mutex is uncontended by
 //! construction and the *waiting* caller's probe is a read-only atomic load

@@ -1,12 +1,10 @@
 //! # wsm-pool — a work-stealing fork-join thread pool
 //!
 //! The paper's headline results are parallel (`p`-processor batch operations,
-//! parallel entropy sort, the concurrent working-set maps), but the build
-//! environment has no registry access, so `rayon` cannot be vendored for
-//! real.  This crate is the in-repo execution substrate: a fork-join pool on
-//! `std::thread` with per-worker steal-from-the-front deques, against which
-//! the `vendor/rayon` stand-in delegates.  Everything the workspace needs is
-//! provided:
+//! parallel entropy sort, the concurrent working-set maps).  This crate is
+//! the in-repo execution substrate: a fork-join pool on `std::thread` with
+//! per-worker steal-from-the-front deques, which `wsm-sort`'s PESort forks
+//! through.  Everything the workspace needs is provided:
 //!
 //! * [`join`] — the fork-join primitive; the rayon-compatible contract
 //!   (closures may borrow the caller's stack, panics propagate, the first
@@ -165,8 +163,7 @@ impl Drop for ThreadPool {
 
 /// Runs `f` on a freshly created `num_threads`-worker pool, tearing the pool
 /// down afterwards.  The runner for scaling experiments: everything `f` does
-/// through [`join`] / `par_*` / the rayon stand-in uses exactly `num_threads`
-/// workers.
+/// through [`join`] / `par_*` uses exactly `num_threads` workers.
 pub fn with_threads<F, R>(num_threads: usize, f: F) -> R
 where
     F: FnOnce() -> R + Send,

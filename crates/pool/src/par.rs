@@ -1,5 +1,5 @@
-//! Slice helpers: `par_map` and `par_chunks`, the data-parallel layer the
-//! vendored rayon prelude delegates to.
+//! Slice helpers: `par_map` and `par_chunks`, the data-parallel layer over
+//! [`crate::join`].
 //!
 //! Both are plain `join` recursions over slice halves with an automatic grain
 //! size (a few tasks per worker), so they inherit the pool's work-stealing

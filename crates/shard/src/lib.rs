@@ -4,7 +4,7 @@
 //! combiner, so past a handful of threads the combiner — not the batched map
 //! underneath — becomes the bottleneck.  [`ShardedMap`] scales past that
 //! point by partitioning the keyspace across `S` *independent* shards, each a
-//! full `ConcurrentMap` with its own combiner, publication rings and recency
+//! full `ConcurrentMap` with its own combiner, parallel buffer and recency
 //! clock, behind a thin router:
 //!
 //! ```text
@@ -46,7 +46,7 @@
 //!
 //! ## Knobs
 //!
-//! * `WSM_SHARDS` — default shard count for [`ShardedMap::new`] (default 1).
+//! * The shard count — [`ShardedMap::with_shards`] takes it explicitly.
 //! * [`Partitioner`] — pluggable placement: [`HashPartitioner`] (default,
 //!   multiplicative hashing) or [`RangePartitioner`] for ordered workloads.
 
@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, OpResult, Operation, ResultCell};
 
-/// Submitter-ring count for each shard's parallel buffer (the same default a
+/// Submitter shard count for each shard's parallel buffer (the same default a
 /// standalone front-end would pick for a handful of threads).
 const BUFFER_SHARDS: usize = 8;
 
@@ -81,12 +81,6 @@ fn stitch<T>(route: &[usize], per_shard: Vec<Vec<T>>) -> Vec<T> {
                 .expect("every routed operation has exactly one item")
         })
         .collect()
-}
-
-/// Shard count from `WSM_SHARDS`, default 1 (unsharded).  `WSM_SHARDS=0` or
-/// garbage warns once on stderr instead of silently running unsharded.
-fn shards_from_env() -> usize {
-    wsm_core::env::parse("WSM_SHARDS", "a shard count >= 1", 1, |&s| s >= 1)
 }
 
 /// Point-in-time counters for one shard, for occupancy / load-balance
@@ -117,12 +111,6 @@ where
     V: Clone + Send,
     M: BatchedMap<K, V> + Send,
 {
-    /// Builds a sharded map with the shard count taken from `WSM_SHARDS`
-    /// (default 1).  `make(i)` constructs the batched map for shard `i`.
-    pub fn new(make: impl FnMut(usize) -> M) -> Self {
-        Self::with_shards(shards_from_env(), make)
-    }
-
     /// Builds a sharded map with exactly `shards` shards (at least one).
     /// `make(i)` constructs the batched map for shard `i`.
     pub fn with_shards(shards: usize, mut make: impl FnMut(usize) -> M) -> Self {

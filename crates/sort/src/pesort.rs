@@ -244,7 +244,7 @@ where
         // Parallel branches cannot share the pool; the stolen side seeds its
         // own (only O(log n) such seeds exist above the grain).
         let mut right_pool = Vec::new();
-        let costs = rayon::join(
+        let costs = wsm_pool::join(
             || pesort_idx(lower_slice, cmp, pool),
             || pesort_idx(upper_slice, cmp, &mut right_pool),
         );
@@ -308,7 +308,7 @@ where
     let partition_cost = Cost::new(k as u64, u64::from(ceil_log2(k as u64)) + 1);
 
     let ((mut sorted_lower, lower_cost), (sorted_upper, upper_cost)) = if k >= PAR_GRAIN {
-        rayon::join(|| pesort_rec(lower, cmp), || pesort_rec(upper, cmp))
+        wsm_pool::join(|| pesort_rec(lower, cmp), || pesort_rec(upper, cmp))
     } else {
         (pesort_rec(lower, cmp), pesort_rec(upper, cmp))
     };

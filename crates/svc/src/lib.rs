@@ -312,10 +312,9 @@ mod tests {
         assert!(block_on(svc.batch_search(Vec::new())).is_empty());
     }
 
-    /// One call deposits more ops than a publication ring holds (1024
-    /// cells, the rest spills to the shard's overflow list); the second half
-    /// overwrites the first, so any reordering across the ring/overflow
-    /// boundary shows in the previous values.
+    /// One call deposits thousands of ops into one buffer shard; the second
+    /// half overwrites the first, so any reordering in the deposit, the flush
+    /// or the shard split shows in the previous values.
     fn overwrites_in_one_batch_see_submission_order<B: ServiceBackend<u64, u64>>(backend: B) {
         let svc = WsMapService::new(backend);
         let half = 3 * 1024u64;
@@ -331,9 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn call_batch_preserves_submission_order_across_the_ring_overflow_boundary() {
+    fn call_batch_preserves_submission_order_in_a_long_batch() {
         overwrites_in_one_batch_see_submission_order(ConcurrentMap::new(M1::<u64, u64>::new(4), 8));
-        // ~1536 ops per shard: every shard's ring overflows too.
+        // ~1536 ops per shard.
         overwrites_in_one_batch_see_submission_order(ShardedMap::with_shards(4, |_| {
             M1::<u64, u64>::new(4)
         }));

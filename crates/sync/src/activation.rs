@@ -70,12 +70,6 @@ impl Activation {
             }
         }
     }
-
-    /// Whether the guarded process currently appears to be running (racy; for
-    /// diagnostics only).
-    pub fn is_active(&self) -> bool {
-        self.active.is_held()
-    }
 }
 
 #[cfg(test)]

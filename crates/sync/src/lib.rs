@@ -12,15 +12,12 @@
 //!   readiness condition holds, and the process may request its own
 //!   reactivation.
 //!
-//! Beside them, [`MpscShard`] provides the lock-free multi-producer /
-//! single-consumer publication cell used by the parallel buffer's shards
-//! (atomic slot claim + sequence-stamped hand-off), so producers depositing
-//! calls never block the combiner.
+//! `wsm_core::ConcurrentMap` is the one user: the [`Activation`] of its
+//! parallel buffer elects the combiner that flushes the buffer and runs the
+//! batch.  The buffer's shards themselves are plain mutex-guarded vectors in
+//! `wsm_core::buffer`.  M2 does not use these primitives — it drives its
+//! pipeline stages with an explicit queue inside one batch.
 //!
-//! `wsm_core::ConcurrentMap` is the one user: its parallel buffer is a ring
-//! of [`MpscShard`]s, and the buffer's [`Activation`] elects the combiner
-//! that flushes it and runs the batch.  M2 does not use these primitives —
-//! it drives its pipeline stages with an explicit queue inside one batch.
 //! The implementations run on real atomics rather than on the idealised
 //! QRMW machine; the behavioural contract (mutual exclusion, at-most-one
 //! concurrent run of an activated process) is preserved, which is what the
@@ -30,9 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod mpsc;
 pub mod trylock;
 
 pub use activation::Activation;
-pub use mpsc::MpscShard;
 pub use trylock::{NonBlockingLock, TryLockGuard};

@@ -52,14 +52,6 @@ impl NonBlockingLock {
             None
         }
     }
-
-    /// Whether the lock currently appears held (racy; for diagnostics only).
-    #[inline]
-    pub fn is_held(&self) -> bool {
-        // ord: Relaxed — diagnostics only; never used to enter the
-        // critical section.
-        self.held.load(Ordering::Relaxed)
-    }
 }
 
 /// RAII guard for [`NonBlockingLock`]; releases the lock on drop.

@@ -1,5 +1,5 @@
 //! Linearizability property suite for [`wsm_core::ConcurrentMap`], plus
-//! interleaving stress for the lock-free MPSC publication shards.
+//! interleaving stress for its parallel buffer's deposit/flush race.
 //!
 //! Random multi-threaded op histories (1–4 worker threads, a tiny overlapping
 //! keyspace so operations genuinely race) are executed against the map while
@@ -27,9 +27,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use wsm_core::{BatchedMap, ConcurrentMap, ServiceTaskGuard, M1, M2};
+use wsm_core::{BatchedMap, ConcurrentMap, ParallelBuffer, ServiceTaskGuard, M1, M2};
 use wsm_shard::{Partitioner, ShardedMap};
-use wsm_sync::MpscShard;
 
 #[path = "common/linearize.rs"]
 mod linearize;
@@ -397,45 +396,57 @@ proptest! {
         prop_assert!(linearizable(&histories), "S=1 router: {histories:#?}");
     }
 
-    /// MPSC shard stress: pool-scheduled producers with seeded yield
-    /// schedules race an OS-thread combiner; nothing may be lost or
-    /// duplicated.
+    /// Parallel-buffer stress: pool-scheduled producers with seeded yield
+    /// schedules deposit through `push` and `push_batch` while an OS-thread
+    /// combiner flushes; nothing may be lost or duplicated, and the pending
+    /// count must return to zero.
     #[test]
-    fn mpsc_shard_no_loss_under_pool_schedules(
+    fn parallel_buffer_no_loss_under_pool_schedules(
         seed in any::<u64>(),
         producers in 1usize..5,
         per_producer in 64u64..512,
     ) {
-        let shard: Arc<MpscShard<u64>> = Arc::new(MpscShard::with_capacity(8));
+        let buffer: Arc<ParallelBuffer<u64>> = Arc::new(ParallelBuffer::new(2));
         let done = Arc::new(AtomicBool::new(false));
         let collected = Arc::new(Mutex::new(Vec::new()));
-        let drainer = {
-            let shard = Arc::clone(&shard);
+        let flusher = {
+            let buffer = Arc::clone(&buffer);
             let done = Arc::clone(&done);
             let collected = Arc::clone(&collected);
             std::thread::spawn(move || {
                 let mut out = Vec::new();
                 while !done.load(Ordering::Acquire) {
-                    shard.drain_into(&mut out);
+                    buffer.flush_into(&mut out);
                     std::thread::yield_now();
                 }
-                shard.drain_into(&mut out);
+                buffer.flush_into(&mut out);
                 *collected.lock().unwrap() = out;
             })
         };
         // Producers run as pool tasks: the seeded schedule perturbs the
-        // interleaving between the work-stealing workers and the drainer.
+        // interleaving between the work-stealing workers and the flusher.
+        // Two producers share each buffer shard, so deposits contend too.
         wsm_pool::with_threads(producers, || {
             wsm_pool::scope(|s| {
                 for p in 0..producers as u64 {
-                    let shard = &shard;
+                    let buffer = &buffer;
                     s.spawn(move |_| {
                         let mut schedule = seed.wrapping_add(p.wrapping_mul(0x9E3779B97F4A7C15)) | 1;
-                        for i in 0..per_producer {
-                            shard.publish(p * per_producer + i);
+                        let mut i = 0;
+                        while i < per_producer {
                             schedule = schedule
                                 .wrapping_mul(6364136223846793005)
                                 .wrapping_add(1442695040888963407);
+                            let base = p * per_producer + i;
+                            if schedule & 8 == 0 {
+                                let n = (schedule >> 32) % 16 + 1;
+                                let n = n.min(per_producer - i);
+                                buffer.push_batch(p as usize, (base..base + n).collect());
+                                i += n;
+                            } else {
+                                buffer.push(p as usize, base);
+                                i += 1;
+                            }
                             if schedule & 6 == 0 {
                                 std::thread::yield_now();
                             }
@@ -445,12 +456,13 @@ proptest! {
             });
         });
         done.store(true, Ordering::Release);
-        drainer.join().unwrap();
+        flusher.join().unwrap();
         let out = collected.lock().unwrap();
         let expected = producers as u64 * per_producer;
-        prop_assert_eq!(out.len() as u64, expected, "lost publications");
+        prop_assert_eq!(out.len() as u64, expected, "lost deposits");
         let distinct: std::collections::BTreeSet<u64> = out.iter().copied().collect();
-        prop_assert_eq!(distinct.len() as u64, expected, "duplicated publications");
+        prop_assert_eq!(distinct.len() as u64, expected, "duplicated deposits");
+        prop_assert!(buffer.is_empty(), "pending count left at {}", buffer.len());
     }
 }
 

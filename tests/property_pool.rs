@@ -2,7 +2,7 @@
 //! parallel code paths must be observationally identical to their sequential
 //! counterparts, at every pool size.
 //!
-//! This is the workspace-level safety net for PR 2's tentpole: `rayon::join`
+//! This is the workspace-level safety net for the pool: `wsm_pool::join`
 //! runs on real threads, so `pesort` — the one algorithm that forks through
 //! it — executes with genuine interleaving.  Determinism is a theorem about
 //! the algorithm (divide-and-conquer with order-preserving merges), and
