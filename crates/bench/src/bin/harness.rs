@@ -1,4 +1,6 @@
-//! The experiment harness: regenerates every table recorded in EXPERIMENTS.md.
+//! The experiment harness: regenerates the table of every experiment E1–E21
+//! and writes it to `BENCH_<id>.json` (`BENCH_<id>_small.json` under
+//! `--small`; README, "Commands").
 //!
 //! Usage:
 //! ```text

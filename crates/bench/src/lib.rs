@@ -1,9 +1,10 @@
 //! # wsm-bench — experiment harness library
 //!
-//! Helper routines behind the `harness` binary.  Each `eN` function
-//! regenerates one experiment from DESIGN.md / EXPERIMENTS.md and returns
-//! printable rows; the harness binary formats them as the tables recorded in
-//! EXPERIMENTS.md.
+//! Helper routines behind the `harness` binary.  Each `experiment_*`
+//! function regenerates one or two of the experiments E1–E21 (its doc
+//! comment names them and says what they measure) and returns printable
+//! rows; the harness binary formats them as tables and writes one
+//! `BENCH_<id>.json` per experiment (README, "Commands").
 
 #![forbid(unsafe_code)]
 

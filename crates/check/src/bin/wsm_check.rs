@@ -13,7 +13,8 @@
 
 #![forbid(unsafe_code)]
 
-use wsm_check::{fixtures, Model};
+use wsm_check::fixtures;
+use wsm_sync::Model;
 
 struct Args {
     mode: String,
@@ -99,27 +100,27 @@ fn selfcheck(args: &Args) -> bool {
     // Two independent increment threads: exhaustive exploration must agree
     // on the final count in every schedule.
     let r = model(args).check(|| {
-        let c = std::sync::Arc::new(wsm_check::sync::AtomicUsize::new(0));
+        let c = std::sync::Arc::new(wsm_sync::AtomicUsize::new(0));
         let t = {
             let c = std::sync::Arc::clone(&c);
-            wsm_check::thread::spawn(move || {
-                c.fetch_add(1, wsm_check::sync::Ordering::SeqCst);
+            wsm_sync::thread::spawn(move || {
+                c.fetch_add(1, wsm_sync::Ordering::SeqCst);
             })
         };
-        c.fetch_add(1, wsm_check::sync::Ordering::SeqCst);
+        c.fetch_add(1, wsm_sync::Ordering::SeqCst);
         t.join().unwrap();
-        assert_eq!(c.load(wsm_check::sync::Ordering::SeqCst), 2);
+        assert_eq!(c.load(wsm_sync::Ordering::SeqCst), 2);
     });
     ok &= report("selfcheck: atomic increments", &r, false);
 
     // Classic lock-order-inversion deadlock must be detected.
     let r = Model::with_bound(2).check(|| {
-        use wsm_check::sync::Mutex;
+        use wsm_sync::Mutex;
         let a = std::sync::Arc::new(Mutex::new(0u32));
         let b = std::sync::Arc::new(Mutex::new(0u32));
         let t = {
             let (a, b) = (std::sync::Arc::clone(&a), std::sync::Arc::clone(&b));
-            wsm_check::thread::spawn(move || {
+            wsm_sync::thread::spawn(move || {
                 let _ga = a.lock();
                 let _gb = b.lock();
             })
@@ -157,7 +158,7 @@ fn fixtures_check(args: &Args) -> bool {
     ok
 }
 
-fn report(name: &str, r: &wsm_check::Report, expect_failure: bool) -> bool {
+fn report(name: &str, r: &wsm_sync::Report, expect_failure: bool) -> bool {
     match (&r.failure, expect_failure) {
         (Some(f), true) => {
             println!(

@@ -1,8 +1,8 @@
 //! Intentionally buggy protocol variants used as the checker's regression
 //! teeth: the self-tests assert a failing schedule is found and replayable.
 
-use crate::sync::{AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use std::sync::Arc;
+use wsm_sync::{AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// The PR 2 missed-wakeup doorbell bug, resurrected: `ring` bumps the
 /// generation *without* holding the gate mutex.  A waiter can then check the
@@ -62,7 +62,7 @@ pub fn buggy_doorbell_harness() {
     let seen = bell.current();
     let ringer = {
         let bell = Arc::clone(&bell);
-        crate::thread::spawn_named("ringer".to_string(), move || {
+        wsm_sync::thread::spawn_named("ringer".to_string(), move || {
             bell.ring();
         })
     };
@@ -110,7 +110,7 @@ pub fn racy_claim_harness() {
     let ring = Arc::new(RacyClaim::new());
     let other = {
         let ring = Arc::clone(&ring);
-        crate::thread::spawn_named("producer".to_string(), move || ring.claim())
+        wsm_sync::thread::spawn_named("producer".to_string(), move || ring.claim())
     };
     let a = ring.claim();
     let b = other.join().unwrap();
@@ -146,7 +146,7 @@ impl Default for RelaxedDekker {
     }
 }
 
-/// Model harness for [`RelaxedDekker`] (run under [`crate::Model`] with
+/// Model harness for [`RelaxedDekker`] (run under [`wsm_sync::Model`] with
 /// `tso = true`): publisher stores `flag` (Release — BUG, must be SeqCst)
 /// then loads `waiter`; waiter stores `waiter` (Release — same bug) then
 /// loads `flag`.  The protocol requires at least one side to see the other;
@@ -156,7 +156,7 @@ pub fn relaxed_dekker_harness() {
     let hs = Arc::new(RelaxedDekker::new());
     let waiter = {
         let hs = Arc::clone(&hs);
-        crate::thread::spawn_named("waiter".to_string(), move || {
+        wsm_sync::thread::spawn_named("waiter".to_string(), move || {
             hs.waiter.store(1, Ordering::Release);
             hs.flag.load(Ordering::Acquire)
         })
@@ -177,7 +177,7 @@ pub fn seqcst_dekker_harness() {
     let hs = Arc::new(RelaxedDekker::new());
     let waiter = {
         let hs = Arc::clone(&hs);
-        crate::thread::spawn_named("waiter".to_string(), move || {
+        wsm_sync::thread::spawn_named("waiter".to_string(), move || {
             hs.waiter.store(1, Ordering::SeqCst);
             hs.flag.load(Ordering::SeqCst)
         })

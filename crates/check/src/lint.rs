@@ -22,6 +22,9 @@
 //!   chain reaching one — computed to fixpoint across the whole crate, with
 //!   `Node`/`Arena` (where the per-node charging lives) contributing metered names —
 //!   or carry `// lint: allow(unmetered)` with a reason.
+//! * **R6 `unused-dependency`** — every entry of a `crates/*/Cargo.toml`
+//!   `[dependencies]` table must be named, with `-` written as `_`, in the
+//!   code (not the comments) of that crate's `src/`.
 //!
 //! Analysis is token-level, not a full parse: comments and string/char
 //! literals are masked out (preserving line numbers) before keyword scans,
@@ -642,11 +645,71 @@ fn matching_brace(chars: &[char], open: usize) -> usize {
     chars.len().saturating_sub(1)
 }
 
-/// Runs every rule over `files`; returns all violations, sorted by path/line.
+/// R6: every `[dependencies]` entry of a `crates/<name>/Cargo.toml` is
+/// named, with `-` written as `_`, in the masked code of `crates/<name>/src/`.
+fn rule_unused_dependency(
+    manifest: &SourceFile,
+    sources: &[(&SourceFile, String)],
+    out: &mut Vec<Violation>,
+) {
+    let rel = manifest.rel();
+    let Some(name) = rel
+        .strip_prefix("crates/")
+        .and_then(|r| r.strip_suffix("/Cargo.toml"))
+        .filter(|n| !n.contains('/'))
+    else {
+        return;
+    };
+    let src = format!("crates/{name}/src/");
+    for (line, dep) in dependency_entries(&manifest.text) {
+        let ident = dep.replace('-', "_");
+        let named = sources
+            .iter()
+            .any(|(f, masked)| f.in_dir(&src) && !word_sites(masked, &ident).is_empty());
+        if !named {
+            out.push(Violation {
+                rule: "unused-dependency",
+                file: manifest.path.clone(),
+                line,
+                message: format!(
+                    "dependency `{dep}` is not named (as `{ident}`) anywhere in \
+                     {src}; drop it or move it to [dev-dependencies]"
+                ),
+            });
+        }
+    }
+}
+
+/// 1-based line and name of each entry of a manifest's `[dependencies]`
+/// table (`name = ...` or `name.workspace = true`).
+fn dependency_entries(manifest: &str) -> Vec<(usize, String)> {
+    let mut entries = Vec::new();
+    let mut in_table = false;
+    for (ln, line) in manifest.lines().enumerate() {
+        let t = line.trim();
+        if t.starts_with('[') {
+            in_table = t == "[dependencies]";
+        } else if in_table && !t.is_empty() && !t.starts_with('#') {
+            let name = t
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '-' || *c == '_')
+                .collect();
+            entries.push((ln + 1, name));
+        }
+    }
+    entries
+}
+
+/// Runs every rule over `files` (`.rs` sources and `Cargo.toml` manifests);
+/// returns all violations, sorted by path/line.
 pub fn run(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let masked: Vec<(&SourceFile, String)> =
-        files.iter().map(|f| (f, mask_noncode(&f.text))).collect();
+    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
+        files.iter().partition(|f| f.rel().ends_with("Cargo.toml"));
+    let masked: Vec<(&SourceFile, String)> = sources
+        .into_iter()
+        .map(|f| (f, mask_noncode(&f.text)))
+        .collect();
     for (f, m) in &masked {
         rule_unsafe(f, m, &mut out);
         rule_forbid_header(f, m, &mut out);
@@ -654,12 +717,15 @@ pub fn run(files: &[SourceFile]) -> Vec<Violation> {
         rule_no_sleep(f, m, &mut out);
     }
     rule_metered_global(&masked, &mut out);
+    for manifest in manifests {
+        rule_unused_dependency(manifest, &masked, &mut out);
+    }
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     out
 }
 
-/// Walks `root` for `crates/**/*.rs` files (skipping `target/`) and returns
-/// them with repo-relative paths.
+/// Walks `root` for `crates/**/*.rs` files and `crates/**/Cargo.toml`
+/// manifests (skipping `target/`) and returns them with repo-relative paths.
 pub fn collect_repo_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
@@ -679,7 +745,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<(
                 continue;
             }
             walk(&path, root, out)?;
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             let text = std::fs::read_to_string(&path)?;
             let rel = path
                 .strip_prefix(root)

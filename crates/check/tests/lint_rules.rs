@@ -93,6 +93,34 @@ fn r5_unmetered_public_map_ops_trip() {
     assert!(v.is_empty(), "R5 binds crates/twothree only, got: {v:?}");
 }
 
+#[test]
+fn r6_dependencies_must_be_named_in_the_crate_code() {
+    let file = |path: &str, text: &str| SourceFile {
+        path: PathBuf::from(path),
+        text: text.to_string(),
+    };
+    let manifest = include_str!("lint_fixtures/r6_unused_dependency.toml");
+    let code = include_str!("lint_fixtures/r6_unused_dependency.rs");
+    let v = lint::run(&[
+        file("crates/demo/Cargo.toml", manifest),
+        file("crates/demo/src/util.rs", code),
+    ]);
+    assert_eq!(
+        rules_of(&v),
+        ["unused-dependency", "unused-dependency"],
+        "got: {v:?}"
+    );
+    // The comment-only entry and the unnamed one, not the used entry or
+    // the dev-dependency.
+    assert_eq!((v[0].line, v[1].line), (9, 10), "got: {v:?}");
+    // A use in another crate's code does not count.
+    let v = lint::run(&[
+        file("crates/demo/Cargo.toml", manifest),
+        file("crates/other/src/util.rs", code),
+    ]);
+    assert_eq!(v.len(), 3, "got: {v:?}");
+}
+
 /// The real repository tree is lint-clean.  This is the library-level twin
 /// of the CI `wsm-lint .` gate — running it under `cargo test` means a rule
 /// change and a law violation both fail the suite, with the violation list

@@ -1,5 +1,5 @@
 //! Model-checks the real combiner hand-off: `wsm_core::doorbell::Doorbell` +
-//! `wsm_sync::Activation` + `wsm_core::buffer::ParallelBuffer`.
+//! `wsm_core::activation::Activation` + `wsm_core::buffer::ParallelBuffer`.
 //!
 //! The harness mirrors `ConcurrentMap::call`'s loop exactly (capture the
 //! doorbell generation, attempt the activation, combine, ring after release,
@@ -17,14 +17,14 @@
 //! alive as `wsm_check::fixtures::buggy_doorbell_harness`, which the
 //! seeded-bug suite proves the checker reports as exactly that deadlock.
 //!
-//! Coverage counts use [`wsm_check::Report::considered`]: schedules executed
+//! Coverage counts use [`wsm_sync::Report::considered`]: schedules executed
 //! plus sleep-set-pruned branches (distinct schedules proven redundant).
 
 use std::sync::Arc;
-use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
-use wsm_check::{thread, Model};
 use wsm_core::buffer::ParallelBuffer;
 use wsm_core::doorbell::Doorbell;
+use wsm_sync::{thread, Model};
+use wsm_sync::{AtomicUsize, Mutex, Ordering};
 
 struct Pending {
     value: usize,

@@ -28,10 +28,10 @@
 //! `handoff.rs`).
 
 use std::sync::Arc;
-use wsm_check::sync::{AtomicUsize, Ordering};
-use wsm_check::{thread, Model};
 use wsm_core::buffer::ParallelBuffer;
 use wsm_core::handoff::ResultCell;
+use wsm_sync::{thread, Model};
+use wsm_sync::{AtomicUsize, Ordering};
 
 struct Pending {
     value: usize,

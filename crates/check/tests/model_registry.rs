@@ -2,7 +2,7 @@
 //! `wsm_pool::handshake::{Latch, WakeGate}` as used by the registry.
 //!
 //! Two protocols, both run on the production types routed through the
-//! `wsm_check::sync` shims:
+//! `wsm_sync` shims:
 //!
 //! * **client handshake** — a worker completes a job (`Latch::set`) and
 //!   rings the registry's client gate; the client parks *untimed* in
@@ -19,14 +19,14 @@
 //!   wakeups; the invariants are that injected work is never lost and the
 //!   worker always terminates.
 //!
-//! Coverage counts use [`wsm_check::Report::considered`]: schedules executed
+//! Coverage counts use [`wsm_sync::Report::considered`]: schedules executed
 //! plus sleep-set-pruned branches (distinct schedules proven redundant).
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsm_check::sync::{AtomicBool, AtomicUsize, Ordering};
-use wsm_check::{thread, Model};
 use wsm_pool::handshake::{Latch, WakeGate};
+use wsm_sync::{thread, Model};
+use wsm_sync::{AtomicBool, AtomicUsize, Ordering};
 
 /// Four workers finish jobs and ring the shared client gate; the client
 /// parks untimed until every latch is set.  A lost notification would

@@ -5,7 +5,8 @@
 //! checker has lost the ability to catch the corresponding real-world bug
 //! class (and the protocol harnesses' green results mean nothing).
 
-use wsm_check::{fixtures, Model};
+use wsm_check::fixtures;
+use wsm_sync::Model;
 
 /// The PR 2 regression: `ring` bumps the doorbell generation without the
 /// gate mutex, so a waiter can check-then-sleep across the notify.  The
@@ -39,6 +40,7 @@ fn finds_racy_mpsc_claim() {
         "expected the duplicate-claim assertion, got: {}",
         failure.message
     );
+    assert!(!failure.trace.is_empty(), "a failure carries its step list");
     let replayed = Model::with_bound(2)
         .replay(&failure.choices, fixtures::racy_claim_harness)
         .expect("replaying the failing schedule must fail again");

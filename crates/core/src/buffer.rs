@@ -6,17 +6,18 @@
 //! the buffer as a static balanced tree of per-processor sub-buffers with
 //! test-and-set flags on the internal nodes; here each submitting thread owns
 //! a *shard*, a mutex-guarded `Vec`, and the flush appends every shard's
-//! items to the combiner's batch — the flat-combining realisation described
-//! in DESIGN.md substitution #4.  A deposit holds its shard's lock for one
-//! `push` or `extend`, a flush holds each shard's lock for one `append`, and
-//! each side keeps its own allocation: the shard's `Vec` keeps its capacity
-//! across flushes and the caller's batch `Vec` is freed by the caller.  The
-//! analytic cost per flushed batch of size `b` is `O(p + b)` work and
-//! `O(log p + log b)` span, matching Theorem 26's requirements.
+//! items to the combiner's batch — the flat-combining realisation of the
+//! paper's runtime system that Section 8 sketches (see the
+//! [`crate::concurrent`] module docs).  A deposit holds its shard's lock for
+//! one `push` or `extend`, a flush holds each shard's lock for one `append`,
+//! and each side keeps its own allocation: the shard's `Vec` keeps its
+//! capacity across flushes and the caller's batch `Vec` is freed by the
+//! caller.  The analytic cost per flushed batch of size `b` is `O(p + b)`
+//! work and `O(log p + log b)` span, matching Theorem 26's requirements.
 
-use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
+use crate::activation::Activation;
 use wsm_model::{ceil_log2, Cost};
-use wsm_sync::Activation;
+use wsm_sync::{AtomicUsize, Mutex, Ordering};
 
 /// A sharded buffer of pending calls plus the activation interface used to
 /// wake the data structure when work arrives.

@@ -51,7 +51,7 @@ use crate::doorbell::Doorbell;
 use crate::handoff::ResultCell;
 use crate::ops::{BatchedMap, OpId, OpResult, Operation, TaggedOp};
 use std::sync::Arc;
-use wsm_check::sync::Mutex;
+use wsm_sync::Mutex;
 
 struct Pending<K, V> {
     op: Operation<K, V>,
@@ -467,7 +467,7 @@ where
                     // the model checker this yield is also what lets the
                     // fair scheduler run the producer (found as a
                     // starvation livelock by tests/model_doorbell.rs).
-                    wsm_check::thread::yield_now();
+                    wsm_sync::thread::yield_now();
                 }
                 more
             },

@@ -21,7 +21,7 @@
 //! orderings below are the weakest the model accepts; see
 //! `docs/ORDERINGS.md`.
 
-use wsm_check::sync::{AtomicU64, Condvar, Mutex, Ordering};
+use wsm_sync::{AtomicU64, Condvar, Mutex, Ordering};
 
 /// A generation-counting condvar (see the module docs for the protocol).
 #[derive(Default)]

@@ -5,8 +5,9 @@
 //! actually processes.  It is a queue of *bunches*, each of size `p²` except
 //! possibly the last.  A bunch supports `O(1)` addition of a batch and
 //! `O(log b)`-span conversion to a batch of size `b` (the paper implements it
-//! as a complete binary tree of batches threaded with per-level lists; a
-//! vector of batches has the same work profile, see DESIGN.md).
+//! as a complete binary tree of batches threaded with per-level lists; here
+//! a bunch is a vector of batches, which has the same work profile, and
+//! [`Bunch::into_batch`]'s charge is the tree's `O(log b)` span).
 
 use wsm_model::{ceil_log2, Cost};
 

@@ -23,7 +23,7 @@
 //! its TSO store-buffer mode), asserting delivery is exactly-once and the
 //! never-parking waiting loop cannot lose a result.  See `docs/ORDERINGS.md`.
 
-use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
+use wsm_sync::{AtomicUsize, Mutex, Ordering};
 
 /// Stamp value of a cell whose result has not been deposited yet.
 const EMPTY: usize = 0;

@@ -21,7 +21,12 @@
 //!   (= Section 7.1 step 3 for M2's first slab), boundary balancing and every
 //!   metered segment operation, written once.
 //! * [`buffer::ParallelBuffer`] — the implicit-batching parallel buffer
-//!   (Appendix A.1, Theorem 26).
+//!   (Appendix A.1, Theorem 26).  Its combiner is elected by an
+//!   [`activation::Activation`] (Definition 36) built on a
+//!   [`trylock::NonBlockingLock`] (Definition 35): the paper's coordination
+//!   primitives of Appendix A.4, which it builds from non-blocking
+//!   test-and-set because the QRMW machine has no constant-time blocking
+//!   lock.
 //! * [`concurrent::ConcurrentMap`] — a thread-safe front-end that lets an
 //!   ordinary multithreaded program call `search`/`insert`/`delete` and have
 //!   the calls implicitly batched into M1 or M2 (the role the runtime system
@@ -35,8 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use wsm_check::env;
-
+pub mod activation;
 pub mod buffer;
 mod cascade;
 pub mod concurrent;
@@ -47,6 +51,7 @@ pub mod handoff;
 pub mod m1;
 pub mod m2;
 pub mod ops;
+pub mod trylock;
 
 pub use buffer::ParallelBuffer;
 pub use concurrent::{CommitHook, ConcurrentMap, Handoff};

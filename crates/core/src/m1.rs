@@ -13,8 +13,9 @@
 //! terminal segment, which is split when it overflows.
 //!
 //! Theorem 12 (effective work `O(W_L + e_L log p)`) and Theorem 13 (effective
-//! span `O(N/p + d((log p)² + log n))`) are validated empirically by
-//! experiments E3/E4 in EXPERIMENTS.md.
+//! span `O(N/p + d((log p)² + log n))`) are validated empirically by the
+//! `harness` binary's experiments E3/E4 (`crates/bench`; the small-preset
+//! results are committed as `BENCH_e3_small.json`/`BENCH_e4_small.json`).
 
 use crate::cascade::Cascade;
 use crate::feed::FeedBuffer;

@@ -21,7 +21,11 @@
 //! queue (final-slab runs are the high-priority queue `Q1`, interface runs the
 //! low-priority queue `Q2`); per-stage virtual clocks reproduce the pipeline
 //! timing so that per-operation latency can be measured (Theorem 25 /
-//! experiments E6 and E13).  See DESIGN.md substitution #2.
+//! experiments E6 and E13).  The substitution is the queue for the
+//! activation interfaces and the locks: it runs the same segment operations
+//! in a priority order the weak-priority scheduler may choose, inside one
+//! batch, so the measured work is the paper's and the span is the one the
+//! virtual clocks report.
 //!
 //! Hole refills are **eager** (the paper's tagged-deletion pass): every
 //! interface run restores the whole first slab so deletion holes land in

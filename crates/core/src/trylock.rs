@@ -3,7 +3,7 @@
 //! `TryLock(x)` is a single test-and-set; `Unlock(x)` is a store.  Acquisition
 //! attempts never block: they either succeed immediately or fail.
 
-use wsm_check::sync::{AtomicBool, Ordering};
+use wsm_sync::{AtomicBool, Ordering};
 
 /// A non-blocking (test-and-set) lock.
 ///

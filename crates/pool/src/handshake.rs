@@ -2,7 +2,7 @@
 //!
 //! Two pieces, shared by the registry's wake-up channels and exported so the
 //! model-checking harness (`crates/check/tests/model_registry.rs`) can
-//! exercise the *real* protocol code under the `wsm-check` scheduler:
+//! exercise the *real* protocol code under the `wsm-sync` scheduler:
 //!
 //! * [`Latch`] — a one-shot "this job has completed" flag.  It is
 //!   deliberately *just* an atomic: the blocking machinery for threads that
@@ -21,12 +21,12 @@
 //! pattern: each side stores to one location and loads the other, and both
 //! must not miss.  That is exactly the shape TSO store buffers break for
 //! anything weaker than `SeqCst`, which is why the atomics here stay
-//! `SeqCst` — `wsm-check`'s TSO mode refutes the Release/Acquire variant
+//! `SeqCst` — the scheduler's TSO mode refutes the Release/Acquire variant
 //! (see `wsm_check::fixtures::relaxed_dekker_harness` and
 //! `docs/ORDERINGS.md`).
 
 use std::time::Duration;
-use wsm_check::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
+use wsm_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// A one-shot "this job has completed" flag.
 ///

@@ -82,7 +82,7 @@ pub fn default_thread_count() -> usize {
     let fallback = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    wsm_check::env::parse(
+    wsm_sync::env::parse(
         "WSM_POOL_THREADS",
         "a positive worker count",
         fallback,

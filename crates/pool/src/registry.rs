@@ -32,7 +32,7 @@ use crate::job::JobRef;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use wsm_check::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
+use wsm_sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
 
 struct WorkerState {
     deque: Mutex<VecDeque<JobRef>>,

@@ -17,7 +17,7 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use wsm_check::sync::{AtomicUsize, Mutex, Ordering};
+use wsm_sync::{AtomicUsize, Mutex, Ordering};
 
 /// A fork-join scope whose spawned jobs may borrow data of lifetime `'scope`.
 pub struct Scope<'scope> {

@@ -215,7 +215,8 @@ where
 
     // Stable three-way partition through pooled temporaries, copied back into
     // the same slice.  The paper parallelises this with a prefix-sum; the
-    // analytic span charged below reflects that (DESIGN.md substitution #1).
+    // scan here is sequential, and `partition_cost` charges the prefix-sum's
+    // `k` work and `⌈log k⌉ + 1` span in its place.
     let mut lower = pool.pop().unwrap_or_default();
     let mut middle = pool.pop().unwrap_or_default();
     let mut upper = pool.pop().unwrap_or_default();
@@ -293,8 +294,9 @@ where
     let pivot = items[pivot_idx].clone();
 
     // Stable three-way partition.  The paper parallelises this with a
-    // prefix-sum; the analytic span charged below reflects that, while the
-    // concrete partition is a sequential scan (see DESIGN.md substitution #1).
+    // prefix-sum; the concrete partition is a sequential scan, and
+    // `partition_cost` charges the prefix-sum's `k` work and `⌈log k⌉ + 1`
+    // span in its place.
     let mut lower = Vec::new();
     let mut middle = Vec::new();
     let mut upper = Vec::new();

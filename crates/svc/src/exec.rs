@@ -249,7 +249,7 @@ pub struct Executor {
 /// Worker count from `WSM_SVC_WORKERS` (default 2, minimum 1); garbage warns
 /// once on stderr and falls back to the default.
 fn workers_from_env() -> usize {
-    wsm_core::env::parse("WSM_SVC_WORKERS", "a worker count >= 1", 2, |&w| w >= 1)
+    wsm_sync::env::parse("WSM_SVC_WORKERS", "a worker count >= 1", 2, |&w| w >= 1)
 }
 
 impl Executor {

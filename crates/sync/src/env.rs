@@ -1,19 +1,19 @@
 //! Centralized parsing for `WSM_*` environment knobs.
 //!
-//! Every tunable in the workspace (`WSM_SHARDS`, `WSM_POOL_THREADS`, the
-//! `WSM_WAL_*` family) goes through this module instead of hand-rolled
+//! Every tunable in the workspace (`WSM_POOL_THREADS`, `WSM_TREE_FANOUT`,
+//! `WSM_SVC_WORKERS`, the `WSM_WAL_*` family, and the examples' own knobs)
+//! goes through this module instead of hand-rolled
 //! `var(..).ok().and_then(parse)` chains.  The difference is observability:
 //! an invalid value used to be silently swallowed into the default —
-//! `WSM_SHARDS=0` ran unsharded without a word, a typo'd
+//! `WSM_POOL_THREADS=0` ran on the default pool without a word, a typo'd
 //! `WSM_POOL_THREADS=fourteen` benchmarked on the default thread count while
 //! the operator believed otherwise.  Here an unparsable or out-of-range
 //! value falls back to the default *and warns once per variable* on stderr,
 //! naming the variable, the rejected value and the expected form.
 //!
-//! The module lives in `wsm-check` because it is the one crate below every
-//! consumer in the dependency graph (`wsm-pool` cannot see `wsm-core`);
-//! `wsm-core` re-exports it as `wsm_core::env` for everything above the
-//! pool.
+//! The module lives in `wsm-sync` because that crate sits below every
+//! consumer in the dependency graph; every caller spells it
+//! `wsm_sync::env`.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;

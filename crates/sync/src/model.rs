@@ -1,8 +1,9 @@
 //! The deterministic interleaving explorer.
 //!
 //! [`Model::check`] runs a closure (the *harness*) repeatedly, once per
-//! schedule.  Inside a harness, every operation on the shim types of
-//! [`crate::sync`] and every [`crate::thread::spawn`]/`join`/`yield_now`
+//! schedule.  Inside a harness, every operation on the shim types
+//! ([`crate::Mutex`], [`crate::AtomicUsize`], …) and every
+//! [`crate::thread::spawn`]/`join`/`yield_now`
 //! is a *scheduling point*: the scheduler decides who runs next, and the
 //! thread parks unless it is chosen to continue.  The scheduler drives a
 //! depth-first search over those decisions, so the harness is executed under **every** interleaving the
@@ -85,7 +86,6 @@ pub(crate) enum Rmw {
     Add(usize),
     Sub(usize),
     Swap(usize),
-    Cas { expected: usize, new: usize },
 }
 
 /// A declared (not yet executed) operation of a model thread.
@@ -202,7 +202,7 @@ enum Status {
 /// Baton message granted to a parked thread.
 enum Grant {
     /// The declared op was applied by the scheduler; `a`/`b` carry results
-    /// (loaded/previous value; CAS success or condvar timed_out flag).
+    /// (loaded/previous value; condvar timed_out flag).
     Apply { a: usize, b: bool },
     /// Run user code (thread start, or a Spawn the thread performs itself).
     Run,
@@ -1228,28 +1228,18 @@ impl Model {
                 // store buffer first, as on TSO hardware).
                 st.flush_all(tid, "rmw");
                 let prev = *st.mem.get(&l).expect("atomic location registered");
-                let (next, ok) = match rmw {
-                    Rmw::Add(n) => (prev.wrapping_add(n), true),
-                    Rmw::Sub(n) => (prev.wrapping_sub(n), true),
-                    Rmw::Swap(v) => (v, true),
-                    Rmw::Cas { expected, new } => {
-                        if prev == expected {
-                            (new, true)
-                        } else {
-                            (prev, false)
-                        }
-                    }
+                let next = match rmw {
+                    Rmw::Add(n) => prev.wrapping_add(n),
+                    Rmw::Sub(n) => prev.wrapping_sub(n),
+                    Rmw::Swap(v) => v,
                 };
-                if ok {
-                    st.mem.insert(l, next);
-                }
+                st.mem.insert(l, next);
                 let name = st.loc_name(l);
                 st.log.push(format!(
-                    "t{tid}: rmw {name} {rmw:?} ({ord:?}) -> prev {prev}{}",
-                    if ok { "" } else { " [cas failed]" }
+                    "t{tid}: rmw {name} {rmw:?} ({ord:?}) -> prev {prev}"
                 ));
                 drop(st);
-                slot.grant(Grant::Apply { a: prev, b: ok });
+                slot.grant(Grant::Apply { a: prev, b: false });
             }
             Op::MutexLock(m) => {
                 st.flush_all(tid, "lock");
@@ -1589,32 +1579,6 @@ mod tests {
     }
 
     #[test]
-    fn failing_schedule_replays_to_the_same_failure() {
-        let model = Model::with_bound(2);
-        let f = model
-            .check(crate::fixtures::racy_claim_harness)
-            .assert_fails();
-        assert!(!f.trace.is_empty());
-        let replayed = model
-            .replay(&f.choices, crate::fixtures::racy_claim_harness)
-            .expect("replay vector must reproduce the failure");
-        assert_eq!(replayed.message, f.message);
-    }
-
-    #[test]
-    fn deadlock_replays_deterministically() {
-        let model = Model::with_bound(2);
-        let f = model
-            .check(crate::fixtures::buggy_doorbell_harness)
-            .assert_fails();
-        assert!(f.message.contains("deadlock"), "got: {}", f.message);
-        let replayed = model
-            .replay(&f.choices, crate::fixtures::buggy_doorbell_harness)
-            .expect("deadlock must replay");
-        assert!(replayed.message.contains("deadlock"));
-    }
-
-    #[test]
     fn mutex_provides_mutual_exclusion() {
         use crate::sync::Mutex;
         let r = Model::with_bound(2).check(|| {
@@ -1636,6 +1600,67 @@ mod tests {
             assert_eq!(*m.lock(), 2);
         });
         r.assert_pass(2);
+    }
+
+    /// Lost-update slot claim: load-then-store instead of an atomic
+    /// read-modify-write, so two threads can claim the same slot.
+    fn racy_claim_harness() {
+        let tail = Arc::new(AtomicUsize::new(0));
+        let claim = |tail: &AtomicUsize| {
+            let t = tail.load(Ordering::Acquire);
+            tail.store(t + 1, Ordering::Release);
+            t
+        };
+        let other = {
+            let tail = Arc::clone(&tail);
+            crate::thread::spawn(move || claim(&tail))
+        };
+        let a = claim(&tail);
+        let b = other.join().unwrap();
+        assert_ne!(a, b, "two producers claimed the same slot");
+    }
+
+    /// Missed-wakeup doorbell: the ringer bumps and notifies without the
+    /// gate, so the notify can fire between the waiter's check and its
+    /// untimed wait, which the model reports as a deadlock.
+    fn buggy_doorbell_harness() {
+        use crate::sync::{Condvar, Mutex};
+        let bell = Arc::new((AtomicUsize::new(0), Mutex::new(()), Condvar::new()));
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            crate::thread::spawn(move || {
+                bell.0.fetch_add(1, Ordering::AcqRel);
+                bell.2.notify_all();
+            })
+        };
+        let mut gate = bell.1.lock();
+        while bell.0.load(Ordering::Acquire) == 0 {
+            bell.2.wait(&mut gate);
+        }
+        drop(gate);
+        ringer.join().unwrap();
+    }
+
+    #[test]
+    fn failing_schedule_replays_to_the_same_failure() {
+        let model = Model::with_bound(2);
+        let f = model.check(racy_claim_harness).assert_fails();
+        assert!(!f.trace.is_empty());
+        let replayed = model
+            .replay(&f.choices, racy_claim_harness)
+            .expect("replay vector must reproduce the failure");
+        assert_eq!(replayed.message, f.message);
+    }
+
+    #[test]
+    fn deadlock_replays_deterministically() {
+        let model = Model::with_bound(2);
+        let f = model.check(buggy_doorbell_harness).assert_fails();
+        assert!(f.message.contains("deadlock"), "got: {}", f.message);
+        let replayed = model
+            .replay(&f.choices, buggy_doorbell_harness)
+            .expect("deadlock must replay");
+        assert!(replayed.message.contains("deadlock"));
     }
 
     #[test]

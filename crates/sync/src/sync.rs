@@ -1,9 +1,12 @@
 //! Shim synchronization types: drop-in stand-ins for `std::sync::atomic::*`
-//! and `parking_lot::{Mutex, Condvar}` that production crates use directly.
+//! and for a `Mutex`/`Condvar` whose `lock()` returns the guard directly,
+//! which production crates use directly.
 //!
 //! In a normal build/run every operation takes a one-branch fast path (a
 //! `const`-initialised thread-local flag check) and delegates to the real
-//! `std`/`parking_lot` primitive — semantics and performance are unchanged.
+//! `std` primitive — semantics and performance are unchanged.  A poisoned
+//! `std` lock is recovered transparently: a panic while holding the shim
+//! `Mutex` leaves it lockable, with the value the holder left behind.
 //! Inside a [`crate::model::Model::check`] execution the flag is set, and the
 //! same operations instead *declare* themselves to the model scheduler and
 //! park until the explored schedule grants them, which is what lets the
@@ -11,11 +14,6 @@
 //!
 //! Model-mode semantic notes:
 //!
-//! * `compare_exchange_weak` is modeled as the strong variant (no spurious
-//!   failure).  Spurious CAS failure only adds retry loops, which the
-//!   surrounding code must tolerate anyway; modeling it would blow up the
-//!   schedule space without adding distinguishable outcomes for the
-//!   protocols checked here.
 //! * `Condvar::wait` never wakes spuriously in the model — that is the
 //!   *adversarial* choice for missed-wakeup detection, because a spurious
 //!   wake can only mask a lost notification.  `wait_timeout` may time out at
@@ -28,8 +26,9 @@
 
 use crate::model::{current_handle, Handle, Loc, LocKind, Op, Rmw};
 pub use std::sync::atomic::Ordering;
+use std::sync::PoisonError;
 
-/// Result of a timed condvar wait (mirrors `parking_lot::WaitTimeoutResult`).
+/// Result of a timed condvar wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaitTimeoutResult {
     timed_out: bool,
@@ -61,7 +60,7 @@ macro_rules! shim_atomic {
                 h.exec.loc(
                     self as *const _ as usize,
                     LocKind::Atomic,
-                    self.inner.load(Ordering::Relaxed) as usize,
+                    self.inner.load(Ordering::SeqCst) as usize,
                 )
             }
 
@@ -119,65 +118,6 @@ macro_rules! shim_atomic {
                     }
                 }
             }
-
-            /// Atomic compare-exchange.
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                match current_handle() {
-                    None => self.inner.compare_exchange(current, new, success, failure),
-                    Some(h) => {
-                        let l = self.loc(&h);
-                        let (prev, ok) = h.exec.declare(
-                            &h,
-                            Op::Rmw(
-                                l,
-                                Rmw::Cas {
-                                    expected: current as usize,
-                                    new: new as usize,
-                                },
-                                success,
-                            ),
-                        );
-                        if ok {
-                            Ok(prev as $ty)
-                        } else {
-                            Err(prev as $ty)
-                        }
-                    }
-                }
-            }
-
-            /// Atomic weak compare-exchange.  Modeled as the strong variant
-            /// under the checker (no spurious failure; see module docs).
-            pub fn compare_exchange_weak(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                match current_handle() {
-                    None => self
-                        .inner
-                        .compare_exchange_weak(current, new, success, failure),
-                    Some(_) => self.compare_exchange(current, new, success, failure),
-                }
-            }
-
-            /// Non-atomic access through exclusive borrow.
-            pub fn get_mut(&mut self) -> &mut $ty {
-                self.inner.get_mut()
-            }
-
-            /// Consumes the atomic, returning the inner value.
-            pub fn into_inner(self) -> $ty {
-                self.inner.into_inner()
-            }
         }
 
         impl Default for $name {
@@ -189,7 +129,7 @@ macro_rules! shim_atomic {
         impl std::fmt::Debug for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 f.debug_tuple(stringify!($name))
-                    .field(&self.load(Ordering::Relaxed))
+                    .field(&self.load(Ordering::SeqCst))
                     .finish()
             }
         }
@@ -209,12 +149,6 @@ shim_atomic!(
     AtomicU64,
     u64
 );
-shim_atomic!(
-    /// Shim for `std::sync::atomic::AtomicU32`; see the module docs.
-    AtomicU32,
-    AtomicU32,
-    u32
-);
 
 /// Shim for `std::sync::atomic::AtomicBool`; see the module docs.
 pub struct AtomicBool {
@@ -233,7 +167,7 @@ impl AtomicBool {
         h.exec.loc(
             self as *const _ as usize,
             LocKind::Atomic,
-            self.inner.load(Ordering::Relaxed) as usize,
+            self.inner.load(Ordering::SeqCst) as usize,
         )
     }
 
@@ -269,43 +203,6 @@ impl AtomicBool {
             }
         }
     }
-
-    /// Atomic compare-exchange.
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        match current_handle() {
-            None => self.inner.compare_exchange(current, new, success, failure),
-            Some(h) => {
-                let l = self.loc(&h);
-                let (prev, ok) = h.exec.declare(
-                    &h,
-                    Op::Rmw(
-                        l,
-                        Rmw::Cas {
-                            expected: current as usize,
-                            new: new as usize,
-                        },
-                        success,
-                    ),
-                );
-                if ok {
-                    Ok(prev != 0)
-                } else {
-                    Err(prev != 0)
-                }
-            }
-        }
-    }
-
-    /// Non-atomic access through exclusive borrow.
-    pub fn get_mut(&mut self) -> &mut bool {
-        self.inner.get_mut()
-    }
 }
 
 impl Default for AtomicBool {
@@ -317,23 +214,23 @@ impl Default for AtomicBool {
 impl std::fmt::Debug for AtomicBool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("AtomicBool")
-            .field(&self.load(Ordering::Relaxed))
+            .field(&self.load(Ordering::SeqCst))
             .finish()
     }
 }
 
-/// Shim for `parking_lot::Mutex`: `lock()` returns a guard directly (no
-/// poison `Result`); under the model the lock/unlock edges are scheduling
-/// points arbitrated by the checker.
+/// Shim mutex: `lock()` returns a guard directly (no poison `Result`; a
+/// poisoned lock is recovered); under the model the lock/unlock edges are
+/// scheduling points arbitrated by the checker.
 pub struct Mutex<T> {
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
     pub const fn new(value: T) -> Self {
         Self {
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
@@ -347,34 +244,37 @@ impl<T> Mutex<T> {
         match current_handle() {
             None => MutexGuard {
                 lock: self,
-                inner: Some(self.inner.lock()),
+                inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             },
             Some(h) => {
                 let l = self.loc(&h);
                 h.exec.declare(&h, Op::MutexLock(l));
-                // The scheduler granted us model ownership; every other model
-                // thread physically releases before declaring its unlock, so
-                // the inner lock is free.
-                let inner = self
-                    .inner
-                    .try_lock()
-                    .expect("model granted a physically held mutex");
                 MutexGuard {
                     lock: self,
-                    inner: Some(inner),
+                    inner: Some(self.granted()),
                 }
             }
         }
     }
 
-    /// Non-atomic access through exclusive borrow.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+    /// The inner lock of a mutex the scheduler has granted this model
+    /// thread.  Every other model thread physically releases before
+    /// declaring its unlock, so the inner lock is free.
+    fn granted(&self) -> std::sync::MutexGuard<'_, T> {
+        match self.inner.try_lock() {
+            Ok(inner) => inner,
+            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                panic!("model granted a physically held mutex")
+            }
+        }
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -393,7 +293,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 /// Guard for [`Mutex`]; releasing it is a scheduling point under the model.
 pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
-    inner: Option<parking_lot::MutexGuard<'a, T>>,
+    inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -430,17 +330,18 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Shim for `parking_lot::Condvar`; under the model, waits and notifies are
-/// scheduler transitions with no spurious wake-ups (see module docs).
+/// Shim condition variable whose waits take `&mut MutexGuard`; under the
+/// model, waits and notifies are scheduler transitions with no spurious
+/// wake-ups (see module docs).
 pub struct Condvar {
-    inner: parking_lot::Condvar,
+    inner: std::sync::Condvar,
 }
 
 impl Condvar {
     /// Creates a new condition variable.
     pub const fn new() -> Self {
         Self {
-            inner: parking_lot::Condvar::new(),
+            inner: std::sync::Condvar::new(),
         }
     }
 
@@ -455,8 +356,7 @@ impl Condvar {
     }
 
     /// Blocks until notified or (in real runs) `timeout` elapses.  Under the
-    /// model the timeout is a scheduler choice, not a clock.  (Named after
-    /// parking_lot's `wait_for` so the shim is drop-in.)
+    /// model the timeout is a scheduler choice, not a clock.
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -464,8 +364,11 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         match current_handle() {
             None => {
-                let mut inner = guard.inner.take().expect("guard holds the lock");
-                let r = self.inner.wait_for(&mut inner, timeout);
+                let inner = guard.inner.take().expect("guard holds the lock");
+                let (inner, r) = self
+                    .inner
+                    .wait_timeout(inner, timeout)
+                    .unwrap_or_else(PoisonError::into_inner);
                 guard.inner = Some(inner);
                 WaitTimeoutResult {
                     timed_out: r.timed_out(),
@@ -480,8 +383,11 @@ impl Condvar {
     fn wait_inner<T>(&self, guard: &mut MutexGuard<'_, T>, timed: bool) -> bool {
         match current_handle() {
             None => {
-                let mut inner = guard.inner.take().expect("guard holds the lock");
-                self.inner.wait(&mut inner);
+                let inner = guard.inner.take().expect("guard holds the lock");
+                let inner = self
+                    .inner
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
                 guard.inner = Some(inner);
                 false
             }
@@ -495,13 +401,7 @@ impl Condvar {
                 let (_, timed_out) = h.exec.declare(&h, Op::CvWait { cv, mutex, timed });
                 // Granted = the model mutex was reassigned to us after a
                 // notify or timeout; the physical lock is free (see above).
-                guard.inner = Some(
-                    guard
-                        .lock
-                        .inner
-                        .try_lock()
-                        .expect("model granted a physically held mutex"),
-                );
+                guard.inner = Some(guard.lock.granted());
                 timed_out
             }
         }

@@ -86,7 +86,7 @@ pub use tree::{BTree, Tree23};
 pub fn default_fanout() -> usize {
     static FANOUT: OnceLock<usize> = OnceLock::new();
     *FANOUT.get_or_init(|| {
-        wsm_check::env::parse(
+        wsm_sync::env::parse(
             "WSM_TREE_FANOUT",
             "a node fanout in 2..=64",
             16usize,

@@ -93,7 +93,7 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             sync: SyncPolicy::from_env(),
-            checkpoint_every: wsm_core::env::parse(
+            checkpoint_every: wsm_sync::env::parse(
                 "WSM_WAL_CHECKPOINT_EVERY",
                 "a batch count >= 1",
                 1024,

@@ -86,7 +86,7 @@ impl SyncPolicy {
     /// Reads `WSM_WAL_SYNC=always|batch|off` (default [`SyncPolicy::Batch`];
     /// invalid values warn once on stderr via the central knob parser).
     pub fn from_env() -> SyncPolicy {
-        wsm_core::env::parse_with(
+        wsm_sync::env::parse_with(
             "WSM_WAL_SYNC",
             "always|batch|off",
             SyncPolicy::Batch,

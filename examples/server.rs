@@ -27,14 +27,14 @@ const KEYSPACE: u64 = 1 << 14;
 
 /// Concurrent client tasks: `WSM_SVC_CLIENTS` or 8.
 fn clients() -> usize {
-    wsm_core::env::parse("WSM_SVC_CLIENTS", "a client count >= 1", 8, |&n: &usize| {
+    wsm_sync::env::parse("WSM_SVC_CLIENTS", "a client count >= 1", 8, |&n: &usize| {
         n > 0
     })
 }
 
 /// Paced requests per client: `WSM_SVC_REQUESTS` or 500.
 fn requests() -> usize {
-    wsm_core::env::parse(
+    wsm_sync::env::parse(
         "WSM_SVC_REQUESTS",
         "a request count >= 1",
         500,
@@ -44,17 +44,17 @@ fn requests() -> usize {
 
 /// Keys per batched request: `WSM_SVC_BATCH` or 16.
 fn batch() -> usize {
-    wsm_core::env::parse("WSM_SVC_BATCH", "a batch size >= 1", 16, |&n: &usize| n > 0)
+    wsm_sync::env::parse("WSM_SVC_BATCH", "a batch size >= 1", 16, |&n: &usize| n > 0)
 }
 
 /// Target requests/second per client: `WSM_SVC_QPS` or 500.
 fn qps() -> u64 {
-    wsm_core::env::parse("WSM_SVC_QPS", "a rate >= 1", 500, |&n: &u64| n > 0)
+    wsm_sync::env::parse("WSM_SVC_QPS", "a rate >= 1", 500, |&n: &u64| n > 0)
 }
 
 /// Keyspace shards: `WSM_SHARDS` or 4.
 fn shards() -> usize {
-    wsm_core::env::parse("WSM_SHARDS", "a shard count >= 1", 4, |&n: &usize| n > 0)
+    wsm_sync::env::parse("WSM_SHARDS", "a shard count >= 1", 4, |&n: &usize| n > 0)
 }
 
 fn main() {

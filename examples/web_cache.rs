@@ -40,12 +40,12 @@ const REQUESTS_PER_WORKER: usize = 20_000;
 
 /// Request-serving OS threads: `WSM_WORKERS` or 4.
 fn workers() -> usize {
-    wsm_core::env::parse("WSM_WORKERS", "a worker count >= 1", 4, |&n: &usize| n > 0)
+    wsm_sync::env::parse("WSM_WORKERS", "a worker count >= 1", 4, |&n: &usize| n > 0)
 }
 
 /// Keyspace shards: `WSM_SHARDS` or 1 (single combiner, the default).
 fn shards() -> usize {
-    wsm_core::env::parse("WSM_SHARDS", "a shard count >= 1", 1, |&n: &usize| n > 0)
+    wsm_sync::env::parse("WSM_SHARDS", "a shard count >= 1", 1, |&n: &usize| n > 0)
 }
 
 fn request_stream(worker: u64) -> Vec<u64> {
