@@ -671,7 +671,7 @@ pub fn experiment_scaling(
 ///   stream, its callers parking on the map's doorbell;
 /// * `constants` — thread-independent analytic constant factors: effective
 ///   work of M1/M2 over `W_L` on the Zipf stream, and the
-///   `tcost::batch_op(b, n)` charge per `b·(log n + 1)` unit.
+///   `tcost::batch_op(b, n, 2)` charge per `b·(log n + 1)` unit.
 ///
 /// Wall-clock rows are meaningful on a multi-core runner; the constants rows
 /// are exact everywhere.  Results are persisted to `BENCH_e16.json` so the
@@ -798,7 +798,7 @@ pub fn experiment_hot_paths(
     let mut m2 = M2::new(4);
     let w2 = run_batched(&mut m2, &ops, 16).work as f64;
     let logn = (pages as f64).log2() + 1.0;
-    let batch_unit = tcost::batch_op(64, pages).work as f64 / (64.0 * logn);
+    let batch_unit = tcost::batch_op(64, pages, 2).work as f64 / (64.0 * logn);
     rows.push(Row::new(
         "constants (W/W_L, batch_op unit)",
         vec![
@@ -813,9 +813,9 @@ pub fn experiment_hot_paths(
 /// E17: measured-vs-bound analytic constants per structure and workload.
 ///
 /// Since the measured/worst-case charge split in `wsm_twothree::cost`, the
-/// maps' cost meters record the tree nodes batches *actually* touched while
-/// `analytic_bound_work` accumulates the closed-form Appendix A.2 charges the
-/// same batches would have paid.  This experiment records, per workload of
+/// maps' cost ledgers record the tree nodes batches *actually* touched next to
+/// the closed-form Appendix A.2 charges the same batches would have paid
+/// (read back as `analytic_bound_work`).  This experiment records, per workload of
 /// the standard suite plus a Zipf size sweep plus a 40%-update mix:
 ///
 /// * `M1 W/W_L`, `M2 W/W_L` — measured effective work over the working-set

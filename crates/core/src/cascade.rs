@@ -11,9 +11,10 @@
 //! clocks and final-slab maintenance.
 
 use crate::ops::{GroupOp, OpId, OpResult, TaggedOp};
+use wsm_model::Charge;
 use wsm_seq::segment_capacity;
 use wsm_sort::{pesort_group_into, GroupedBatch, SortScratch};
-use wsm_twothree::cost::{self as tcost, Charge};
+use wsm_twothree::cost as tcost;
 use wsm_twothree::RecencyMap;
 
 /// The fanout of the segment trees and M2's filter (all built at the process

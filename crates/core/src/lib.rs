@@ -33,9 +33,10 @@
 //!   plays in the paper's model, realised as flat combining per Section 8's
 //!   practical-scheduler discussion).
 //!
-//! Every structure charges analytic costs (effective work/span in the QRMW
-//! model) to a [`wsm_model::CostMeter`]; the experiment harness in `wsm-bench`
-//! compares those against the working-set bound `W_L`.
+//! M1 and M2 add every charge (effective work/span in the QRMW model, paired
+//! with its Appendix A.2 bound) to one [`wsm_model::Charge`] ledger per map;
+//! the experiment harness in `wsm-bench` compares those against the
+//! working-set bound `W_L`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,7 +20,7 @@
 use crate::cascade::Cascade;
 use crate::feed::FeedBuffer;
 use crate::ops::{self, BatchedMap, OpId, OpResult, Operation, TaggedOp};
-use wsm_model::{ceil_log2, Cost, CostMeter};
+use wsm_model::{ceil_log2, Charge, Cost};
 use wsm_seq::segment_capacity;
 
 /// Statistics recorded for every cut batch M1 processes, when the map was
@@ -40,14 +40,12 @@ pub struct BatchStats {
 pub struct M1<K, V> {
     p: usize,
     feed: FeedBuffer<TaggedOp<K, V>>,
-    staged: Vec<TaggedOp<K, V>>,
     cascade: Cascade<K, V>,
-    meter: CostMeter,
-    /// Worst-case (Lemma A.2) work the processed batches *would* have been
-    /// charged before the measured/bound split; the meter holds the measured
-    /// work actually paid.  `analytic_bound_work / effective_work` is the
-    /// constant factor E17 tracks.
-    bound_work: u64,
+    /// The cost ledger: every charge this map has paid, measured (the
+    /// effective work and span it reports) and worst-case (Lemma A.2).
+    /// `analytic_bound_work / effective_work` is the constant factor E17
+    /// tracks.
+    spent: Charge,
     next_id: OpId,
     /// Per-cut-batch diagnostics; `None` (the default) records nothing, so a
     /// long-running map's memory does not grow with the batches it served.
@@ -62,10 +60,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         M1 {
             p,
             feed: FeedBuffer::new(p * p),
-            staged: Vec::new(),
             cascade: Cascade::new(),
-            meter: CostMeter::new(),
-            bound_work: 0,
+            spent: Charge::ZERO,
             next_id: 0,
             batch_log: None,
         }
@@ -110,7 +106,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     /// measured touched-node work, which is at most this (up to
     /// [`wsm_twothree::cost::MEASURED_CEILING`], asserted in debug builds).
     pub fn analytic_bound_work(&self) -> u64 {
-        self.bound_work
+        self.spent.bound.work
     }
 
     /// Non-adjusting lookup for tests: scans the segments without charging
@@ -119,29 +115,18 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         self.cascade.peek(key)
     }
 
-    /// Stages a single operation for the next processing round and returns the
-    /// identifier its result will carry.
-    pub fn submit(&mut self, op: Operation<K, V>) -> OpId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.staged.push(TaggedOp { id, op });
-        id
-    }
-
     /// Pushes an input batch (already tagged) into the feed buffer, as if it
     /// had just been flushed from the parallel buffer.
     pub fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
         for t in &batch {
             self.next_id = self.next_id.max(t.id + 1);
         }
-        let cost = self.feed.push_input(batch);
-        self.bound_work += cost.work;
-        self.meter.charge(cost);
+        self.spent += Charge::exact(self.feed.push_input(batch));
     }
 
-    /// Number of operations waiting in the feed buffer or staging area.
+    /// Number of operations waiting in the feed buffer.
     pub fn pending(&self) -> usize {
-        self.feed.len() + self.staged.len()
+        self.feed.len()
     }
 
     /// How many bunches form the next cut batch: `⌈log n / p⌉`, at least one
@@ -157,10 +142,6 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     /// Returns the results of the operations that completed in this batch.
     #[allow(clippy::type_complexity)]
     pub fn process_next_batch(&mut self) -> Option<(Vec<(OpId, OpResult<V>)>, Cost)> {
-        if !self.staged.is_empty() {
-            let staged = std::mem::take(&mut self.staged);
-            self.enqueue_batch(staged);
-        }
         if self.feed.is_empty() {
             return None;
         }
@@ -168,7 +149,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         let map_size_before = self.size();
         let batch_size = batch.len();
         let mut results = Vec::with_capacity(batch_size);
-        let (mut groups, mut charge) = self.cascade.group(batch);
+        let (mut groups, sort_charge) = self.cascade.group(batch);
+        let mut charge = Charge::exact(form_cost) + sort_charge;
         let end = self.cascade.num_segments();
         charge += self.cascade.pass(end, &mut groups, &mut results);
         // What reached the end resolves against an absent item; net
@@ -180,10 +162,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         charge += self.cascade.restore_all();
         self.cascade.drop_empty_tail(|_| true);
 
-        let cost = form_cost.then(charge.measured);
-        self.bound_work += form_cost.work + charge.bound.work;
-        self.meter.charge_in_batch(cost);
-        self.meter.end_batch();
+        self.spent += charge;
+        let cost = charge.measured;
         if let Some(log) = &mut self.batch_log {
             log.push(BatchStats {
                 batch_size,
@@ -241,7 +221,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     }
 
     /// Rebuilds the map's contents from a [`M1::snapshot_segments`] image.
-    /// Only valid on a fresh map (cost meters and batch logs restart from
+    /// Only valid on a fresh map (the cost ledger and batch log restart from
     /// zero — durability restores *state*, not accounting history).
     pub fn restore_segments(&mut self, segments: Vec<Vec<(K, V)>>) {
         assert!(self.pending() == 0, "restore_segments requires a fresh map");
@@ -259,10 +239,10 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> BatchedMap<K, V> for M1<K, V> {
     fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost) {
-        let before = self.meter.total();
+        let before = self.spent.measured;
         self.enqueue_batch(batch);
         let results = self.process_all();
-        let after = self.meter.total();
+        let after = self.spent.measured;
         (
             results,
             Cost {
@@ -277,11 +257,11 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> BatchedMap<K, V> for M1<K, V> {
     }
 
     fn effective_work(&self) -> u64 {
-        self.meter.work()
+        self.spent.measured.work
     }
 
     fn effective_span(&self) -> u64 {
-        self.meter.span()
+        self.spent.measured.span
     }
 }
 
@@ -454,17 +434,17 @@ mod tests {
         let mut m = M1::new(2);
         // Enqueue two separate input batches before processing; the first
         // batch's insert must be visible to the second batch's search.
-        let id1 = m.submit(insert(1, 11));
-        let ops: Vec<TaggedOp<u64, u64>> = vec![TaggedOp {
+        m.enqueue_batch(vec![TaggedOp {
+            id: 0,
+            op: insert(1, 11),
+        }]);
+        m.enqueue_batch(vec![TaggedOp {
             id: 1000,
             op: search(1),
-        }];
-        // Process the staged insert first, then the search batch.
-        let first: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
-        assert_eq!(first[&id1], OpResult::Insert(None));
-        m.enqueue_batch(ops);
-        let second: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
-        assert_eq!(second[&1000], OpResult::Search(Some(11)));
+        }]);
+        let results: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
+        assert_eq!(results[&0], OpResult::Insert(None));
+        assert_eq!(results[&1000], OpResult::Search(Some(11)));
     }
 
     #[test]

@@ -40,9 +40,9 @@ use crate::cascade::{tree_fanout, Cascade};
 use crate::feed::FeedBuffer;
 use crate::ops::{self, BatchedMap, GroupOp, OpId, OpResult, Operation, TaggedOp};
 use std::collections::{HashMap, VecDeque};
-use wsm_model::{ceil_log2, Cost, CostMeter};
+use wsm_model::{ceil_log2, Charge, Cost};
 use wsm_seq::segment_capacity;
-use wsm_twothree::cost::{self as tcost, Charge};
+use wsm_twothree::cost as tcost;
 use wsm_twothree::Tree23;
 
 /// Latency record for one operation: virtual submit and finish times in the
@@ -81,7 +81,6 @@ pub struct M2<K, V> {
     /// Index of the first final-slab segment (`m` in the paper).
     m: usize,
     feed: FeedBuffer<TaggedOp<K, V>>,
-    staged: Vec<TaggedOp<K, V>>,
     cascade: Cascade<K, V>,
     /// Input buffer of each final-slab segment, indexed by `segment - m`:
     /// the keys of the distinct in-flight items waiting to enter it.
@@ -90,11 +89,10 @@ pub struct M2<K, V> {
     buffer_ready: Vec<u64>,
     /// The filter: key → operations pending on that key in the final slab.
     filter: Tree23<K, Vec<TaggedOp<K, V>>>,
-    meter: CostMeter,
-    /// Worst-case (Lemma A.2) work the processed batches would have been
-    /// charged; the meter holds the measured work actually paid (see
+    /// The cost ledger: every charge this map has paid, measured (the
+    /// effective work and span it reports) and worst-case (Lemma A.2, see
     /// [`M2::analytic_bound_work`]).
-    bound_work: u64,
+    spent: Charge,
     /// Number of dedicated maintenance runs (hole-refill cascade steps with
     /// no tokens to process) executed so far.
     maintenance_runs: u64,
@@ -126,13 +124,11 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             p,
             m,
             feed: FeedBuffer::new(p * p),
-            staged: Vec::new(),
             cascade: Cascade::new(),
             buffers: Vec::new(),
             buffer_ready: Vec::new(),
             filter: Tree23::new(),
-            meter: CostMeter::new(),
-            bound_work: 0,
+            spent: Charge::ZERO,
             maintenance_runs: 0,
             next_id: 0,
             q1: VecDeque::new(),
@@ -197,7 +193,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// measured touched-node work, which is at most this (up to
     /// [`tcost::MEASURED_CEILING`], asserted in debug builds).
     pub fn analytic_bound_work(&self) -> u64 {
-        self.bound_work
+        self.spent.bound.work
     }
 
     /// Number of dedicated maintenance runs (token-free hole-refill cascade
@@ -227,14 +223,6 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             .unwrap_or(0)
     }
 
-    /// Stages a single operation and returns the identifier of its result.
-    pub fn submit(&mut self, op: Operation<K, V>) -> OpId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.staged.push(TaggedOp { id, op });
-        id
-    }
-
     /// Enqueues an input batch, as if flushed from the parallel buffer.
     pub fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
         let now = self.virtual_now();
@@ -245,16 +233,14 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         if let Some(log) = &mut self.latency_log {
             log.submit_times.extend(batch.iter().map(|t| (t.id, now)));
         }
-        let cost = self.feed.push_input(batch);
-        self.bound_work += cost.work;
-        self.meter.charge(cost);
+        self.spent += Charge::exact(self.feed.push_input(batch));
         self.interface_queued = true;
     }
 
-    /// Number of operations not yet resolved (buffered, staged, or waiting in
-    /// the filter; already-resolved results awaiting pickup do not count).
+    /// Number of operations not yet resolved (buffered, or waiting in the
+    /// filter; already-resolved results awaiting pickup do not count).
     pub fn pending(&self) -> usize {
-        self.feed.len() + self.staged.len() + self.filter_pending_ops()
+        self.feed.len() + self.filter_pending_ops()
     }
 
     fn filter_pending_ops(&self) -> usize {
@@ -287,10 +273,6 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Drives the pipeline until all pending operations have resolved, then
     /// returns their results.
     pub fn process_all(&mut self) -> Vec<(OpId, OpResult<V>)> {
-        if !self.staged.is_empty() {
-            let staged = std::mem::take(&mut self.staged);
-            self.enqueue_batch(staged);
-        }
         loop {
             if self.q1.is_empty() && !self.interface_queued {
                 // Re-arm: any final-slab segment with buffered tokens, and the
@@ -321,9 +303,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// recency order (most recent first).  Only meaningful at a batch
     /// boundary: [`M2::run_batch`](crate::ops::BatchedMap::run_batch) drives
     /// the pipeline until every pending operation resolves, so the feed,
-    /// staging area, filter and final-slab buffers are all empty there and
-    /// the segments alone are the semantic state (the
-    /// `filter_stays_bounded_and_empties` test pins this).
+    /// filter and final-slab buffers are all empty there and the segments
+    /// alone are the semantic state (the `filter_stays_bounded_and_empties`
+    /// test pins this).
     pub fn snapshot_segments(&self) -> Vec<Vec<(K, V)>> {
         assert!(
             self.pending() == 0,
@@ -333,8 +315,8 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     }
 
     /// Rebuilds the map's contents from a [`M2::snapshot_segments`] image.
-    /// Only valid on a fresh map (clocks, meters and latency logs restart —
-    /// durability restores *state*, not accounting history).
+    /// Only valid on a fresh map (clocks, the cost ledger and latency logs
+    /// restart — durability restores *state*, not accounting history).
     pub fn restore_segments(&mut self, segments: Vec<Vec<(K, V)>>) {
         assert!(self.pending() == 0, "restore_segments requires a fresh map");
         self.cascade.restore(segments);
@@ -446,9 +428,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         let finish_time = self.interface_clock;
         self.record_finishes(&finish_now, finish_time);
         self.results.extend(finish_now);
-        self.bound_work += cost.bound.work;
-        self.meter.charge_in_batch(cost.measured);
-        self.meter.end_batch();
+        self.spent += cost;
         self.debug_check_transient_deficit();
 
         // Step 6: reactivate ourselves if more input is waiting and the filter
@@ -498,10 +478,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             if !charge.measured.is_zero() || clamped {
                 self.maintenance_runs += 1;
             }
-            if !charge.measured.is_zero() {
-                self.bound_work += charge.bound.work;
-                self.meter.charge(charge.measured);
-            }
+            self.spent += charge;
             // Pipeline-clock accounting: the refill occupies this segment
             // from its previous availability for the span of the transfer.
             self.segment_clocks[k] += charge.measured.span;
@@ -578,9 +555,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         }
         self.record_finishes(&finish_now, end);
         self.results.extend(finish_now);
-        self.bound_work += cost.bound.work;
-        self.meter.charge_in_batch(cost.measured);
-        self.meter.end_batch();
+        self.spent += cost;
         self.debug_check_transient_deficit();
 
         // Step 5: drop an empty terminal segment (only if it has no pending
@@ -744,10 +719,10 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
 impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> for M2<K, V> {
     fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost) {
-        let before = self.meter.total();
+        let before = self.spent.measured;
         self.enqueue_batch(batch);
         let results = self.process_all();
-        let after = self.meter.total();
+        let after = self.spent.measured;
         (
             results,
             Cost {
@@ -762,11 +737,11 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> 
     }
 
     fn effective_work(&self) -> u64 {
-        self.meter.work()
+        self.spent.measured.work
     }
 
     fn effective_span(&self) -> u64 {
-        self.meter.span()
+        self.spent.measured.span
     }
 
     fn maintenance_runs(&self) -> u64 {
@@ -958,13 +933,17 @@ mod tests {
         // the second batch's operations must observe the first batch's effect.
         let mut m = M2::new(2);
         m.run_ops((0..1000u64).map(|i| insert(i, i)).collect());
-        let id_a = m.submit(insert(500, 777));
-        let id_b = m.submit(delete(500));
-        let id_c = m.submit(search(500));
+        for (id, op) in [
+            (5000, insert(500, 777)),
+            (5001, delete(500)),
+            (5002, search(500)),
+        ] {
+            m.enqueue_batch(vec![TaggedOp { id, op }]);
+        }
         let results: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
-        assert_eq!(results[&id_a], OpResult::Insert(Some(500)));
-        assert_eq!(results[&id_b], OpResult::Delete(Some(777)));
-        assert_eq!(results[&id_c], OpResult::Search(None));
+        assert_eq!(results[&5000], OpResult::Insert(Some(500)));
+        assert_eq!(results[&5001], OpResult::Delete(Some(777)));
+        assert_eq!(results[&5002], OpResult::Search(None));
         m.check_invariants();
     }
 

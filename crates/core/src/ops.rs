@@ -29,11 +29,6 @@ impl<K, V> Operation<K, V> {
             Operation::Search(k) | Operation::Insert(k, _) | Operation::Delete(k) => k,
         }
     }
-
-    /// True for searches.
-    pub fn is_search(&self) -> bool {
-        matches!(self, Operation::Search(_))
-    }
 }
 
 /// The result of a map operation.
@@ -100,11 +95,6 @@ impl<K: Clone, V: Clone> GroupOp<K, V> {
         self.ops.is_empty()
     }
 
-    /// True if every member is a search (the group cannot change the map).
-    pub fn is_read_only(&self) -> bool {
-        self.ops.iter().all(|t| t.op.is_search())
-    }
-
     /// Resolves the whole group given the value currently stored under the
     /// key (`None` if absent): appends one result per member operation to
     /// `results` and returns the final value the map should hold for the key
@@ -167,7 +157,7 @@ pub trait BatchedMap<K, V> {
 
 /// `M1::run_ops` / `M2::run_ops`: tags `ops` with consecutive identifiers
 /// from `base` (the map's next free one), runs them as one input batch and
-/// returns the results in operation order.  Results of operations staged
+/// returns the results in operation order.  Results of operations enqueued
 /// before the call carry smaller identifiers and are skipped.
 pub(crate) fn run_ops<K, V, M: BatchedMap<K, V>>(
     map: &mut M,
@@ -221,7 +211,6 @@ mod tests {
         assert!(results[2..]
             .iter()
             .all(|(_, r)| matches!(r, OpResult::Search(None))));
-        assert!(g.is_read_only());
     }
 
     #[test]

@@ -42,28 +42,6 @@ impl NonBlockingLock {
         // Acquire swap in try_lock (model: tests/model_doorbell.rs).
         self.held.store(false, Ordering::Release);
     }
-
-    /// Attempts to acquire the lock, returning an RAII guard on success.
-    #[inline]
-    pub fn try_lock_guard(&self) -> Option<TryLockGuard<'_>> {
-        if self.try_lock() {
-            Some(TryLockGuard { lock: self })
-        } else {
-            None
-        }
-    }
-}
-
-/// RAII guard for [`NonBlockingLock`]; releases the lock on drop.
-#[derive(Debug)]
-pub struct TryLockGuard<'a> {
-    lock: &'a NonBlockingLock,
-}
-
-impl Drop for TryLockGuard<'_> {
-    fn drop(&mut self) {
-        self.lock.unlock();
-    }
 }
 
 #[cfg(test)]
@@ -79,17 +57,6 @@ mod tests {
         assert!(!l.try_lock());
         l.unlock();
         assert!(l.try_lock());
-    }
-
-    #[test]
-    fn guard_releases_on_drop() {
-        let l = NonBlockingLock::new();
-        {
-            let g = l.try_lock_guard();
-            assert!(g.is_some());
-            assert!(l.try_lock_guard().is_none());
-        }
-        assert!(l.try_lock_guard().is_some());
     }
 
     #[test]

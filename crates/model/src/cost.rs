@@ -5,6 +5,9 @@
 //! adds both; parallel composition adds work and takes the maximum span.  This
 //! mirrors exactly how the paper reasons about effective work and effective
 //! span (Definition 5).
+//!
+//! A [`Charge`] pairs the cost an operation measured with the worst-case
+//! cost its Lemma bounds allow; a running `Charge` is a map's cost ledger.
 
 /// A `(work, span)` pair in the dynamic multithreading cost model.
 ///
@@ -79,58 +82,10 @@ impl Cost {
         iter.into_iter().fold(Cost::ZERO, Cost::then)
     }
 
-    /// Parallel composition of an iterator of costs.
-    pub fn par_over<I: IntoIterator<Item = Cost>>(iter: I) -> Cost {
-        iter.into_iter().fold(Cost::ZERO, Cost::par)
-    }
-
-    /// Repeats this cost `k` times sequentially.
-    #[inline]
-    #[must_use]
-    pub fn repeat(self, k: u64) -> Cost {
-        Cost {
-            work: self.work * k,
-            span: self.span * k,
-        }
-    }
-
-    /// Adds `k` units of pure work without extending the span beyond one unit
-    /// (used for perfectly parallelisable bulk phases such as scanning a
-    /// batch).
-    #[inline]
-    #[must_use]
-    pub fn plus_flat_work(self, k: u64) -> Cost {
-        self.par(Cost::flat(k))
-    }
-
-    /// The "ideal running time" `work / p + span` on `p` processors, i.e. the
-    /// Brent bound up to a factor of two.  Used by experiments to convert
-    /// effective work/span into an effective cost (Definition 5 of the paper).
-    #[inline]
-    pub fn effective_time(&self, p: u64) -> f64 {
-        assert!(p > 0, "processor count must be positive");
-        self.work as f64 / p as f64 + self.span as f64
-    }
-
     /// True if both work and span are zero.
     #[inline]
     pub fn is_zero(&self) -> bool {
         self.work == 0 && self.span == 0
-    }
-
-    /// Parallelism `work / span` (`inf` when span is zero and work non-zero,
-    /// 1.0 when both are zero).
-    #[inline]
-    pub fn parallelism(&self) -> f64 {
-        if self.span == 0 {
-            if self.work == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.work as f64 / self.span as f64
-        }
     }
 }
 
@@ -157,6 +112,57 @@ impl std::iter::Sum for Cost {
 impl std::fmt::Display for Cost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "work={} span={}", self.work, self.span)
+    }
+}
+
+/// A paired charge: the work an operation actually performed (`measured`)
+/// and the worst-case Lemma bound it must stay under (`bound`).
+///
+/// Every tree operation of a map returns one, and M1 and M2 keep a single
+/// running `Charge` as their cost ledger: `measured` is the effective work
+/// and span they report, `bound.work` the analytic ceiling, so experiments
+/// can report both the measured constants and the analytic bounds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Charge {
+    /// The charge the map actually pays: measured touched-node work under the
+    /// analytic span.
+    pub measured: Cost,
+    /// The closed-form worst-case bound for the same operation.
+    pub bound: Cost,
+}
+
+impl Charge {
+    /// The zero charge.
+    pub const ZERO: Charge = Charge {
+        measured: Cost::ZERO,
+        bound: Cost::ZERO,
+    };
+
+    /// A charge whose measured cost *is* its bound — used for work that is
+    /// not a tree operation (entropy sorting, buffer formation) and therefore
+    /// has no separate touched-node measurement.
+    pub fn exact(cost: Cost) -> Charge {
+        Charge {
+            measured: cost,
+            bound: cost,
+        }
+    }
+}
+
+impl std::ops::Add for Charge {
+    type Output = Charge;
+    /// Sequential composition of both sides.
+    fn add(self, rhs: Charge) -> Charge {
+        Charge {
+            measured: self.measured.then(rhs.measured),
+            bound: self.bound.then(rhs.bound),
+        }
+    }
+}
+
+impl std::ops::AddAssign for Charge {
+    fn add_assign(&mut self, rhs: Charge) {
+        *self = *self + rhs;
     }
 }
 
@@ -196,26 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_scales_sequentially() {
-        assert_eq!(Cost::new(3, 2).repeat(4), Cost::new(12, 8));
-        assert_eq!(Cost::UNIT.repeat(0), Cost::ZERO);
-    }
-
-    #[test]
-    fn effective_time_is_brent_bound() {
-        let c = Cost::new(100, 10);
-        assert!((c.effective_time(10) - 20.0).abs() < 1e-9);
-        assert!((c.effective_time(1) - 110.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallelism_ratio() {
-        assert!((Cost::new(100, 10).parallelism() - 10.0).abs() < 1e-9);
-        assert!(Cost::new(5, 0).parallelism().is_infinite());
-        assert!((Cost::ZERO.parallelism() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sum_iterates_sequentially() {
         let total: Cost = vec![Cost::new(1, 1), Cost::new(2, 2), Cost::new(3, 1)]
             .into_iter()
@@ -224,16 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn par_over_many() {
-        let total = Cost::par_over((0..8).map(|_| Cost::new(3, 3)));
-        assert_eq!(total, Cost::new(24, 3));
-    }
-
-    #[test]
     fn add_operator_is_sequential() {
         let mut c = Cost::new(1, 1);
         c += Cost::new(2, 2);
         assert_eq!(c, Cost::new(3, 3));
         assert_eq!(Cost::new(1, 1) + Cost::new(4, 2), Cost::new(5, 3));
+    }
+
+    #[test]
+    fn charge_accumulates_sequentially() {
+        let mut ledger = Charge::ZERO;
+        ledger += Charge::exact(Cost::new(10, 4));
+        ledger += Charge {
+            measured: Cost::new(5, 5),
+            bound: Cost::new(12, 5),
+        };
+        assert_eq!(ledger.measured, Cost::new(15, 9));
+        assert_eq!(ledger.bound, Cost::new(22, 9));
     }
 }

@@ -13,8 +13,9 @@
 //!   composition, mirroring how work and span compose in the dynamic
 //!   multithreading model (work adds; span adds in sequence, maxes in
 //!   parallel).
-//! * [`CostMeter`] — an accumulator used by instrumented data structures to
-//!   record the cost of each operation or batch.
+//! * [`Charge`] — a measured cost paired with the worst-case bound it must
+//!   stay under; the batched maps keep one running `Charge` as their cost
+//!   ledger.
 //! * [`wsbound`] — the working-set bound `W_L = sum(log r_i + 1)` of an
 //!   operation sequence (access ranks via a Fenwick tree), with the entropy
 //!   bound used by the sorting experiments.
@@ -28,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod meter;
 pub mod wsbound;
 
-pub use cost::Cost;
-pub use meter::{CostMeter, OpCostRecord};
+pub use cost::{Charge, Cost};
 pub use wsbound::{
     access_ranks, entropy_bound, insert_working_set_bound, sequence_entropy, working_set_bound,
     Fenwick, MapOpKind,

@@ -79,7 +79,7 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
         while i < self.trees.len() {
             if self.trees[i].len() as u64 > segment_capacity(i as u32) {
                 let demoted = self.trees[i].take_back(1);
-                cost += tcost::transfer(1, self.trees[i].len() as u64 + 1);
+                cost += tcost::transfer(1, self.trees[i].len() as u64 + 1, 2);
                 self.ensure_tree(i + 1);
                 self.trees[i + 1].push_front_batch(demoted);
             }
@@ -94,7 +94,7 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
         let mut cost = Cost::ZERO;
         let mut found_at = None;
         for (k, tree) in self.trees.iter().enumerate() {
-            cost += tcost::single_op(tree.len() as u64);
+            cost += tcost::single_op(tree.len() as u64, 2);
             if tree.contains(key) {
                 found_at = Some(k);
                 break;
@@ -105,10 +105,10 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
             return (None, cost);
         };
         let val = self.trees[k].remove(key).expect("located above");
-        cost += tcost::single_op(segment_capacity(k as u32).min(1 << 20));
+        cost += tcost::single_op(segment_capacity(k as u32).min(1 << 20), 2);
         self.ensure_tree(0);
         self.trees[0].insert_front(key.clone(), val.clone());
-        cost += tcost::single_op(self.trees[0].len() as u64);
+        cost += tcost::single_op(self.trees[0].len() as u64, 2);
         // Demote one item from every tree t_i with i < k that is now over
         // capacity (t_0 gained an item; the cascade stops at the tree the item
         // came from, which now has a free slot).
@@ -132,11 +132,11 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
         let mut cost = Cost::ZERO;
         self.ensure_tree(0);
         self.trees[0].insert_front(key, val);
-        cost += tcost::single_op(self.trees[0].len() as u64);
+        cost += tcost::single_op(self.trees[0].len() as u64, 2);
         cost += self.cascade_overflow(0);
         // Charge the full O(log n) insertion cost (Definition 1: insertions
         // have access rank n + 1).
-        cost += tcost::single_op(self.len() as u64);
+        cost += tcost::single_op(self.len() as u64, 2);
         self.total += cost;
         (None, cost)
     }
@@ -147,7 +147,7 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
         let mut cost = Cost::ZERO;
         let mut found_at = None;
         for (k, tree) in self.trees.iter().enumerate() {
-            cost += tcost::single_op(tree.len() as u64);
+            cost += tcost::single_op(tree.len() as u64, 2);
             if tree.contains(key) {
                 found_at = Some(k);
                 break;
@@ -161,13 +161,13 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
         let l = self.trees.len();
         for i in k..l.saturating_sub(1) {
             let pulled = self.trees[i + 1].take_front(1);
-            cost += tcost::transfer(1, self.trees[i + 1].len() as u64 + 1);
+            cost += tcost::transfer(1, self.trees[i + 1].len() as u64 + 1, 2);
             self.trees[i].push_back_batch(pulled);
         }
         while matches!(self.trees.last(), Some(t) if t.is_empty()) {
             self.trees.pop();
         }
-        cost += tcost::single_op(self.len() as u64);
+        cost += tcost::single_op(self.len() as u64, 2);
         self.total += cost;
         (val, cost)
     }

@@ -10,7 +10,7 @@
 //! localisation is what makes the pipelined parallel version M2 possible.
 
 use crate::{segment_capacity, InstrumentedMap};
-use wsm_model::{Cost, CostMeter};
+use wsm_model::Cost;
 use wsm_twothree::{cost as tcost, RecencyMap};
 
 /// The amortized sequential working-set map of Section 5.
@@ -21,7 +21,7 @@ use wsm_twothree::{cost as tcost, RecencyMap};
 #[derive(Clone, Debug, Default)]
 pub struct M0<K, V> {
     segments: Vec<RecencyMap<K, V>>,
-    meter_total: Cost,
+    spent: Cost,
 }
 
 impl<K: Ord + Clone, V: Clone> M0<K, V> {
@@ -29,7 +29,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
     pub fn new() -> Self {
         M0 {
             segments: Vec::new(),
-            meter_total: Cost::ZERO,
+            spent: Cost::ZERO,
         }
     }
 
@@ -60,7 +60,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
     }
 
     fn charge(&mut self, c: Cost) {
-        self.meter_total += c;
+        self.spent += c;
     }
 
     /// Searches for `key`.  On success the item is promoted one segment
@@ -69,7 +69,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
         let mut cost = Cost::ZERO;
         let mut found_at: Option<usize> = None;
         for (k, seg) in self.segments.iter().enumerate() {
-            cost += tcost::single_op(seg.len() as u64);
+            cost += tcost::single_op(seg.len() as u64, 2);
             if seg.contains(key) {
                 found_at = Some(k);
                 break;
@@ -82,16 +82,16 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
         let val = self.segments[k].remove(key).expect("item located above");
         if k == 0 {
             // Move to the front of S[0].
-            cost += tcost::single_op(self.segments[0].len() as u64);
+            cost += tcost::single_op(self.segments[0].len() as u64, 2);
             self.segments[0].insert_front(key.clone(), val.clone());
         } else {
             // Move to the front of S[k-1]; shift the least recent item of
             // S[k-1] to the front of S[k].
-            cost += tcost::single_op(self.segments[k - 1].len() as u64);
+            cost += tcost::single_op(self.segments[k - 1].len() as u64, 2);
             self.segments[k - 1].insert_front(key.clone(), val.clone());
             if self.segments[k - 1].len() as u64 > segment_capacity((k - 1) as u32) {
                 let shifted = self.segments[k - 1].take_back(1);
-                cost += tcost::transfer(1, self.segments[k - 1].len() as u64 + 1);
+                cost += tcost::transfer(1, self.segments[k - 1].len() as u64 + 1, 2);
                 self.segments[k].push_front_batch(shifted);
             }
         }
@@ -129,7 +129,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
             cost += Cost::UNIT;
         }
         let last = self.segments.len() - 1;
-        cost += tcost::single_op(self.segments[last].len() as u64);
+        cost += tcost::single_op(self.segments[last].len() as u64, 2);
         self.segments[last].insert_back(key, val);
         self.charge(cost);
         (None, cost)
@@ -141,7 +141,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
         let mut cost = Cost::ZERO;
         let mut found_at: Option<usize> = None;
         for (k, seg) in self.segments.iter().enumerate() {
-            cost += tcost::single_op(seg.len() as u64);
+            cost += tcost::single_op(seg.len() as u64, 2);
             if seg.contains(key) {
                 found_at = Some(k);
                 break;
@@ -157,7 +157,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
         let l = self.segments.len();
         for i in k..l.saturating_sub(1) {
             let pulled = self.segments[i + 1].take_front(1);
-            cost += tcost::transfer(1, self.segments[i + 1].len() as u64 + 1);
+            cost += tcost::transfer(1, self.segments[i + 1].len() as u64 + 1, 2);
             self.segments[i].push_back_batch(pulled);
         }
         // Drop a now-empty terminal segment.
@@ -206,15 +206,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
 
     /// Total cost charged so far.
     pub fn total(&self) -> Cost {
-        self.meter_total
-    }
-
-    /// Produces a [`CostMeter`] snapshot (for uniformity with the parallel
-    /// structures in the harness).
-    pub fn meter_snapshot(&self) -> CostMeter {
-        let mut m = CostMeter::new();
-        m.charge(self.meter_total);
-        m
+        self.spent
     }
 }
 
@@ -232,7 +224,7 @@ impl<K: Ord + Clone, V: Clone> InstrumentedMap<K, V> for M0<K, V> {
         M0::len(self)
     }
     fn total_cost(&self) -> Cost {
-        self.meter_total
+        self.spent
     }
 }
 

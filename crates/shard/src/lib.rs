@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!             caller batch [op, op, op, …]
-//!                          │ split by Partitioner::shard_of
+//!                          │ split by ShardedMap::shard_of
 //!             ┌────────────┼────────────┐
 //!             ▼            ▼            ▼         1. deposit: submit_batch into each
 //!        shard 0       shard 1   …  shard S-1        shard's ParallelBuffer
@@ -37,26 +37,26 @@
 //! point, so a task that loses an election is waiting on a thread that is
 //! running, and one whose operations are still buffered wins it itself.
 //!
-//! Per-key operation order is preserved: the partitioner is a pure function
-//! of the key, so every operation on a key flows through exactly one shard,
-//! and within a caller's batch the shard's group resolution applies same-key
-//! operations in sub-batch order.  Cross-key (cross-shard) operations carry
-//! no ordering obligation — each shard is independently linearizable, which
-//! is exactly the per-key guarantee the property suite checks.
+//! Per-key operation order is preserved: placement is a pure function of the
+//! key (a multiplicative hash of it), so every operation on a key flows
+//! through exactly one shard, and within a caller's batch the shard's group
+//! resolution applies same-key operations in sub-batch order.  Cross-key
+//! (cross-shard) operations carry no ordering obligation — each shard is
+//! independently linearizable, which is exactly the per-key guarantee the
+//! property suite checks.
 //!
 //! ## Knobs
 //!
 //! * The shard count — [`ShardedMap::with_shards`] takes it explicitly.
-//! * [`Partitioner`] — pluggable placement: [`HashPartitioner`] (default,
-//!   multiplicative hashing) or [`RangePartitioner`] for ordered workloads.
+//!   That is the only one: keys are always placed by hashing
+//!   ([`ShardedMap::shard_of`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod partition;
+mod partition;
 
-pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
-
+use std::hash::Hash;
 use std::sync::Arc;
 
 use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, OpResult, Operation, ResultCell};
@@ -98,16 +98,15 @@ pub struct ShardStats {
     pub maintenance_runs: u64,
 }
 
-/// A hash- or range-partitioned family of [`ConcurrentMap`] shards behind a
-/// batch router.  See the [crate docs](crate) for the architecture.
-pub struct ShardedMap<K, V, M, P = HashPartitioner> {
+/// A hash-partitioned family of [`ConcurrentMap`] shards behind a batch
+/// router.  See the [crate docs](crate) for the architecture.
+pub struct ShardedMap<K, V, M> {
     shards: Vec<ConcurrentMap<K, V, M>>,
-    partitioner: P,
 }
 
-impl<K, V, M> ShardedMap<K, V, M, HashPartitioner>
+impl<K, V, M> ShardedMap<K, V, M>
 where
-    K: Ord + Clone + Send + std::hash::Hash,
+    K: Ord + Clone + Send + Hash,
     V: Clone + Send,
     M: BatchedMap<K, V> + Send,
 {
@@ -118,26 +117,6 @@ where
             shards: (0..shards.max(1))
                 .map(|i| ConcurrentMap::new(make(i), BUFFER_SHARDS))
                 .collect(),
-            partitioner: HashPartitioner,
-        }
-    }
-}
-
-impl<K, V, M, P> ShardedMap<K, V, M, P>
-where
-    K: Ord + Clone + Send,
-    V: Clone + Send,
-    M: BatchedMap<K, V> + Send,
-    P: Partitioner<K>,
-{
-    /// Swaps in a different partitioner (e.g. [`RangePartitioner`] for
-    /// ordered workloads).  Must be done before the map holds data routed by
-    /// the old partitioner — keys do not migrate.
-    #[must_use]
-    pub fn with_partitioner<Q: Partitioner<K>>(self, partitioner: Q) -> ShardedMap<K, V, M, Q> {
-        ShardedMap {
-            shards: self.shards,
-            partitioner,
         }
     }
 
@@ -174,9 +153,10 @@ where
         self.shards.len()
     }
 
-    /// The shard that owns `key` under this map's partitioner.
+    /// The shard that owns `key`: a multiplicative hash of the key onto
+    /// `0..shards`, uniform for any shard count.
     pub fn shard_of(&self, key: &K) -> usize {
-        self.partitioner.shard_of(key, self.shards.len())
+        partition::hash_shard(key, self.shards.len())
     }
 
     /// Total number of items across all shards (takes each shard's combiner
@@ -236,7 +216,7 @@ where
         self.shards[shard].delete(caller_hint(), key)
     }
 
-    /// Splits `ops` by the partitioner and deposits each sub-batch into its
+    /// Splits `ops` by owning shard and deposits each sub-batch into its
     /// shard's parallel buffer ([`ConcurrentMap::submit_batch`]).  Returns
     /// the result cells per shard and the route map for [`stitch`].
     fn deposit(&self, ops: Vec<Operation<K, V>>) -> (Vec<Cells<V>>, Vec<usize>) {
@@ -284,7 +264,7 @@ where
 
     /// Deposits a batch without waiting: the async submission surface.
     ///
-    /// The batch is split by the partitioner into per-shard sub-batches,
+    /// The batch is split by owning shard into per-shard sub-batches,
     /// each sub-batch is deposited into its shard's parallel buffer via
     /// [`ConcurrentMap::submit_batch`], and the returned cells are stitched
     /// back into caller order — `cells[i]` is operation `i`'s result cell.
@@ -496,25 +476,6 @@ mod tests {
             seen.iter().all(|&id| id == me),
             "a sub-batch was combined on another thread"
         );
-    }
-
-    #[test]
-    fn range_partitioner_places_keys_by_block() {
-        let map = ShardedMap::with_shards(4, |_| M1::<u64, u64>::new(4))
-            .with_partitioner(RangePartitioner::<u64>::even(400, 4));
-        assert_eq!(map.shard_of(&0), 0);
-        assert_eq!(map.shard_of(&150), 1);
-        assert_eq!(map.shard_of(&250), 2);
-        assert_eq!(map.shard_of(&399), 3);
-
-        let keys: Vec<u64> = (0..400).collect();
-        map.insert_batch(keys.iter().map(|&k| (k, k)).collect());
-        let stats = map.shard_stats();
-        assert_eq!(stats.len(), 4);
-        for s in &stats {
-            assert_eq!(s.len, 100, "uneven range placement: {stats:?}");
-        }
-        assert_eq!(map.get_batch(keys), (0..400).map(Some).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,28 +1,18 @@
-//! Keyspace partitioners: how the router decides which shard owns a key.
+//! Key placement: which shard owns a key.
 //!
-//! The contract is purely functional — `shard_of(key, shards)` must be
-//! deterministic and depend only on the key and the shard count — so routing
-//! two operations on the same key always lands them on the same shard, which
-//! is what makes every per-key history a history of exactly one (sequentially
-//! consistent) shard.
+//! The placement is purely functional — it depends only on the key and the
+//! shard count — so routing two operations on the same key always lands them
+//! on the same shard, which is what makes every per-key history a history of
+//! exactly one (sequentially consistent) shard.
 
 use std::hash::{Hash, Hasher};
-
-/// Maps a key to the index of the shard that owns it.
-///
-/// Implementations must be pure: the same `(key, shards)` pair always yields
-/// the same index, and the index is `< shards`.
-pub trait Partitioner<K>: Send + Sync {
-    /// The shard (in `0..shards`) that owns `key`.
-    fn shard_of(&self, key: &K, shards: usize) -> usize;
-}
 
 /// Fibonacci golden-ratio multiplier: the classic multiplicative-hashing
 /// constant `⌊2^64 / φ⌋ | 1`, whose high bits mix every input bit.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The default partitioner: multiplicative hashing over the key's `Hash`
-/// image.
+/// The shard (in `0..shards`) that owns `key`: multiplicative hashing over
+/// the key's `Hash` image.
 ///
 /// The key is hashed once, the digest is multiplied by the 64-bit Fibonacci
 /// constant (so low-entropy digests still spread across the high bits), and
@@ -31,70 +21,12 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Sequential keys scatter across shards, which evens out occupancy and
 /// thins each shard's access sequence by ~1/S (the property experiment E19
 /// measures as the per-shard `W/W_L` curve).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HashPartitioner;
-
-impl<K: Hash> Partitioner<K> for HashPartitioner {
-    fn shard_of(&self, key: &K, shards: usize) -> usize {
-        let mut hasher = std::hash::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let mixed = hasher.finish().wrapping_mul(FIB);
-        // High-bits range reduction: (mixed / 2^64) * shards, exactly.
-        ((u128::from(mixed) * shards as u128) >> 64) as usize
-    }
-}
-
-/// Range partitioner for ordered workloads: shard `i` owns keys in
-/// `[bounds[i-1], bounds[i])` (shard 0 owns everything below `bounds[0]`,
-/// the last shard everything at or above the last bound).
-///
-/// Keeps key order within and across shards, so scans and range-local
-/// workloads stay shard-local — at the price of skew sensitivity: a hot key
-/// range all lands on one shard.  Use when the workload is partitioned by
-/// construction (per-tenant key blocks, time-ordered keys).
-#[derive(Clone, Debug)]
-pub struct RangePartitioner<K> {
-    bounds: Vec<K>,
-}
-
-impl<K: Ord> RangePartitioner<K> {
-    /// Builds a range partitioner from ascending split points.  `bounds` may
-    /// be empty (everything on shard 0); it is sorted and deduplicated
-    /// defensively — a duplicated split point would otherwise manufacture a
-    /// zero-width range, leaving one shard permanently empty while its
-    /// neighbours absorb the load.
-    pub fn new(mut bounds: Vec<K>) -> Self {
-        bounds.sort();
-        bounds.dedup();
-        RangePartitioner { bounds }
-    }
-
-    /// Evenly splits the keyspace `0..keyspace` into `shards` blocks
-    /// (convenience for `u64`-keyed workloads, the repo's standard shape).
-    ///
-    /// Bounds at or past the keyspace are dropped: with `keyspace < shards`
-    /// the block size clamps to 1, and the un-clamped arithmetic used to
-    /// emit split points `>= keyspace` that no key ever reaches — the
-    /// trailing shards were permanently empty while still owning a slot in
-    /// every routing decision.  Now each of the first `keyspace` shards owns
-    /// exactly one key and the arithmetic stays exact for the normal case.
-    pub fn even(keyspace: u64, shards: usize) -> RangePartitioner<u64> {
-        let shards = shards.max(1) as u64;
-        let block = keyspace.div_ceil(shards).max(1);
-        RangePartitioner {
-            bounds: (1..shards)
-                .map(|i| i * block)
-                .filter(|&b| b < keyspace)
-                .collect(),
-        }
-    }
-}
-
-impl<K: Ord + Send + Sync> Partitioner<K> for RangePartitioner<K> {
-    fn shard_of(&self, key: &K, shards: usize) -> usize {
-        // First bound strictly greater than the key = the owning shard.
-        self.bounds.partition_point(|b| b <= key).min(shards - 1)
-    }
+pub(crate) fn hash_shard<K: Hash>(key: &K, shards: usize) -> usize {
+    let mut hasher = std::hash::DefaultHasher::new();
+    key.hash(&mut hasher);
+    let mixed = hasher.finish().wrapping_mul(FIB);
+    // High-bits range reduction: (mixed / 2^64) * shards, exactly.
+    ((u128::from(mixed) * shards as u128) >> 64) as usize
 }
 
 #[cfg(test)]
@@ -105,8 +37,8 @@ mod tests {
     fn hash_partitioner_is_deterministic_and_in_range() {
         for shards in [1usize, 2, 3, 4, 7, 16] {
             for key in 0u64..1000 {
-                let a = HashPartitioner.shard_of(&key, shards);
-                let b = HashPartitioner.shard_of(&key, shards);
+                let a = hash_shard(&key, shards);
+                let b = hash_shard(&key, shards);
                 assert_eq!(a, b);
                 assert!(a < shards);
             }
@@ -118,100 +50,11 @@ mod tests {
         let shards = 4;
         let mut counts = vec![0usize; shards];
         for key in 0u64..4000 {
-            counts[HashPartitioner.shard_of(&key, shards)] += 1;
+            counts[hash_shard(&key, shards)] += 1;
         }
         // Uniform would be 1000 per shard; allow generous slack.
         for &c in &counts {
             assert!((600..=1400).contains(&c), "skewed occupancy: {counts:?}");
         }
-    }
-
-    #[test]
-    fn range_partitioner_respects_bounds() {
-        let p = RangePartitioner::new(vec![10u64, 20]);
-        assert_eq!(p.shard_of(&0, 3), 0);
-        assert_eq!(p.shard_of(&9, 3), 0);
-        assert_eq!(p.shard_of(&10, 3), 1);
-        assert_eq!(p.shard_of(&19, 3), 1);
-        assert_eq!(p.shard_of(&20, 3), 2);
-        assert_eq!(p.shard_of(&u64::MAX, 3), 2);
-        // Clamped when bounds exceed the shard count.
-        assert_eq!(p.shard_of(&25, 2), 1);
-    }
-
-    #[test]
-    fn even_range_partitioner_covers_the_keyspace() {
-        let p = RangePartitioner::<u64>::even(100, 4);
-        let mut counts = vec![0usize; 4];
-        for key in 0u64..100 {
-            counts[p.shard_of(&key, 4)] += 1;
-        }
-        assert_eq!(counts, vec![25, 25, 25, 25]);
-    }
-
-    #[test]
-    fn even_with_tiny_keyspace_uses_one_shard_per_key() {
-        // Regression: keyspace < shards used to emit bounds >= keyspace, so
-        // keys 0..keyspace all piled onto the first shards while the
-        // trailing shards could never own a key below the last bound.
-        let p = RangePartitioner::<u64>::even(2, 4);
-        assert_eq!(p.shard_of(&0, 4), 0);
-        assert_eq!(p.shard_of(&1, 4), 1);
-        // Every in-keyspace key owns its own shard for keyspace <= shards.
-        for keyspace in 1u64..=8 {
-            let p = RangePartitioner::<u64>::even(keyspace, 8);
-            let owners: Vec<usize> = (0..keyspace).map(|k| p.shard_of(&k, 8)).collect();
-            let mut distinct = owners.clone();
-            distinct.dedup();
-            assert_eq!(
-                distinct.len(),
-                keyspace as usize,
-                "keyspace {keyspace}: owners {owners:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn even_bounds_never_reach_the_keyspace() {
-        for keyspace in [1u64, 2, 3, 7, 64, 100, 1000] {
-            for shards in [1usize, 2, 3, 4, 7, 16, 128] {
-                let p = RangePartitioner::<u64>::even(keyspace, shards);
-                // Every split point must be reachable by an in-keyspace key
-                // (this is exactly what the un-clamped arithmetic violated),
-                // which makes every one of the bounds.len()+1 ranges
-                // non-empty: each split owns a distinct shard.
-                assert!(
-                    p.bounds.iter().all(|&b| b < keyspace),
-                    "keyspace {keyspace} x shards {shards}: dead bounds {:?}",
-                    p.bounds
-                );
-                let mut seen = std::collections::BTreeSet::new();
-                for key in 0..keyspace {
-                    seen.insert(p.shard_of(&key, shards));
-                }
-                assert_eq!(
-                    seen.len(),
-                    p.bounds.len() + 1,
-                    "keyspace {keyspace} x shards {shards}: some range is empty"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn duplicate_split_points_are_deduplicated() {
-        // Regression: `new` kept duplicates, so bounds [10, 10, 20] made
-        // shard 1 a zero-width range — permanently empty — while keys in
-        // [10, 20) landed on shard 2.
-        let p = RangePartitioner::new(vec![10u64, 10, 20]);
-        assert_eq!(p.shard_of(&9, 3), 0);
-        assert_eq!(p.shard_of(&10, 3), 1);
-        assert_eq!(p.shard_of(&15, 3), 1);
-        assert_eq!(p.shard_of(&20, 3), 2);
-        // Even fully duplicated bounds collapse to a single split point.
-        let p = RangePartitioner::new(vec![5u64, 5, 5, 5]);
-        assert_eq!(p.shard_of(&4, 2), 0);
-        assert_eq!(p.shard_of(&5, 2), 1);
-        assert_eq!(p.shard_of(&6, 2), 1);
     }
 }

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, Handoff, OpResult, Operation, ResultCell};
-use wsm_shard::{Partitioner, ShardedMap};
+use wsm_shard::ShardedMap;
 
 /// The key/value-independent half of a service backend: what a pending
 /// [`BatchCall`] needs to drive completion after its ops are deposited.
@@ -115,12 +115,11 @@ where
     }
 }
 
-impl<K, V, M, P> BackendDriver for ShardedMap<K, V, M, P>
+impl<K, V, M> BackendDriver for ShardedMap<K, V, M>
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone + Send + Sync + std::hash::Hash,
     V: Clone + Send + Sync,
     M: BatchedMap<K, V> + Send,
-    P: Partitioner<K> + Send + Sync,
 {
     fn pump(&self) {
         ShardedMap::pump(self);
@@ -131,12 +130,11 @@ where
     }
 }
 
-impl<K, V, M, P> ServiceBackend<K, V> for ShardedMap<K, V, M, P>
+impl<K, V, M> ServiceBackend<K, V> for ShardedMap<K, V, M>
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone + Send + Sync + std::hash::Hash,
     V: Clone + Send + Sync,
     M: BatchedMap<K, V> + Send,
-    P: Partitioner<K> + Send + Sync,
 {
     fn submit(&self, ops: Vec<Operation<K, V>>) -> Vec<Arc<ResultCell<OpResult<V>>>> {
         self.submit_batch(ops)

@@ -295,7 +295,7 @@ mod tests {
             clustered_touched < spread_touched,
             "clustered {clustered_touched} should touch fewer nodes than spread {spread_touched}"
         );
-        let bound = batch_op(64, 4096).work;
+        let bound = batch_op(64, 4096, 2).work;
         assert!(clustered_touched <= MEASURED_CEILING * bound);
         assert!(spread_touched <= MEASURED_CEILING * bound);
         // The clustered case is where the measurement beats the closed form.

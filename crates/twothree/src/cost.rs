@@ -2,22 +2,22 @@
 //! (paper Appendix A.2): worst-case Lemma bounds **and** measured charges.
 //!
 //! A normal batch operation of `b` item-sorted operations on a tree of `n`
-//! items takes `Θ(b · log n)` work and `O(log b + log n)` span; a
-//! reverse-indexing operation has the same bounds.  The instrumented map
-//! structures (M0, M1, M2) charge these costs to their [`wsm_model::CostMeter`]
-//! when they touch a segment, which is exactly how the paper's work/span
-//! proofs account for segment accesses (Lemma 11, Corollary 17, Lemma 20).
+//! items takes `Θ(b · log n)` work and `O(log b + log n)` span.  The
+//! instrumented map structures (M0, M1, M2) charge these costs when they
+//! touch a segment, which is exactly how the paper's work/span proofs account
+//! for segment accesses (Lemma 11, Corollary 17, Lemma 20).
 //!
 //! # Measured vs worst-case charges
 //!
-//! The closed-form functions ([`single_op`], [`batch_op`], [`transfer`]) are
-//! the paper's *worst-case* bounds: they charge the full `b · (⌈log n⌉ + 1)`
-//! regardless of what the tree actually did.  Since PR 4 the tree layer also
-//! counts the nodes it really visits (every node a point operation, the
-//! sorted-batch sweep, a bulk build or a collect steps through increments a
-//! thread-local counter — see [`metered`]), and the maps charge those
-//! **measured** counts
-//! through [`single_op_charge`], [`batch_op_charge`] and [`transfer_charge`].
+//! The bound functions ([`single_op`], [`batch_op`], [`transfer`]) are the
+//! paper's *worst-case* bounds at a given fanout: they charge the full
+//! `b · (⌈log n⌉ + 1)` regardless of what the tree actually did.  The log is
+//! taken to the base [`min_children`], so at `B = 2` they are exactly the
+//! Appendix A.2 closed forms.  The tree layer also counts the nodes it
+//! really visits (every node a point operation, the sorted-batch sweep, a
+//! bulk build or a collect steps through increments a thread-local counter —
+//! see [`metered`]), and the maps charge those **measured** counts through
+//! [`single_op_charge`], [`batch_op_charge`] and [`transfer_charge`].
 //! Each returns a [`Charge`] carrying both numbers, so the experiments can
 //! report the measured-over-bound constant factor, and each debug-asserts the
 //! Lemma ceiling `measured ≤ MEASURED_CEILING · bound` — the bound is still
@@ -28,21 +28,10 @@
 //! observe, while the touched-node count is exactly its work.
 
 use std::cell::Cell;
-use wsm_model::{ceil_log2, Cost};
-
-/// Cost of a single-item operation (search / insert / delete) on a tree of
-/// `n` items: `O(log n + 1)` work and span.
-///
-/// This is the closed-form Appendix A.2 bound for the 2-3 reference
-/// instantiation (`B = 2`); [`single_op_b`] parameterizes it by fanout and
-/// reduces to this exact function at `B = 2`.
-pub fn single_op(n: u64) -> Cost {
-    let steps = u64::from(ceil_log2(n + 1)) + 1;
-    Cost::serial(steps)
-}
+use wsm_model::{ceil_log2, Charge, Cost};
 
 /// Smallest `d` with `base^d >= x` (the fanout-aware analogue of
-/// `wsm_model::ceil_log2`; `base >= 2`).
+/// `wsm_model::ceil_log2`, which it equals at `base = 2`; `base >= 2`).
 fn ceil_log_base(x: u64, base: u64) -> u64 {
     debug_assert!(base >= 2);
     let mut d = 0u64;
@@ -56,26 +45,31 @@ fn ceil_log_base(x: u64, base: u64) -> u64 {
 
 /// Minimum children per internal node at fanout `B`: `max(2, B/2)` — the
 /// (a,b)-tree occupancy floor the arena enforces, and therefore the base of
-/// the height logarithm in every fanout-parameterized bound.
+/// the height logarithm in every bound.
 pub fn min_children(fanout: u64) -> u64 {
     (fanout / 2).max(2)
 }
 
-/// Fanout-parameterized [`single_op`]: a tree of `n` items with occupancy
-/// floor `min_children(fanout)` has height `<= log_min(n) + O(1)`, so a point
-/// operation visits that many nodes.  `single_op_b(n, 2) == single_op(n)`.
-pub fn single_op_b(n: u64, fanout: u64) -> Cost {
+/// Cost of a single-item operation (search / insert / delete) on a tree of
+/// `n` items at fanout `fanout`: a tree with occupancy floor
+/// `min_children(fanout)` has height `<= log_min(n) + O(1)`, so a point
+/// operation visits that many nodes — `O(log n + 1)` work and span.
+pub fn single_op(n: u64, fanout: u64) -> Cost {
     let steps = ceil_log_base(n + 1, min_children(fanout)) + 1;
     Cost::serial(steps)
 }
 
 /// Cost of a normal batch operation of `b` item-sorted operations on a tree of
-/// `n` items: `Θ(b log n)` work, `O(log b + log n)` span.
-pub fn batch_op(b: u64, n: u64) -> Cost {
+/// `n` items at fanout `fanout`: `Θ(b log n)` work, `O(log b + log n)` span.
+/// The per-item tree walk is `log_min(n)` (height at occupancy floor
+/// `min_children(fanout)`), while the batch term of the span stays `log₂ b` —
+/// the paper's parallel batch operation halves the batch regardless of node
+/// width.
+pub fn batch_op(b: u64, n: u64, fanout: u64) -> Cost {
     if b == 0 {
         return Cost::ZERO;
     }
-    let logn = u64::from(ceil_log2(n + 1)) + 1;
+    let logn = ceil_log_base(n + 1, min_children(fanout)) + 1;
     let logb = u64::from(ceil_log2(b + 1)) + 1;
     let span = logb + logn;
     // Work can never be below span (a batch of one small operation still has
@@ -83,36 +77,10 @@ pub fn batch_op(b: u64, n: u64) -> Cost {
     Cost::new((b * logn + b).max(span), span)
 }
 
-/// Fanout-parameterized [`batch_op`]: the per-item tree walk shortens to
-/// `log_min(n)` (height at occupancy floor `min_children(fanout)`), while the
-/// batch term of the span stays `log₂ b` — the paper's parallel batch
-/// operation halves the batch regardless of node width.  `batch_op_b(b, n,
-/// 2) == batch_op(b, n)`.
-pub fn batch_op_b(b: u64, n: u64, fanout: u64) -> Cost {
-    if b == 0 {
-        return Cost::ZERO;
-    }
-    let logn = ceil_log_base(n + 1, min_children(fanout)) + 1;
-    let logb = u64::from(ceil_log2(b + 1)) + 1;
-    let span = logb + logn;
-    Cost::new((b * logn + b).max(span), span)
-}
-
-/// Cost of a reverse-indexing operation of `b` direct pointers on a tree of
-/// `n` items (same bounds as a normal batch operation).
-pub fn reverse_index(b: u64, n: u64) -> Cost {
-    batch_op(b, n)
-}
-
 /// Cost of transferring `k` items between two adjacent segments whose total
 /// size is at most `n` (one take + one batch insert on trees of size ≤ n).
-pub fn transfer(k: u64, n: u64) -> Cost {
-    batch_op(k, n).then(batch_op(k, n))
-}
-
-/// Fanout-parameterized [`transfer`]: two fanout-aware batch operations.
-pub fn transfer_b(k: u64, n: u64, fanout: u64) -> Cost {
-    batch_op_b(k, n, fanout).then(batch_op_b(k, n, fanout))
+pub fn transfer(k: u64, n: u64, fanout: u64) -> Cost {
+    batch_op(k, n, fanout).then(batch_op(k, n, fanout))
 }
 
 // ---------------------------------------------------------------------------
@@ -187,56 +155,6 @@ pub fn metered<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, TOUCHED.with(|t| t.replace(0)))
 }
 
-/// A paired charge: the work the operation actually performed (`measured`)
-/// and the worst-case Lemma bound it must stay under (`bound`).
-///
-/// The maps add `measured` to their cost meter and accumulate `bound.work`
-/// separately, so experiments can report both the measured constants and the
-/// analytic ceilings (ROADMAP "report constant-factor trends, not just
-/// shapes").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Charge {
-    /// The charge the map actually pays: measured touched-node work under the
-    /// analytic span.
-    pub measured: Cost,
-    /// The closed-form worst-case bound for the same operation.
-    pub bound: Cost,
-}
-
-impl Charge {
-    /// The zero charge.
-    pub const ZERO: Charge = Charge {
-        measured: Cost::ZERO,
-        bound: Cost::ZERO,
-    };
-
-    /// A charge whose measured cost *is* its bound — used for work that is
-    /// not a tree operation (entropy sorting, buffer formation) and therefore
-    /// has no separate touched-node measurement.
-    pub fn exact(cost: Cost) -> Charge {
-        Charge {
-            measured: cost,
-            bound: cost,
-        }
-    }
-}
-
-impl std::ops::Add for Charge {
-    type Output = Charge;
-    fn add(self, rhs: Charge) -> Charge {
-        Charge {
-            measured: self.measured.then(rhs.measured),
-            bound: self.bound.then(rhs.bound),
-        }
-    }
-}
-
-impl std::ops::AddAssign for Charge {
-    fn add_assign(&mut self, rhs: Charge) {
-        *self = *self + rhs;
-    }
-}
-
 /// Builds the measured cost for an operation with analytic bound `bound`:
 /// the touched-node count as work (never below the span — even a cheap
 /// operation walks its own critical path) and the analytic span.
@@ -257,7 +175,7 @@ fn measured_cost(touched: u64, bound: Cost, what: &str) -> Charge {
 /// fanout `fanout` (pass the tree's own fanout; `2` gives the closed-form
 /// Appendix A.2 reference bound).
 pub fn single_op_charge(touched: u64, n: u64, fanout: u64) -> Charge {
-    measured_cost(touched, single_op_b(n, fanout), "single_op")
+    measured_cost(touched, single_op(n, fanout), "single_op")
 }
 
 /// Measured charge for a normal batch operation of `b` item-sorted operations
@@ -267,7 +185,7 @@ pub fn batch_op_charge(touched: u64, b: u64, n: u64, fanout: u64) -> Charge {
         debug_assert_eq!(touched, 0, "an empty batch touched {touched} nodes");
         return Charge::ZERO;
     }
-    measured_cost(touched, batch_op_b(b, n, fanout), "batch_op")
+    measured_cost(touched, batch_op(b, n, fanout), "batch_op")
 }
 
 /// Measured charge for transferring `k` items between adjacent segments of
@@ -277,7 +195,7 @@ pub fn transfer_charge(touched: u64, k: u64, n: u64, fanout: u64) -> Charge {
         debug_assert_eq!(touched, 0, "an empty transfer touched {touched} nodes");
         return Charge::ZERO;
     }
-    measured_cost(touched, transfer_b(k, n, fanout), "transfer")
+    measured_cost(touched, transfer(k, n, fanout), "transfer")
 }
 
 #[cfg(test)]
@@ -287,17 +205,17 @@ mod tests {
 
     #[test]
     fn single_op_is_logarithmic() {
-        assert_eq!(single_op(0).work, 1);
-        assert_eq!(single_op(1).work, 2);
-        assert!(single_op(1 << 20).work >= 20);
-        assert!(single_op(1 << 20).work <= 24);
+        assert_eq!(single_op(0, 2).work, 1);
+        assert_eq!(single_op(1, 2).work, 2);
+        assert!(single_op(1 << 20, 2).work >= 20);
+        assert!(single_op(1 << 20, 2).work <= 24);
     }
 
     #[test]
     fn batch_op_work_scales_linearly_in_b() {
         let n = 1 << 16;
-        let c1 = batch_op(10, n);
-        let c2 = batch_op(1000, n);
+        let c1 = batch_op(10, n, 2);
+        let c2 = batch_op(1000, n, 2);
         assert!(
             c2.work > 90 * c1.work / 10 * 9 / 10,
             "work should be ~linear in b"
@@ -308,31 +226,29 @@ mod tests {
 
     #[test]
     fn batch_op_zero_is_free() {
-        assert_eq!(batch_op(0, 100), Cost::ZERO);
+        assert_eq!(batch_op(0, 100, 2), Cost::ZERO);
+        assert_eq!(batch_op(0, 100, 16), Cost::ZERO);
     }
 
     #[test]
     fn span_is_sum_of_logs() {
-        let c = batch_op(1 << 10, 1 << 20);
+        let c = batch_op(1 << 10, 1 << 20, 2);
         assert!(c.span >= 30 && c.span <= 36, "span {} out of range", c.span);
     }
 
     #[test]
     fn transfer_is_two_batch_ops() {
-        assert_eq!(transfer(8, 100).work, 2 * batch_op(8, 100).work);
-        assert_eq!(transfer_b(8, 100, 16).work, 2 * batch_op_b(8, 100, 16).work);
+        assert_eq!(transfer(8, 100, 2).work, 2 * batch_op(8, 100, 2).work);
+        assert_eq!(transfer(8, 100, 16).work, 2 * batch_op(8, 100, 16).work);
     }
 
     #[test]
     fn fanout_two_bounds_match_the_closed_form() {
-        // B = 2 is the analytic reference: the parameterized bounds must
-        // reduce to the Appendix A.2 closed forms exactly.
-        for n in [0u64, 1, 2, 7, 64, 1 << 12, 1 << 20] {
-            assert_eq!(single_op_b(n, 2), single_op(n));
-            for b in [0u64, 1, 8, 64, 1000] {
-                assert_eq!(batch_op_b(b, n, 2), batch_op(b, n));
-                assert_eq!(transfer_b(b, n, 2), transfer(b, n));
-            }
+        // B = 2 is the analytic reference: its height logarithm is exactly
+        // the binary `ceil_log2` of the Appendix A.2 closed forms, so the
+        // fanout-parameterized bounds at B = 2 are those closed forms.
+        for x in 0..=1u64 << 20 {
+            assert_eq!(ceil_log_base(x, 2), u64::from(ceil_log2(x)), "x = {x}");
         }
     }
 
@@ -341,13 +257,13 @@ mod tests {
         // The height logarithm changes base from 2 to min_children(B), so
         // both work and span drop as the fanout widens.
         let n = 1 << 16;
-        assert!(single_op_b(n, 16).work < single_op(n).work);
-        assert!(batch_op_b(256, n, 16).work < batch_op(256, n).work);
-        assert!(batch_op_b(256, n, 16).span < batch_op(256, n).span);
-        assert!(batch_op_b(256, n, 8).work > batch_op_b(256, n, 16).work);
+        assert!(single_op(n, 16).work < single_op(n, 2).work);
+        assert!(batch_op(256, n, 16).work < batch_op(256, n, 2).work);
+        assert!(batch_op(256, n, 16).span < batch_op(256, n, 2).span);
+        assert!(batch_op(256, n, 8).work > batch_op(256, n, 16).work);
         // Degenerate sizes stay well-formed.
-        assert_eq!(batch_op_b(0, n, 16), Cost::ZERO);
-        assert!(batch_op_b(1, 0, 16).work >= 1);
+        assert_eq!(batch_op(0, n, 16), Cost::ZERO);
+        assert!(batch_op(1, 0, 16).work >= 1);
     }
 
     #[test]
@@ -362,7 +278,7 @@ mod tests {
         let (_, touched) = metered(|| m.get(&7));
         assert!(touched >= 1, "a lookup touches at least the root path");
         assert!(
-            touched <= MEASURED_CEILING * single_op_b(64, fan).work,
+            touched <= MEASURED_CEILING * single_op(64, fan).work,
             "lookup touched {touched} nodes"
         );
         let (_, zero) = metered(|| ());
@@ -459,7 +375,7 @@ mod tests {
         m.push_back_batch(items);
         let keys: Vec<u64> = (0..64u64).collect();
         let (_, touched) = metered(|| m.remove_batch(&keys));
-        let bound = batch_op_b(64, 1024, m.fanout() as u64).work;
+        let bound = batch_op(64, 1024, m.fanout() as u64).work;
         assert!(
             touched < bound,
             "measured {touched} should beat the worst-case bound {bound}"

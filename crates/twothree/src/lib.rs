@@ -37,11 +37,11 @@
 //! `tests/golden_counts.rs`.
 //!
 //! `B = 2` instantiates exactly the 2-3 tree of Appendix A.2 (2..=3 children
-//! per node) and stays the **analytic reference**: the closed-form bounds in
-//! [`cost`] ([`cost::single_op`], [`cost::batch_op`], [`cost::transfer`]) are
-//! the paper's `B = 2` formulas, the fanout-parameterized `*_b` variants
-//! reduce to them at `B = 2`, and the Lemma-ceiling assertions are checked
-//! against the bound of whatever fanout a tree actually runs.
+//! per node) and stays the **analytic reference**: the bounds in [`cost`]
+//! ([`cost::single_op`], [`cost::batch_op`], [`cost::transfer`]) take the
+//! fanout and are the paper's closed-form formulas at `B = 2`, and the
+//! Lemma-ceiling assertions are checked against the bound of whatever
+//! fanout a tree actually runs.
 //!
 //! This crate provides:
 //!
@@ -57,9 +57,9 @@
 //!   operation drives **one** tree — half the tree passes of the old
 //!   stamp-keyed two-tree substitution on every path — within the same
 //!   `Θ(b log n)` work / `O(log b + log n)` span contract;
-//! * [`cost`] — the analytic cost formulas of Appendix A.2 (closed-form
-//!   `B = 2` plus the fanout-parameterized generalizations) used by the
-//!   instrumented map structures.
+//! * [`cost`] — the analytic cost formulas of Appendix A.2, parameterized
+//!   by fanout (`B = 2` gives the closed forms), used by the instrumented
+//!   map structures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -949,7 +949,7 @@ mod tests {
 
     #[test]
     fn metered_segment_transfers_stay_under_the_transfer_bound() {
-        use crate::cost::{metered, transfer_b, MEASURED_CEILING};
+        use crate::cost::{metered, transfer, MEASURED_CEILING};
         // The segment-cascade transfer shape: take k off one map's back and
         // push them onto another's front; the measured node visits must stay
         // under the ceiling on the (fanout-parameterized) transfer bound the
@@ -969,7 +969,7 @@ mod tests {
                     let moved = a.take_back(k);
                     b.push_front_batch(moved);
                 });
-                let bound = transfer_b(k as u64, larger, fan as u64).work;
+                let bound = transfer(k as u64, larger, fan as u64).work;
                 assert!(
                     touched <= MEASURED_CEILING * bound,
                     "transfer of {k} at fanout {fan}: touched {touched} exceeds \

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
-use wsm_shard::{HashPartitioner, ShardedMap};
+use wsm_shard::ShardedMap;
 
 use crate::codec::Codec;
 use crate::log::{Recovered, RecoveryReport, SyncPolicy, Wal, WalStats};
@@ -30,8 +30,8 @@ use crate::log::{Recovered, RecoveryReport, SyncPolicy, Wal, WalStats};
 /// checkpoint image: the per-segment item lists in recency order.
 ///
 /// Both working-set structures qualify because a batch boundary leaves them
-/// with *no* transient state — M2's filter/feed/staged buffers drain to empty
-/// before `run_batch` returns (pinned by its property tests) — so the
+/// with *no* transient state — M2's feed, filter and final-slab buffers drain
+/// to empty before `run_batch` returns (pinned by its property tests) — so the
 /// segments alone are the map.
 pub trait DurableState<K, V>: BatchedMap<K, V> {
     /// The per-segment items, most recent first within each segment.
@@ -152,8 +152,8 @@ where
 /// A [`ShardedMap`] with one [`Wal`] per shard (under `dir/shard-<i>/`).
 ///
 /// Each shard's combiner is its own serialization point, so per-shard logs
-/// need no cross-shard ordering: the partitioner routes every operation on a
-/// key through exactly one shard, and per-key durability is per-shard
+/// need no cross-shard ordering: the hash placement routes every operation on
+/// a key through exactly one shard, and per-key durability is per-shard
 /// durability.  Cross-shard batches are *not* atomic under a crash — some
 /// shards' sub-batches may be durable while others are not — matching the
 /// map's live semantics, where cross-key operations carry no ordering
@@ -171,7 +171,7 @@ where
 /// assert_eq!(map.get(1), Some(10));
 /// ```
 pub struct DurableShardedMap<K, V, M> {
-    map: ShardedMap<K, V, M, HashPartitioner>,
+    map: ShardedMap<K, V, M>,
     wals: Vec<Arc<Wal<K, V>>>,
     checkpoint_every: u64,
     recovery: Vec<RecoveryReport>,
@@ -346,7 +346,7 @@ where
 }
 
 /// Refuses a `dir` whose logs were written at another shard count: keys are
-/// routed by the partitioner over the shard count, so a reopen at another
+/// placed by hashing over the shard count, so a reopen at another
 /// count would look keys up in the wrong shard's log.  A `dir` with no
 /// `shard-*` directory yet takes any count.
 fn check_shard_count(dir: &Path, shards: usize) -> io::Result<()> {

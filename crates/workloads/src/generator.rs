@@ -6,7 +6,7 @@
 //! distribution-sensitivity of the working-set structures: the same number of
 //! operations can have wildly different working-set bounds `W_L`.
 
-use rand::prelude::*;
+use crate::SplitMix64;
 use wsm_model::MapOpKind;
 
 /// Access-pattern families used throughout the experiments.
@@ -91,7 +91,7 @@ impl WorkloadSpec {
 
     /// The access phase.
     pub fn access_phase(&self) -> Vec<MapOpKind<u64>> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let n = self.keyspace.max(1);
         let mut ops = Vec::with_capacity(self.operations);
 
@@ -122,22 +122,22 @@ impl WorkloadSpec {
 
         for _ in 0..self.operations {
             let key = match self.pattern {
-                Pattern::Uniform => rng.random_range(0..n),
+                Pattern::Uniform => rng.below(n),
                 Pattern::Zipf(_) => zipf_table.as_ref().expect("built above").sample(&mut rng),
                 Pattern::WorkingSet { window, miss_rate } => {
-                    let hit = !recent.is_empty() && rng.random_range(0.0..1.0) >= miss_rate;
+                    let hit = !recent.is_empty() && rng.unit() >= miss_rate;
                     if hit {
-                        let idx = rng.random_range(0..recent.len().min(window));
+                        let idx = rng.below(recent.len().min(window) as u64) as usize;
                         recent[recent.len() - 1 - idx]
                     } else {
-                        rng.random_range(0..n)
+                        rng.below(n)
                     }
                 }
                 Pattern::HotSet { hot, miss_rate } => {
-                    if rng.random_range(0.0..1.0) < miss_rate {
-                        rng.random_range(0..n)
+                    if rng.unit() < miss_rate {
+                        rng.below(n)
                     } else {
-                        rng.random_range(0..(hot as u64).min(n))
+                        rng.below((hot as u64).min(n))
                     }
                 }
                 Pattern::SequentialScan => {
@@ -162,10 +162,8 @@ impl WorkloadSpec {
                     recent.drain(..2048);
                 }
             }
-            let op = if self.update_fraction > 0.0
-                && rng.random_range(0.0..1.0) < self.update_fraction
-            {
-                if rng.random_bool(0.5) {
+            let op = if self.update_fraction > 0.0 && rng.unit() < self.update_fraction {
+                if rng.chance(0.5) {
                     MapOpKind::Insert(key)
                 } else {
                     MapOpKind::Delete(key)
@@ -206,8 +204,8 @@ impl ZipfSampler {
         ZipfSampler { cdf: weights }
     }
 
-    fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random_range(0.0..1.0);
+    fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        let u = rng.unit();
         match self
             .cdf
             .binary_search_by(|probe| probe.partial_cmp(&u).expect("no NaN in CDF"))
@@ -328,6 +326,67 @@ mod tests {
             zipf_heavy < zipf_light,
             "heavier skew must lower W_L: {zipf_heavy} vs {zipf_light}"
         );
+    }
+
+    #[test]
+    fn streams_match_the_recorded_digests() {
+        // FNV-1a over every operation's kind and key: pins the exact stream
+        // of every pattern (integer, float and coin draws), so a
+        // change to the generator's arithmetic cannot pass unnoticed.
+        fn digest(ops: &[MapOpKind<u64>]) -> u64 {
+            ops.iter().fold(0xCBF2_9CE4_8422_2325, |h, op| {
+                let (tag, key) = match op {
+                    MapOpKind::Search(k) => (1u64, *k),
+                    MapOpKind::Insert(k) => (2, *k),
+                    MapOpKind::Delete(k) => (3, *k),
+                };
+                [tag, key]
+                    .iter()
+                    .fold(h, |h, &x| (h ^ x).wrapping_mul(0x100_0000_01B3))
+            })
+        }
+        let patterns = [
+            Pattern::Uniform,
+            Pattern::Zipf(1.1),
+            Pattern::WorkingSet {
+                window: 64,
+                miss_rate: 0.1,
+            },
+            Pattern::HotSet {
+                hot: 8,
+                miss_rate: 0.05,
+            },
+            Pattern::SequentialScan,
+            Pattern::Adversarial,
+            Pattern::MultiTenant { tenants: 4, s: 1.1 },
+        ];
+        // Recorded at commit `0c66c8a`, when the generator drew from the
+        // vendored `rand` stand-in: seed 1 then seed 7, patterns in order.
+        let expected: [u64; 14] = [
+            0x994d_0286_6d55_0415,
+            0x8004_8eb4_ff02_b016,
+            0x5b59_dd66_832b_32d4,
+            0x1eb3_4126_dc16_2c27,
+            0x4bae_fc06_68b8_074d,
+            0x4bae_fc06_68b8_074d,
+            0x4dc7_5c06_bd78_fe9e,
+            0x9d0f_ab2a_edcc_6994,
+            0x53f7_0e93_12a1_47a0,
+            0x73ac_52fe_ba07_190e,
+            0x835a_9cdc_57bb_b114,
+            0xe37f_84ce_622f_58c9,
+            0xe37f_84ce_622f_58c9,
+            0x8bf4_30d5_5c2d_84a3,
+        ];
+        let mut got = Vec::new();
+        for seed in [1u64, 7] {
+            for pattern in patterns {
+                let mut spec = WorkloadSpec::read_only(1000, 5000, pattern, seed);
+                spec.update_fraction = 0.3;
+                got.push(digest(&spec.full_sequence()));
+            }
+        }
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! parent of the change that folded the leaf level into its parents).  The
 //! sequence repeatedly drains the tree to 0 and 1 items and regrows it, so
 //! the empty and single-item trees are pinned too.
+//!
+//! One level up, a seeded mixed stream through M1 and M2 pins each map's
+//! cost ledger (measured work and span, the Appendix A.2 bound work, and
+//! M1's per-batch log) at the fanout `WSM_TREE_FANOUT` selects, 2 or 16.
 
 use std::collections::BTreeMap;
+use wsm_core::{BatchedMap, Operation, M1, M2};
 use wsm_twothree::cost::metered;
-use wsm_twothree::{BTree, RecencyMap};
+use wsm_twothree::{default_fanout, BTree, RecencyMap};
 
 struct Rng(u64);
 
@@ -243,4 +248,84 @@ fn touched_node_counts_match_the_one_slot_per_item_layout() {
     );
     assert_eq!(recency_total(2), 240_545);
     assert_eq!(recency_total(16), 118_928);
+}
+
+/// Map-level ledger totals of M1 and M2 over one seeded mixed stream:
+/// `(effective_work, effective_span, analytic_bound_work)` per map, plus the
+/// work and span summed over M1's batch log.
+#[derive(Debug, PartialEq, Eq)]
+struct Ledger {
+    m1: (u64, u64, u64),
+    m1_batch_log: (u64, u64),
+    m2: (u64, u64, u64),
+}
+
+fn ledger_totals() -> Ledger {
+    let mut rng = Rng(0x5EED_0000_0000_0033);
+    let mut m1 = M1::new(4).with_batch_log();
+    let mut m2 = M2::new(4);
+    let load: Vec<Operation<u64, u64>> = (0..2048u64).map(|k| Operation::Insert(k, k)).collect();
+    m1.run_ops(load.clone());
+    m2.run_ops(load);
+    for round in 0..120u64 {
+        let len = 1 + (rng.next() % 96) as usize;
+        // Half of the rounds stay on a hot set of 32 keys, the rest range
+        // over the whole keyspace, so both hot and cold segments are charged.
+        let space = if round % 2 == 0 { 32 } else { 2600 };
+        let ops: Vec<Operation<u64, u64>> = (0..len)
+            .map(|_| {
+                let k = rng.next() % space;
+                match rng.next() % 10 {
+                    0..=5 => Operation::Search(k),
+                    6 | 7 => Operation::Insert(k, k ^ round),
+                    _ => Operation::Delete(k),
+                }
+            })
+            .collect();
+        assert_eq!(m1.run_ops(ops.clone()), m2.run_ops(ops), "round {round}");
+    }
+    m1.check_invariants();
+    m2.check_invariants();
+    let (log_work, log_span) = m1
+        .batch_log()
+        .iter()
+        .fold((0, 0), |(w, s), b| (w + b.cost.work, s + b.cost.span));
+    Ledger {
+        m1: (
+            m1.effective_work(),
+            m1.effective_span(),
+            m1.analytic_bound_work(),
+        ),
+        m1_batch_log: (log_work, log_span),
+        m2: (
+            m2.effective_work(),
+            m2.effective_span(),
+            m2.analytic_bound_work(),
+        ),
+    }
+}
+
+#[test]
+fn map_ledger_totals_match_the_recorded_run() {
+    // Recorded at commit `0c66c8a`, before M1 and M2 kept their measured and
+    // bound work in one `Charge` ledger; a bookkeeping change must not move
+    // a digit.  `WSM_TREE_FANOUT` selects the tree fanout, so the fanout the
+    // run uses selects its row.
+    let expected = match default_fanout() {
+        2 => Ledger {
+            m1: (183_864, 61_469, 439_937),
+            m1_batch_log: (176_031, 60_644),
+            m2: (247_943, 142_143, 529_809),
+        },
+        16 => Ledger {
+            m1: (146_928, 50_021, 277_450),
+            m1_batch_log: (139_095, 49_196),
+            m2: (171_656, 106_417, 312_169),
+        },
+        other => {
+            println!("no ledger totals recorded for fanout {other}; skipped");
+            return;
+        }
+    };
+    assert_eq!(ledger_totals(), expected);
 }

@@ -13,7 +13,7 @@
 //! state), which keeps it polynomial for these history sizes.
 //!
 //! The sharded front-end (`wsm_shard::ShardedMap`) is checked *per shard*:
-//! the partitioner is a pure function of the key, so every operation on a key
+//! shard placement is a pure function of the key, so every operation on a key
 //! flows through exactly one shard, and the front-end's guarantee is that
 //! each shard's slice of the history is linearizable.  Each random
 //! multi-threaded history is projected onto every shard's key set (keeping
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wsm_core::{BatchedMap, ConcurrentMap, ParallelBuffer, ServiceTaskGuard, M1, M2};
-use wsm_shard::{Partitioner, ShardedMap};
+use wsm_shard::ShardedMap;
 
 #[path = "common/linearize.rs"]
 mod linearize;
@@ -97,14 +97,13 @@ where
 /// Runs every thread's ops against a sharded map through its single-op API,
 /// recording witness tickets.  With `service_task`, each thread's body runs
 /// under a [`ServiceTaskGuard`].
-fn execute_sharded<M, P>(
-    map: &ShardedMap<u64, u64, M, P>,
+fn execute_sharded<M>(
+    map: &ShardedMap<u64, u64, M>,
     per_thread: &[Vec<Op>],
     service_task: bool,
 ) -> Vec<Vec<Done>>
 where
     M: BatchedMap<u64, u64> + Send,
-    P: Partitioner<u64>,
 {
     let clock = AtomicU64::new(0);
     let clock = &clock;
@@ -145,15 +144,14 @@ where
 /// Per-thread Done order stays program order; within a batch that is sound
 /// because the shard applies same-key ops in sub-batch order and distinct
 /// keys commute in the oracle.
-fn execute_sharded_batched<M, P>(
-    map: &ShardedMap<u64, u64, M, P>,
+fn execute_sharded_batched<M>(
+    map: &ShardedMap<u64, u64, M>,
     per_thread: &[Vec<Op>],
     chunk: usize,
     service_task: bool,
 ) -> Vec<Vec<Done>>
 where
     M: BatchedMap<u64, u64> + Send,
-    P: Partitioner<u64>,
 {
     let clock = AtomicU64::new(0);
     let clock = &clock;

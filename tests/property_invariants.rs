@@ -246,7 +246,7 @@ fn first_slab_confined_deletions_cannot_strand_holes() {
 }
 
 /// Measured charges stay under their Lemma bounds in aggregate as well: after
-/// any of the workloads above, the meters' measured total is within the
+/// any of the workloads above, the ledgers' measured total is within the
 /// documented ceiling of the accumulated worst-case bound.
 #[test]
 fn aggregate_measured_work_stays_under_the_aggregate_bound_ceiling() {

@@ -91,7 +91,7 @@ fn oracle_results(ops: &[Op]) -> Vec<Option<u64>> {
         .collect()
 }
 
-type Backend<M> = ShardedMap<u64, u64, M, wsm_shard::HashPartitioner>;
+type Backend<M> = ShardedMap<u64, u64, M>;
 
 fn service<M>(
     make: impl FnMut(usize) -> M,

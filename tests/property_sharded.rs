@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use wsm_core::{OpResult, Operation, M1, M2};
-use wsm_shard::{RangePartitioner, ShardedMap};
+use wsm_shard::ShardedMap;
 
 /// Decodes `(kind, key)` pairs into operations with globally unique insert
 /// values, so the oracle distinguishes every write.
@@ -45,10 +45,9 @@ fn oracle_batch(model: &mut BTreeMap<u64, u64>, ops: &[Operation<u64, u64>]) -> 
 }
 
 /// Drains `map` and `model` into sorted pairs for the final-contents check.
-fn final_contents<M, P>(map: &ShardedMap<u64, u64, M, P>, keys: u64) -> Vec<(u64, u64)>
+fn final_contents<M>(map: &ShardedMap<u64, u64, M>, keys: u64) -> Vec<(u64, u64)>
 where
     M: wsm_core::BatchedMap<u64, u64> + Send,
-    P: wsm_shard::Partitioner<u64>,
 {
     let found = map.get_batch((0..keys).collect());
     (0..keys)
@@ -85,7 +84,7 @@ proptest! {
 
     /// The convenience wrappers (`insert_batch` / `get_batch` /
     /// `remove_batch`) and the point-op API agree with the oracle too, over
-    /// M2 and under a range partitioner — the ordered-workload configuration.
+    /// M2.
     #[test]
     fn sharded_m2_surface_matches_btreemap(
         rounds in prop::collection::vec(
@@ -94,8 +93,7 @@ proptest! {
         )
     ) {
         for shards in [1usize, 2, 4] {
-            let map = ShardedMap::with_shards(shards, |_| M2::<u64, u64>::new(2))
-                .with_partitioner(RangePartitioner::<u64>::even(24, shards));
+            let map = ShardedMap::with_shards(shards, |_| M2::<u64, u64>::new(2));
             let mut model = BTreeMap::new();
             let mut unique = 0u64;
             for (keys, surface) in &rounds {
