@@ -25,6 +25,12 @@
 //! * **R6 `unused-dependency`** — every entry of a `crates/*/Cargo.toml`
 //!   `[dependencies]` table must be named, with `-` written as `_`, in the
 //!   code (not the comments) of that crate's `src/`.
+//! * **R7 `orderings-ref`** — every `file.rs:N` reference in
+//!   `docs/ORDERINGS.md` must land on a line of that file that performs an
+//!   atomic operation (`load`, `store`, `fetch_*`, `swap`,
+//!   `compare_exchange*`); a range `file.rs:N–M` must contain one.  The file
+//!   is looked up under `crates/<name>/src/` of the section
+//!   (`## crates/<name> …`) the reference sits in.
 //!
 //! Analysis is token-level, not a full parse: comments and string/char
 //! literals are masked out (preserving line numbers) before keyword scans,
@@ -700,12 +706,124 @@ fn dependency_entries(manifest: &str) -> Vec<(usize, String)> {
     entries
 }
 
+/// The audit table R7 checks, repo-relative.
+const ORDERINGS_DOC: &str = "docs/ORDERINGS.md";
+
+/// True if the masked code line performs an atomic operation.
+fn is_atomic_op_line(line: &str) -> bool {
+    [
+        ".load(",
+        ".store(",
+        ".fetch_",
+        ".swap(",
+        ".compare_exchange",
+    ]
+    .iter()
+    .any(|op| line.contains(op))
+}
+
+/// The `file.rs:spec` references on one line of the audit, with `spec` the
+/// line list as written (`52`, `412–417`, `52,61`).
+fn orderings_refs(line: &str) -> Vec<(String, String)> {
+    let mut refs = Vec::new();
+    let mut rest = line;
+    while let Some(at) = rest.find(".rs:") {
+        let name_start = rest[..at]
+            .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .map_or(0, |i| i + 1);
+        let after = &rest[at + 4..];
+        let spec: String = after
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || matches!(c, ',' | '–' | '-'))
+            .collect();
+        let spec = spec.trim_end_matches([',', '–', '-']).to_string();
+        if name_start < at && !spec.is_empty() {
+            refs.push((format!("{}.rs", &rest[name_start..at]), spec));
+        }
+        rest = after;
+    }
+    refs
+}
+
+/// The 1-based line ranges of a reference's line list; `None` if malformed.
+fn line_ranges(spec: &str) -> Option<Vec<(usize, usize)>> {
+    spec.split(',')
+        .map(|item| match item.split_once(['–', '-']) {
+            Some((a, b)) => Some((a.parse().ok()?, b.parse().ok()?)),
+            None => item.parse().ok().map(|n| (n, n)),
+        })
+        .collect()
+}
+
+/// R7: each `file.rs:N` reference in the audit lands on an atomic operation,
+/// each range contains one.  One violation per audit line, naming the
+/// references that miss.
+fn rule_orderings_refs(
+    doc: &SourceFile,
+    sources: &[(&SourceFile, String)],
+    out: &mut Vec<Violation>,
+) {
+    // The directory the current section's references resolve under.
+    let mut dir = String::from("crates/");
+    for (ln, line) in doc.text.lines().enumerate() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            dir = match heading.strip_prefix("crates/") {
+                Some(rest) => {
+                    let name = rest.split_whitespace().next().unwrap_or(rest);
+                    format!("crates/{name}/src/")
+                }
+                None => String::from("crates/"),
+            };
+            continue;
+        }
+        let mut missed = Vec::new();
+        for (file, spec) in orderings_refs(line) {
+            let suffix = format!("/{file}");
+            let found: Vec<&(&SourceFile, String)> = sources
+                .iter()
+                .filter(|(f, _)| f.in_dir(&dir) && f.rel().ends_with(&suffix))
+                .collect();
+            let lands = match (found.as_slice(), line_ranges(&spec)) {
+                ([(_, masked)], Some(ranges)) => {
+                    let lines: Vec<&str> = masked.lines().collect();
+                    ranges.iter().all(|&(a, b)| {
+                        a >= 1
+                            && a <= b
+                            && lines
+                                .get(a - 1..b.min(lines.len()))
+                                .is_some_and(|span| span.iter().any(|l| is_atomic_op_line(l)))
+                    })
+                }
+                _ => false,
+            };
+            if !lands {
+                missed.push(format!("{file}:{spec}"));
+            }
+        }
+        if !missed.is_empty() {
+            out.push(Violation {
+                rule: "orderings-ref",
+                file: doc.path.clone(),
+                line: ln + 1,
+                message: format!(
+                    "{} does not point at an atomic operation of one file under \
+                     {dir}; update the reference",
+                    missed.join(", "),
+                ),
+            });
+        }
+    }
+}
+
 /// Runs every rule over `files` (`.rs` sources and `Cargo.toml` manifests);
 /// returns all violations, sorted by path/line.
 pub fn run(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
-        files.iter().partition(|f| f.rel().ends_with("Cargo.toml"));
+    let (docs, files): (Vec<&SourceFile>, Vec<&SourceFile>) =
+        files.iter().partition(|f| f.rel() == ORDERINGS_DOC);
+    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) = files
+        .into_iter()
+        .partition(|f| f.rel().ends_with("Cargo.toml"));
     let masked: Vec<(&SourceFile, String)> = sources
         .into_iter()
         .map(|f| (f, mask_noncode(&f.text)))
@@ -720,16 +838,26 @@ pub fn run(files: &[SourceFile]) -> Vec<Violation> {
     for manifest in manifests {
         rule_unused_dependency(manifest, &masked, &mut out);
     }
+    for doc in docs {
+        rule_orderings_refs(doc, &masked, &mut out);
+    }
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     out
 }
 
 /// Walks `root` for `crates/**/*.rs` files and `crates/**/Cargo.toml`
-/// manifests (skipping `target/`) and returns them with repo-relative paths.
+/// manifests (skipping `target/`), adds `docs/ORDERINGS.md` if present, and
+/// returns them with repo-relative paths.
 pub fn collect_repo_files(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     walk(&crates, root, &mut files)?;
+    if let Ok(text) = std::fs::read_to_string(root.join(ORDERINGS_DOC)) {
+        files.push(SourceFile {
+            path: PathBuf::from(ORDERINGS_DOC),
+            text,
+        });
+    }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
 }

@@ -121,6 +121,33 @@ fn r6_dependencies_must_be_named_in_the_crate_code() {
     assert_eq!(v.len(), 3, "got: {v:?}");
 }
 
+#[test]
+fn r7_orderings_refs_must_land_on_atomic_operations() {
+    let file = |path: &str, text: &str| SourceFile {
+        path: PathBuf::from(path),
+        text: text.to_string(),
+    };
+    let doc = include_str!("lint_fixtures/r7_orderings_ref.md");
+    let code = include_str!("lint_fixtures/r7_orderings_ref.rs");
+    let v = lint::run(&[
+        file("docs/ORDERINGS.md", doc),
+        file("crates/demo/src/counters.rs", code),
+    ]);
+    assert_eq!(rules_of(&v), ["orderings-ref"; 5], "got: {v:?}");
+    // The comment line, the empty range, the list with one miss, the
+    // missing file and the file of another crate — not the load or the
+    // range holding the multi-line fetch_add.
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [8, 10, 11, 12, 16], "got: {v:?}");
+    assert!(v[2].message.contains("counters.rs:6,9"), "got: {v:?}");
+    // Only the audit is read: the same text elsewhere is not checked.
+    let v = lint::run(&[
+        file("docs/OTHER.md", doc),
+        file("crates/demo/src/counters.rs", code),
+    ]);
+    assert!(v.is_empty(), "R7 reads docs/ORDERINGS.md only, got: {v:?}");
+}
+
 /// The real repository tree is lint-clean.  This is the library-level twin
 /// of the CI `wsm-lint .` gate — running it under `cargo test` means a rule
 /// change and a law violation both fail the suite, with the violation list

@@ -4,7 +4,9 @@
 //! The harness mirrors `ConcurrentMap::call`'s loop exactly (capture the
 //! doorbell generation, attempt the activation, combine, ring after release,
 //! park with `wait_past`), but with the batched map replaced by delivering
-//! each flushed operation's result into its caller's slot.  Two invariants
+//! each flushed operation's result into its caller's slot.  Its pair call
+//! mirrors `ConcurrentMap::call_routed` on one map: a run of operations
+//! deposited under one lock and counted before its unlock.  Two invariants
 //! over every interleaving in the bound:
 //!
 //! * **single combiner** — the activation interface admits at most one
@@ -62,16 +64,8 @@ impl Front {
         drained
     }
 
-    /// Mirror of `ConcurrentMap::call`, including both of its yields: the
-    /// fruitless-combine yield inside the activation (a producer is
-    /// mid-publish; donate the CPU) and the spin-yield at the bottom of the
-    /// retry loop.  The yields are load-bearing under the model: without
-    /// them the demonic scheduler can starve a mid-publish producer while
-    /// the combiner respins forever — a livelock the real scheduler's
-    /// fairness forbids.  The checker's CHESS-style yield fairness makes
-    /// each yield mean exactly "everyone runnable gets a turn first", as
-    /// the OS does.  The doorbell park is untimed: if the ring protocol
-    /// ever loses a wake-up, the model reports a deadlock.
+    /// Mirror of `ConcurrentMap::call`: push one value, then run the
+    /// waiting loop until its slot is filled.
     fn call(&self, shard: usize, value: usize) -> usize {
         let slot = Arc::new(Mutex::new(None));
         self.buffer.push(
@@ -81,6 +75,44 @@ impl Front {
                 slot: Arc::clone(&slot),
             },
         );
+        self.wait_for(|| slot.lock().take())
+    }
+
+    /// Mirror of `ConcurrentMap::call_routed` on one map: both values go in
+    /// through one open deposit (one lock, counted before its unlock), then
+    /// the waiting loop runs until the last value's slot is filled, and the
+    /// first's is taken after it.
+    fn call_pair(&self, shard: usize, values: [usize; 2]) -> [usize; 2] {
+        let slots = values.map(|_| Arc::new(Mutex::new(None)));
+        {
+            let mut deposit = self.buffer.deposit(shard);
+            for (value, slot) in values.into_iter().zip(&slots) {
+                deposit.push(Pending {
+                    value,
+                    slot: Arc::clone(slot),
+                });
+            }
+        }
+        self.wait_for(|| {
+            let last = slots[1].lock().take()?;
+            Some([
+                slots[0].lock().take().expect("filled by the same combine"),
+                last,
+            ])
+        })
+    }
+
+    /// Mirror of `ConcurrentMap`'s waiting loop, including both of its
+    /// yields: the fruitless-combine yield inside the activation (a producer
+    /// is mid-publish; donate the CPU) and the spin-yield at the bottom of
+    /// the retry loop.  The yields are load-bearing under the model: without
+    /// them the demonic scheduler can starve a mid-publish producer while
+    /// the combiner respins forever — a livelock the real scheduler's
+    /// fairness forbids.  The checker's CHESS-style yield fairness makes
+    /// each yield mean exactly "everyone runnable gets a turn first", as
+    /// the OS does.  The doorbell park is untimed: if the ring protocol
+    /// ever loses a wake-up, the model reports a deadlock.
+    fn wait_for<T>(&self, mut take: impl FnMut() -> Option<T>) -> T {
         loop {
             let seen = self.doorbell.current();
             let runs = self.buffer.activate(
@@ -97,13 +129,51 @@ impl Front {
             if runs > 0 {
                 self.doorbell.ring();
             }
-            if let Some(r) = slot.lock().take() {
+            if let Some(r) = take() {
                 return r;
             }
             self.doorbell.wait_past(seen);
             thread::yield_now();
         }
     }
+}
+
+/// Two callers deposit a pair each through one open `Deposit`, on the two
+/// shards of the buffer, while a third pushes one value beside them: each
+/// deposit races the others' locks and counts and the flush, every caller
+/// gets its results exactly once, and no park misses its ring.
+#[test]
+fn deposit_pairs_no_missed_wakeup() {
+    let r = Model::with_bound(3)
+        .check(|| {
+            let front = Arc::new(Front::new(2));
+            let spawned: Vec<_> = (0..2)
+                .map(|i| {
+                    let front = Arc::clone(&front);
+                    thread::spawn(move || {
+                        let v = 10 * (i + 1);
+                        assert_eq!(front.call_pair(i, [v, v + 2]), [v + 1, v + 3]);
+                    })
+                })
+                .collect();
+            assert_eq!(front.call(0, 30), 31);
+            for t in spawned {
+                t.join().unwrap();
+            }
+            assert!(front.buffer.is_empty());
+        })
+        .assert_pass(1_000);
+    println!(
+        "deposit pairs + 1 push bound 3: {} schedules + {} pruned = {} considered",
+        r.schedules,
+        r.pruned,
+        r.considered()
+    );
+    assert!(
+        r.considered() >= 10_000,
+        "expected >= 10k distinct schedules, considered {}",
+        r.considered()
+    );
 }
 
 /// Two callers, two operations each: the full election/combine/ring/park

@@ -1,7 +1,7 @@
 //! Model-checks the never-parking result hand-off: `wsm_core::handoff::ResultCell`
 //! and the never-park waiter loop of `ConcurrentMap` — the wait of a caller
 //! that is a service task (`wsm_core::context`), and so of the `wsm_shard`
-//! router's per-shard `wait_batch` from such a caller.
+//! router's per-shard wait (`ConcurrentMap::call_routed`) from such a caller.
 //!
 //! The harness mirrors that loop exactly: deposit the op with its own
 //! sequence-stamped cell, then alternate between attempting the combiner

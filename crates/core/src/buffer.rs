@@ -9,7 +9,9 @@
 //! items to the combiner's batch — the flat-combining realisation of the
 //! paper's runtime system that Section 8 sketches (see the
 //! [`crate::concurrent`] module docs).  A deposit holds its shard's lock for
-//! one `push` or `extend`, a flush holds each shard's lock for one `append`,
+//! one `push` or `extend`, or, through an open [`Deposit`], for one
+//! request's run of operations; a flush holds each shard's lock for one
+//! `append`,
 //! and each side keeps its own allocation: the shard's `Vec` keeps its
 //! capacity across flushes and the caller's batch `Vec` is freed by the
 //! caller.  The analytic cost per flushed batch of size `b` is `O(p + b)`
@@ -17,7 +19,7 @@
 
 use crate::activation::Activation;
 use wsm_model::{ceil_log2, Cost};
-use wsm_sync::{AtomicUsize, Mutex, Ordering};
+use wsm_sync::{AtomicUsize, Mutex, MutexGuard, Ordering};
 
 /// A sharded buffer of pending calls plus the activation interface used to
 /// wake the data structure when work arrives.
@@ -60,6 +62,17 @@ impl<T> ParallelBuffer<T> {
 
     fn shard(&self, shard_hint: usize) -> &Mutex<Vec<T>> {
         &self.shards[shard_hint % self.shards.len()]
+    }
+
+    /// Opens a deposit into the shard `shard_hint % shards`: the shard's lock
+    /// is held until the [`Deposit`] drops, and everything pushed through it
+    /// is published then, in push order.
+    pub fn deposit(&self, shard_hint: usize) -> Deposit<'_, T> {
+        Deposit {
+            items: self.shard(shard_hint).lock(),
+            pending: &self.pending,
+            count: 0,
+        }
     }
 
     /// Deposits one call into the shard `shard_hint % shards`.  Constant time
@@ -129,6 +142,36 @@ impl<T> ParallelBuffer<T> {
         P: FnMut() -> bool,
     {
         self.activation.activate(ready, process)
+    }
+}
+
+/// An open deposit into one shard of a [`ParallelBuffer`]
+/// ([`ParallelBuffer::deposit`]).  It holds the shard's lock, so no flush
+/// sees its items before it drops.
+pub struct Deposit<'a, T> {
+    items: MutexGuard<'a, Vec<T>>,
+    pending: &'a AtomicUsize,
+    count: usize,
+}
+
+impl<T> Deposit<'_, T> {
+    /// Appends one call behind everything already in the shard.
+    pub fn push(&mut self, item: T) {
+        self.items.push(item);
+        self.count += 1;
+    }
+}
+
+impl<T> Drop for Deposit<'_, T> {
+    fn drop(&mut self) {
+        // Count *before* publishing, as `push` does (which see for why the
+        // other order underflows the counter): the shard's lock is released
+        // after this body, when `items` drops.
+        if self.count > 0 {
+            // ord: Relaxed — the increment happens-before the shard unlock,
+            // which happens-before the flush's lock and so its decrement.
+            self.pending.fetch_add(self.count, Ordering::Relaxed);
+        }
     }
 }
 

@@ -34,6 +34,12 @@
 //! election with [`ConcurrentMap::pump`] from their polls (the `wsm-svc`
 //! front-end).
 //!
+//! Every request is deposited by one routine, over one map or a family of
+//! them ([`ConcurrentMap::submit_routed`]): it creates the request's result
+//! cells once, in operation order, and moves each operation straight into
+//! its map's [`ParallelBuffer`] under one buffer-shard lock per map, taken in
+//! map order, with no staging vector in between.
+//!
 //! One usage rule follows from PESort's fork: do not call the map from
 //! *inside* a work-stealing pool task (`wsm_pool::join`/`scope` closures) —
 //! map calls block on the doorbell, and a blocked worker cannot help execute
@@ -41,12 +47,11 @@
 //! Ordinary OS threads (as in the tests, examples and benches) are the
 //! intended callers, matching the paper's model of `p` processors calling
 //! the map.  `wsm-shard`'s `ShardedMap::run_batch` puts no thread between
-//! those callers and the shards: the calling thread deposits its sub-batches
-//! with [`ConcurrentMap::submit_batch`], makes one election pass over the
-//! shards, then waits shard by shard in [`ConcurrentMap::wait_batch`], on
-//! that shard's own doorbell.
+//! those callers and the shards: the calling thread deposits its batch with
+//! [`ConcurrentMap::call_routed`], makes one election pass over the shards,
+//! then waits shard by shard, on that shard's own doorbell.
 
-use crate::buffer::ParallelBuffer;
+use crate::buffer::{Deposit, ParallelBuffer};
 use crate::doorbell::Doorbell;
 use crate::handoff::ResultCell;
 use crate::ops::{BatchedMap, OpId, OpResult, Operation, TaggedOp};
@@ -56,6 +61,17 @@ use wsm_sync::Mutex;
 struct Pending<K, V> {
     op: Operation<K, V>,
     slot: Arc<ResultCell<OpResult<V>>>,
+}
+
+/// A request's result cells, in operation order.
+type Cells<V> = Vec<Arc<ResultCell<OpResult<V>>>>;
+
+/// One map's share of a request: the open deposit into that map's buffer
+/// while [`ConcurrentMap::deposit`] runs, and the index of the request's last
+/// operation routed there.
+struct Lane<'a, K, V> {
+    open: Option<Deposit<'a, Pending<K, V>>>,
+    last: Option<usize>,
 }
 
 /// How a waiting caller learns that its result has been deposited.  There
@@ -269,7 +285,7 @@ where
 
     /// Drives combining until `done` reports that the caller's results have
     /// arrived; `done` is the caller's probe of its own result cell(s) and is
-    /// called again after every step of the wait.
+    /// called before the first step and again after every step of the wait.
     ///
     /// The loop is deadlock-free by a pairing argument: a caller parks only
     /// after (a) capturing the doorbell generation, then (b) attempting the
@@ -285,6 +301,9 @@ where
     /// may be the only thread that would ever poll the task whose combine
     /// rings the bell.  It waits under the bounded backoff instead.
     fn wait(&self, mut done: impl FnMut() -> bool) {
+        if done() {
+            return;
+        }
         let never_park = crate::context::in_service_task();
         let mut backoff = Backoff::new();
         loop {
@@ -360,39 +379,7 @@ where
     /// in operation order: one buffer deposit and one waiting loop for the
     /// entire sub-batch instead of a blocking round trip per operation.
     pub fn call_batch(&self, shard: usize, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        self.wait_batch(&self.submit_batch(shard, ops))
-    }
-
-    /// Drives combining until every cell of an earlier
-    /// [`ConcurrentMap::submit_batch`] on this map has been filled, and
-    /// returns the results in cell order.  This is the blocking half of
-    /// [`ConcurrentMap::call_batch`]; `wsm-shard` calls it per shard after
-    /// depositing all of a caller's sub-batches.
-    ///
-    /// A combiner fills the cells one after another, possibly while this
-    /// caller probes them, so the probe harvests cells incrementally until
-    /// all have been filled.
-    pub fn wait_batch(&self, cells: &[Arc<ResultCell<OpResult<V>>>]) -> Vec<OpResult<V>> {
-        if cells.is_empty() {
-            return Vec::new();
-        }
-        let mut results: Vec<Option<OpResult<V>>> = cells.iter().map(|_| None).collect();
-        let mut remaining = cells.len();
-        self.wait(|| {
-            for (cell, out) in cells.iter().zip(results.iter_mut()) {
-                if out.is_none() {
-                    if let Some(r) = cell.try_take() {
-                        *out = Some(r);
-                        remaining -= 1;
-                    }
-                }
-            }
-            remaining == 0
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("wait returns once every cell was taken"))
-            .collect()
+        Self::call_routed(std::slice::from_ref(self), shard, ops, |_| 0)
     }
 
     /// Deposits a sub-batch of operations *without waiting*, returning each
@@ -410,21 +397,98 @@ where
         shard: usize,
         ops: Vec<Operation<K, V>>,
     ) -> Vec<Arc<ResultCell<OpResult<V>>>> {
-        let cells: Vec<Arc<ResultCell<OpResult<V>>>> = (0..ops.len())
+        Self::submit_routed(std::slice::from_ref(self), shard, ops, |_| 0)
+    }
+
+    /// [`ConcurrentMap::submit_batch`] over a family of maps: operation `i`
+    /// goes to `maps[route(key)]`, and `cells[i]` is its result cell.  This
+    /// is `wsm-shard`'s async deposit.
+    pub fn submit_routed(
+        maps: &[Self],
+        shard: usize,
+        ops: Vec<Operation<K, V>>,
+        route: impl Fn(&K) -> usize,
+    ) -> Vec<Arc<ResultCell<OpResult<V>>>> {
+        Self::deposit(maps, shard, ops, route).0
+    }
+
+    /// [`ConcurrentMap::call_batch`] over a family of maps, routed as in
+    /// [`ConcurrentMap::submit_routed`]; results come back in operation
+    /// order.  After the deposit the caller makes one election attempt on
+    /// every map with buffered work, so no map's share waits behind another
+    /// map's combiner, and then waits map by map until each map it touched
+    /// has filled the last operation routed to it.
+    pub fn call_routed(
+        maps: &[Self],
+        shard: usize,
+        ops: Vec<Operation<K, V>>,
+        route: impl Fn(&K) -> usize,
+    ) -> Vec<OpResult<V>> {
+        let (cells, lanes) = Self::deposit(maps, shard, ops, route);
+        for map in maps {
+            if map.buffered() {
+                map.drive();
+            }
+        }
+        for (map, lane) in maps.iter().zip(&lanes) {
+            if let Some(last) = lane.last {
+                map.wait(|| cells[last].is_filled());
+            }
+        }
+        // A map's operations of this request were published together, so one
+        // combine runs them all: once it has filled the last, a cell still
+        // empty here is one its fill loop has not reached yet.
+        cells
+            .iter()
+            .map(|cell| loop {
+                if let Some(result) = cell.try_take() {
+                    break result;
+                }
+                wsm_sync::thread::yield_now();
+            })
+            .collect()
+    }
+
+    /// The deposit routine of every request: creates the result cells once,
+    /// in operation order, opens a deposit into every map's buffer, in map
+    /// order, and moves each operation straight into the buffer of
+    /// `maps[route(key)]`.  Each map receives its operations in request
+    /// order and publishes them together when its deposit closes.
+    ///
+    /// Opening every map up front, in map order, means two depositors never
+    /// wait on each other in a cycle, and no map publishes part of a request
+    /// before the rest of it is in.  A map the request does not touch costs
+    /// one lock and nothing else.
+    fn deposit<'a>(
+        maps: &'a [Self],
+        shard: usize,
+        ops: Vec<Operation<K, V>>,
+        route: impl Fn(&K) -> usize,
+    ) -> (Cells<V>, Vec<Lane<'a, K, V>>) {
+        let cells: Cells<V> = (0..ops.len())
             .map(|_| Arc::new(ResultCell::new()))
             .collect();
-        let items: Vec<Pending<K, V>> = ops
-            .into_iter()
-            .zip(&cells)
-            .map(|(op, cell)| Pending {
-                op,
-                slot: Arc::clone(cell),
+        let mut lanes: Vec<Lane<'a, K, V>> = maps
+            .iter()
+            .map(|map| Lane {
+                open: Some(map.buffer.deposit(shard)),
+                last: None,
             })
             .collect();
-        if !items.is_empty() {
-            self.buffer.push_batch(shard, items);
+        for (i, (op, cell)) in ops.into_iter().zip(&cells).enumerate() {
+            let lane = &mut lanes[route(op.key())];
+            lane.last = Some(i);
+            if let Some(open) = &mut lane.open {
+                open.push(Pending {
+                    op,
+                    slot: Arc::clone(cell),
+                });
+            }
         }
-        cells
+        for lane in &mut lanes {
+            lane.open = None;
+        }
+        (cells, lanes)
     }
 
     /// One non-blocking combiner election attempt: if the activation is free

@@ -13,10 +13,10 @@
 //! The executor therefore brackets every poll with [`ServiceTaskGuard`], and
 //! the blocking paths consult [`in_service_task`]:
 //!
-//! * `ConcurrentMap::call`/`call_batch`/`wait_batch` wait in the
+//! * `ConcurrentMap::call`/`call_batch`/`call_routed` wait in the
 //!   never-parking bounded-backoff loop instead of parking;
 //! * `ShardedMap::run_batch` has no rule of its own: it waits only through
-//!   `wait_batch`, and not parking suffices, because an activation is never
+//!   `call_routed`, and not parking suffices, because an activation is never
 //!   held across a suspension point — a task that loses a combiner election
 //!   is waiting on a thread that is running, and one whose operations are
 //!   still buffered wins the election itself.

@@ -8,28 +8,33 @@
 //! clock, behind a thin router:
 //!
 //! ```text
-//!             caller batch [op, op, op, …]
-//!                          │ split by ShardedMap::shard_of
+//!             caller batch [op, op, op, …]   → result cells, created once,
+//!                          │                    in caller order
+//!                          │ each op, in order, to ShardedMap::shard_of(key)
 //!             ┌────────────┼────────────┐
-//!             ▼            ▼            ▼         1. deposit: submit_batch into each
-//!        shard 0       shard 1   …  shard S-1        shard's ParallelBuffer
-//!        buffer →      buffer →      buffer →     2. pump: one combiner-election
-//!        combiner      combiner      combiner        attempt per buffered shard
-//!             │            │            │         3. wait: wait_batch, shard by
-//!             └────────────┼────────────┘            shard, on its own doorbell
-//!                          ▼ stitch by route map
+//!             ▼            ▼            ▼         1. deposit: one pass, one
+//!        shard 0       shard 1   …  shard S-1        buffer lock per shard,
+//!        buffer →      buffer →      buffer →        taken in shard order
+//!        combiner      combiner      combiner     2. pump: one combiner-election
+//!             │            │            │            attempt per buffered shard
+//!             └────────────┼────────────┘         3. wait: shard by shard, on
+//!                          ▼ fill cells              its own doorbell
 //!             results in caller order
 //! ```
 //!
-//! The router has no threads: the callers are the processors.
-//! [`ShardedMap::run_batch`] deposits every sub-batch, makes one election
-//! pass ([`ShardedMap::pump`]) — after which each touched shard has either
+//! The router has no threads: the callers are the processors.  Both roads
+//! share one deposit routine, [`ConcurrentMap::submit_routed`]: it creates
+//! the request's result cells in caller order and moves each operation
+//! straight into its shard's parallel buffer, so `cells[i]` is operation
+//! `i`'s cell and nothing has to be put back in order afterwards.
+//! [`ShardedMap::run_batch`] ([`ConcurrentMap::call_routed`]) then makes one
+//! election pass ([`ShardedMap::pump`]) — after which each touched shard has either
 //! been combined by this caller or is held by an active combiner, whose
-//! activation re-runs while its buffer is non-empty — and then blocks in
-//! [`ConcurrentMap::wait_batch`] shard by shard.  Async callers (`wsm-svc`)
-//! stop after the deposit: [`ShardedMap::submit_batch`] returns the result
-//! cells and the caller pumps from its polls.  Sub-batches of different
-//! callers meet in whichever combiner is active on their shard.
+//! activation re-runs while its buffer is non-empty — and blocks shard by
+//! shard until each has filled the last operation routed to it.  Async
+//! callers (`wsm-svc`) stop after the deposit: [`ShardedMap::submit_batch`]
+//! returns the result cells and the caller pumps from its polls.  Operations
+//! of different callers meet in whichever combiner is active on their shard.
 //!
 //! A `run_batch` from an async service task takes the same road; the one rule
 //! it needs is the shards' own, that a service task never parks (see
@@ -39,8 +44,8 @@
 //!
 //! Per-key operation order is preserved: placement is a pure function of the
 //! key (a multiplicative hash of it), so every operation on a key flows
-//! through exactly one shard, and within a caller's batch the shard's group
-//! resolution applies same-key operations in sub-batch order.  Cross-key
+//! through exactly one shard, in batch order, and the shard's group
+//! resolution applies same-key operations in that order.  Cross-key
 //! (cross-shard) operations carry no ordering obligation — each shard is
 //! independently linearizable, which is exactly the per-key guarantee the
 //! property suite checks.
@@ -64,24 +69,6 @@ use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, OpResult, Operation, Resu
 /// Submitter shard count for each shard's parallel buffer (the same default a
 /// standalone front-end would pick for a handful of threads).
 const BUFFER_SHARDS: usize = 8;
-
-/// One sub-batch's result cells ([`ConcurrentMap::submit_batch`]).
-type Cells<V> = Vec<Arc<ResultCell<OpResult<V>>>>;
-
-/// Undoes a split: `route[i]` names the shard operation `i` went to, and a
-/// shard's sub-batch keeps caller order, so operation `i`'s item is the next
-/// one its shard has not handed out yet.
-fn stitch<T>(route: &[usize], per_shard: Vec<Vec<T>>) -> Vec<T> {
-    let mut per_shard: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
-    route
-        .iter()
-        .map(|&shard| {
-            per_shard[shard]
-                .next()
-                .expect("every routed operation has exactly one item")
-        })
-        .collect()
-}
 
 /// Point-in-time counters for one shard, for occupancy / load-balance
 /// reporting (experiment E19 aggregates these into per-shard `W/W_L` rows).
@@ -216,64 +203,28 @@ where
         self.shards[shard].delete(caller_hint(), key)
     }
 
-    /// Splits `ops` by owning shard and deposits each sub-batch into its
-    /// shard's parallel buffer ([`ConcurrentMap::submit_batch`]).  Returns
-    /// the result cells per shard and the route map for [`stitch`].
-    fn deposit(&self, ops: Vec<Operation<K, V>>) -> (Vec<Cells<V>>, Vec<usize>) {
-        let s = self.shards.len();
-        let hint = caller_hint();
-        if s == 1 {
-            let route = vec![0; ops.len()];
-            return (vec![self.shards[0].submit_batch(hint, ops)], route);
-        }
-        let mut per_shard: Vec<Vec<Operation<K, V>>> = (0..s).map(|_| Vec::new()).collect();
-        let mut route = Vec::with_capacity(ops.len());
-        for op in ops {
-            let shard = self.shard_of(op.key());
-            route.push(shard);
-            per_shard[shard].push(op);
-        }
-        let cells = self
-            .shards
-            .iter()
-            .zip(per_shard)
-            .map(|(shard, sub)| shard.submit_batch(hint, sub))
-            .collect();
-        (cells, route)
-    }
-
     /// Runs a batch of operations, returning results in operation order.
     ///
     /// The calling thread deposits the batch as [`ShardedMap::submit_batch`]
     /// does, makes one election pass over the shards ([`ShardedMap::pump`])
-    /// and then waits for each shard's results in turn
-    /// ([`ConcurrentMap::wait_batch`]); see the crate docs.  Per-key order
-    /// within the batch is preserved — same-key operations stay in one
-    /// sub-batch, in order.
+    /// and then waits shard by shard
+    /// ([`ConcurrentMap::call_routed`]); see the crate docs.  Per-key order
+    /// within the batch is preserved — same-key operations go to one shard,
+    /// in order.
     pub fn run_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let (cells, route) = self.deposit(ops);
-        self.pump();
-        let results = self
-            .shards
-            .iter()
-            .zip(&cells)
-            .map(|(shard, cells)| shard.wait_batch(cells))
-            .collect();
-        stitch(&route, results)
+        ConcurrentMap::call_routed(&self.shards, caller_hint(), ops, |key| self.shard_of(key))
     }
 
     /// Deposits a batch without waiting: the async submission surface.
     ///
-    /// The batch is split by owning shard into per-shard sub-batches,
-    /// each sub-batch is deposited into its shard's parallel buffer via
-    /// [`ConcurrentMap::submit_batch`], and the returned cells are stitched
-    /// back into caller order — `cells[i]` is operation `i`'s result cell.
-    /// Nothing blocks and no combiner runs; pair with [`ShardedMap::pump`]
-    /// and probes of the cells ([`ResultCell::try_take`]) to drive
-    /// completion (this is what `wsm-svc` does).
+    /// Each operation moves straight into its owning shard's parallel
+    /// buffer ([`ConcurrentMap::submit_routed`]), and `cells[i]` is
+    /// operation `i`'s result cell.  Nothing blocks and no combiner runs;
+    /// pair with [`ShardedMap::pump`] and probes of the cells
+    /// ([`ResultCell::try_take`]) to drive completion (this is what
+    /// `wsm-svc` does).
     pub fn submit_batch(&self, ops: Vec<Operation<K, V>>) -> Vec<Arc<ResultCell<OpResult<V>>>> {
-        let (cells, route) = self.deposit(ops);
-        stitch(&route, cells)
+        ConcurrentMap::submit_routed(&self.shards, caller_hint(), ops, |key| self.shard_of(key))
     }
 
     /// Makes one non-blocking combiner-election attempt on every shard with
@@ -417,6 +368,61 @@ mod tests {
     fn batches_stitch_results_into_caller_order() {
         for shards in [1usize, 2, 4] {
             check_stitch_order(&sharded(shards), 0);
+        }
+    }
+
+    /// One request whose operations alternate between a key's shard and
+    /// the others, and return to that key four times: it must read as if run
+    /// alone and in order, through both the blocking and the async road.
+    #[test]
+    fn a_request_alternating_shards_returns_sequential_results() {
+        use Operation::{Delete, Insert, Search};
+        for shards in [1usize, 2, 4] {
+            for submit in [false, true] {
+                let map = sharded(shards);
+                let k = 7u64;
+                let others: Vec<u64> = (100u64..)
+                    .filter(|o| shards == 1 || map.shard_of(o) != map.shard_of(&k))
+                    .take(3)
+                    .collect();
+                map.insert_batch(others.iter().map(|&o| (o, o)).collect());
+                let [a, b, c] = others[..] else {
+                    unreachable!("three keys taken")
+                };
+                let ops = vec![
+                    Insert(k, 1),
+                    Search(a),
+                    Search(k),
+                    Insert(b, 11),
+                    Delete(k),
+                    Delete(c),
+                    Search(k),
+                    Search(b),
+                ];
+                let got = if submit {
+                    let cells = map.submit_batch(ops);
+                    while map.buffered() {
+                        map.pump();
+                    }
+                    cells.iter().map(|cell| cell.try_take().unwrap()).collect()
+                } else {
+                    map.run_batch(ops)
+                };
+                assert_eq!(
+                    got,
+                    vec![
+                        OpResult::Insert(None),
+                        OpResult::Search(Some(a)),
+                        OpResult::Search(Some(1)),
+                        OpResult::Insert(Some(b)),
+                        OpResult::Delete(Some(1)),
+                        OpResult::Delete(Some(c)),
+                        OpResult::Search(None),
+                        OpResult::Search(Some(11)),
+                    ],
+                    "S={shards} submit={submit}"
+                );
+            }
         }
     }
 

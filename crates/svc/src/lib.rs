@@ -7,7 +7,8 @@
 //! executor workers instead of pinning one parked OS thread each.
 //!
 //! ```text
-//!   client tasks ──┐ submit (non-blocking deposit into ParallelBuffer)
+//!   client tasks ──┐ submit (non-blocking deposit, each op straight
+//!                  │  into its shard's ParallelBuffer)
 //!   client tasks ──┼──────────────► per-op ResultCell
 //!   client tasks ──┘                      ▲
 //!          poll: pump() — one combiner    │ fill() stamps the cell;
@@ -26,7 +27,8 @@
 //!
 //! [`BatchCall::poll`] is where flat combining meets async:
 //!
-//! 1. **Harvest** every cell that filled since the last poll; all filled →
+//! 1. **Harvest**: take results in submission order, up to the first
+//!    unfilled cell, into the one vector the future returns; all taken →
 //!    `Ready`.
 //! 2. **Pump**: one non-blocking combiner-election attempt.  The polling
 //!    task may win and execute the batch inline — the async task *is* a
@@ -187,12 +189,10 @@ where
     /// drives completion.
     pub fn call_batch(&self, ops: Vec<Operation<K, V>>) -> BatchCall<V, B> {
         let cells = self.backend.submit(ops);
-        let remaining = cells.len();
         BatchCall {
             backend: Arc::clone(&self.backend),
-            results: (0..cells.len()).map(|_| None).collect(),
+            results: Vec::with_capacity(cells.len()),
             cells,
-            remaining,
         }
     }
 
@@ -223,41 +223,29 @@ where
 /// Future of one submitted batch: resolves to the per-op results in
 /// submission order.  See the crate docs for the poll protocol.
 ///
-/// # Panics
-///
-/// Polling again after `Ready` panics (the results were moved out).
+/// Polling again after `Ready` never resolves: the results were moved out.
 pub struct BatchCall<V, B> {
     backend: Arc<B>,
     cells: Vec<Arc<ResultCell<OpResult<V>>>>,
-    results: Vec<Option<OpResult<V>>>,
-    remaining: usize,
+    /// The results of `cells[..results.len()]`, taken in order.
+    results: Vec<OpResult<V>>,
 }
 
 // No self-references: the future is movable between polls whatever `V` is.
 impl<V, B> Unpin for BatchCall<V, B> {}
 
 impl<V, B> BatchCall<V, B> {
-    /// Moves every filled cell's payload into `results`; true when all are
-    /// in.
+    /// Takes results in submission order up to the first unfilled cell;
+    /// true when all are in.
     fn harvest(&mut self) -> bool {
-        if self.remaining > 0 {
-            for (slot, cell) in self.results.iter_mut().zip(&self.cells) {
-                if slot.is_none() {
-                    if let Some(result) = cell.try_take() {
-                        *slot = Some(result);
-                        self.remaining -= 1;
-                    }
-                }
-            }
+        while let Some(result) = self
+            .cells
+            .get(self.results.len())
+            .and_then(|cell| cell.try_take())
+        {
+            self.results.push(result);
         }
-        self.remaining == 0
-    }
-
-    fn finish(&mut self) -> Vec<OpResult<V>> {
-        self.results
-            .drain(..)
-            .map(|slot| slot.expect("BatchCall polled after completion"))
-            .collect()
+        self.results.len() == self.cells.len()
     }
 }
 
@@ -267,12 +255,12 @@ impl<V, B: BackendDriver> Future for BatchCall<V, B> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         if this.harvest() {
-            return Poll::Ready(this.finish());
+            return Poll::Ready(std::mem::take(&mut this.results));
         }
         // One election attempt — this task may become the combiner.
         this.backend.pump();
         if this.harvest() {
-            return Poll::Ready(this.finish());
+            return Poll::Ready(std::mem::take(&mut this.results));
         }
         // No fill wakes a task: re-poll cooperatively.
         cx.waker().wake_by_ref();

@@ -9,7 +9,11 @@
 //! * `M1::run_batch` on a uniform search stream — four mutating sweeps per
 //!   accessed item plus the cascade's grouping — stays at or under one
 //!   allocation per operation (the one-slot-per-item tree with per-call
-//!   temporaries took 3.5).
+//!   temporaries took 3.5);
+//! * a request of `k` operations deposited into a warmed two-shard
+//!   `ShardedMap` allocates its `k` result cells, the vector holding them and
+//!   at most `S` more, however its keys split across the shards; awaiting it
+//!   through `WsMapService::call_batch` adds one result vector.
 //!
 //! The round trips use a map whose key tree was built in bulk and then
 //! thinned evenly to three quarters full, and move at most a few keys of any
@@ -18,7 +22,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use wsm_core::{BatchedMap, Operation, TaggedOp, M1};
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
+use wsm_core::{BatchedMap, OpResult, Operation, TaggedOp, M1};
+use wsm_shard::ShardedMap;
+use wsm_svc::WsMapService;
 use wsm_twothree::RecencyMap;
 
 struct Counting;
@@ -184,4 +193,89 @@ fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
         "M1::run_batch allocates {per_op:.2}x per operation"
     );
     map.check_invariants();
+}
+
+/// Shard count of the request-path tests: the benchmark's.
+const SHARDS: usize = 2;
+
+/// A preloaded two-shard map whose buffers this thread has already filled
+/// past any request below, so their `Vec`s have the capacity they need.
+fn warmed_sharded() -> ShardedMap<u64, u64, M1<u64, u64>> {
+    let map = ShardedMap::with_shards(SHARDS, |_| M1::new(4));
+    map.insert_batch((0..1024u64).map(|k| (k, k)).collect());
+    map.get_batch((0..1024u64).collect());
+    map
+}
+
+/// Three request shapes: two keys on both shards, two keys on one shard,
+/// and 256 keys.
+fn request_shapes(map: &ShardedMap<u64, u64, M1<u64, u64>>) -> Vec<(&'static str, Vec<u64>)> {
+    let other = (1u64..)
+        .find(|k| map.shard_of(k) != map.shard_of(&0))
+        .expect("a key on the other shard");
+    let same = (1u64..)
+        .find(|k| map.shard_of(k) == map.shard_of(&0))
+        .expect("a second key on the first shard");
+    vec![
+        ("2 ops on both shards", vec![0, other]),
+        ("2 ops on one shard", vec![0, same]),
+        ("256 ops", (0..256).collect()),
+    ]
+}
+
+fn searches(keys: &[u64]) -> Vec<Operation<u64, u64>> {
+    keys.iter().map(|&k| Operation::Search(k)).collect()
+}
+
+#[test]
+fn a_sharded_deposit_allocates_its_cells_and_at_most_s_more() {
+    let map = warmed_sharded();
+    for (shape, keys) in request_shapes(&map) {
+        let k = keys.len() as u64;
+        let ops = searches(&keys);
+        // Nothing is pumped while counting: this is the deposit alone.
+        let (cells, n) = allocations(|| map.submit_batch(ops));
+        println!("submit_batch, {shape}: {n} allocations");
+        assert!(
+            n <= k + SHARDS as u64 + 2,
+            "submit_batch, {shape}: {n} allocations for {k} operations"
+        );
+        while map.buffered() {
+            map.pump();
+        }
+        for (&key, cell) in keys.iter().zip(&cells) {
+            assert_eq!(cell.try_take(), Some(OpResult::Search(Some(key))));
+        }
+    }
+}
+
+#[test]
+fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
+    let svc = WsMapService::new(warmed_sharded());
+    let map = svc.backend();
+    let mut cx = Context::from_waker(Waker::noop());
+    for (shape, keys) in request_shapes(map) {
+        let (cells, deposit) = allocations(|| map.submit_batch(searches(&keys)));
+        while map.buffered() {
+            map.pump();
+        }
+        drop(cells);
+
+        let (mut call, calling) = allocations(|| svc.call_batch(searches(&keys)));
+        // The combine runs outside the count; the poll then finds every
+        // cell filled and only harvests.
+        while map.buffered() {
+            map.pump();
+        }
+        let (poll, awaiting) = allocations(|| Pin::new(&mut call).poll(&mut cx));
+        let Poll::Ready(results) = poll else {
+            panic!("{shape}: every cell was filled before the poll")
+        };
+        let expected: Vec<OpResult<u64>> =
+            keys.iter().map(|&k| OpResult::Search(Some(k))).collect();
+        assert_eq!(results, expected);
+        let beyond = calling + awaiting - deposit;
+        println!("call_batch + poll, {shape}: {beyond} allocations beyond the deposit");
+        assert_eq!(beyond, 1, "call_batch, {shape}");
+    }
 }

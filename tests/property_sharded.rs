@@ -6,8 +6,9 @@
 //! API) are applied to a `ShardedMap` at `S ∈ {1, 2, 4}` and to a plain
 //! `BTreeMap` oracle, asserting every returned result — and the final
 //! contents — match exactly.  Because the submitter is single-threaded, the
-//! sharded map must behave *identically* to the oracle: splitting, routing
-//! and stitching may not reorder, drop or duplicate anything.  (Concurrent
+//! sharded map must behave *identically* to the oracle: routing each
+//! operation into its shard's buffer and handing its result back through its
+//! own cell may not reorder, drop or duplicate anything.  (Concurrent
 //! histories are covered per shard in `property_concurrent.rs`.)
 
 use proptest::prelude::*;
