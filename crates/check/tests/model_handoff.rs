@@ -154,7 +154,7 @@ fn never_park_exactly_once() {
 /// caller both spins on its own cell and races the same activation.
 #[test]
 fn never_park_three_callers_single_combiner() {
-    let r = Model::with_bound(3)
+    let r = Model::with_bound(4)
         .check(|| {
             let front = Arc::new(Front::new(1));
             let spawned: Vec<_> = (0..2)
@@ -172,7 +172,7 @@ fn never_park_three_callers_single_combiner() {
         })
         .assert_pass(1_000);
     println!(
-        "never-park 3 callers bound 3: {} schedules + {} pruned = {} considered",
+        "never-park 3 callers bound 4: {} schedules + {} pruned = {} considered",
         r.schedules,
         r.pruned,
         r.considered()

@@ -8,14 +8,14 @@
 //! a *shard*, a mutex-guarded `Vec`, and the flush appends every shard's
 //! items to the combiner's batch — the flat-combining realisation of the
 //! paper's runtime system that Section 8 sketches (see the
-//! [`crate::concurrent`] module docs).  A deposit holds its shard's lock for
-//! one `push` or `extend`, or, through an open [`Deposit`], for one
-//! request's run of operations; a flush holds each shard's lock for one
-//! `append`,
-//! and each side keeps its own allocation: the shard's `Vec` keeps its
-//! capacity across flushes and the caller's batch `Vec` is freed by the
-//! caller.  The analytic cost per flushed batch of size `b` is `O(p + b)`
-//! work and `O(log p + log b)` span, matching Theorem 26's requirements.
+//! [`crate::concurrent`] module docs).  Every deposit is an open
+//! [`Deposit`], which holds its shard's lock for one `push`, one batch's
+//! `extend` or one request's run of operations, and counts what it added
+//! when it drops; a flush holds each shard's lock for one `append`, and each
+//! side keeps its own allocation: the shard's `Vec` keeps its capacity
+//! across flushes and the caller's batch `Vec` is freed by the caller.  The
+//! analytic cost per flushed batch of size `b` is `O(p + b)` work and
+//! `O(log p + log b)` span, matching Theorem 26's requirements.
 
 use crate::activation::Activation;
 use wsm_model::{ceil_log2, Cost};
@@ -68,40 +68,24 @@ impl<T> ParallelBuffer<T> {
     /// is held until the [`Deposit`] drops, and everything pushed through it
     /// is published then, in push order.
     pub fn deposit(&self, shard_hint: usize) -> Deposit<'_, T> {
+        let items = self.shard(shard_hint).lock();
         Deposit {
-            items: self.shard(shard_hint).lock(),
+            before: items.len(),
+            items,
             pending: &self.pending,
-            count: 0,
         }
     }
 
     /// Deposits one call into the shard `shard_hint % shards`.  Constant time
     /// (amortised); uncontended when each thread uses its own hint.
     pub fn push(&self, shard_hint: usize, item: T) {
-        // Count *before* publishing.  The model checker caught the opposite
-        // order underflowing the counter: a combiner could drain the item and
-        // `fetch_sub` before this producer's `fetch_add` landed, leaving
-        // `pending` at usize::MAX and `is_empty()` false forever (a combiner
-        // livelock).  Counting first means a flush can only subtract items
-        // whose increment happened-before their push under the shard lock;
-        // the counter may transiently over-count a not-yet-pushed item, which
-        // merely costs the combiner one extra (yielding) recheck round.
-        // ord: Relaxed — ordering against the item itself is carried by the
-        // shard mutex below (model: tests/model_doorbell.rs).
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        self.shard(shard_hint).lock().push(item);
+        self.deposit(shard_hint).push(item);
     }
 
     /// Deposits a pre-built batch of calls into one shard under one lock,
     /// preserving the batch's order.
     pub fn push_batch(&self, shard_hint: usize, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        // ord: Relaxed — counted before publishing, as in `push` (which see
-        // for why the other order underflows the counter).
-        self.pending.fetch_add(items.len(), Ordering::Relaxed);
-        self.shard(shard_hint).lock().extend(items);
+        self.deposit(shard_hint).items.extend(items);
     }
 
     /// Flushes every shard, returning the accumulated input batch and the
@@ -151,26 +135,33 @@ impl<T> ParallelBuffer<T> {
 pub struct Deposit<'a, T> {
     items: MutexGuard<'a, Vec<T>>,
     pending: &'a AtomicUsize,
-    count: usize,
+    /// The shard's length when the deposit opened: everything past it is
+    /// this deposit's.
+    before: usize,
 }
 
 impl<T> Deposit<'_, T> {
     /// Appends one call behind everything already in the shard.
     pub fn push(&mut self, item: T) {
         self.items.push(item);
-        self.count += 1;
     }
 }
 
 impl<T> Drop for Deposit<'_, T> {
     fn drop(&mut self) {
-        // Count *before* publishing, as `push` does (which see for why the
-        // other order underflows the counter): the shard's lock is released
-        // after this body, when `items` drops.
-        if self.count > 0 {
+        // Count *before* publishing: the shard's lock is released after this
+        // body, when `items` drops.  The model checker caught the opposite
+        // order underflowing the counter: a combiner could drain the items
+        // and `fetch_sub` before the producer's `fetch_add` landed, leaving
+        // `pending` at usize::MAX and `is_empty()` false forever (a combiner
+        // livelock).  Counting first means a flush can only subtract items
+        // whose increment happened-before it.
+        let count = self.items.len() - self.before;
+        if count > 0 {
             // ord: Relaxed — the increment happens-before the shard unlock,
-            // which happens-before the flush's lock and so its decrement.
-            self.pending.fetch_add(self.count, Ordering::Relaxed);
+            // which happens-before the flush's lock and so its decrement
+            // (model: tests/model_doorbell.rs).
+            self.pending.fetch_add(count, Ordering::Relaxed);
         }
     }
 }

@@ -139,10 +139,15 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
     /// Entropy-sorts a cut batch by key and combines duplicates into
     /// group-operations (Section 6.1 step 2).  Every position lands in
     /// exactly one group, so the operations move rather than clone.
-    pub(crate) fn group(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<GroupOp<K, V>>, Charge) {
+    pub(crate) fn group(
+        &mut self,
+        batch: impl IntoIterator<Item = TaggedOp<K, V>>,
+    ) -> (Vec<GroupOp<K, V>>, Charge) {
         self.key_buf.clear();
-        self.key_buf
-            .extend(batch.iter().map(|t| t.op.key().clone()));
+        for t in batch {
+            self.key_buf.push(t.op.key().clone());
+            self.batch_buf.push(Some(t));
+        }
         let charge = Charge::exact(pesort_group_into(
             &self.key_buf,
             &mut self.scratch,
@@ -150,7 +155,6 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         ));
         let mut groups = std::mem::take(&mut self.groups_buf);
         debug_assert!(groups.is_empty());
-        self.batch_buf.extend(batch.into_iter().map(Some));
         for (key, idxs) in self.grouped.iter() {
             let mut ops = self.ops_pool.pop().unwrap_or_default();
             ops.extend(idxs.iter().map(|&i| {

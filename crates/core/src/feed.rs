@@ -1,170 +1,83 @@
-//! The feed buffer and bunches (Section 6.1).
+//! The feed buffer (Section 6.1).
 //!
 //! The feed buffer decouples the (arbitrarily large) input batches flushed
 //! from the parallel buffer from the (size-controlled) *cut batches* the map
-//! actually processes.  It is a queue of *bunches*, each of size `p²` except
-//! possibly the last.  A bunch supports `O(1)` addition of a batch and
-//! `O(log b)`-span conversion to a batch of size `b` (the paper implements it
-//! as a complete binary tree of batches threaded with per-level lists; here
-//! a bunch is a vector of batches, which has the same work profile, and
-//! [`Bunch::into_batch`]'s charge is the tree's `O(log b)` span).
+//! actually processes.  The paper builds it as a queue of *bunches*, each of
+//! `p²` operations except possibly the last, where a bunch supports `O(1)`
+//! addition of a batch and `O(log b)`-span conversion to a batch of size `b`
+//! (a complete binary tree of batches threaded with per-level lists).
+//!
+//! Every bunch but the last is full, so here a bunch is just a run of `p²`
+//! consecutive entries of one FIFO queue: bunch `i` is entries
+//! `i·p² .. (i+1)·p²`.  Nothing is stored per bunch; each still carries the
+//! paper's charge — `O(b)` work, `O(log b)` span to add an input batch of
+//! `b` operations, and the same to convert a bunch of `b` operations into a
+//! batch ([`bunch_cost`]).
 
+use std::collections::vec_deque::{Drain, VecDeque};
 use wsm_model::{ceil_log2, Cost};
 
-/// A set of batches supporting `O(1)` addition of a batch and conversion to a
-/// single batch.
-#[derive(Clone, Debug, Default)]
-pub struct Bunch<T> {
-    batches: Vec<Vec<T>>,
-    len: usize,
-}
-
-impl<T> Bunch<T> {
-    /// Creates an empty bunch.
-    pub fn new() -> Self {
-        Bunch {
-            batches: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of operations across all contained batches.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the bunch holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Adds a batch in `O(1)`.
-    pub fn add_batch(&mut self, batch: Vec<T>) {
-        self.len += batch.len();
-        if !batch.is_empty() {
-            self.batches.push(batch);
-        }
-    }
-
-    /// Converts the bunch into a single batch; `O(b)` work, `O(log b)` span
-    /// (returned as the second component).
-    pub fn into_batch(mut self) -> (Vec<T>, Cost) {
-        let b = self.len as u64;
-        let out = if self.batches.len() == 1 {
-            // The common single-input case: hand the batch back as-is.
-            self.batches.pop().expect("one batch")
-        } else {
-            let mut out = Vec::with_capacity(self.len);
-            for batch in self.batches {
-                out.extend(batch);
-            }
-            out
-        };
-        let span = u64::from(ceil_log2(b + 1)) + 1;
-        let cost = Cost::new(b.max(span), span);
-        (out, cost)
-    }
-}
-
-/// The feed buffer: a FIFO queue of bunches, each of capacity `bunch_capacity`
-/// (`p²` in the paper) except possibly the last.
-#[derive(Clone, Debug)]
-pub struct FeedBuffer<T> {
-    bunches: std::collections::VecDeque<Bunch<T>>,
+/// The feed buffer: a FIFO queue of operations, read as bunches of
+/// `bunch_capacity` (`p²` in the paper) consecutive entries.
+#[derive(Debug)]
+pub(crate) struct FeedBuffer<T> {
+    queue: VecDeque<T>,
     bunch_capacity: usize,
-    len: usize,
+}
+
+/// The charge for adding, or converting, a bunch of `b` operations: `O(b)`
+/// work and `O(log b)` span.
+fn bunch_cost(b: usize) -> Cost {
+    let b = b as u64;
+    let span = u64::from(ceil_log2(b + 1)) + 1;
+    Cost::new(b.max(span), span)
 }
 
 impl<T> FeedBuffer<T> {
     /// Creates an empty feed buffer with the given bunch capacity (`p²`).
-    pub fn new(bunch_capacity: usize) -> Self {
+    pub(crate) fn new(bunch_capacity: usize) -> Self {
         assert!(bunch_capacity > 0, "bunch capacity must be positive");
         FeedBuffer {
-            bunches: std::collections::VecDeque::new(),
+            queue: VecDeque::new(),
             bunch_capacity,
-            len: 0,
         }
-    }
-
-    /// Bunch capacity (`p²`).
-    pub fn bunch_capacity(&self) -> usize {
-        self.bunch_capacity
     }
 
     /// Total number of buffered operations.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
     }
 
     /// True if no operations are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
-    /// Number of bunches currently queued.
-    pub fn num_bunches(&self) -> usize {
-        self.bunches.len()
-    }
-
-    /// Cuts an input batch into small batches and appends them (Section 6.1):
-    /// the first small batch tops up the last bunch to capacity, the rest are
-    /// appended as new bunches of exactly `bunch_capacity` (except the last).
-    /// Returns the cost charged (`O(1)` per operation, `O(log b)` span).
-    pub fn push_input(&mut self, mut input: Vec<T>) -> Cost {
-        let b = input.len() as u64;
+    /// Appends an input batch (Section 6.1: its front tops up the last bunch,
+    /// the rest forms new bunches).  Returns the cost charged (`O(1)` per
+    /// operation, `O(log b)` span).
+    pub(crate) fn push_input(&mut self, input: Vec<T>) -> Cost {
         if input.is_empty() {
             return Cost::ZERO;
         }
-        self.len += input.len();
-        // Top up the last bunch.
-        let room = match self.bunches.back() {
-            Some(last) if last.len() < self.bunch_capacity => self.bunch_capacity - last.len(),
-            _ => 0,
-        };
-        if room > 0 {
-            let take = room.min(input.len());
-            let rest = input.split_off(take);
-            self.bunches
-                .back_mut()
-                .expect("checked non-empty")
-                .add_batch(input);
-            input = rest;
-        }
-        // Append the remainder as fresh bunches.
-        while !input.is_empty() {
-            let take = self.bunch_capacity.min(input.len());
-            let rest = input.split_off(take);
-            let mut bunch = Bunch::new();
-            bunch.add_batch(input);
-            self.bunches.push_back(bunch);
-            input = rest;
-        }
-        let span = u64::from(ceil_log2(b + 1)) + 1;
-        Cost::new(b.max(span), span)
+        let cost = bunch_cost(input.len());
+        self.queue.extend(input);
+        cost
     }
 
-    /// Removes up to `count` bunches from the front and merges them into one
-    /// cut batch.  Returns the batch and the cost of forming it.
-    pub fn pop_cut_batch(&mut self, count: usize) -> (Vec<T>, Cost) {
-        let mut out = Vec::new();
-        let mut cost = Cost::ZERO;
-        for _ in 0..count {
-            let Some(bunch) = self.bunches.pop_front() else {
-                break;
-            };
-            let (batch, c) = bunch.into_batch();
-            cost = cost.par(c);
-            if out.is_empty() {
-                out = batch; // common case: one bunch, no copy
-            } else {
-                out.extend(batch);
-            }
-        }
-        self.len -= out.len();
-        // Merging `count` converted bunches is a parallel concatenation.
+    /// Removes up to `count` bunches from the front as one cut batch, in FIFO
+    /// order.  Returns the batch and the cost of forming it: the bunches
+    /// convert in parallel, then merge in a parallel concatenation over the
+    /// `count` requested.
+    pub(crate) fn pop_cut_batch(&mut self, count: usize) -> (Drain<'_, T>, Cost) {
+        let take = self.queue.len().min(count * self.bunch_capacity);
+        let convert = (0..take)
+            .step_by(self.bunch_capacity)
+            .map(|start| bunch_cost((take - start).min(self.bunch_capacity)))
+            .fold(Cost::ZERO, Cost::par);
         let merge_span = u64::from(ceil_log2(count.max(1) as u64)) + 1;
-        let merge = Cost::new((out.len() as u64).max(merge_span), merge_span);
-        (out, cost.then(merge))
+        let merge = Cost::new((take as u64).max(merge_span), merge_span);
+        (self.queue.drain(..take), convert.then(merge))
     }
 }
 
@@ -172,45 +85,81 @@ impl<T> FeedBuffer<T> {
 mod tests {
     use super::*;
 
+    /// Pops a cut batch and collects it.
+    fn pop(f: &mut FeedBuffer<u64>, count: usize) -> (Vec<u64>, Cost) {
+        let (batch, cost) = f.pop_cut_batch(count);
+        (batch.into_iter().collect(), cost)
+    }
+
     #[test]
     fn bunch_accumulates_batches() {
-        let mut b = Bunch::new();
-        assert!(b.is_empty());
-        b.add_batch(vec![1, 2, 3]);
-        b.add_batch(Vec::new());
-        b.add_batch(vec![4]);
-        assert_eq!(b.len(), 4);
-        let (batch, cost) = b.into_batch();
+        // Three input batches that together fit one bunch come back out as
+        // one batch, in order.
+        let mut f: FeedBuffer<u64> = FeedBuffer::new(8);
+        f.push_input(vec![1, 2, 3]);
+        f.push_input(Vec::new());
+        f.push_input(vec![4]);
+        assert_eq!(f.len(), 4);
+        let (batch, cost) = pop(&mut f, 1);
         assert_eq!(batch, vec![1, 2, 3, 4]);
-        assert!(cost.span <= 4);
+        assert!(cost.span <= 5);
     }
 
     #[test]
     fn feed_buffer_cuts_into_bunches_of_capacity() {
         let mut f: FeedBuffer<u64> = FeedBuffer::new(4);
         f.push_input((0..10).collect());
-        // 10 items with capacity 4: bunches of 4, 4, 2.
-        assert_eq!(f.num_bunches(), 3);
         assert_eq!(f.len(), 10);
-        // Pushing 3 more: first tops up the last bunch (2 -> 4), rest forms a
-        // new bunch of 1.
+        // 10 items with capacity 4 are bunches of 4, 4, 2; pushing 3 more
+        // tops the last bunch up to 4 and starts a new bunch of 1.
         f.push_input((10..13).collect());
-        assert_eq!(f.num_bunches(), 4);
         assert_eq!(f.len(), 13);
+        let sizes: Vec<usize> = (0..4).map(|_| pop(&mut f, 1).0.len()).collect();
+        assert_eq!(sizes, vec![4, 4, 4, 1]);
+        assert!(f.is_empty());
     }
 
     #[test]
     fn pop_cut_batch_merges_in_fifo_order() {
         let mut f: FeedBuffer<u64> = FeedBuffer::new(3);
         f.push_input((0..8).collect());
-        let (batch, _) = f.pop_cut_batch(2);
+        let (batch, _) = pop(&mut f, 2);
         assert_eq!(batch, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(f.len(), 2);
-        let (batch, _) = f.pop_cut_batch(5);
+        let (batch, _) = pop(&mut f, 5);
         assert_eq!(batch, vec![6, 7]);
         assert!(f.is_empty());
-        let (batch, _) = f.pop_cut_batch(1);
+        let (batch, _) = pop(&mut f, 1);
         assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn per_call_charges_are_pinned() {
+        // Every push and pop of a fixed sequence at bunch capacity 4, with
+        // the exact cost each returns and the batch each pop yields.
+        let c = |work, span| Cost { work, span };
+        let mut f: FeedBuffer<u64> = FeedBuffer::new(4);
+        assert_eq!(f.push_input((0..6).collect()), c(6, 4));
+        // These two top up the partial bunch [4, 5].
+        assert_eq!(f.push_input((6..9).collect()), c(3, 3));
+        assert_eq!(f.push_input(vec![9]), c(2, 2));
+        // One full bunch: converting costs (4, 4), the merge over a count
+        // of 1 costs (4, 1).
+        assert_eq!(pop(&mut f, 1), (vec![0, 1, 2, 3], c(8, 5)));
+        // A full bunch and the partial one behind it, converted in parallel.
+        assert_eq!(pop(&mut f, 2), ((4..10).collect(), c(13, 6)));
+        assert!(f.is_empty());
+        // `count` larger than the bunches held: bunches of 4, 4 and 1, and
+        // the merge is charged over the count requested.
+        assert_eq!(f.push_input((10..13).collect()), c(3, 3));
+        assert_eq!(f.push_input((13..19).collect()), c(6, 4));
+        assert_eq!(pop(&mut f, 5), ((10..19).collect(), c(19, 8)));
+        // Only a partial bunch held.
+        assert_eq!(f.push_input(vec![19, 20]), c(3, 3));
+        assert_eq!(pop(&mut f, 3), (vec![19, 20], c(6, 6)));
+        // An empty pop still pays the merge.
+        assert_eq!(pop(&mut f, 2), (Vec::new(), c(2, 2)));
+        assert_eq!(pop(&mut f, 1), (Vec::new(), c(1, 1)));
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   maps own: sort + combine, the per-segment pass of Section 6.1 step 3
 //!   (= Section 7.1 step 3 for M2's first slab), boundary balancing and every
 //!   metered segment operation, written once.
+//! * `feed` (crate-private, `src/feed.rs`) — the feed buffer both maps take
+//!   their cut batches from (Section 6.1): one FIFO queue in which a bunch
+//!   is a run of `p²` consecutive entries that still carries the paper's
+//!   bunch charge.  [`BatchedMap::run_batch`] (or `run_ops`) is the one way
+//!   in, and it drains everything it was given.
 //! * [`buffer::ParallelBuffer`] — the implicit-batching parallel buffer
 //!   (Appendix A.1, Theorem 26).  Its combiner is elected by an
 //!   [`activation::Activation`] (Definition 36) built on a
@@ -47,7 +52,7 @@ mod cascade;
 pub mod concurrent;
 pub mod context;
 pub mod doorbell;
-pub mod feed;
+mod feed;
 pub mod handoff;
 pub mod m1;
 pub mod m2;
@@ -57,7 +62,6 @@ pub mod trylock;
 pub use buffer::ParallelBuffer;
 pub use concurrent::{CommitHook, ConcurrentMap, Handoff};
 pub use context::{caller_hint, in_service_task, ServiceTaskGuard};
-pub use feed::{Bunch, FeedBuffer};
 pub use handoff::ResultCell;
 pub use m1::M1;
 pub use m2::M2;

@@ -1,8 +1,11 @@
 //! M1 — the simple batched parallel working-set map (paper Section 6).
 //!
 //! Operations enter through the parallel buffer (owned by the concurrent
-//! front-end) or directly as input batches, are cut into bounded-size batches
-//! by the feed buffer, entropy-sorted so that duplicate accesses combine into
+//! front-end) or directly as input batches, all through
+//! [`BatchedMap::run_batch`].  The feed buffer queues them; each cut batch
+//! takes `⌈log n / p⌉` bunches off its front, a bunch being a run of `p²`
+//! queue entries charged as the paper's bunch.  A cut batch is
+//! entropy-sorted so that duplicate accesses combine into
 //! [`crate::GroupOp`]s, and then passed through the segment cascade
 //! `S[0] → S[1] → …` (Section 6.1 step 3 — written once, in
 //! `crates/core/src/cascade.rs`, which M2 shares for its first slab): at
@@ -46,7 +49,6 @@ pub struct M1<K, V> {
     /// `analytic_bound_work / effective_work` is the constant factor E17
     /// tracks.
     spent: Charge,
-    next_id: OpId,
     /// Per-cut-batch diagnostics; `None` (the default) records nothing, so a
     /// long-running map's memory does not grow with the batches it served.
     batch_log: Option<Vec<BatchStats>>,
@@ -62,7 +64,6 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
             feed: FeedBuffer::new(p * p),
             cascade: Cascade::new(),
             spent: Charge::ZERO,
-            next_id: 0,
             batch_log: None,
         }
     }
@@ -117,16 +118,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
 
     /// Pushes an input batch (already tagged) into the feed buffer, as if it
     /// had just been flushed from the parallel buffer.
-    pub fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
-        for t in &batch {
-            self.next_id = self.next_id.max(t.id + 1);
-        }
+    fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
         self.spent += Charge::exact(self.feed.push_input(batch));
-    }
-
-    /// Number of operations waiting in the feed buffer.
-    pub fn pending(&self) -> usize {
-        self.feed.len()
     }
 
     /// How many bunches form the next cut batch: `⌈log n / p⌉`, at least one
@@ -136,51 +129,38 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
         logn.div_ceil(self.p).max(1)
     }
 
-    /// Processes one cut batch if any operations are pending — the core of
-    /// Section 6.1: sort + combine, pass through every segment, then append
-    /// net insertions (the steps themselves are in [`crate::cascade`]).
-    /// Returns the results of the operations that completed in this batch.
-    #[allow(clippy::type_complexity)]
-    pub fn process_next_batch(&mut self) -> Option<(Vec<(OpId, OpResult<V>)>, Cost)> {
-        if self.feed.is_empty() {
-            return None;
-        }
-        let (batch, form_cost) = self.feed.pop_cut_batch(self.cut_bunch_count());
-        let map_size_before = self.size();
-        let batch_size = batch.len();
-        let mut results = Vec::with_capacity(batch_size);
-        let (mut groups, sort_charge) = self.cascade.group(batch);
-        let mut charge = Charge::exact(form_cost) + sort_charge;
-        let end = self.cascade.num_segments();
-        charge += self.cascade.pass(end, &mut groups, &mut results);
-        // What reached the end resolves against an absent item; net
-        // insertions go to the back.
-        let inserts = self.cascade.resolve_absent(groups, &mut results);
-        charge += self.cascade.append_inserts(inserts);
-        // Refill any deletion holes and drop empty trailing segments so the
-        // Section 5/6 structural invariant holds after every batch.
-        charge += self.cascade.restore_all();
-        self.cascade.drop_empty_tail(|_| true);
+    /// Processes everything that is pending, one cut batch at a time — the
+    /// core of Section 6.1: sort + combine, pass through every segment, then
+    /// append net insertions (the steps themselves are in `cascade.rs`).
+    /// Appends every result to `results`.
+    fn process_all(&mut self, results: &mut Vec<(OpId, OpResult<V>)>) {
+        while !self.feed.is_empty() {
+            let count = self.cut_bunch_count();
+            let map_size_before = self.size();
+            let (batch, form_cost) = self.feed.pop_cut_batch(count);
+            let batch_size = batch.len();
+            let (mut groups, sort_charge) = self.cascade.group(batch);
+            let mut charge = Charge::exact(form_cost) + sort_charge;
+            let end = self.cascade.num_segments();
+            charge += self.cascade.pass(end, &mut groups, results);
+            // What reached the end resolves against an absent item; net
+            // insertions go to the back.
+            let inserts = self.cascade.resolve_absent(groups, results);
+            charge += self.cascade.append_inserts(inserts);
+            // Refill any deletion holes and drop empty trailing segments so
+            // the Section 5/6 structural invariant holds after every batch.
+            charge += self.cascade.restore_all();
+            self.cascade.drop_empty_tail(|_| true);
 
-        self.spent += charge;
-        let cost = charge.measured;
-        if let Some(log) = &mut self.batch_log {
-            log.push(BatchStats {
-                batch_size,
-                map_size_before,
-                cost,
-            });
+            self.spent += charge;
+            if let Some(log) = &mut self.batch_log {
+                log.push(BatchStats {
+                    batch_size,
+                    map_size_before,
+                    cost: charge.measured,
+                });
+            }
         }
-        Some((results, cost))
-    }
-
-    /// Processes everything that is pending, returning all results.
-    pub fn process_all(&mut self) -> Vec<(OpId, OpResult<V>)> {
-        let mut out = Vec::new();
-        while let Some((results, _)) = self.process_next_batch() {
-            out.extend(results);
-        }
-        out
     }
 
     /// Checks the structural invariants: internal tree consistency, cached
@@ -224,7 +204,6 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     /// Only valid on a fresh map (the cost ledger and batch log restart from
     /// zero — durability restores *state*, not accounting history).
     pub fn restore_segments(&mut self, segments: Vec<Vec<(K, V)>>) {
-        assert!(self.pending() == 0, "restore_segments requires a fresh map");
         self.cascade.restore(segments);
         self.cascade.drop_empty_tail(|_| true);
     }
@@ -232,16 +211,16 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     /// Convenience: runs a sequence of untagged operations as one input batch
     /// and returns the results in operation order.
     pub fn run_ops(&mut self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let base = self.next_id;
-        ops::run_ops(self, base, ops)
+        ops::run_ops(self, ops)
     }
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> BatchedMap<K, V> for M1<K, V> {
     fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost) {
         let before = self.spent.measured;
+        let mut results = Vec::with_capacity(batch.len());
         self.enqueue_batch(batch);
-        let results = self.process_all();
+        self.process_all(&mut results);
         let after = self.spent.measured;
         (
             results,
@@ -442,7 +421,9 @@ mod tests {
             id: 1000,
             op: search(1),
         }]);
-        let results: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
+        let mut results = Vec::new();
+        m.process_all(&mut results);
+        let results: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
         assert_eq!(results[&0], OpResult::Insert(None));
         assert_eq!(results[&1000], OpResult::Search(Some(11)));
     }
@@ -532,7 +513,7 @@ mod tests {
     #[test]
     fn empty_batches_and_empty_map() {
         let mut m: M1<u64, u64> = M1::new(4);
-        assert!(m.process_next_batch().is_none());
+        assert_eq!(m.run_batch(Vec::new()), (Vec::new(), Cost::ZERO));
         let results = m.run_ops(vec![search(1), delete(2)]);
         assert_eq!(results[0], OpResult::Search(None));
         assert_eq!(results[1], OpResult::Delete(None));

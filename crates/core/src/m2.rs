@@ -96,7 +96,6 @@ pub struct M2<K, V> {
     /// Number of dedicated maintenance runs (hole-refill cascade steps with
     /// no tokens to process) executed so far.
     maintenance_runs: u64,
-    next_id: OpId,
     /// Two-priority activation queues: final-slab segments (Q1), each queued
     /// at most once, and the interface (Q2, so one flag).
     q1: VecDeque<usize>,
@@ -130,7 +129,6 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             filter: Tree23::new(),
             spent: Charge::ZERO,
             maintenance_runs: 0,
-            next_id: 0,
             q1: VecDeque::new(),
             interface_queued: false,
             results: Vec::new(),
@@ -224,12 +222,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     }
 
     /// Enqueues an input batch, as if flushed from the parallel buffer.
-    pub fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
+    fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
         let now = self.virtual_now();
         self.latest_submit = now;
-        for t in &batch {
-            self.next_id = self.next_id.max(t.id + 1);
-        }
         if let Some(log) = &mut self.latency_log {
             log.submit_times.extend(batch.iter().map(|t| (t.id, now)));
         }
@@ -239,7 +234,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
     /// Number of operations not yet resolved (buffered, or waiting in the
     /// filter; already-resolved results awaiting pickup do not count).
-    pub fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.feed.len() + self.filter_pending_ops()
     }
 
@@ -258,7 +253,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     /// Runs one activation from the two-priority queues (final-slab segments
     /// first, then the interface) — one "step" of the weak-priority scheduler.
     /// Returns `false` when nothing was ready to run.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         // Q1 (final slab) has weak priority over Q2 (interface).
         if let Some(k) = self.q1.pop_front() {
             self.run_segment(k);
@@ -272,7 +267,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
     /// Drives the pipeline until all pending operations have resolved, then
     /// returns their results.
-    pub fn process_all(&mut self) -> Vec<(OpId, OpResult<V>)> {
+    fn process_all(&mut self) -> Vec<(OpId, OpResult<V>)> {
         loop {
             if self.q1.is_empty() && !self.interface_queued {
                 // Re-arm: any final-slab segment with buffered tokens, and the
@@ -295,8 +290,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 
     /// Convenience wrapper mirroring [`crate::M1::run_ops`].
     pub fn run_ops(&mut self, ops: Vec<Operation<K, V>>) -> Vec<OpResult<V>> {
-        let base = self.next_id;
-        ops::run_ops(self, base, ops)
+        ops::run_ops(self, ops)
     }
 
     /// The full contents, segment by segment, each segment's items in
@@ -344,9 +338,6 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // Step 1: take exactly one bunch as the cut batch.
         let (batch, form_cost) = self.feed.pop_cut_batch(1);
         cost += Charge::exact(form_cost);
-        if batch.is_empty() {
-            return;
-        }
         // Steps 2-3: entropy-sort and combine duplicates, then pass through
         // the first slab (segments 0..m-1) as in M1 — see `crate::cascade`.
         // Holes accumulate in S[m-1]; S[m]'s maintenance run refills them.

@@ -128,7 +128,9 @@ impl<K: Clone, V: Clone> GroupOp<K, V> {
 /// [`OpId`]); the cost is the effective work/span charged for the batch.
 pub trait BatchedMap<K, V> {
     /// Executes a batch of operations, returning the per-call results and the
-    /// effective cost charged for the batch.
+    /// effective cost charged for the batch.  Every operation of `batch`
+    /// resolves before the call returns, so identifiers need only be unique
+    /// within one batch.
     fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost);
 
     /// Number of items currently stored.
@@ -155,26 +157,18 @@ pub trait BatchedMap<K, V> {
     }
 }
 
-/// `M1::run_ops` / `M2::run_ops`: tags `ops` with consecutive identifiers
-/// from `base` (the map's next free one), runs them as one input batch and
-/// returns the results in operation order.  Results of operations enqueued
-/// before the call carry smaller identifiers and are skipped.
+/// `M1::run_ops` / `M2::run_ops`: tags `ops` with the identifiers `0..n`,
+/// runs them as one input batch and returns the results in operation order.
 pub(crate) fn run_ops<K, V, M: BatchedMap<K, V>>(
     map: &mut M,
-    base: OpId,
     ops: Vec<Operation<K, V>>,
 ) -> Vec<OpResult<V>> {
     let n = ops.len();
-    let batch = (base..).zip(ops).map(|(id, op)| TaggedOp { id, op });
+    let batch = (0..).zip(ops).map(|(id, op)| TaggedOp { id, op });
     let (tagged, _) = map.run_batch(batch.collect());
     let mut results: Vec<Option<OpResult<V>>> = (0..n).map(|_| None).collect();
     for (id, r) in tagged {
-        if let Some(slot) = id
-            .checked_sub(base)
-            .and_then(|i| results.get_mut(i as usize))
-        {
-            *slot = Some(r);
-        }
+        results[id as usize] = Some(r);
     }
     results
         .into_iter()

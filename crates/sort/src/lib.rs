@@ -6,12 +6,12 @@
 //! working-set bound allows (Section 3).  The paper solves this with
 //! entropy-optimal sorting:
 //!
-//! * [`esort`] — the sequential **ESort** (Definition 29): insert the batch
+//! * [`esort()`] — the sequential **ESort** (Definition 29): insert the batch
 //!   items into a working-set dictionary (Iacono's structure), collect each
 //!   segment in sorted order and merge.  Takes `Θ(IW_L) ⊆ O(nH + n)` time
 //!   (Theorem 30).
-//! * [`pesort`] — the parallel **PESort** (Definition 32): a quicksort whose
-//!   pivot is chosen by the block-median [`ppivot`] algorithm (Lemma 34) so it
+//! * [`pesort()`] — the parallel **PESort** (Definition 32): a quicksort whose
+//!   pivot is chosen by the block-median [`ppivot()`] algorithm (Lemma 34) so it
 //!   always falls in the middle two quartiles, giving `O(nH + n)` work and
 //!   `O(log² n)` span (Theorem 33).
 //! * Entropy and working-set bound helpers are re-exported from
@@ -29,9 +29,7 @@ pub mod pesort;
 pub mod ppivot;
 
 pub use esort::{esort, esort_group};
-pub use pesort::{
-    pesort, pesort_by, pesort_group, pesort_group_into, GroupedBatch, SortScratch, SortStats,
-};
+pub use pesort::{pesort, pesort_by, pesort_group, pesort_group_into, GroupedBatch, SortScratch};
 pub use ppivot::ppivot;
 
 #[cfg(test)]

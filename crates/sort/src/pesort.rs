@@ -1,6 +1,6 @@
 //! Parallel entropy sort PESort (paper Definition 32, Theorem 33).
 //!
-//! PESort is a quicksort variant: the pivot is chosen by [`crate::ppivot`]
+//! PESort is a quicksort variant: the pivot is chosen by [`crate::ppivot()`]
 //! (so it always lies in the middle two quartiles), the input is partitioned
 //! into a lower part, a middle part equal to the pivot and an upper part, and
 //! the lower/upper parts are sorted recursively (in parallel).  An item that
@@ -21,28 +21,32 @@ const SMALL: usize = 24;
 /// Inputs below this size do not spawn parallel recursive calls.
 const PAR_GRAIN: usize = 2048;
 
-/// Statistics of one sort invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SortStats {
-    /// Analytic work/span of the sort in the QRMW model.
-    pub cost: Cost,
-    /// Number of key comparisons actually performed.
-    pub comparisons: u64,
-}
-
 /// Sorts `items` by `cmp`, returning the sorted vector and the analytic cost.
 ///
-/// The sort is stable for items that compare equal.
+/// The sort is stable for items that compare equal.  It sorts an index
+/// permutation of `items` (the recursion of [`pesort_group_into`]) and then
+/// moves each item to its place.
 pub fn pesort_by<T, F>(items: Vec<T>, cmp: &F) -> (Vec<T>, Cost)
 where
-    T: Clone + Send,
+    T: Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    pesort_rec(items, cmp)
+    let n = u32::try_from(items.len()).expect("input larger than u32::MAX items");
+    let mut idx: Vec<u32> = (0..n).collect();
+    let cost = pesort_idx(
+        &mut idx,
+        &|a: &u32, b: &u32| cmp(&items[*a as usize], &items[*b as usize]),
+        &mut Vec::new(),
+    );
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let sorted = idx
+        .iter()
+        .map(|&i| slots[i as usize].take().expect("a permutation"));
+    (sorted.collect(), cost)
 }
 
 /// Sorts `items` by the natural order, returning the sorted vector and cost.
-pub fn pesort<T: Ord + Clone + Send>(items: Vec<T>) -> (Vec<T>, Cost) {
+pub fn pesort<T: Ord + Send + Sync>(items: Vec<T>) -> (Vec<T>, Cost) {
     pesort_by(items, &T::cmp)
 }
 
@@ -192,14 +196,16 @@ pub fn pesort_group_into<K: Ord + Clone + Send + Sync>(
     sort_cost.then(Cost::flat(n as u64))
 }
 
-/// PESort over an index permutation, with pooled partition temporaries.
+/// PESort over an index permutation, with pooled partition temporaries —
+/// the one PESort recursion, behind both [`pesort_by`] and
+/// [`pesort_group_into`].
 ///
-/// Identical recursion shape and analytic cost to [`pesort_by`], but the
-/// lower/middle/upper temporaries are drawn from (and returned to) `pool`
-/// instead of freshly allocated, and the base case uses an in-place unstable
-/// sort with an index tie-break — indices are distinct, so the tie-broken
-/// order equals the stable-by-key order without the stable sort's scratch
-/// allocation.
+/// The lower/middle/upper temporaries are drawn from (and returned to)
+/// `pool` instead of freshly allocated, and the base case uses an in-place
+/// unstable sort with an index tie-break — every partition is stable, so
+/// within a sub-slice equal keys sit in ascending index order, and the
+/// tie-broken order equals the stable-by-key order without the stable
+/// sort's scratch allocation.
 fn pesort_idx<F>(idx: &mut [u32], cmp: &F, pool: &mut Vec<Vec<u32>>) -> Cost
 where
     F: Fn(&u32, &u32) -> Ordering + Sync,
@@ -266,62 +272,6 @@ where
         .then(partition_cost)
         .then(lower_cost.par(upper_cost))
         .then(Cost::UNIT)
-}
-
-fn small_sort<T, F>(mut items: Vec<T>, cmp: &F) -> (Vec<T>, Cost)
-where
-    T: Clone,
-    F: Fn(&T, &T) -> Ordering,
-{
-    let k = items.len() as u64;
-    items.sort_by(cmp);
-    (
-        items,
-        Cost::serial(k * (u64::from(ceil_log2(k.max(1))) + 1)),
-    )
-}
-
-fn pesort_rec<T, F>(items: Vec<T>, cmp: &F) -> (Vec<T>, Cost)
-where
-    T: Clone + Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let k = items.len();
-    if k <= SMALL {
-        return small_sort(items, cmp);
-    }
-    let (pivot_idx, pivot_cost) = ppivot_by(&items, cmp);
-    let pivot = items[pivot_idx].clone();
-
-    // Stable three-way partition.  The paper parallelises this with a
-    // prefix-sum; the concrete partition is a sequential scan, and
-    // `partition_cost` charges the prefix-sum's `k` work and `⌈log k⌉ + 1`
-    // span in its place.
-    let mut lower = Vec::new();
-    let mut middle = Vec::new();
-    let mut upper = Vec::new();
-    for item in items {
-        match cmp(&item, &pivot) {
-            Ordering::Less => lower.push(item),
-            Ordering::Equal => middle.push(item),
-            Ordering::Greater => upper.push(item),
-        }
-    }
-    let partition_cost = Cost::new(k as u64, u64::from(ceil_log2(k as u64)) + 1);
-
-    let ((mut sorted_lower, lower_cost), (sorted_upper, upper_cost)) = if k >= PAR_GRAIN {
-        wsm_pool::join(|| pesort_rec(lower, cmp), || pesort_rec(upper, cmp))
-    } else {
-        (pesort_rec(lower, cmp), pesort_rec(upper, cmp))
-    };
-
-    sorted_lower.extend(middle);
-    sorted_lower.extend(sorted_upper);
-    let total = pivot_cost
-        .then(partition_cost)
-        .then(lower_cost.par(upper_cost))
-        .then(Cost::UNIT);
-    (sorted_lower, total)
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ const IDLE_WAIT: Duration = Duration::from_millis(5);
 /// Error returned by a [`Receiver`] whose [`Sender`] was dropped without
 /// sending.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Canceled;
+struct Canceled;
 
 impl std::fmt::Display for Canceled {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -75,14 +75,14 @@ struct OneshotInner<T> {
 }
 
 /// Sending half of a single-value channel; consumed by [`Sender::send`].
-pub struct Sender<T>(Arc<Mutex<OneshotInner<T>>>);
+struct Sender<T>(Arc<Mutex<OneshotInner<T>>>);
 
 /// Receiving half of a single-value channel: a future resolving to the sent
 /// value, or [`Canceled`] if the sender dropped first.
-pub struct Receiver<T>(Arc<Mutex<OneshotInner<T>>>);
+struct Receiver<T>(Arc<Mutex<OneshotInner<T>>>);
 
 /// A single-value channel: the async hand-off primitive for task results.
-pub fn oneshot<T>() -> (Sender<T>, Receiver<T>) {
+fn oneshot<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Mutex::new(OneshotInner {
         value: None,
         waker: None,
@@ -94,7 +94,7 @@ pub fn oneshot<T>() -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Delivers the value and wakes the receiver.  Consumes the sender — a
     /// oneshot sends once.
-    pub fn send(self, value: T) {
+    fn send(self, value: T) {
         let waker = {
             let mut inner = self.0.lock().expect("oneshot mutex");
             inner.value = Some(value);
@@ -246,18 +246,7 @@ pub struct Executor {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Worker count from `WSM_SVC_WORKERS` (default 2, minimum 1); garbage warns
-/// once on stderr and falls back to the default.
-fn workers_from_env() -> usize {
-    wsm_sync::env::parse("WSM_SVC_WORKERS", "a worker count >= 1", 2, |&w| w >= 1)
-}
-
 impl Executor {
-    /// An executor with the worker count taken from `WSM_SVC_WORKERS`.
-    pub fn from_env() -> Self {
-        Self::new(workers_from_env())
-    }
-
     /// An executor with exactly `workers` worker threads (at least one).
     pub fn new(workers: usize) -> Self {
         let core = Arc::new(Core {

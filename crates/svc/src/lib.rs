@@ -38,10 +38,8 @@
 //!    task, so the future re-polls cooperatively until its results are in;
 //!    experiment E21 measures what that costs.
 //!
-//! ## Knobs
-//!
-//! * `WSM_SVC_WORKERS` — executor worker threads ([`Executor::from_env`],
-//!   default 2).
+//! The service reads no environment knob: the caller sizes its
+//! [`Executor`] with [`Executor::new`].
 //!
 //! Blocking `ConcurrentMap`/`ShardedMap` calls issued from inside a service
 //! task degrade safely rather than deadlocking: their waits never park (see
@@ -52,9 +50,7 @@
 
 pub mod exec;
 
-pub use exec::{
-    block_on, oneshot, Canceled, Executor, JoinHandle, Receiver, Sender, Sleep, TimerHandle,
-};
+pub use exec::{block_on, Executor, JoinHandle, Sleep, TimerHandle};
 
 use std::future::Future;
 use std::marker::PhantomData;

@@ -1,7 +1,7 @@
 //! Centralized parsing for `WSM_*` environment knobs.
 //!
 //! Every tunable in the workspace (`WSM_POOL_THREADS`, `WSM_TREE_FANOUT`,
-//! `WSM_SVC_WORKERS`, the `WSM_WAL_*` family, and the examples' own knobs)
+//! the `WSM_WAL_*` family, and the examples' own knobs)
 //! goes through this module instead of hand-rolled
 //! `var(..).ok().and_then(parse)` chains.  The difference is observability:
 //! an invalid value used to be silently swallowed into the default —

@@ -33,7 +33,7 @@
 //! tree) lives in buffers the map keeps, so a warmed map moves a batch
 //! without allocating anything but the `Vec` it returns
 //! (`tests/alloc_budget.rs`).  The O(1)-per-item list work is metered as one
-//! [`crate::cost::touch`] per splice so measured charges stay honest.  The
+//! `cost::touch` per splice so measured charges stay honest.  The
 //! measured effect is tracked by experiment E18 (tree-passes-per-op, and the
 //! per-key cost of the sweeps on a 2^17- and a 2^12-item map) and the E17
 //! constants (`BENCH_e17*.json`).

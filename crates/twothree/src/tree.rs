@@ -9,7 +9,7 @@ use crate::node::{Arena, Frontier, NIL};
 /// A fanout-B search tree storing key-value items in key order.
 ///
 /// `BTree` is the balanced-search-tree substrate of every segment of the
-/// working-set maps.  Nodes live in a slab [`Arena`] — contiguous key
+/// working-set maps.  Nodes live in a slab `Arena` — contiguous key
 /// arrays, the items themselves in the height-1 nodes, `usize` child indices
 /// above, an intrusive free list — so descending one level is a linear scan
 /// of one small array rather than a pointer chase.  The occupancy bounds

@@ -6,7 +6,7 @@
 //! against one [`wsm_svc::WsMapService`], pacing themselves at
 //! `WSM_SVC_QPS` requests per second per client (default 500).  The clients
 //! are cooperative futures on the service's own [`wsm_svc::Executor`]
-//! (`WSM_SVC_WORKERS` threads, default 2) — no OS thread per connection.
+//! (two worker threads) — no OS thread per connection.
 //!
 //! The backend is a [`wsm_shard::ShardedMap`] (`WSM_SHARDS`, default 4).
 //! The run ends with a latency summary — p50/p99/p999 over every request —
@@ -67,7 +67,7 @@ fn main() {
         map.insert_batch(chunk.to_vec());
     }
     let svc = WsMapService::from_arc(map);
-    let exec = Executor::from_env();
+    let exec = Executor::new(2);
     let timer = exec.timer();
 
     println!(
