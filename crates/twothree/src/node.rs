@@ -2,17 +2,36 @@
 //! sorted-batch sweep, bulk build and drain.
 //!
 //! Items live in the **height-1 nodes**: such a node holds
-//! `min_children..=max_children` item *cells* as two parallel arrays, `keys`
-//! and `vals`, so the bottom of a descent is one scan of a contiguous key
-//! array followed by one indexed read — no slot per item, no hop to a leaf.
-//! A node of height ≥ 2 holds as many children of equal height, with the same
-//! **contiguous routing-key array** (`keys[i]` is the maximum key under
-//! `children[i]`).  Nodes live in a slab [`Arena`] (the `recency.rs` arena
-//! idiom applied to tree nodes): a `Vec<Slot>` with an intrusive free list,
-//! and `usize` indices instead of owned boxes — structural operations move
-//! indices, not allocations.  Every node's arrays are created with room for
-//! `max_children + 1` entries and keep it, so the steady-state sweep (insert
-//! a cell, split at `max + 1`, merge, even out) never reallocates one.
+//! `min_children..=max_children` item *cells*, a key and its value, so the
+//! bottom of a descent is one scan of a contiguous key array followed by one
+//! indexed read — no slot per item, no hop to a leaf.  A node of height ≥ 2
+//! holds as many children of equal height, with the same **contiguous
+//! routing-key array** (`keys[i]` is the maximum key under `children[i]`).
+//!
+//! Nodes live in two strided pools owned by the [`Arena`]: one for the
+//! height-1 nodes (keys and values), one for the nodes above (keys and child
+//! ids).  A pool gives its node `i` a header (height, cached size, cell
+//! count) at `heads[i]` and a region of `max_children + 1` cells at
+//! `i · (max_children + 1)` in its key array and in its entry array, so a
+//! node visit reads storage addressed by the node's index alone: nothing
+//! sits behind a per-node heap buffer, and every load of a node can issue
+//! as soon as its id is known.  A node id carries its pool in its low bit,
+//! so a leaf reserves no children region and an internal node no values
+//! region.  Free
+//! nodes are threaded into an intrusive free list per pool; structural
+//! operations move ids, and cells move between siblings by swapping them
+//! between regions, so once the pools have grown a split, merge or even-out
+//! allocates nothing.  A region's cells past the node's count are vacant:
+//! a vacant value cell is `None`, a vacant key cell keeps some earlier key
+//! (the key type needs no default value, and the one a node needs is cloned
+//! from a live key when a pool grows).
+//!
+//! The one node that may outgrow its region is the one an insert sweep is
+//! filling, before its parent cuts it into groups: a height-1 merge, or a
+//! parent adopting the groups of a child.  At most one node per height is
+//! in that state at a time; it keeps all its cells in a *spill* buffer the
+//! pool owns and reuses, and returns to its region when the cut leaves it
+//! `max_children` or fewer.
 //!
 //! The occupancy bounds derive from the configured fanout `B`:
 //! `min_children = max(2, B/2)`, `max_children = max(3, B)`, counted in
@@ -49,85 +68,391 @@
 //! traversal that runs ahead of a sweep instead of replacing one.  The
 //! depth-first sweep pays its cache misses one key after another: each
 //! descent waits for a node before it knows the next.  The walk takes the
-//! same sorted batch one height at a time, reading the keys and children of
-//! every node of the frontier before it scans any child, so the misses of a
-//! whole level are independent loads the processor overlaps; it reports the
-//! value cell of every key it finds.  A sweep that follows it over the same
-//! batch then finds its nodes in cache.  It is a cache effect, not work in
-//! the paper's model — the sweep still visits and is charged for every node
-//! — so the walk calls neither `touch` nor `pass`, and every metered count
-//! stays that of the sweep alone.  Which sweeps it runs ahead of, and the
-//! tree and batch sizes below which it does not pay, are
-//! [`crate::RecencyMap`]'s to decide; E18's sweep rows on a 2^12-item map
-//! (in cache: the walk does not pay) and a 2^17-item map (it does) set that
-//! gate.
+//! same sorted batch one height at a time, reading the header and every
+//! cache line of the regions of every node of the frontier before it scans
+//! any child, so the misses of a whole level are independent loads the
+//! processor overlaps; it reports the value cell of every key it finds.  A
+//! sweep that
+//! follows it over the same batch then finds its nodes in cache.  It is a
+//! cache effect, not work in the paper's model — the sweep still visits and
+//! is charged for every node — so the walk calls neither `touch` nor `pass`,
+//! and every metered count stays that of the sweep alone.  Which sweeps it
+//! runs ahead of, and the tree and batch sizes below which it does not pay,
+//! are [`crate::RecencyMap`]'s to decide; E18's sweep rows on a 2^12-item
+//! map (in cache: the walk does not pay) and a 2^17-item map (it does) set
+//! that gate.
 
 use crate::cost::touch;
 use std::ops::Range;
 
-/// Null arena index: "no node" (empty tree, end of the free list).
+/// Null node id: "no node" (empty tree, end of a free list).
 pub(crate) const NIL: usize = usize::MAX;
 
-/// One arena slot: a node or a free-list link.
-#[derive(Clone, Debug)]
-pub(crate) enum Slot<K, V> {
-    Free { next: usize },
-    Node(Node<K, V>),
+/// The id of a height-1 node at pool index `at`.
+fn leaf_id(at: usize) -> usize {
+    at << 1 | 1
 }
 
-/// A node: the contiguous key array plus, in step with it, the values
-/// (height 1) or the children (above), with cached height and size.
-#[derive(Clone, Debug)]
-pub(crate) struct Node<K, V> {
-    pub height: usize,
-    /// Items in the subtree.
-    pub size: usize,
-    pub keys: Vec<K>,
-    pub kids: Kids<V>,
+/// The id of a node above height 1 at pool index `at`.
+fn inner_id(at: usize) -> usize {
+    at << 1
 }
 
-/// What a node's keys stand for.
-#[derive(Clone, Debug)]
-pub(crate) enum Kids<V> {
-    /// Height 1: `vals[i]` is the value stored under `keys[i]`.
-    Vals(Vec<V>),
-    /// Height ≥ 2: `keys[i]` is the maximum key under `children[i]`.
-    Children(Vec<usize>),
+fn is_leaf(id: usize) -> bool {
+    id & 1 == 1
 }
 
-impl<K, V> Node<K, V> {
-    /// Number of cells (height 1) or children (above).
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
+/// The pool index of a node id.
+fn slot(id: usize) -> usize {
+    id >> 1
+}
 
-    pub fn max_key(&self) -> &K {
-        self.keys.last().expect("a linked node is never empty")
-    }
+/// How many `T` share a 64-byte cache line.
+fn per_line<T>() -> usize {
+    (64 / std::mem::size_of::<T>().max(1)).max(1)
+}
 
-    pub fn children(&self) -> &[usize] {
-        match &self.kids {
-            Kids::Children(children) => children,
-            Kids::Vals(_) => unreachable!("expected a node above height 1"),
+/// The value of a live cell.
+fn live<V>(cell: &Option<V>) -> &V {
+    cell.as_ref().expect("a live cell holds a value")
+}
+
+/// A node's header: its height, the items under it (height ≥ 2 only: a
+/// height-1 node's size is its cell count) and its cell count.  A free
+/// node's `size` links the free list.
+#[derive(Clone, Copy, Debug)]
+struct Head {
+    len: u32,
+    height: u32,
+    size: usize,
+}
+
+/// The cells of a node that outgrew its region (see the module docs).
+#[derive(Clone, Debug)]
+struct Spill<K, E> {
+    owner: usize,
+    keys: Vec<K>,
+    ents: Vec<E>,
+}
+
+/// One kind of node — height 1 (`E` a value cell) or above (`E` a child
+/// id) — as strided regions of `stride` cells, addressed by pool index.
+#[derive(Clone, Debug)]
+struct Pool<K, E> {
+    heads: Vec<Head>,
+    keys: Vec<K>,
+    ents: Vec<E>,
+    stride: usize,
+    free: usize,
+    spills: Vec<Spill<K, E>>,
+}
+
+impl<K: Ord + Clone, E: Default> Pool<K, E> {
+    fn new(stride: usize) -> Self {
+        Pool {
+            heads: Vec::new(),
+            keys: Vec::new(),
+            ents: Vec::new(),
+            stride,
+            free: NIL,
+            spills: Vec::new(),
         }
     }
 
-    fn children_mut(&mut self) -> &mut Vec<usize> {
-        match &mut self.kids {
-            Kids::Children(children) => children,
-            Kids::Vals(_) => unreachable!("expected a node above height 1"),
+    /// Takes a node off the free list; the pool grows by one region first,
+    /// its vacant keys cloned from `seed`, when the list is empty.
+    fn alloc(&mut self, height: usize, seed: Option<K>) -> usize {
+        if self.free == NIL {
+            let seed = seed.expect("a growing pool is given a key to fill its region");
+            self.free = self.heads.len();
+            self.heads.push(Head {
+                len: 0,
+                height: 0,
+                size: NIL,
+            });
+            self.keys.resize(self.keys.len() + self.stride, seed);
+            self.ents
+                .resize_with(self.ents.len() + self.stride, E::default);
+        }
+        let at = self.free;
+        self.free = self.heads[at].size;
+        self.heads[at] = Head {
+            len: 0,
+            height: height as u32,
+            size: 0,
+        };
+        at
+    }
+
+    /// Puts node `at` on the free list.  Its vacant cells stay as they are.
+    fn release(&mut self, at: usize) {
+        self.heads[at] = Head {
+            len: 0,
+            height: 0,
+            size: self.free,
+        };
+        self.free = at;
+    }
+
+    fn len(&self, at: usize) -> usize {
+        self.heads[at].len as usize
+    }
+
+    #[cold]
+    fn spill(&self, at: usize) -> &Spill<K, E> {
+        let mut spills = self.spills.iter();
+        spills
+            .find(|s| s.owner == at)
+            .expect("an overfull node is spilled")
+    }
+
+    #[cold]
+    fn spill_mut(&mut self, at: usize) -> &mut Spill<K, E> {
+        let mut spills = self.spills.iter_mut();
+        spills
+            .find(|s| s.owner == at)
+            .expect("an overfull node is spilled")
+    }
+
+    /// The keys and entries of node `at`, which is not overfull: what the
+    /// read and remove paths see, which never meet a node an insert sweep
+    /// is filling.
+    fn region(&self, at: usize) -> (&[K], &[E]) {
+        let len = self.len(at);
+        debug_assert!(len <= self.stride, "an overfull node outside an insert");
+        let cells = at * self.stride..at * self.stride + len;
+        (&self.keys[cells.clone()], &self.ents[cells])
+    }
+
+    /// The keys and entries of node `at`, overfull or not.
+    fn cells(&self, at: usize) -> (&[K], &[E]) {
+        if self.len(at) <= self.stride {
+            self.region(at)
+        } else {
+            let spill = self.spill(at);
+            (&spill.keys, &spill.ents)
         }
     }
 
-    fn vals_mut(&mut self) -> &mut Vec<V> {
-        match &mut self.kids {
-            Kids::Vals(vals) => vals,
-            Kids::Children(_) => unreachable!("expected a height-1 node"),
+    fn key_mut(&mut self, at: usize, pos: usize) -> &mut K {
+        if self.len(at) <= self.stride {
+            &mut self.keys[at * self.stride + pos]
+        } else {
+            &mut self.spill_mut(at).keys[pos]
         }
+    }
+
+    fn ent_mut(&mut self, at: usize, pos: usize) -> &mut E {
+        if self.len(at) <= self.stride {
+            &mut self.ents[at * self.stride + pos]
+        } else {
+            &mut self.spill_mut(at).ents[pos]
+        }
+    }
+
+    /// Reads node `at`'s header and a key and an entry from every cache
+    /// line of its regions: loads that depend on nothing but `at`, for the
+    /// locate walk to issue side by side.
+    fn load(&self, at: usize, probe: &K, ent: impl Fn(&E) -> usize) -> usize {
+        let region = at * self.stride..(at + 1) * self.stride;
+        let keys = self.keys[region.clone()].iter().step_by(per_line::<K>());
+        let ents = self.ents[region].iter().step_by(per_line::<E>());
+        let below = keys.filter(|k| *k < probe).count();
+        self.heads[at].len as usize + below + ents.map(ent).sum::<usize>()
+    }
+
+    /// Inserts a cell at `pos` of node `at`, spilling a full node.
+    fn insert(&mut self, at: usize, pos: usize, key: K, ent: E) {
+        let (len, stride) = (self.len(at), self.stride);
+        if len < stride {
+            let base = at * stride;
+            let keys = &mut self.keys[base + pos..=base + len];
+            let ents = &mut self.ents[base + pos..=base + len];
+            // Each cell takes its left neighbour's contents; the vacant cell
+            // at the end gives up its stale key and empty entry.
+            let (mut key, mut ent) = (key, ent);
+            for (kc, ec) in keys.iter_mut().zip(ents) {
+                key = std::mem::replace(kc, key);
+                ent = std::mem::replace(ec, ent);
+            }
+        } else {
+            if len == stride {
+                self.spill_out(at);
+            }
+            let spill = self.spill_mut(at);
+            spill.keys.insert(pos, key);
+            spill.ents.insert(pos, ent);
+        }
+        self.heads[at].len += 1;
+    }
+
+    /// Removes the cell at `pos` of node `at` (never an overfull one): the
+    /// cell it vacates keeps an empty entry and a clone of the key before
+    /// it.
+    fn remove(&mut self, at: usize, pos: usize) -> (K, E) {
+        let len = self.len(at);
+        debug_assert!(len <= self.stride, "only a split shrinks an overfull node");
+        let base = at * self.stride;
+        self.heads[at].len -= 1;
+        let keys = &mut self.keys[base + pos..base + len];
+        let ents = &mut self.ents[base + pos..base + len];
+        let (mut key, mut ent) = (keys[keys.len() - 1].clone(), E::default());
+        for (kc, ec) in keys.iter_mut().zip(ents).rev() {
+            key = std::mem::replace(kc, key);
+            ent = std::mem::replace(ec, ent);
+        }
+        (key, ent)
+    }
+
+    /// Removes the cells of node `at` (never an overfull one) whose keys
+    /// are in the sorted `keys`, in one pass from the first key's cell: a
+    /// hit leaves its cell vacant and every cell kept moves down over the
+    /// vacant ones once.  Hands `emit`, in key order, each key (as stored,
+    /// for a hit) with the entry it held, if any, and returns the number
+    /// removed.
+    fn remove_sorted(
+        &mut self,
+        at: usize,
+        keys: &[K],
+        mut emit: impl FnMut(&K, Option<E>),
+    ) -> usize {
+        let (base, len) = (at * self.stride, self.len(at));
+        debug_assert!(len <= self.stride, "only a split shrinks an overfull node");
+        let (cells, ents) = (
+            &mut self.keys[base..base + len],
+            &mut self.ents[base..base + len],
+        );
+        let first = keys
+            .first()
+            .map_or(len, |k| cells.partition_point(|m| m < k));
+        let (mut write, mut next) = (first, 0);
+        for read in first..len {
+            while next < keys.len() && keys[next] < cells[read] {
+                emit(&keys[next], None);
+                next += 1;
+            }
+            if next < keys.len() && keys[next] == cells[read] {
+                emit(&cells[read], Some(std::mem::take(&mut ents[read])));
+                next += 1;
+            } else {
+                cells.swap(write, read);
+                ents.swap(write, read);
+                write += 1;
+            }
+        }
+        keys[next..].iter().for_each(|k| emit(k, None));
+        self.heads[at].len = write as u32;
+        len - write
+    }
+
+    /// Moves cells between the adjacent siblings `l` and `r` by swapping
+    /// them with vacant cells.  An overfull `l` gives its tail to an empty
+    /// `r` (a split) and returns to its region once it fits.
+    fn shift(&mut self, l: usize, r: usize, op: Shift) {
+        let (llen, rlen, stride) = (self.len(l), self.len(r), self.stride);
+        let (lbase, rbase) = (l * stride, r * stride);
+        match op {
+            Shift::Right(from) => {
+                let n = llen - from;
+                debug_assert!(rlen + n <= stride, "a shift overfills its target");
+                if llen > stride {
+                    debug_assert_eq!(rlen, 0, "an overfull node is only split");
+                    let spill = self.spills.iter_mut().find(|s| s.owner == l);
+                    let spill = spill.expect("an overfull node is spilled");
+                    let cells = spill.keys.drain(from..).zip(spill.ents.drain(from..));
+                    for (j, (key, ent)) in cells.enumerate() {
+                        self.keys[rbase + j] = key;
+                        self.ents[rbase + j] = ent;
+                    }
+                } else {
+                    self.keys[rbase..rbase + rlen + n].rotate_right(n);
+                    self.ents[rbase..rbase + rlen + n].rotate_right(n);
+                    for j in 0..n {
+                        self.keys.swap(lbase + from + j, rbase + j);
+                        self.ents.swap(lbase + from + j, rbase + j);
+                    }
+                }
+                self.heads[l].len = from as u32;
+                self.heads[r].len += n as u32;
+                if llen > stride && from <= stride {
+                    self.spill_in(l);
+                }
+            }
+            Shift::Left(n) => {
+                debug_assert!(llen + n <= stride, "a shift overfills its target");
+                for j in 0..n {
+                    self.keys.swap(rbase + j, lbase + llen + j);
+                    self.ents.swap(rbase + j, lbase + llen + j);
+                }
+                self.keys[rbase..rbase + rlen].rotate_left(n);
+                self.ents[rbase..rbase + rlen].rotate_left(n);
+                self.heads[l].len += n as u32;
+                self.heads[r].len -= n as u32;
+            }
+        }
+    }
+
+    /// An unowned spill buffer, added when all are in use.
+    fn spill_slot(&mut self) -> usize {
+        let free = self.spills.iter().position(|s| s.owner == NIL);
+        free.unwrap_or_else(|| {
+            self.spills.push(Spill {
+                owner: NIL,
+                keys: Vec::new(),
+                ents: Vec::new(),
+            });
+            self.spills.len() - 1
+        })
+    }
+
+    /// Moves the full region of node `at` into a spill buffer.
+    fn spill_out(&mut self, at: usize) {
+        let slot = self.spill_slot();
+        let region = at * self.stride..(at + 1) * self.stride;
+        let spill = &mut self.spills[slot];
+        spill.owner = at;
+        spill.keys.extend_from_slice(&self.keys[region.clone()]);
+        spill
+            .ents
+            .extend(self.ents[region].iter_mut().map(std::mem::take));
+    }
+
+    /// Moves the cells of node `at`, which fits its region again, back.
+    fn spill_in(&mut self, at: usize) {
+        let base = at * self.stride;
+        let spill = self.spills.iter_mut().find(|s| s.owner == at);
+        let spill = spill.expect("an overfull node is spilled");
+        spill.owner = NIL;
+        let cells = spill.keys.drain(..).zip(spill.ents.drain(..));
+        for (j, (key, ent)) in cells.enumerate() {
+            self.keys[base + j] = key;
+            self.ents[base + j] = ent;
+        }
+    }
+
+    /// Walks the free list: its length, after checking it visits free
+    /// nodes only and ends.
+    fn check_free(&self) -> usize {
+        let mut count = 0usize;
+        let mut cur = self.free;
+        while cur != NIL {
+            assert!(count <= self.heads.len(), "free list cycle at node {cur}");
+            assert_eq!(
+                self.heads[cur].height, 0,
+                "free list visits live node {cur}"
+            );
+            cur = self.heads[cur].size;
+            count += 1;
+        }
+        assert!(
+            self.spills.iter().all(|s| s.owner == NIL),
+            "a node is still spilled"
+        );
+        count
     }
 }
 
-/// A move of cells between two adjacent siblings, `keys` and `kids` in step.
+/// A move of cells between two adjacent siblings.
 #[derive(Clone, Copy)]
 enum Shift {
     /// The left node's cells from this position on go to the front of the
@@ -135,15 +460,6 @@ enum Shift {
     Right(usize),
     /// The right node's first `n` cells go to the back of the left node.
     Left(usize),
-}
-
-impl Shift {
-    fn apply<T>(self, left: &mut Vec<T>, right: &mut Vec<T>) {
-        match self {
-            Shift::Right(from) => drop(right.splice(0..0, left.drain(from..))),
-            Shift::Left(n) => left.extend(right.drain(..n)),
-        }
-    }
 }
 
 /// Scratch of the locate walk, owned by its tree so a warmed walk allocates
@@ -165,13 +481,13 @@ fn touch_cells(len: usize, n: usize) {
     }
 }
 
-/// The node slab: every node of one tree lives here, free slots are threaded
-/// into an intrusive free list, and the occupancy bounds of the configured
-/// fanout are carried alongside so structural ops can repair against them.
+/// The nodes of one tree: the height-1 pool and the pool above it, with the
+/// occupancy bounds of the configured fanout carried alongside so structural
+/// ops can repair against them.
 #[derive(Clone, Debug)]
 pub(crate) struct Arena<K, V> {
-    slots: Vec<Slot<K, V>>,
-    free: usize,
+    leaves: Pool<K, Option<V>>,
+    inner: Pool<K, usize>,
     fanout: usize,
     min_c: usize,
     max_c: usize,
@@ -179,12 +495,13 @@ pub(crate) struct Arena<K, V> {
 
 impl<K: Ord + Clone, V> Arena<K, V> {
     pub fn new(fanout: usize) -> Self {
+        let max_c = fanout.max(3);
         Arena {
-            slots: Vec::new(),
-            free: NIL,
+            leaves: Pool::new(max_c + 1),
+            inner: Pool::new(max_c + 1),
             fanout: fanout.max(2),
             min_c: (fanout / 2).max(2),
-            max_c: fanout.max(3),
+            max_c,
         }
     }
 
@@ -195,67 +512,88 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     }
 
     // ------------------------------------------------------------------
-    // Slab primitives
+    // Node primitives
     // ------------------------------------------------------------------
 
-    /// Allocates an empty node of `height` whose arrays have room for one
-    /// entry over the maximum — what an insertion holds just before it
-    /// splits — so no later repair of the node reallocates them.
-    fn new_node(&mut self, height: usize) -> usize {
+    /// Allocates an empty node of `height`; `seed` gives a key to fill the
+    /// vacant cells of a region the pool has to grow by.
+    fn new_node(&mut self, height: usize, seed: impl FnOnce(&Self) -> K) -> usize {
         touch(1);
-        let cap = self.max_c + 1;
-        let slot = Slot::Node(Node {
-            height,
-            size: 0,
-            keys: Vec::with_capacity(cap),
-            kids: if height == 1 {
-                Kids::Vals(Vec::with_capacity(cap))
-            } else {
-                Kids::Children(Vec::with_capacity(cap))
-            },
-        });
-        match self.free {
-            NIL => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-            idx => {
-                let Slot::Free { next } = self.slots[idx] else {
-                    unreachable!("free list visits a live slot")
-                };
-                self.free = next;
-                self.slots[idx] = slot;
-                idx
-            }
+        if height == 1 {
+            let seed = (self.leaves.free == NIL).then(|| seed(self));
+            leaf_id(self.leaves.alloc(height, seed))
+        } else {
+            let seed = (self.inner.free == NIL).then(|| seed(self));
+            inner_id(self.inner.alloc(height, seed))
         }
     }
 
-    /// Vacates a slot onto the free list, returning the node it held.
-    fn free_node(&mut self, idx: usize) -> Node<K, V> {
-        let slot = std::mem::replace(&mut self.slots[idx], Slot::Free { next: self.free });
-        self.free = idx;
-        match slot {
-            Slot::Node(node) => node,
-            Slot::Free { .. } => unreachable!("double free of a slot"),
+    /// Puts an emptied node, or one whose only child moved up, back on its
+    /// pool's free list.
+    fn free_node(&mut self, id: usize) {
+        if is_leaf(id) {
+            debug_assert_eq!(self.len(id), 0, "a freed leaf strands its values");
+            self.leaves.release(slot(id));
+        } else {
+            self.inner.release(slot(id));
         }
     }
 
-    pub fn node(&self, idx: usize) -> &Node<K, V> {
-        match &self.slots[idx] {
-            Slot::Node(node) => node,
-            Slot::Free { .. } => unreachable!("tree references a free slot"),
+    /// Number of cells (height 1) or children (above).
+    pub fn len(&self, id: usize) -> usize {
+        if is_leaf(id) {
+            self.leaves.len(slot(id))
+        } else {
+            self.inner.len(slot(id))
         }
     }
 
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        match &mut self.slots[idx] {
-            Slot::Node(node) => node,
-            Slot::Free { .. } => unreachable!("tree references a free slot"),
+    pub fn height(&self, id: usize) -> usize {
+        if is_leaf(id) {
+            1
+        } else {
+            self.inner.heads[slot(id)].height as usize
         }
     }
 
-    fn max_key(&self, idx: usize) -> &K {
-        self.node(idx).max_key()
+    /// Items under `id`.
+    pub fn size(&self, id: usize) -> usize {
+        if is_leaf(id) {
+            self.leaves.len(slot(id))
+        } else {
+            self.inner.heads[slot(id)].size
+        }
+    }
+
+    /// The cached size of a node above height 1.
+    fn size_mut(&mut self, id: usize) -> &mut usize {
+        debug_assert!(!is_leaf(id), "a height-1 node's size is its cell count");
+        &mut self.inner.heads[slot(id)].size
+    }
+
+    pub fn keys(&self, id: usize) -> &[K] {
+        if is_leaf(id) {
+            self.leaves.cells(slot(id)).0
+        } else {
+            self.inner.cells(slot(id)).0
+        }
+    }
+
+    fn key_mut(&mut self, id: usize, pos: usize) -> &mut K {
+        if is_leaf(id) {
+            self.leaves.key_mut(slot(id), pos)
+        } else {
+            self.inner.key_mut(slot(id), pos)
+        }
+    }
+
+    pub fn children(&self, id: usize) -> &[usize] {
+        debug_assert!(!is_leaf(id), "expected a node above height 1");
+        self.inner.cells(slot(id)).1
+    }
+
+    fn max_key(&self, id: usize) -> &K {
+        self.keys(id).last().expect("a linked node is never empty")
     }
 
     /// Builds a node over `children` (equal heights, at most `max`).  A node
@@ -264,9 +602,10 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// build).
     fn make_internal(&mut self, children: &[usize]) -> usize {
         debug_assert!((1..=self.max_c).contains(&children.len()));
-        let idx = self.new_node(self.node(children[0]).height + 1);
+        let first = children[0];
+        let idx = self.new_node(self.height(first) + 1, |a| a.max_key(first).clone());
         for (pos, &child) in children.iter().enumerate() {
-            self.node_mut(idx).size += self.node(child).size;
+            *self.size_mut(idx) += self.size(child);
             self.adopt(idx, pos, child);
         }
         idx
@@ -274,46 +613,33 @@ impl<K: Ord + Clone, V> Arena<K, V> {
 
     /// Items under the cells `range` of node `idx`.
     fn span_size(&self, idx: usize, range: Range<usize>) -> usize {
-        match &self.node(idx).kids {
-            Kids::Vals(_) => range.len(),
-            Kids::Children(children) => children[range].iter().map(|&c| self.node(c).size).sum(),
+        if is_leaf(idx) {
+            range.len()
+        } else {
+            let children = &self.children(idx)[range];
+            children.iter().map(|&c| self.size(c)).sum()
         }
     }
 
     /// Moves cells between the adjacent siblings `l` and `r` (equal heights),
     /// keeping both cached sizes current.
     fn shift(&mut self, l: usize, r: usize, op: Shift) {
+        debug_assert_ne!(l, r);
+        if is_leaf(l) {
+            self.leaves.shift(slot(l), slot(r), op);
+            return;
+        }
         let moved = match op {
-            Shift::Right(from) => self.span_size(l, from..self.node(l).len()),
+            Shift::Right(from) => self.span_size(l, from..self.len(l)),
             Shift::Left(n) => self.span_size(r, 0..n),
         };
-        debug_assert_ne!(l, r);
-        let (left, right) = if l < r {
-            let (lo, hi) = self.slots.split_at_mut(r);
-            (&mut lo[l], &mut hi[0])
-        } else {
-            let (lo, hi) = self.slots.split_at_mut(l);
-            (&mut hi[0], &mut lo[r])
+        self.inner.shift(slot(l), slot(r), op);
+        let (to, from) = match op {
+            Shift::Right(_) => (r, l),
+            Shift::Left(_) => (l, r),
         };
-        let (Slot::Node(left), Slot::Node(right)) = (left, right) else {
-            unreachable!("tree references a free slot")
-        };
-        op.apply(&mut left.keys, &mut right.keys);
-        match (&mut left.kids, &mut right.kids) {
-            (Kids::Vals(left), Kids::Vals(right)) => op.apply(left, right),
-            (Kids::Children(left), Kids::Children(right)) => op.apply(left, right),
-            _ => unreachable!("siblings have equal height"),
-        }
-        match op {
-            Shift::Right(_) => {
-                left.size -= moved;
-                right.size += moved;
-            }
-            Shift::Left(_) => {
-                left.size += moved;
-                right.size -= moved;
-            }
-        }
+        *self.size_mut(to) += moved;
+        *self.size_mut(from) -= moved;
     }
 
     // ------------------------------------------------------------------
@@ -326,61 +652,54 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     fn find(&self, mut idx: usize, key: &K) -> Option<(usize, usize)> {
         loop {
             touch(1);
-            let node = self.node(idx);
-            let pos = node.keys.partition_point(|m| m < key);
-            if pos == node.len() {
-                return None;
-            }
-            match &node.kids {
-                Kids::Children(children) => idx = children[pos],
-                Kids::Vals(_) => {
-                    touch_cells(node.len(), 1);
-                    return (node.keys[pos] == *key).then_some((idx, pos));
+            if is_leaf(idx) {
+                let keys = self.leaves.region(slot(idx)).0;
+                let pos = keys.partition_point(|m| m < key);
+                if pos == keys.len() {
+                    return None;
                 }
+                touch_cells(keys.len(), 1);
+                return (keys[pos] == *key).then_some((idx, pos));
             }
+            let (keys, children) = self.inner.region(slot(idx));
+            let pos = keys.partition_point(|m| m < key);
+            idx = *children.get(pos)?;
         }
     }
 
     pub fn get(&self, idx: usize, key: &K) -> Option<&V> {
         let (node, pos) = self.find(idx, key)?;
-        match &self.node(node).kids {
-            Kids::Vals(vals) => Some(&vals[pos]),
-            Kids::Children(_) => unreachable!("find ends at height 1"),
-        }
+        Some(live(&self.leaves.region(slot(node)).1[pos]))
     }
 
     pub fn get_mut(&mut self, idx: usize, key: &K) -> Option<&mut V> {
         let (node, pos) = self.find(idx, key)?;
-        Some(&mut self.node_mut(node).vals_mut()[pos])
+        self.leaves.ent_mut(slot(node), pos).as_mut()
     }
 
     /// The item with rank `rank` (0-based, key order) under `idx`.
     pub fn select(&self, mut idx: usize, mut rank: usize) -> Option<(&K, &V)> {
-        if rank >= self.node(idx).size {
+        if rank >= self.size(idx) {
             return None;
         }
         loop {
             touch(1);
-            let node = self.node(idx);
-            match &node.kids {
-                Kids::Vals(vals) => {
-                    touch_cells(vals.len(), 1);
-                    return Some((&node.keys[rank], &vals[rank]));
-                }
-                Kids::Children(children) => {
-                    let mut next = NIL;
-                    for &c in children {
-                        let sz = self.node(c).size;
-                        if rank < sz {
-                            next = c;
-                            break;
-                        }
-                        rank -= sz;
-                    }
-                    debug_assert_ne!(next, NIL, "rank under size must land in a child");
-                    idx = next;
-                }
+            if is_leaf(idx) {
+                let (keys, vals) = self.leaves.region(slot(idx));
+                touch_cells(keys.len(), 1);
+                return Some((&keys[rank], live(&vals[rank])));
             }
+            let mut next = NIL;
+            for &c in self.children(idx) {
+                let sz = self.size(c);
+                if rank < sz {
+                    next = c;
+                    break;
+                }
+                rank -= sz;
+            }
+            debug_assert_ne!(next, NIL, "rank under size must land in a child");
+            idx = next;
         }
     }
 
@@ -396,37 +715,31 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// underflow of [`Arena::remove_point`].
     pub fn insert_point(&mut self, idx: usize, key: K, val: V) -> Option<V> {
         touch(1);
-        let node = self.node_mut(idx);
-        let at = node.keys.partition_point(|m| *m < key);
-        let above_all = at == node.len();
-        let (pos, child) = match &mut node.kids {
-            Kids::Vals(vals) => {
-                if !above_all && node.keys[at] == key {
-                    touch_cells(vals.len(), 1);
-                    return Some(std::mem::replace(&mut vals[at], val));
-                }
-                touch(1);
-                node.keys.insert(at, key);
-                vals.insert(at, val);
-                node.size += 1;
-                return None;
+        let keys = self.keys(idx);
+        let at_key = keys.partition_point(|m| *m < key);
+        let above_all = at_key == keys.len();
+        if is_leaf(idx) {
+            if !above_all && keys[at_key] == key {
+                touch_cells(keys.len(), 1);
+                return self.leaves.ent_mut(slot(idx), at_key).replace(val);
             }
-            Kids::Children(children) => {
-                let pos = at.min(children.len() - 1);
-                (pos, children[pos])
-            }
-        };
+            touch(1);
+            self.leaves.insert(slot(idx), at_key, key, Some(val));
+            return None;
+        }
+        let pos = at_key.min(keys.len() - 1);
+        let child = self.children(idx)[pos];
         let prev = self.insert_point(child, key, val);
         if prev.is_some() {
             // Pure value replacement: no structural or key change anywhere
             // on the path, so the cached metadata is intact.
             return prev;
         }
-        self.node_mut(idx).size += 1;
+        *self.size_mut(idx) += 1;
         if above_all {
             // The key went in above every routing key.
             let max = self.max_key(child).clone();
-            self.node_mut(idx).keys[pos] = max;
+            *self.key_mut(idx, pos) = max;
         }
         self.split_child(idx, pos);
         None
@@ -443,27 +756,24 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// overflow of [`Arena::insert_point`].
     pub fn remove_point(&mut self, idx: usize, key: &K) -> Option<(K, V)> {
         touch(1);
-        let node = self.node_mut(idx);
-        let pos = node.keys.partition_point(|m| m < key);
-        let was_max = *node.keys.get(pos)? == *key;
-        let child = match &mut node.kids {
-            Kids::Vals(vals) => {
-                if !was_max {
-                    return None;
-                }
-                node.size -= 1;
-                return Some((node.keys.remove(pos), vals.remove(pos)));
+        let keys = self.keys(idx);
+        let pos = keys.partition_point(|m| m < key);
+        let was_max = *keys.get(pos)? == *key;
+        if is_leaf(idx) {
+            if !was_max {
+                return None;
             }
-            Kids::Children(children) => children[pos],
-        };
+            let (key, val) = self.leaves.remove(slot(idx), pos);
+            return Some((key, val.expect("a live cell holds a value")));
+        }
+        let child = self.children(idx)[pos];
         let removed = self.remove_point(child, key)?;
         let child_max = was_max.then(|| self.max_key(child).clone());
-        let node = self.node_mut(idx);
-        node.size -= 1;
+        *self.size_mut(idx) -= 1;
         if let Some(max) = child_max {
-            node.keys[pos] = max;
+            *self.key_mut(idx, pos) = max;
         }
-        if self.node(child).len() < self.min_c {
+        if self.len(child) < self.min_c {
             self.rebalance(idx, pos);
         }
         Some(removed)
@@ -476,44 +786,33 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// after it.  Every group lands in `min..=max` (`2·min - 1 <= max`).
     /// Returns the number of siblings added.
     fn split_child(&mut self, idx: usize, pos: usize) -> usize {
-        let max_c = self.max_c;
-        let child = self.node(idx).children()[pos];
-        let (len, height) = (self.node(child).len(), self.node(child).height);
-        if len <= max_c {
+        let child = self.children(idx)[pos];
+        let len = self.len(child);
+        if len <= self.max_c {
             return 0;
         }
-        let groups = len.div_ceil(max_c);
+        let height = self.height(child);
+        let groups = len.div_ceil(self.max_c);
         let (base, extra) = (len / groups, len % groups);
         // Groups come off the tail, last first: each move is the end of the
-        // child's arrays, and each sibling lands right behind the child.
+        // child's cells, and each sibling lands right behind the child.
         let mut end = len;
         for g in (1..groups).rev() {
             let start = end - (base + usize::from(g < extra));
-            let sibling = self.new_node(height);
+            let sibling = self.new_node(height, |a| a.max_key(child).clone());
             self.shift(child, sibling, Shift::Right(start));
             self.adopt(idx, pos + 1, sibling);
             end = start;
         }
         let max = self.max_key(child).clone();
-        self.node_mut(idx).keys[pos] = max;
-        // A bulk insert's long merge buffers are not kept by the node that
-        // stays; a few cells of slack are, so a node that overflows by more
-        // than one cell now and then settles on a capacity and stays there.
-        let node = self.node_mut(child);
-        if node.keys.capacity() > 2 * (max_c + 1) {
-            node.keys.shrink_to(max_c + 1);
-            match &mut node.kids {
-                Kids::Vals(vals) => vals.shrink_to(max_c + 1),
-                Kids::Children(children) => children.shrink_to(max_c + 1),
-            }
-        }
+        *self.key_mut(idx, pos) = max;
         groups - 1
     }
 
     /// Puts as many levels over `root` as it takes for it to fit in
     /// `max_children` again after an insertion, and returns the new root.
     pub fn grow_root(&mut self, mut root: usize) -> usize {
-        while self.node(root).len() > self.max_c {
+        while self.len(root) > self.max_c {
             root = self.make_internal(&[root]);
             self.split_child(root, 0);
         }
@@ -532,18 +831,18 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         touch(1);
         let lpos = pos.saturating_sub(1);
         let (l, r) = {
-            let children = self.node(idx).children();
+            let children = self.children(idx);
             (children[lpos], children[lpos + 1])
         };
-        let (llen, rlen) = (self.node(l).len(), self.node(r).len());
+        let (llen, rlen) = (self.len(l), self.len(r));
         let merged = llen + rlen <= self.max_c;
         if merged {
             self.shift(l, r, Shift::Left(rlen));
             self.free_node(r);
-            let node = self.node_mut(idx);
-            node.children_mut().remove(lpos + 1);
-            // The pair's maximum is the right node's; the left one's goes.
-            node.keys.remove(lpos);
+            // The pair's maximum is the right node's routing key; the left
+            // node takes the right one's place under it.
+            self.remove_child(idx, lpos);
+            *self.inner.ent_mut(slot(idx), lpos) = l;
         } else {
             let target = (llen + rlen) / 2;
             let op = if llen > target {
@@ -553,7 +852,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             };
             self.shift(l, r, op);
             let left_max = self.max_key(l).clone();
-            self.node_mut(idx).keys[lpos] = left_max;
+            *self.key_mut(idx, lpos) = left_max;
         }
         if pos == 0 {
             0
@@ -579,45 +878,44 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// `keys`, in order.
     pub fn sweep_get<'a, F: FnMut(Option<&'a V>)>(&'a self, idx: usize, keys: &[K], emit: &mut F) {
         touch(1);
-        let node = self.node(idx);
-        match &node.kids {
-            Kids::Vals(vals) => {
-                let mut at = 0;
-                for key in keys {
-                    at += node.keys[at..].partition_point(|m| m < key);
-                    emit(match node.keys.get(at) {
-                        Some(m) if m == key => {
-                            touch_cells(vals.len(), 1);
-                            Some(&vals[at])
-                        }
-                        _ => None,
-                    });
-                }
+        if is_leaf(idx) {
+            let (cells, vals) = self.leaves.region(slot(idx));
+            let mut at = 0;
+            for key in keys {
+                at += cells[at..].partition_point(|m| m < key);
+                emit(match cells.get(at) {
+                    Some(m) if m == key => {
+                        touch_cells(cells.len(), 1);
+                        Some(live(&vals[at]))
+                    }
+                    _ => None,
+                });
             }
-            Kids::Children(children) => {
-                let mut lo = 0;
-                let mut pos = 0;
-                while lo < keys.len() {
-                    pos += node.keys[pos..].partition_point(|m| *m < keys[lo]);
-                    let Some(bound) = node.keys.get(pos) else {
-                        break;
-                    };
-                    let hi = lo + keys[lo..].partition_point(|k| k <= bound);
-                    self.sweep_get(children[pos], &keys[lo..hi], emit);
-                    lo = hi;
-                    pos += 1;
-                }
-                // Keys above the node's maximum (possible at the root only).
-                keys[lo..].iter().for_each(|_| emit(None));
-            }
+            return;
         }
+        let (bounds, children) = self.inner.region(slot(idx));
+        let mut lo = 0;
+        let mut pos = 0;
+        while lo < keys.len() {
+            pos += bounds[pos..].partition_point(|m| *m < keys[lo]);
+            let Some(bound) = bounds.get(pos) else {
+                break;
+            };
+            let hi = lo + keys[lo..].partition_point(|k| k <= bound);
+            self.sweep_get(children[pos], &keys[lo..hi], emit);
+            lo = hi;
+            pos += 1;
+        }
+        // Keys above the node's maximum (possible at the root only).
+        keys[lo..].iter().for_each(|_| emit(None));
     }
 
     /// The locate walk: hands `emit` the value cell of every key of the
     /// sorted `batch` (keyed by `key`) present under `idx`, in key order,
     /// one height at a time.  Each height is two loops over its frontier:
-    /// the first only reads every node — its maximum key and its first
-    /// child — so those loads are independent and their misses overlap; the
+    /// the first only reads every node — its header and a key and an entry
+    /// from each cache line of its regions, all addressed by its id — so
+    /// those loads are independent and their misses overlap; the
     /// second, on nodes now in cache, cuts each node's part of the batch
     /// among its children (or, at height 1, finds its keys).  Uncounted: a
     /// cache warm-up ahead of a metered sweep, not work in the cost model
@@ -636,35 +934,35 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         while !level.is_empty() {
             let mut loaded = 0;
             for (idx, range) in level.iter() {
-                let node = self.node(*idx);
-                loaded += usize::from(node.max_key() < key(&batch[range.start]));
-                if let Kids::Children(children) = &node.kids {
-                    loaded += children[0];
-                }
+                let probe = key(&batch[range.start]);
+                loaded += if is_leaf(*idx) {
+                    self.leaves
+                        .load(slot(*idx), probe, |v| usize::from(v.is_some()))
+                } else {
+                    self.inner.load(slot(*idx), probe, |&c| c)
+                };
             }
             std::hint::black_box(loaded);
             below.clear();
             for (idx, range) in level.drain(..) {
-                let node = self.node(idx);
-                let children = match &node.kids {
-                    Kids::Children(children) => children,
-                    Kids::Vals(vals) => {
-                        let mut at = 0;
-                        for t in &batch[range] {
-                            at += node.keys[at..].partition_point(|m| m < key(t));
-                            if node.keys.get(at) == Some(key(t)) {
-                                emit(&vals[at]);
-                            }
+                if is_leaf(idx) {
+                    let (cells, vals) = self.leaves.region(slot(idx));
+                    let mut at = 0;
+                    for t in &batch[range] {
+                        at += cells[at..].partition_point(|m| m < key(t));
+                        if cells.get(at) == Some(key(t)) {
+                            emit(live(&vals[at]));
                         }
-                        continue;
                     }
-                };
+                    continue;
+                }
+                let (bounds, children) = self.inner.region(slot(idx));
                 let (mut lo, mut pos) = (range.start, 0);
                 while lo < range.end {
-                    pos += node.keys[pos..].partition_point(|m| m < key(&batch[lo]));
+                    pos += bounds[pos..].partition_point(|m| m < key(&batch[lo]));
                     // Keys above the node's maximum (possible at the root
                     // only) are absent.
-                    let Some(bound) = node.keys.get(pos) else {
+                    let Some(bound) = bounds.get(pos) else {
                         break;
                     };
                     let hi = lo + batch[lo..range.end].partition_point(|t| key(t) <= bound);
@@ -690,45 +988,44 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         emit: &mut F,
     ) -> usize {
         touch(1);
-        if self.node(idx).height == 1 {
+        if is_leaf(idx) {
             return self.insert_cells(idx, items, n, emit);
         }
         let mut total_added = 0;
         let mut left = n;
         let mut pos = 0;
         while left > 0 {
-            let node = self.node(idx);
+            let (bounds, children) = self.inner.cells(slot(idx));
             let pending = &items.as_slice()[..left];
             // Items above every routing key extend the last child.
-            let last_pos = node.len() - 1;
-            pos += node.keys[pos..last_pos].partition_point(|m| *m < pending[0].0);
+            let last_pos = bounds.len() - 1;
+            pos += bounds[pos..last_pos].partition_point(|m| *m < pending[0].0);
             let last = pos == last_pos;
             let take = if last {
                 left
             } else {
-                pending.partition_point(|(k, _)| *k <= node.keys[pos])
+                pending.partition_point(|(k, _)| *k <= bounds[pos])
             };
-            let child = node.children()[pos];
+            let child = children[pos];
             let added = self.sweep_insert(child, items, take, emit);
             left -= take;
             total_added += added;
-            self.node_mut(idx).size += added;
+            *self.size_mut(idx) += added;
             if last && added > 0 {
                 // The child may have grown past the end.
                 let max = self.max_key(child).clone();
-                self.node_mut(idx).keys[pos] = max;
+                *self.key_mut(idx, pos) = max;
             }
             pos += 1 + self.split_child(idx, pos);
         }
         total_added
     }
 
-    /// Height-1 step of the insert sweep: one merge of the next `n` items
-    /// into the cells of `idx`, in place (which may leave it overfull).
-    /// Each new cell shifts only the old cells above its key, and the node
-    /// held at most `max_children` of those, so the merge is
-    /// `O(n · max_children)` however long the arrays grow.  Returns the
-    /// number of new cells.
+    /// Height-1 step of the insert sweep: merges the next `n` items into the
+    /// cells of `idx` (which may leave it overfull, and spilled).  Items
+    /// that fit go in one at a time, each new cell shifting only the old
+    /// cells above its key; more than fit go through one merge pass
+    /// ([`Arena::merge_cells`]).  Returns the number of new cells.
     fn insert_cells<F: FnMut(Option<V>)>(
         &mut self,
         idx: usize,
@@ -737,26 +1034,84 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         emit: &mut F,
     ) -> usize {
         touch(n as u64);
-        let node = self.node_mut(idx);
-        let Kids::Vals(vals) = &mut node.kids else {
-            unreachable!("expected a height-1 node")
-        };
+        let leaf = slot(idx);
+        if self.leaves.len(leaf) + n > self.leaves.stride {
+            return self.merge_cells(leaf, items.take(n), emit);
+        }
         let mut at = 0;
         let mut added = 0;
         for (key, val) in items.take(n) {
-            at += node.keys[at..].partition_point(|k| *k < key);
-            if node.keys.get(at) == Some(&key) {
-                emit(Some(std::mem::replace(&mut vals[at], val)));
+            let cells = self.leaves.region(leaf).0;
+            at += cells[at..].partition_point(|m| *m < key);
+            if cells.get(at) == Some(&key) {
+                emit(self.leaves.ent_mut(leaf, at).replace(val));
             } else {
                 emit(None);
                 added += 1;
-                node.keys.insert(at, key);
-                vals.insert(at, val);
+                self.leaves.insert(leaf, at, key, Some(val));
             }
             at += 1;
         }
-        node.size += added;
         added
+    }
+
+    /// [`Arena::insert_cells`] of more items than the height-1 node `leaf`
+    /// has room for: one forward merge of its cells and the items into a
+    /// spill buffer, which the node keeps when it overflowed (and moves back
+    /// out of when replacements left it fitting after all).  Each cell moves
+    /// at most twice, where one insertion at a time moves it once per new
+    /// cell below it, so the merge is
+    /// `O(n + max_children)` however many cells it ends with.
+    fn merge_cells<F: FnMut(Option<V>)>(
+        &mut self,
+        leaf: usize,
+        items: impl Iterator<Item = (K, V)>,
+        emit: &mut F,
+    ) -> usize {
+        let spill = self.leaves.spill_slot();
+        let Pool {
+            heads,
+            keys,
+            ents,
+            stride,
+            spills,
+            ..
+        } = &mut self.leaves;
+        let Spill {
+            owner,
+            keys: merged,
+            ents: vals,
+        } = &mut spills[spill];
+        let (base, len) = (leaf * *stride, heads[leaf].len as usize);
+        let (mut cell, end) = (base, base + len);
+        for (key, val) in items {
+            while cell < end && keys[cell] < key {
+                merged.push(keys[cell].clone());
+                vals.push(ents[cell].take());
+                cell += 1;
+            }
+            if cell < end && keys[cell] == key {
+                emit(ents[cell].replace(val));
+            } else {
+                emit(None);
+                merged.push(key);
+                vals.push(Some(val));
+            }
+        }
+        merged.extend_from_slice(&keys[cell..end]);
+        vals.extend(ents[cell..end].iter_mut().map(Option::take));
+        let total = merged.len();
+        heads[leaf].len = total as u32;
+        if total > *stride {
+            *owner = leaf;
+        } else {
+            let cells = merged.drain(..).zip(vals.drain(..));
+            for (j, (key, val)) in cells.enumerate() {
+                keys[base + j] = key;
+                ents[base + j] = val;
+            }
+        }
+        total - len
     }
 
     /// Remove sweep: removes the keys of the sorted batch `keys` from under
@@ -773,7 +1128,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         emit: &mut F,
     ) -> usize {
         touch(1);
-        if self.node(idx).height == 1 {
+        if is_leaf(idx) {
             return self.remove_cells(idx, keys, emit);
         }
         let mut total_removed = 0;
@@ -782,13 +1137,13 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         // Routing is lazy — each child's share is cut against its *current*
         // routing key — so a repair may reshape everything from `pos` on.
         while lo < keys.len() {
-            let node = self.node(idx);
-            pos += node.keys[pos..].partition_point(|m| *m < keys[lo]);
-            let Some(bound) = node.keys.get(pos) else {
+            let (bounds, children) = self.inner.region(slot(idx));
+            pos += bounds[pos..].partition_point(|m| *m < keys[lo]);
+            let Some(bound) = bounds.get(pos) else {
                 break;
             };
             let hi = lo + keys[lo..].partition_point(|k| k <= bound);
-            let child = node.children()[pos];
+            let child = children[pos];
             let max_hit = keys[hi - 1] == *bound;
             let removed = self.sweep_remove(child, &keys[lo..hi], emit);
             lo = hi;
@@ -797,7 +1152,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 continue;
             }
             total_removed += removed;
-            self.node_mut(idx).size -= removed;
+            *self.size_mut(idx) -= removed;
             pos = self.settle(idx, pos, max_hit);
         }
         keys[lo..].iter().for_each(|_| emit(None));
@@ -805,26 +1160,33 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     }
 
     /// Height-1 step of the remove sweep: one merge of `keys` against the
-    /// cells of `idx`, closing each gap in place.
+    /// cells of `idx`, closing the gaps in place.  A lone key, the common
+    /// case on a large tree, closes its gap by the one-cell shift of
+    /// [`Pool::remove`], which measured faster than the merge's swaps.
+    /// Returns the number removed.
     fn remove_cells<F: FnMut(Option<(K, V)>)>(
         &mut self,
         idx: usize,
         keys: &[K],
         emit: &mut F,
     ) -> usize {
-        let node = self.node_mut(idx);
-        let Kids::Vals(vals) = &mut node.kids else {
-            unreachable!("expected a height-1 node")
+        let leaf = slot(idx);
+        let before = self.leaves.len(leaf);
+        let removed = if let [key] = keys {
+            let cells = self.leaves.region(leaf).0;
+            let at = cells.partition_point(|m| m < key);
+            let hit = cells.get(at) == Some(key);
+            emit(hit.then(|| {
+                let (key, val) = self.leaves.remove(leaf, at);
+                (key, val.expect("a live cell holds a value"))
+            }));
+            usize::from(hit)
+        } else {
+            self.leaves.remove_sorted(leaf, keys, |key, val| {
+                emit(val.map(|val| (key.clone(), val.expect("a live cell holds a value"))))
+            })
         };
-        let before = vals.len();
-        let mut at = 0;
-        for key in keys {
-            at += node.keys[at..].partition_point(|m| m < key);
-            emit((node.keys.get(at) == Some(key)).then(|| (node.keys.remove(at), vals.remove(at))));
-        }
-        let removed = before - vals.len();
         touch_cells(before, removed);
-        node.size -= removed;
         removed
     }
 
@@ -832,8 +1194,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// took items from under it (`max_hit`: possibly its maximum), and
     /// returns the position the sweep resumes from.
     fn settle(&mut self, idx: usize, pos: usize, max_hit: bool) -> usize {
-        let child = self.node(idx).children()[pos];
-        let len = self.node(child).len();
+        let child = self.children(idx)[pos];
+        let len = self.len(child);
         if len == 0 {
             self.free_node(child);
             self.remove_child(idx, pos);
@@ -841,16 +1203,14 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         }
         if max_hit {
             let max = self.max_key(child).clone();
-            self.node_mut(idx).keys[pos] = max;
+            *self.key_mut(idx, pos) = max;
         }
-        if len >= self.min_c || self.node(idx).len() == 1 {
+        if len >= self.min_c || self.len(idx) == 1 {
             // Well-formed, or an only child: the caller of `idx` sees a
             // one-child node and dissolves the chain.
             return pos + 1;
         }
-        let chain = len == 1
-            && matches!(&self.node(child).kids,
-                Kids::Children(only) if self.node(only[0]).len() < self.min_c);
+        let chain = len == 1 && !is_leaf(child) && self.len(self.children(child)[0]) < self.min_c;
         if !chain {
             return self.rebalance(idx, pos);
         }
@@ -860,10 +1220,10 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         self.remove_child(idx, pos);
         let piece = self.collapse(child);
         let at = pos.saturating_sub(1);
-        let neighbour = self.node(idx).children()[at];
+        let neighbour = self.children(idx)[at];
         self.attach(neighbour, piece, pos == 0);
         let max = self.max_key(neighbour).clone();
-        self.node_mut(idx).keys[at] = max;
+        *self.key_mut(idx, at) = max;
         let next = at + 1 + self.split_child(idx, at);
         // A neighbour to the right has not been swept yet.
         if pos == 0 {
@@ -884,34 +1244,33 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// is the caller's to split.
     fn attach(&mut self, spine: usize, piece: usize, front: bool) {
         touch(1);
-        let (added, below) = {
-            let piece = self.node(piece);
-            let lone_cell = piece.height == 1 && piece.len() == 1;
-            (piece.size, if lone_cell { 0 } else { piece.height })
-        };
-        let node = self.node_mut(spine);
-        node.size += added;
-        let len = node.len();
-        if node.height == below + 1 {
+        let lone_cell = is_leaf(piece) && self.len(piece) == 1;
+        let below = if lone_cell { 0 } else { self.height(piece) };
+        if !is_leaf(spine) {
+            *self.size_mut(spine) += self.size(piece);
+        }
+        let len = self.len(spine);
+        if self.height(spine) == below + 1 {
             let at = if front { 0 } else { len };
             if below == 0 {
-                let mut cell = self.free_node(piece);
-                let (key, val) = (cell.keys.pop(), cell.vals_mut().pop());
-                let node = self.node_mut(spine);
-                node.keys.insert(at, key.expect("a lone cell"));
-                node.vals_mut().insert(at, val.expect("a lone cell"));
+                if front {
+                    self.shift(piece, spine, Shift::Right(0));
+                } else {
+                    self.shift(spine, piece, Shift::Left(1));
+                }
+                self.free_node(piece);
             } else {
                 self.adopt(spine, at, piece);
-                if self.node(piece).len() < self.min_c {
+                if self.len(piece) < self.min_c {
                     self.rebalance(spine, at);
                 }
             }
         } else {
             let edge = if front { 0 } else { len - 1 };
-            let child = node.children()[edge];
+            let child = self.children(spine)[edge];
             self.attach(child, piece, front);
             let max = self.max_key(child).clone();
-            self.node_mut(spine).keys[edge] = max;
+            *self.key_mut(spine, edge) = max;
             self.split_child(spine, edge);
         }
     }
@@ -920,17 +1279,13 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// counts it.
     fn adopt(&mut self, idx: usize, pos: usize, child: usize) {
         let max = self.max_key(child).clone();
-        let node = self.node_mut(idx);
-        node.children_mut().insert(pos, child);
-        node.keys.insert(pos, max);
+        self.inner.insert(slot(idx), pos, max, child);
     }
 
     /// Unlinks `children[pos]` of `idx` with its routing key; `size` is the
     /// caller's to keep.
     fn remove_child(&mut self, idx: usize, pos: usize) {
-        let node = self.node_mut(idx);
-        node.children_mut().remove(pos);
-        node.keys.remove(pos);
+        self.inner.remove(slot(idx), pos);
     }
 
     /// Frees the chain of one-child nodes hanging from `idx` and returns the
@@ -938,14 +1293,13 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// freeing that too, when the chain ends in an empty node.
     pub fn collapse(&mut self, mut idx: usize) -> usize {
         loop {
-            let node = self.node(idx);
-            match (&node.kids, node.len()) {
-                (_, 0) => {
+            match self.len(idx) {
+                0 => {
                     self.free_node(idx);
                     return NIL;
                 }
-                (Kids::Children(only), 1) => {
-                    let only = only[0];
+                1 if !is_leaf(idx) => {
+                    let only = self.children(idx)[0];
                     self.free_node(idx);
                     idx = only;
                 }
@@ -971,16 +1325,12 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         let mut level = Vec::with_capacity(groups);
         for g in 0..groups {
             let take = base + usize::from(g < extra);
-            let idx = self.new_node(1);
-            let node = self.node_mut(idx);
-            let Kids::Vals(vals) = &mut node.kids else {
-                unreachable!("expected a height-1 node")
-            };
-            for (key, val) in items.by_ref().take(take) {
-                node.keys.push(key);
-                vals.push(val);
+            let (key, val) = items.next().expect("as many items as announced");
+            let idx = self.new_node(1, |_| key.clone());
+            self.leaves.insert(slot(idx), 0, key, Some(val));
+            for (pos, (key, val)) in items.by_ref().take(take - 1).enumerate() {
+                self.leaves.insert(slot(idx), pos + 1, key, Some(val));
             }
-            node.size = take;
             level.push(idx);
         }
         debug_assert!(items.next().is_none(), "more items than announced");
@@ -1008,32 +1358,36 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         level.pop().unwrap_or(NIL)
     }
 
-    /// In-order traversal into `out`, freeing the visited slots.
+    /// In-order traversal into `out`, freeing the visited nodes.
     pub fn collect_into(&mut self, idx: usize, out: &mut Vec<(K, V)>) {
         touch(1);
-        let node = self.free_node(idx);
-        match node.kids {
-            Kids::Vals(vals) => {
-                touch_cells(vals.len(), vals.len());
-                out.extend(node.keys.into_iter().zip(vals));
-            }
-            Kids::Children(children) => {
-                for child in children {
-                    self.collect_into(child, out);
-                }
+        let len = self.len(idx);
+        if is_leaf(idx) {
+            touch_cells(len, len);
+            let base = slot(idx) * self.leaves.stride;
+            let Pool { keys, ents, .. } = &mut self.leaves;
+            let cells = keys[base..base + len]
+                .iter()
+                .zip(&mut ents[base..base + len]);
+            out.extend(cells.map(|(key, val)| (key.clone(), val.take().expect("a live cell"))));
+            self.leaves.heads[slot(idx)].len = 0;
+        } else {
+            for pos in 0..len {
+                let child = self.children(idx)[pos];
+                self.collect_into(child, out);
             }
         }
+        self.free_node(idx);
     }
 
     /// In-order traversal by reference (diagnostic; uncounted).
     pub fn for_each<'a, F: FnMut(&'a K, &'a V)>(&'a self, idx: usize, f: &mut F) {
-        let node = self.node(idx);
-        match &node.kids {
-            Kids::Vals(vals) => node.keys.iter().zip(vals).for_each(|(k, v)| f(k, v)),
-            Kids::Children(children) => {
-                for &child in children {
-                    self.for_each(child, f);
-                }
+        if is_leaf(idx) {
+            let (keys, vals) = self.leaves.cells(slot(idx));
+            keys.iter().zip(vals).for_each(|(k, v)| f(k, live(v)));
+        } else {
+            for &child in self.children(idx) {
+                self.for_each(child, f);
             }
         }
     }
@@ -1049,72 +1403,58 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     where
         K: std::fmt::Debug,
     {
-        let Slot::Node(node) = &self.slots[idx] else {
-            panic!("tree references free slot {idx}")
+        let heads = if is_leaf(idx) {
+            &self.leaves.heads
+        } else {
+            &self.inner.heads
         };
+        let head = heads
+            .get(slot(idx))
+            .expect("tree references a node past its pool");
+        let height = head.height as usize;
+        assert_ne!(height, 0, "tree references free node {idx}");
+        assert_eq!(is_leaf(idx), height == 1, "items live at height 1");
+        let len = self.len(idx);
         let mut nodes = 1usize;
-        let lo = match &node.kids {
-            Kids::Vals(vals) => {
-                assert_eq!(node.keys.len(), vals.len(), "keys out of step with values");
-                assert_eq!(node.height, 1, "items live at height 1");
-                assert_eq!(node.size, vals.len(), "cached size wrong");
-                1
+        let lo = if is_leaf(idx) {
+            let vals = self.leaves.cells(slot(idx)).1;
+            assert!(vals.iter().all(Option::is_some), "a live cell is vacant");
+            1
+        } else {
+            let mut size = 0;
+            for (&c, k) in self.children(idx).iter().zip(self.keys(idx)) {
+                let (h, n) = self.check_subtree(c, false);
+                nodes += n;
+                size += self.size(c);
+                assert_eq!(height, h + 1, "cached height wrong, or heights differ");
+                assert_eq!(k, self.max_key(c), "routing key is not the child max");
             }
-            Kids::Children(children) => {
-                assert_eq!(
-                    node.keys.len(),
-                    children.len(),
-                    "routing-key array out of step with children"
-                );
-                let mut size = 0;
-                for (&c, k) in children.iter().zip(&node.keys) {
-                    let (h, n) = self.check_subtree(c, false);
-                    nodes += n;
-                    size += self.node(c).size;
-                    assert_eq!(node.height, h + 1, "cached height wrong, or heights differ");
-                    assert_eq!(k, self.max_key(c), "routing key is not the child max");
-                }
-                assert_eq!(node.size, size, "cached size wrong");
-                2
-            }
+            assert_eq!(self.size(idx), size, "cached size wrong");
+            2
         };
         let lo = if is_root { lo } else { self.min_c };
         assert!(
-            (lo..=self.max_c).contains(&node.len()),
-            "node at height {} must hold {lo}..={}, holds {}",
-            node.height,
+            (lo..=self.max_c).contains(&len),
+            "node at height {height} must hold {lo}..={}, holds {len}",
             self.max_c,
-            node.len()
         );
         assert!(
-            node.keys.windows(2).all(|w| w[0] < w[1]),
+            self.keys(idx).windows(2).all(|w| w[0] < w[1]),
             "keys out of order"
         );
-        (node.height, nodes)
+        (height, nodes)
     }
 
-    /// Validates the slab itself: every slot is reachable either from the
-    /// tree (`live` live nodes, counted by [`Arena::check_subtree`]) or from
-    /// the free list — no leaks, no cycles.
+    /// Validates the pools themselves: every node is reachable either from
+    /// the tree (`live` live nodes, counted by [`Arena::check_subtree`]) or
+    /// from a free list — no leaks, no cycles — and no node is left spilled.
     pub fn check_slab(&self, live: usize) {
-        let mut free_count = 0usize;
-        let mut cur = self.free;
-        while cur != NIL {
-            assert!(
-                free_count <= self.slots.len(),
-                "free list cycle at slot {cur}"
-            );
-            let Slot::Free { next } = &self.slots[cur] else {
-                panic!("free list visits live slot {cur}")
-            };
-            cur = *next;
-            free_count += 1;
-        }
+        let free = self.leaves.check_free() + self.inner.check_free();
+        let nodes = self.leaves.heads.len() + self.inner.heads.len();
         assert_eq!(
-            live + free_count,
-            self.slots.len(),
-            "arena slot leak: {live} live + {free_count} free != {} slots",
-            self.slots.len()
+            live + free,
+            nodes,
+            "arena node leak: {live} live + {free} free != {nodes} nodes"
         );
     }
 }
@@ -1127,11 +1467,11 @@ mod tests {
     //! of the root down to a chain over an underfull node, which must be hung
     //! on a neighbour's spine.
 
-    use super::{Kids, Slot};
+    use super::{is_leaf, Head};
     use crate::tree::BTree;
     use std::collections::BTreeMap;
 
-    const FANOUTS: [usize; 3] = [2, 8, 16];
+    const FANOUTS: [usize; 5] = [2, 3, 8, 16, 64];
 
     fn val(k: u64) -> u64 {
         k * 10 + 1
@@ -1149,23 +1489,26 @@ mod tests {
             .eq(model.iter().map(|(k, v)| (*k, *v))));
     }
 
-    /// `leaves` full height-1 nodes under one root, keys `0, 100, 200, …`.
+    /// Spacing of the keys of `full_leaves`, wide enough for a batch of
+    /// `2 · max_children + 1` keys between two of them at every fanout.
+    const GAP: u64 = 1000;
+
+    /// `leaves` full height-1 nodes under one root, keys `0, GAP, 2·GAP, …`.
     fn full_leaves(fanout: usize, leaves: u64) -> (BTree<u64, u64>, BTreeMap<u64, u64>, u64) {
         let max_c = fanout.max(3) as u64;
-        let keys = (0..leaves * max_c).map(|i| i * 100);
+        let keys = (0..leaves * max_c).map(|i| i * GAP);
         let model: BTreeMap<u64, u64> = keys.map(|k| (k, val(k))).collect();
         let tree = BTree::from_sorted_with_fanout(model.clone().into_iter().collect(), fanout);
         assert_eq!(tree.height(), 2);
-        assert_eq!(tree.arena.node(tree.root).len() as u64, leaves);
+        assert_eq!(tree.arena.len(tree.root) as u64, leaves);
         (tree, model, max_c)
     }
 
     /// Cell counts of the height-1 nodes under a height-2 root.
     fn leaf_lens(tree: &BTree<u64, u64>) -> Vec<usize> {
-        let root = tree.arena.node(tree.root);
-        assert_eq!(root.height, 2);
-        let lens = root.children().iter();
-        lens.map(|&c| tree.arena.node(c).len()).collect()
+        assert_eq!(tree.arena.height(tree.root), 2);
+        let lens = tree.arena.children(tree.root).iter();
+        lens.map(|&c| tree.arena.len(c)).collect()
     }
 
     fn remove_checked(tree: &mut BTree<u64, u64>, model: &mut BTreeMap<u64, u64>, keys: &[u64]) {
@@ -1177,8 +1520,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_stays_within_eighty_bytes() {
-        assert!(std::mem::size_of::<Slot<u64, usize>>() <= 80);
+    fn node_header_stays_within_sixteen_bytes() {
+        assert!(std::mem::size_of::<Head>() <= 16);
     }
 
     #[test]
@@ -1237,7 +1580,7 @@ mod tests {
         for fanout in FANOUTS {
             let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
             // All between the first two keys of the middle node.
-            let lo = max_c * 100;
+            let lo = max_c * GAP;
             let items: Vec<(u64, u64)> =
                 (1..=2 * max_c + 1).map(|i| (lo + i, val(lo + i))).collect();
             let replaced = tree.batch_insert(items.clone());
@@ -1264,7 +1607,7 @@ mod tests {
         for fanout in FANOUTS {
             let min_c = (fanout / 2).max(2) as u64;
             let node_keys =
-                |max_c: u64, node: u64| (node * max_c..(node + 1) * max_c).map(|i| i * 100);
+                |max_c: u64, node: u64| (node * max_c..(node + 1) * max_c).map(|i| i * GAP);
 
             // A node emptied entirely is dropped, with its routing key.
             let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
@@ -1318,7 +1661,7 @@ mod tests {
         for fanout in FANOUTS {
             let (mut tree, mut model, max_c) = full_leaves(fanout, 3);
             // Uneven nodes: thin the middle one.
-            remove_checked(&mut tree, &mut model, &[(max_c + 1) * 100]);
+            remove_checked(&mut tree, &mut model, &[(max_c + 1) * GAP]);
             for (rank, (k, v)) in model.iter().enumerate() {
                 assert_eq!(tree.select(rank), Some((k, v)));
             }
@@ -1348,10 +1691,10 @@ mod tests {
                 // Every item cell sits in a height-1 node.
                 if n > 0 {
                     let mut idx = tree.root;
-                    while let Kids::Children(children) = &tree.arena.node(idx).kids {
-                        idx = children[0];
+                    while !is_leaf(idx) {
+                        idx = tree.arena.children(idx)[0];
                     }
-                    assert_eq!(tree.arena.node(idx).height, 1);
+                    assert_eq!(tree.arena.height(idx), 1);
                 }
             }
         }
@@ -1363,11 +1706,11 @@ mod tests {
     fn thin_to_chain(tree: &mut BTree<u64, u64>, pos: usize, keep: u64) -> (usize, usize) {
         let mut model: BTreeMap<u64, u64> = tree.keys().into_iter().map(|k| (k, k)).collect();
         assert!(tree.height() >= 3, "the thinned subtree must be a chain");
-        let root = tree.arena.node(tree.root);
-        let before = root.len();
+        let before = tree.arena.len(tree.root);
         // Keys are dense, so the subtree holds exactly `lo..=hi`.
-        let lo = if pos == 0 { 0 } else { root.keys[pos - 1] + 1 };
-        let hi = root.keys[pos];
+        let bounds = tree.arena.keys(tree.root);
+        let lo = if pos == 0 { 0 } else { bounds[pos - 1] + 1 };
+        let hi = bounds[pos];
         let batch: Vec<u64> = (lo..=hi - keep).collect();
         let removed = tree.batch_remove(&batch);
         for (k, r) in batch.iter().zip(removed) {
@@ -1375,7 +1718,7 @@ mod tests {
         }
         tree.check_invariants();
         assert!(tree.keys().iter().eq(model.keys()));
-        (before, tree.arena.node(tree.root).len())
+        (before, tree.arena.len(tree.root))
     }
 
     /// A tree with slack in every node: ascending point inserts leave each
@@ -1384,7 +1727,7 @@ mod tests {
     fn half_full(fanout: usize) -> BTree<u64, u64> {
         let mut tree = BTree::with_fanout(fanout);
         let mut k = 0;
-        while tree.height() < 3 || tree.arena.node(tree.root).len() < 3 {
+        while tree.height() < 3 || tree.arena.len(tree.root) < 3 {
             tree.insert(k, k);
             k += 1;
         }

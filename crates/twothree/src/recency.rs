@@ -42,8 +42,10 @@
 //! of a segment — the hit removal ([`RecencyMap::remove_batch_with`]), the
 //! push of a chain, and the key removal of a take — runs behind the tree's
 //! **locate walk** ([`Tree23::locate_batch`]): the same sorted batch, read
-//! one height at a time so the misses of a level overlap, leaves the nodes
-//! the sweep is about to visit in cache.  After a removal's walk the map
+//! one height at a time — every node of a height loaded, header and every
+//! cache line of its regions, before any is scanned — so the misses of a
+//! level overlap, leaves the nodes the sweep is about to visit in cache.
+//! After a removal's walk the map
 //! reads each found item's arena slot, then both of its list neighbours, in
 //! two loops of their own, so the unlinks find those in cache too.  This is
 //! a cache effect, not work in the paper's model: neither the walk nor the
@@ -51,24 +53,52 @@
 //! alone.  The walk runs on key trees of at least `LOCATE_MIN_ITEMS` items
 //! and batches of at least `LOCATE_MIN_KEYS` keys; E18's `n=2^12` sweep rows
 //! are the in-cache side of that gate and its `n=2^17` rows the other.
+//! Those rows push back the keys they just took or removed, so the walk
+//! ahead of their push finds its nodes in cache already: it is neutral for
+//! the removal round trip there and 27 % dearer for the take round trip.
+//! `M1` on a uniform stream pushes into the segment in front instead, and
+//! is 10–20 % slower per operation when only its hit removals run behind
+//! the walk, so the walk stays ahead of all three sweeps.
 
 use crate::cost::touch;
 use crate::tree::Tree23;
+use std::num::NonZeroUsize;
 
 /// Null arena index: end of the recency list / free list.
 const NIL: usize = usize::MAX;
 
+/// An arena index as the key map stores it: one above the index, so a
+/// vacant value cell of the key tree (`Option<Link>`) is no wider than a
+/// `usize`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Link(NonZeroUsize);
+
+impl Link {
+    fn new(idx: usize) -> Self {
+        Link(NonZeroUsize::new(idx + 1).expect("a live arena index is below NIL"))
+    }
+
+    fn idx(self) -> usize {
+        self.0.get() - 1
+    }
+}
+
 /// The smallest key tree the locate walk runs on.  E18's `n=2^12` sweep
 /// rows are a tree that stays in cache between batches: forced on there, the
-/// walk made both round trips 40–50 % slower per key, a second descent with
-/// no misses to overlap.  Its `n=2^17` rows lie past this bound.
+/// walk makes both round trips 40–45 % slower per key (454 against 323 and
+/// 530 against 366 ns, medians of 21 runs), a second descent with no misses
+/// to overlap.  Its `n=2^17` rows lie past this bound.
 const LOCATE_MIN_ITEMS: usize = 1 << 13;
 
 /// The smallest batch the locate walk runs for.  A batch of a few keys has
 /// few misses per height to overlap, and where its paths are already in
 /// cache the walk is a second descent for nothing; the 1–5-key sweeps of the
 /// large segments of `fanin-zipf-read` and `hotshift-mixed-m2` stay below
-/// this bound, E18's 80-key batches above it.
+/// this bound, E18's 80-key batches above it.  E18 has no row below it: a
+/// hit-removal, push and take cycle on a 2^17-item map put the walk at
+/// +10 % per key for 2-key batches and −5 to −7 % for 4 to 8 keys, inside
+/// the 13 % that two builds of the same code differed by there, so the
+/// bound is kept as it was.
 const LOCATE_MIN_KEYS: usize = 16;
 
 /// One arena slot: the intrusive recency links plus the item.  A free slot
@@ -227,7 +257,7 @@ impl<K, V> RecencyList<K, V> {
 #[derive(Clone, Debug)]
 pub struct RecencyMap<K, V> {
     /// Key order: `key → arena index`, one balanced tree — the only tree.
-    key_map: Tree23<K, usize>,
+    key_map: Tree23<K, Link>,
     list: RecencyList<K, V>,
     /// Number of live items.
     len: usize,
@@ -239,7 +269,7 @@ pub struct RecencyMap<K, V> {
     /// its results through.
     taken: Vec<usize>,
     sorted_keys: Vec<K>,
-    staged: Vec<(K, usize)>,
+    staged: Vec<(K, Link)>,
     order: Vec<u32>,
 }
 
@@ -297,13 +327,13 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
 
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let idx = *self.key_map.get(key)?;
+        let idx = self.key_map.get(key)?.idx();
         Some(&self.list.item(idx).1)
     }
 
     /// Looks up a key, returning a mutable reference to its value.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = *self.key_map.get(key)?;
+        let idx = self.key_map.get(key)?.idx();
         let (_, val) = self.list.slots[idx]
             .item
             .as_mut()
@@ -320,7 +350,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<&V>> {
         let mut out = Vec::with_capacity(keys.len());
         self.key_map.batch_get_with(keys, |idx| {
-            out.push(idx.map(|&idx| &self.list.item(idx).1));
+            out.push(idx.map(|link| &self.list.item(link.idx()).1));
         });
         out
     }
@@ -330,7 +360,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// key-map lookup yields the arena slot, then the list is walked from the
     /// front until the slot is reached.
     pub fn recency_rank(&self, key: &K) -> Option<usize> {
-        let idx = *self.key_map.get(key)?;
+        let idx = self.key_map.get(key)?.idx();
         let mut rank = 0usize;
         let mut cur = self.list.head;
         while cur != idx {
@@ -364,9 +394,9 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
 
     fn fused_insert(&mut self, key: K, val: V, at_front: bool) -> Option<V> {
         let idx = self.list.alloc(key.clone(), val);
-        let old = self.key_map.insert(key, idx).map(|old_idx| {
-            self.list.unlink(old_idx);
-            self.list.release(old_idx).1
+        let old = self.key_map.insert(key, Link::new(idx)).map(|old| {
+            self.list.unlink(old.idx());
+            self.list.release(old.idx()).1
         });
         if old.is_none() {
             self.len += 1;
@@ -390,7 +420,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         for (k, v) in items {
             let idx = self.list.alloc(k.clone(), v);
             touch(1);
-            self.staged.push((k, idx));
+            self.staged.push((k, Link::new(idx)));
             if first == NIL {
                 first = idx;
             } else {
@@ -484,9 +514,9 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         let (list, len) = (&mut self.list, &mut self.len);
         self.key_map.batch_insert_with(&mut self.staged, |old_idx| {
             let pos = *order.next().expect("one result per staged pair") as usize;
-            if let Some(old_idx) = old_idx {
-                list.unlink(old_idx);
-                out[pos] = Some(list.release(old_idx).1);
+            if let Some(old) = old_idx {
+                list.unlink(old.idx());
+                out[pos] = Some(list.release(old.idx()).1);
                 *len -= 1;
             }
         });
@@ -500,7 +530,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// Removes one key; returns its value if present.  One tree pass plus an
     /// O(1) unlink.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.key_map.remove(key)?;
+        let idx = self.key_map.remove(key)?.idx();
         self.list.unlink(idx);
         self.len -= 1;
         Some(self.list.release(idx).1)
@@ -521,12 +551,14 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         if self.locate_pays(keys.len()) {
             self.taken.clear();
             let taken = &mut self.taken;
-            self.key_map.locate_batch(keys, |&idx| taken.push(idx));
+            self.key_map
+                .locate_batch(keys, |link| taken.push(link.idx()));
             self.list.warm(&self.taken);
         }
         let (list, len) = (&mut self.list, &mut self.len);
         self.key_map.batch_remove_with(keys, |item| {
-            emit(item.map(|(_, idx)| {
+            emit(item.map(|(_, link)| {
+                let idx = link.idx();
                 list.unlink(idx);
                 *len -= 1;
                 list.release(idx).1
@@ -603,7 +635,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         let list = &mut self.list;
         self.key_map.batch_remove_with(&self.sorted_keys, |entry| {
             debug_assert!(
-                entry.is_some_and(|(key, idx)| list.slots[idx]
+                entry.is_some_and(|(key, link)| list.slots[link.idx()]
                     .item
                     .as_ref()
                     .is_some_and(|(k, _)| *k == key)),
@@ -701,7 +733,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         assert_eq!(count, self.len, "recency list length mismatch");
         assert_eq!(self.list.tail, prev, "tail does not end the recency list");
         // Every key-map entry points at a live slot holding the same key.
-        self.key_map.for_each(|key, &idx| {
+        self.key_map.for_each(|key, link| {
+            let idx = link.idx();
             let (slot_key, _) = self.list.slots[idx]
                 .item
                 .as_ref()

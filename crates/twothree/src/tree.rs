@@ -99,7 +99,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         if self.root == NIL {
             0
         } else {
-            self.arena.node(self.root).size
+            self.arena.size(self.root)
         }
     }
 
@@ -115,7 +115,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
         if self.len() <= 1 {
             0
         } else {
-            self.arena.node(self.root).height
+            self.arena.height(self.root)
         }
     }
 

@@ -1,15 +1,19 @@
 //! Allocation budget of the steady-state sweep path.
 //!
 //! A counting `#[global_allocator]` (allocations + reallocations, counted per
-//! thread so the tests of this file may run side by side) pins two things:
+//! thread so the tests of this file may run side by side) pins four things:
 //!
 //! * a warmed `RecencyMap` moves a batch out of and back into its tree
 //!   through buffers it keeps — a round trip allocates a constant number of
 //!   times (the `Vec` it returns), whatever the batch size;
+//! * a warmed tree held at a steady size takes insert sweeps of fresh keys
+//!   and remove sweeps of as many — splits, merges and even-outs — and
+//!   allocates nothing but the vector each sweep returns: its nodes live in
+//!   pools that stop growing;
 //! * `M1::run_batch` on a uniform search stream — four mutating sweeps per
-//!   accessed item plus the cascade's grouping — stays at or under one
-//!   allocation per operation (the one-slot-per-item tree with per-call
-//!   temporaries took 3.5);
+//!   accessed item plus the cascade's grouping — stays at or under 0.45
+//!   allocations per operation (0.40 with node pools; per-node arrays took
+//!   0.78, the one-slot-per-item tree with per-call temporaries 3.5);
 //! * a request of `k` operations deposited into a warmed two-shard
 //!   `ShardedMap` allocates its `k` result cells, the vector holding them and
 //!   at most `S` more, however its keys split across the shards; awaiting it
@@ -17,8 +21,9 @@
 //!
 //! The round trips use a map whose key tree was built in bulk and then
 //! thinned evenly to three quarters full, and move at most a few keys of any
-//! one node, so no node splits or merges: what is counted is the path, not
-//! tree growth (a split allocates the new node's arrays, as it must).
+//! one node, so no node splits or merges: what is counted is the path.  A
+//! split takes its new node from the pool's free list; only a pool that
+//! grows allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,7 +33,7 @@ use std::task::{Context, Poll, Waker};
 use wsm_core::{BatchedMap, OpResult, Operation, TaggedOp, M1};
 use wsm_shard::ShardedMap;
 use wsm_svc::WsMapService;
-use wsm_twothree::RecencyMap;
+use wsm_twothree::{RecencyMap, Tree23};
 
 struct Counting;
 
@@ -148,6 +153,38 @@ fn recency_round_trips_allocate_a_constant_per_call() {
 }
 
 #[test]
+fn a_steady_size_tree_splits_and_merges_without_allocating() {
+    // Every eighth key of `0..KEYS`, among them a set `b`; each round puts
+    // one of two 512-key sets, `a` (absent) and `b`, in, from all over the
+    // range (splits), and takes the other out (merges and even-outs), so
+    // the tree keeps its size and its pools stop growing.
+    let mut rng = Rng(0x57EAD);
+    let mut a: Vec<u64> = (0..1024).map(|_| (rng.next() % KEYS) | 1).collect();
+    a.sort_unstable();
+    a.dedup();
+    a.truncate(512);
+    let mut b: Vec<u64> = (0..1024).map(|_| (rng.next() % KEYS) & !7).collect();
+    b.sort_unstable();
+    b.dedup();
+    b.truncate(a.len());
+    let mut tree: Tree23<u64, u64> =
+        Tree23::from_sorted((0..KEYS).step_by(8).map(|k| (k, k)).collect());
+    let size = tree.len();
+    for round in 0..48 {
+        let (put, take) = if round % 2 == 0 { (&a, &b) } else { (&b, &a) };
+        let items: Vec<(u64, u64)> = put.iter().map(|&k| (k, k)).collect();
+        let (_, inserting) = allocations(|| tree.batch_insert(items));
+        let (_, removing) = allocations(|| tree.batch_remove(take));
+        assert_eq!(tree.len(), size);
+        // After the first rounds: the vector each call returns, no more.
+        if round >= 16 {
+            assert_eq!((inserting, removing), (1, 1), "round {round} allocated");
+        }
+    }
+    tree.check_invariants();
+}
+
+#[test]
 fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
     const BATCH: u64 = 256;
     let mut rng = Rng(0xA110C);
@@ -187,9 +224,9 @@ fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
         total += n;
     }
     let per_op = total as f64 / (rounds * BATCH) as f64;
-    println!("M1 uniform searches: {per_op:.2} allocations per operation");
+    println!("M1 uniform searches: {per_op:.4} allocations per operation");
     assert!(
-        per_op <= 1.0,
+        per_op <= 0.45,
         "M1::run_batch allocates {per_op:.2}x per operation"
     );
     map.check_invariants();

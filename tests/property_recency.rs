@@ -254,7 +254,7 @@ proptest! {
     #[test]
     fn fused_map_matches_deque_model(
         ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..60),
-        fan in prop::sample::select(vec![2usize, 8, 16]),
+        fan in prop::sample::select(vec![2usize, 3, 8, 16, 64]),
     ) {
         let mut map: RecencyMap<u16, u32> = RecencyMap::with_fanout(fan);
         let mut model = Model::default();
@@ -275,7 +275,7 @@ proptest! {
         keys in prop::collection::vec(any::<u16>(), 1..80),
         k in 1usize..20,
         to_front in any::<bool>(),
-        fan in prop::sample::select(vec![2usize, 8, 16]),
+        fan in prop::sample::select(vec![2usize, 3, 8, 16, 64]),
     ) {
         let mut a: RecencyMap<u16, u32> = RecencyMap::with_fanout(fan);
         let mut a_model = Model::default();
@@ -311,7 +311,7 @@ proptest! {
     fn lru_eviction_shape(
         accesses in prop::collection::vec(any::<u16>(), 1..120),
         evict in 1usize..16,
-        fan in prop::sample::select(vec![2usize, 8, 16]),
+        fan in prop::sample::select(vec![2usize, 3, 8, 16, 64]),
     ) {
         let mut map: RecencyMap<u16, u32> = RecencyMap::with_fanout(fan);
         let mut model = Model::default();

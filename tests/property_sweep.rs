@@ -5,7 +5,7 @@
 //! 512-key batches that force multi-way splits, whole-subtree removals and
 //! several levels of root growth and collapse — against a `BTreeMap` model,
 //! with `check_invariants` (occupancy bounds, routing keys, cached
-//! height/size, slab accounting) after **every** step, at B ∈ {2, 8, 16}.
+//! height/size, slab accounting) after **every** step, at B ∈ {2, 3, 8, 16, 64}.
 //! The same shapes then go through the `RecencyMap` batch surface the segment
 //! cascades use, and a deterministic count test pins that the per-key node
 //! count only falls as the batch grows.
@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wsm_twothree::cost::metered;
 use wsm_twothree::{RecencyMap, Tree23};
 
-const FANOUTS: [usize; 3] = [2, 8, 16];
+const FANOUTS: [usize; 5] = [2, 3, 8, 16, 64];
 
 fn insert_checked(
     tree: &mut Tree23<u32, u32>,
@@ -164,18 +164,20 @@ fn a_batch_that_empties_the_tree() {
 #[test]
 fn a_batch_that_removes_a_whole_internal_child() {
     for fan in FANOUTS {
+        // 4096 keys make three levels up to B = 32; wider nodes need more.
+        let s = if fan * fan < 4096 { 1 } else { 4 };
         let mut model = BTreeMap::new();
         let mut tree = Tree23::with_fanout(fan);
-        insert_checked(&mut tree, &mut model, &pairs(0..4096, 6));
+        insert_checked(&mut tree, &mut model, &pairs(0..4096 * s, 6));
         assert!(tree.height() >= 3);
         // A contiguous run wide enough to cover entire height-2 subtrees in
         // the middle of the tree, plus one straggler on either side.
         let mut keys: Vec<u32> = vec![10];
-        keys.extend(1000..2600);
-        keys.push(4000);
+        keys.extend(1000 * s..2600 * s);
+        keys.push(4000 * s);
         remove_checked(&mut tree, &mut model, &keys);
         // And one from each end, so the first and last child go.
-        let keys: Vec<u32> = (0..700).chain(3500..4096).collect();
+        let keys: Vec<u32> = (0..700 * s).chain(3500 * s..4096 * s).collect();
         remove_checked(&mut tree, &mut model, &keys);
     }
 }
