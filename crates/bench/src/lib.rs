@@ -100,18 +100,15 @@ pub fn run_batched<M: BatchedMap<u64, u64>>(
 ) -> Cost {
     let mut total = Cost::ZERO;
     let mut next_id: OpId = 0;
+    let (mut batch, mut results) = (Vec::new(), Vec::new());
     for chunk in to_operations(ops).chunks(batch_size.max(1)) {
-        let batch: Vec<TaggedOp<u64, u64>> = chunk
-            .iter()
-            .cloned()
-            .map(|op| {
-                let t = TaggedOp { id: next_id, op };
-                next_id += 1;
-                t
-            })
-            .collect();
-        let (_, c) = map.run_batch(batch);
-        total += c;
+        batch.extend(chunk.iter().cloned().map(|op| {
+            let t = TaggedOp { id: next_id, op };
+            next_id += 1;
+            t
+        }));
+        results.clear();
+        total += map.run_batch(&mut batch, &mut results);
     }
     total
 }
@@ -1205,14 +1202,14 @@ pub fn experiment_invariants(keyspace: u64, operations: usize) -> Vec<Row> {
     let mut m2 = M2::new(4);
     let mut checks = 0u64;
     for chunk in to_operations(&ops).chunks(64) {
-        let batch: Vec<TaggedOp<u64, u64>> = chunk
+        let mut batch: Vec<TaggedOp<u64, u64>> = chunk
             .iter()
             .cloned()
             .enumerate()
             .map(|(i, op)| TaggedOp { id: i as OpId, op })
             .collect();
-        m1.run_batch(batch.clone());
-        m2.run_batch(batch);
+        m1.run_batch(&mut batch.clone(), &mut Vec::new());
+        m2.run_batch(&mut batch, &mut Vec::new());
         m1.check_invariants();
         m2.check_invariants();
         checks += 2;

@@ -149,6 +149,13 @@ fn fixtures_check(args: &Args) -> bool {
     let r = model(args).check(fixtures::buggy_doorbell_harness);
     ok &= report("fixture: missed-wakeup doorbell (PR 2 bug)", &r, true);
 
+    let r = model(args).check(fixtures::ungated_count_doorbell_harness);
+    ok &= report(
+        "fixture: doorbell reading its sleeper count outside the gate",
+        &r,
+        true,
+    );
+
     let r = model(args).check(fixtures::racy_claim_harness);
     ok &= report("fixture: racy MPSC slot claim", &r, true);
 

@@ -70,6 +70,81 @@ pub fn buggy_doorbell_harness() {
     ringer.join().unwrap();
 }
 
+/// A sleeper-counting doorbell whose `ring` reads the count *before* taking
+/// the gate, to skip the notify when nobody is parked.  A waiter can then
+/// re-check the generation, count itself and park between that read and the
+/// bump, and the ring — having read zero — never notifies it.
+pub struct UngatedCountDoorbell {
+    generation: AtomicU64,
+    sleepers: AtomicUsize,
+    gate: Mutex<()>,
+    cv: Condvar,
+}
+
+impl UngatedCountDoorbell {
+    /// Creates a doorbell at generation 0 with no sleepers.
+    pub fn new() -> Self {
+        UngatedCountDoorbell {
+            generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            gate: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Current generation.
+    pub fn current(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// BUG: reads the sleeper count outside the gate, so a waiter that
+    /// parks between the read and the bump is never notified.
+    pub fn ring(&self) {
+        let wake = self.sleepers.load(Ordering::Acquire) > 0;
+        let gate = self.gate.lock();
+        self.generation.fetch_add(1, Ordering::AcqRel);
+        drop(gate);
+        if wake {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Blocks until the generation passes `seen`, counted as a sleeper while
+    /// parked (untimed: a lost wakeup is a permanent sleep, which the model
+    /// reports as a deadlock).
+    pub fn wait_past(&self, seen: u64) {
+        let mut gate = self.gate.lock();
+        while self.current() == seen {
+            self.sleepers.fetch_add(1, Ordering::AcqRel);
+            self.cv.wait(&mut gate);
+            self.sleepers.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
+impl Default for UngatedCountDoorbell {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Model harness for [`UngatedCountDoorbell`]: one waiter, one ringer, as in
+/// [`buggy_doorbell_harness`].  The model must find the schedule in which
+/// the ringer reads no sleepers, the waiter parks, and the ring bumps the
+/// generation without a notify.
+pub fn ungated_count_doorbell_harness() {
+    let bell = Arc::new(UngatedCountDoorbell::new());
+    let seen = bell.current();
+    let ringer = {
+        let bell = Arc::clone(&bell);
+        wsm_sync::thread::spawn_named("ringer".to_string(), move || {
+            bell.ring();
+        })
+    };
+    bell.wait_past(seen);
+    ringer.join().unwrap();
+}
+
 /// A broken MPSC slot claim: the CAS that makes claiming atomic is replaced
 /// by a load-then-store (the classic lost-update race).  Two producers can
 /// both observe the same tail and claim the same slot.

@@ -28,6 +28,26 @@ fn finds_missed_wakeup_doorbell() {
     assert_eq!(replayed.message, failure.message);
 }
 
+/// A doorbell that skips the notify when it counts no sleepers, but reads
+/// the count before taking the gate: a waiter parking between the read and
+/// the bump sleeps forever.  The model must report that lost wakeup as a
+/// deadlock too.
+#[test]
+fn finds_ungated_sleeper_count_doorbell() {
+    let failure = Model::with_bound(2)
+        .check(fixtures::ungated_count_doorbell_harness)
+        .assert_fails();
+    assert!(
+        failure.message.contains("deadlock"),
+        "expected a deadlock (lost wakeup), got: {}",
+        failure.message
+    );
+    let replayed = Model::with_bound(2)
+        .replay(&failure.choices, fixtures::ungated_count_doorbell_harness)
+        .expect("replaying the failing schedule must fail again");
+    assert_eq!(replayed.message, failure.message);
+}
+
 /// The broken MPSC claim protocol (load+store instead of CAS): two producers
 /// can claim the same slot.  The model must find the duplicated claim.
 #[test]

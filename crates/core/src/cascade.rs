@@ -15,7 +15,7 @@ use wsm_model::Charge;
 use wsm_seq::segment_capacity;
 use wsm_sort::{pesort_group_into, GroupedBatch, SortScratch};
 use wsm_twothree::cost as tcost;
-use wsm_twothree::RecencyMap;
+use wsm_twothree::{End, RecencyMap};
 
 /// The fanout of the segment trees and M2's filter (all built at the process
 /// default, which reads `WSM_TREE_FANOUT`), threaded into every measured
@@ -26,8 +26,8 @@ pub(crate) fn tree_fanout() -> u64 {
 }
 
 /// The segments, their item count, and the buffers one batch reuses from the
-/// last: after the first few batches, sorting, grouping and the pass
-/// allocate nothing per group or per segment.
+/// last: after the first few batches, sorting, grouping, the pass, the
+/// boundary transfers and the terminal appends allocate nothing.
 #[derive(Debug)]
 pub(crate) struct Cascade<K, V> {
     segments: Vec<RecencyMap<K, V>>,
@@ -47,6 +47,11 @@ pub(crate) struct Cascade<K, V> {
     /// surviving items on their way to the segment in front.
     found_buf: Vec<Option<V>>,
     shift_buf: Vec<(K, V)>,
+    /// The net insertions of one [`Cascade::resolve_absent`].
+    insert_buf: Vec<(K, V)>,
+    /// The items of one boundary transfer, taken from one segment and
+    /// pushed into the next.
+    move_buf: Vec<(K, V)>,
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
@@ -62,6 +67,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
             batch_buf: Vec::new(),
             found_buf: Vec::new(),
             shift_buf: Vec::new(),
+            insert_buf: Vec::new(),
+            move_buf: Vec::new(),
         }
     }
 
@@ -208,7 +215,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
                 self.recycle_ops(ops);
             }
             groups.truncate(write);
-            cost += self.push_front(k.saturating_sub(1), &mut shift);
+            cost += self.push(k.saturating_sub(1), End::Front, &mut shift);
             cost += self.restore_range(k);
             k += 1;
         }
@@ -219,14 +226,17 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
     }
 
     /// Resolves the groups that reached the end of the structure against an
-    /// absent item and returns their net insertions, for
-    /// [`Cascade::append_inserts`].
+    /// absent item, appends their net insertions at the back of the terminal
+    /// segment and takes the group vector back.  Returns the append's charge
+    /// and whether anything was appended.
     pub(crate) fn resolve_absent(
         &mut self,
         mut groups: Vec<GroupOp<K, V>>,
         results: &mut Vec<(OpId, OpResult<V>)>,
-    ) -> Vec<(K, V)> {
-        let mut inserts: Vec<(K, V)> = Vec::new();
+    ) -> (Charge, bool) {
+        // Taken out for the batch, so a resolve that unwinds leaves an empty
+        // buffer behind, not stale items.
+        let mut inserts = std::mem::take(&mut self.insert_buf);
         for group in groups.drain(..) {
             if let Some(v) = group.resolve_into(None, results) {
                 inserts.push((group.key, v));
@@ -234,7 +244,10 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
             self.recycle_ops(group.ops);
         }
         self.recycle(groups);
-        inserts
+        let appended = !inserts.is_empty();
+        let cost = self.append_inserts(&mut inserts);
+        self.insert_buf = inserts;
+        (cost, appended)
     }
 
     /// Takes back the (drained) group vector [`Cascade::group`] handed out.
@@ -264,14 +277,10 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         tcost::batch_op_charge(touched, keys.len() as u64, seg_len, tree_fanout())
     }
 
-    /// Moves `items` (absent keys) to the front of `S[k]`, leaving the
-    /// buffer empty.
-    pub(crate) fn push_front(&mut self, k: usize, items: &mut Vec<(K, V)>) -> Charge {
-        self.push(k, items.len(), |seg| seg.push_front_from(items))
-    }
-
-    /// Runs `push`, which inserts `count` absent keys into `S[k]`.
-    fn push(&mut self, k: usize, count: usize, push: impl FnOnce(&mut RecencyMap<K, V>)) -> Charge {
+    /// Moves `items` (absent keys) to `end` of `S[k]`, leaving the buffer
+    /// empty.
+    pub(crate) fn push(&mut self, k: usize, end: End, items: &mut Vec<(K, V)>) -> Charge {
+        let count = items.len();
         if count == 0 {
             return Charge::ZERO;
         }
@@ -279,38 +288,42 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         let seg = &mut self.segments[k];
         // Insert bound on the final size: the tree grows during the batch.
         let final_len = (seg.len() + count) as u64;
-        let ((), touched) = tcost::metered(|| push(seg));
+        let ((), touched) = tcost::metered(|| seg.push_from(end, items));
         tcost::batch_op_charge(touched, count as u64, final_len, tree_fanout())
     }
 
     /// Moves the `count` least recent items of `S[i-1]` to the front of `S[i]`.
     pub(crate) fn spill(&mut self, i: usize, count: usize) -> Charge {
-        self.metered_transfer(i, count, |prev, next| {
-            next.push_front_batch(prev.take_back(count))
+        self.metered_transfer(i, count, |prev, next, items| {
+            prev.take_into(End::Back, count, items);
+            next.push_from(End::Front, items);
         })
     }
 
     /// Moves the `count` most recent items of `S[i]` to the back of `S[i-1]`.
     pub(crate) fn refill(&mut self, i: usize, count: usize) -> Charge {
-        self.metered_transfer(i, count, |prev, next| {
-            prev.push_back_batch(next.take_front(count))
+        self.metered_transfer(i, count, |prev, next, items| {
+            next.take_into(End::Front, count, items);
+            prev.push_from(End::Back, items);
         })
     }
 
     /// Moves `count` items across the boundary between `S[i-1]` and `S[i]`
-    /// with `mv`, metering the touched nodes into a transfer charge.
+    /// with `mv`, through the cascade's transfer buffer, metering the
+    /// touched nodes into a transfer charge.
     fn metered_transfer(
         &mut self,
         i: usize,
         count: usize,
-        mv: impl FnOnce(&mut RecencyMap<K, V>, &mut RecencyMap<K, V>),
+        mv: impl FnOnce(&mut RecencyMap<K, V>, &mut RecencyMap<K, V>, &mut Vec<(K, V)>),
     ) -> Charge {
         let (left, right) = self.segments.split_at_mut(i);
         let (prev, next) = (&mut left[i - 1], &mut right[0]);
+        let items = &mut self.move_buf;
         // The receiving segment grows to its size + count during the insert
         // half of the transfer, so the bound covers the final size.
         let final_len = (prev.len().max(next.len()) + count) as u64;
-        let ((), touched) = tcost::metered(|| mv(prev, next));
+        let ((), touched) = tcost::metered(|| mv(prev, next, items));
         tcost::transfer_charge(touched, count as u64, final_len, tree_fanout())
     }
 
@@ -356,9 +369,10 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
         self.restore_range(self.segments.len())
     }
 
-    /// Appends net insertions at the back of the terminal segment, carving new
-    /// terminal segments when it overflows (end of Section 6.1).
-    pub(crate) fn append_inserts(&mut self, items: Vec<(K, V)>) -> Charge {
+    /// Appends net insertions at the back of the terminal segment, carving
+    /// new terminal segments when it overflows (end of Section 6.1), leaving
+    /// the buffer empty.
+    fn append_inserts(&mut self, items: &mut Vec<(K, V)>) -> Charge {
         if items.is_empty() {
             return Charge::ZERO;
         }
@@ -366,7 +380,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
             self.push_segment();
         }
         let mut l = self.segments.len() - 1;
-        let mut cost = self.push(l, items.len(), |seg| seg.push_back_batch(items));
+        let mut cost = self.push(l, End::Back, items);
         while self.segments[l].len() as u64 > segment_capacity(l as u32) {
             let excess = self.segments[l].len() as u64 - segment_capacity(l as u32);
             self.push_segment();

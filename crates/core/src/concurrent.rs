@@ -143,12 +143,16 @@ impl Backoff {
     }
 }
 
-/// Reusable combiner-side buffers.  Only the thread holding the buffer's
-/// activation touches these, so the mutex is uncontended by construction —
-/// it exists to keep the map `Sync` without `unsafe`.
+/// Reusable combiner-side buffers: the flushed deposits, their result
+/// cells, the batch handed to the map and the results it hands back, so a
+/// warmed combine allocates nothing of its own.  Only the thread holding the
+/// buffer's activation touches these, so the mutex is uncontended by
+/// construction — it exists to keep the map `Sync` without `unsafe`.
 struct CombineScratch<K, V> {
     pending: Vec<Pending<K, V>>,
     slots: Vec<Arc<ResultCell<OpResult<V>>>>,
+    batch: Vec<TaggedOp<K, V>>,
+    results: Vec<(OpId, OpResult<V>)>,
 }
 
 /// A commit-point observer: called by the combiner with each batch, under
@@ -187,6 +191,8 @@ where
             scratch: Mutex::new(CombineScratch {
                 pending: Vec::new(),
                 slots: Vec::new(),
+                batch: Vec::new(),
+                results: Vec::new(),
             }),
             doorbell: Doorbell::default(),
             commit_hook: None,
@@ -551,28 +557,31 @@ where
     fn combine(&self) -> usize {
         // Uncontended by construction: only the activation holder combines.
         let mut scratch = self.scratch.lock();
-        let CombineScratch { pending, slots } = &mut *scratch;
+        let CombineScratch {
+            pending,
+            slots,
+            batch,
+            results,
+        } = &mut *scratch;
         // Clear rather than assert empty: if a previous combine unwound out
         // of `run_batch`, stale slots must not poison every later combine
         // (that batch's callers are lost either way).
         pending.clear();
         slots.clear();
+        batch.clear();
+        results.clear();
         let _cost = self.buffer.flush_into(pending);
         let drained = pending.len();
         if pending.is_empty() {
             return 0;
         }
-        let batch: Vec<TaggedOp<K, V>> = pending
-            .drain(..)
-            .enumerate()
-            .map(|(i, p)| {
-                slots.push(p.slot);
-                TaggedOp {
-                    id: i as OpId,
-                    op: p.op,
-                }
-            })
-            .collect();
+        batch.extend(pending.drain(..).enumerate().map(|(i, p)| {
+            slots.push(p.slot);
+            TaggedOp {
+                id: i as OpId,
+                op: p.op,
+            }
+        }));
         let mut inner = self.inner.lock();
         // Commit point: the WAL (or any other observer) must see the batch
         // before it mutates the map — and under the same lock, so a
@@ -580,11 +589,11 @@ where
         // hook has not logged.  If the hook panics (e.g. the log device
         // died), the batch is neither logged nor applied.
         if let Some(hook) = &self.commit_hook {
-            hook(&batch);
+            hook(batch);
         }
-        let (results, _cost) = inner.run_batch(batch);
+        let _cost = inner.run_batch(batch, results);
         drop(inner);
-        for (id, result) in results {
+        for (id, result) in results.drain(..) {
             slots[id as usize].fill(result);
         }
         slots.clear();

@@ -11,15 +11,18 @@
 //! ([`Doorbell::current`]) is a plain load; the mutex exists only to pair
 //! sleeps with rings (the ring bumps the generation *under the mutex*, which
 //! is what makes a concurrent [`Doorbell::wait_past`] either see the new
-//! generation or get the notification).
+//! generation or get the notification).  The mutex also guards the count of
+//! parked waiters, so a ring with nobody asleep — every ring of a combine
+//! whose waiters only spin or poll — skips the condvar's futex call.
 //!
 //! The protocol is model-checked end to end in
 //! `crates/check/tests/model_doorbell.rs` (no missed wake-up, single
-//! combiner), and the intentionally broken variant that bumps the generation
-//! *outside* the gate mutex — PR 2's original bug — is a seeded fixture that
-//! `wsm-check` must catch (`wsm_check::fixtures::BuggyDoorbell`).  The
-//! orderings below are the weakest the model accepts; see
-//! `docs/ORDERINGS.md`.
+//! combiner), and two intentionally broken variants are seeded fixtures that
+//! `wsm-check` must catch: one bumps the generation *outside* the gate mutex
+//! — the doorbell's original bug (`wsm_check::fixtures::BuggyDoorbell`) —
+//! and one reads the sleeper count outside it
+//! (`wsm_check::fixtures::UngatedCountDoorbell`).  The orderings below are
+//! the weakest the model accepts; see `docs/ORDERINGS.md`.
 
 use wsm_sync::{AtomicU64, Condvar, Mutex, Ordering};
 
@@ -27,7 +30,8 @@ use wsm_sync::{AtomicU64, Condvar, Mutex, Ordering};
 #[derive(Default)]
 pub struct Doorbell {
     generation: AtomicU64,
-    gate: Mutex<()>,
+    /// The gate, holding the number of waiters parked on `cv`.
+    gate: Mutex<usize>,
     cv: Condvar,
 }
 
@@ -36,7 +40,7 @@ impl Doorbell {
     pub const fn new() -> Self {
         Doorbell {
             generation: AtomicU64::new(0),
-            gate: Mutex::new(()),
+            gate: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
@@ -53,7 +57,8 @@ impl Doorbell {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Bumps the generation (under the gate mutex) and wakes every waiter.
+    /// Bumps the generation (under the gate mutex) and wakes every parked
+    /// waiter, if there is one.
     ///
     /// The bump MUST happen while the gate is held: a waiter inside
     /// [`Doorbell::wait_past`] holds the gate from its re-check of
@@ -62,21 +67,31 @@ impl Doorbell {
     /// generation and returns) or after the park (the notification wakes
     /// it).  Bumping outside the gate re-introduces the missed-wakeup
     /// window fixed in PR 2 — kept alive as the `BuggyDoorbell` fixture.
+    /// The sleeper count is read under the same gate, in the same critical
+    /// section as the bump: a waiter counts itself before it releases the
+    /// gate to park, so a ring that reads zero precedes every park that
+    /// could miss it.  Reading the count before taking the gate loses that
+    /// wake-up — the `UngatedCountDoorbell` fixture.
     pub fn ring(&self) {
-        let gate = self.gate.lock();
+        let sleepers = self.gate.lock();
         // ord: Relaxed — the gate mutex acquired above synchronizes this
         // RMW with every waiter's re-check; no payload rides on the counter
         // (model: tests/model_doorbell.rs).
         self.generation.fetch_add(1, Ordering::Relaxed);
-        drop(gate);
-        self.cv.notify_all();
+        let wake = *sleepers > 0;
+        drop(sleepers);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Parks until the generation moves past `seen`.
     pub fn wait_past(&self, seen: u64) {
-        let mut gate = self.gate.lock();
+        let mut sleepers = self.gate.lock();
         while self.current() == seen {
-            self.cv.wait(&mut gate);
+            *sleepers += 1;
+            self.cv.wait(&mut sleepers);
+            *sleepers -= 1;
         }
     }
 }

@@ -54,14 +54,14 @@ impl<T> FeedBuffer<T> {
     }
 
     /// Appends an input batch (Section 6.1: its front tops up the last bunch,
-    /// the rest forms new bunches).  Returns the cost charged (`O(1)` per
-    /// operation, `O(log b)` span).
-    pub(crate) fn push_input(&mut self, input: Vec<T>) -> Cost {
+    /// the rest forms new bunches), leaving `input` empty.  Returns the cost
+    /// charged (`O(1)` per operation, `O(log b)` span).
+    pub(crate) fn push_input(&mut self, input: &mut Vec<T>) -> Cost {
         if input.is_empty() {
             return Cost::ZERO;
         }
         let cost = bunch_cost(input.len());
-        self.queue.extend(input);
+        self.queue.extend(input.drain(..));
         cost
     }
 
@@ -96,9 +96,9 @@ mod tests {
         // Three input batches that together fit one bunch come back out as
         // one batch, in order.
         let mut f: FeedBuffer<u64> = FeedBuffer::new(8);
-        f.push_input(vec![1, 2, 3]);
-        f.push_input(Vec::new());
-        f.push_input(vec![4]);
+        f.push_input(&mut vec![1, 2, 3]);
+        f.push_input(&mut Vec::new());
+        f.push_input(&mut vec![4]);
         assert_eq!(f.len(), 4);
         let (batch, cost) = pop(&mut f, 1);
         assert_eq!(batch, vec![1, 2, 3, 4]);
@@ -108,11 +108,11 @@ mod tests {
     #[test]
     fn feed_buffer_cuts_into_bunches_of_capacity() {
         let mut f: FeedBuffer<u64> = FeedBuffer::new(4);
-        f.push_input((0..10).collect());
+        f.push_input(&mut (0..10).collect());
         assert_eq!(f.len(), 10);
         // 10 items with capacity 4 are bunches of 4, 4, 2; pushing 3 more
         // tops the last bunch up to 4 and starts a new bunch of 1.
-        f.push_input((10..13).collect());
+        f.push_input(&mut (10..13).collect());
         assert_eq!(f.len(), 13);
         let sizes: Vec<usize> = (0..4).map(|_| pop(&mut f, 1).0.len()).collect();
         assert_eq!(sizes, vec![4, 4, 4, 1]);
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn pop_cut_batch_merges_in_fifo_order() {
         let mut f: FeedBuffer<u64> = FeedBuffer::new(3);
-        f.push_input((0..8).collect());
+        f.push_input(&mut (0..8).collect());
         let (batch, _) = pop(&mut f, 2);
         assert_eq!(batch, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(f.len(), 2);
@@ -139,10 +139,10 @@ mod tests {
         // the exact cost each returns and the batch each pop yields.
         let c = |work, span| Cost { work, span };
         let mut f: FeedBuffer<u64> = FeedBuffer::new(4);
-        assert_eq!(f.push_input((0..6).collect()), c(6, 4));
+        assert_eq!(f.push_input(&mut (0..6).collect()), c(6, 4));
         // These two top up the partial bunch [4, 5].
-        assert_eq!(f.push_input((6..9).collect()), c(3, 3));
-        assert_eq!(f.push_input(vec![9]), c(2, 2));
+        assert_eq!(f.push_input(&mut (6..9).collect()), c(3, 3));
+        assert_eq!(f.push_input(&mut vec![9]), c(2, 2));
         // One full bunch: converting costs (4, 4), the merge over a count
         // of 1 costs (4, 1).
         assert_eq!(pop(&mut f, 1), (vec![0, 1, 2, 3], c(8, 5)));
@@ -151,11 +151,11 @@ mod tests {
         assert!(f.is_empty());
         // `count` larger than the bunches held: bunches of 4, 4 and 1, and
         // the merge is charged over the count requested.
-        assert_eq!(f.push_input((10..13).collect()), c(3, 3));
-        assert_eq!(f.push_input((13..19).collect()), c(6, 4));
+        assert_eq!(f.push_input(&mut (10..13).collect()), c(3, 3));
+        assert_eq!(f.push_input(&mut (13..19).collect()), c(6, 4));
         assert_eq!(pop(&mut f, 5), ((10..19).collect(), c(19, 8)));
         // Only a partial bunch held.
-        assert_eq!(f.push_input(vec![19, 20]), c(3, 3));
+        assert_eq!(f.push_input(&mut vec![19, 20]), c(3, 3));
         assert_eq!(pop(&mut f, 3), (vec![19, 20], c(6, 6)));
         // An empty pop still pays the merge.
         assert_eq!(pop(&mut f, 2), (Vec::new(), c(2, 2)));
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn empty_push_is_free() {
         let mut f: FeedBuffer<u64> = FeedBuffer::new(3);
-        assert_eq!(f.push_input(Vec::new()), Cost::ZERO);
+        assert_eq!(f.push_input(&mut Vec::new()), Cost::ZERO);
         assert!(f.is_empty());
     }
 

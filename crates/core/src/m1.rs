@@ -117,8 +117,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     }
 
     /// Pushes an input batch (already tagged) into the feed buffer, as if it
-    /// had just been flushed from the parallel buffer.
-    fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
+    /// had just been flushed from the parallel buffer, leaving `batch` empty.
+    fn enqueue_batch(&mut self, batch: &mut Vec<TaggedOp<K, V>>) {
         self.spent += Charge::exact(self.feed.push_input(batch));
     }
 
@@ -145,8 +145,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
             charge += self.cascade.pass(end, &mut groups, results);
             // What reached the end resolves against an absent item; net
             // insertions go to the back.
-            let inserts = self.cascade.resolve_absent(groups, results);
-            charge += self.cascade.append_inserts(inserts);
+            charge += self.cascade.resolve_absent(groups, results).0;
             // Refill any deletion holes and drop empty trailing segments so
             // the Section 5/6 structural invariant holds after every batch.
             charge += self.cascade.restore_all();
@@ -216,19 +215,19 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
 }
 
 impl<K: Ord + Clone + Send + Sync, V: Clone> BatchedMap<K, V> for M1<K, V> {
-    fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost) {
+    fn run_batch(
+        &mut self,
+        batch: &mut Vec<TaggedOp<K, V>>,
+        results: &mut Vec<(OpId, OpResult<V>)>,
+    ) -> Cost {
         let before = self.spent.measured;
-        let mut results = Vec::with_capacity(batch.len());
         self.enqueue_batch(batch);
-        self.process_all(&mut results);
+        self.process_all(results);
         let after = self.spent.measured;
-        (
-            results,
-            Cost {
-                work: after.work - before.work,
-                span: after.span - before.span,
-            },
-        )
+        Cost {
+            work: after.work - before.work,
+            span: after.span - before.span,
+        }
     }
 
     fn len(&self) -> usize {
@@ -413,11 +412,11 @@ mod tests {
         let mut m = M1::new(2);
         // Enqueue two separate input batches before processing; the first
         // batch's insert must be visible to the second batch's search.
-        m.enqueue_batch(vec![TaggedOp {
+        m.enqueue_batch(&mut vec![TaggedOp {
             id: 0,
             op: insert(1, 11),
         }]);
-        m.enqueue_batch(vec![TaggedOp {
+        m.enqueue_batch(&mut vec![TaggedOp {
             id: 1000,
             op: search(1),
         }]);
@@ -513,7 +512,9 @@ mod tests {
     #[test]
     fn empty_batches_and_empty_map() {
         let mut m: M1<u64, u64> = M1::new(4);
-        assert_eq!(m.run_batch(Vec::new()), (Vec::new(), Cost::ZERO));
+        let mut results = Vec::new();
+        assert_eq!(m.run_batch(&mut Vec::new(), &mut results), Cost::ZERO);
+        assert!(results.is_empty());
         let results = m.run_ops(vec![search(1), delete(2)]);
         assert_eq!(results[0], OpResult::Search(None));
         assert_eq!(results[1], OpResult::Delete(None));

@@ -35,6 +35,18 @@
 //! carry their own pipeline-clock accounting.  This keeps the Lemma 16
 //! prefix deficit at `2p²` between runs (asserted by [`M2::check_invariants`];
 //! a `3p²` transient is tolerated only mid-cascade, in debug builds).
+//!
+//! Every stage appends what it resolves straight to the caller's result
+//! vector ([`BatchedMap::run_batch`]), and every buffer a run fills is kept
+//! for the next: a final-slab run flushes its input buffer into M2's key
+//! vector, collects what `S[k]` held for each key and the items bound for
+//! the front of the final slab in two more, and hands each unfinished token
+//! straight to the next segment's input buffer; an interface run puts its
+//! new in-flight keys straight into `S[m]`'s input buffer and returns the
+//! member vectors of groups that join a filter entry to the cascade's pool;
+//! the cascade's own pass, transfers and appends reuse its buffers.  Once
+//! those, the segment pools and the filter have grown, a run at `p = 4`
+//! allocates nothing (`tests/alloc_budget.rs`).
 
 use crate::cascade::{tree_fanout, Cascade};
 use crate::feed::FeedBuffer;
@@ -43,7 +55,7 @@ use std::collections::{HashMap, VecDeque};
 use wsm_model::{ceil_log2, Charge, Cost};
 use wsm_seq::segment_capacity;
 use wsm_twothree::cost as tcost;
-use wsm_twothree::Tree23;
+use wsm_twothree::{End, Tree23};
 
 /// Latency record for one operation: virtual submit and finish times in the
 /// pipeline simulation.  Kept only by maps built with
@@ -100,7 +112,12 @@ pub struct M2<K, V> {
     /// at most once, and the interface (Q2, so one flag).
     q1: VecDeque<usize>,
     interface_queued: bool,
-    results: Vec<(OpId, OpResult<V>)>,
+    /// What one final-slab run reuses from the last: the keys flushed from
+    /// its input buffer, what `S[k]` held for each, and the items bound for
+    /// the front of the final slab.
+    run_keys: Vec<K>,
+    run_found: Vec<Option<V>>,
+    run_front: Vec<(K, V)>,
     /// Pipeline virtual clocks: when the interface / each segment last
     /// finished a run.
     interface_clock: u64,
@@ -131,7 +148,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             maintenance_runs: 0,
             q1: VecDeque::new(),
             interface_queued: false,
-            results: Vec::new(),
+            run_keys: Vec::new(),
+            run_found: Vec::new(),
+            run_front: Vec::new(),
             interface_clock: 0,
             segment_clocks: Vec::new(),
             latest_submit: 0,
@@ -221,8 +240,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             .unwrap_or(0)
     }
 
-    /// Enqueues an input batch, as if flushed from the parallel buffer.
-    fn enqueue_batch(&mut self, batch: Vec<TaggedOp<K, V>>) {
+    /// Enqueues an input batch, as if flushed from the parallel buffer,
+    /// leaving `batch` empty.
+    fn enqueue_batch(&mut self, batch: &mut Vec<TaggedOp<K, V>>) {
         let now = self.virtual_now();
         self.latest_submit = now;
         if let Some(log) = &mut self.latency_log {
@@ -251,23 +271,24 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     }
 
     /// Runs one activation from the two-priority queues (final-slab segments
-    /// first, then the interface) — one "step" of the weak-priority scheduler.
-    /// Returns `false` when nothing was ready to run.
-    fn step(&mut self) -> bool {
+    /// first, then the interface) — one "step" of the weak-priority scheduler
+    /// — appending what it resolves to `results`.  Returns `false` when
+    /// nothing was ready to run.
+    fn step(&mut self, results: &mut Vec<(OpId, OpResult<V>)>) -> bool {
         // Q1 (final slab) has weak priority over Q2 (interface).
         if let Some(k) = self.q1.pop_front() {
-            self.run_segment(k);
+            self.run_segment(k, results);
         } else if std::mem::take(&mut self.interface_queued) {
-            self.run_interface();
+            self.run_interface(results);
         } else {
             return false;
         }
         true
     }
 
-    /// Drives the pipeline until all pending operations have resolved, then
-    /// returns their results.
-    fn process_all(&mut self) -> Vec<(OpId, OpResult<V>)> {
+    /// Drives the pipeline until all pending operations have resolved,
+    /// appending each result to `results` as its stage resolves it.
+    fn process_all(&mut self, results: &mut Vec<(OpId, OpResult<V>)>) {
         loop {
             if self.q1.is_empty() && !self.interface_queued {
                 // Re-arm: any final-slab segment with buffered tokens, and the
@@ -281,11 +302,10 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
                     self.interface_queued = true;
                 }
             }
-            if !self.step() {
+            if !self.step(results) {
                 break;
             }
         }
-        std::mem::take(&mut self.results)
     }
 
     /// Convenience wrapper mirroring [`crate::M1::run_ops`].
@@ -330,10 +350,11 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         !self.feed.is_empty() && self.filter.len() <= self.p * self.p
     }
 
-    fn run_interface(&mut self) {
+    fn run_interface(&mut self, results: &mut Vec<(OpId, OpResult<V>)>) {
         if !self.interface_ready() {
             return;
         }
+        let finished_from = results.len();
         let mut cost = Charge::ZERO;
         // Step 1: take exactly one bunch as the cut batch.
         let (batch, form_cost) = self.feed.pop_cut_batch(1);
@@ -343,15 +364,14 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // Holes accumulate in S[m-1]; S[m]'s maintenance run refills them.
         let (mut groups, sort_charge) = self.cascade.group(batch);
         cost += sort_charge;
-        let mut finish_now: Vec<(OpId, OpResult<V>)> = Vec::new();
-        cost += self.cascade.pass(self.m, &mut groups, &mut finish_now);
+        cost += self.cascade.pass(self.m, &mut groups, results);
 
         if self.num_segments() <= self.m {
             // Step 4 (degenerate): no final slab — finish everything here, as
             // in M1.
-            let inserts = self.cascade.resolve_absent(groups, &mut finish_now);
-            if !inserts.is_empty() {
-                cost += self.cascade.append_inserts(inserts);
+            let (append, appended) = self.cascade.resolve_absent(groups, results);
+            cost += append;
+            if appended {
                 self.ensure_final_slab_state();
             }
             cost += self.cascade.restore_all();
@@ -370,30 +390,33 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
                 // Step 4: pass the unfinished operations through the filter.
                 // Groups on an item already in flight join its entry; the
                 // others become new in-flight items at the head of the final
-                // slab.  Insert bound on the final size: the filter can gain
-                // up to one entry per group during the pass.
+                // slab, in S[m]'s input buffer.  Insert bound on the final
+                // size: the filter can gain up to one entry per group during
+                // the pass.
                 let filter_len = self.filter.len() as u64 + groups.len() as u64;
                 let group_count = groups.len() as u64;
-                let filter = &mut self.filter;
-                let (new_keys, touched) = tcost::metered(|| {
-                    let mut new_keys: Vec<K> = Vec::new();
-                    for group in groups.drain(..) {
+                self.ensure_final_slab_state();
+                let (filter, cascade) = (&mut self.filter, &mut self.cascade);
+                let head = &mut self.buffers[0];
+                let waiting = head.len();
+                let ((), touched) = tcost::metered(|| {
+                    for mut group in groups.drain(..) {
                         match filter.get_mut(&group.key) {
-                            Some(entry) => entry.extend(group.ops),
+                            Some(entry) => {
+                                entry.append(&mut group.ops);
+                                cascade.recycle_ops(group.ops);
+                            }
                             None => {
                                 filter.insert(group.key.clone(), group.ops);
-                                new_keys.push(group.key);
+                                head.push_back(group.key);
                             }
                         }
                     }
-                    new_keys
                 });
                 cost += tcost::batch_op_charge(touched, group_count, filter_len, tree_fanout());
-                if !new_keys.is_empty() {
-                    self.ensure_final_slab_state();
+                if self.buffers[0].len() > waiting {
                     let ready_at = self.interface_clock.max(self.virtual_now());
                     self.buffer_ready[0] = self.buffer_ready[0].max(ready_at);
-                    self.buffers[0].extend(new_keys);
                 }
             }
             self.cascade.recycle(groups);
@@ -417,8 +440,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // enqueued by `latest_submit` (stage clocks never run backwards).
         self.interface_clock = self.interface_clock.max(self.latest_submit) + cost.measured.span;
         let finish_time = self.interface_clock;
-        self.record_finishes(&finish_now, finish_time);
-        self.results.extend(finish_now);
+        self.record_finishes(&results[finished_from..], finish_time);
         self.spent += cost;
         self.debug_check_transient_deficit();
 
@@ -446,7 +468,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         }
     }
 
-    fn run_segment(&mut self, k: usize) {
+    fn run_segment(&mut self, k: usize, results: &mut Vec<(OpId, OpResult<V>)>) {
         self.ensure_final_slab_state();
         let buf_idx = k - self.m;
         if buf_idx >= self.buffers.len() || k >= self.num_segments() {
@@ -493,17 +515,18 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         let is_terminal = k + 1 == self.num_segments();
 
         // Step 4: flush the buffer and look its (distinct) items up in S[k].
-        let mut keys: Vec<K> = self.buffers[buf_idx].drain(..).collect();
+        let mut keys = std::mem::take(&mut self.run_keys);
+        let mut found = std::mem::take(&mut self.run_found);
+        let mut front = std::mem::take(&mut self.run_front);
+        keys.extend(self.buffers[buf_idx].drain(..));
         keys.sort();
-        let mut removed = Vec::with_capacity(keys.len());
-        cost += self.cascade.remove_batch(k, &keys, &mut removed);
+        cost += self.cascade.remove_batch(k, &keys, &mut found);
 
-        let mut front_inserts: Vec<(K, V)> = Vec::new();
-        let mut finish_now: Vec<(OpId, OpResult<V>)> = Vec::new();
-        let mut pass_on: Vec<K> = Vec::new();
-        for (key, found) in keys.into_iter().zip(removed) {
+        let finished_from = results.len();
+        for (key, found) in keys.drain(..).zip(found.drain(..)) {
             if found.is_none() && !is_terminal {
-                pass_on.push(key);
+                // Step 4i: pass the unfinished token to the next segment.
+                self.buffers[buf_idx + 1].push_back(key);
                 continue;
             }
             // The item is here, or nowhere in the map: either way its
@@ -513,8 +536,8 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
             let ops = ops.expect("in-flight item must have a filter entry");
             cost += tcost::single_op_charge(touched, self.filter.len() as u64 + 1, tree_fanout());
             let group = GroupOp { key, ops };
-            if let Some(v) = group.resolve_into(found, &mut finish_now) {
-                front_inserts.push((group.key, v));
+            if let Some(v) = group.resolve_into(found, results) {
+                front.push((group.key, v));
             }
             self.cascade.recycle_ops(group.ops);
         }
@@ -523,17 +546,12 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         // S[m'], m' = min(k-1, m).
         cost += self
             .cascade
-            .push_front((k - 1).min(self.m), &mut front_inserts);
+            .push((k - 1).min(self.m), End::Front, &mut front);
+        (self.run_keys, self.run_found, self.run_front) = (keys, found, front);
 
         // Steps 4g/4h: rebalance with the previous segment.
         let (balance_charge, clamped) = self.balance_with_previous(k);
         cost += balance_charge;
-
-        // Step 4i: pass unfinished tokens to the next segment.
-        if !pass_on.is_empty() {
-            debug_assert!(!is_terminal, "terminal segment must finish every token");
-            self.buffers[buf_idx + 1].extend(pass_on);
-        }
         self.cascade_on(k, clamped);
 
         // Pipeline timing: this run starts when both the segment is free and
@@ -544,8 +562,7 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
         if buf_idx + 1 < self.buffer_ready.len() {
             self.buffer_ready[buf_idx + 1] = self.buffer_ready[buf_idx + 1].max(end);
         }
-        self.record_finishes(&finish_now, end);
-        self.results.extend(finish_now);
+        self.record_finishes(&results[finished_from..], end);
         self.spent += cost;
         self.debug_check_transient_deficit();
 
@@ -709,18 +726,19 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
 }
 
 impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> for M2<K, V> {
-    fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost) {
+    fn run_batch(
+        &mut self,
+        batch: &mut Vec<TaggedOp<K, V>>,
+        results: &mut Vec<(OpId, OpResult<V>)>,
+    ) -> Cost {
         let before = self.spent.measured;
         self.enqueue_batch(batch);
-        let results = self.process_all();
+        self.process_all(results);
         let after = self.spent.measured;
-        (
-            results,
-            Cost {
-                work: after.work - before.work,
-                span: after.span - before.span,
-            },
-        )
+        Cost {
+            work: after.work - before.work,
+            span: after.span - before.span,
+        }
     }
 
     fn len(&self) -> usize {
@@ -929,9 +947,11 @@ mod tests {
             (5001, delete(500)),
             (5002, search(500)),
         ] {
-            m.enqueue_batch(vec![TaggedOp { id, op }]);
+            m.enqueue_batch(&mut vec![TaggedOp { id, op }]);
         }
-        let results: BTreeMap<OpId, OpResult<u64>> = m.process_all().into_iter().collect();
+        let mut results = Vec::new();
+        m.process_all(&mut results);
+        let results: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
         assert_eq!(results[&5000], OpResult::Insert(Some(500)));
         assert_eq!(results[&5001], OpResult::Delete(Some(777)));
         assert_eq!(results[&5002], OpResult::Search(None));
@@ -945,7 +965,7 @@ mod tests {
         assert_eq!(results[0], OpResult::Search(None));
         assert_eq!(results[1], OpResult::Delete(None));
         assert_eq!(m.size(), 0);
-        assert!(!m.step(), "nothing should remain scheduled");
+        assert!(!m.step(&mut Vec::new()), "nothing should remain scheduled");
     }
 
     #[test]
@@ -976,5 +996,65 @@ mod tests {
         }
         r.run_ops((0..200u64).map(|i| insert(100_000 + i, i)).collect());
         r.check_invariants();
+    }
+
+    /// Runs a seeded mixed stream (hot and cold keys, searches, inserts and
+    /// deletes, batches of 1–48 operations) through `M2::new(4)` and returns
+    /// the number of latency records, an FNV-style digest of every record's
+    /// id, virtual submit time and virtual finish time, and the effective
+    /// work and span.
+    fn pipeline_timing() -> (usize, u64, u64, u64) {
+        let mut m = M2::new(4).with_latency_records();
+        let mut state = 0x7111_1176;
+        m.run_ops((0..3000u64).map(|i| insert(i, i)).collect());
+        for _ in 0..60 {
+            let b = 1 + (xorshift(&mut state) % 48) as usize;
+            let ops = (0..b)
+                .map(|_| {
+                    let r = xorshift(&mut state);
+                    let key = if r.is_multiple_of(4) {
+                        xorshift(&mut state) % 4000
+                    } else {
+                        xorshift(&mut state) % 64
+                    };
+                    match r % 10 {
+                        0..=6 => search(key),
+                        7 | 8 => insert(key, r),
+                        _ => delete(key),
+                    }
+                })
+                .collect();
+            m.run_ops(ops);
+            m.check_invariants();
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for r in m.latencies() {
+            for x in [r.id, r.submit, r.finish] {
+                digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        (
+            m.latencies().len(),
+            digest,
+            m.effective_work(),
+            m.effective_span(),
+        )
+    }
+
+    #[test]
+    fn pipeline_timing_is_pinned() {
+        // Recorded before the pipeline's buffers were kept from run to run;
+        // the virtual clocks, and so E6/E13, must not move with them.
+        let expected = match tree_fanout() {
+            16 => Some((4344, 5073439935238074749, 98449, 59197)),
+            2 => Some((4344, 7071764201084022168, 131888, 79021)),
+            64 => Some((4344, 10087381839721131480, 93239, 55143)),
+            _ => None,
+        };
+        let got = pipeline_timing();
+        println!("pipeline timing at fanout {}: {got:?}", tree_fanout());
+        if let Some(expected) = expected {
+            assert_eq!(got, expected);
+        }
     }
 }

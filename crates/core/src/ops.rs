@@ -124,14 +124,24 @@ impl<K: Clone, V: Clone> GroupOp<K, V> {
 ///
 /// Both M1 and M2 implement this; the concurrent front-end
 /// ([`crate::ConcurrentMap`]) and the experiment harness are written against
-/// it.  The returned results may be in any order (they are routed by
-/// [`OpId`]); the cost is the effective work/span charged for the batch.
+/// it.
 pub trait BatchedMap<K, V> {
-    /// Executes a batch of operations, returning the per-call results and the
-    /// effective cost charged for the batch.  Every operation of `batch`
+    /// Executes the operations of `batch`, leaving it empty, and appends one
+    /// `(id, result)` per operation to `results`, in the order the map
+    /// resolves them (results are routed by [`OpId`]); returns the
+    /// effective work and span charged for the batch.  Every operation
     /// resolves before the call returns, so identifiers need only be unique
     /// within one batch.
-    fn run_batch(&mut self, batch: Vec<TaggedOp<K, V>>) -> (Vec<(OpId, OpResult<V>)>, Cost);
+    ///
+    /// Both vectors belong to the caller, who keeps them from one batch to
+    /// the next, as [`crate::ConcurrentMap`]'s combiner does: a warmed M2
+    /// then allocates nothing per batch, and a warmed M1 only PPivot's
+    /// per-block vectors, which its cut batches of more than 24 keys reach.
+    fn run_batch(
+        &mut self,
+        batch: &mut Vec<TaggedOp<K, V>>,
+        results: &mut Vec<(OpId, OpResult<V>)>,
+    ) -> Cost;
 
     /// Number of items currently stored.
     fn len(&self) -> usize;
@@ -164,8 +174,9 @@ pub(crate) fn run_ops<K, V, M: BatchedMap<K, V>>(
     ops: Vec<Operation<K, V>>,
 ) -> Vec<OpResult<V>> {
     let n = ops.len();
-    let batch = (0..).zip(ops).map(|(id, op)| TaggedOp { id, op });
-    let (tagged, _) = map.run_batch(batch.collect());
+    let mut batch = (0..).zip(ops).map(|(id, op)| TaggedOp { id, op }).collect();
+    let mut tagged = Vec::with_capacity(n);
+    map.run_batch(&mut batch, &mut tagged);
     let mut results: Vec<Option<OpResult<V>>> = (0..n).map(|_| None).collect();
     for (id, r) in tagged {
         results[id as usize] = Some(r);

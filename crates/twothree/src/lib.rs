@@ -72,7 +72,7 @@ mod node;
 pub mod recency;
 pub mod tree;
 
-pub use recency::RecencyMap;
+pub use recency::{End, RecencyMap};
 pub use tree::{BTree, Tree23};
 
 /// The process-wide default tree fanout: `WSM_TREE_FANOUT` if set and valid

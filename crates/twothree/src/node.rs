@@ -491,6 +491,9 @@ pub(crate) struct Arena<K, V> {
     fanout: usize,
     min_c: usize,
     max_c: usize,
+    /// The nodes of the level a bulk build is stacking parents over, kept
+    /// so a warmed build allocates nothing.
+    level: Vec<usize>,
 }
 
 impl<K: Ord + Clone, V> Arena<K, V> {
@@ -502,6 +505,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             fanout: fanout.max(2),
             min_c: (fanout / 2).max(2),
             max_c,
+            level: Vec::new(),
         }
     }
 
@@ -1322,7 +1326,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         }
         let groups = n.div_ceil(self.max_c);
         let (base, extra) = (n / groups, n % groups);
-        let mut level = Vec::with_capacity(groups);
+        let mut level = std::mem::take(&mut self.level);
+        level.clear();
         for g in 0..groups {
             let take = base + usize::from(g < extra);
             let (key, val) = items.next().expect("as many items as announced");
@@ -1334,26 +1339,29 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             level.push(idx);
         }
         debug_assert!(items.next().is_none(), "more items than announced");
-        self.build_levels(level)
+        let root = self.build_levels(&mut level);
+        self.level = level;
+        root
     }
 
     /// Stacks levels over `level` (same-height nodes in key order) until one
     /// root remains, distributing each level's nodes evenly so every group
     /// lands in `min..=max` (a single undersized group can only be the
-    /// root).  NIL for an empty level.
-    fn build_levels(&mut self, mut level: Vec<usize>) -> usize {
+    /// root).  NIL for an empty level.  Each level is built in place: the
+    /// parent of group `g` takes slot `g`, at or before the group's first
+    /// child, so no child is overwritten before it is read.
+    fn build_levels(&mut self, level: &mut Vec<usize>) -> usize {
         while level.len() > 1 {
             let groups = level.len().div_ceil(self.max_c);
             let (base, extra) = (level.len() / groups, level.len() % groups);
-            let mut next = Vec::with_capacity(groups);
-            let mut rest = level.as_slice();
+            let mut start = 0;
             for g in 0..groups {
-                let (children, tail) = rest.split_at(base + usize::from(g < extra));
-                next.push(self.make_internal(children));
-                rest = tail;
+                let end = start + base + usize::from(g < extra);
+                level[g] = self.make_internal(&level[start..end]);
+                start = end;
             }
-            debug_assert!(rest.is_empty(), "grouping left a dangling child");
-            level = next;
+            debug_assert_eq!(start, level.len(), "grouping left a dangling child");
+            level.truncate(groups);
         }
         level.pop().unwrap_or(NIL)
     }

@@ -20,9 +20,9 @@
 //! * move-to-front and unlink-on-remove are O(1) splices,
 //! * [`RecencyMap::push_front_batch`] / [`RecencyMap::push_back_batch`] are
 //!   O(b) chain splices plus **one** key-map pass,
-//! * [`RecencyMap::take_front`] / [`RecencyMap::take_back`] walk the list
-//!   instead of searching a stamp tree, then clear the keys with one
-//!   key-ordered batch removal.
+//! * [`RecencyMap::take_into`] walks the list from either end instead of
+//!   searching a stamp tree, then clears the keys with one key-ordered
+//!   batch removal.
 //!
 //! Every segment operation thus drives **one** tree where the stamp design
 //! drove two, and drives it **once**: a batch of any size is one sorted-batch
@@ -31,7 +31,9 @@
 //! list code through a closure, and the batch in flight (the slots walked off
 //! the list, their keys in key order, the `(key, slot)` pairs bound for the
 //! tree) lives in buffers the map keeps, so a warmed map moves a batch
-//! without allocating anything but the `Vec` it returns
+//! without allocating anything but a `Vec` it returns, and a take or push
+//! through a buffer the caller keeps ([`RecencyMap::take_into`],
+//! [`RecencyMap::push_from`]) allocates nothing
 //! (`tests/alloc_budget.rs`).  The O(1)-per-item list work is metered as one
 //! `cost::touch` per splice so measured charges stay honest.  The
 //! measured effect is tracked by experiment E18 (tree-passes-per-op, and the
@@ -100,6 +102,16 @@ const LOCATE_MIN_ITEMS: usize = 1 << 13;
 /// the 13 % that two builds of the same code differed by there, so the
 /// bound is kept as it was.
 const LOCATE_MIN_KEYS: usize = 16;
+
+/// An end of the recency order: the front holds the most recent item, the
+/// back the least recent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum End {
+    /// The most recent end.
+    Front,
+    /// The least recent end.
+    Back,
+}
 
 /// One arena slot: the intrusive recency links plus the item.  A free slot
 /// holds `None` and reuses `next` as its free-list link.
@@ -440,30 +452,31 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// remove before re-inserting).  One key-map pass; the recency splice is
     /// O(b).
     pub fn push_front_batch(&mut self, items: Vec<(K, V)>) {
-        self.push_chain(items, true);
+        self.push_chain(items, End::Front);
     }
 
-    /// [`RecencyMap::push_front_batch`] draining a buffer the caller keeps
-    /// (and reuses: the cascade pushes once per segment per batch).
-    pub fn push_front_from(&mut self, items: &mut Vec<(K, V)>) {
-        self.push_chain(items.drain(..), true);
+    /// [`RecencyMap::push_front_batch`] or [`RecencyMap::push_back_batch`],
+    /// by `end`, draining a buffer the caller keeps (and reuses: the cascade
+    /// pushes once per segment per batch, and moves every transfer through
+    /// one buffer).
+    pub fn push_from(&mut self, end: End, items: &mut Vec<(K, V)>) {
+        self.push_chain(items.drain(..), end);
     }
 
     /// Inserts a batch of items at the back, preserving their given order
     /// (`items[0]` is the most recent of the inserted group, i.e. closest to
     /// the front).  Keys must be distinct and absent.
     pub fn push_back_batch(&mut self, items: Vec<(K, V)>) {
-        self.push_chain(items, false);
+        self.push_chain(items, End::Back);
     }
 
-    fn push_chain(&mut self, items: impl IntoIterator<Item = (K, V)>, front: bool) {
+    fn push_chain(&mut self, items: impl IntoIterator<Item = (K, V)>, end: End) {
         let Some((first, last)) = self.stage_chain(items) else {
             return;
         };
-        if front {
-            self.list.splice_chain_front(first, last);
-        } else {
-            self.list.splice_chain_back(first, last);
+        match end {
+            End::Front => self.list.splice_chain_front(first, last),
+            End::Back => self.list.splice_chain_back(first, last),
         }
         self.staged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         if self.locate_pays(self.staged.len()) {
@@ -566,63 +579,70 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         });
     }
 
-    /// Removes and returns the `k` most recent items, most recent first.
-    /// Walks the recency list (no stamp-tree search), then clears the keys
-    /// with one key-ordered batch removal.
-    pub fn take_front(&mut self, k: usize) -> Vec<(K, V)> {
+    /// Removes the `k` items at `end` (all of them if there are fewer) and
+    /// appends them to `out`, *most recent first* whichever end they came
+    /// from, so pushing `out` to either end of another map keeps their
+    /// relative order.  Walks the recency list from `end` (no stamp-tree
+    /// search), detaches the run in O(1), then clears its keys with one
+    /// key-ordered batch removal; once `out` has grown, a take allocates
+    /// nothing.
+    pub fn take_into(&mut self, end: End, k: usize, out: &mut Vec<(K, V)>) {
         let k = k.min(self.len);
         self.taken.clear();
-        let mut cur = self.list.head;
+        if k == 0 {
+            return;
+        }
+        let front = end == End::Front;
+        let mut cur = if front {
+            self.list.head
+        } else {
+            self.list.tail
+        };
         for _ in 0..k {
             touch(1);
             self.taken.push(cur);
-            cur = self.list.slots[cur].next;
+            let slot = &self.list.slots[cur];
+            cur = if front { slot.next } else { slot.prev };
         }
-        if k > 0 {
-            // Detach the whole prefix in O(1).
+        if front {
             self.list.head = cur;
             match cur {
                 NIL => self.list.tail = NIL,
                 h => self.list.slots[h].prev = NIL,
             }
-        }
-        self.release_taken()
-    }
-
-    /// Removes and returns the `k` least recent items, *most recent of them
-    /// first* (so they can be re-inserted with
-    /// [`RecencyMap::push_front_batch`] or [`RecencyMap::push_back_batch`]
-    /// preserving relative order).
-    pub fn take_back(&mut self, k: usize) -> Vec<(K, V)> {
-        let k = k.min(self.len);
-        self.taken.clear();
-        let mut cur = self.list.tail;
-        for _ in 0..k {
-            touch(1);
-            self.taken.push(cur);
-            cur = self.list.slots[cur].prev;
-        }
-        if k > 0 {
-            // Detach the whole suffix in O(1); the walk went back to front,
-            // so reverse for the most-recent-first return order.
+        } else {
             self.list.tail = cur;
             match cur {
                 NIL => self.list.head = NIL,
                 t => self.list.slots[t].next = NIL,
             }
+            // The walk went back to front.
             self.taken.reverse();
         }
-        self.release_taken()
+        self.release_taken(out);
+    }
+
+    /// [`RecencyMap::take_into`] of the `k` most recent items, returned in a
+    /// new `Vec`.
+    pub fn take_front(&mut self, k: usize) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.take_into(End::Front, k, &mut out);
+        out
+    }
+
+    /// [`RecencyMap::take_into`] of the `k` least recent items, returned in
+    /// a new `Vec`, most recent of them first.
+    pub fn take_back(&mut self, k: usize) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.take_into(End::Back, k, &mut out);
+        out
     }
 
     /// Clears the key-map entries of the already-detached `taken` slots with
     /// one sorted batch removal (the reverse-indexing operation of Appendix
     /// A.2: the arena indices *are* the direct pointers) and releases the
-    /// slots, returning their items in `taken` order.
-    fn release_taken(&mut self) -> Vec<(K, V)> {
-        if self.taken.is_empty() {
-            return Vec::new();
-        }
+    /// slots, appending their items to `out` in `taken` order.
+    fn release_taken(&mut self, out: &mut Vec<(K, V)>) {
         self.len -= self.taken.len();
         self.sorted_keys.clear();
         let list = &self.list;
@@ -642,7 +662,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
                 "key-map and recency list out of sync"
             );
         });
-        self.taken.iter().map(|&idx| list.release(idx)).collect()
+        out.extend(self.taken.iter().map(|&idx| list.release(idx)));
     }
 
     /// Whether the locate walk pays ahead of a sweep of `keys` keys: on a

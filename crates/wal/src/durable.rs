@@ -106,12 +106,12 @@ impl Default for DurableOptions {
 /// Replays one logged batch through the ordinary batch path (results are
 /// discarded — their callers are long gone).
 fn replay<K, V, M: BatchedMap<K, V>>(map: &mut M, ops: Vec<Operation<K, V>>) {
-    let batch: Vec<TaggedOp<K, V>> = ops
+    let mut batch: Vec<TaggedOp<K, V>> = ops
         .into_iter()
         .enumerate()
         .map(|(i, op)| TaggedOp { id: i as OpId, op })
         .collect();
-    let _ = map.run_batch(batch);
+    map.run_batch(&mut batch, &mut Vec::new());
 }
 
 /// Recovers one serialization point: restore the checkpoint image into a

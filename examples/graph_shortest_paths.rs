@@ -60,7 +60,7 @@ fn main() {
     let mut ops_trace: Vec<MapOpKind<u64>> = Vec::new();
     let mut next_id = 0u64;
     let mut run = |m: &mut M1<u64, u64>, batch: Vec<Operation<u64, u64>>| -> Vec<OpResult<u64>> {
-        let tagged: Vec<TaggedOp<u64, u64>> = batch
+        let mut tagged: Vec<TaggedOp<u64, u64>> = batch
             .into_iter()
             .map(|op| {
                 let t = TaggedOp { id: next_id, op };
@@ -69,7 +69,8 @@ fn main() {
             })
             .collect();
         let ids: Vec<u64> = tagged.iter().map(|t| t.id).collect();
-        let (results, _) = m.run_batch(tagged);
+        let mut results = Vec::with_capacity(ids.len());
+        m.run_batch(&mut tagged, &mut results);
         let by_id: std::collections::BTreeMap<u64, OpResult<u64>> = results.into_iter().collect();
         ids.into_iter().map(|id| by_id[&id].clone()).collect()
     };

@@ -51,7 +51,7 @@ fn main() {
         }
         // Read existing totals, then write back the new totals, as one batch
         // each.
-        let read_batch: Vec<TaggedOp<u64, u64>> = counts
+        let mut read_batch: Vec<TaggedOp<u64, u64>> = counts
             .keys()
             .map(|&w| {
                 let t = TaggedOp {
@@ -63,9 +63,10 @@ fn main() {
             })
             .collect();
         let ids: Vec<u64> = read_batch.iter().map(|t| t.id).collect();
-        let (results, _) = index.run_batch(read_batch);
-        let by_id: std::collections::BTreeMap<u64, _> = results.into_iter().collect();
-        let write_batch: Vec<TaggedOp<u64, u64>> = counts
+        let mut results = Vec::with_capacity(ids.len());
+        index.run_batch(&mut read_batch, &mut results);
+        let by_id: std::collections::BTreeMap<u64, _> = results.drain(..).collect();
+        let mut write_batch: Vec<TaggedOp<u64, u64>> = counts
             .iter()
             .zip(ids)
             .map(|((&w, &c), id)| {
@@ -81,7 +82,7 @@ fn main() {
                 t
             })
             .collect();
-        index.run_batch(write_batch);
+        index.run_batch(&mut write_batch, &mut results);
     }
     println!(
         "M2 index: {} distinct words, measured work {} ({:.2} per token)",

@@ -1,23 +1,29 @@
-//! Allocation budget of the steady-state sweep path.
+//! Allocation budget of the steady-state sweep and combine paths.
 //!
 //! A counting `#[global_allocator]` (allocations + reallocations, counted per
-//! thread so the tests of this file may run side by side) pins four things:
+//! thread so the tests of this file may run side by side) pins five things:
 //!
 //! * a warmed `RecencyMap` moves a batch out of and back into its tree
-//!   through buffers it keeps — a round trip allocates a constant number of
-//!   times (the `Vec` it returns), whatever the batch size;
+//!   through buffers it keeps — a removal allocates the `Vec` it returns,
+//!   whatever the batch size, and a take into or a push from a buffer the
+//!   caller keeps allocates nothing;
 //! * a warmed tree held at a steady size takes insert sweeps of fresh keys
 //!   and remove sweeps of as many — splits, merges and even-outs — and
 //!   allocates nothing but the vector each sweep returns: its nodes live in
 //!   pools that stop growing;
-//! * `M1::run_batch` on a uniform search stream — four mutating sweeps per
-//!   accessed item plus the cascade's grouping — stays at or under 0.45
-//!   allocations per operation (0.40 with node pools; per-node arrays took
-//!   0.78, the one-slot-per-item tree with per-call temporaries 3.5);
+//! * `run_batch` on a uniform search stream, with the batch and result
+//!   vectors kept from one batch to the next, stays at or under 0.40
+//!   allocations per operation on `M1` (all of them PPivot's per-block
+//!   vectors; per-node arrays took 0.78, the one-slot-per-item tree with
+//!   per-call temporaries 3.5) and makes none on `M2`, whose one-bunch
+//!   interface batches stay below PPivot's cut-off;
 //! * a request of `k` operations deposited into a warmed two-shard
 //!   `ShardedMap` allocates its `k` result cells, the vector holding them and
-//!   at most `S` more, however its keys split across the shards; awaiting it
-//!   through `WsMapService::call_batch` adds one result vector.
+//!   at most `S` more, however its keys split across the shards, and the
+//!   combines that serve it allocate nothing over M2 and only PPivot's
+//!   vectors over M1;
+//! * awaiting such a request through `WsMapService::call_batch` adds one
+//!   result vector.
 //!
 //! The round trips use a map whose key tree was built in bulk and then
 //! thinned evenly to three quarters full, and move at most a few keys of any
@@ -30,10 +36,10 @@ use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
-use wsm_core::{BatchedMap, OpResult, Operation, TaggedOp, M1};
+use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
 use wsm_shard::ShardedMap;
 use wsm_svc::WsMapService;
-use wsm_twothree::{RecencyMap, Tree23};
+use wsm_twothree::{End, RecencyMap, Tree23};
 
 struct Counting;
 
@@ -121,6 +127,7 @@ fn thinned_map(rng: &mut Rng) -> RecencyMap<u64, u64> {
 fn recency_round_trips_allocate_a_constant_per_call() {
     let mut rng = Rng(0x5EED);
     let mut map = thinned_map(&mut rng);
+    let mut moved = Vec::new();
     // Largest batch first, so every scratch buffer has reached its size.
     for (round, batch) in [1024usize, 16, 64, 256, 1024].into_iter().enumerate() {
         let keys = rng.present_keys(batch);
@@ -133,21 +140,27 @@ fn recency_round_trips_allocate_a_constant_per_call() {
             .collect();
         let ((), pushing) = allocations(|| map.push_front_batch(items));
 
-        let (taken, taking) = allocations(|| map.take_back(batch));
-        assert_eq!(taken.len(), batch);
-        let ((), returning) = allocations(|| map.push_front_batch(taken));
+        let ((), taking) = allocations(|| map.take_into(End::Back, batch, &mut moved));
+        assert_eq!(moved.len(), batch);
+        let ((), returning) = allocations(|| map.push_from(End::Front, &mut moved));
 
         println!(
             "batch {batch:4}: remove_batch {removing} + push_front_batch {pushing}, \
-             take_back {taking} + push_front_batch {returning} allocations"
+             take_into {taking} + push_from {returning} allocations"
         );
         if round == 0 {
             continue;
         }
-        // Each call may allocate the vector it returns, nothing else.
+        // `remove_batch` may allocate the vector it returns, nothing else;
+        // a take into, and a push from, a buffer that has grown allocate
+        // nothing.
         assert!(removing <= 1, "remove_batch({batch}) allocated {removing}x");
-        assert!(taking <= 1, "take_back({batch}) allocated {taking}x");
-        assert_eq!(pushing + returning, 0, "push_front_batch({batch})");
+        assert_eq!(taking, 0, "take_into({batch})");
+        assert_eq!(
+            pushing + returning,
+            0,
+            "push_front_batch / push_from({batch})"
+        );
     }
     map.check_invariants();
 }
@@ -184,61 +197,79 @@ fn a_steady_size_tree_splits_and_merges_without_allocating() {
     tree.check_invariants();
 }
 
+/// Preloads `map` with `0..KEYS` in 256-op batches, warms it with 64
+/// batches of 256 uniform searches, then returns the allocations per
+/// operation of 64 more.  The batch and result vectors are kept from one
+/// batch to the next, as the combiner keeps them, and filled outside the
+/// count.
+fn uniform_search_allocations_per_op<M: BatchedMap<u64, u64>>(map: &mut M) -> f64 {
+    const BATCH: u64 = 256;
+    const ROUNDS: u64 = 64;
+    let mut rng = Rng(0xA110C);
+    let mut next_id: OpId = 0;
+    let mut tag = |op| {
+        next_id += 1;
+        TaggedOp { id: next_id, op }
+    };
+    let (mut batch, mut results) = (Vec::new(), Vec::new());
+    for base in (0..KEYS).step_by(BATCH as usize) {
+        batch.extend((base..base + BATCH).map(|k| tag(Operation::Insert(k, k))));
+        results.clear();
+        map.run_batch(&mut batch, &mut results);
+    }
+    let mut total = 0;
+    for round in 0..2 * ROUNDS {
+        batch.extend((0..BATCH).map(|_| tag(Operation::Search(rng.next() % KEYS))));
+        results.clear();
+        let (_, n) = allocations(|| map.run_batch(&mut batch, &mut results));
+        assert!(batch.is_empty());
+        assert_eq!(results.len(), BATCH as usize);
+        if round >= ROUNDS {
+            total += n;
+        }
+    }
+    total as f64 / (ROUNDS * BATCH) as f64
+}
+
 #[test]
 fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
-    const BATCH: u64 = 256;
-    let mut rng = Rng(0xA110C);
-    let mut next_id = 0;
-    let mut tagged = |ops: Vec<Operation<u64, u64>>| -> Vec<TaggedOp<u64, u64>> {
-        ops.into_iter()
-            .map(|op| {
-                next_id += 1;
-                TaggedOp { id: next_id, op }
-            })
-            .collect()
-    };
     let mut map: M1<u64, u64> = M1::new(4);
-    for base in (0..KEYS).step_by(BATCH as usize) {
-        map.run_batch(tagged(
-            (base..base + BATCH)
-                .map(|k| Operation::Insert(k, k))
-                .collect(),
-        ));
-    }
-    let mut searches = |rng: &mut Rng| {
-        tagged(
-            (0..BATCH)
-                .map(|_| Operation::Search(rng.next() % KEYS))
-                .collect(),
-        )
-    };
-    for _ in 0..64 {
-        map.run_batch(searches(&mut rng));
-    }
-    let rounds = 64;
-    let mut total = 0;
-    for _ in 0..rounds {
-        let batch = searches(&mut rng);
-        let ((results, _), n) = allocations(|| map.run_batch(batch));
-        assert_eq!(results.len(), BATCH as usize);
-        total += n;
-    }
-    let per_op = total as f64 / (rounds * BATCH) as f64;
+    let per_op = uniform_search_allocations_per_op(&mut map);
     println!("M1 uniform searches: {per_op:.4} allocations per operation");
     assert!(
-        per_op <= 0.45,
+        per_op <= M1_SEARCH_BUDGET,
         "M1::run_batch allocates {per_op:.2}x per operation"
     );
     map.check_invariants();
 }
+
+#[test]
+fn m2_uniform_searches_allocate_nothing() {
+    let mut map: M2<u64, u64> = M2::new(4);
+    let per_op = uniform_search_allocations_per_op(&mut map);
+    println!("M2 uniform searches: {per_op:.4} allocations per operation");
+    assert!(
+        per_op <= M2_SEARCH_BUDGET,
+        "M2::run_batch allocates {per_op:.2}x per operation"
+    );
+    map.check_invariants();
+}
+
+/// Allocations per operation `M1::run_batch` may make on uniform searches:
+/// PPivot's per-block vectors, 0.38 measured.
+const M1_SEARCH_BUDGET: f64 = 0.40;
+
+/// Allocations per operation `M2::run_batch` may make on uniform searches:
+/// none, since its 16-op interface batches never reach PPivot.
+const M2_SEARCH_BUDGET: f64 = 0.0;
 
 /// Shard count of the request-path tests: the benchmark's.
 const SHARDS: usize = 2;
 
 /// A preloaded two-shard map whose buffers this thread has already filled
 /// past any request below, so their `Vec`s have the capacity they need.
-fn warmed_sharded() -> ShardedMap<u64, u64, M1<u64, u64>> {
-    let map = ShardedMap::with_shards(SHARDS, |_| M1::new(4));
+fn warmed_sharded<M: BatchedMap<u64, u64> + Send>(make: impl Fn() -> M) -> ShardedMap<u64, u64, M> {
+    let map = ShardedMap::with_shards(SHARDS, |_| make());
     map.insert_batch((0..1024u64).map(|k| (k, k)).collect());
     map.get_batch((0..1024u64).collect());
     map
@@ -246,7 +277,9 @@ fn warmed_sharded() -> ShardedMap<u64, u64, M1<u64, u64>> {
 
 /// Three request shapes: two keys on both shards, two keys on one shard,
 /// and 256 keys.
-fn request_shapes(map: &ShardedMap<u64, u64, M1<u64, u64>>) -> Vec<(&'static str, Vec<u64>)> {
+fn request_shapes<M: BatchedMap<u64, u64> + Send>(
+    map: &ShardedMap<u64, u64, M>,
+) -> Vec<(&'static str, Vec<u64>)> {
     let other = (1u64..)
         .find(|k| map.shard_of(k) != map.shard_of(&0))
         .expect("a key on the other shard");
@@ -264,31 +297,66 @@ fn searches(keys: &[u64]) -> Vec<Operation<u64, u64>> {
     keys.iter().map(|&k| Operation::Search(k)).collect()
 }
 
-#[test]
-fn a_sharded_deposit_allocates_its_cells_and_at_most_s_more() {
-    let map = warmed_sharded();
-    for (shape, keys) in request_shapes(&map) {
+/// Deposits each request shape into `map` sixteen times: every deposit
+/// allocates its `k` cells, the vector holding them and at most `S` more,
+/// from the first on; the combines that serve the last eight allocate at
+/// most `combine_budget` per operation (the first eight let the combiner's
+/// and the maps' buffers reach the size of the shape, which takes up to five
+/// at fanout 2).
+fn deposit_then_combine<M: BatchedMap<u64, u64> + Send>(
+    map: &ShardedMap<u64, u64, M>,
+    combine_budget: f64,
+) {
+    for (shape, keys) in request_shapes(map) {
         let k = keys.len() as u64;
-        let ops = searches(&keys);
-        // Nothing is pumped while counting: this is the deposit alone.
-        let (cells, n) = allocations(|| map.submit_batch(ops));
-        println!("submit_batch, {shape}: {n} allocations");
+        let mut combining = 0;
+        for round in 0..16 {
+            let ops = searches(&keys);
+            // Nothing is pumped while counting: this is the deposit alone.
+            let (cells, deposit) = allocations(|| map.submit_batch(ops));
+            println!("submit_batch, {shape}, round {round}: {deposit} allocations");
+            assert!(
+                deposit <= k + SHARDS as u64 + 2,
+                "submit_batch, {shape}: {deposit} allocations for {k} operations"
+            );
+            let ((), combines) = allocations(|| {
+                while map.buffered() {
+                    map.pump();
+                }
+            });
+            for (&key, cell) in keys.iter().zip(&cells) {
+                assert_eq!(cell.try_take(), Some(OpResult::Search(Some(key))));
+            }
+            if round >= 8 {
+                combining += combines;
+            }
+        }
+        let per_op = combining as f64 / (8 * k) as f64;
+        println!("{shape}: the combines allocate {per_op:.4} per operation");
         assert!(
-            n <= k + SHARDS as u64 + 2,
-            "submit_batch, {shape}: {n} allocations for {k} operations"
+            per_op <= combine_budget,
+            "the combines of {shape} allocate {per_op:.2}x per operation"
         );
-        while map.buffered() {
-            map.pump();
-        }
-        for (&key, cell) in keys.iter().zip(&cells) {
-            assert_eq!(cell.try_take(), Some(OpResult::Search(Some(key))));
-        }
     }
 }
 
 #[test]
-fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
-    let svc = WsMapService::new(warmed_sharded());
+fn a_sharded_deposit_allocates_its_cells_and_at_most_s_more() {
+    // M1 sorts a cut batch above `SMALL` keys through PPivot, whose
+    // per-block vectors are the only allocations of its combine.
+    deposit_then_combine(&warmed_sharded(|| M1::new(4)), 0.35);
+}
+
+#[test]
+fn an_m2_sharded_deposit_allocates_its_cells_and_its_combine_nothing() {
+    deposit_then_combine(&warmed_sharded(|| M2::new(4)), 0.0);
+}
+
+/// Awaits each request shape through `WsMapService::call_batch` over `map`,
+/// with the combine outside the count: the call allocates its deposit and
+/// one result vector.
+fn awaited_call<M: BatchedMap<u64, u64> + Send + 'static>(map: ShardedMap<u64, u64, M>) {
+    let svc = WsMapService::new(map);
     let map = svc.backend();
     let mut cx = Context::from_waker(Waker::noop());
     for (shape, keys) in request_shapes(map) {
@@ -315,4 +383,14 @@ fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
         println!("call_batch + poll, {shape}: {beyond} allocations beyond the deposit");
         assert_eq!(beyond, 1, "call_batch, {shape}");
     }
+}
+
+#[test]
+fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
+    awaited_call(warmed_sharded(|| M1::new(4)));
+}
+
+#[test]
+fn an_awaited_m2_call_allocates_one_result_vector_beyond_its_deposit() {
+    awaited_call(warmed_sharded(|| M2::new(4)));
 }

@@ -120,12 +120,16 @@ struct ThreadRecording {
 }
 
 impl BatchedMap<u64, u64> for ThreadRecording {
-    fn run_batch(&mut self, batch: Vec<TaggedOp<u64, u64>>) -> (Vec<(OpId, OpResult<u64>)>, Cost) {
+    fn run_batch(
+        &mut self,
+        batch: &mut Vec<TaggedOp<u64, u64>>,
+        results: &mut Vec<(OpId, OpResult<u64>)>,
+    ) -> Cost {
         self.ran_on
             .lock()
             .unwrap()
             .push(std::thread::current().id());
-        self.inner.run_batch(batch)
+        self.inner.run_batch(batch, results)
     }
 
     fn len(&self) -> usize {

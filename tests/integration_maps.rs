@@ -38,7 +38,7 @@ fn drive_batched<M: BatchedMap<u64, u64>>(
     let mut model = BTreeMap::new();
     let mut next_id: OpId = 0;
     for chunk in to_ops(kinds).chunks(batch) {
-        let tagged: Vec<TaggedOp<u64, u64>> = chunk
+        let mut tagged: Vec<TaggedOp<u64, u64>> = chunk
             .iter()
             .cloned()
             .map(|op| {
@@ -49,7 +49,8 @@ fn drive_batched<M: BatchedMap<u64, u64>>(
             .collect();
         let base = next_id - tagged.len() as u64;
         let expected = model_apply(&mut model, chunk);
-        let (results, _) = map.run_batch(tagged);
+        let mut results = Vec::new();
+        map.run_batch(&mut tagged, &mut results);
         let by_id: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
         for (i, exp) in expected.iter().enumerate() {
             assert_eq!(&by_id[&(base + i as u64)], exp, "operation {i} in chunk");
@@ -108,9 +109,9 @@ fn m1_and_m2_agree_with_each_other_across_patterns() {
                     })
                     .collect()
             };
-            let batch1 = mk(&mut next_id);
+            let mut batch1 = mk(&mut next_id);
             let mut id2 = batch1.first().map(|t| t.id).unwrap_or(0);
-            let batch2: Vec<TaggedOp<u64, u64>> = chunk
+            let mut batch2: Vec<TaggedOp<u64, u64>> = chunk
                 .iter()
                 .cloned()
                 .map(|op| {
@@ -120,8 +121,9 @@ fn m1_and_m2_agree_with_each_other_across_patterns() {
                 })
                 .collect();
             let expected = model_apply(&mut model, chunk);
-            let (r1, _) = m1.run_batch(batch1);
-            let (r2, _) = m2.run_batch(batch2);
+            let (mut r1, mut r2) = (Vec::new(), Vec::new());
+            m1.run_batch(&mut batch1, &mut r1);
+            m2.run_batch(&mut batch2, &mut r2);
             let r1: BTreeMap<_, _> = r1.into_iter().collect();
             let r2: BTreeMap<_, _> = r2.into_iter().collect();
             for (i, exp) in expected.iter().enumerate() {
@@ -167,7 +169,7 @@ fn effective_work_of_all_structures_respects_working_set_bound_shape() {
         let mut m2 = M2::new(8);
         let mut id = 0u64;
         for chunk in to_ops(kinds).chunks(64) {
-            let mk: Vec<TaggedOp<u64, u64>> = chunk
+            let mut mk: Vec<TaggedOp<u64, u64>> = chunk
                 .iter()
                 .cloned()
                 .map(|op| {
@@ -176,8 +178,8 @@ fn effective_work_of_all_structures_respects_working_set_bound_shape() {
                     t
                 })
                 .collect();
-            m1.run_batch(mk.clone());
-            m2.run_batch(mk);
+            m1.run_batch(&mut mk.clone(), &mut Vec::new());
+            m2.run_batch(&mut mk, &mut Vec::new());
         }
         (m0_work, m1.effective_work(), m2.effective_work())
     };
@@ -231,7 +233,7 @@ fn deletions_shrink_and_rebuild_correctly() {
     for kinds in [&inserts, &deletes, &reinserts] {
         let mut id = 0u64;
         for chunk in to_ops(kinds).chunks(50) {
-            let batch: Vec<TaggedOp<u64, u64>> = chunk
+            let mut batch: Vec<TaggedOp<u64, u64>> = chunk
                 .iter()
                 .cloned()
                 .map(|op| {
@@ -240,8 +242,8 @@ fn deletions_shrink_and_rebuild_correctly() {
                     t
                 })
                 .collect();
-            m1.run_batch(batch.clone());
-            m2.run_batch(batch);
+            m1.run_batch(&mut batch.clone(), &mut Vec::new());
+            m2.run_batch(&mut batch, &mut Vec::new());
             m1.check_invariants();
             m2.check_invariants();
         }

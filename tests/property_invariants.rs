@@ -39,7 +39,7 @@ fn run_round<M: BatchedMap<u64, u64>>(
             Operation::Delete(k) => OpResult::Delete(model.remove(k)),
         })
         .collect();
-    let batch: Vec<TaggedOp<u64, u64>> = ops
+    let mut batch: Vec<TaggedOp<u64, u64>> = ops
         .into_iter()
         .map(|op| {
             let t = TaggedOp { id: *next_id, op };
@@ -47,7 +47,8 @@ fn run_round<M: BatchedMap<u64, u64>>(
             t
         })
         .collect();
-    let (results, _) = map.run_batch(batch);
+    let mut results = Vec::new();
+    map.run_batch(&mut batch, &mut results);
     let by_id: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
     for (i, exp) in expected.iter().enumerate() {
         assert_eq!(&by_id[&(base + i as u64)], exp, "result {i} diverged");

@@ -89,12 +89,13 @@ proptest! {
         for chunk in ops.chunks(batch_size) {
             let expected: Vec<OpResult<u64>> = chunk.iter().map(|op| apply_model(&mut model, op)).collect();
             let base = next_id;
-            let batch: Vec<TaggedOp<u64, u64>> = chunk.iter().map(|op| {
+            let mut batch: Vec<TaggedOp<u64, u64>> = chunk.iter().map(|op| {
                 let t = TaggedOp { id: next_id, op: to_operation(op) };
                 next_id += 1;
                 t
             }).collect();
-            let (results, _) = m1.run_batch(batch);
+            let mut results = Vec::new();
+            m1.run_batch(&mut batch, &mut results);
             let by_id: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
             for (i, exp) in expected.iter().enumerate() {
                 prop_assert_eq!(&by_id[&(base + i as u64)], exp);
@@ -116,12 +117,13 @@ proptest! {
         for chunk in ops.chunks(batch_size) {
             let expected: Vec<OpResult<u64>> = chunk.iter().map(|op| apply_model(&mut model, op)).collect();
             let base = next_id;
-            let batch: Vec<TaggedOp<u64, u64>> = chunk.iter().map(|op| {
+            let mut batch: Vec<TaggedOp<u64, u64>> = chunk.iter().map(|op| {
                 let t = TaggedOp { id: next_id, op: to_operation(op) };
                 next_id += 1;
                 t
             }).collect();
-            let (results, _) = m2.run_batch(batch);
+            let mut results = Vec::new();
+            m2.run_batch(&mut batch, &mut results);
             let by_id: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
             for (i, exp) in expected.iter().enumerate() {
                 prop_assert_eq!(&by_id[&(base + i as u64)], exp);
@@ -183,8 +185,8 @@ proptest! {
         let mut distinct = std::collections::BTreeSet::new();
         for (i, op) in ops.iter().enumerate() {
             if let Op::Insert(k, _) = op { distinct.insert(*k); }
-            let batch = vec![TaggedOp { id: i as OpId, op: to_operation(op) }];
-            m1.run_batch(batch);
+            let mut batch = vec![TaggedOp { id: i as OpId, op: to_operation(op) }];
+            m1.run_batch(&mut batch, &mut Vec::new());
             let work = m1.effective_work();
             prop_assert!(work >= last_work, "effective work must be monotone");
             last_work = work;

@@ -106,7 +106,7 @@ fn check_batched<M: BatchedMap<u64, u64>>(name: &str, map: &mut M, ops: &[Op], b
         let base = next_id;
         let expected: Vec<Option<u64>> =
             chunk.iter().map(|&op| model_step(&mut model, op)).collect();
-        let tagged: Vec<TaggedOp<u64, u64>> = chunk
+        let mut tagged: Vec<TaggedOp<u64, u64>> = chunk
             .iter()
             .map(|&op| {
                 let t = TaggedOp {
@@ -121,7 +121,8 @@ fn check_batched<M: BatchedMap<u64, u64>>(name: &str, map: &mut M, ops: &[Op], b
                 t
             })
             .collect();
-        let (results, _) = map.run_batch(tagged);
+        let mut results = Vec::new();
+        map.run_batch(&mut tagged, &mut results);
         let by_id: BTreeMap<OpId, OpResult<u64>> = results.into_iter().collect();
         for (i, exp) in expected.iter().enumerate() {
             let got = by_id[&(base + i as OpId)].value().copied();
