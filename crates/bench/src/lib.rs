@@ -1247,7 +1247,11 @@ pub fn experiment_invariants(keyspace: u64, operations: usize) -> Vec<Row> {
 ///   1/S-thinned sequence each shard actually serves).  Compared with the
 ///   unsharded row's `W/W_L`, this is the thinning curve: hash-splitting a
 ///   skewed stream dilutes each shard's locality, so the per-shard constant
-///   drifts up with `S` while wall-clock drops.
+///   drifts up with `S` while wall-clock drops;
+/// * `handovers` — combines, summed over the shards, that ran on another
+///   thread than the shard's previous combine during the access phase
+///   ([`wsm_shard::ShardStats::combiner_handovers`]): each one moves a
+///   shard's buffers and segments into another core's cache.
 ///
 /// Wall-clock rows need a multi-core runner to show scaling; the `W/W_L`
 /// columns are exact everywhere.  Persisted to `BENCH_e19.json`.
@@ -1308,12 +1312,14 @@ pub fn experiment_sharded(
             // --- unsharded baseline: one combiner serves every thread -----
             let mut base_total_ns = 0.0;
             let mut base_work = 0.0;
+            let mut base_handovers = 0.0;
             for _ in 0..reps {
                 let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(t.max(2)), t));
                 for chunk in load_keys.chunks(512) {
                     map.call_batch(0, chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
                 }
                 let warm = map.effective_work();
+                let warm_handovers = map.combiner_handovers();
                 let start = Instant::now();
                 std::thread::scope(|s| {
                     for (w, stream) in streams.iter().enumerate() {
@@ -1330,6 +1336,7 @@ pub fn experiment_sharded(
                 });
                 base_total_ns += start.elapsed().as_nanos() as f64;
                 base_work = (map.effective_work() - warm) as f64;
+                base_handovers = (map.combiner_handovers() - warm_handovers) as f64;
             }
             let base_ns_op = base_total_ns / (reps as f64 * total_ops);
             rows.push(Row::new(
@@ -1338,6 +1345,7 @@ pub fn experiment_sharded(
                     ("mean ns/op", base_ns_op),
                     ("wall vs unsharded", 1.0),
                     ("shard W/W_L", base_work / wl_of(&interleaved, &load_keys)),
+                    ("handovers", base_handovers),
                 ],
             ));
 
@@ -1345,6 +1353,7 @@ pub fn experiment_sharded(
             for shards in [1usize, 2, 4] {
                 let mut total_ns = 0.0;
                 let mut shard_ratio = 0.0;
+                let mut handovers = 0.0;
                 for _ in 0..reps {
                     let map = Arc::new(ShardedMap::with_shards(shards, |_| {
                         M1::<u64, u64>::new(t.max(2))
@@ -1352,8 +1361,7 @@ pub fn experiment_sharded(
                     for chunk in load_keys.chunks(512) {
                         map.insert_batch(chunk.iter().map(|&k| (k, k)).collect());
                     }
-                    let warm: Vec<u64> =
-                        map.shard_stats().iter().map(|s| s.effective_work).collect();
+                    let warm = map.shard_stats();
                     let start = Instant::now();
                     std::thread::scope(|s| {
                         for stream in &streams {
@@ -1368,9 +1376,16 @@ pub fn experiment_sharded(
                         }
                     });
                     total_ns += start.elapsed().as_nanos() as f64;
+                    let stats = map.shard_stats();
+                    handovers = stats
+                        .iter()
+                        .zip(&warm)
+                        .map(|(now, then)| {
+                            (now.combiner_handovers - then.combiner_handovers) as f64
+                        })
+                        .sum();
                     // Per-shard W/W_L over the shard's own projected stream.
-                    shard_ratio = map
-                        .shard_stats()
+                    shard_ratio = stats
                         .iter()
                         .map(|stats| {
                             let mine = |keys: &[u64]| -> Vec<u64> {
@@ -1379,7 +1394,8 @@ pub fn experiment_sharded(
                                     .filter(|k| map.shard_of(k) == stats.shard)
                                     .collect()
                             };
-                            let work = (stats.effective_work - warm[stats.shard]) as f64;
+                            let work =
+                                (stats.effective_work - warm[stats.shard].effective_work) as f64;
                             work / wl_of(&mine(&interleaved), &mine(&load_keys))
                         })
                         .sum::<f64>()
@@ -1392,6 +1408,7 @@ pub fn experiment_sharded(
                         ("mean ns/op", ns_op),
                         ("wall vs unsharded", ns_op / base_ns_op),
                         ("shard W/W_L", shard_ratio),
+                        ("handovers", handovers),
                     ],
                 ));
             }

@@ -37,8 +37,8 @@
 //! Every request is deposited by one routine, over one map or a family of
 //! them ([`ConcurrentMap::submit_routed`]): it creates the request's result
 //! cells once, in operation order, and moves each operation straight into
-//! its map's [`ParallelBuffer`] under one buffer-shard lock per map, taken in
-//! map order, with no staging vector in between.
+//! its map's [`ParallelBuffer`] under one buffer-shard lock per map it
+//! touches, taken in map order, with no staging vector in between.
 //!
 //! One usage rule follows from PESort's fork: do not call the map from
 //! *inside* a work-stealing pool task (`wsm_pool::join`/`scope` closures) —
@@ -49,9 +49,13 @@
 //! the map.  `wsm-shard`'s `ShardedMap::run_batch` puts no thread between
 //! those callers and the shards: the calling thread deposits its batch with
 //! [`ConcurrentMap::call_routed`], makes one election pass over the shards,
-//! then waits shard by shard, on that shard's own doorbell.
+//! then waits shard by shard, on that shard's own doorbell.  Both passes
+//! start at the caller's home shard ([`crate::caller_hint`] modulo the shard
+//! count), so two callers that arrive together each combine their own shard
+//! and its buffers stay in one core's cache.
 
 use crate::buffer::{Deposit, ParallelBuffer};
+use crate::context::caller_hint;
 use crate::doorbell::Doorbell;
 use crate::handoff::ResultCell;
 use crate::ops::{BatchedMap, OpId, OpResult, Operation, TaggedOp};
@@ -153,6 +157,20 @@ struct CombineScratch<K, V> {
     slots: Vec<Arc<ResultCell<OpResult<V>>>>,
     batch: Vec<TaggedOp<K, V>>,
     results: Vec<(OpId, OpResult<V>)>,
+    /// The [`caller_hint`] of the thread that ran the last combine.
+    last_combiner: Option<usize>,
+    /// Combines that ran on another thread than the combine before them.
+    handovers: u64,
+}
+
+/// The indices `0..len`, starting at the caller's home `shard % len` and
+/// going round-robin: the order in which a caller elects and waits on a
+/// family of maps.  Two callers with different homes each start on their
+/// own map, so a map's combines, and the buffers they fill, stay on one
+/// thread.
+fn home_first(len: usize, shard: usize) -> impl Iterator<Item = usize> {
+    let home = shard % len.max(1);
+    (home..len).chain(0..home)
 }
 
 /// A commit-point observer: called by the combiner with each batch, under
@@ -193,6 +211,8 @@ where
                 slots: Vec::new(),
                 batch: Vec::new(),
                 results: Vec::new(),
+                last_combiner: None,
+                handovers: 0,
             }),
             doorbell: Doorbell::default(),
             commit_hook: None,
@@ -262,6 +282,14 @@ where
     /// [`BatchedMap::maintenance_runs`]).
     pub fn maintenance_runs(&self) -> u64 {
         self.inner.lock().maintenance_runs()
+    }
+
+    /// How many combines ran on another thread than the combine before them
+    /// (threads told apart by [`caller_hint`]).  Each one moves the map's
+    /// buffers and tree into another core's cache.  Takes the combiner's
+    /// scratch lock briefly.
+    pub fn combiner_handovers(&self) -> u64 {
+        self.scratch.lock().handovers
     }
 
     /// Searches for a key.  `shard` should identify the calling thread (any
@@ -421,9 +449,12 @@ where
     /// [`ConcurrentMap::call_batch`] over a family of maps, routed as in
     /// [`ConcurrentMap::submit_routed`]; results come back in operation
     /// order.  After the deposit the caller makes one election attempt on
-    /// every map with buffered work, so no map's share waits behind another
-    /// map's combiner, and then waits map by map until each map it touched
-    /// has filled the last operation routed to it.
+    /// every map with buffered work ([`ConcurrentMap::pump_routed`]), so no
+    /// map's share waits behind another map's combiner, and then waits map
+    /// by map until each map it touched has filled the last operation routed
+    /// to it.  Both passes start at the caller's home map, `shard %
+    /// maps.len()`, and go round-robin, so callers with different homes
+    /// each combine their own map first.
     pub fn call_routed(
         maps: &[Self],
         shard: usize,
@@ -431,14 +462,10 @@ where
         route: impl Fn(&K) -> usize,
     ) -> Vec<OpResult<V>> {
         let (cells, lanes) = Self::deposit(maps, shard, ops, route);
-        for map in maps {
-            if map.buffered() {
-                map.drive();
-            }
-        }
-        for (map, lane) in maps.iter().zip(&lanes) {
-            if let Some(last) = lane.last {
-                map.wait(|| cells[last].is_filled());
+        Self::pump_routed(maps, shard);
+        for i in home_first(maps.len(), shard) {
+            if let Some(last) = lanes[i].last {
+                maps[i].wait(|| cells[last].is_filled());
             }
         }
         // A map's operations of this request were published together, so one
@@ -456,15 +483,17 @@ where
     }
 
     /// The deposit routine of every request: creates the result cells once,
-    /// in operation order, opens a deposit into every map's buffer, in map
-    /// order, and moves each operation straight into the buffer of
-    /// `maps[route(key)]`.  Each map receives its operations in request
-    /// order and publishes them together when its deposit closes.
+    /// in operation order, opens a deposit into the buffer of every map the
+    /// request touches, in map order, and moves each operation straight into
+    /// the buffer of `maps[route(key)]`.  Each map receives its operations in
+    /// request order and publishes them together when its deposit closes.
     ///
-    /// Opening every map up front, in map order, means two depositors never
-    /// wait on each other in a cycle, and no map publishes part of a request
-    /// before the rest of it is in.  A map the request does not touch costs
-    /// one lock and nothing else.
+    /// It routes every operation twice: once to learn which maps the request
+    /// touches, and again to push.  Opening every touched map before the
+    /// first push, in map order, means two depositors never wait on each
+    /// other in a cycle, and no map publishes part of a request before the
+    /// rest of it is in.  A map the request does not touch is not locked, so
+    /// its buffer stays in the cache of the core that combines it.
     fn deposit<'a>(
         maps: &'a [Self],
         shard: usize,
@@ -476,15 +505,21 @@ where
             .collect();
         let mut lanes: Vec<Lane<'a, K, V>> = maps
             .iter()
-            .map(|map| Lane {
-                open: Some(map.buffer.deposit(shard)),
+            .map(|_| Lane {
+                open: None,
                 last: None,
             })
             .collect();
-        for (i, (op, cell)) in ops.into_iter().zip(&cells).enumerate() {
-            let lane = &mut lanes[route(op.key())];
-            lane.last = Some(i);
-            if let Some(open) = &mut lane.open {
+        for (i, op) in ops.iter().enumerate() {
+            lanes[route(op.key())].last = Some(i);
+        }
+        for (map, lane) in maps.iter().zip(&mut lanes) {
+            if lane.last.is_some() {
+                lane.open = Some(map.buffer.deposit(shard));
+            }
+        }
+        for (op, cell) in ops.into_iter().zip(&cells) {
+            if let Some(open) = &mut lanes[route(op.key())].open {
                 open.push(Pending {
                     op,
                     slot: Arc::clone(cell),
@@ -506,6 +541,19 @@ where
     /// thread blocking.
     pub fn pump(&self) {
         self.drive();
+    }
+
+    /// [`ConcurrentMap::pump`] on every map of a family with buffered work,
+    /// starting at the caller's home map, `maps[shard % maps.len()]`, and
+    /// going round-robin.  When callers with different homes arrive
+    /// together, each combines its own map first, so a map's buffers and
+    /// tree stay in the cache of one core.  This is `wsm-shard`'s pump.
+    pub fn pump_routed(maps: &[Self], shard: usize) {
+        for i in home_first(maps.len(), shard) {
+            if maps[i].buffered() {
+                maps[i].drive();
+            }
+        }
     }
 
     /// True while any deposited operation is still in the parallel buffer
@@ -562,6 +610,8 @@ where
             slots,
             batch,
             results,
+            last_combiner,
+            handovers,
         } = &mut *scratch;
         // Clear rather than assert empty: if a previous combine unwound out
         // of `run_batch`, stale slots must not poison every later combine
@@ -575,6 +625,11 @@ where
         if pending.is_empty() {
             return 0;
         }
+        let me = caller_hint();
+        if last_combiner.is_some_and(|last| last != me) {
+            *handovers += 1;
+        }
+        *last_combiner = Some(me);
         batch.extend(pending.drain(..).enumerate().map(|(i, p)| {
             slots.push(p.slot);
             TaggedOp {

@@ -37,8 +37,11 @@ thread_local! {
 /// argument (`ConcurrentMap::call` and friends), for front-ends whose
 /// callers do not name one.
 ///
-/// The hint only picks which buffer shard a deposit lands in; it affects
-/// contention, never correctness, so a process-wide counter handed out once
+/// The hint picks which buffer shard a deposit lands in and, modulo the
+/// shard count, the caller's home shard of a family of maps
+/// ([`crate::ConcurrentMap::call_routed`], [`crate::ConcurrentMap::pump_routed`]):
+/// the shard it elects and waits on first.  It affects contention and cache
+/// locality, never correctness, so a process-wide counter handed out once
 /// per thread is all that's needed.
 pub fn caller_hint() -> usize {
     static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);

@@ -134,9 +134,9 @@ pub trait BatchedMap<K, V> {
     /// within one batch.
     ///
     /// Both vectors belong to the caller, who keeps them from one batch to
-    /// the next, as [`crate::ConcurrentMap`]'s combiner does: a warmed M2
-    /// then allocates nothing per batch, and a warmed M1 only PPivot's
-    /// per-block vectors, which its cut batches of more than 24 keys reach.
+    /// the next, as [`crate::ConcurrentMap`]'s combiner does: a warmed M1 or
+    /// M2 then allocates nothing per batch but the rare growth of a node
+    /// pool.
     fn run_batch(
         &mut self,
         batch: &mut Vec<TaggedOp<K, V>>,

@@ -12,14 +12,15 @@
 //!                          │                    in caller order
 //!                          │ each op, in order, to ShardedMap::shard_of(key)
 //!             ┌────────────┼────────────┐
-//!             ▼            ▼            ▼         1. deposit: one pass, one
-//!        shard 0       shard 1   …  shard S-1        buffer lock per shard,
-//!        buffer →      buffer →      buffer →        taken in shard order
+//!             ▼            ▼            ▼         1. deposit: one buffer lock
+//!        shard 0       shard 1   …  shard S-1        per touched shard, taken
+//!        buffer →      buffer →      buffer →        in shard order
 //!        combiner      combiner      combiner     2. pump: one combiner-election
-//!             │            │            │            attempt per buffered shard
-//!             └────────────┼────────────┘         3. wait: shard by shard, on
-//!                          ▼ fill cells              its own doorbell
-//!             results in caller order
+//!             │            │            │            attempt per buffered shard,
+//!             │            │            │            home shard first
+//!             └────────────┼────────────┘         3. wait: shard by shard, home
+//!                          ▼ fill cells              first, on each shard's
+//!             results in caller order                own doorbell
 //! ```
 //!
 //! The router has no threads: the callers are the processors.  Both roads
@@ -31,7 +32,16 @@
 //! election pass ([`ShardedMap::pump`]) — after which each touched shard has either
 //! been combined by this caller or is held by an active combiner, whose
 //! activation re-runs while its buffer is non-empty — and blocks shard by
-//! shard until each has filled the last operation routed to it.  Async
+//! shard until each has filled the last operation routed to it.
+//!
+//! Each calling thread has a home shard, [`caller_hint`]` % S`, and both the
+//! election pass and the wait start there and go round-robin.  Two callers
+//! that arrive together each combine their own shard first, so a shard's
+//! segments, buffers and combine scratch stay in one core's cache instead of
+//! moving whenever the callers race for shard 0.  Every buffered shard still
+//! gets its election attempt, and the deposit still locks in shard order, so
+//! the home shard changes where work runs, never what it returns
+//! ([`ShardStats::combiner_handovers`] counts the moves that remain).  Async
 //! callers (`wsm-svc`) stop after the deposit: [`ShardedMap::submit_batch`]
 //! returns the result cells and the caller pumps from its polls.  Operations
 //! of different callers meet in whichever combiner is active on their shard.
@@ -83,6 +93,9 @@ pub struct ShardStats {
     /// Background maintenance runs executed by the shard's map (0 for maps
     /// without a maintenance cascade).
     pub maintenance_runs: u64,
+    /// Combines of the shard that ran on another thread than the shard's
+    /// combine before them (see [`ConcurrentMap::combiner_handovers`]).
+    pub combiner_handovers: u64,
 }
 
 /// A hash-partitioned family of [`ConcurrentMap`] shards behind a batch
@@ -180,6 +193,7 @@ where
                 len: map.len(),
                 effective_work: map.effective_work(),
                 maintenance_runs: map.maintenance_runs(),
+                combiner_handovers: map.combiner_handovers(),
             })
             .collect()
     }
@@ -207,7 +221,7 @@ where
     ///
     /// The calling thread deposits the batch as [`ShardedMap::submit_batch`]
     /// does, makes one election pass over the shards ([`ShardedMap::pump`])
-    /// and then waits shard by shard
+    /// and then waits shard by shard, starting at its home shard
     /// ([`ConcurrentMap::call_routed`]); see the crate docs.  Per-key order
     /// within the batch is preserved — same-key operations go to one shard,
     /// in order.
@@ -228,14 +242,12 @@ where
     }
 
     /// Makes one non-blocking combiner-election attempt on every shard with
-    /// buffered work (see [`ConcurrentMap::pump`]).  The caller may become a
-    /// combiner and execute batches inline; it never waits for one.
+    /// buffered work (see [`ConcurrentMap::pump`]), starting at the calling
+    /// thread's home shard, [`caller_hint`]` % S`, and going round-robin
+    /// ([`ConcurrentMap::pump_routed`]).  The caller may become a combiner
+    /// and execute batches inline; it never waits for one.
     pub fn pump(&self) {
-        for shard in &self.shards {
-            if shard.buffered() {
-                shard.pump();
-            }
-        }
+        ConcurrentMap::pump_routed(&self.shards, caller_hint());
     }
 
     /// True if any shard's parallel buffer holds operations not yet claimed
@@ -575,6 +587,130 @@ mod tests {
                 assert_eq!(v, Some(k + 7), "S={shards} k={k}");
             }
         }
+    }
+
+    /// An M1 that appends its shard's index to a log shared by the family
+    /// each time it runs a batch: the log is the order of the combines.
+    struct Recording {
+        shard: usize,
+        log: Arc<std::sync::Mutex<Vec<usize>>>,
+        inner: M1<u64, u64>,
+    }
+
+    impl BatchedMap<u64, u64> for Recording {
+        fn run_batch(
+            &mut self,
+            batch: &mut Vec<wsm_core::TaggedOp<u64, u64>>,
+            results: &mut Vec<(wsm_core::OpId, OpResult<u64>)>,
+        ) -> wsm_model::Cost {
+            self.log.lock().unwrap().push(self.shard);
+            self.inner.run_batch(batch, results)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn effective_work(&self) -> u64 {
+            self.inner.effective_work()
+        }
+
+        fn effective_span(&self) -> u64 {
+            self.inner.effective_span()
+        }
+    }
+
+    type RecordingMap = ShardedMap<u64, u64, Recording>;
+
+    /// Runs `check(map, log, h)` on fresh threads, each with a fresh map of
+    /// `shards` recording shards, until it has run for every home shard
+    /// `h = caller_hint() % shards`.
+    fn on_every_home(
+        shards: usize,
+        check: impl Fn(&RecordingMap, &std::sync::Mutex<Vec<usize>>, usize) + Sync,
+    ) {
+        let mut homes = vec![false; shards];
+        for _ in 0..1_000 {
+            if homes.iter().all(|&seen| seen) {
+                return;
+            }
+            let home = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let home = caller_hint() % shards;
+                        if !homes[home] {
+                            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+                            let map = ShardedMap::with_shards(shards, |shard| Recording {
+                                shard,
+                                log: Arc::clone(&log),
+                                inner: M1::new(4),
+                            });
+                            check(&map, &log, home);
+                        }
+                        home
+                    })
+                    .join()
+                    .unwrap()
+            });
+            homes[home] = true;
+        }
+        panic!("1 000 threads did not cover every home shard: {homes:?}");
+    }
+
+    /// Deposits searches for 64 keys, which reach every shard, without
+    /// combining them.
+    fn buffer_in_every_shard(map: &RecordingMap) -> Vec<Arc<ResultCell<OpResult<u64>>>> {
+        let keys: Vec<u64> = (0..64).collect();
+        let shards_hit: std::collections::BTreeSet<usize> =
+            keys.iter().map(|k| map.shard_of(k)).collect();
+        assert_eq!(shards_hit.len(), map.shards(), "64 keys reach every shard");
+        map.submit_batch(keys.into_iter().map(Operation::Search).collect())
+    }
+
+    /// The shards in the order a caller with home `home` visits them.
+    fn home_order(home: usize, shards: usize) -> Vec<usize> {
+        (home..shards).chain(0..home).collect()
+    }
+
+    #[test]
+    fn pump_combines_the_home_shard_first() {
+        for shards in [2usize, 4] {
+            on_every_home(shards, |map, log, home| {
+                let cells = buffer_in_every_shard(map);
+                map.pump();
+                assert_eq!(*log.lock().unwrap(), home_order(home, shards), "S={shards}");
+                assert!(cells.iter().all(|cell| cell.is_filled()));
+            });
+        }
+    }
+
+    #[test]
+    fn run_batch_combines_the_home_shard_first() {
+        for shards in [2usize, 4] {
+            on_every_home(shards, |map, log, home| {
+                let cells = buffer_in_every_shard(map);
+                let got = map.run_batch(vec![Operation::Insert(7, 70), Operation::Search(7)]);
+                assert_eq!(
+                    got,
+                    vec![OpResult::Insert(None), OpResult::Search(Some(70))]
+                );
+                assert_eq!(*log.lock().unwrap(), home_order(home, shards), "S={shards}");
+                assert!(cells.iter().all(|cell| cell.is_filled()));
+            });
+        }
+    }
+
+    #[test]
+    fn a_combine_on_another_thread_counts_one_handover() {
+        let map = sharded(1);
+        let handovers = || map.shard_stats()[0].combiner_handovers;
+        map.insert(1, 10);
+        assert_eq!(map.get(1), Some(10));
+        assert_eq!(handovers(), 0, "one thread's combines hand nothing over");
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert_eq!(map.get(1), Some(10)));
+        });
+        assert_eq!(handovers(), 1, "a second thread's combine is one handover");
     }
 
     #[test]

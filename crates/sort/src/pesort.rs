@@ -12,7 +12,7 @@
 //! a stable three-way split), so the grouped output can be used directly to
 //! combine duplicate operations in a batch.
 
-use crate::ppivot::ppivot_by;
+use crate::ppivot::{ppivot_in, PivotBuffers};
 use std::cmp::Ordering;
 use wsm_model::{ceil_log2, Cost};
 
@@ -36,7 +36,7 @@ where
     let cost = pesort_idx(
         &mut idx,
         &|a: &u32, b: &u32| cmp(&items[*a as usize], &items[*b as usize]),
-        &mut Vec::new(),
+        &mut Temps::default(),
     );
     let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
     let sorted = idx
@@ -68,15 +68,24 @@ pub fn pesort_group<K: Ord + Clone + Send + Sync>(keys: &[K]) -> (Vec<(K, Vec<us
 }
 
 /// Reusable scratch buffers for [`pesort_group_into`]: the index permutation
-/// being sorted plus a pool of recycled partition temporaries.  Holding one
-/// of these across batches makes repeated grouping allocation-free in steady
-/// state.
+/// being sorted, a pool of recycled partition temporaries and PPivot's
+/// buffers.  Holding one of these across batches makes repeated grouping
+/// allocation-free in steady state.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// The index permutation under sort.
     idx: Vec<u32>,
+    /// The recursion's temporaries.
+    temps: Temps,
+}
+
+/// The temporaries of one PESort recursion.
+#[derive(Debug, Default)]
+struct Temps {
     /// Recycled partition temporaries (lower/middle/upper index buffers).
     pool: Vec<Vec<u32>>,
+    /// PPivot's per-block and block-median index buffers.
+    pivot: PivotBuffers,
 }
 
 /// Keep at most this many recycled buffers per scratch; parallel recursion
@@ -174,7 +183,7 @@ pub fn pesort_group_into<K: Ord + Clone + Send + Sync>(
     scratch.idx.clear();
     scratch.idx.extend(0..n32);
     let cmp = |a: &u32, b: &u32| keys[*a as usize].cmp(&keys[*b as usize]);
-    let sort_cost = pesort_idx(&mut scratch.idx, &cmp, &mut scratch.pool);
+    let sort_cost = pesort_idx(&mut scratch.idx, &cmp, &mut scratch.temps);
 
     // Group the sorted permutation: equal keys are adjacent, and within a
     // group positions are ascending because the sort is stable by key.
@@ -196,17 +205,17 @@ pub fn pesort_group_into<K: Ord + Clone + Send + Sync>(
     sort_cost.then(Cost::flat(n as u64))
 }
 
-/// PESort over an index permutation, with pooled partition temporaries —
-/// the one PESort recursion, behind both [`pesort_by`] and
-/// [`pesort_group_into`].
+/// PESort over an index permutation, with pooled temporaries — the one
+/// PESort recursion, behind both [`pesort_by`] and [`pesort_group_into`].
 ///
 /// The lower/middle/upper temporaries are drawn from (and returned to)
-/// `pool` instead of freshly allocated, and the base case uses an in-place
+/// `temps.pool`, and PPivot selects through `temps.pivot`, instead of
+/// allocating afresh; the base case uses an in-place
 /// unstable sort with an index tie-break — every partition is stable, so
 /// within a sub-slice equal keys sit in ascending index order, and the
 /// tie-broken order equals the stable-by-key order without the stable
 /// sort's scratch allocation.
-fn pesort_idx<F>(idx: &mut [u32], cmp: &F, pool: &mut Vec<Vec<u32>>) -> Cost
+fn pesort_idx<F>(idx: &mut [u32], cmp: &F, temps: &mut Temps) -> Cost
 where
     F: Fn(&u32, &u32) -> Ordering + Sync,
 {
@@ -216,8 +225,9 @@ where
         let k = k as u64;
         return Cost::serial(k * (u64::from(ceil_log2(k.max(1))) + 1));
     }
-    let (pivot_pos, pivot_cost) = ppivot_by(idx, cmp);
+    let (pivot_pos, pivot_cost) = ppivot_in(idx, cmp, &mut temps.pivot);
     let pivot = idx[pivot_pos];
+    let pool = &mut temps.pool;
 
     // Stable three-way partition through pooled temporaries, copied back into
     // the same slice.  The paper parallelises this with a prefix-sum; the
@@ -248,23 +258,23 @@ where
     let (lower_slice, rest) = idx.split_at_mut(lower_len);
     let (_, upper_slice) = rest.split_at_mut(middle_len);
     let (lower_cost, upper_cost) = if k >= PAR_GRAIN {
-        // Parallel branches cannot share the pool; the stolen side seeds its
-        // own (only O(log n) such seeds exist above the grain).
-        let mut right_pool = Vec::new();
+        // Parallel branches cannot share the temporaries; the stolen side
+        // seeds its own (only O(log n) such seeds exist above the grain).
+        let mut right = Temps::default();
         let costs = wsm_pool::join(
-            || pesort_idx(lower_slice, cmp, pool),
-            || pesort_idx(upper_slice, cmp, &mut right_pool),
+            || pesort_idx(lower_slice, cmp, temps),
+            || pesort_idx(upper_slice, cmp, &mut right),
         );
-        for buf in right_pool {
-            if pool.len() < SCRATCH_POOL_CAP {
-                pool.push(buf);
+        for buf in right.pool {
+            if temps.pool.len() < SCRATCH_POOL_CAP {
+                temps.pool.push(buf);
             }
         }
         costs
     } else {
         (
-            pesort_idx(lower_slice, cmp, pool),
-            pesort_idx(upper_slice, cmp, pool),
+            pesort_idx(lower_slice, cmp, temps),
+            pesort_idx(upper_slice, cmp, temps),
         )
     };
 

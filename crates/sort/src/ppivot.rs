@@ -8,6 +8,16 @@
 use std::cmp::Ordering;
 use wsm_model::{ceil_log2, Cost};
 
+/// PPivot's index buffers — one block's indices and the block medians —
+/// kept from one call to the next, so a caller that picks pivot after pivot
+/// (PESort's recursion, through [`crate::SortScratch`]) allocates nothing
+/// once they have grown.
+#[derive(Debug, Default)]
+pub(crate) struct PivotBuffers {
+    block: Vec<usize>,
+    medians: Vec<usize>,
+}
+
 /// Picks a pivot guaranteed to lie within the two middle quartiles of `items`
 /// (by the given comparator).  Returns the index of the chosen pivot in
 /// `items` and the analytic cost of the selection.
@@ -15,30 +25,45 @@ use wsm_model::{ceil_log2, Cost};
 /// # Panics
 /// Panics if `items` is empty.
 pub fn ppivot_by<T, F: Fn(&T, &T) -> Ordering>(items: &[T], cmp: &F) -> (usize, Cost) {
+    ppivot_in(items, cmp, &mut PivotBuffers::default())
+}
+
+/// [`ppivot_by`] through buffers the caller keeps.
+pub(crate) fn ppivot_in<T, F: Fn(&T, &T) -> Ordering>(
+    items: &[T],
+    cmp: &F,
+    bufs: &mut PivotBuffers,
+) -> (usize, Cost) {
     assert!(!items.is_empty(), "cannot pick a pivot from an empty slice");
+    let PivotBuffers {
+        block: idx,
+        medians,
+    } = bufs;
     let k = items.len();
     if k <= 4 {
         // Tiny inputs: the median of the whole slice.
-        let mut idx: Vec<usize> = (0..k).collect();
+        idx.clear();
+        idx.extend(0..k);
         idx.sort_by(|&a, &b| cmp(&items[a], &items[b]));
         return (idx[k / 2], Cost::serial(k as u64 + 1));
     }
     let block = (ceil_log2(k as u64) as usize).max(2);
     // Median index of each block, found by a linear-time selection.
-    let mut block_medians: Vec<usize> = Vec::with_capacity(k / block + 1);
+    medians.clear();
     let mut start = 0;
     while start < k {
         let end = (start + block).min(k);
-        let mut idx: Vec<usize> = (start..end).collect();
+        idx.clear();
+        idx.extend(start..end);
         let mid = idx.len() / 2;
         idx.select_nth_unstable_by(mid, |&a, &b| cmp(&items[a], &items[b]));
-        block_medians.push(idx[mid]);
+        medians.push(idx[mid]);
         start = end;
     }
     // Median of the block medians.
-    let mid = block_medians.len() / 2;
-    block_medians.select_nth_unstable_by(mid, |&a, &b| cmp(&items[a], &items[b]));
-    let pivot_idx = block_medians[mid];
+    let mid = medians.len() / 2;
+    medians.select_nth_unstable_by(mid, |&a, &b| cmp(&items[a], &items[b]));
+    let pivot_idx = medians[mid];
     // Work O(k): each block costs O(block); span O(log k): blocks in parallel
     // plus sorting the c = k / log k medians.
     let cost = Cost::new(
