@@ -9,10 +9,10 @@
 //! With no experiment argument, all experiments run at their default
 //! (paper-shaped) sizes; `--small` shrinks them for a quick smoke run.
 //!
-//! `--threads N` pins the work-stealing pool: E1–E14 run inside a dedicated
-//! `N`-worker pool (their analytic results are thread-count independent, but
-//! their wall-clock time is not), and E15 — the wall-clock scaling
-//! experiment — sweeps worker counts `1, 2, 4, 8` capped at `N`.
+//! `--threads N` sets the fork budget: E1–E14 run under
+//! `wsm_pool::with_threads(N, ..)` (their analytic results are thread-count
+//! independent, but their wall-clock time is not), and E15 — the wall-clock
+//! scaling experiment — sweeps budgets `1, 2, 4, 8` capped at `N`.
 //!
 //! Every experiment additionally writes a machine-readable
 //! `BENCH_<id>.json` artifact (into `$WSM_BENCH_DIR`, defaulting to the
@@ -34,15 +34,11 @@ struct Sizes {
     hot_requests: usize,
 }
 
-/// Runs `f` on the dedicated pool when `--threads` was given, otherwise
-/// directly (global pool).  One pool is created per harness run and shared by
-/// every experiment, so per-table timings do not include pool start-up.
-fn in_pool(
-    pool: Option<&wsm_pool::ThreadPool>,
-    f: impl FnOnce() -> Vec<bench::Row> + Send,
-) -> Vec<bench::Row> {
-    match pool {
-        Some(pool) => pool.install(f),
+/// Runs `f` under a fork budget of `--threads` when it was given, otherwise
+/// directly (the default budget, the machine's available parallelism).
+fn with_budget(threads: Option<usize>, f: impl FnOnce() -> Vec<bench::Row>) -> Vec<bench::Row> {
+    match threads {
+        Some(n) => wsm_pool::with_threads(n, f),
         None => f(),
     }
 }
@@ -149,8 +145,6 @@ fn main() {
     let threads = parsed.threads;
     let which: Vec<&str> = parsed.which.iter().map(String::as_str).collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
-    let shared_pool = threads.map(wsm_pool::ThreadPool::new);
-    let shared_pool = shared_pool.as_ref();
     let sizes = if small {
         Sizes {
             keyspace: 1 << 10,
@@ -178,7 +172,7 @@ fn main() {
     let run = |name: &str| which.contains(&"all") || which.contains(&name);
 
     if run("e1") || run("e2") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_sequential_ws(sizes.keyspace, sizes.operations)
         });
         emit(
@@ -190,7 +184,7 @@ fn main() {
         );
     }
     if run("e3") || run("e5") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_parallel_work(sizes.keyspace, sizes.operations / 2, &[2, 4, 8, 16])
         });
         emit(
@@ -202,7 +196,7 @@ fn main() {
         );
     }
     if run("e4") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_m1_span(sizes.keyspace, sizes.operations / 2, &[2, 4, 8, 16, 32])
         });
         emit(
@@ -214,9 +208,7 @@ fn main() {
         );
     }
     if run("e6") {
-        let rows = in_pool(shared_pool, || {
-            bench::experiment_m2_latency(sizes.keyspace, 8)
-        });
+        let rows = with_budget(threads, || bench::experiment_m2_latency(sizes.keyspace, 8));
         emit(
             &["e6"],
             "E6: M2 per-operation pipeline latency by recency",
@@ -226,7 +218,7 @@ fn main() {
         );
     }
     if run("e7") {
-        let rows = in_pool(shared_pool, || bench::experiment_buffer_cost(&[4, 16, 64]));
+        let rows = with_budget(threads, || bench::experiment_buffer_cost(&[4, 16, 64]));
         emit(
             &["e7"],
             "E7: parallel buffer flush cost",
@@ -236,7 +228,7 @@ fn main() {
         );
     }
     if run("e8") || run("e9") {
-        let rows = in_pool(shared_pool, || bench::experiment_sorting(sizes.sort_n));
+        let rows = with_budget(threads, || bench::experiment_sorting(sizes.sort_n));
         emit(
             &["e8", "e9"],
             "E8/E9: ESort and PESort work vs the entropy bound",
@@ -246,7 +238,7 @@ fn main() {
         );
     }
     if run("e10") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_static_optimality(sizes.keyspace, sizes.operations / 2)
         });
         emit(
@@ -258,7 +250,7 @@ fn main() {
         );
     }
     if run("e11") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_phase_shift(sizes.keyspace, sizes.operations, 8)
         });
         emit(
@@ -270,7 +262,7 @@ fn main() {
         );
     }
     if run("e12") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_combine_ablation(sizes.keyspace, 1 << 10)
         });
         emit(
@@ -282,9 +274,7 @@ fn main() {
         );
     }
     if run("e13") {
-        let rows = in_pool(shared_pool, || {
-            bench::experiment_pipelining(sizes.keyspace, 8)
-        });
+        let rows = with_budget(threads, || bench::experiment_pipelining(sizes.keyspace, 8));
         emit(
             &["e13"],
             "E13: pipelining — M1 vs M2 latency for hot ops behind cold misses",
@@ -294,7 +284,7 @@ fn main() {
         );
     }
     if run("e14") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_invariants(sizes.keyspace.min(1 << 12), sizes.operations.min(1 << 14))
         });
         emit(
@@ -306,7 +296,7 @@ fn main() {
         );
     }
     if run("e17") {
-        let rows = in_pool(shared_pool, || {
+        let rows = with_budget(threads, || {
             bench::experiment_cost_constants(sizes.keyspace, sizes.operations)
         });
         emit(
@@ -319,7 +309,7 @@ fn main() {
     }
     if run("e18") {
         // E18 reads the thread-local tree-pass counter, so it runs directly
-        // on this thread (not through the pool wrapper).
+        // on this thread (not through the `with_budget` wrapper).
         let rows = bench::experiment_tree_passes(sizes.keyspace, sizes.operations / 2);
         emit(
             &["e18"],
@@ -330,7 +320,7 @@ fn main() {
         );
     }
     if run("e16") {
-        // E16 spawns its own OS threads, so it runs outside the `in_pool`
+        // E16 spawns its own OS threads, so it runs outside the `with_budget`
         // wrapper.
         let t = threads.unwrap_or(4).max(1);
         let rows =
@@ -345,7 +335,7 @@ fn main() {
     }
     if run("e19") {
         // E19 spawns its own OS threads, which block in `run_batch`, so it
-        // runs outside the `in_pool` wrapper.
+        // runs outside the `with_budget` wrapper.
         let t = threads.unwrap_or(4).max(1);
         let rows = bench::experiment_sharded(
             sizes.keyspace,
@@ -363,7 +353,7 @@ fn main() {
     }
     if run("e20") {
         // E20 spawns its own OS threads and owns its WAL temp dirs, so it
-        // runs outside the `in_pool` wrapper.
+        // runs outside the `with_budget` wrapper.
         let t = threads.unwrap_or(4).max(1);
         let rows = bench::experiment_wal_overhead(
             sizes.keyspace,
@@ -380,7 +370,7 @@ fn main() {
         );
     }
     if run("e21") {
-        // E21 owns its async executor, so it runs outside the `in_pool`
+        // E21 owns its async executor, so it runs outside the `with_budget`
         // wrapper.
         let t = threads.unwrap_or(2).max(1);
         let (clients, requests, batch, interval_us) = if small {
@@ -415,8 +405,8 @@ fn main() {
         );
     }
     if run("e15") {
-        // E15 manages its own pools (one per swept worker count), so it runs
-        // outside the `in_pool` wrapper.
+        // E15 sets its own fork budget per swept thread count, so it runs
+        // outside the `with_budget` wrapper.
         let cap = threads.unwrap_or(8).max(1);
         let mut sweep: Vec<usize> = [1usize, 2, 4, 8]
             .into_iter()
@@ -433,7 +423,7 @@ fn main() {
         );
         emit(
             &["e15"],
-            "E15: wall-clock scaling (pesort by pool workers / concurrent map by callers)",
+            "E15: wall-clock scaling (pesort by fork budget / concurrent map by callers)",
             &rows,
             threads,
             small,

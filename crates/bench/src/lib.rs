@@ -547,22 +547,23 @@ pub fn experiment_pipelining(keyspace: u64, p: usize) -> Vec<Row> {
     )]
 }
 
-/// E15: wall-clock scaling of the parallel substrates on the work-stealing
-/// pool (`wsm-pool`) at increasing worker counts.
+/// E15: wall-clock scaling of PESort by fork budget and of the concurrent
+/// map by calling threads.
 ///
-/// Two workloads — the two places production code forks onto the pool —
-/// each timed end-to-end and reported as mean ns per operation plus speedup
-/// over the first (usually 1-worker) configuration:
+/// Two workloads, each timed end-to-end and reported as mean ns per operation
+/// plus speedup over the first (usually 1-thread) configuration:
 ///
-/// * `pesort` — one parallel entropy sort of `sort_n` random keys;
+/// * `pesort` — one parallel entropy sort of `sort_n` random keys under
+///   `wsm_pool::with_threads(t, ..)`, so its fork runs on up to `t` threads;
 /// * `concurrent map` — `t` OS threads hammering a [`wsm_core::ConcurrentMap`]
 ///   (insert + search on disjoint ranges): caller scaling, with every batch
 ///   run on the thread that wins the combiner election (these batches stay
-///   far below PESort's fork, so the pool size does not enter).
+///   far below PESort's fork, so the fork budget does not enter).
 ///
-/// Unlike E1–E14 this measures *wall-clock* time, not analytic cost: it is
-/// the experiment that justifies the pool's existence (speedup curves), so
-/// its output is meaningful only on a multi-core runner.
+/// Unlike E1–E14 this measures *wall-clock* time, not analytic cost: its
+/// `pesort` rows are the measurement that keeps PESort's fork (1.6× or more
+/// at 2^20 keys on 2 threads), so its output is meaningful only on a
+/// multi-core runner.
 pub fn experiment_scaling(
     sort_n: usize,
     map_ops: usize,
@@ -601,13 +602,11 @@ pub fn experiment_scaling(
     };
 
     for &t in thread_counts {
-        let pool = Arc::new(wsm_pool::ThreadPool::new(t));
-
         // PESort of `sort_n` random keys.
         let mut total_ns = 0.0;
         for _ in 0..reps {
             let input = sort_input.clone();
-            total_ns += pool.install(move || {
+            total_ns += wsm_pool::with_threads(t, move || {
                 let start = Instant::now();
                 let (sorted, _) = pesort(input);
                 let ns = start.elapsed().as_nanos() as f64;

@@ -1,9 +1,9 @@
 //! `wsm-check` CLI: runs the bundled self-checks and seeded-bug fixtures.
 //!
-//! The full protocol harnesses (the real doorbell + parallel buffer, result
-//! cell and pool registry handshake code) live in `crates/check/tests/`
-//! because they need the production crates as dev-dependencies, which a
-//! binary target cannot see; run them with `cargo test -p wsm-check`.
+//! The full protocol harnesses (the real doorbell + parallel buffer and
+//! result cell code) live in `crates/check/tests/` because they need the
+//! production crates as dev-dependencies, which a binary target cannot
+//! see; run them with `cargo test -p wsm-check`.
 //! This binary proves the engine itself: sanity schedules, deadlock
 //! detection, TSO refutation, and the three intentionally buggy fixtures
 //! with their replayable traces.

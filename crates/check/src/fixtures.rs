@@ -193,11 +193,10 @@ pub fn racy_claim_harness() {
 }
 
 /// A Dekker-style store/load handshake with the publisher's store weakened
-/// from `SeqCst` to `Release` — exactly the downgrade the ordering audit
-/// must reject for the pool's latch/client-gate pair.  Under TSO the
-/// `Release` store may sit in the store buffer while the same thread's
-/// subsequent load runs, so both sides can read 0 and *neither* wakes the
-/// other.
+/// from `SeqCst` to `Release`: a self-test of the checker's TSO store-buffer
+/// mode, which must find the schedule this breaks.  Under TSO the `Release`
+/// store may sit in the store buffer while the same thread's subsequent load
+/// runs, so both sides can read 0 and *neither* wakes the other.
 pub struct RelaxedDekker {
     /// "Latch is set" flag (publisher writes, waiter reads).
     flag: AtomicUsize,

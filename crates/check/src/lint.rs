@@ -2,10 +2,9 @@
 //!
 //! Rules (each with a fixture in `tests/lint_fixtures/` that must trip it):
 //!
-//! * **R1 `unsafe-outside-pool`** — the `unsafe` keyword may appear only
-//!   under `crates/pool/` (the one crate allowed to hold it).
-//! * **R2 `missing-forbid-header`** — every other `crates/*/src/lib.rs`
-//!   must open with `#![forbid(unsafe_code)]`.
+//! * **R1 `unsafe-code`** — the `unsafe` keyword may not appear in code.
+//! * **R2 `missing-forbid-header`** — every `crates/*/src/lib.rs` must
+//!   open with `#![forbid(unsafe_code)]`.
 //! * **R3 `unjustified-ordering`** — every `Ordering::Relaxed` / `Acquire` /
 //!   `Release` / `AcqRel` site in the concurrent crates (`sync`, `pool`,
 //!   `core`) outside test code must carry a `// ord:` justification comment
@@ -43,7 +42,7 @@ use std::path::{Path, PathBuf};
 /// A single rule violation.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Rule identifier (e.g. `unsafe-outside-pool`).
+    /// Rule identifier (e.g. `unsafe-code`).
     pub rule: &'static str,
     /// File the violation is in (repo-relative where possible).
     pub file: PathBuf,
@@ -333,28 +332,23 @@ fn line_has_allow(lines: &[&str], ln_1based: usize, marker: &str) -> bool {
     false
 }
 
-/// R1: `unsafe` outside `crates/pool`.
+/// R1: `unsafe` in code.
 fn rule_unsafe(file: &SourceFile, masked: &str, out: &mut Vec<Violation>) {
-    if file.in_dir("crates/pool/") {
-        return;
-    }
     for (line, _) in word_sites(masked, "unsafe") {
         out.push(Violation {
-            rule: "unsafe-outside-pool",
+            rule: "unsafe-code",
             file: file.path.clone(),
             line,
-            message: "`unsafe` is confined to crates/pool; move the code or \
-                      express it safely"
-                .to_string(),
+            message: "no crate may hold `unsafe`; express the code safely".to_string(),
         });
     }
 }
 
-/// R2: `#![forbid(unsafe_code)]` header in every non-pool crate's lib.rs.
+/// R2: `#![forbid(unsafe_code)]` header in every crate's lib.rs.
 fn rule_forbid_header(file: &SourceFile, masked: &str, out: &mut Vec<Violation>) {
     let rel = file.rel();
     let is_lib = rel.starts_with("crates/") && rel.ends_with("/src/lib.rs");
-    if !is_lib || file.in_dir("crates/pool/") {
+    if !is_lib {
         return;
     }
     let has = masked.lines().any(|l| {
@@ -427,8 +421,8 @@ fn rule_no_sleep(file: &SourceFile, masked: &str, out: &mut Vec<Violation>) {
     for (line, col) in word_sites(masked, "sleep") {
         let masked_line = masked.lines().nth(line - 1).unwrap_or("");
         let prefix = &masked_line[..col];
-        // `thread::sleep(` / `std::thread::sleep(`; ignore e.g. the pool's
-        // `Sleep` struct (capital S) and method names like `sleepers`.
+        // `thread::sleep(` / `std::thread::sleep(`; ignore e.g. a `Sleep`
+        // struct (capital S) and method names like `sleepers`.
         if !prefix.trim_end().ends_with("thread::") {
             continue;
         }

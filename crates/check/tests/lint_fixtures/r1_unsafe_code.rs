@@ -1,5 +1,5 @@
-//! Fixture: trips R1 `unsafe-outside-pool` when presented as a file under
-//! `crates/core/`.  The doc-comment and string occurrences of the keyword
+//! Fixture: trips R1 `unsafe-code` when presented as a file under any
+//! `crates/*/src/`.  The doc-comment and string occurrences of the keyword
 //! below must NOT trip it — only the real code site does.
 
 /// This doc comment says unsafe and must be masked out.

@@ -25,15 +25,15 @@ fn rules_of(violations: &[Violation]) -> Vec<&'static str> {
 
 #[test]
 fn r1_unsafe_trips_outside_pool_only_at_code_sites() {
-    let text = include_str!("lint_fixtures/r1_unsafe_outside_pool.rs");
+    let text = include_str!("lint_fixtures/r1_unsafe_code.rs");
     let v = lint_as("crates/core/src/bad.rs", text);
-    assert_eq!(rules_of(&v), ["unsafe-outside-pool"], "got: {v:?}");
+    assert_eq!(rules_of(&v), ["unsafe-code"], "got: {v:?}");
     // Exactly the one code site — the doc comment and string literal
     // occurrences of the keyword are masked out.
     assert_eq!(v[0].line, 9, "got: {v:?}");
-    // The same file under crates/pool/ is legal.
-    let v = lint_as("crates/pool/src/ok.rs", text);
-    assert!(v.is_empty(), "pool may hold unsafe, got: {v:?}");
+    // crates/pool/ is no exception.
+    let v = lint_as("crates/pool/src/bad.rs", text);
+    assert_eq!(rules_of(&v), ["unsafe-code"], "got: {v:?}");
 }
 
 #[test]
@@ -44,9 +44,9 @@ fn r2_missing_forbid_header_trips_only_crate_roots() {
     // Non-root modules carry no header duty.
     let v = lint_as("crates/demo/src/util.rs", text);
     assert!(v.is_empty(), "non-root module needs no header, got: {v:?}");
-    // crates/pool is the sanctioned unsafe holder; no header duty either.
+    // crates/pool/ is no exception.
     let v = lint_as("crates/pool/src/lib.rs", text);
-    assert!(v.is_empty(), "pool lib.rs needs no header, got: {v:?}");
+    assert_eq!(rules_of(&v), ["missing-forbid-header"], "got: {v:?}");
     // A real attribute satisfies the rule.
     let fixed = format!("#![forbid(unsafe_code)]\n{text}");
     let v = lint_as("crates/demo/src/lib.rs", &fixed);

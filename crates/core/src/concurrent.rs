@@ -40,10 +40,6 @@
 //! its map's [`ParallelBuffer`] under one buffer-shard lock per map it
 //! touches, taken in map order, with no staging vector in between.
 //!
-//! One usage rule follows from PESort's fork: do not call the map from
-//! *inside* a work-stealing pool task (`wsm_pool::join`/`scope` closures) —
-//! map calls block on the doorbell, and a blocked worker cannot help execute
-//! the fork of a batch above 2 048 keys that another caller is combining.
 //! Ordinary OS threads (as in the tests, examples and benches) are the
 //! intended callers, matching the paper's model of `p` processors calling
 //! the map.  `wsm-shard`'s `ShardedMap::run_batch` puts no thread between

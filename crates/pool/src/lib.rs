@@ -1,189 +1,85 @@
-//! # wsm-pool — a work-stealing fork-join thread pool
+//! # wsm-pool — fork-join on scoped threads
 //!
-//! The paper's headline results are parallel (`p`-processor batch operations,
-//! parallel entropy sort, the concurrent working-set maps).  This crate is
-//! the in-repo execution substrate: a fork-join pool on `std::thread` with
-//! per-worker steal-from-the-front deques, which `wsm-sort`'s PESort forks
-//! through.  Everything the workspace needs is provided:
+//! PESort's fork ([`join`], at 2 048 keys and above) is the one production
+//! caller.  The paper's span and work bounds are computed analytically, so
+//! which thread runs a branch never changes a `Cost`; the fork only buys
+//! wall-clock time on large sorts (E15).
 //!
-//! * [`join`] — the fork-join primitive; the rayon-compatible contract
-//!   (closures may borrow the caller's stack, panics propagate, the first
-//!   panic wins).
-//! * [`scope`] / [`Scope::spawn`] — structured spawns that may borrow data of
-//!   lifetime `'scope`.
-//! * [`ThreadPool`] / [`with_threads`] — explicitly sized pools for scaling
-//!   experiments (`harness e15 --threads 4`).
-//! * [`par_map`] / [`par_chunks`] — the slice helpers behind
-//!   `par_iter().map().collect()`.
-//! * [`run`] — "make sure this runs inside a pool": inline when already on a
-//!   worker, shipped to the global pool otherwise (used by `ConcurrentMap`'s
-//!   combiner so batch execution parallelises internally).
+//! * [`join`] — runs two closures, the second on a scoped thread while the
+//!   calling thread has a fork budget of at least 2.  Closures may borrow
+//!   the caller's stack.
+//! * [`with_threads`] — runs a closure under a fork budget of `n` threads:
+//!   however deeply its joins nest, at most `n` of their leaves run at once.
+//!   A thread outside any `with_threads` has the machine's available
+//!   parallelism.  E15 and `harness --threads` set the budget this way.
+//! * [`par_map`] and [`run`] — kept only because the benchmark's `pool.*`
+//!   probes call them; they go with the next change to the benchmark.
 //!
-//! ## Execution model
-//!
-//! Each worker owns a deque: it pushes and pops fork-join continuations at
-//! the back (LIFO — the cache-hot path), while idle workers steal from the
-//! front (FIFO — the biggest subproblems).  A `join(a, b)` pushes `b`, runs
-//! `a`, then either pops `b` back un-stolen and runs it inline, or — if a
-//! thief took it — works on other jobs until the thief's completion latch is
-//! set.  Blocked external threads park on the registry's client condvar;
-//! idle workers park on the sleep condvar; both are woken through
-//! missed-wakeup-free Dekker handshakes (see `registry.rs`).
-//!
-//! ## Safety
-//!
-//! This is the only workspace crate that contains `unsafe`: the standard
-//! fork-join lifetime erasure (jobs on the owner's stack are reachable
-//! through type-erased pointers while the owner is provably blocked in the
-//! owning frame).  The protocol is documented in `job.rs`; every other crate
-//! keeps `#![forbid(unsafe_code)]`.
-//!
-//! The one usage rule: **do not block a worker on events produced outside
-//! the pool** (e.g. calling `ConcurrentMap` operations from inside a pool
-//! task) — workers only make progress by executing pool jobs.
+//! A fork spawns an OS thread, so a branch that blocks (on a map's doorbell,
+//! say) starves nobody.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod handshake;
-mod job;
 mod par;
-mod registry;
-mod scope;
 
-pub use par::{par_chunks, par_map};
-pub use scope::{scope, Scope};
+pub use par::par_map;
 
-use job::StackJob;
-use registry::{IdleBackoff, Registry, WorkerThread};
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+use std::thread;
 
-// ---------------------------------------------------------------------------
-// Global pool
-// ---------------------------------------------------------------------------
+thread_local! {
+    /// The fork budget set by [`with_threads`] on this thread, if any.
+    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
-static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-
-/// The process-wide pool, created on first use with [`default_thread_count`]
-/// workers.  Its threads are detached: the pool lives for the process.
-pub(crate) fn global_registry() -> &'static Arc<Registry> {
-    GLOBAL.get_or_init(|| {
-        let (registry, handles) = Registry::new(default_thread_count());
-        drop(handles); // detach
-        registry
+/// The calling thread's fork budget: its [`with_threads`] count, or the
+/// machine's available parallelism (read once per process).
+fn budget() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    BUDGET.with(Cell::get).unwrap_or_else(|| {
+        *DEFAULT.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
     })
 }
 
-/// Worker count for the global pool: `WSM_POOL_THREADS` if set to a positive
-/// integer, otherwise the machine's available parallelism.  A garbage value
-/// warns once on stderr and uses the parallelism default.
-pub fn default_thread_count() -> usize {
-    let fallback = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    wsm_sync::env::parse(
-        "WSM_POOL_THREADS",
-        "a positive worker count",
-        fallback,
-        |&n| n > 0,
-    )
-}
-
-/// Worker count of the pool the caller is running in (the current worker's
-/// registry, or the global pool for non-worker threads).
-pub fn current_num_threads() -> usize {
-    WorkerThread::with_current(|worker| match worker {
-        Some(worker) => worker.registry.num_threads(),
-        None => global_registry().num_threads(),
-    })
-}
-
-/// Runs `f` inside a pool: inline if the caller is already a pool worker,
-/// otherwise as a root job on the global pool.  Nested [`join`]s inside `f`
-/// therefore always have a work-stealing context.
-pub fn run<F, R>(f: F) -> R
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    WorkerThread::with_current(|worker| match worker {
-        Some(_) => f(),
-        None => global_registry().in_worker(f),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Explicitly sized pools
-// ---------------------------------------------------------------------------
-
-/// An owned pool with a fixed number of worker threads.
-///
-/// Dropping the pool terminates and joins its workers (all installed work has
-/// completed by then — [`ThreadPool::install`] blocks until `f` returns).
-pub struct ThreadPool {
-    registry: Arc<Registry>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Creates a pool with `num_threads` workers (at least one).
-    pub fn new(num_threads: usize) -> ThreadPool {
-        let (registry, handles) = Registry::new(num_threads);
-        ThreadPool { registry, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.registry.num_threads()
-    }
-
-    /// Runs `f` on this pool and returns its result.  [`join`]s, scopes and
-    /// `par_*` calls made inside `f` execute on this pool's workers.
-    pub fn install<F, R>(&self, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-    {
-        WorkerThread::with_current(|worker| match worker {
-            Some(worker) if Arc::ptr_eq(&worker.registry, &self.registry) => f(),
-            _ => self.registry.in_worker(f),
-        })
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.registry.request_terminate();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Runs `f` on a freshly created `num_threads`-worker pool, tearing the pool
-/// down afterwards.  The runner for scaling experiments: everything `f` does
-/// through [`join`] / `par_*` uses exactly `num_threads` workers.
+/// Runs `f` with a fork budget of `num_threads` (at least 1) and returns its
+/// result: every [`join`] inside `f`, however deeply nested, runs at most
+/// `num_threads` leaves at once.  The previous budget is restored when `f`
+/// returns or unwinds.
 pub fn with_threads<F, R>(num_threads: usize, f: F) -> R
 where
-    F: FnOnce() -> R + Send,
-    R: Send,
+    F: FnOnce() -> R,
 {
-    ThreadPool::new(num_threads).install(f)
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.with(|budget| budget.set(self.0));
+        }
+    }
+    let _restore = Restore(BUDGET.with(|budget| budget.replace(Some(num_threads.max(1)))));
+    f()
 }
 
-// ---------------------------------------------------------------------------
-// join
-// ---------------------------------------------------------------------------
+/// Runs `f` on the calling thread.  Kept only because the benchmark's
+/// `pool.*` probes still call it; it goes with the next change to the
+/// benchmark.
+pub fn run<F, R>(f: F) -> R
+where
+    F: FnOnce() -> R,
+{
+    f()
+}
 
-/// Runs both closures, potentially in parallel, and returns both results.
+/// Runs both closures, in parallel while the fork budget allows, and returns
+/// both results.
 ///
-/// Semantics match rayon's `join`: `a` runs on the calling context while `b`
-/// is made available for stealing; if nobody steals it, the caller runs it
-/// inline (so a pool of one worker degenerates to sequential execution with
-/// negligible overhead).  If either closure panics, the panic is propagated
-/// to the caller — but never before both closures have settled, so borrows
-/// held by the sibling stay sound.
+/// With a budget of at least 2, `oper_b` runs on a scoped thread under half
+/// the budget (rounded down) and `oper_a` runs on the caller under the rest.
+/// Below that, both run inline, `oper_a` first.  A panic on either side
+/// propagates only once both sides have settled (run or been dropped); if
+/// both panic, `oper_a`'s panic wins.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -191,111 +87,26 @@ where
     RA: Send,
     RB: Send,
 {
-    WorkerThread::with_current(|worker| match worker {
-        Some(worker) => join_on_worker(worker, oper_a, oper_b),
-        None => global_registry().in_worker(move || join(oper_a, oper_b)),
+    let budget = budget();
+    if budget < 2 {
+        return (oper_a(), oper_b());
+    }
+    let budget_b = budget / 2;
+    thread::scope(|s| {
+        let handle_b = s.spawn(move || with_threads(budget_b, oper_b));
+        let result_a =
+            panic::catch_unwind(AssertUnwindSafe(|| with_threads(budget - budget_b, oper_a)));
+        match (result_a, handle_b.join()) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (Ok(_), Err(payload)) => panic::resume_unwind(payload),
+        }
     })
-}
-
-fn join_on_worker<A, B, RA, RB>(worker: &WorkerThread, oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    // Safety: job_b lives on this frame; we do not leave the frame until the
-    // job has either been reclaimed from our deque un-executed or its latch
-    // is set (the loops below), so the erased reference stays valid.
-    unsafe {
-        let job_b = StackJob::new(oper_b);
-        let job_b_ref = job_b.as_job_ref();
-        worker.push(job_b_ref);
-
-        let result_a = panic::catch_unwind(AssertUnwindSafe(oper_a));
-        if let Err(payload) = result_a {
-            // `a` panicked while `b` may be queued or already running on a
-            // thief.  Settle `b` first (reclaim-and-drop, or wait for the
-            // thief), then resume `a`'s panic; `b`'s outcome is discarded —
-            // the first panic wins, as in rayon.
-            settle_job_b_for_unwind(worker, &job_b, job_b_ref);
-            panic::resume_unwind(payload);
-        }
-        let ra = match result_a {
-            Ok(ra) => ra,
-            Err(_) => unreachable!("handled above"),
-        };
-
-        let mut backoff = IdleBackoff::new();
-        let rb = loop {
-            if let Some(job) = worker.pop() {
-                if job == job_b_ref {
-                    // Not stolen: run it right here; a panic propagates
-                    // naturally (no sibling left to settle).
-                    break job_b.run_inline();
-                }
-                // A job pushed after ours (a scope spawn from `oper_a`, or a
-                // descendant): execute it and keep looking.
-                worker.execute(job);
-                backoff.reset();
-            } else if job_b.latch.probe() {
-                break match job_b.take_result() {
-                    Ok(rb) => rb,
-                    Err(payload) => panic::resume_unwind(payload),
-                };
-            } else if let Some(job) = worker.steal() {
-                // `b` is being executed by a thief: make ourselves useful on
-                // other work instead of spinning.
-                worker.execute(job);
-                backoff.reset();
-            } else {
-                backoff.idle();
-            }
-        };
-        (ra, rb)
-    }
-}
-
-/// Settles `job_b` without running it if possible: reclaims it from the local
-/// deque (dropping it), or — if stolen — executes other work until the thief
-/// finishes.  Used on the unwind path of `join`.
-///
-/// # Safety
-/// Caller must own `job_b` (same contract as the main join loop).
-unsafe fn settle_job_b_for_unwind<F, R>(
-    worker: &WorkerThread,
-    job_b: &StackJob<F, R>,
-    job_b_ref: job::JobRef,
-) where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    let mut backoff = IdleBackoff::new();
-    loop {
-        if let Some(job) = worker.pop() {
-            if job == job_b_ref {
-                return; // reclaimed un-run; the closure is simply dropped
-            }
-            // Safety: queued jobs are live and unexecuted.
-            unsafe { worker.execute(job) };
-            backoff.reset();
-        } else if job_b.latch.probe() {
-            // Safety: latch set — the thief is done with the job memory.
-            let _ = unsafe { job_b.take_result() }; // drop b's result or panic
-            return;
-        } else if let Some(job) = worker.steal() {
-            // Safety: queued jobs are live and unexecuted.
-            unsafe { worker.execute(job) };
-            backoff.reset();
-        } else {
-            backoff.idle();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -307,133 +118,147 @@ mod tests {
         a + b
     }
 
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload.downcast_ref::<&str>().copied().unwrap_or_default()
+    }
+
     #[test]
     fn nested_joins_compute_correctly() {
         assert_eq!(fib(20), 6765);
+        for n in [1, 2, 3, 4] {
+            assert_eq!(with_threads(n, || fib(16)), 987);
+        }
     }
 
     #[test]
     fn join_borrows_caller_stack() {
         let data: Vec<u64> = (0..1000).collect();
-        let (left, right) = join(
-            || data[..500].iter().sum::<u64>(),
-            || data[500..].iter().sum::<u64>(),
-        );
-        assert_eq!(left + right, data.iter().sum::<u64>());
+        let mut out = [0u64; 2];
+        let (left, right) = out.split_at_mut(1);
+        with_threads(2, || {
+            join(
+                || left[0] = data[..500].iter().sum::<u64>(),
+                || right[0] = data[500..].iter().sum::<u64>(),
+            )
+        });
+        assert_eq!(out[0] + out[1], data.iter().sum::<u64>());
     }
 
     #[test]
     fn join_propagates_panic_from_a() {
-        let result = std::panic::catch_unwind(|| {
-            join(|| panic!("boom-a"), || 2 + 2);
-        });
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "boom-a");
+        for n in [1, 2] {
+            let result = panic::catch_unwind(|| {
+                with_threads(n, || join(|| panic!("boom-a"), || 2 + 2));
+            });
+            let payload = result.expect_err("panic must propagate");
+            assert_eq!(panic_message(&*payload), "boom-a", "budget {n}");
+        }
     }
 
     #[test]
     fn join_propagates_panic_from_b() {
-        let result = std::panic::catch_unwind(|| {
-            join(|| 2 + 2, || panic!("boom-b"));
-        });
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "boom-b");
+        for n in [1, 2] {
+            let result = panic::catch_unwind(|| {
+                with_threads(n, || join(|| 2 + 2, || panic!("boom-b")));
+            });
+            let payload = result.expect_err("panic must propagate");
+            assert_eq!(panic_message(&*payload), "boom-b", "budget {n}");
+        }
     }
 
     #[test]
     fn join_first_panic_wins_when_both_panic() {
-        let result = std::panic::catch_unwind(|| {
-            join(|| panic!("first"), || panic!("second"));
-        });
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "first");
+        for n in [1, 2] {
+            let result = panic::catch_unwind(|| {
+                with_threads(n, || join(|| panic!("first"), || panic!("second")));
+            });
+            let payload = result.expect_err("panic must propagate");
+            assert_eq!(panic_message(&*payload), "first", "budget {n}");
+        }
+    }
+
+    /// `a`'s panic is raised only after the forked `b` has finished, so
+    /// whatever `b` borrows outlives it.
+    #[test]
+    fn join_panic_waits_for_the_forked_side() {
+        let b_done = AtomicUsize::new(0);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_threads(2, || {
+                join(
+                    || panic!("early"),
+                    || {
+                        for _ in 0..1000 {
+                            thread::yield_now();
+                        }
+                        b_done.store(1, Ordering::SeqCst);
+                    },
+                )
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!(b_done.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn pool_survives_panics_and_keeps_working() {
         for _ in 0..10 {
-            let _ = std::panic::catch_unwind(|| join(|| panic!("x"), || fib(10)));
+            let _ = panic::catch_unwind(|| join(|| panic!("x"), || fib(10)));
         }
         assert_eq!(fib(15), 610);
+        // A panic that unwinds through `with_threads` restores the budget.
+        let before = budget();
+        let _ = panic::catch_unwind(|| with_threads(before + 1, || panic!("y")));
+        assert_eq!(budget(), before);
     }
 
-    #[test]
-    fn scope_spawns_borrow_and_complete() {
-        let counter = AtomicUsize::new(0);
-        let data: Vec<usize> = (0..64).collect();
-        scope(|s| {
-            for chunk in data.chunks(8) {
-                s.spawn(|_| {
-                    counter.fetch_add(chunk.iter().sum::<usize>(), Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), data.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn scope_nested_spawns() {
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|_| {
-                            counter.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn scope_propagates_spawn_panic_after_all_settle() {
-        let finished = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|_| panic!("spawned panic"));
-                for _ in 0..8 {
-                    s.spawn(|_| {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "scope must re-raise the spawned panic");
-        // The panic is only re-raised after every job settled.
-        assert_eq!(finished.load(Ordering::SeqCst), 8);
-    }
-
+    /// The concurrency bound: under `with_threads(n, ..)` a recursive join
+    /// tree never runs more than `n` leaves at once, on at most `n` threads,
+    /// however many forks it makes.
     #[test]
     fn with_threads_runs_on_requested_pool_size() {
+        struct Leaves {
+            running: AtomicUsize,
+            peak: AtomicUsize,
+            threads: Mutex<HashSet<thread::ThreadId>>,
+        }
+        fn tree(depth: u32, leaves: &Leaves) -> u64 {
+            if depth == 0 {
+                let now = leaves.running.fetch_add(1, Ordering::SeqCst) + 1;
+                leaves.peak.fetch_max(now, Ordering::SeqCst);
+                leaves
+                    .threads
+                    .lock()
+                    .unwrap()
+                    .insert(thread::current().id());
+                for _ in 0..200 {
+                    thread::yield_now();
+                }
+                leaves.running.fetch_sub(1, Ordering::SeqCst);
+                return 1;
+            }
+            let (a, b) = join(|| tree(depth - 1, leaves), || tree(depth - 1, leaves));
+            a + b
+        }
         for n in [1, 2, 4] {
-            let seen = with_threads(n, current_num_threads);
-            assert_eq!(seen, n);
-            // And real work completes there.
-            let sum = with_threads(n, || {
-                let v: Vec<u64> = (0..10_000).collect();
-                par_map(&v, |x| x + 1).into_iter().sum::<u64>()
-            });
-            assert_eq!(sum, (0..10_000u64).map(|x| x + 1).sum());
+            let leaves = Leaves {
+                running: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+                threads: Mutex::new(HashSet::new()),
+            };
+            assert_eq!(with_threads(n, || tree(6, &leaves)), 64);
+            let peak = leaves.peak.load(Ordering::SeqCst);
+            assert!((1..=n).contains(&peak), "budget {n}: {peak} leaves at once");
+            let threads = leaves.threads.lock().unwrap().len();
+            assert!((1..=n).contains(&threads), "budget {n}: {threads} threads");
         }
     }
 
-    #[test]
-    fn threadpool_drop_terminates_workers() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.install(|| 41 + 1), 42);
-        drop(pool); // must not hang
-    }
-
+    /// Threads outside any `with_threads` each fork under the default
+    /// budget, independently of one another.
     #[test]
     fn concurrent_external_callers_share_the_global_pool() {
         let results = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
+        thread::scope(|s| {
             for t in 0..8u64 {
                 let results = &results;
                 s.spawn(move || {
@@ -451,7 +276,6 @@ mod tests {
 
     #[test]
     fn join_stress_many_iterations() {
-        // Shake out queue/latch races: lots of small joins back to back.
         for i in 0..200u64 {
             let (a, b) = join(move || i * 2, move || i * 3);
             assert_eq!((a, b), (i * 2, i * 3));

@@ -394,7 +394,7 @@ proptest! {
         prop_assert!(linearizable(&histories), "S=1 router: {histories:#?}");
     }
 
-    /// Parallel-buffer stress: pool-scheduled producers with seeded yield
+    /// Parallel-buffer stress: scoped-thread producers with seeded yield
     /// schedules deposit through `push` and `push_batch` while an OS-thread
     /// combiner flushes; nothing may be lost or duplicated, and the pending
     /// count must return to zero.
@@ -421,37 +421,35 @@ proptest! {
                 *collected.lock().unwrap() = out;
             })
         };
-        // Producers run as pool tasks: the seeded schedule perturbs the
-        // interleaving between the work-stealing workers and the flusher.
-        // Two producers share each buffer shard, so deposits contend too.
-        wsm_pool::with_threads(producers, || {
-            wsm_pool::scope(|s| {
-                for p in 0..producers as u64 {
-                    let buffer = &buffer;
-                    s.spawn(move |_| {
-                        let mut schedule = seed.wrapping_add(p.wrapping_mul(0x9E3779B97F4A7C15)) | 1;
-                        let mut i = 0;
-                        while i < per_producer {
-                            schedule = schedule
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            let base = p * per_producer + i;
-                            if schedule & 8 == 0 {
-                                let n = (schedule >> 32) % 16 + 1;
-                                let n = n.min(per_producer - i);
-                                buffer.push_batch(p as usize, (base..base + n).collect());
-                                i += n;
-                            } else {
-                                buffer.push(p as usize, base);
-                                i += 1;
-                            }
-                            if schedule & 6 == 0 {
-                                std::thread::yield_now();
-                            }
+        // Producers run on scoped threads: the seeded schedule perturbs the
+        // interleaving between them and the flusher.  Two producers share
+        // each buffer shard, so deposits contend too.
+        std::thread::scope(|s| {
+            for p in 0..producers as u64 {
+                let buffer = &buffer;
+                s.spawn(move || {
+                    let mut schedule = seed.wrapping_add(p.wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                    let mut i = 0;
+                    while i < per_producer {
+                        schedule = schedule
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let base = p * per_producer + i;
+                        if schedule & 8 == 0 {
+                            let n = (schedule >> 32) % 16 + 1;
+                            let n = n.min(per_producer - i);
+                            buffer.push_batch(p as usize, (base..base + n).collect());
+                            i += n;
+                        } else {
+                            buffer.push(p as usize, base);
+                            i += 1;
                         }
-                    });
-                }
-            });
+                        if schedule & 6 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
         });
         done.store(true, Ordering::Release);
         flusher.join().unwrap();

@@ -1,13 +1,13 @@
-//! Property and stress tests for the work-stealing pool (`wsm-pool`): the
-//! parallel code paths must be observationally identical to their sequential
-//! counterparts, at every pool size.
+//! Property and stress tests for PESort's fork (`wsm-pool`): the parallel
+//! code paths must be observationally identical to their sequential
+//! counterparts, at every fork budget.
 //!
-//! This is the workspace-level safety net for the pool: `wsm_pool::join`
-//! runs on real threads, so `pesort` — the one algorithm that forks through
-//! it — executes with genuine interleaving.  Determinism is a theorem about
-//! the algorithm (divide-and-conquer with order-preserving merges), and
-//! these tests check it empirically under randomized inputs and different
-//! worker counts.
+//! `wsm_pool::join` runs its second branch on a scoped thread while the
+//! budget allows, so `pesort` — the one algorithm that forks through it —
+//! executes with genuine interleaving.  Determinism is a theorem about the
+//! algorithm (divide-and-conquer with order-preserving merges), and these
+//! tests check it empirically under randomized inputs and budgets of 1 to 4
+//! threads.
 
 use proptest::prelude::*;
 use wsm_sort::{pesort, pesort_by, pesort_group};
@@ -32,7 +32,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         // Tag every item with its arrival index; sorting by key only must
-        // keep tags ascending within each key, on every pool size.
+        // keep tags ascending within each key, at every fork budget.
         let tagged: Vec<(u8, usize)> = keys.into_iter().zip(0..).collect();
         let sorted = wsm_pool::with_threads(threads, move || {
             pesort_by(tagged, &|a: &(u8, usize), b: &(u8, usize)| a.0.cmp(&b.0)).0
@@ -60,8 +60,8 @@ proptest! {
     }
 }
 
-/// Stress: many OS threads running parallel sorts concurrently on the global
-/// pool — results must still be deterministic.
+/// Stress: many OS threads running parallel sorts concurrently, each under
+/// the default fork budget — results must still be deterministic.
 #[test]
 fn concurrent_external_sorts_stay_correct() {
     let handles: Vec<_> = (0..6u64)
@@ -90,20 +90,20 @@ fn concurrent_external_sorts_stay_correct() {
     }
 }
 
-/// Stress: nested parallelism — a scope spawning joins that themselves sort —
-/// must neither deadlock nor corrupt results.
+/// Stress: nested parallelism — scoped threads each running a sort that
+/// forks under a budget of 2 — must neither deadlock nor corrupt results.
 #[test]
 fn nested_scope_and_join_stress() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let done = AtomicUsize::new(0);
-    wsm_pool::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..8usize {
             let done = &done;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let items: Vec<u64> = (0..3000).map(|i| (i * 37 + t as u64 * 101) % 500).collect();
                 let mut expected = items.clone();
                 expected.sort();
-                let (got, _) = pesort(items);
+                let (got, _) = wsm_pool::with_threads(2, || pesort(items));
                 assert_eq!(got, expected);
                 done.fetch_add(1, Ordering::SeqCst);
             });
