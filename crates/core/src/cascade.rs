@@ -54,7 +54,7 @@ pub(crate) struct Cascade<K, V> {
     move_buf: Vec<(K, V)>,
 }
 
-impl<K: Ord + Clone + Send + Sync, V: Clone> Cascade<K, V> {
+impl<K: Ord + Clone + Default + Send + Sync, V: Clone + Default> Cascade<K, V> {
     pub(crate) fn new() -> Self {
         Cascade {
             segments: Vec::new(),

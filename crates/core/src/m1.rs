@@ -54,7 +54,7 @@ pub struct M1<K, V> {
     batch_log: Option<Vec<BatchStats>>,
 }
 
-impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
+impl<K: Ord + Clone + Default + Send + Sync, V: Clone + Default> M1<K, V> {
     /// Creates an empty M1 configured for `p` processors (`p ≥ 2`); the feed
     /// buffer uses bunches of size `p²`.
     pub fn new(p: usize) -> Self {
@@ -214,7 +214,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone> M1<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync, V: Clone> BatchedMap<K, V> for M1<K, V> {
+impl<K: Ord + Clone + Default + Send + Sync, V: Clone + Default> BatchedMap<K, V> for M1<K, V> {
     fn run_batch(
         &mut self,
         batch: &mut Vec<TaggedOp<K, V>>,

@@ -131,7 +131,7 @@ pub struct M2<K, V> {
     latency_log: Option<LatencyLog>,
 }
 
-impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
+impl<K: Ord + Clone + Default + Send + Sync + std::fmt::Debug, V: Clone + Default> M2<K, V> {
     /// Creates an empty M2 configured for `p` processors (`p ≥ 2`).
     pub fn new(p: usize) -> Self {
         let p = p.max(2);
@@ -725,7 +725,9 @@ impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> M2<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync + std::fmt::Debug, V: Clone> BatchedMap<K, V> for M2<K, V> {
+impl<K: Ord + Clone + Default + Send + Sync + std::fmt::Debug, V: Clone + Default> BatchedMap<K, V>
+    for M2<K, V>
+{
     fn run_batch(
         &mut self,
         batch: &mut Vec<TaggedOp<K, V>>,

@@ -24,7 +24,7 @@ pub struct IaconoMap<K, V> {
     total: Cost,
 }
 
-impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> IaconoMap<K, V> {
     /// Creates an empty structure.
     pub fn new() -> Self {
         IaconoMap {
@@ -41,11 +41,6 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.trees.iter().all(RecencyMap::is_empty)
-    }
-
-    /// Number of trees currently allocated.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
     }
 
     /// Non-adjusting lookup, charging no cost (for tests).
@@ -213,7 +208,7 @@ impl<K: Ord + Clone, V: Clone> IaconoMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> InstrumentedMap<K, V> for IaconoMap<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> InstrumentedMap<K, V> for IaconoMap<K, V> {
     fn search(&mut self, key: &K) -> (Option<V>, Cost) {
         self.access(key)
     }

@@ -24,7 +24,7 @@ pub struct M0<K, V> {
     spent: Cost,
 }
 
-impl<K: Ord + Clone, V: Clone> M0<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> M0<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         M0 {
@@ -210,7 +210,7 @@ impl<K: Ord + Clone, V: Clone> M0<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> InstrumentedMap<K, V> for M0<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> InstrumentedMap<K, V> for M0<K, V> {
     fn search(&mut self, key: &K) -> (Option<V>, Cost) {
         self.access(key)
     }

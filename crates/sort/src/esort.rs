@@ -14,7 +14,7 @@ use wsm_seq::IaconoMap;
 
 /// Sorts `items`, returning the fully expanded sorted sequence (duplicates
 /// adjacent, in their original relative order) and the analytic cost.
-pub fn esort<K: Ord + Clone>(items: &[K]) -> (Vec<K>, Cost) {
+pub fn esort<K: Ord + Clone + Default>(items: &[K]) -> (Vec<K>, Cost) {
     let (groups, cost) = esort_group(items);
     let mut out = Vec::with_capacity(items.len());
     for (key, positions) in groups {
@@ -27,7 +27,7 @@ pub fn esort<K: Ord + Clone>(items: &[K]) -> (Vec<K>, Cost) {
 /// `(item, positions)` pairs in ascending item order, where `positions` lists
 /// the occurrences of that item in arrival order.  The cost is dominated by
 /// the working-set dictionary accesses (`Θ(IW_L)`).
-pub fn esort_group<K: Ord + Clone>(items: &[K]) -> (Vec<(K, Vec<usize>)>, Cost) {
+pub fn esort_group<K: Ord + Clone + Default>(items: &[K]) -> (Vec<(K, Vec<usize>)>, Cost) {
     // The dictionary D of Definition 29: a working-set structure whose values
     // are the tag lists of positions.
     let mut dict: IaconoMap<K, Vec<usize>> = IaconoMap::new();

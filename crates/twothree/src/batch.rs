@@ -40,7 +40,7 @@ use crate::cost::pass;
 use crate::node::NIL;
 use crate::tree::Tree23;
 
-impl<K: Ord + Clone, V> Tree23<K, V> {
+impl<K: Ord + Clone + Default, V> Tree23<K, V> {
     /// Looks up each key of a sorted batch; returns one result per key in the
     /// same order.  One shared read-only descent.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {

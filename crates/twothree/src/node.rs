@@ -22,9 +22,19 @@
 //! operations move ids, and cells move between siblings by swapping them
 //! between regions, so once the pools have grown a split, merge or even-out
 //! allocates nothing.  A region's cells past the node's count are vacant:
-//! a vacant value cell is `None`, a vacant key cell keeps some earlier key
-//! (the key type needs no default value, and the one a node needs is cloned
-//! from a live key when a pool grows).
+//! a vacant value cell is `None`, a vacant key cell holds `K::default()`
+//! (the tree's `K: Default` bound), and so does every cell of a free node.
+//! Keys therefore move and are never cloned to fill a cell: a removal hands
+//! out the key it stored and leaves a default behind, a node that outgrows
+//! its region moves its cells into the spill buffer, and a pool grows by
+//! regions of defaults.  The only copies are the routing keys of the nodes
+//! above height 1, which are rewritten in place (`clone_from`), so an owned
+//! key keeps its buffer when the new maximum fits it.  Nothing of a removed
+//! key is kept (`check_invariants` asserts every vacant key cell default),
+//! and removing a `String` key allocates nothing — save in the rare repair
+//! that hangs a thinned subtree on a neighbour, which may split it and so
+//! write a routing key into a new cell.  A key cell is a bare `K`
+//! rather than an `Option<K>`, which would double a `u64` key cell.
 //!
 //! The one node that may outgrow its region is the one an insert sweep is
 //! filling, before its parent cuts it into groups: a height-1 merge, or a
@@ -147,7 +157,7 @@ struct Pool<K, E> {
     spills: Vec<Spill<K, E>>,
 }
 
-impl<K: Ord + Clone, E: Default> Pool<K, E> {
+impl<K: Ord + Default, E: Default> Pool<K, E> {
     fn new(stride: usize) -> Self {
         Pool {
             heads: Vec::new(),
@@ -159,18 +169,18 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         }
     }
 
-    /// Takes a node off the free list; the pool grows by one region first,
-    /// its vacant keys cloned from `seed`, when the list is empty.
-    fn alloc(&mut self, height: usize, seed: Option<K>) -> usize {
+    /// Takes a node off the free list; the pool grows by one region of
+    /// vacant cells first when the list is empty.
+    fn alloc(&mut self, height: usize) -> usize {
         if self.free == NIL {
-            let seed = seed.expect("a growing pool is given a key to fill its region");
             self.free = self.heads.len();
             self.heads.push(Head {
                 len: 0,
                 height: 0,
                 size: NIL,
             });
-            self.keys.resize(self.keys.len() + self.stride, seed);
+            self.keys
+                .resize_with(self.keys.len() + self.stride, K::default);
             self.ents
                 .resize_with(self.ents.len() + self.stride, E::default);
         }
@@ -184,8 +194,13 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         at
     }
 
-    /// Puts node `at` on the free list.  Its vacant cells stay as they are.
+    /// Puts node `at` on the free list, vacating the cells it still holds
+    /// (the routing key of an only child that moved up, or every cell of a
+    /// drained node), so a free node keeps no key.
     fn release(&mut self, at: usize) {
+        let cells = at * self.stride..at * self.stride + self.len(at);
+        self.keys[cells.clone()].fill_with(K::default);
+        self.ents[cells].fill_with(E::default);
         self.heads[at] = Head {
             len: 0,
             height: 0,
@@ -269,7 +284,7 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
             let keys = &mut self.keys[base + pos..=base + len];
             let ents = &mut self.ents[base + pos..=base + len];
             // Each cell takes its left neighbour's contents; the vacant cell
-            // at the end gives up its stale key and empty entry.
+            // at the end gives up its default key and empty entry.
             let (mut key, mut ent) = (key, ent);
             for (kc, ec) in keys.iter_mut().zip(ents) {
                 key = std::mem::replace(kc, key);
@@ -286,9 +301,8 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         self.heads[at].len += 1;
     }
 
-    /// Removes the cell at `pos` of node `at` (never an overfull one): the
-    /// cell it vacates keeps an empty entry and a clone of the key before
-    /// it.
+    /// Removes the cell at `pos` of node `at` (never an overfull one) and
+    /// hands out its key and entry; the cell it vacates holds defaults.
     fn remove(&mut self, at: usize, pos: usize) -> (K, E) {
         let len = self.len(at);
         debug_assert!(len <= self.stride, "only a split shrinks an overfull node");
@@ -296,7 +310,7 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         self.heads[at].len -= 1;
         let keys = &mut self.keys[base + pos..base + len];
         let ents = &mut self.ents[base + pos..base + len];
-        let (mut key, mut ent) = (keys[keys.len() - 1].clone(), E::default());
+        let (mut key, mut ent) = (K::default(), E::default());
         for (kc, ec) in keys.iter_mut().zip(ents).rev() {
             key = std::mem::replace(kc, key);
             ent = std::mem::replace(ec, ent);
@@ -307,14 +321,14 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
     /// Removes the cells of node `at` (never an overfull one) whose keys
     /// are in the sorted `keys`, in one pass from the first key's cell: a
     /// hit leaves its cell vacant and every cell kept moves down over the
-    /// vacant ones once.  Hands `emit`, in key order, each key (as stored,
-    /// for a hit) with the entry it held, if any, and returns the number
+    /// vacant ones once.  Hands `emit`, in key order, the stored key and
+    /// entry of each hit (`None` for a miss), and returns the number
     /// removed.
     fn remove_sorted(
         &mut self,
         at: usize,
         keys: &[K],
-        mut emit: impl FnMut(&K, Option<E>),
+        mut emit: impl FnMut(Option<(K, E)>),
     ) -> usize {
         let (base, len) = (at * self.stride, self.len(at));
         debug_assert!(len <= self.stride, "only a split shrinks an overfull node");
@@ -328,11 +342,12 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         let (mut write, mut next) = (first, 0);
         for read in first..len {
             while next < keys.len() && keys[next] < cells[read] {
-                emit(&keys[next], None);
+                emit(None);
                 next += 1;
             }
             if next < keys.len() && keys[next] == cells[read] {
-                emit(&cells[read], Some(std::mem::take(&mut ents[read])));
+                let (key, ent) = (&mut cells[read], &mut ents[read]);
+                emit(Some((std::mem::take(key), std::mem::take(ent))));
                 next += 1;
             } else {
                 cells.swap(write, read);
@@ -340,7 +355,7 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
                 write += 1;
             }
         }
-        keys[next..].iter().for_each(|k| emit(k, None));
+        keys[next..].iter().for_each(|_| emit(None));
         self.heads[at].len = write as u32;
         len - write
     }
@@ -411,10 +426,10 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
         let region = at * self.stride..(at + 1) * self.stride;
         let spill = &mut self.spills[slot];
         spill.owner = at;
-        spill.keys.extend_from_slice(&self.keys[region.clone()]);
-        spill
-            .ents
-            .extend(self.ents[region].iter_mut().map(std::mem::take));
+        let keys = self.keys[region.clone()].iter_mut();
+        spill.keys.extend(keys.map(std::mem::take));
+        let ents = self.ents[region].iter_mut();
+        spill.ents.extend(ents.map(std::mem::take));
     }
 
     /// Moves the cells of node `at`, which fits its region again, back.
@@ -449,6 +464,23 @@ impl<K: Ord + Clone, E: Default> Pool<K, E> {
             "a node is still spilled"
         );
         count
+    }
+
+    /// Checks that every cell past its node's count, in live and free
+    /// nodes alike, holds a default key and an entry `vacant` accepts: no
+    /// region keeps a key or an entry it no longer holds.
+    fn check_vacant(&self, vacant: impl Fn(&E) -> bool) {
+        for (at, head) in self.heads.iter().enumerate() {
+            let cells = at * self.stride + head.len as usize..(at + 1) * self.stride;
+            assert!(
+                self.keys[cells.clone()].iter().all(|k| *k == K::default()),
+                "a vacant key cell of node {at} keeps a key"
+            );
+            assert!(
+                self.ents[cells].iter().all(&vacant),
+                "a vacant entry cell of node {at} keeps an entry"
+            );
+        }
     }
 }
 
@@ -496,7 +528,7 @@ pub(crate) struct Arena<K, V> {
     level: Vec<usize>,
 }
 
-impl<K: Ord + Clone, V> Arena<K, V> {
+impl<K: Ord + Clone + Default, V> Arena<K, V> {
     pub fn new(fanout: usize) -> Self {
         let max_c = fanout.max(3);
         Arena {
@@ -519,16 +551,13 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     // Node primitives
     // ------------------------------------------------------------------
 
-    /// Allocates an empty node of `height`; `seed` gives a key to fill the
-    /// vacant cells of a region the pool has to grow by.
-    fn new_node(&mut self, height: usize, seed: impl FnOnce(&Self) -> K) -> usize {
+    /// Allocates an empty node of `height`.
+    fn new_node(&mut self, height: usize) -> usize {
         touch(1);
         if height == 1 {
-            let seed = (self.leaves.free == NIL).then(|| seed(self));
-            leaf_id(self.leaves.alloc(height, seed))
+            leaf_id(self.leaves.alloc(height))
         } else {
-            let seed = (self.inner.free == NIL).then(|| seed(self));
-            inner_id(self.inner.alloc(height, seed))
+            inner_id(self.inner.alloc(height))
         }
     }
 
@@ -607,7 +636,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     fn make_internal(&mut self, children: &[usize]) -> usize {
         debug_assert!((1..=self.max_c).contains(&children.len()));
         let first = children[0];
-        let idx = self.new_node(self.height(first) + 1, |a| a.max_key(first).clone());
+        let idx = self.new_node(self.height(first) + 1);
         for (pos, &child) in children.iter().enumerate() {
             *self.size_mut(idx) += self.size(child);
             self.adopt(idx, pos, child);
@@ -678,7 +707,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
 
     pub fn get_mut(&mut self, idx: usize, key: &K) -> Option<&mut V> {
         let (node, pos) = self.find(idx, key)?;
-        self.leaves.ent_mut(slot(node), pos).as_mut()
+        Some(self.val_mut(node, pos))
     }
 
     /// The item with rank `rank` (0-based, key order) under `idx`.
@@ -708,8 +737,10 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     }
 
     /// In-place point insertion: one root-to-cell traversal that splits
-    /// overfull children on the way back up.  Returns the previous value for
-    /// the key, if any.
+    /// overfull children on the way back up.  A new key's value is built by
+    /// `make` from the key before the key moves into its cell; a present
+    /// key is left as it is, `make` is not called, and its cell is returned
+    /// as `Err((node, position))`.
     ///
     /// Cached metadata is maintained incrementally: `size` grows by one and
     /// only the routing key of the child actually descended into is
@@ -717,7 +748,12 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// `idx` may itself hold `max_children + 1` — which only the caller (the
     /// parent, or [`Arena::grow_root`] at the root) can repair, as with the
     /// underflow of [`Arena::remove_point`].
-    pub fn insert_point(&mut self, idx: usize, key: K, val: V) -> Option<V> {
+    pub fn insert_point(
+        &mut self,
+        idx: usize,
+        key: K,
+        make: impl FnOnce(&K) -> V,
+    ) -> Result<(), (usize, usize)> {
         touch(1);
         let keys = self.keys(idx);
         let at_key = keys.partition_point(|m| *m < key);
@@ -725,28 +761,31 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         if is_leaf(idx) {
             if !above_all && keys[at_key] == key {
                 touch_cells(keys.len(), 1);
-                return self.leaves.ent_mut(slot(idx), at_key).replace(val);
+                return Err((idx, at_key));
             }
             touch(1);
+            let val = make(&key);
             self.leaves.insert(slot(idx), at_key, key, Some(val));
-            return None;
+            return Ok(());
         }
         let pos = at_key.min(keys.len() - 1);
         let child = self.children(idx)[pos];
-        let prev = self.insert_point(child, key, val);
-        if prev.is_some() {
-            // Pure value replacement: no structural or key change anywhere
-            // on the path, so the cached metadata is intact.
-            return prev;
-        }
+        // A present key changes nothing anywhere on the path, so the cached
+        // metadata is intact.
+        self.insert_point(child, key, make)?;
         *self.size_mut(idx) += 1;
         if above_all {
             // The key went in above every routing key.
-            let max = self.max_key(child).clone();
-            *self.key_mut(idx, pos) = max;
+            self.set_route(idx, pos, child);
         }
         self.split_child(idx, pos);
-        None
+        Ok(())
+    }
+
+    /// The value of the cell at `pos` of the height-1 node `node`.
+    pub fn val_mut(&mut self, node: usize, pos: usize) -> &mut V {
+        let cell = self.leaves.ent_mut(slot(node), pos);
+        cell.as_mut().expect("a live cell holds a value")
     }
 
     /// In-place point removal from under `idx`: one root-to-cell traversal
@@ -772,10 +811,9 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         }
         let child = self.children(idx)[pos];
         let removed = self.remove_point(child, key)?;
-        let child_max = was_max.then(|| self.max_key(child).clone());
         *self.size_mut(idx) -= 1;
-        if let Some(max) = child_max {
-            *self.key_mut(idx, pos) = max;
+        if was_max {
+            self.set_route(idx, pos, child);
         }
         if self.len(child) < self.min_c {
             self.rebalance(idx, pos);
@@ -803,13 +841,12 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         let mut end = len;
         for g in (1..groups).rev() {
             let start = end - (base + usize::from(g < extra));
-            let sibling = self.new_node(height, |a| a.max_key(child).clone());
+            let sibling = self.new_node(height);
             self.shift(child, sibling, Shift::Right(start));
             self.adopt(idx, pos + 1, sibling);
             end = start;
         }
-        let max = self.max_key(child).clone();
-        *self.key_mut(idx, pos) = max;
+        self.set_route(idx, pos, child);
         groups - 1
     }
 
@@ -855,8 +892,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 Shift::Left(target - llen)
             };
             self.shift(l, r, op);
-            let left_max = self.max_key(l).clone();
-            *self.key_mut(idx, lpos) = left_max;
+            self.set_route(idx, lpos, l);
         }
         if pos == 0 {
             0
@@ -1017,8 +1053,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             *self.size_mut(idx) += added;
             if last && added > 0 {
                 // The child may have grown past the end.
-                let max = self.max_key(child).clone();
-                *self.key_mut(idx, pos) = max;
+                self.set_route(idx, pos, child);
             }
             pos += 1 + self.split_child(idx, pos);
         }
@@ -1090,7 +1125,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         let (mut cell, end) = (base, base + len);
         for (key, val) in items {
             while cell < end && keys[cell] < key {
-                merged.push(keys[cell].clone());
+                merged.push(std::mem::take(&mut keys[cell]));
                 vals.push(ents[cell].take());
                 cell += 1;
             }
@@ -1102,7 +1137,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
                 vals.push(Some(val));
             }
         }
-        merged.extend_from_slice(&keys[cell..end]);
+        merged.extend(keys[cell..end].iter_mut().map(std::mem::take));
         vals.extend(ents[cell..end].iter_mut().map(Option::take));
         let total = merged.len();
         heads[leaf].len = total as u32;
@@ -1186,8 +1221,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             }));
             usize::from(hit)
         } else {
-            self.leaves.remove_sorted(leaf, keys, |key, val| {
-                emit(val.map(|val| (key.clone(), val.expect("a live cell holds a value"))))
+            self.leaves.remove_sorted(leaf, keys, |cell| {
+                emit(cell.map(|(key, val)| (key, val.expect("a live cell holds a value"))))
             })
         };
         touch_cells(before, removed);
@@ -1206,8 +1241,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             return pos;
         }
         if max_hit {
-            let max = self.max_key(child).clone();
-            *self.key_mut(idx, pos) = max;
+            self.set_route(idx, pos, child);
         }
         if len >= self.min_c || self.len(idx) == 1 {
             // Well-formed, or an only child: the caller of `idx` sees a
@@ -1226,8 +1260,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         let at = pos.saturating_sub(1);
         let neighbour = self.children(idx)[at];
         self.attach(neighbour, piece, pos == 0);
-        let max = self.max_key(neighbour).clone();
-        *self.key_mut(idx, at) = max;
+        self.set_route(idx, at, neighbour);
         let next = at + 1 + self.split_child(idx, at);
         // A neighbour to the right has not been swept yet.
         if pos == 0 {
@@ -1273,10 +1306,19 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             let edge = if front { 0 } else { len - 1 };
             let child = self.children(spine)[edge];
             self.attach(child, piece, front);
-            let max = self.max_key(child).clone();
-            *self.key_mut(spine, edge) = max;
+            self.set_route(spine, edge, child);
             self.split_child(spine, edge);
         }
+    }
+
+    /// Rewrites the routing key at `pos` of `idx` to the maximum of
+    /// `child`.  The key is cloned into the cell with `clone_from`, so an
+    /// owned routing key keeps its buffer when the new maximum fits it: a
+    /// removal that moves a node's maximum allocates nothing.
+    fn set_route(&mut self, idx: usize, pos: usize, child: usize) {
+        let mut route = std::mem::take(self.key_mut(idx, pos));
+        route.clone_from(self.max_key(child));
+        *self.key_mut(idx, pos) = route;
     }
 
     /// Inserts `child` as `children[pos]` of `idx`, whose `size` already
@@ -1331,7 +1373,7 @@ impl<K: Ord + Clone, V> Arena<K, V> {
         for g in 0..groups {
             let take = base + usize::from(g < extra);
             let (key, val) = items.next().expect("as many items as announced");
-            let idx = self.new_node(1, |_| key.clone());
+            let idx = self.new_node(1);
             self.leaves.insert(slot(idx), 0, key, Some(val));
             for (pos, (key, val)) in items.by_ref().take(take - 1).enumerate() {
                 self.leaves.insert(slot(idx), pos + 1, key, Some(val));
@@ -1375,9 +1417,11 @@ impl<K: Ord + Clone, V> Arena<K, V> {
             let base = slot(idx) * self.leaves.stride;
             let Pool { keys, ents, .. } = &mut self.leaves;
             let cells = keys[base..base + len]
-                .iter()
+                .iter_mut()
                 .zip(&mut ents[base..base + len]);
-            out.extend(cells.map(|(key, val)| (key.clone(), val.take().expect("a live cell"))));
+            out.extend(
+                cells.map(|(key, val)| (std::mem::take(key), val.take().expect("a live cell"))),
+            );
             self.leaves.heads[slot(idx)].len = 0;
         } else {
             for pos in 0..len {
@@ -1458,6 +1502,8 @@ impl<K: Ord + Clone, V> Arena<K, V> {
     /// from a free list — no leaks, no cycles — and no node is left spilled.
     pub fn check_slab(&self, live: usize) {
         let free = self.leaves.check_free() + self.inner.check_free();
+        self.leaves.check_vacant(Option::is_none);
+        self.inner.check_vacant(|&child| child == 0);
         let nodes = self.leaves.heads.len() + self.inner.heads.len();
         assert_eq!(
             live + free,

@@ -13,9 +13,9 @@
 //! [`RecencyMap`] now realises the paper's pointer design directly, without
 //! `unsafe`: items live in a slab **arena** (`Vec<Slot>`), the single
 //! key-ordered [`Tree23`] stores *arena indices*, and the recency order is an
-//! intrusive doubly-linked list threaded through the arena slots via `usize`
-//! links.  Locating an item by key therefore yields its recency position for
-//! free — exactly the paper's direct pointer:
+//! intrusive doubly-linked list threaded through the arena slots.  Locating
+//! an item by key therefore yields its recency position for free — exactly
+//! the paper's direct pointer:
 //!
 //! * move-to-front and unlink-on-remove are O(1) splices,
 //! * [`RecencyMap::push_front_batch`] / [`RecencyMap::push_back_batch`] are
@@ -39,6 +39,27 @@
 //! measured effect is tracked by experiment E18 (tree-passes-per-op, and the
 //! per-key cost of the sweeps on a 2^17- and a 2^12-item map) and the E17
 //! constants (`BENCH_e17*.json`).
+//!
+//! **Layout.**  A slot is `{ prev: u32, next: u32, key: K, val: V }`: the
+//! list links are arena indices kept as `u32`, with `NIL = u32::MAX` for
+//! "none", so no link is ever widened or narrowed on a hot path, and the key
+//! tree stores each item's index as a 4-byte `NonZeroU32` value cell (one
+//! above the index, so a vacant `Option` cell costs nothing extra).  A slot
+//! carries no occupancy tag: a free slot holds `K::default()` and
+//! `V::default()` and threads the free list through `next`, and an item
+//! leaves its slot by `mem::take`, so nothing of a removed item stays behind
+//! (`tests/property_owned_items.rs` counts the drops).  A `u64`/`u64` slot
+//! is 24 bytes, where `usize` links and an `Option<(K, V)>` took 40, and a
+//! 2^16-item preload at B = 16 leaves 56.3 live bytes per item, against
+//! 80.8 before (`tests/alloc_budget.rs`).  The price is the range: an arena
+//! holds at most 2^32 − 1 slots, so a segment holds at most 2^32 − 1 items
+//! and a full `S[5]` (2^32) cannot be stored.  A push past that panics,
+//! naming the limit; an index never wraps.  The key is held twice, in its
+//! slot and in the key tree: a take moves each slot's key out into the
+//! batch the tree removes, the tree hands back its own copy in its place,
+//! and the batch's copies are dropped before the take returns, so a take
+//! clones no key, and an upsert of a present key keeps the key and the slot
+//! it has.
 //!
 //! On a key tree that outgrows the cache, each of the three mutating sweeps
 //! of a segment — the hit removal ([`RecencyMap::remove_batch_with`]), the
@@ -64,23 +85,23 @@
 
 use crate::cost::touch;
 use crate::tree::Tree23;
-use std::num::NonZeroUsize;
+use std::num::NonZeroU32;
 
-/// Null arena index: end of the recency list / free list.
-const NIL: usize = usize::MAX;
+/// Null arena index: end of the recency list / free list.  It is also the
+/// one `u32` no slot may take, so an arena holds at most `u32::MAX` slots.
+const NIL: u32 = u32::MAX;
 
 /// An arena index as the key map stores it: one above the index, so a
-/// vacant value cell of the key tree (`Option<Link>`) is no wider than a
-/// `usize`.
+/// vacant value cell of the key tree (`Option<Link>`) takes 4 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Link(NonZeroUsize);
+struct Link(NonZeroU32);
 
 impl Link {
-    fn new(idx: usize) -> Self {
-        Link(NonZeroUsize::new(idx + 1).expect("a live arena index is below NIL"))
+    fn new(idx: u32) -> Self {
+        Link(NonZeroU32::new(idx.wrapping_add(1)).expect("a live arena index is below NIL"))
     }
 
-    fn idx(self) -> usize {
+    fn idx(self) -> u32 {
         self.0.get() - 1
     }
 }
@@ -114,12 +135,14 @@ pub enum End {
 }
 
 /// One arena slot: the intrusive recency links plus the item.  A free slot
-/// holds `None` and reuses `next` as its free-list link.
+/// holds `K::default()` and `V::default()` and reuses `next` as its
+/// free-list link; an item leaves its slot by `mem::take`.
 #[derive(Clone, Debug)]
 struct Slot<K, V> {
-    prev: usize,
-    next: usize,
-    item: Option<(K, V)>,
+    prev: u32,
+    next: u32,
+    key: K,
+    val: V,
 }
 
 /// The item arena with the recency order threaded through it.  Live slots
@@ -130,50 +153,61 @@ struct Slot<K, V> {
 struct RecencyList<K, V> {
     slots: Vec<Slot<K, V>>,
     /// Most recent item (list head), `NIL` when empty.
-    head: usize,
+    head: u32,
     /// Least recent item (list tail), `NIL` when empty.
-    tail: usize,
+    tail: u32,
     /// Head of the free-slot list, `NIL` when none.
-    free: usize,
+    free: u32,
 }
 
-impl<K, V> RecencyList<K, V> {
-    fn item(&self, idx: usize) -> &(K, V) {
-        self.slots[idx]
-            .item
-            .as_ref()
-            .expect("key-map points at a live arena slot")
+impl<K: Default, V: Default> RecencyList<K, V> {
+    fn slot(&self, idx: u32) -> &Slot<K, V> {
+        &self.slots[idx as usize]
+    }
+
+    fn slot_mut(&mut self, idx: u32) -> &mut Slot<K, V> {
+        &mut self.slots[idx as usize]
     }
 
     /// Takes a slot off the free list (or grows the arena) and fills it.
     /// The returned slot is *not* linked into the recency list.
-    fn alloc(&mut self, key: K, val: V) -> usize {
+    ///
+    /// # Panics
+    /// When the arena would need a slot past `u32::MAX - 1`: a segment holds
+    /// at most 2^32 − 1 items.
+    fn alloc(&mut self, key: K, val: V) -> u32 {
+        let slot = Slot {
+            prev: NIL,
+            next: NIL,
+            key,
+            val,
+        };
         match self.free {
             NIL => {
-                self.slots.push(Slot {
-                    prev: NIL,
-                    next: NIL,
-                    item: Some((key, val)),
-                });
-                self.slots.len() - 1
+                let idx = self.slots.len();
+                assert!(
+                    idx < NIL as usize,
+                    "a segment holds at most 2^32 - 1 items (u32 arena links)"
+                );
+                self.slots.push(slot);
+                idx as u32
             }
             idx => {
-                self.free = self.slots[idx].next;
-                let slot = &mut self.slots[idx];
-                slot.prev = NIL;
-                slot.next = NIL;
-                slot.item = Some((key, val));
+                self.free = self.slot(idx).next;
+                *self.slot_mut(idx) = slot;
                 idx
             }
         }
     }
 
     /// Vacates a slot (which must already be unlinked from the recency list)
-    /// onto the free list, returning its item.
-    fn release(&mut self, idx: usize) -> (K, V) {
-        let item = self.slots[idx].item.take().expect("releasing a live slot");
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.free;
+    /// onto the free list, moving its item out.
+    fn release(&mut self, idx: u32) -> (K, V) {
+        let free = self.free;
+        let slot = self.slot_mut(idx);
+        slot.prev = NIL;
+        slot.next = free;
+        let item = (std::mem::take(&mut slot.key), std::mem::take(&mut slot.val));
         self.free = idx;
         item
     }
@@ -181,79 +215,83 @@ impl<K, V> RecencyList<K, V> {
     /// Reads the slots `idxs`, then both list neighbours of each, in two
     /// separate loops: the loads of one loop do not depend on each other, so
     /// their misses overlap instead of each unlink paying its own.
-    fn warm(&self, idxs: &[usize]) {
+    fn warm(&self, idxs: &[u32]) {
         let mut links = 0;
         for &idx in idxs {
-            let slot = &self.slots[idx];
+            let slot = self.slot(idx);
             links ^= slot.prev ^ slot.next;
         }
         for &idx in idxs {
-            let Slot { prev, next, .. } = self.slots[idx];
+            let Slot { prev, next, .. } = *self.slot(idx);
             if prev != NIL {
-                links ^= self.slots[prev].next;
+                links ^= self.slot(prev).next;
             }
             if next != NIL {
-                links ^= self.slots[next].prev;
+                links ^= self.slot(next).prev;
             }
         }
         std::hint::black_box(links);
     }
 
     /// Splices `idx` out of the recency list.
-    fn unlink(&mut self, idx: usize) {
+    fn unlink(&mut self, idx: u32) {
         touch(1);
-        let Slot { prev, next, .. } = self.slots[idx];
+        let Slot { prev, next, .. } = *self.slot(idx);
         match prev {
             NIL => self.head = next,
-            p => self.slots[p].next = next,
+            p => self.slot_mut(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
+            n => self.slot_mut(n).prev = prev,
         }
     }
 
     /// Links `idx` (currently unlinked) at the front of the recency list.
-    fn link_front(&mut self, idx: usize) {
+    fn link_front(&mut self, idx: u32) {
         touch(1);
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
-        match self.head {
+        let head = self.head;
+        let slot = self.slot_mut(idx);
+        slot.prev = NIL;
+        slot.next = head;
+        match head {
             NIL => self.tail = idx,
-            h => self.slots[h].prev = idx,
+            h => self.slot_mut(h).prev = idx,
         }
         self.head = idx;
     }
 
     /// Links `idx` (currently unlinked) at the back of the recency list.
-    fn link_back(&mut self, idx: usize) {
+    fn link_back(&mut self, idx: u32) {
         touch(1);
-        self.slots[idx].next = NIL;
-        self.slots[idx].prev = self.tail;
-        match self.tail {
+        let tail = self.tail;
+        let slot = self.slot_mut(idx);
+        slot.next = NIL;
+        slot.prev = tail;
+        match tail {
             NIL => self.head = idx,
-            t => self.slots[t].next = idx,
+            t => self.slot_mut(t).next = idx,
         }
         self.tail = idx;
     }
 
     /// Splices a prepared chain (`first..last`, already internally linked)
     /// before the current head.
-    fn splice_chain_front(&mut self, first: usize, last: usize) {
-        self.slots[last].next = self.head;
+    fn splice_chain_front(&mut self, first: u32, last: u32) {
+        self.slot_mut(last).next = self.head;
         match self.head {
             NIL => self.tail = last,
-            h => self.slots[h].prev = last,
+            h => self.slot_mut(h).prev = last,
         }
         self.head = first;
     }
 
     /// Splices a prepared chain (`first..last`) after the current tail.
-    fn splice_chain_back(&mut self, first: usize, last: usize) {
-        self.slots[first].prev = self.tail;
+    fn splice_chain_back(&mut self, first: u32, last: u32) {
+        self.slot_mut(first).prev = self.tail;
         match self.tail {
             NIL => self.head = first,
-            t => self.slots[t].next = first,
+            t => self.slot_mut(t).next = first,
         }
         self.tail = last;
     }
@@ -279,19 +317,19 @@ pub struct RecencyMap<K, V> {
     /// batch in key order, the `(key, slot)` pairs bound for the key-map,
     /// and the item-order permutation [`RecencyMap::insert_batch`] scatters
     /// its results through.
-    taken: Vec<usize>,
+    taken: Vec<u32>,
     sorted_keys: Vec<K>,
     staged: Vec<(K, Link)>,
     order: Vec<u32>,
 }
 
-impl<K: Ord + Clone, V: Clone> Default for RecencyMap<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> Default for RecencyMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
     /// Creates an empty map at the process-default tree fanout
     /// (`WSM_TREE_FANOUT`, default 16).
     // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
@@ -340,17 +378,13 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
         let idx = self.key_map.get(key)?.idx();
-        Some(&self.list.item(idx).1)
+        Some(&self.list.slot(idx).val)
     }
 
     /// Looks up a key, returning a mutable reference to its value.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let idx = self.key_map.get(key)?.idx();
-        let (_, val) = self.list.slots[idx]
-            .item
-            .as_mut()
-            .expect("key-map points at a live arena slot");
-        Some(val)
+        Some(&mut self.list.slot_mut(idx).val)
     }
 
     /// True if the key is present.
@@ -362,7 +396,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<&V>> {
         let mut out = Vec::with_capacity(keys.len());
         self.key_map.batch_get_with(keys, |idx| {
-            out.push(idx.map(|link| &self.list.item(link.idx()).1));
+            out.push(idx.map(|link| &self.list.slot(link.idx()).val));
         });
         out
     }
@@ -378,7 +412,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         while cur != idx {
             touch(1);
             rank += 1;
-            cur = self.list.slots[cur].next;
+            cur = self.list.slot(cur).next;
             debug_assert!(cur != NIL, "keyed slot must be on the recency list");
         }
         Some(rank)
@@ -391,9 +425,10 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// Inserts (or replaces) one item as the most recent.
     ///
     /// Single fused pass: the key-map insertion that writes the new arena
-    /// index *is* the traversal that finds a previous entry, whose slot is
-    /// then unlinked in O(1) — the paper's cross-link, not a second tree
-    /// operation.
+    /// index *is* the traversal that finds a previous entry, whose slot then
+    /// takes the new value and is moved in O(1) — the paper's cross-link,
+    /// not a second tree operation.  A present key keeps the key and the
+    /// slot it has, so replacing an item allocates nothing.
     pub fn insert_front(&mut self, key: K, val: V) -> Option<V> {
         self.fused_insert(key, val, true)
     }
@@ -405,14 +440,24 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     }
 
     fn fused_insert(&mut self, key: K, val: V, at_front: bool) -> Option<V> {
-        let idx = self.list.alloc(key.clone(), val);
-        let old = self.key_map.insert(key, Link::new(idx)).map(|old| {
-            self.list.unlink(old.idx());
-            self.list.release(old.idx()).1
+        let (list, mut val) = (&mut self.list, Some(val));
+        let mut idx = NIL;
+        let present = self.key_map.insert_with(key, |key| {
+            idx = list.alloc(key.clone(), val.take().expect("built once"));
+            Link::new(idx)
         });
-        if old.is_none() {
-            self.len += 1;
-        }
+        let old = match present.copied() {
+            Some(link) => {
+                idx = link.idx();
+                list.unlink(idx);
+                let val = val.expect("kept for a present key");
+                Some(std::mem::replace(&mut list.slot_mut(idx).val, val))
+            }
+            None => {
+                self.len += 1;
+                None
+            }
+        };
         if at_front {
             self.list.link_front(idx);
         } else {
@@ -425,7 +470,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// and stages their `(key, slot)` pairs, in item order, for the key-map.
     /// Counts every item as new.  Returns `(first, last)` of the chain, or
     /// `None` for no items.
-    fn stage_chain(&mut self, items: impl IntoIterator<Item = (K, V)>) -> Option<(usize, usize)> {
+    fn stage_chain(&mut self, items: impl IntoIterator<Item = (K, V)>) -> Option<(u32, u32)> {
         debug_assert!(self.staged.is_empty());
         let mut first = NIL;
         let mut last = NIL;
@@ -436,8 +481,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
             if first == NIL {
                 first = idx;
             } else {
-                self.list.slots[last].next = idx;
-                self.list.slots[idx].prev = last;
+                self.list.slot_mut(last).next = idx;
+                self.list.slot_mut(idx).prev = last;
             }
             last = idx;
         }
@@ -601,20 +646,20 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         for _ in 0..k {
             touch(1);
             self.taken.push(cur);
-            let slot = &self.list.slots[cur];
+            let slot = self.list.slot(cur);
             cur = if front { slot.next } else { slot.prev };
         }
         if front {
             self.list.head = cur;
             match cur {
                 NIL => self.list.tail = NIL,
-                h => self.list.slots[h].prev = NIL,
+                h => self.list.slot_mut(h).prev = NIL,
             }
         } else {
             self.list.tail = cur;
             match cur {
                 NIL => self.list.head = NIL,
-                t => self.list.slots[t].next = NIL,
+                t => self.list.slot_mut(t).next = NIL,
             }
             // The walk went back to front.
             self.taken.reverse();
@@ -641,27 +686,31 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     /// Clears the key-map entries of the already-detached `taken` slots with
     /// one sorted batch removal (the reverse-indexing operation of Appendix
     /// A.2: the arena indices *are* the direct pointers) and releases the
-    /// slots, appending their items to `out` in `taken` order.
+    /// slots, appending their items to `out` in `taken` order.  Each key
+    /// moves out of its slot into the batch, and the removal moves the key
+    /// map's copy into the slot in its place, so no key is cloned and the
+    /// batch's copies are dropped before the take returns.
     fn release_taken(&mut self, out: &mut Vec<(K, V)>) {
         self.len -= self.taken.len();
         self.sorted_keys.clear();
-        let list = &self.list;
-        self.sorted_keys
-            .extend(self.taken.iter().map(|&idx| list.item(idx).0.clone()));
+        let list = &mut self.list;
+        let keys = self
+            .taken
+            .iter()
+            .map(|&idx| std::mem::take(&mut list.slot_mut(idx).key));
+        self.sorted_keys.extend(keys);
         self.sorted_keys.sort_unstable();
         if self.locate_pays(self.sorted_keys.len()) {
             self.key_map.locate_batch(&self.sorted_keys, |_| {});
         }
         let list = &mut self.list;
         self.key_map.batch_remove_with(&self.sorted_keys, |entry| {
-            debug_assert!(
-                entry.is_some_and(|(key, link)| list.slots[link.idx()]
-                    .item
-                    .as_ref()
-                    .is_some_and(|(k, _)| *k == key)),
-                "key-map and recency list out of sync"
-            );
+            let (key, link) = entry.expect("key-map and recency list out of sync");
+            let slot = list.slot_mut(link.idx());
+            debug_assert!(slot.key == K::default(), "key-map points at a kept slot");
+            slot.key = key;
         });
+        self.sorted_keys.clear();
         out.extend(self.taken.iter().map(|&idx| list.release(idx)));
     }
 
@@ -679,8 +728,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     // lint: allow(unmetered) — O(1) list-head read, touches no tree node
     pub fn peek_front(&self) -> Option<(&K, &V)> {
         (self.list.head != NIL).then(|| {
-            let (k, v) = self.list.item(self.list.head);
-            (k, v)
+            let slot = self.list.slot(self.list.head);
+            (&slot.key, &slot.val)
         })
     }
 
@@ -688,8 +737,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
     // lint: allow(unmetered) — O(1) list-tail read, touches no tree node
     pub fn peek_back(&self) -> Option<(&K, &V)> {
         (self.list.tail != NIL).then(|| {
-            let (k, v) = self.list.item(self.list.tail);
-            (k, v)
+            let slot = self.list.slot(self.list.tail);
+            (&slot.key, &slot.val)
         })
     }
 
@@ -700,8 +749,9 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         let mut out = Vec::with_capacity(self.len);
         let mut cur = self.list.head;
         while cur != NIL {
-            out.push(self.list.item(cur).clone());
-            cur = self.list.slots[cur].next;
+            let slot = self.list.slot(cur);
+            out.push((slot.key.clone(), slot.val.clone()));
+            cur = slot.next;
         }
         out
     }
@@ -735,6 +785,7 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         assert_eq!(self.key_map.len(), self.len, "key-map and arena disagree");
         // The recency list is a well-formed doubly-linked chain over exactly
         // the live slots.
+        let mut live = vec![false; self.list.slots.len()];
         let mut count = 0usize;
         let mut prev = NIL;
         let mut cur = self.list.head;
@@ -743,8 +794,8 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
                 count < self.len + 1,
                 "recency list longer than len (cycle?)"
             );
-            let slot = &self.list.slots[cur];
-            assert!(slot.item.is_some(), "recency list visits free slot {cur}");
+            live[cur as usize] = true;
+            let slot = self.list.slot(cur);
             assert_eq!(slot.prev, prev, "broken prev link at slot {cur}");
             prev = cur;
             cur = slot.next;
@@ -755,13 +806,12 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
         // Every key-map entry points at a live slot holding the same key.
         self.key_map.for_each(|key, link| {
             let idx = link.idx();
-            let (slot_key, _) = self.list.slots[idx]
-                .item
-                .as_ref()
-                .unwrap_or_else(|| panic!("key {key:?} maps to free slot {idx}"));
+            assert!(live[idx as usize], "key {key:?} maps to free slot {idx}");
+            let slot_key = &self.list.slot(idx).key;
             assert_eq!(slot_key, key, "key-map entry points at the wrong slot");
         });
-        // The free list accounts for every vacant slot, with no leaks.
+        // The free list accounts for every vacant slot, with no leaks, and a
+        // free slot holds no key.
         let mut free_count = 0usize;
         let mut cur = self.list.free;
         while cur != NIL {
@@ -769,11 +819,10 @@ impl<K: Ord + Clone, V: Clone> RecencyMap<K, V> {
                 free_count < self.list.slots.len() + 1,
                 "free list cycle at slot {cur}"
             );
-            assert!(
-                self.list.slots[cur].item.is_none(),
-                "free list visits live slot"
-            );
-            cur = self.list.slots[cur].next;
+            assert!(!live[cur as usize], "free list visits live slot {cur}");
+            let slot = self.list.slot(cur);
+            assert!(slot.key == K::default(), "free slot {cur} keeps a key");
+            cur = slot.next;
             free_count += 1;
         }
         assert_eq!(

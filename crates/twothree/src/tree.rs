@@ -36,13 +36,13 @@ pub struct BTree<K, V> {
 /// lineage (Appendix A.2) and keeps every call site source-compatible.
 pub type Tree23<K, V> = BTree<K, V>;
 
-impl<K: Ord + Clone, V> Default for BTree<K, V> {
+impl<K: Ord + Clone + Default, V> Default for BTree<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Clone, V> BTree<K, V> {
+impl<K: Ord + Clone + Default, V> BTree<K, V> {
     /// Creates an empty tree at the process-default fanout
     /// (`WSM_TREE_FANOUT`, default 16).
     // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
@@ -167,14 +167,29 @@ impl<K: Ord + Clone, V> BTree<K, V> {
     /// nodes on the search path are touched, and a node is allocated only
     /// when one actually splits.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
+        let mut val = Some(val);
+        let present = self.insert_with(key, |_| val.take().expect("built once"))?;
+        val.map(|val| std::mem::replace(present, val))
+    }
+
+    /// Inserts `key` with the value `make` builds from it, in the one
+    /// traversal of [`BTree::insert`] — unless the key is present: then
+    /// the tree keeps its key, `make` is not called, `key` is dropped, and
+    /// the present value is returned for the caller to update.
+    pub(crate) fn insert_with(&mut self, key: K, make: impl FnOnce(&K) -> V) -> Option<&mut V> {
         pass();
         if self.root == NIL {
+            let val = make(&key);
             self.root = self.arena.build_sorted(1, std::iter::once((key, val)));
             return None;
         }
-        let prev = self.arena.insert_point(self.root, key, val);
-        self.root = self.arena.grow_root(self.root);
-        prev
+        match self.arena.insert_point(self.root, key, make) {
+            Ok(()) => {
+                self.root = self.arena.grow_root(self.root);
+                None
+            }
+            Err((node, pos)) => Some(self.arena.val_mut(node, pos)),
+        }
     }
 
     /// Removes a key; returns its value if it was present.  In-place, like
@@ -245,7 +260,7 @@ impl<K: Ord + Clone, V> BTree<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V> FromIterator<(K, V)> for BTree<K, V> {
+impl<K: Ord + Clone + Default, V> FromIterator<(K, V)> for BTree<K, V> {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
         let mut items: Vec<(K, V)> = iter.into_iter().collect();
         items.sort_by(|a, b| a.0.cmp(&b.0));

@@ -47,8 +47,8 @@ pub trait DurableState<K, V>: BatchedMap<K, V> {
 
 impl<K, V> DurableState<K, V> for M1<K, V>
 where
-    K: Ord + Clone + Send + Sync + std::fmt::Debug,
-    V: Clone,
+    K: Ord + Clone + Default + Send + Sync + std::fmt::Debug,
+    V: Clone + Default,
 {
     fn snapshot_segments(&self) -> Vec<Vec<(K, V)>> {
         M1::snapshot_segments(self)
@@ -63,8 +63,8 @@ where
 
 impl<K, V> DurableState<K, V> for M2<K, V>
 where
-    K: Ord + Clone + Send + Sync + std::fmt::Debug,
-    V: Clone,
+    K: Ord + Clone + Default + Send + Sync + std::fmt::Debug,
+    V: Clone + Default,
 {
     fn snapshot_segments(&self) -> Vec<Vec<(K, V)>> {
         M2::snapshot_segments(self)

@@ -1,12 +1,22 @@
-//! Allocation budget of the steady-state sweep and combine paths.
+//! Allocation budget of the steady-state sweep and combine paths, and the
+//! live bytes an item costs.
 //!
 //! A counting `#[global_allocator]` (allocations + reallocations, counted per
-//! thread so the tests of this file may run side by side) pins five things:
+//! thread, and the bytes allocated minus the bytes freed, counted for the
+//! process; the tests of this file take turns, so neither count sees
+//! another test's work) pins seven things:
 //!
+//! * the live bytes per item a preload of 2^16 `u64`/`u64` items leaves in
+//!   a `RecencyMap` at B ∈ {2, 16, 64}, and in `M1` at the process fanout,
+//!   stay under their recorded bounds;
 //! * a warmed `RecencyMap` moves a batch out of and back into its tree
 //!   through buffers it keeps — a removal allocates the `Vec` it returns,
 //!   whatever the batch size, and a take into or a push from a buffer the
 //!   caller keeps allocates nothing;
+//! * with `String` keys and values, a warmed `RecencyMap` allocates nothing
+//!   for hit removals, point removals, takes from either end, or pushes of
+//!   items whose key is present: a removed key moves out of its cell, and a
+//!   routing key is rewritten in place;
 //! * a warmed tree held at a steady size takes insert sweeps of fresh keys
 //!   and remove sweeps of as many — splits, merges and even-outs — and
 //!   allocates nothing but the vector each sweep returns: its nodes live in
@@ -34,6 +44,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
 use wsm_shard::ShardedMap;
@@ -44,6 +56,17 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bytes allocated minus bytes freed, by every thread of the process.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Held by every test of this file for its whole run, so the process-wide
+/// byte count sees one test at a time.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn count() {
@@ -57,17 +80,20 @@ fn count() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Relaxed);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -124,6 +150,7 @@ fn thinned_map(rng: &mut Rng) -> RecencyMap<u64, u64> {
 
 #[test]
 fn recency_round_trips_allocate_a_constant_per_call() {
+    let _turn = turn();
     let mut rng = Rng(0x5EED);
     let mut map = thinned_map(&mut rng);
     let mut moved = Vec::new();
@@ -164,8 +191,172 @@ fn recency_round_trips_allocate_a_constant_per_call() {
     map.check_invariants();
 }
 
+/// `thinned_map`'s layout with owned keys and values of one length each,
+/// so a routing key rewritten in place always fits its buffer.
+fn thinned_owned_map(rng: &mut Rng) -> RecencyMap<String, String> {
+    let mut ids: Vec<u64> = (0..KEYS).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+    }
+    let mut map = RecencyMap::new();
+    map.push_back_batch(ids.into_iter().map(owned_item).collect());
+    let every_fourth: Vec<String> = (0..KEYS).filter(|k| k % 4 == 3).map(owned_key).collect();
+    map.remove_batch(&every_fourth);
+    map
+}
+
+fn owned_key(k: u64) -> String {
+    format!("key-{k:05}")
+}
+
+fn owned_item(k: u64) -> (String, String) {
+    (owned_key(k), format!("val-{k:05}"))
+}
+
+#[test]
+fn owned_removals_takes_and_repushes_allocate_nothing() {
+    let _turn = turn();
+    let mut rng = Rng(0x0111ED);
+    let mut map = thinned_owned_map(&mut rng);
+    let (mut found, mut moved) = (Vec::new(), Vec::new());
+    // Largest batch first, so every scratch buffer has reached its size.
+    for (round, batch) in [1024usize, 16, 64, 256, 1024].into_iter().enumerate() {
+        let keys: Vec<String> = rng.present_keys(batch).into_iter().map(owned_key).collect();
+        let batch = keys.len();
+        found.clear();
+        let ((), removing) = allocations(|| map.remove_batch_with(&keys, |v| found.push(v)));
+        assert!(found.iter().all(Option::is_some), "every key is present");
+        let items: Vec<(String, String)> =
+            keys.into_iter().zip(found.drain(..).flatten()).collect();
+        map.push_front_batch(items);
+
+        let mut taking = 0;
+        for end in [End::Back, End::Front] {
+            let ((), n) = allocations(|| map.take_into(end, batch, &mut moved));
+            assert_eq!(moved.len(), batch);
+            taking += n;
+            map.push_from(end, &mut moved);
+        }
+
+        // Upserts of present keys, with the new items made outside the
+        // count: the map keeps its key and its slot.
+        let present = rng.present_keys(batch);
+        let again: Vec<(String, String)> = present.iter().map(|&k| owned_item(k)).collect();
+        let ((), repushing) = allocations(|| {
+            for (i, (key, val)) in again.into_iter().enumerate() {
+                let old = if i % 2 == 0 {
+                    map.insert_front(key, val)
+                } else {
+                    map.insert_back(key, val)
+                };
+                assert!(old.is_some(), "every key is present");
+            }
+        });
+
+        let point = owned_key(present[0]);
+        let (old, point_removing) = allocations(|| map.remove(&point));
+        map.insert_front(point, old.expect("the key is present"));
+
+        println!(
+            "batch {batch:4}: remove_batch_with {removing}, take_into {taking}, \
+             upserts {repushing}, remove {point_removing} allocations"
+        );
+        if round == 0 {
+            continue;
+        }
+        assert_eq!(removing, 0, "remove_batch_with({batch})");
+        assert_eq!(taking, 0, "take_into({batch}) at both ends");
+        assert_eq!(
+            repushing, 0,
+            "insert_front / insert_back of {batch} present keys"
+        );
+        assert_eq!(point_removing, 0, "remove");
+    }
+    assert_eq!(map.len(), (KEYS - KEYS / 4) as usize);
+    map.check_invariants();
+}
+
+/// Runs `build` and returns what it built with the bytes per item it left
+/// allocated: bytes allocated minus bytes freed meanwhile, over `KEYS`.
+fn live_bytes_per_item<T>(build: impl FnOnce() -> T) -> (T, f64) {
+    let before = LIVE_BYTES.load(Relaxed);
+    let built = build();
+    let live = LIVE_BYTES.load(Relaxed) - before;
+    (built, live as f64 / KEYS as f64)
+}
+
+/// `KEYS` distinct keys in a shuffled order.
+fn shuffled_keys(rng: &mut Rng) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0..KEYS).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+    }
+    keys
+}
+
+/// Preloads `M1` with `KEYS` shuffled keys in 256-op insert batches, the
+/// way `uniform_search_allocations_per_op` does, and drops its buffers.
+fn preloaded_m1(keys: &[u64]) -> M1<u64, u64> {
+    let mut map = M1::new(4);
+    let (mut batch, mut results) = (Vec::new(), Vec::new());
+    let mut next_id: OpId = 0;
+    for chunk in keys.chunks(256) {
+        batch.extend(chunk.iter().map(|&k| {
+            next_id += 1;
+            TaggedOp {
+                id: next_id,
+                op: Operation::Insert(k, k),
+            }
+        }));
+        results.clear();
+        map.run_batch(&mut batch, &mut results);
+    }
+    map
+}
+
+/// Bounds on the live bytes per `u64`/`u64` item of a 2^16-item preload,
+/// `(fanout, RecencyMap, M1)`: the measured 96.3, 56.3 and 50.2 bytes in a
+/// `RecencyMap` and 97.2, 57.0 and 51.0 in `M1`, rounded up.  Past the
+/// 16-byte payload that is the 24-byte list slot, the key tree's own copy
+/// of the key and its 4-byte value cell at the nodes' fill, and the spare
+/// capacity of the pools and the arena, which grow by doubling.
+const LIVE_BYTES_BOUNDS: [(usize, f64, f64); 3] =
+    [(2, 97.0, 98.0), (16, 57.0, 58.0), (64, 51.0, 51.0)];
+
+#[test]
+fn an_item_costs_its_payload_and_a_few_links() {
+    let _turn = turn();
+    let mut rng = Rng(0xB17E5);
+    let keys = shuffled_keys(&mut rng);
+    for &(fanout, map_bound, m1_bound) in &LIVE_BYTES_BOUNDS {
+        let (map, per_item) = live_bytes_per_item(|| {
+            let mut map = RecencyMap::with_fanout(fanout);
+            for chunk in keys.chunks(256) {
+                map.push_front_batch(chunk.iter().map(|&k| (k, k)).collect());
+            }
+            map
+        });
+        println!("RecencyMap<u64, u64>, B = {fanout}: {per_item:.1} live bytes per item");
+        assert_eq!(map.len(), KEYS as usize);
+        assert!(
+            per_item <= map_bound,
+            "B = {fanout}: a RecencyMap item costs {per_item:.1} bytes, over {map_bound}"
+        );
+        if fanout == wsm_twothree::default_fanout() {
+            let (m1, per_item) = live_bytes_per_item(|| preloaded_m1(&keys));
+            println!("M1<u64, u64>, B = {fanout}: {per_item:.1} live bytes per item");
+            assert_eq!(m1.size(), KEYS as usize);
+            assert!(
+                per_item <= m1_bound,
+                "B = {fanout}: an M1 item costs {per_item:.1} bytes, over {m1_bound}"
+            );
+        }
+    }
+}
+
 #[test]
 fn a_steady_size_tree_splits_and_merges_without_allocating() {
+    let _turn = turn();
     // Every eighth key of `0..KEYS`, among them a set `b`; each round puts
     // one of two 512-key sets, `a` (absent) and `b`, in, from all over the
     // range (splits), and takes the other out (merges and even-outs), so
@@ -232,6 +423,7 @@ fn uniform_search_allocations_per_op<M: BatchedMap<u64, u64>>(map: &mut M) -> f6
 
 #[test]
 fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
+    let _turn = turn();
     let mut map: M1<u64, u64> = M1::new(4);
     let per_op = uniform_search_allocations_per_op(&mut map);
     println!("M1 uniform searches: {per_op:.4} allocations per operation");
@@ -244,6 +436,7 @@ fn m1_uniform_searches_stay_under_one_allocation_per_operation() {
 
 #[test]
 fn m2_uniform_searches_allocate_nothing() {
+    let _turn = turn();
     let mut map: M2<u64, u64> = M2::new(4);
     let per_op = uniform_search_allocations_per_op(&mut map);
     println!("M2 uniform searches: {per_op:.4} allocations per operation");
@@ -342,6 +535,7 @@ fn deposit_then_combine<M: BatchedMap<u64, u64> + Send>(
 
 #[test]
 fn a_sharded_deposit_allocates_its_cells_and_at_most_s_more() {
+    let _turn = turn();
     // M1 sorts a cut batch above `SMALL` keys through PPivot, whose buffers
     // its sort scratch keeps, so its combine allocates nothing either.
     deposit_then_combine(&warmed_sharded(|| M1::new(4)), 0.0);
@@ -349,6 +543,7 @@ fn a_sharded_deposit_allocates_its_cells_and_at_most_s_more() {
 
 #[test]
 fn an_m2_sharded_deposit_allocates_its_cells_and_its_combine_nothing() {
+    let _turn = turn();
     deposit_then_combine(&warmed_sharded(|| M2::new(4)), 0.0);
 }
 
@@ -387,10 +582,12 @@ fn awaited_call<M: BatchedMap<u64, u64> + Send + 'static>(map: ShardedMap<u64, u
 
 #[test]
 fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
+    let _turn = turn();
     awaited_call(warmed_sharded(|| M1::new(4)));
 }
 
 #[test]
 fn an_awaited_m2_call_allocates_one_result_vector_beyond_its_deposit() {
+    let _turn = turn();
     awaited_call(warmed_sharded(|| M2::new(4)));
 }

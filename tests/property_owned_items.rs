@@ -7,10 +7,22 @@
 //! `BTreeMap` / recency-order model, with the invariant checks after every
 //! step, so a value cloned into the wrong cell, dropped early or stranded
 //! in a freed node shows up as a wrong or missing item.
+//!
+//! A right answer does not show that nothing is *kept*, so a second group
+//! of tests runs keys and values of a type that counts its live instances
+//! and its clones, per id, at B ∈ {2, 16, 64}: every key and value a
+//! removal, a take from either end or a drain removes is dropped by the
+//! time the call returns (bar the instances it hands to the caller), a
+//! point removal clones no key it removes, and a node that outgrows its
+//! region moves its cells into the spill buffer instead of cloning them.
+//! A batch sweep may copy a key it removes further on as a routing key for
+//! a moment — when a repair makes it the maximum of a node not yet swept —
+//! and the live counts show that copy gone before the sweep returns.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use wsm_twothree::{RecencyMap, Tree23};
+use wsm_twothree::{End, RecencyMap, Tree23};
 
 fn key(k: u16) -> String {
     format!("key-{k:05}")
@@ -192,6 +204,248 @@ proptest! {
                 }
             }
             assert_map_agrees(&map, &model);
+        }
+    }
+}
+
+/// Ids of the counted keys are `0..COUNTED`, of the counted values
+/// `COUNTED..2 * COUNTED`.
+const COUNTED: u32 = 1 << 10;
+
+/// Id of a default instance, which is not counted: what a vacant cell or a
+/// free slot holds.
+const UNCOUNTED: u32 = u32::MAX;
+
+thread_local! {
+    /// Per id: live instances, and clones made.
+    static LEDGER: RefCell<Vec<(i64, u64)>> = RefCell::new(vec![(0, 0); 2 * COUNTED as usize]);
+}
+
+fn ledger(id: u32, f: impl FnOnce(&mut (i64, u64))) {
+    if id != UNCOUNTED {
+        LEDGER.with(|l| f(&mut l.borrow_mut()[id as usize]));
+    }
+}
+
+fn live(id: u32) -> i64 {
+    LEDGER.with(|l| l.borrow()[id as usize].0)
+}
+
+fn clones(id: u32) -> u64 {
+    LEDGER.with(|l| l.borrow()[id as usize].1)
+}
+
+/// A key or value that owns nothing but keeps books on itself.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Counted(u32);
+
+impl Counted {
+    fn new(id: u32) -> Self {
+        ledger(id, |(n, _)| *n += 1);
+        Counted(id)
+    }
+}
+
+impl Default for Counted {
+    fn default() -> Self {
+        Counted(UNCOUNTED)
+    }
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        ledger(self.0, |(n, c)| {
+            *n += 1;
+            *c += 1;
+        });
+        Counted(self.0)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        ledger(self.0, |(n, _)| *n -= 1);
+    }
+}
+
+fn counted_item(k: u32) -> (Counted, Counted) {
+    (Counted::new(k), Counted::new(COUNTED + k))
+}
+
+fn counted_keys(ids: &[u32]) -> Vec<Counted> {
+    ids.iter().map(|&k| Counted::new(k)).collect()
+}
+
+/// Asserts that `ids` have `keys` live key instances and `vals` live value
+/// instances each.
+fn assert_held(what: &str, ids: &[u32], keys: i64, vals: i64) {
+    for &k in ids {
+        assert_eq!(live(k), keys, "{what}: live instances of key {k}");
+        assert_eq!(
+            live(COUNTED + k),
+            vals,
+            "{what}: live instances of value {k}"
+        );
+    }
+}
+
+/// Removes `k` by a point removal, which must return its value, clone
+/// neither it nor its value, and keep no instance of either.
+fn assert_point_removal<T>(what: &str, k: u32, remove: impl FnOnce(&Counted) -> Option<T>) {
+    let before = (clones(k), clones(COUNTED + k));
+    let probe = Counted::new(k);
+    assert!(remove(&probe).is_some(), "{what}: key {k} present");
+    drop(probe);
+    assert_eq!(
+        (clones(k), clones(COUNTED + k)),
+        before,
+        "{what}: item {k} cloned"
+    );
+    assert_held(what, &[k], 0, 0);
+}
+
+/// The counted ids `0..n` in a scrambled order.
+fn scrambled(n: u32) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n).collect();
+    let mut x = 0x9E37_79B9u32;
+    for i in (1..ids.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        ids.swap(i, x as usize % (i + 1));
+    }
+    ids
+}
+
+const COUNTED_FANOUTS: [usize; 3] = [2, 16, 64];
+
+#[test]
+fn recency_map_removals_keep_nothing_of_what_they_remove() {
+    for fan in COUNTED_FANOUTS {
+        let mut map: RecencyMap<Counted, Counted> = RecencyMap::with_fanout(fan);
+        let ids = scrambled(COUNTED);
+        map.push_back_batch(ids.iter().map(|&k| counted_item(k)).collect());
+        map.check_invariants();
+
+        for &k in &ids[..16] {
+            assert_point_removal("RecencyMap::remove", k, |probe| map.remove(probe));
+        }
+
+        // Batch removal: the probes are the caller's, the values returned.
+        let mut batch: Vec<u32> = ids[16..400].iter().copied().step_by(3).collect();
+        batch.sort_unstable();
+        let probes = counted_keys(&batch);
+        let vals = map.remove_batch(&probes);
+        assert!(
+            vals.iter().all(Option::is_some),
+            "fan {fan}: every key present"
+        );
+        assert_held("remove_batch", &batch, 1, 1);
+        drop((probes, vals));
+        map.check_invariants();
+
+        // Takes from either end: the items handed out, and nothing else.
+        for end in [End::Front, End::Back] {
+            let mut out = Vec::new();
+            let taken: Vec<u32> = {
+                let mut probe = map.items_in_recency_order();
+                if end == End::Back {
+                    probe.reverse();
+                }
+                probe.into_iter().take(100).map(|(k, _)| k.0).collect()
+            };
+            map.take_into(end, 100, &mut out);
+            assert_eq!(out.len(), 100);
+            assert_held("take_into", &taken, 1, 1);
+            out.clear();
+            map.check_invariants();
+        }
+
+        // A drain to empty keeps no instance of anything.
+        let rest: Vec<u32> = map.keys_sorted().iter().map(|k| k.0).collect();
+        let drained = map.take_back(map.len());
+        assert_held("drain", &rest, 1, 1);
+        drop(drained);
+        assert!(map.is_empty());
+        map.check_invariants();
+        for k in 0..COUNTED {
+            assert_eq!(
+                (live(k), live(COUNTED + k)),
+                (0, 0),
+                "fan {fan}: item {k} kept"
+            );
+        }
+    }
+}
+
+#[test]
+fn tree_removals_keep_nothing_of_what_they_remove() {
+    for fan in COUNTED_FANOUTS {
+        let items: Vec<(Counted, Counted)> = (0..COUNTED).map(counted_item).collect();
+        let mut tree = Tree23::from_sorted_with_fanout(items, fan);
+
+        // Dense batches, so many height-1 nodes lose several cells at once.
+        let ids = scrambled(COUNTED);
+        for chunk in ids.chunks(COUNTED as usize / 4) {
+            let mut batch = chunk.to_vec();
+            batch.sort_unstable();
+            let probes = counted_keys(&batch);
+            let removed = tree.batch_remove(&probes);
+            // The caller's probe and the item handed out.
+            assert_held("batch_remove", &batch, 2, 1);
+            assert!(removed.iter().all(Option::is_some));
+            drop((probes, removed));
+            tree.check_invariants();
+        }
+        assert!(tree.is_empty());
+        for k in 0..COUNTED {
+            assert_eq!(
+                (live(k), live(COUNTED + k)),
+                (0, 0),
+                "fan {fan}: item {k} kept"
+            );
+        }
+
+        // Point removals, down to an empty tree.
+        let items: Vec<(Counted, Counted)> = (0..256).map(counted_item).collect();
+        let mut tree = Tree23::from_sorted_with_fanout(items, fan);
+        for k in scrambled(256) {
+            assert_point_removal("Tree23::remove", k, |probe| tree.remove(probe));
+        }
+        tree.check_invariants();
+        for k in 0..256 {
+            assert_eq!(
+                (live(k), live(COUNTED + k)),
+                (0, 0),
+                "fan {fan}: item {k} kept"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_spilling_node_moves_its_cells() {
+    for fan in COUNTED_FANOUTS {
+        // A tree of one full height-1 node (`max(3, B)` cells, even ids),
+        // then a sweep of as many keys between them (odd ids): the node
+        // merges past its region into the spill buffer, and its parent-to-be
+        // cuts it into two.  Only the routing keys of the three nodes that
+        // result are copies.
+        let full = fan.max(3) as u32;
+        let items: Vec<(Counted, Counted)> = (0..full).map(|k| counted_item(2 * k)).collect();
+        let mut tree = Tree23::from_sorted_with_fanout(items, fan);
+        let all_clones = || (0..2 * full).map(clones).sum::<u64>();
+        let before = all_clones();
+        let fresh: Vec<(Counted, Counted)> = (0..full).map(|k| counted_item(2 * k + 1)).collect();
+        tree.batch_insert(fresh);
+        tree.check_invariants();
+        let cloned = all_clones() - before;
+        assert!(
+            cloned <= 3,
+            "fan {fan}: the spill cloned {cloned} keys for three routing keys"
+        );
+        for k in 0..2 * full {
+            assert_eq!(live(COUNTED + k), 1, "fan {fan}: value {k}");
         }
     }
 }
