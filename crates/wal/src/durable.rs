@@ -7,8 +7,11 @@
 //!   via each shard's [`ConcurrentMap`](wsm_core::ConcurrentMap) commit hook
 //!   (under the inner-map lock, so no caller ever observes a result whose
 //!   batch is not in the log), and
-//! * every `checkpoint_every` logged batches the map's segments are written
-//!   as an atomic checkpoint and the log is truncated.
+//! * every `checkpoint_every` logged batches the shard's segments are written
+//!   as an atomic checkpoint.  The shard's inner lock is held only while the
+//!   log is rotated and the segments are snapshotted; the caller that crossed
+//!   the threshold then encodes, writes and fsyncs the image, and deletes
+//!   the logs it covers, while the shard's combiner keeps appending.
 //!
 //! IO failure policy is **fail-stop**: an `append` error panics the combiner
 //! rather than apply an unlogged batch, and a checkpoint error panics rather
@@ -24,7 +27,7 @@ use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
 use wsm_shard::ShardedMap;
 
 use crate::codec::Codec;
-use crate::log::{Recovered, RecoveryReport, SyncPolicy, Wal, WalStats};
+use crate::log::{Checkpoint, Recovered, RecoveryReport, SyncPolicy, Wal, WalStats};
 
 /// A batched map whose whole semantic state can round-trip through a
 /// checkpoint image: the per-segment item lists in recency order.
@@ -85,7 +88,8 @@ where
 pub struct DurableOptions {
     /// When appended records reach the disk (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
-    /// Checkpoint (and truncate the log) every this many logged batches.
+    /// Checkpoint (and delete the logs it covers) every this many logged
+    /// batches.
     pub checkpoint_every: u64,
 }
 
@@ -128,25 +132,6 @@ where
     }
     map.check_recovered();
     recovered.report
-}
-
-/// The periodic checkpoint, run with the map's inner lock held (inside
-/// `with_inner` / `with_shard_inner`): checkpoints `map` into `wal` only if
-/// `every` batches were logged since the last checkpoint.  Appends and
-/// checkpoints both happen under that lock, so the count read here is exact —
-/// of several callers whose operations rode one combined batch and who all
-/// saw the threshold crossed from outside the lock, only the first to get in
-/// still finds it crossed.
-fn checkpoint_if_due<K, V, M>(wal: &Wal<K, V>, every: u64, map: &M)
-where
-    K: Codec,
-    V: Codec,
-    M: DurableState<K, V>,
-{
-    if wal.since_checkpoint() >= every {
-        wal.checkpoint(&map.snapshot_segments())
-            .expect("WAL checkpoint failed; refusing to let the log grow unbounded");
-    }
 }
 
 /// A [`ShardedMap`] with one [`Wal`] per shard (under `dir/shard-<i>/`).
@@ -192,9 +177,10 @@ where
 
     /// Opens with explicit [`DurableOptions`].  Each shard recovers
     /// independently from its own `dir/shard-<i>/` WAL: it loads the newest
-    /// valid checkpoint, replays the log tail (truncating a torn final
-    /// record) and asserts the structure's invariants; then the commit hooks
-    /// are installed so every later batch is logged before it is applied.
+    /// valid checkpoint, replays the records of its logs past it (truncating
+    /// at a torn record) and asserts the structure's invariants; then the
+    /// commit hooks are installed so every later batch is logged before it
+    /// is applied.
     ///
     /// The shard count must match across opens, because keys do not migrate.
     /// If `dir` already holds shard directories other than exactly
@@ -311,14 +297,15 @@ where
         results
     }
 
-    /// Checkpoints one shard now: snapshots its segments under the shard's
-    /// inner-map lock (serialized against its combiner and commit hook, so
-    /// the image is exactly the logged prefix) and truncates its log.
-    /// Returns the checkpoint sequence.
+    /// Checkpoints one shard now, waiting while another checkpoint of it
+    /// runs.  The shard's inner lock is held only to rotate its log and
+    /// snapshot its segments (serialized against its combiner and commit
+    /// hook, so the image is exactly the logged prefix); the image is
+    /// written after the lock is released.  Returns the checkpoint sequence.
     pub fn checkpoint_shard(&self, shard: usize) -> io::Result<u64> {
-        self.map.with_shard_inner(shard, |m| {
-            self.wals[shard].checkpoint(&m.snapshot_segments())
-        })
+        let turn = self.wals[shard].checkpoint();
+        let seq = self.checkpoint_if_due(shard, turn, 0)?;
+        Ok(seq.expect("a checkpoint with no threshold is always due"))
     }
 
     /// Checkpoints every shard, returning the per-shard sequences.
@@ -335,13 +322,42 @@ where
 
     fn maybe_checkpoint(&self) {
         for (i, wal) in self.wals.iter().enumerate() {
-            // The unlocked read only keeps the common case off the inner lock.
+            // The unlocked read only keeps the common case off the inner
+            // lock.  A checkpoint already running on this shard has reset the
+            // count, or is about to.
             if wal.since_checkpoint() >= self.checkpoint_every {
-                self.map.with_shard_inner(i, |m| {
-                    checkpoint_if_due(wal, self.checkpoint_every, m);
-                });
+                if let Some(turn) = wal.try_checkpoint() {
+                    self.checkpoint_if_due(i, turn, self.checkpoint_every)
+                        .expect("WAL checkpoint failed; refusing to let the log grow unbounded");
+                }
             }
         }
+    }
+
+    /// Checkpoints `shard` if `every` batches were logged since its last
+    /// checkpoint, holding its checkpoint `turn`.  The count is re-read under
+    /// the shard's inner lock, where every append and rotation happens, so
+    /// it is exact there — of several callers whose operations rode one
+    /// combined batch and who all saw the threshold crossed from outside the
+    /// lock, only the first to get in still finds it crossed.  Under the
+    /// lock the log is rotated and the segments snapshotted; the image is
+    /// written after the lock is released.  Returns the checkpoint sequence,
+    /// or `None` if none was due.
+    fn checkpoint_if_due(
+        &self,
+        shard: usize,
+        mut turn: Checkpoint<'_, K, V>,
+        every: u64,
+    ) -> io::Result<Option<u64>> {
+        let wal = &self.wals[shard];
+        let image = self.map.with_shard_inner(shard, |m| {
+            if wal.since_checkpoint() < every {
+                return Ok(None);
+            }
+            turn.rotate()?;
+            Ok::<_, io::Error>(Some(m.snapshot_segments()))
+        })?;
+        image.map(|image| turn.write(&image)).transpose()
     }
 }
 
@@ -576,6 +592,47 @@ mod tests {
         for k in 0..500u64 {
             assert_eq!(map.get(k), Some(k), "k={k}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint holds its shard for the rotation and the snapshot only:
+    /// over 2^16 keys its time under the inner lock stays within twice a
+    /// snapshot's.  The least of five checkpoints, each after an append so
+    /// each renames its log, is held against the least of five snapshots,
+    /// so one slow moment of a shared machine does not decide it.
+    #[test]
+    fn a_checkpoint_holds_its_shard_about_as_long_as_its_snapshot() {
+        let dir = fresh_dir("stall");
+        let map = open_m1(&dir, opts(SyncPolicy::Batch, u64::MAX));
+        map.insert_batch((0..1u64 << 16).map(|k| (k, k)).collect());
+        let snapshot_ns = (0..5)
+            .map(|_| {
+                let began = std::time::Instant::now();
+                let image = map.map.with_shard_inner(0, |m| m.snapshot_segments());
+                let ns = began.elapsed().as_nanos() as u64;
+                drop(image);
+                ns
+            })
+            .min()
+            .unwrap();
+        let locked_ns = (0..5u64)
+            .map(|k| {
+                map.insert(k, k + 1);
+                let before = map.wal_stats()[0];
+                map.checkpoint_shard(0).unwrap();
+                let after = map.wal_stats()[0];
+                assert!(
+                    after.checkpoint_ns - before.checkpoint_ns
+                        >= after.checkpoint_locked_ns - before.checkpoint_locked_ns
+                );
+                after.checkpoint_locked_ns - before.checkpoint_locked_ns
+            })
+            .min()
+            .unwrap();
+        assert!(
+            locked_ns <= 2 * snapshot_ns,
+            "held {locked_ns} ns for a {snapshot_ns} ns snapshot"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,9 +20,12 @@
 //! * **Checkpoints**: every N batches ([`DurableOptions::checkpoint_every`])
 //!   the map's segments — arena-backed `RecencyMap`s, snapshottable as plain
 //!   item lists in recency order since the PR 5 slab refactor — are written as an
-//!   atomic tmp+fsync+rename checkpoint file and the log is truncated.
+//!   atomic tmp+fsync+rename checkpoint file, and the logs it covers are
+//!   deleted.  The shard is held only to rotate its log and take the
+//!   snapshot; the write runs after its lock is released.
 //! * **Replay-on-open** ([`DurableShardedMap::open`]): per shard, load the
-//!   newest valid checkpoint, replay the log tail through the ordinary
+//!   newest valid checkpoint, replay the log records past it — rotated logs
+//!   a checkpoint has not deleted yet, then the active log — through the ordinary
 //!   [`BatchedMap`](wsm_core::BatchedMap) batch path, detect and cleanly
 //!   truncate a torn final record, then assert the structure's own
 //!   `check_invariants` — recovery is "replay until the invariants hold",
@@ -44,4 +47,4 @@ pub mod log;
 
 pub use codec::Codec;
 pub use durable::{DurableOptions, DurableShardedMap, DurableState};
-pub use log::{RecoveryReport, SyncPolicy, Wal, WalStats};
+pub use log::{Checkpoint, RecoveryReport, SyncPolicy, Wal, WalStats};

@@ -4,7 +4,7 @@
 //! A counting `#[global_allocator]` (allocations + reallocations, counted per
 //! thread, and the bytes allocated minus the bytes freed, counted for the
 //! process; the tests of this file take turns, so neither count sees
-//! another test's work) pins seven things:
+//! another test's work) pins eight things:
 //!
 //! * the live bytes per item a preload of 2^16 `u64`/`u64` items leaves in
 //!   a `RecencyMap` at B ∈ {2, 16, 64}, and in `M1` at the process fanout,
@@ -32,7 +32,10 @@
 //!   at most `S` more, however its keys split across the shards, and the
 //!   combines that serve it allocate nothing over M1 or M2;
 //! * awaiting such a request through `WsMapService::call_batch` adds one
-//!   result vector.
+//!   result vector;
+//! * a warmed `Wal::append` allocates nothing under the `batch` and `off`
+//!   sync policies: the record is framed in a buffer the log keeps, and
+//!   `off` writes its staged records out of that buffer and clears it.
 //!
 //! The round trips use a map whose key tree was built in bulk and then
 //! thinned evenly to three quarters full, and move at most a few keys of any
@@ -51,6 +54,7 @@ use wsm_core::{BatchedMap, OpId, OpResult, Operation, TaggedOp, M1, M2};
 use wsm_shard::ShardedMap;
 use wsm_svc::WsMapService;
 use wsm_twothree::{End, RecencyMap, Tree23};
+use wsm_wal::{SyncPolicy, Wal};
 
 struct Counting;
 
@@ -590,4 +594,39 @@ fn an_awaited_call_allocates_one_result_vector_beyond_its_deposit() {
 fn an_awaited_m2_call_allocates_one_result_vector_beyond_its_deposit() {
     let _turn = turn();
     awaited_call(warmed_sharded(|| M2::new(4)));
+}
+
+#[test]
+fn a_warmed_wal_append_allocates_nothing() {
+    let _turn = turn();
+    // A `durable-write`-shaped batch: 52 operations, 39 of them mutations.
+    let batch: Vec<TaggedOp<u64, u64>> = (0..52u64)
+        .map(|i| TaggedOp {
+            id: i as OpId,
+            op: match i % 4 {
+                0 => Operation::Search(i),
+                3 => Operation::Delete(i),
+                _ => Operation::Insert(i, i),
+            },
+        })
+        .collect();
+    for policy in [SyncPolicy::Batch, SyncPolicy::Off] {
+        let dir =
+            std::env::temp_dir().join(format!("wsm-alloc-wal-{}-{policy:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = Wal::<u64, u64>::open(&dir, policy).expect("open WAL");
+        // About 700 B a record: 512 of them flush `off`'s 64 KiB buffer
+        // several times over.
+        let append_all = || {
+            for _ in 0..512 {
+                assert!(wal.append(&batch).expect("append"));
+            }
+        };
+        append_all();
+        let ((), n) = allocations(append_all);
+        println!("{policy:?}: {n} allocations in 512 warmed appends");
+        assert_eq!(n, 0, "{policy:?}");
+        drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -12,6 +12,12 @@
 //! partially applied batch, never bytes past the damage — and opening twice
 //! must be idempotent.
 //!
+//! A checkpoint runs in steps — rotate the log under the map's lock, then
+//! write the `.tmp` file, rename it, and delete what it covers — while
+//! appends go on behind it; one property kills it after each step.  A
+//! directory written before logs were rotated (`tests/data/wal-parent-format`,
+//! a `wal.log` and a checkpoint) must recover too.
+//!
 //! One property is about a healthy run instead: the periodic checkpoint fires
 //! once per `checkpoint_every` logged batches however many callers see the
 //! threshold crossed at the same moment.
@@ -20,8 +26,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use wsm_core::{Operation, M1};
-use wsm_wal::{DurableOptions, DurableShardedMap, RecoveryReport, SyncPolicy};
+use wsm_core::{BatchedMap, OpId, Operation, TaggedOp, M1};
+use wsm_wal::{DurableOptions, DurableShardedMap, RecoveryReport, SyncPolicy, Wal};
 
 type Map = DurableShardedMap<u64, u64, M1<u64, u64>>;
 
@@ -119,6 +125,42 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 
 fn log_file(dir: &Path) -> PathBuf {
     dir.join("shard-0").join("wal.log")
+}
+
+/// Applies one batch to the oracle.
+fn apply(oracle: &mut BTreeMap<u64, u64>, batch: &[Operation<u64, u64>]) {
+    for op in batch {
+        match op {
+            Operation::Insert(k, v) => {
+                oracle.insert(*k, *v);
+            }
+            Operation::Delete(k) => {
+                oracle.remove(k);
+            }
+            Operation::Search(_) => {}
+        }
+    }
+}
+
+/// Every file of a WAL directory, by name.
+fn read_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list WAL dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("read file"))
+        })
+        .collect()
+}
+
+/// Makes `files` the whole contents of `dir`.
+fn write_files(dir: &Path, files: &BTreeMap<String, Vec<u8>>) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("create WAL dir");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("write file");
+    }
 }
 
 /// Asserts the reopened map holds exactly the oracle's contents (the key
@@ -280,6 +322,97 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Kill a checkpoint after each of its steps — after the log rotation,
+    /// after the `.tmp` write, after the rename, and partway through the
+    /// deletions (`kept` picks which of the older checkpoint and the rotated
+    /// logs survive) — with batches appended behind the rotation, and
+    /// sometimes an earlier checkpoint whose files the deletions remove.
+    /// The reopened map holds every acknowledged batch, and a second open
+    /// reports the same recovery and changes no file.
+    #[test]
+    fn killing_a_checkpoint_after_any_step_keeps_every_acknowledged_batch(
+        raw in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), any::<u8>()), 1..9),
+            2..9,
+        ),
+        earlier in 0usize..9,
+        rotate_at in 0usize..9,
+        step in 0usize..4,
+        kept in any::<u8>(),
+    ) {
+        let dir = fresh_dir("steps");
+        let shard = dir.join("shard-0");
+        let batches = materialize(&raw);
+        let rotate_at = rotate_at.min(batches.len());
+        let (wal, _) = Wal::<u64, u64>::open(&shard, SyncPolicy::Batch).expect("open WAL");
+        let mut map = M1::<u64, u64>::new(4);
+        let mut oracle = BTreeMap::new();
+        let mut earlier_seq = 0;
+        let mut pending = None;
+        for i in 0..=batches.len() {
+            if i == earlier && earlier < rotate_at {
+                let mut checkpoint = wal.checkpoint();
+                earlier_seq = checkpoint.rotate().expect("rotate");
+                checkpoint.write(&map.snapshot_segments()).expect("write");
+            }
+            if i == rotate_at {
+                let mut checkpoint = wal.checkpoint();
+                let seq = checkpoint.rotate().expect("rotate");
+                pending = Some((checkpoint, seq, map.snapshot_segments()));
+            }
+            let Some(batch) = batches.get(i) else { break };
+            // What the commit hook does: log the batch, then apply it.
+            let mut tagged: Vec<TaggedOp<u64, u64>> = batch
+                .iter()
+                .enumerate()
+                .map(|(id, op)| TaggedOp { id: id as OpId, op: op.clone() })
+                .collect();
+            wal.append(&tagged).expect("append");
+            map.run_batch(&mut tagged, &mut Vec::new());
+            apply(&mut oracle, batch);
+        }
+        let (checkpoint, seq, image) = pending.expect("rotate_at <= batches.len()");
+        let rotated = read_files(&shard);
+        checkpoint.write(&image).expect("write");
+        let done = read_files(&shard);
+        drop(wal);
+
+        let ckpt = format!("checkpoint-{seq}.ckpt");
+        let mut files = rotated.clone();
+        match step {
+            0 => {}
+            1 => {
+                files.insert(format!("checkpoint-{seq}.tmp"), done[&ckpt].clone());
+            }
+            _ => {
+                files.insert(ckpt.clone(), done[&ckpt].clone());
+                let deleted = rotated.keys().filter(|name| !done.contains_key(*name));
+                for (bit, name) in deleted.enumerate() {
+                    if step == 3 && kept >> (bit % 8) & 1 == 0 {
+                        files.remove(name);
+                    }
+                }
+            }
+        }
+        write_files(&shard, &files);
+
+        let map = open(&dir, SyncPolicy::Batch);
+        let first = recovery(&map);
+        prop_assert_eq!(first.checkpoint_seq, if step >= 2 { seq } else { earlier_seq });
+        prop_assert!(!first.truncated_torn_tail);
+        assert_state(&map, &oracle);
+        drop(map);
+        let normalized = read_files(&shard);
+        prop_assert!(!normalized.contains_key(&format!("checkpoint-{seq}.tmp")));
+
+        let map = open(&dir, SyncPolicy::Batch);
+        prop_assert_eq!(recovery(&map), first);
+        assert_state(&map, &oracle);
+        drop(map);
+        prop_assert_eq!(read_files(&shard), normalized, "a second open changes no file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Kill a `sync=off` process without flushing: whatever reached the OS is
     /// some *prefix* of the appended records — recovery must land exactly on
     /// one of the oracle's prefix states, never a mix.
@@ -394,5 +527,74 @@ fn periodic_checkpoints_fire_once_per_interval_under_concurrent_callers() {
     for ((k, v), got) in expect.iter().zip(got) {
         assert_eq!(got, Some(*v), "key {k}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The batches the fixture under `tests/data/wal-parent-format` holds: a WAL
+/// that truncated its single log at each checkpoint wrote them through a
+/// one-shard `DurableShardedMap` (`checkpoint_every` off), with a
+/// `checkpoint_all` after batch 11.
+fn parent_fixture_batches() -> Vec<Vec<Operation<u64, u64>>> {
+    (0..20u64)
+        .map(|b| {
+            (0..6u64)
+                .map(|j| {
+                    let k = (b * 37 + j * 11) % 256;
+                    if (b + j) % 4 == 3 {
+                        Operation::Delete(k)
+                    } else {
+                        Operation::Insert(k, b * 100 + j)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A directory from before logs were rotated — `wal.log` and
+/// `checkpoint-12.ckpt`, written by that code — opens to the same contents,
+/// twice, and then takes writes and rotating checkpoints like any other.
+#[test]
+fn a_directory_written_before_logs_rotated_recovers() {
+    let dir = fresh_dir("parent-format");
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal-parent-format/shard-0");
+    write_files(&dir.join("shard-0"), &read_files(&fixture));
+    let mut oracle = BTreeMap::new();
+    let mut checkpointed = 0;
+    for (b, batch) in parent_fixture_batches().iter().enumerate() {
+        apply(&mut oracle, batch);
+        if b == 11 {
+            checkpointed = oracle.len() as u64;
+        }
+    }
+
+    let expect = RecoveryReport {
+        checkpoint_seq: 12,
+        checkpoint_items: checkpointed,
+        replayed_batches: 8,
+        replayed_ops: 48,
+        skipped_stale_records: 0,
+        truncated_torn_tail: false,
+    };
+    for _ in 0..2 {
+        let map = open(&dir, SyncPolicy::Batch);
+        assert_eq!(recovery(&map), expect);
+        assert_state(&map, &oracle);
+    }
+
+    let map = open(&dir, SyncPolicy::Batch);
+    let more: Vec<Operation<u64, u64>> = (0..16u64)
+        .map(|k| Operation::Insert(k, 9_000 + k))
+        .collect();
+    map.run_batch(more.clone());
+    apply(&mut oracle, &more);
+    map.checkpoint_all().expect("checkpoint");
+    drop(map);
+    let map = open(&dir, SyncPolicy::Batch);
+    assert_eq!(recovery(&map).checkpoint_seq, 21);
+    assert_state(&map, &oracle);
+    let left: Vec<String> = read_files(&dir.join("shard-0")).into_keys().collect();
+    assert_eq!(left, ["checkpoint-21.ckpt", "wal.log"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
