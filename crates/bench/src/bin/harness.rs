@@ -54,8 +54,8 @@ fn with_budget(threads: Option<usize>, f: impl FnOnce() -> Vec<bench::Row>) -> V
 /// never clobbered with incomparable paper-shaped numbers and vice versa.
 /// Likewise every artifact records the tree `fanout` in its meta, and
 /// non-default fanouts (e.g. a `WSM_TREE_FANOUT=2` run of the analytic
-/// reference) write to a `_b{fanout}`-suffixed file, so B=2 and B=16 runs of
-/// the same preset never clobber each other.
+/// reference) write to a `_b{fanout}`-suffixed file, so runs of the same
+/// preset at B=2, B=16 and the default B=64 never clobber each other.
 fn emit(ids: &[&str], title: &str, rows: &[bench::Row], threads: Option<usize>, small: bool) {
     emit_extra(ids, title, rows, threads, small, &[]);
 }
@@ -99,10 +99,11 @@ fn emit_extra(
 }
 
 /// File-id suffix for the active preset and fanout: `_b{fanout}` for
-/// non-default fanouts, then `_small` for the small preset.
+/// fanouts other than [`wsm_twothree::DEFAULT_FANOUT`], then `_small` for
+/// the small preset.
 fn artifact_suffix(small: bool, fanout: usize) -> String {
     let mut suffix = String::new();
-    if fanout != 16 {
+    if fanout != wsm_twothree::DEFAULT_FANOUT {
         suffix.push_str(&format!("_b{fanout}"));
     }
     if small {
@@ -511,6 +512,15 @@ mod tests {
         for id in ALL_IDS {
             assert!(parse(&[id]).is_ok(), "{id}");
         }
+    }
+
+    #[test]
+    fn only_non_default_fanouts_suffix_the_artifact() {
+        let default = wsm_twothree::DEFAULT_FANOUT;
+        assert_eq!(artifact_suffix(true, default), "_small");
+        assert_eq!(artifact_suffix(false, default), "");
+        assert_eq!(artifact_suffix(true, 2), "_b2_small");
+        assert_eq!(artifact_suffix(false, 16), "_b16");
     }
 
     #[test]

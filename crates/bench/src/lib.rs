@@ -910,24 +910,23 @@ pub fn experiment_cost_constants(keyspace: u64, operations: usize) -> Vec<Row> {
 /// two-tree design paid 2 and 4.  A *sweep* row family times the three
 /// segment-op shapes of the cascade (`get_batch`, `remove_batch` +
 /// `push_front_batch`, `take_back` + `push_front_batch`) per key on a
-/// 2^17-item map — the size at which a segment tree outgrows the cache and
-/// the node layout, not the node count, decides the cost — and again on a
-/// 2^12-item map that stays in cache: the two sides of the size gate of
-/// `RecencyMap`'s locate walk.  Two `std::collections::BTreeMap` rows on the
-/// 2^17 keys give the yardstick: a `get` per key, and a remove + insert per
-/// key.
+/// 2^17-item map — the size at which a segment tree outgrows the cache, so
+/// each level of a descent is a cache miss the sweep waits for — and again
+/// on a 2^12-item map that stays in cache, where a level costs only its
+/// in-node scan.  Two `std::collections::BTreeMap` rows on the 2^17 keys
+/// give the yardstick: a `get` per key, and a remove + insert per key.
 ///
 /// Since the fanout-B arena rewrite every row also records `nodes/op`
 /// (thread-local metered tree-node touches) and `ns/op` (wall time), and an
 /// A/B micro family re-runs the point / batch / transfer shapes at `B = 2`
-/// (the paper's 2-3 shape) and `B = 16` (the cache-conscious default): node
-/// touches per op must drop by roughly the height ratio
-/// `log2(n) / log_{B/2}(n)`, which is what makes the wide node pay for its
-/// linear in-node scans.  The thread-local meter is exact on the micro and
-/// A/B rows (they run on the harness thread); the map-level rows execute
-/// batches inside the combiner's pool, where the cross-thread measured
-/// node-touch work is what `W/op` reports, so their `nodes/op` column only
-/// counts harness-thread touches (typically 0).
+/// (the paper's 2-3 shape), `B = 16` and `B = 64` (the default): node
+/// touches per op must fall from each fanout to the next, by roughly the
+/// height ratio `log2(n) / log_{B/2}(n)`, which is what makes the wide node
+/// pay for its linear in-node scans.  The thread-local meter is exact on the
+/// micro and A/B rows (they run on the harness thread); the map-level rows
+/// execute batches inside the combiner's pool, where the cross-thread
+/// measured node-touch work is what `W/op` reports, so their `nodes/op`
+/// column only counts harness-thread touches (typically 0).
 ///
 /// Results are persisted to `BENCH_e18.json` so the constant-factor drop is
 /// a tracked regression, not a one-off PR note.
@@ -1064,10 +1063,9 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
 
     // Sweep rows: the three segment-op shapes of the cascade at the size
     // where a segment tree no longer fits the cache (2^17 items) and at one
-    // where it does (2^12) — the two sides of `RecencyMap`'s locate-walk
-    // gate — 80 random sorted keys per batch (an M1 cut batch at p = 4)
-    // against a map built outside the timed body, mean per key over 256
-    // batches.
+    // where it does (2^12), 80 random sorted keys per batch (an M1 cut batch
+    // at p = 4) against a map built outside the timed body, mean per key
+    // over 256 batches.
     const SWEEP_BATCHES: usize = 256;
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
@@ -1149,12 +1147,13 @@ pub fn experiment_tree_passes(keyspace: u64, operations: usize) -> Vec<Row> {
         });
     }
 
-    // A/B micro family: the same op shapes on the 2-3 reference (B = 2) and
-    // the cache-conscious default (B = 16).  Passes are structural and must
-    // not change with the fanout; nodes/op must drop at B = 16 by roughly
-    // the height ratio log2(n) / log_{B/2}(n).
+    // A/B micro family: the same op shapes on the 2-3 reference (B = 2), at
+    // B = 16 and at the cache-conscious default (B = 64).  Passes are
+    // structural and must not change with the fanout; nodes/op must drop
+    // from each fanout to the next by roughly the height ratio
+    // log2(n) / log_{B/2}(n).
     let n = keyspace.max(512);
-    for fan in [2usize, 16] {
+    for fan in [2usize, 16, 64] {
         let items: Vec<(u64, u64)> = (0..n).map(|i| (i, i)).collect();
         let mut tree: Tree23<u64, u64> = Tree23::from_sorted_with_fanout(items, fan);
         let probes: Vec<u64> = (0..256u64).map(|i| (i * 97) % n).collect();
@@ -1796,8 +1795,8 @@ mod tests {
     fn tree_passes_experiment_pins_single_pass_segment_ops() {
         let rows = experiment_tree_passes(1 << 9, 1 << 11);
         // 3 workloads x 2 structures + 4 micro rows + 2 sizes x 3 sweep
-        // rows + 2 BTreeMap rows + 2 fanouts x 3 A/B rows.
-        assert_eq!(rows.len(), 24);
+        // rows + 2 BTreeMap rows + 3 fanouts x 3 A/B rows.
+        assert_eq!(rows.len(), 27);
         let get = |label: &str, key: &str| -> f64 {
             rows.iter()
                 .find(|r| r.label == label)
@@ -1827,8 +1826,7 @@ mod tests {
             1.0
         );
         // The sweep rows: one pass per batch for the read, two per round
-        // trip, over 256 batches — on either side of the locate-walk gate,
-        // which adds no pass.
+        // trip, over 256 batches, in cache and out of it.
         for n in ["2^17", "2^12"] {
             assert_eq!(
                 get(&format!("sweep get_batch b=80 n={n}"), "tree passes"),
@@ -1840,26 +1838,28 @@ mod tests {
             }
         }
         // The A/B family: passes are structural (fanout-independent), while
-        // the wide node must touch strictly fewer nodes on every shape.
+        // each wider node must touch strictly fewer nodes on every shape.
         let n = 1u64 << 9;
         for shape in [
             format!("point get x256 n={n}"),
             format!("batch insert b=64 n={n}"),
             format!("segment transfer k=64 n={n}"),
         ] {
-            let narrow = format!("{shape} fanout=2");
-            let wide = format!("{shape} fanout=16");
-            assert_eq!(
-                get(&narrow, "tree passes"),
-                get(&wide, "tree passes"),
-                "{shape}: pass counts must not depend on the fanout"
-            );
-            assert!(
-                get(&wide, "nodes/op") < get(&narrow, "nodes/op"),
-                "{shape}: B=16 should touch fewer nodes than B=2 ({} vs {})",
-                get(&wide, "nodes/op"),
-                get(&narrow, "nodes/op"),
-            );
+            for (narrow, wide) in [(2, 16), (16, 64)] {
+                let narrow_row = format!("{shape} fanout={narrow}");
+                let wide_row = format!("{shape} fanout={wide}");
+                assert_eq!(
+                    get(&narrow_row, "tree passes"),
+                    get(&wide_row, "tree passes"),
+                    "{shape}: pass counts must not depend on the fanout"
+                );
+                assert!(
+                    get(&wide_row, "nodes/op") < get(&narrow_row, "nodes/op"),
+                    "{shape}: B={wide} should touch fewer nodes than B={narrow} ({} vs {})",
+                    get(&wide_row, "nodes/op"),
+                    get(&narrow_row, "nodes/op"),
+                );
+            }
         }
         // The BTreeMap yardstick drives no `Tree23`; it is timed, not metered.
         for label in ["get", "remove + insert"] {

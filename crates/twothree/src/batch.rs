@@ -24,17 +24,6 @@
 //! (`batch_*_with`), so a caller that consumes them on the spot —
 //! [`crate::RecencyMap`] — collects nothing; the `Vec`-returning methods are
 //! that closure pushing.
-//!
-//! [`Tree23::locate_batch`] is the one batch traversal that is neither a
-//! sweep nor counted.  It reads the tree one height at a time — every node
-//! of the frontier before any child — so a batch's cache misses at one
-//! height overlap instead of following each other, and it reports the value
-//! of each key it finds.  It changes nothing and charges nothing (no touch,
-//! no pass): it is a cache effect, run ahead of a sweep over the same batch
-//! so that the sweep, which is what the cost model charges, finds its nodes
-//! in cache.  `RecencyMap` runs it only on key trees and batches big enough
-//! for it to pay, a gate set by E18's sweep rows on a 2^12-item map (where
-//! it does not) and a 2^17-item map (where it does).
 
 use crate::cost::pass;
 use crate::node::NIL;
@@ -60,32 +49,6 @@ impl<K: Ord + Clone + Default, V> Tree23<K, V> {
             keys.iter().for_each(|_| emit(None));
         } else {
             self.arena.sweep_get(self.root, keys, &mut emit);
-        }
-    }
-
-    /// The locate walk over a sorted batch (see the module docs): hands
-    /// `emit` the value of every key of `keys` that is present, in key
-    /// order, and counts neither a touch nor a pass.  Takes `&mut` only for
-    /// the scratch the tree keeps, so a warmed walk allocates nothing.
-    // lint: allow(unmetered) — cache warm-up ahead of a metered sweep, not work in the cost model
-    pub fn locate_batch(&mut self, keys: &[K], mut emit: impl FnMut(&V)) {
-        self.locate_by(keys, |k| k, &mut emit);
-    }
-
-    /// [`Tree23::locate_batch`] over any sorted batch, keyed by `key`.
-    pub(crate) fn locate_by<T>(
-        &mut self,
-        batch: &[T],
-        key: impl Fn(&T) -> &K,
-        emit: &mut impl FnMut(&V),
-    ) {
-        debug_assert!(
-            batch.windows(2).all(|w| key(&w[0]) < key(&w[1])),
-            "batch must be sorted"
-        );
-        if self.root != NIL && !batch.is_empty() {
-            self.arena
-                .locate(self.root, batch, key, &mut self.frontier, emit);
         }
     }
 
@@ -303,21 +266,6 @@ mod tests {
             clustered_touched < bound,
             "clustered batch: measured {clustered_touched} should beat the bound {bound}"
         );
-    }
-
-    #[test]
-    fn the_locate_walk_is_uncounted() {
-        use crate::cost::{metered, reset_tree_passes, tree_passes};
-        for fanout in [2usize, 8, 16] {
-            let mut t: Tree23<u64, u64> =
-                Tree23::from_sorted_with_fanout((0..1 << 13).map(|i| (i, i)).collect(), fanout);
-            let keys: Vec<u64> = (0..300u64).map(|i| i * 29).collect();
-            let mut located = 0;
-            reset_tree_passes();
-            let ((), touched) = metered(|| t.locate_batch(&keys, |_| located += 1));
-            assert_eq!((touched, tree_passes()), (0, 0), "fanout {fanout}");
-            assert_eq!(located, keys.iter().filter(|&&k| k < 1 << 13).count());
-        }
     }
 
     #[test]

@@ -48,11 +48,18 @@
 //! cells at height 1 and in children above.  `B = 2` gives exactly the 2-3
 //! tree of paper Appendix A.2 (2..=3 per node) with its bottom internal level
 //! holding the items, which stays as the analytic reference instantiation;
-//! `B = 8` gives 4..=8, `B = 16` (the default) gives 8..=16.  For every such
-//! pair `2·min - 1 <= max`, so the split/borrow/merge algebra is the classic
-//! (a,b)-tree algebra and underflow repair always terminates.  The root is
-//! exempt from the minimum (a root may hold one cell, or two children);
-//! every other node keeps `min..=max`.
+//! `B = 16` gives 8..=16, `B = 64` (the default) gives 32..=64.  For every
+//! such pair `2·min - 1 <= max`, so the split/borrow/merge algebra is the
+//! classic (a,b)-tree algebra and underflow repair always terminates.  The
+//! root is exempt from the minimum (a root may hold one cell, or two
+//! children); every other node keeps `min..=max`.
+//!
+//! The default is wide because a sweep pays its cache misses one node after
+//! another — each descent waits for a node before it knows the next — and a
+//! node of 64 cells is a few lines of one strided region, scanned in cache
+//! once it arrives.  On a `2^17`-item segment `B = 64` is about one level
+//! shorter than `B = 16`, so a descent waits for one miss fewer; the longer
+//! cell shifts of a wider height-1 node are in-cache moves.
 //!
 //! Point operations and the sorted-batch sweep (one descent per batch, see
 //! [`crate::batch`]) work in place: they split, merge and even out nodes on
@@ -73,24 +80,6 @@
 //! separately as *passes* at the [`crate::BTree`] entry points
 //! (`cost::tree_passes`).  Read-only diagnostic traversals (`for_each`,
 //! invariant checks) are deliberately uncounted by either counter.
-//!
-//! So is the **locate walk** ([`Arena::locate`]), the one read-only
-//! traversal that runs ahead of a sweep instead of replacing one.  The
-//! depth-first sweep pays its cache misses one key after another: each
-//! descent waits for a node before it knows the next.  The walk takes the
-//! same sorted batch one height at a time, reading the header and every
-//! cache line of the regions of every node of the frontier before it scans
-//! any child, so the misses of a whole level are independent loads the
-//! processor overlaps; it reports the value cell of every key it finds.  A
-//! sweep that
-//! follows it over the same batch then finds its nodes in cache.  It is a
-//! cache effect, not work in the paper's model — the sweep still visits and
-//! is charged for every node — so the walk calls neither `touch` nor `pass`,
-//! and every metered count stays that of the sweep alone.  Which sweeps it
-//! runs ahead of, and the tree and batch sizes below which it does not pay,
-//! are [`crate::RecencyMap`]'s to decide; E18's sweep rows on a 2^12-item
-//! map (in cache: the walk does not pay) and a 2^17-item map (it does) set
-//! that gate.
 
 use crate::cost::touch;
 use std::ops::Range;
@@ -115,11 +104,6 @@ fn is_leaf(id: usize) -> bool {
 /// The pool index of a node id.
 fn slot(id: usize) -> usize {
     id >> 1
-}
-
-/// How many `T` share a 64-byte cache line.
-fn per_line<T>() -> usize {
-    (64 / std::mem::size_of::<T>().max(1)).max(1)
 }
 
 /// The value of a live cell.
@@ -263,17 +247,6 @@ impl<K: Ord + Default, E: Default> Pool<K, E> {
         } else {
             &mut self.spill_mut(at).ents[pos]
         }
-    }
-
-    /// Reads node `at`'s header and a key and an entry from every cache
-    /// line of its regions: loads that depend on nothing but `at`, for the
-    /// locate walk to issue side by side.
-    fn load(&self, at: usize, probe: &K, ent: impl Fn(&E) -> usize) -> usize {
-        let region = at * self.stride..(at + 1) * self.stride;
-        let keys = self.keys[region.clone()].iter().step_by(per_line::<K>());
-        let ents = self.ents[region].iter().step_by(per_line::<E>());
-        let below = keys.filter(|k| *k < probe).count();
-        self.heads[at].len as usize + below + ents.map(ent).sum::<usize>()
     }
 
     /// Inserts a cell at `pos` of node `at`, spilling a full node.
@@ -492,15 +465,6 @@ enum Shift {
     Right(usize),
     /// The right node's first `n` cells go to the back of the left node.
     Left(usize),
-}
-
-/// Scratch of the locate walk, owned by its tree so a warmed walk allocates
-/// nothing: the nodes of one height with the part of the batch routed to
-/// each, and the next height's, being cut from them.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Frontier {
-    level: Vec<(usize, Range<usize>)>,
-    below: Vec<(usize, Range<usize>)>,
 }
 
 /// Charges `n` item cells of a height-1 node that holds `len` of them.  The
@@ -948,71 +912,6 @@ impl<K: Ord + Clone + Default, V> Arena<K, V> {
         }
         // Keys above the node's maximum (possible at the root only).
         keys[lo..].iter().for_each(|_| emit(None));
-    }
-
-    /// The locate walk: hands `emit` the value cell of every key of the
-    /// sorted `batch` (keyed by `key`) present under `idx`, in key order,
-    /// one height at a time.  Each height is two loops over its frontier:
-    /// the first only reads every node — its header and a key and an entry
-    /// from each cache line of its regions, all addressed by its id — so
-    /// those loads are independent and their misses overlap; the
-    /// second, on nodes now in cache, cuts each node's part of the batch
-    /// among its children (or, at height 1, finds its keys).  Uncounted: a
-    /// cache warm-up ahead of a metered sweep, not work in the cost model
-    /// (see the module docs).
-    pub fn locate<T>(
-        &self,
-        idx: usize,
-        batch: &[T],
-        key: impl Fn(&T) -> &K,
-        frontier: &mut Frontier,
-        emit: &mut impl FnMut(&V),
-    ) {
-        let Frontier { level, below } = frontier;
-        level.clear();
-        level.push((idx, 0..batch.len()));
-        while !level.is_empty() {
-            let mut loaded = 0;
-            for (idx, range) in level.iter() {
-                let probe = key(&batch[range.start]);
-                loaded += if is_leaf(*idx) {
-                    self.leaves
-                        .load(slot(*idx), probe, |v| usize::from(v.is_some()))
-                } else {
-                    self.inner.load(slot(*idx), probe, |&c| c)
-                };
-            }
-            std::hint::black_box(loaded);
-            below.clear();
-            for (idx, range) in level.drain(..) {
-                if is_leaf(idx) {
-                    let (cells, vals) = self.leaves.region(slot(idx));
-                    let mut at = 0;
-                    for t in &batch[range] {
-                        at += cells[at..].partition_point(|m| m < key(t));
-                        if cells.get(at) == Some(key(t)) {
-                            emit(live(&vals[at]));
-                        }
-                    }
-                    continue;
-                }
-                let (bounds, children) = self.inner.region(slot(idx));
-                let (mut lo, mut pos) = (range.start, 0);
-                while lo < range.end {
-                    pos += bounds[pos..].partition_point(|m| m < key(&batch[lo]));
-                    // Keys above the node's maximum (possible at the root
-                    // only) are absent.
-                    let Some(bound) = bounds.get(pos) else {
-                        break;
-                    };
-                    let hi = lo + batch[lo..range.end].partition_point(|t| key(t) <= bound);
-                    below.push((children[pos], lo..hi));
-                    lo = hi;
-                    pos += 1;
-                }
-            }
-            std::mem::swap(level, below);
-        }
     }
 
     /// Insert sweep: merges the next `n` items of the sorted batch `items`

@@ -50,8 +50,8 @@
 //! leaves its slot by `mem::take`, so nothing of a removed item stays behind
 //! (`tests/property_owned_items.rs` counts the drops).  A `u64`/`u64` slot
 //! is 24 bytes, where `usize` links and an `Option<(K, V)>` took 40, and a
-//! 2^16-item preload at B = 16 leaves 56.3 live bytes per item, against
-//! 80.8 before (`tests/alloc_budget.rs`).  The price is the range: an arena
+//! 2^16-item preload at the default B = 64 leaves 50.1 live bytes per item,
+//! against 74.4 before (56.1 and 80.8 at B = 16, `tests/alloc_budget.rs`).  The price is the range: an arena
 //! holds at most 2^32 − 1 slots, so a segment holds at most 2^32 − 1 items
 //! and a full `S[5]` (2^32) cannot be stored.  A push past that panics,
 //! naming the limit; an index never wraps.  The key is held twice, in its
@@ -61,27 +61,12 @@
 //! clones no key, and an upsert of a present key keeps the key and the slot
 //! it has.
 //!
-//! On a key tree that outgrows the cache, each of the three mutating sweeps
-//! of a segment — the hit removal ([`RecencyMap::remove_batch_with`]), the
-//! push of a chain, and the key removal of a take — runs behind the tree's
-//! **locate walk** ([`Tree23::locate_batch`]): the same sorted batch, read
-//! one height at a time — every node of a height loaded, header and every
-//! cache line of its regions, before any is scanned — so the misses of a
-//! level overlap, leaves the nodes the sweep is about to visit in cache.
-//! After a removal's walk the map
-//! reads each found item's arena slot, then both of its list neighbours, in
-//! two loops of their own, so the unlinks find those in cache too.  This is
-//! a cache effect, not work in the paper's model: neither the walk nor the
-//! reads call `touch` or `pass`, and every metered count is the sweep's
-//! alone.  The walk runs on key trees of at least `LOCATE_MIN_ITEMS` items
-//! and batches of at least `LOCATE_MIN_KEYS` keys; E18's `n=2^12` sweep rows
-//! are the in-cache side of that gate and its `n=2^17` rows the other.
-//! Those rows push back the keys they just took or removed, so the walk
-//! ahead of their push finds its nodes in cache already: it is neutral for
-//! the removal round trip there and 27 % dearer for the take round trip.
-//! `M1` on a uniform stream pushes into the segment in front instead, and
-//! is 10–20 % slower per operation when only its hit removals run behind
-//! the walk, so the walk stays ahead of all three sweeps.
+//! The three mutating sweeps of a segment — the hit removal
+//! ([`RecencyMap::remove_batch_with`]), the push of a chain, and the key
+//! removal of a take — are where a large segment's time goes: each descent
+//! waits for its nodes one after another, so the key tree's height is their
+//! cost, and the wide default node keeps it short (see the `node` module
+//! docs and E18's sweep rows).
 
 use crate::cost::touch;
 use crate::tree::Tree23;
@@ -105,24 +90,6 @@ impl Link {
         self.0.get() - 1
     }
 }
-
-/// The smallest key tree the locate walk runs on.  E18's `n=2^12` sweep
-/// rows are a tree that stays in cache between batches: forced on there, the
-/// walk makes both round trips 40–45 % slower per key (454 against 323 and
-/// 530 against 366 ns, medians of 21 runs), a second descent with no misses
-/// to overlap.  Its `n=2^17` rows lie past this bound.
-const LOCATE_MIN_ITEMS: usize = 1 << 13;
-
-/// The smallest batch the locate walk runs for.  A batch of a few keys has
-/// few misses per height to overlap, and where its paths are already in
-/// cache the walk is a second descent for nothing; the 1–5-key sweeps of the
-/// large segments of `fanin-zipf-read` and `hotshift-mixed-m2` stay below
-/// this bound, E18's 80-key batches above it.  E18 has no row below it: a
-/// hit-removal, push and take cycle on a 2^17-item map put the walk at
-/// +10 % per key for 2-key batches and −5 to −7 % for 4 to 8 keys, inside
-/// the 13 % that two builds of the same code differed by there, so the
-/// bound is kept as it was.
-const LOCATE_MIN_KEYS: usize = 16;
 
 /// An end of the recency order: the front holds the most recent item, the
 /// back the least recent.
@@ -212,27 +179,6 @@ impl<K: Default, V: Default> RecencyList<K, V> {
         item
     }
 
-    /// Reads the slots `idxs`, then both list neighbours of each, in two
-    /// separate loops: the loads of one loop do not depend on each other, so
-    /// their misses overlap instead of each unlink paying its own.
-    fn warm(&self, idxs: &[u32]) {
-        let mut links = 0;
-        for &idx in idxs {
-            let slot = self.slot(idx);
-            links ^= slot.prev ^ slot.next;
-        }
-        for &idx in idxs {
-            let Slot { prev, next, .. } = *self.slot(idx);
-            if prev != NIL {
-                links ^= self.slot(prev).next;
-            }
-            if next != NIL {
-                links ^= self.slot(next).prev;
-            }
-        }
-        std::hint::black_box(links);
-    }
-
     /// Splices `idx` out of the recency list.
     fn unlink(&mut self, idx: u32) {
         touch(1);
@@ -313,10 +259,9 @@ pub struct RecencyMap<K, V> {
     len: usize,
     /// Scratch the batch operations reuse from one call to the next, so a
     /// warmed map moves items without allocating: the slots walked off the
-    /// list by a take (or found by a removal's locate walk), the keys of the
-    /// batch in key order, the `(key, slot)` pairs bound for the key-map,
-    /// and the item-order permutation [`RecencyMap::insert_batch`] scatters
-    /// its results through.
+    /// list by a take, the keys of the batch in key order, the `(key, slot)`
+    /// pairs bound for the key-map, and the item-order permutation
+    /// [`RecencyMap::insert_batch`] scatters its results through.
     taken: Vec<u32>,
     sorted_keys: Vec<K>,
     staged: Vec<(K, Link)>,
@@ -331,7 +276,7 @@ impl<K: Ord + Clone + Default, V: Clone + Default> Default for RecencyMap<K, V> 
 
 impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
     /// Creates an empty map at the process-default tree fanout
-    /// (`WSM_TREE_FANOUT`, default 16).
+    /// (`WSM_TREE_FANOUT`, default [`crate::DEFAULT_FANOUT`]).
     // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
     pub fn new() -> Self {
         Self::with_fanout(crate::default_fanout())
@@ -524,10 +469,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
             End::Back => self.list.splice_chain_back(first, last),
         }
         self.staged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if self.locate_pays(self.staged.len()) {
-            self.key_map
-                .locate_by(&self.staged, |(k, _)| k, &mut |_| {});
-        }
         self.key_map
             .batch_insert_with(&mut self.staged, |replaced| {
                 debug_assert!(replaced.is_none(), "batch pushes require absent keys");
@@ -606,13 +547,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
     /// [`RecencyMap::remove_batch`] handing each key's result to `emit`, in
     /// key order, instead of collecting them.
     pub fn remove_batch_with(&mut self, keys: &[K], mut emit: impl FnMut(Option<V>)) {
-        if self.locate_pays(keys.len()) {
-            self.taken.clear();
-            let taken = &mut self.taken;
-            self.key_map
-                .locate_batch(keys, |link| taken.push(link.idx()));
-            self.list.warm(&self.taken);
-        }
         let (list, len) = (&mut self.list, &mut self.len);
         self.key_map.batch_remove_with(keys, |item| {
             emit(item.map(|(_, link)| {
@@ -700,9 +634,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
             .map(|&idx| std::mem::take(&mut list.slot_mut(idx).key));
         self.sorted_keys.extend(keys);
         self.sorted_keys.sort_unstable();
-        if self.locate_pays(self.sorted_keys.len()) {
-            self.key_map.locate_batch(&self.sorted_keys, |_| {});
-        }
         let list = &mut self.list;
         self.key_map.batch_remove_with(&self.sorted_keys, |entry| {
             let (key, link) = entry.expect("key-map and recency list out of sync");
@@ -712,12 +643,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> RecencyMap<K, V> {
         });
         self.sorted_keys.clear();
         out.extend(self.taken.iter().map(|&idx| list.release(idx)));
-    }
-
-    /// Whether the locate walk pays ahead of a sweep of `keys` keys: on a
-    /// key tree that outgrows the cache, for a batch with misses to overlap.
-    fn locate_pays(&self, keys: usize) -> bool {
-        keys >= LOCATE_MIN_KEYS && self.key_map.len() >= LOCATE_MIN_ITEMS
     }
 
     // ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! [`crate::batch`].
 
 use crate::cost::pass;
-use crate::node::{Arena, Frontier, NIL};
+use crate::node::{Arena, NIL};
 
 /// A fanout-B search tree storing key-value items in key order.
 ///
@@ -16,8 +16,8 @@ use crate::node::{Arena, Frontier, NIL};
 /// come from the per-tree fanout `B`: `max(2, B/2)..=max(3, B)` items or
 /// children per node (root exempt from the minimum).
 /// `B = 2` is exactly the 2-3 tree of paper Appendix A.2 and stays available
-/// as the analytic reference instantiation; the process default is 16
-/// (`WSM_TREE_FANOUT`).
+/// as the analytic reference instantiation; the process default is
+/// [`crate::DEFAULT_FANOUT`] (`WSM_TREE_FANOUT`).
 ///
 /// Beyond ordinary ordered-map operations it has what the batch algorithms
 /// need: rank selection, sorted-batch get / insert / remove
@@ -27,8 +27,6 @@ use crate::node::{Arena, Frontier, NIL};
 pub struct BTree<K, V> {
     pub(crate) arena: Arena<K, V>,
     pub(crate) root: usize,
-    /// Scratch of [`BTree::locate_batch`], kept from one call to the next.
-    pub(crate) frontier: Frontier,
 }
 
 /// The 2-3-shaped name the workspace was written against.  Since the fanout
@@ -44,7 +42,7 @@ impl<K: Ord + Clone + Default, V> Default for BTree<K, V> {
 
 impl<K: Ord + Clone + Default, V> BTree<K, V> {
     /// Creates an empty tree at the process-default fanout
-    /// (`WSM_TREE_FANOUT`, default 16).
+    /// (`WSM_TREE_FANOUT`, default [`crate::DEFAULT_FANOUT`]).
     // lint: allow(unmetered) — trivial constructor, no nodes exist to charge
     pub fn new() -> Self {
         Self::with_fanout(crate::default_fanout())
@@ -58,7 +56,6 @@ impl<K: Ord + Clone + Default, V> BTree<K, V> {
         BTree {
             arena: Arena::new(fanout),
             root: NIL,
-            frontier: Frontier::default(),
         }
     }
 
@@ -86,11 +83,7 @@ impl<K: Ord + Clone + Default, V> BTree<K, V> {
         );
         let mut arena = Arena::new(fanout);
         let root = arena.build_sorted(items.len(), items.into_iter());
-        BTree {
-            arena,
-            root,
-            frontier: Frontier::default(),
-        }
+        BTree { arena, root }
     }
 
     /// Number of items.

@@ -319,8 +319,8 @@ fn preloaded_m1(keys: &[u64]) -> M1<u64, u64> {
 }
 
 /// Bounds on the live bytes per `u64`/`u64` item of a 2^16-item preload,
-/// `(fanout, RecencyMap, M1)`: the measured 96.3, 56.3 and 50.2 bytes in a
-/// `RecencyMap` and 97.2, 57.0 and 51.0 in `M1`, rounded up.  Past the
+/// `(fanout, RecencyMap, M1)`: the measured 96.1, 56.1 and 50.1 bytes in a
+/// `RecencyMap` and 97.2, 57.0 and 50.9 in `M1`, rounded up.  Past the
 /// 16-byte payload that is the 24-byte list slot, the key tree's own copy
 /// of the key and its 4-byte value cell at the nodes' fill, and the spare
 /// capacity of the pools and the arena, which grow by doubling.

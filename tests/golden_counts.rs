@@ -3,16 +3,19 @@
 //! `nodes_per_op` / `work_per_op` rows repeat to the last digit for a seed),
 //! so a layout change must not move it.
 //!
-//! A fixed seeded sequence of point and batch operations runs at `B = 2` and
-//! `B = 16` and the `cost::metered` totals per operation kind are pinned to
-//! the numbers the one-slot-per-item layout produced (commit `77bfcee`, the
-//! parent of the change that folded the leaf level into its parents).  The
+//! A fixed seeded sequence of point and batch operations runs at `B = 2`,
+//! `B = 16` and `B = 64` and the `cost::metered` totals per operation kind
+//! are pinned: the `2` and `16` rows to the numbers the one-slot-per-item
+//! layout produced (commit `77bfcee`, the parent of the change that folded
+//! the leaf level into its parents), the `64` row to the numbers commit
+//! `7831cd1` produced, the last before `64` became the default.  The
 //! sequence repeatedly drains the tree to 0 and 1 items and regrows it, so
 //! the empty and single-item trees are pinned too.
 //!
 //! One level up, a seeded mixed stream through M1 and M2 pins each map's
 //! cost ledger (measured work and span, the Appendix A.2 bound work, and
-//! M1's per-batch log) at the fanout `WSM_TREE_FANOUT` selects, 2 or 16.
+//! M1's per-batch log) at the fanout `WSM_TREE_FANOUT` selects, 2, 16 or
+//! 64 (the default).
 
 use std::collections::BTreeMap;
 use wsm_core::{BatchedMap, Operation, M1, M2};
@@ -246,8 +249,22 @@ fn touched_node_counts_match_the_one_slot_per_item_layout() {
             build_and_drain: 2862,
         }
     );
+    assert_eq!(
+        tree_totals(64),
+        Totals {
+            get: 652,
+            select: 435,
+            insert: 1850,
+            remove: 563,
+            batch_get: 791,
+            batch_insert: 9689,
+            batch_remove: 9174,
+            build_and_drain: 2722,
+        }
+    );
     assert_eq!(recency_total(2), 240_545);
     assert_eq!(recency_total(16), 118_928);
+    assert_eq!(recency_total(64), 98_336);
 }
 
 /// Map-level ledger totals of M1 and M2 over one seeded mixed stream:
@@ -309,8 +326,9 @@ fn ledger_totals() -> Ledger {
 fn map_ledger_totals_match_the_recorded_run() {
     // Recorded at commit `0c66c8a`, before M1 and M2 kept their measured and
     // bound work in one `Charge` ledger; a bookkeeping change must not move
-    // a digit.  `WSM_TREE_FANOUT` selects the tree fanout, so the fanout the
-    // run uses selects its row.
+    // a digit (the `64` row at commit `7831cd1` under `WSM_TREE_FANOUT=64`).
+    // `WSM_TREE_FANOUT` selects the tree fanout, so the fanout the run uses
+    // selects its row.
     let expected = match default_fanout() {
         2 => Ledger {
             m1: (183_864, 61_469, 439_937),
@@ -321,6 +339,11 @@ fn map_ledger_totals_match_the_recorded_run() {
             m1: (146_928, 50_021, 277_450),
             m1_batch_log: (139_095, 49_196),
             m2: (171_656, 106_417, 312_169),
+        },
+        64 => Ledger {
+            m1: (140_549, 48_073, 250_391),
+            m1_batch_log: (132_716, 47_248),
+            m2: (159_587, 99_481, 272_409),
         },
         other => {
             println!("no ledger totals recorded for fanout {other}; skipped");

@@ -259,74 +259,6 @@ fn nodes_touched_per_key_never_rise_with_the_batch_size() {
 }
 
 // ---------------------------------------------------------------------------
-// The locate walk
-// ---------------------------------------------------------------------------
-
-/// Tree sizes on either side of the smallest tree `RecencyMap` runs the
-/// locate walk on (2^13 items).
-const WALK_SIZES: [u32; 2] = [300, 10_000];
-
-/// The walk must hand over exactly the cells `batch_get` finds, in key order.
-fn locate_checked(tree: &mut Tree23<u32, u32>, keys: &[u32]) -> usize {
-    let mut located = Vec::new();
-    tree.locate_batch(keys, |v| located.push(*v));
-    let found: Vec<u32> = tree
-        .batch_get(keys)
-        .into_iter()
-        .flatten()
-        .copied()
-        .collect();
-    assert_eq!(located, found, "locate walk diverged from batch_get");
-    located.len()
-}
-
-/// Odd keys `1, 3, …, 2n - 1`, so every even key is a miss.
-fn odd_tree(n: u32, fan: usize) -> Tree23<u32, u32> {
-    Tree23::from_sorted_with_fanout(pairs((0..n).map(|i| 2 * i + 1), 15), fan)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn locate_walk_reports_the_cells_batch_get_finds(
-        keys in prop::collection::btree_set(0u32..24_000, 0..300),
-        n in prop::sample::select(WALK_SIZES.to_vec()),
-        fan in prop::sample::select(FANOUTS.to_vec()),
-    ) {
-        let keys: Vec<u32> = keys.into_iter().collect();
-        locate_checked(&mut odd_tree(n, fan), &keys);
-    }
-}
-
-#[test]
-fn locate_walk_edge_cases() {
-    for fan in FANOUTS {
-        let spread: Vec<u32> = (0..400).map(|i| i * 29).collect();
-        assert_eq!(locate_checked(&mut Tree23::with_fanout(fan), &spread), 0);
-        assert_eq!(locate_checked(&mut odd_tree(1, fan), &[0, 1, 2]), 1);
-        assert_eq!(locate_checked(&mut odd_tree(1, fan), &[0, 2]), 0);
-        for n in WALK_SIZES {
-            let mut tree = odd_tree(n, fan);
-            // Every key above the root's maximum, then a batch that runs past
-            // it.
-            let above: Vec<u32> = (2 * n..2 * n + 40).collect();
-            assert_eq!(locate_checked(&mut tree, &above), 0);
-            let across: Vec<u32> = (2 * n - 40..2 * n + 40).collect();
-            assert_eq!(locate_checked(&mut tree, &across), 20);
-            // All misses, between items from the bottom to the top.
-            let misses: Vec<u32> = (0..n).step_by(7).map(|i| 2 * i).collect();
-            assert_eq!(locate_checked(&mut tree, &misses), 0);
-            // Every item.
-            let all: Vec<u32> = (0..n).map(|i| 2 * i + 1).collect();
-            assert_eq!(locate_checked(&mut tree, &all), n as usize);
-            assert_eq!(locate_checked(&mut tree, &[]), 0);
-            tree.check_invariants();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The same shapes through the RecencyMap batch surface
 // ---------------------------------------------------------------------------
 
@@ -430,10 +362,11 @@ proptest! {
     }
 }
 
-/// The batch operations the locate walk runs ahead of, on maps past its
-/// gate (2^13 items, 16 keys), with batches on both sides of the key bound.
+/// The segment shapes — hit removal, push, take and re-push — on a
+/// 10 000-item map, several levels tall at every fanout, with batches of 8
+/// to 300 keys spread over the whole key range.
 #[test]
-fn recency_map_batches_past_the_locate_gate_match_the_deque_model() {
+fn recency_map_batches_on_a_large_map_match_the_deque_model() {
     for fan in FANOUTS {
         let mut map: RecencyMap<u32, u32> = RecencyMap::with_fanout(fan);
         let mut model = Model::default();
