@@ -1,10 +1,10 @@
-//! The experiment harness: regenerates the table of every experiment E1–E21
-//! and writes it to `BENCH_<id>.json` (`BENCH_<id>_small.json` under
-//! `--small`; README, "Commands").
+//! The experiment harness: regenerates the table of every experiment E1–E15,
+//! E17 and E18 and writes it to `BENCH_<id>.json` (`BENCH_<id>_small.json`
+//! under `--small`; README, "Commands").
 //!
 //! Usage:
 //! ```text
-//! harness [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e16|e17|e18|e19|e20|e21|all] [--small] [--threads N]
+//! harness [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e17|e18|all] [--small] [--threads N]
 //! ```
 //! With no experiment argument, all experiments run at their default
 //! (paper-shaped) sizes; `--small` shrinks them for a quick smoke run.
@@ -29,9 +29,6 @@ struct Sizes {
     scale_sort_n: usize,
     scale_map_ops: usize,
     scale_reps: usize,
-    /// E16 input sizes: cached pages and requests per serving thread.
-    hot_pages: u64,
-    hot_requests: usize,
 }
 
 /// Runs `f` under a fork budget of `--threads` when it was given, otherwise
@@ -57,19 +54,6 @@ fn with_budget(threads: Option<usize>, f: impl FnOnce() -> Vec<bench::Row>) -> V
 /// reference) write to a `_b{fanout}`-suffixed file, so runs of the same
 /// preset at B=2, B=16 and the default B=64 never clobber each other.
 fn emit(ids: &[&str], title: &str, rows: &[bench::Row], threads: Option<usize>, small: bool) {
-    emit_extra(ids, title, rows, threads, small, &[]);
-}
-
-/// [`emit`] plus experiment-specific meta entries (e.g. E21's CPU-count
-/// caveat), appended after the shared threads/preset/fanout keys.
-fn emit_extra(
-    ids: &[&str],
-    title: &str,
-    rows: &[bench::Row],
-    threads: Option<usize>,
-    small: bool,
-    extra: &[(&str, String)],
-) {
     bench::print_table(title, rows);
     let threads_meta = match threads {
         Some(n) => n.to_string(),
@@ -86,9 +70,6 @@ fn emit_extra(
         ];
         if id != &primary {
             meta.push(("alias_of", primary.to_string()));
-        }
-        for (k, v) in extra {
-            meta.push((*k, v.clone()));
         }
         let file_id = format!("{id}{}", artifact_suffix(small, fanout));
         match bench::json::write_rows(&bench::json::bench_dir(), &file_id, &meta, rows) {
@@ -113,31 +94,62 @@ fn artifact_suffix(small: bool, fanout: usize) -> String {
 }
 
 /// Every experiment id an artifact is expected for (aliases included).
-const ALL_IDS: [&str; 21] = [
+const ALL_IDS: [&str; 17] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21",
+    "e17", "e18",
 ];
 
 /// Warns about experiment ids with no committed artifact for the active
-/// preset, so a hole in the `BENCH_*.json` trajectory is loud instead of
-/// silently absent from the trend data.
+/// preset, or whose artifact's meta records another fanout than its file
+/// name implies, so a hole or a stale file in the `BENCH_*.json` trajectory
+/// is loud instead of silently passing as current trend data.
 fn warn_missing_artifacts(small: bool) {
-    let dir = bench::json::bench_dir();
-    let suffix = artifact_suffix(small, wsm_twothree::default_fanout());
-    let suffix = suffix.as_str();
-    let missing: Vec<&str> = ALL_IDS
-        .iter()
-        .copied()
-        .filter(|id| !dir.join(format!("BENCH_{id}{suffix}.json")).exists())
-        .collect();
+    let fanout = wsm_twothree::default_fanout();
+    let suffix = artifact_suffix(small, fanout);
+    let (missing, stale) = artifact_gaps(&bench::json::bench_dir(), small, fanout);
+    let rerun = if small { " --small" } else { "" };
     if !missing.is_empty() {
         eprintln!(
             "warning: no BENCH_<id>{suffix}.json artifact for: {} \
-             (run `harness <id>{}` to generate)",
+             (run `harness <id>{rerun}` to generate)",
             missing.join(", "),
-            if small { " --small" } else { "" },
         );
     }
+    if !stale.is_empty() {
+        eprintln!(
+            "warning: BENCH_<id>{suffix}.json records a fanout other than {fanout} for: {} \
+             (run `harness <id>{rerun}` to regenerate)",
+            stale.join(", "),
+        );
+    }
+}
+
+/// The ids in [`ALL_IDS`] with no artifact in `dir` for the preset and
+/// fanout, then the ids whose artifact's meta records a different fanout.
+/// An artifact whose meta records no fanout is not counted as stale.
+fn artifact_gaps(
+    dir: &std::path::Path,
+    small: bool,
+    fanout: usize,
+) -> (Vec<&'static str>, Vec<&'static str>) {
+    let suffix = artifact_suffix(small, fanout);
+    let mut missing = Vec::new();
+    let mut stale = Vec::new();
+    for id in ALL_IDS {
+        match std::fs::read_to_string(dir.join(format!("BENCH_{id}{suffix}.json"))) {
+            Err(_) => missing.push(id),
+            Ok(text) if meta_fanout(&text).is_some_and(|b| b != fanout) => stale.push(id),
+            Ok(_) => {}
+        }
+    }
+    (missing, stale)
+}
+
+/// The fanout an artifact's meta records (`"fanout": "<B>"`), if any.
+fn meta_fanout(artifact: &str) -> Option<usize> {
+    const KEY: &str = "\"fanout\": \"";
+    let rest = &artifact[artifact.find(KEY)? + KEY.len()..];
+    rest[..rest.find('"')?].parse().ok()
 }
 
 fn main() {
@@ -154,8 +166,6 @@ fn main() {
             scale_sort_n: 1 << 13,
             scale_map_ops: 1 << 11,
             scale_reps: 2,
-            hot_pages: 1 << 12,
-            hot_requests: 1 << 12,
         }
     } else {
         Sizes {
@@ -165,8 +175,6 @@ fn main() {
             scale_sort_n: 1 << 20,
             scale_map_ops: 1 << 14,
             scale_reps: 3,
-            hot_pages: 1 << 14,
-            hot_requests: 20_000,
         }
     };
 
@@ -320,91 +328,6 @@ fn main() {
             small,
         );
     }
-    if run("e16") {
-        // E16 spawns its own OS threads, so it runs outside the `with_budget`
-        // wrapper.
-        let t = threads.unwrap_or(4).max(1);
-        let rows =
-            bench::experiment_hot_paths(sizes.hot_pages, sizes.hot_requests, t, sizes.scale_reps);
-        emit(
-            &["e16"],
-            "E16: hot-path constant factors (ConcurrentMap vs coarse-locked AVL, W/W_L)",
-            &rows,
-            threads,
-            small,
-        );
-    }
-    if run("e19") {
-        // E19 spawns its own OS threads, which block in `run_batch`, so it
-        // runs outside the `with_budget` wrapper.
-        let t = threads.unwrap_or(4).max(1);
-        let rows = bench::experiment_sharded(
-            sizes.keyspace,
-            sizes.operations.min(1 << 14),
-            t,
-            sizes.scale_reps,
-        );
-        emit(
-            &["e19"],
-            "E19: sharded front-end scaling (ShardedMap vs one combiner, shards x threads x skew, per-shard W/W_L)",
-            &rows,
-            threads,
-            small,
-        );
-    }
-    if run("e20") {
-        // E20 spawns its own OS threads and owns its WAL temp dirs, so it
-        // runs outside the `with_budget` wrapper.
-        let t = threads.unwrap_or(4).max(1);
-        let rows = bench::experiment_wal_overhead(
-            sizes.keyspace,
-            sizes.operations.min(1 << 14),
-            t,
-            sizes.scale_reps,
-        );
-        emit(
-            &["e20"],
-            "E20: WAL overhead per batch (sync=off|batch|always vs no-WAL baseline, bytes/batch, reopen/replay)",
-            &rows,
-            threads,
-            small,
-        );
-    }
-    if run("e21") {
-        // E21 owns its async executor, so it runs outside the `with_budget`
-        // wrapper.
-        let t = threads.unwrap_or(2).max(1);
-        let (clients, requests, batch, interval_us) = if small {
-            (8, 40, 16, 2_000)
-        } else {
-            (32, 200, 16, 1_000)
-        };
-        let rows = bench::experiment_service_latency(
-            sizes.keyspace.min(1 << 14),
-            clients,
-            requests,
-            batch,
-            interval_us,
-            t,
-        );
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        emit_extra(
-            &["e21"],
-            "E21: async service latency (QPS-paced clients, p50/p99/p999 by sharding)",
-            &rows,
-            threads,
-            small,
-            &[
-                ("cpus", cpus.to_string()),
-                (
-                    "caveat",
-                    "tail latencies on <= 2 CPUs mostly measure run-queue contention \
-                     between client tasks and the combiner, not service quality"
-                        .to_string(),
-                ),
-            ],
-        );
-    }
     if run("e15") {
         // E15 sets its own fork budget per swept thread count, so it runs
         // outside the `with_budget` wrapper.
@@ -524,8 +447,34 @@ mod tests {
     }
 
     #[test]
+    fn unsuffixed_artifacts_from_another_fanout_are_stale() {
+        let dir = std::env::temp_dir().join(format!("wsm-harness-gaps-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let default = wsm_twothree::DEFAULT_FANOUT;
+        let write = |id: &str, fanout: Option<usize>| {
+            let meta: Vec<(&str, String)> = fanout
+                .map(|b| ("fanout", b.to_string()))
+                .into_iter()
+                .collect();
+            bench::json::write_rows(&dir, &format!("{id}_small"), &meta, &[]).unwrap();
+        };
+        write("e15", Some(16));
+        write("e17", Some(default));
+        write("e1", None);
+        let (missing, stale) = artifact_gaps(&dir, true, default);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(stale, ["e15"]);
+        assert_eq!(missing.len(), ALL_IDS.len() - 3);
+        assert!(!missing.contains(&"e1") && !missing.contains(&"e17"));
+        assert_eq!(meta_fanout(r#"{"meta": {"fanout": "16"}}"#), Some(16));
+        assert_eq!(meta_fanout(r#"{"meta": {"preset": "small"}}"#), None);
+    }
+
+    #[test]
     fn parse_args_rejects_unknown_experiment_ids() {
-        for bad in ["e99", "E15", "e", "15", "e 15", ""] {
+        for bad in [
+            "e99", "E15", "e", "15", "e 15", "", "e16", "e19", "e20", "e21",
+        ] {
             let err = parse(&[bad, "--small"]).unwrap_err();
             assert!(err.contains("unknown experiment"), "{bad:?}: {err}");
         }

@@ -1,9 +1,9 @@
 //! # wsm-bench — experiment harness library
 //!
 //! Helper routines behind the `harness` binary.  Each `experiment_*`
-//! function regenerates one or two of the experiments E1–E21 (its doc
-//! comment names them and says what they measure) and returns printable
-//! rows; the harness binary formats them as tables and writes one
+//! function regenerates one or two of the experiments E1–E15, E17 and E18
+//! (its doc comment names them and says what they measure) and returns
+//! printable rows; the harness binary formats them as tables and writes one
 //! `BENCH_<id>.json` per experiment (README, "Commands").
 
 #![forbid(unsafe_code)]
@@ -653,159 +653,6 @@ pub fn experiment_scaling(
     rows
 }
 
-/// E16: hot-path constant factors — wall-clock and analytic overheads of the
-/// flat-combining `ConcurrentMap` against a coarse-locked AVL on the
-/// web-cache workload, plus the `tcost::batch_op` / `W_L` constants the
-/// ROADMAP tracks.
-///
-/// Three row families:
-///
-/// * `web-cache avl` — the coarse-locked AVL baseline: `threads` OS threads
-///   serving Zipfian page lookups through one mutex (mean ns/op and
-///   comparison work per request);
-/// * `web-cache map` — the implicitly batched working-set map on the same
-///   stream, its callers parking on the map's doorbell;
-/// * `constants` — thread-independent analytic constant factors: effective
-///   work of M1/M2 over `W_L` on the Zipf stream, and the
-///   `tcost::batch_op(b, n, 2)` charge per `b·(log n + 1)` unit.
-///
-/// Wall-clock rows are meaningful on a multi-core runner; the constants rows
-/// are exact everywhere.  Results are persisted to `BENCH_e16.json` so the
-/// 100x / 5x numbers from the ROADMAP become tracked regressions.
-pub fn experiment_hot_paths(
-    pages: u64,
-    requests_per_worker: usize,
-    threads: usize,
-    reps: usize,
-) -> Vec<Row> {
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
-    use wsm_core::ConcurrentMap;
-    use wsm_twothree::cost as tcost;
-
-    let threads = threads.max(1);
-    let reps = reps.max(1);
-    let streams: Vec<Vec<u64>> = (0..threads)
-        .map(|w| {
-            WorkloadSpec::read_only(pages, requests_per_worker, Pattern::Zipf(1.1), w as u64)
-                .access_phase()
-                .iter()
-                .map(|op| *op.key())
-                .collect()
-        })
-        .collect();
-    // Both sides serve the identical request mix: every page is searched
-    // and every `page % 97 == 0` hit additionally refreshes (inserts) the
-    // page, exactly as in the `web_cache` example.
-    let total_ops: u64 = (threads * requests_per_worker) as u64
-        + streams
-            .iter()
-            .flatten()
-            .filter(|&&page| page % 97 == 0)
-            .count() as u64;
-    let mut rows = Vec::new();
-
-    // --- coarse-locked AVL baseline -------------------------------------
-    let mut avl = AvlMap::new();
-    for p in 0..pages {
-        avl.insert_item(p, p);
-    }
-    let avl = Arc::new(Mutex::new(avl));
-    let mut avl_total_ns = 0.0;
-    let mut avl_work = 0u64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let work: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = streams
-                .iter()
-                .map(|stream| {
-                    let avl = Arc::clone(&avl);
-                    s.spawn(move || {
-                        let mut work = 0u64;
-                        for page in stream {
-                            let mut guard = avl.lock().unwrap_or_else(|e| e.into_inner());
-                            let (_, c) = guard.search(page);
-                            work += c.work;
-                            if page % 97 == 0 {
-                                let (_, c) = guard.insert(*page, page + 1);
-                                work += c.work;
-                            }
-                        }
-                        work
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        avl_total_ns += start.elapsed().as_nanos() as f64;
-        avl_work = work;
-    }
-    let avl_ns_op = avl_total_ns / (reps as u64 * total_ops) as f64;
-    rows.push(Row::new(
-        format!("web-cache avl t={threads}"),
-        vec![
-            ("mean ns/op", avl_ns_op),
-            ("wall vs avl", 1.0),
-            ("work/req", avl_work as f64 / total_ops as f64),
-        ],
-    ));
-
-    // --- implicitly batched map -------------------------------------------
-    let mut total_ns = 0.0;
-    let mut work_per_req = 0.0;
-    for _ in 0..reps {
-        let mut inner = M1::<u64, u64>::new(threads.max(2));
-        inner.run_ops((0..pages).map(|p| Operation::Insert(p, p)).collect());
-        let warm_work = inner.effective_work();
-        let map = Arc::new(ConcurrentMap::new(inner, threads));
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for (w, stream) in streams.iter().enumerate() {
-                let map = Arc::clone(&map);
-                s.spawn(move || {
-                    for &page in stream {
-                        map.search(w, page);
-                        if page % 97 == 0 {
-                            map.insert(w, page, page + 1);
-                        }
-                    }
-                });
-            }
-        });
-        total_ns += start.elapsed().as_nanos() as f64;
-        work_per_req = (map.effective_work() - warm_work) as f64 / total_ops as f64;
-    }
-    let ns_op = total_ns / (reps as u64 * total_ops) as f64;
-    rows.push(Row::new(
-        format!("web-cache map t={threads}"),
-        vec![
-            ("mean ns/op", ns_op),
-            ("wall vs avl", ns_op / avl_ns_op),
-            ("work/req", work_per_req),
-        ],
-    ));
-
-    // --- analytic constant factors (thread-independent) ------------------
-    let spec = WorkloadSpec::read_only(pages, requests_per_worker, Pattern::Zipf(1.1), 11);
-    let ops = spec.full_sequence();
-    let wl = working_set_bound(&ops) as f64;
-    let mut m1 = M1::new(4);
-    let w1 = run_batched(&mut m1, &ops, 16).work as f64;
-    let mut m2 = M2::new(4);
-    let w2 = run_batched(&mut m2, &ops, 16).work as f64;
-    let logn = (pages as f64).log2() + 1.0;
-    let batch_unit = tcost::batch_op(64, pages, 2).work as f64 / (64.0 * logn);
-    rows.push(Row::new(
-        "constants (W/W_L, batch_op unit)",
-        vec![
-            ("M1 work/W_L", w1 / wl),
-            ("M2 work/W_L", w2 / wl),
-            ("batch_op/(b·log n)", batch_unit),
-        ],
-    ));
-    rows
-}
-
 /// E17: measured-vs-bound analytic constants per structure and workload.
 ///
 /// Since the measured/worst-case charge split in `wsm_twothree::cost`, the
@@ -1222,461 +1069,6 @@ pub fn experiment_invariants(keyspace: u64, operations: usize) -> Vec<Row> {
     )]
 }
 
-/// E19: sharded front-end scaling — `wsm_shard::ShardedMap` against a single
-/// flat-combining `ConcurrentMap` across shards × threads × skew.
-///
-/// Every configuration serves the identical deterministic request streams:
-/// `t` OS threads each submit their stream in 64-operation batches
-/// (`run_batch` for the sharded map, `call_batch` for the unsharded
-/// baseline).  Two skews: a shared-hot-set Zipfian stream (worst case for
-/// hash sharding — the hot keys land on a few shards) and the multi-tenant
-/// pattern from ROADMAP 5a (best case — each tenant's private hot set splits
-/// cleanly).
-///
-/// Columns per row:
-///
-/// * `mean ns/op` — wall-clock per operation over the access phase;
-/// * `wall vs unsharded` — ratio against the unsharded baseline at the same
-///   skew and thread count (1.0 = parity; the `S=1` row records the router's
-///   pure overhead, which acceptance tracks as "sharded ≥ unsharded at S=1");
-/// * `shard W/W_L` — mean over shards of effective work divided by the
-///   working-set bound of that shard's *projected* stream (the per-thread
-///   streams round-robin interleaved, then split by `shard_of`, exactly the
-///   1/S-thinned sequence each shard actually serves).  Compared with the
-///   unsharded row's `W/W_L`, this is the thinning curve: hash-splitting a
-///   skewed stream dilutes each shard's locality, so the per-shard constant
-///   drifts up with `S` while wall-clock drops;
-/// * `handovers` — combines, summed over the shards, that ran on another
-///   thread than the shard's previous combine during the access phase
-///   ([`wsm_shard::ShardStats::combiner_handovers`]): each one moves a
-///   shard's buffers and segments into another core's cache.
-///
-/// Wall-clock rows need a multi-core runner to show scaling; the `W/W_L`
-/// columns are exact everywhere.  Persisted to `BENCH_e19.json`.
-pub fn experiment_sharded(
-    keyspace: u64,
-    operations: usize,
-    max_threads: usize,
-    reps: usize,
-) -> Vec<Row> {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use wsm_core::ConcurrentMap;
-    use wsm_shard::ShardedMap;
-
-    const CHUNK: usize = 64;
-    let max_threads = max_threads.max(1);
-    let reps = reps.max(1);
-    let thread_counts: Vec<usize> = [1usize, 2, 4]
-        .into_iter()
-        .filter(|&t| t <= max_threads)
-        .collect();
-    let skews = [
-        ("zipf s=1.1", Pattern::Zipf(1.1)),
-        (
-            "4 tenants s=1.1",
-            Pattern::MultiTenant { tenants: 4, s: 1.1 },
-        ),
-    ];
-    let load_keys: Vec<u64> = (0..keyspace).collect();
-    let mut rows = Vec::new();
-
-    for (skew_label, pattern) in skews {
-        for &t in &thread_counts {
-            let per_thread = (operations / t).max(1);
-            let streams: Vec<Vec<u64>> = (0..t)
-                .map(|w| {
-                    WorkloadSpec::read_only(keyspace, per_thread, pattern, w as u64)
-                        .access_phase()
-                        .iter()
-                        .map(|op| *op.key())
-                        .collect()
-                })
-                .collect();
-            let total_ops = (t * per_thread) as f64;
-            // Deterministic serial proxy of what the maps see: the thread
-            // streams round-robin interleaved.  `W_L` projections per shard
-            // are computed over this sequence.
-            let interleaved: Vec<u64> = (0..per_thread)
-                .flat_map(|i| streams.iter().map(move |s| s[i]))
-                .collect();
-            let wl_of = |keys: &[u64], owned_loads: &[u64]| -> f64 {
-                let mut seq: Vec<MapOpKind<u64>> =
-                    owned_loads.iter().map(|&k| MapOpKind::Insert(k)).collect();
-                seq.extend(keys.iter().map(|&k| MapOpKind::Search(k)));
-                working_set_bound(&seq) as f64
-            };
-
-            // --- unsharded baseline: one combiner serves every thread -----
-            let mut base_total_ns = 0.0;
-            let mut base_work = 0.0;
-            let mut base_handovers = 0.0;
-            for _ in 0..reps {
-                let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(t.max(2)), t));
-                for chunk in load_keys.chunks(512) {
-                    map.call_batch(0, chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
-                }
-                let warm = map.effective_work();
-                let warm_handovers = map.combiner_handovers();
-                let start = Instant::now();
-                std::thread::scope(|s| {
-                    for (w, stream) in streams.iter().enumerate() {
-                        let map = Arc::clone(&map);
-                        s.spawn(move || {
-                            for chunk in stream.chunks(CHUNK) {
-                                map.call_batch(
-                                    w,
-                                    chunk.iter().map(|&k| Operation::Search(k)).collect(),
-                                );
-                            }
-                        });
-                    }
-                });
-                base_total_ns += start.elapsed().as_nanos() as f64;
-                base_work = (map.effective_work() - warm) as f64;
-                base_handovers = (map.combiner_handovers() - warm_handovers) as f64;
-            }
-            let base_ns_op = base_total_ns / (reps as f64 * total_ops);
-            rows.push(Row::new(
-                format!("{skew_label} unsharded t={t}"),
-                vec![
-                    ("mean ns/op", base_ns_op),
-                    ("wall vs unsharded", 1.0),
-                    ("shard W/W_L", base_work / wl_of(&interleaved, &load_keys)),
-                    ("handovers", base_handovers),
-                ],
-            ));
-
-            // --- sharded front-end, swept over the shard count ------------
-            for shards in [1usize, 2, 4] {
-                let mut total_ns = 0.0;
-                let mut shard_ratio = 0.0;
-                let mut handovers = 0.0;
-                for _ in 0..reps {
-                    let map = Arc::new(ShardedMap::with_shards(shards, |_| {
-                        M1::<u64, u64>::new(t.max(2))
-                    }));
-                    for chunk in load_keys.chunks(512) {
-                        map.insert_batch(chunk.iter().map(|&k| (k, k)).collect());
-                    }
-                    let warm = map.shard_stats();
-                    let start = Instant::now();
-                    std::thread::scope(|s| {
-                        for stream in &streams {
-                            let map = Arc::clone(&map);
-                            s.spawn(move || {
-                                for chunk in stream.chunks(CHUNK) {
-                                    map.run_batch(
-                                        chunk.iter().map(|&k| Operation::Search(k)).collect(),
-                                    );
-                                }
-                            });
-                        }
-                    });
-                    total_ns += start.elapsed().as_nanos() as f64;
-                    let stats = map.shard_stats();
-                    handovers = stats
-                        .iter()
-                        .zip(&warm)
-                        .map(|(now, then)| {
-                            (now.combiner_handovers - then.combiner_handovers) as f64
-                        })
-                        .sum();
-                    // Per-shard W/W_L over the shard's own projected stream.
-                    shard_ratio = stats
-                        .iter()
-                        .map(|stats| {
-                            let mine = |keys: &[u64]| -> Vec<u64> {
-                                keys.iter()
-                                    .copied()
-                                    .filter(|k| map.shard_of(k) == stats.shard)
-                                    .collect()
-                            };
-                            let work =
-                                (stats.effective_work - warm[stats.shard].effective_work) as f64;
-                            work / wl_of(&mine(&interleaved), &mine(&load_keys))
-                        })
-                        .sum::<f64>()
-                        / shards as f64;
-                }
-                let ns_op = total_ns / (reps as f64 * total_ops);
-                rows.push(Row::new(
-                    format!("{skew_label} S={shards} t={t}"),
-                    vec![
-                        ("mean ns/op", ns_op),
-                        ("wall vs unsharded", ns_op / base_ns_op),
-                        ("shard W/W_L", shard_ratio),
-                        ("handovers", handovers),
-                    ],
-                ));
-            }
-        }
-    }
-    rows
-}
-
-/// E20 — durability overhead: per-operation cost of write-ahead logging
-/// every committed batch, swept across the three `WSM_WAL_SYNC` policies on a
-/// one-shard [`DurableShardedMap`](wsm_wal::DurableShardedMap) and measured
-/// against a WAL-free one-shard [`ShardedMap`](wsm_shard::ShardedMap) — the
-/// same front-end without the commit hook — plus the recovery costs (reopen +
-/// full-log replay, and reopen from a checkpoint).
-///
-/// `t` OS threads each insert their own keyspace slice in 64-operation
-/// batches — inserts, because only mutations hit the log; search-only
-/// batches append nothing by construction.
-///
-/// Columns per policy row:
-///
-/// * `mean ns/op` — wall-clock per operation over the insert phase;
-/// * `wal overhead x` — ratio against the WAL-free baseline (1.0 = free);
-/// * `bytes/batch` — framed bytes appended per logged batch (encoding
-///   density: headers + seq + op tags + keys/values);
-/// * `batches logged` — how many combiner batches actually reached the log
-///   (combining under contention means fewer, larger batches).
-///
-/// The two `reopen` rows time
-/// [`DurableShardedMap::open_with`](wsm_wal::DurableShardedMap::open_with)
-/// against the artifacts the `sync=batch` run left behind: once replaying the
-/// whole log, once after a checkpoint truncated it.  Persisted to
-/// `BENCH_e20.json`.
-pub fn experiment_wal_overhead(
-    keyspace: u64,
-    operations: usize,
-    threads: usize,
-    reps: usize,
-) -> Vec<Row> {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use wsm_shard::ShardedMap;
-    use wsm_wal::{DurableOptions, DurableShardedMap, SyncPolicy};
-
-    const CHUNK: usize = 64;
-    let t = threads.max(1);
-    let reps = reps.max(1);
-    let per_thread = (operations / t).max(1);
-    let total_ops = (t * per_thread) as f64;
-    let streams: Vec<Vec<u64>> = (0..t as u64)
-        .map(|w| {
-            (0..per_thread as u64)
-                .map(|i| (w * per_thread as u64 + i) % keyspace)
-                .collect()
-        })
-        .collect();
-
-    let dir_base = std::env::temp_dir().join(format!("wsm-e20-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir_base);
-    let mut rows = Vec::new();
-
-    // --- WAL-free baseline: the same front-end, no commit hook ------------
-    let mut base_ns = 0.0;
-    for _ in 0..reps {
-        let map = Arc::new(ShardedMap::with_shards(1, |_| {
-            M1::<u64, u64>::new(t.max(2))
-        }));
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for stream in &streams {
-                let map = Arc::clone(&map);
-                s.spawn(move || {
-                    for chunk in stream.chunks(CHUNK) {
-                        map.run_batch(chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
-                    }
-                });
-            }
-        });
-        base_ns += start.elapsed().as_nanos() as f64;
-    }
-    let base_ns_op = base_ns / (reps as f64 * total_ops);
-    rows.push(Row::new(
-        format!("m1 no wal t={t}"),
-        vec![
-            ("mean ns/op", base_ns_op),
-            ("wal overhead x", 1.0),
-            ("bytes/batch", 0.0),
-            ("batches logged", 0.0),
-        ],
-    ));
-
-    // --- the three sync policies ------------------------------------------
-    for (label, sync) in [
-        ("off", SyncPolicy::Off),
-        ("batch", SyncPolicy::Batch),
-        ("always", SyncPolicy::Always),
-    ] {
-        let mut total_ns = 0.0;
-        let mut bytes_per_batch = 0.0;
-        let mut batches = 0.0;
-        for rep in 0..reps {
-            let dir = dir_base.join(format!("{label}-{rep}"));
-            let opts = DurableOptions {
-                sync,
-                checkpoint_every: u64::MAX,
-            };
-            let map = Arc::new(
-                DurableShardedMap::open_with(&dir, 1, opts, |_| M1::<u64, u64>::new(t.max(2)))
-                    .expect("open E20 WAL dir"),
-            );
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for stream in &streams {
-                    let map = Arc::clone(&map);
-                    s.spawn(move || {
-                        for chunk in stream.chunks(CHUNK) {
-                            map.run_batch(chunk.iter().map(|&k| Operation::Insert(k, k)).collect());
-                        }
-                    });
-                }
-            });
-            map.flush().expect("flush E20 WAL");
-            total_ns += start.elapsed().as_nanos() as f64;
-            let stats = map.wal_stats()[0];
-            batches = stats.batches_logged as f64;
-            bytes_per_batch = stats.bytes_appended as f64 / stats.batches_logged.max(1) as f64;
-        }
-        let ns_op = total_ns / (reps as f64 * total_ops);
-        rows.push(Row::new(
-            format!("m1 wal sync={label} t={t}"),
-            vec![
-                ("mean ns/op", ns_op),
-                ("wal overhead x", ns_op / base_ns_op),
-                ("bytes/batch", bytes_per_batch),
-                ("batches logged", batches),
-            ],
-        ));
-    }
-
-    // --- recovery cost against the sync=batch rep-0 artifacts -------------
-    let dir = dir_base.join("batch-0");
-    let opts = DurableOptions {
-        sync: SyncPolicy::Batch,
-        checkpoint_every: u64::MAX,
-    };
-    let open = || DurableShardedMap::open_with(&dir, 1, opts, |_| M1::<u64, u64>::new(t.max(2)));
-    let start = Instant::now();
-    let map = open().expect("reopen E20 WAL dir");
-    let open_ms = start.elapsed().as_nanos() as f64 / 1e6;
-    let report = map.recovery()[0];
-    rows.push(Row::new(
-        "reopen: replay full log",
-        vec![
-            ("open ms", open_ms),
-            ("replayed batches", report.replayed_batches as f64),
-            ("replayed ops", report.replayed_ops as f64),
-            ("checkpoint items", report.checkpoint_items as f64),
-        ],
-    ));
-    map.checkpoint_all().expect("E20 checkpoint");
-    drop(map);
-    let start = Instant::now();
-    let map = open().expect("reopen E20 checkpoint");
-    let open_ms = start.elapsed().as_nanos() as f64 / 1e6;
-    let report = map.recovery()[0];
-    rows.push(Row::new(
-        "reopen: from checkpoint",
-        vec![
-            ("open ms", open_ms),
-            ("replayed batches", report.replayed_batches as f64),
-            ("replayed ops", report.replayed_ops as f64),
-            ("checkpoint items", report.checkpoint_items as f64),
-        ],
-    ));
-    drop(map);
-
-    let _ = std::fs::remove_dir_all(&dir_base);
-    rows
-}
-
-/// E21 — async service latency under a QPS-paced open(ish) loop.
-///
-/// `clients` executor tasks each issue `requests` batched searches of
-/// `batch` keys through [`wsm_svc::WsMapService`], pacing themselves at one
-/// request per `interval_us` microseconds from a fixed start (a late request
-/// fires immediately, degrading toward closed-loop under saturation — the
-/// achieved-throughput column records how far offered load was met).  The
-/// sweep covers {unsharded, S=4}.  A service future wakes itself while any of
-/// its results is missing, so a waiting request costs cooperative re-polls
-/// between harvests; E21 measures the latency and throughput that leaves.
-pub fn experiment_service_latency(
-    keyspace: u64,
-    clients: usize,
-    requests: usize,
-    batch: usize,
-    interval_us: u64,
-    workers: usize,
-) -> Vec<Row> {
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use wsm_shard::ShardedMap;
-    use wsm_svc::{block_on, Executor, WsMapService};
-
-    let mut rows = Vec::new();
-    for shards in [1usize, 4] {
-        let map = Arc::new(ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4)));
-        let preload: Vec<(u64, u64)> = (0..keyspace).map(|k| (k, k)).collect();
-        for chunk in preload.chunks(512) {
-            map.insert_batch(chunk.to_vec());
-        }
-        let svc = WsMapService::from_arc(map);
-        let exec = Executor::new(workers);
-        let timer = exec.timer();
-        let wall_start = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let svc = svc.clone();
-                let timer = timer.clone();
-                let keys: Vec<u64> = WorkloadSpec::read_only(
-                    keyspace,
-                    requests * batch,
-                    Pattern::Zipf(1.1),
-                    c as u64,
-                )
-                .access_phase()
-                .iter()
-                .map(|op| *op.key())
-                .collect();
-                exec.spawn(async move {
-                    let mut latencies = Vec::with_capacity(requests);
-                    let base = Instant::now();
-                    for r in 0..requests {
-                        let tick = base + Duration::from_micros(interval_us * r as u64);
-                        timer.sleep_until(tick).await;
-                        let issued = Instant::now();
-                        let _ = svc
-                            .batch_search(keys[r * batch..(r + 1) * batch].to_vec())
-                            .await;
-                        latencies.push(issued.elapsed().as_nanos() as u64);
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        let mut latencies: Vec<u64> = handles.into_iter().flat_map(block_on).collect();
-        let wall = wall_start.elapsed().as_secs_f64();
-        latencies.sort_unstable();
-        let pct = |p: f64| {
-            let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-            latencies[idx] as f64 / 1_000.0
-        };
-        let total_ops = (clients * requests * batch) as f64;
-        let label = if shards == 1 {
-            "unsharded".to_string()
-        } else {
-            format!("S={shards}")
-        };
-        rows.push(Row::new(
-            label,
-            vec![
-                ("p50 us", pct(0.50)),
-                ("p99 us", pct(0.99)),
-                ("p999 us", pct(0.999)),
-                ("achieved kops/s", total_ops / wall / 1_000.0),
-            ],
-        ));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1709,33 +1101,6 @@ mod tests {
         assert!(
             ratio > 1.5,
             "naive execution should be clearly worse, got {ratio}"
-        );
-    }
-
-    #[test]
-    fn hot_path_experiment_rows_are_well_formed() {
-        let rows = experiment_hot_paths(1 << 9, 1 << 8, 2, 1);
-        // 1 AVL row + 1 map row + 1 constants row.
-        assert_eq!(rows.len(), 3);
-        for row in &rows[..2] {
-            let ns_op = row
-                .values
-                .iter()
-                .find(|(k, _)| k == "mean ns/op")
-                .unwrap()
-                .1;
-            assert!(ns_op > 0.0, "non-positive timing in {}", row.label);
-        }
-        let constants = rows.last().unwrap();
-        let m1_ratio = constants
-            .values
-            .iter()
-            .find(|(k, _)| k == "M1 work/W_L")
-            .unwrap()
-            .1;
-        assert!(
-            m1_ratio > 0.5 && m1_ratio < 100.0,
-            "implausible M1/W_L constant {m1_ratio}"
         );
     }
 
@@ -1887,56 +1252,6 @@ mod tests {
     fn invariant_experiment_passes() {
         let rows = experiment_invariants(1 << 9, 1 << 11);
         assert!(rows[0].values[0].1 > 0.0);
-    }
-
-    #[test]
-    fn sharded_experiment_rows_are_well_formed() {
-        let rows = experiment_sharded(1 << 9, 1 << 10, 2, 1);
-        // 2 skews × 2 thread counts × (1 unsharded + 3 shard counts).
-        assert_eq!(rows.len(), 16);
-        for row in &rows {
-            let get = |key: &str| row.values.iter().find(|(k, _)| k == key).unwrap().1;
-            assert!(
-                get("mean ns/op") > 0.0,
-                "non-positive timing in {}",
-                row.label
-            );
-            assert!(
-                get("shard W/W_L") > 0.0 && get("shard W/W_L").is_finite(),
-                "implausible W/W_L in {}",
-                row.label
-            );
-            if row.label.contains("unsharded") {
-                assert_eq!(get("wall vs unsharded"), 1.0, "{}", row.label);
-            } else {
-                assert!(get("wall vs unsharded") > 0.0, "{}", row.label);
-            }
-        }
-    }
-
-    #[test]
-    fn wal_overhead_experiment_rows_are_well_formed() {
-        let rows = experiment_wal_overhead(1 << 9, 1 << 10, 2, 1);
-        // 1 baseline + 3 sync policies + 2 reopen rows.
-        assert_eq!(rows.len(), 6);
-        let get = |row: &Row, key: &str| row.values.iter().find(|(k, _)| k == key).unwrap().1;
-        for row in &rows[..4] {
-            assert!(
-                get(row, "mean ns/op") > 0.0 && get(row, "mean ns/op").is_finite(),
-                "non-positive timing in {}",
-                row.label
-            );
-            assert!(get(row, "wal overhead x") > 0.0, "{}", row.label);
-        }
-        for row in &rows[1..4] {
-            assert!(get(row, "batches logged") > 0.0, "{}", row.label);
-            assert!(get(row, "bytes/batch") > 0.0, "{}", row.label);
-        }
-        // The full-log reopen replays every mutation; the post-checkpoint
-        // reopen replays none.
-        assert_eq!(get(&rows[4], "replayed ops"), (1 << 10) as f64);
-        assert_eq!(get(&rows[5], "replayed ops"), 0.0);
-        assert!(get(&rows[5], "checkpoint items") > 0.0);
     }
 
     #[test]

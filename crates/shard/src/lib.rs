@@ -81,7 +81,7 @@ use wsm_core::{caller_hint, BatchedMap, ConcurrentMap, OpResult, Operation, Resu
 const BUFFER_SHARDS: usize = 8;
 
 /// Point-in-time counters for one shard, for occupancy / load-balance
-/// reporting (experiment E19 aggregates these into per-shard `W/W_L` rows).
+/// reporting (the `web_cache` example prints them per shard).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardStats {
     /// Index of the shard these counters describe.

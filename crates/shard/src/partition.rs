@@ -19,9 +19,8 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// the high bits are mapped onto `0..shards` with a widening multiply — no
 /// modulo bias, uniform for any shard count, not just powers of two.
 /// Sequential keys scatter across shards, which evens out occupancy and
-/// thins each shard's access sequence by ~1/S (the property experiment E19
-/// measures as the per-shard `W/W_L` curve).  One shard owns every key, so
-/// nothing is hashed then.
+/// thins each shard's access sequence by ~1/S.  One shard owns every key,
+/// so nothing is hashed then.
 pub(crate) fn hash_shard<K: Hash>(key: &K, shards: usize) -> usize {
     if shards == 1 {
         return 0;

@@ -287,17 +287,6 @@ impl Executor {
         JoinHandle(rx)
     }
 
-    /// A future that resolves once `duration` has elapsed.  The timer lives
-    /// in this executor's heap, so the executor must outlive the sleep.
-    pub fn sleep(&self, duration: Duration) -> Sleep {
-        self.sleep_until(Instant::now() + duration)
-    }
-
-    /// A future that resolves at `deadline` (immediately if already past).
-    pub fn sleep_until(&self, deadline: Instant) -> Sleep {
-        self.timer().sleep_until(deadline)
-    }
-
     /// A cloneable timer handle for tasks that need to sleep.  Holds only a
     /// weak reference: tasks must NOT capture the `Executor` itself (a
     /// worker dropping the last `Arc<Executor>` would try to join its own
@@ -318,11 +307,6 @@ pub struct TimerHandle {
 }
 
 impl TimerHandle {
-    /// A future that resolves once `duration` has elapsed.
-    pub fn sleep(&self, duration: Duration) -> Sleep {
-        self.sleep_until(Instant::now() + duration)
-    }
-
     /// A future that resolves at `deadline` (immediately if already past).
     pub fn sleep_until(&self, deadline: Instant) -> Sleep {
         Sleep {
@@ -464,7 +448,7 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Timer future from [`Executor::sleep`] / [`Executor::sleep_until`].
+/// Timer future from [`TimerHandle::sleep_until`].
 ///
 /// Each poll past the deadline resolves; each poll before it re-registers
 /// the current waker in the executor's timer heap (stale entries from
@@ -634,7 +618,7 @@ mod tests {
     fn sleep_respects_its_deadline() {
         let exec = Executor::new(1);
         let start = Instant::now();
-        let sleep = exec.sleep(Duration::from_millis(20));
+        let sleep = exec.timer().sleep_until(start + Duration::from_millis(20));
         block_on(exec.spawn(async move {
             sleep.await;
         }));

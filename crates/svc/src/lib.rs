@@ -36,7 +36,7 @@
 //! 3. **Harvest** again; all filled → `Ready`.
 //! 4. Still unfilled: **self-wake** and return `Pending`.  No fill wakes a
 //!    task, so the future re-polls cooperatively until its results are in;
-//!    experiment E21 measures what that costs.
+//!    the `server` example measures the latency that leaves.
 //!
 //! The service reads no environment knob: the caller sizes its
 //! [`Executor`] with [`Executor::new`].

@@ -35,8 +35,8 @@
 //! mutation order.  Search-only batches append nothing — searches change
 //! only recency order, which every checkpoint re-captures exactly; putting
 //! each read on the write path would make the log the whole workload.
-//! Experiment E20 (`harness e20`) measures the per-batch overhead of the
-//! three sync policies against a WAL-free baseline.
+//! The `web_cache` example's `WSM_DURABLE_DIR` demo measures the per-insert
+//! overhead of the log under `WSM_WAL_SYNC` against a WAL-free baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

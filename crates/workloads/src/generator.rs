@@ -41,18 +41,6 @@ pub enum Pattern {
     /// Adversarial for working-set structures: always access the least
     /// recently used key, so every access has rank `n`.
     Adversarial,
-    /// Multi-tenant skew: `tenants` interleaved Zipfian streams, each over
-    /// its own contiguous block of the keyspace (tenant `t` owns block
-    /// `[t·n/tenants, (t+1)·n/tenants)`), issuing accesses round-robin.
-    /// Every tenant has a private hot set, so the merged stream has high
-    /// aggregate skew but no *shared* hot keys — the workload a sharded
-    /// front-end splits cleanly while a single combiner serialises it.
-    MultiTenant {
-        /// Number of interleaved tenant streams (at least 1).
-        tenants: usize,
-        /// Zipf exponent of each tenant's stream over its own block.
-        s: f64,
-    },
 }
 
 /// A complete workload description: a keyspace that is pre-inserted and then a
@@ -100,25 +88,9 @@ impl WorkloadSpec {
             Pattern::Zipf(s) => Some(ZipfSampler::new(n, s)),
             _ => None,
         };
-        // Per-tenant samplers: tenant `t` owns the contiguous key block
-        // `[t·n/T, (t+1)·n/T)` (integer division spreads any remainder).
-        let tenant_blocks: Vec<(u64, ZipfSampler)> = match self.pattern {
-            Pattern::MultiTenant { tenants, s } => {
-                let t = tenants.max(1) as u64;
-                (0..t)
-                    .map(|i| {
-                        let start = i * n / t;
-                        let end = (i + 1) * n / t;
-                        (start, ZipfSampler::new((end - start).max(1), s))
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
         let mut recent: Vec<u64> = Vec::new();
         let mut lru: std::collections::VecDeque<u64> = (0..n).collect();
         let mut scan_next = 0u64;
-        let mut next_tenant = 0usize;
 
         for _ in 0..self.operations {
             let key = match self.pattern {
@@ -149,11 +121,6 @@ impl WorkloadSpec {
                     let k = lru.pop_front().unwrap_or(0);
                     lru.push_back(k);
                     k
-                }
-                Pattern::MultiTenant { .. } => {
-                    let (start, sampler) = &tenant_blocks[next_tenant];
-                    next_tenant = (next_tenant + 1) % tenant_blocks.len();
-                    (start + sampler.sample(&mut rng)).min(n - 1)
                 }
             };
             if matches!(self.pattern, Pattern::WorkingSet { .. }) {
@@ -254,48 +221,10 @@ mod tests {
             },
             Pattern::SequentialScan,
             Pattern::Adversarial,
-            Pattern::MultiTenant { tenants: 4, s: 1.1 },
         ] {
             let ops = spec(pattern).access_phase();
             assert!(ops.iter().all(|op| *op.key() < (1 << 12)), "{pattern:?}");
         }
-    }
-
-    #[test]
-    fn multi_tenant_interleaves_private_blocks() {
-        let tenants = 4usize;
-        let n = 1u64 << 12;
-        let block = n / tenants as u64;
-        let ops = spec(Pattern::MultiTenant { tenants, s: 1.1 }).access_phase();
-        // Round-robin: op i belongs to tenant i % tenants and must stay in
-        // that tenant's contiguous key block.
-        for (i, op) in ops.iter().enumerate() {
-            let t = (i % tenants) as u64;
-            let key = *op.key();
-            assert!(
-                (t * block..(t + 1) * block).contains(&key),
-                "op {i}: key {key} outside tenant {t}'s block"
-            );
-        }
-        // Each tenant's stream is skewed: its block head is its hot key.
-        let head_hits = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, op)| *op.key() == ((*i % tenants) as u64) * block)
-            .count();
-        assert!(
-            head_hits * 8 > ops.len() / tenants,
-            "tenant hot keys underrepresented: {head_hits}/{}",
-            ops.len()
-        );
-    }
-
-    #[test]
-    fn multi_tenant_locality_beats_uniform() {
-        let mt =
-            working_set_bound(&spec(Pattern::MultiTenant { tenants: 4, s: 1.2 }).full_sequence());
-        let uniform = working_set_bound(&spec(Pattern::Uniform).full_sequence());
-        assert!(mt < uniform, "mt={mt} uniform={uniform}");
     }
 
     #[test]
@@ -358,25 +287,22 @@ mod tests {
             },
             Pattern::SequentialScan,
             Pattern::Adversarial,
-            Pattern::MultiTenant { tenants: 4, s: 1.1 },
         ];
         // Recorded at commit `0c66c8a`, when the generator drew from the
         // vendored `rand` stand-in: seed 1 then seed 7, patterns in order.
-        let expected: [u64; 14] = [
+        let expected: [u64; 12] = [
             0x994d_0286_6d55_0415,
             0x8004_8eb4_ff02_b016,
             0x5b59_dd66_832b_32d4,
             0x1eb3_4126_dc16_2c27,
             0x4bae_fc06_68b8_074d,
             0x4bae_fc06_68b8_074d,
-            0x4dc7_5c06_bd78_fe9e,
             0x9d0f_ab2a_edcc_6994,
             0x53f7_0e93_12a1_47a0,
             0x73ac_52fe_ba07_190e,
             0x835a_9cdc_57bb_b114,
             0xe37f_84ce_622f_58c9,
             0xe37f_84ce_622f_58c9,
-            0x8bf4_30d5_5c2d_84a3,
         ];
         let mut got = Vec::new();
         for seed in [1u64, 7] {

@@ -8,10 +8,10 @@
 //! are cooperative futures on the service's own [`wsm_svc::Executor`]
 //! (two worker threads) — no OS thread per connection.
 //!
-//! The backend is a [`wsm_shard::ShardedMap`] (`WSM_SHARDS`, default 4).
-//! The run ends with a latency summary — p50/p99/p999 over every request —
-//! mirroring what experiment E21 (`harness e21`) records as a committed
-//! artifact.
+//! The backend is a [`wsm_shard::ShardedMap`] (`WSM_SHARDS`, default 4;
+//! `WSM_SHARDS=1` is the unsharded service).  The run ends with a latency
+//! summary — p50/p99/p999 over every request — and the achieved throughput;
+//! sweep `WSM_SVC_QPS` for an open-loop rate curve.
 //!
 //! A fraction of requests (1 in 8) are writes: each client refreshes its
 //! hottest keys through `batch_insert`, so the combiner sees mixed batches.

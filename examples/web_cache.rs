@@ -4,15 +4,14 @@
 //! Run with `cargo run --example web_cache --release`.  The number of
 //! request-serving OS threads defaults to 4 and can be overridden with
 //! `WSM_WORKERS=n`; whichever serving thread wins the map's combiner election
-//! runs the batch on its own thread.  Experiment E16 (`harness e16`) tracks
-//! this workload's map-vs-AVL gap as a regression.
+//! runs the batch on its own thread.  The run prints the map-vs-AVL gap in
+//! wall time and in per-request work.
 //!
 //! With `WSM_SHARDS=n` (n > 1) the cache is served by a
 //! [`wsm_shard::ShardedMap`] instead: the keyspace is hash-partitioned
 //! across `n` independent working-set maps, each with its own combiner, so
 //! request-serving threads no longer all contend on a single election.  The
-//! per-shard request/work split is reported at the end.  Experiment E19
-//! (`harness e19`) measures the same unsharded-vs-sharded gap.
+//! per-shard work and combiner handovers are reported at the end.
 //!
 //! This is the motivating scenario for working-set structures: most requests
 //! hit a small set of hot pages, so a distribution-sensitive map does `O(log
@@ -20,13 +19,14 @@
 //! implicitly-batched working-set map against a coarse-locked AVL tree on the
 //! same request stream and reports wall-clock time and effective work.
 //!
-//! With `WSM_DURABLE_DIR=path` the run finishes with a durability demo: a
-//! burst of inserts is served through a WAL-backed one-shard
-//! [`wsm_wal::DurableShardedMap`] (one combiner, one log) in that directory,
-//! the process "crashes" (the map is leaked so no destructor runs), and the
-//! directory is reopened to show the recovery report and that every logged
-//! page survived.  `WSM_WAL_SYNC` / `WSM_WAL_CHECKPOINT_EVERY` tune the
-//! demo's WAL exactly as they would a real deployment.
+//! With `WSM_DURABLE_DIR=path` the run ends with a durability demo: the
+//! workers insert a burst in 64-key batches through a WAL-backed one-shard
+//! [`wsm_wal::DurableShardedMap`] in that directory and through a WAL-free
+//! one-shard `ShardedMap`, and print ns per insert for both.  The process
+//! then "crashes" (the map is leaked so no destructor runs), and the reopen
+//! shows its time, the recovery report and that every logged page survived.
+//! `WSM_WAL_SYNC` / `WSM_WAL_CHECKPOINT_EVERY` tune the demo's WAL exactly
+//! as they would a real deployment.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -122,10 +122,11 @@ fn serve_sharded(shards: usize, workers: usize) -> (Duration, u64, u64) {
     let stats = cache.shard_stats();
     for (s, w0) in stats.iter().zip(&warm) {
         println!(
-            "  shard {}: {} pages, {} effective work",
+            "  shard {}: {} pages, {} effective work, {} combiner handovers",
             s.shard,
             s.len,
-            s.effective_work - w0.effective_work
+            s.effective_work - w0.effective_work,
+            s.combiner_handovers - w0.combiner_handovers
         );
     }
     let work: u64 = stats
@@ -136,23 +137,54 @@ fn serve_sharded(shards: usize, workers: usize) -> (Duration, u64, u64) {
     (elapsed, work, hits)
 }
 
-/// `WSM_DURABLE_DIR` demo: log a burst of inserts through a WAL-backed map,
-/// "crash" without running a single destructor, then reopen the directory and
-/// prove nothing durable was lost.
+const BURST: u64 = 4096;
+
+/// Inserts pages `0..BURST` from `workers` threads, each its own slice in
+/// 64-key batches, and returns the wall time per insert in ns once `finish`
+/// (a WAL flush, or nothing) returns.
+fn timed_burst(workers: usize, insert: impl Fn(Vec<(u64, u64)>) + Sync, finish: impl Fn()) -> f64 {
+    let slice = BURST.div_ceil(workers as u64);
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for w in 0..workers as u64 {
+            let insert = &insert;
+            s.spawn(move || {
+                let pages: Vec<u64> = (w * slice..BURST.min((w + 1) * slice)).collect();
+                for chunk in pages.chunks(64) {
+                    insert(chunk.iter().map(|&p| (p, p)).collect());
+                }
+            });
+        }
+    });
+    finish();
+    start.elapsed().as_nanos() as f64 / BURST as f64
+}
+
+/// `WSM_DURABLE_DIR` demo: log a burst of inserts through a WAL-backed map
+/// and price it against the same burst without the log, "crash" without
+/// running a single destructor, then reopen the directory and prove nothing
+/// durable was lost.
 fn durable_demo(dir: &str, workers: usize) {
     use wsm_wal::DurableShardedMap;
 
-    const BURST: u64 = 1024;
     let path = std::path::Path::new(dir);
     let _ = std::fs::remove_dir_all(path);
     let make = move |_| M1::<u64, u64>::new(workers.max(2));
 
     println!("\ndurability demo (WSM_DURABLE_DIR={dir}):");
+    let plain = ShardedMap::with_shards(1, make);
+    let plain_ns = timed_burst(workers, |b| drop(plain.insert_batch(b)), || {});
     let cache = DurableShardedMap::open(path, 1, make).expect("open durable cache");
-    for page in 0..BURST {
-        cache.insert(page, page);
-    }
-    cache.flush().expect("flush WAL");
+    let wal_ns = timed_burst(
+        workers,
+        |b| drop(cache.insert_batch(b)),
+        || cache.flush().expect("flush WAL"),
+    );
+    println!(
+        "  {BURST} inserts from {workers} threads: {wal_ns:.0} ns/insert with the WAL, \
+         {plain_ns:.0} without ({:.2}x)",
+        wal_ns / plain_ns
+    );
     let stats = cache.wal_stats()[0];
     println!(
         "  logged {} batches / {} ops ({} bytes appended, {} fsyncs, {} checkpoints)",
@@ -168,10 +200,12 @@ fn durable_demo(dir: &str, workers: usize) {
     // commit hook before the "crash".
     std::mem::forget(cache);
 
+    let start = Instant::now();
     let cache = DurableShardedMap::open(path, 1, make).expect("reopen durable cache");
+    let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
     let rec = cache.recovery()[0];
     println!(
-        "  reopened: checkpoint seq {} ({} items), replayed {} batches / {} ops{}",
+        "  reopened in {reopen_ms:.2} ms: checkpoint seq {} ({} items), replayed {} batches / {} ops{}",
         rec.checkpoint_seq,
         rec.checkpoint_items,
         rec.replayed_batches,
@@ -231,8 +265,9 @@ fn main() {
     println!("coarse-locked AVL: wall time {avl_elapsed:?}, effective work {avl_work} ({:.2} per request)",
         avl_work as f64 / total_requests as f64);
     println!(
-        "working-set map does {:.1}x less comparison work per request on this Zipfian stream",
-        avl_work as f64 / wsm_work.max(1) as f64
+        "working-set map does {:.1}x the AVL's work per request on this Zipfian stream \
+         (map: metered node visits plus sort and buffer charges; AVL: key comparisons)",
+        wsm_work as f64 / avl_work.max(1) as f64
     );
 
     // --- optional durability demo --------------------------------------------
