@@ -7,8 +7,8 @@
 //!   explores live in `wsm-sync` (`wsm_sync::Model`), where the production
 //!   crate `wsm-core` builds its delicate protocols on them.  This crate
 //!   holds what drives it: the protocol harnesses in its `tests/` directory
-//!   (run under plain `cargo test -p wsm-check`), the seeded-bug
-//!   [`fixtures`], and the `wsm-check` binary.
+//!   (run under plain `cargo test -p wsm-check`) and the seeded-bug
+//!   [`fixtures`].
 //! * **The lint** ([`lint`], binary `wsm-lint`): a token-level structural
 //!   analyzer enforcing repo law — no `unsafe` anywhere, a
 //!   `#![forbid(unsafe_code)]` header on every crate root, a `// ord:`

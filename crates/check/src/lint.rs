@@ -12,8 +12,8 @@
 //!   `SeqCst` needs no comment: it is the safe default the audit downgrades
 //!   *from*.
 //! * **R4 `sleep-as-sync`** — `thread::sleep` in `crates/` is forbidden
-//!   unless annotated `// lint: allow(thread_sleep)` (e.g. measured backoff,
-//!   test traffic shaping).
+//!   unless annotated `// lint: allow(thread_sleep)` (e.g. a test's
+//!   stimulus delay or traffic shaping).
 //! * **R5 `unmetered-op`** — public methods of `BTree` (alias `Tree23`) /
 //!   `RecencyMap` in
 //!   `crates/twothree` must route through the `cost` metering layer: a body

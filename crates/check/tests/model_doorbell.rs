@@ -78,6 +78,18 @@ impl Front {
         self.wait_for(|| slot.lock().take())
     }
 
+    /// Mirror of `ConcurrentMap::submit_batch` for one value: deposit it
+    /// with `slot` as its cell and return without driving the election.
+    fn submit(&self, shard: usize, value: usize, slot: &Arc<Mutex<Option<usize>>>) {
+        self.buffer.push(
+            shard,
+            Pending {
+                value,
+                slot: Arc::clone(slot),
+            },
+        );
+    }
+
     /// Mirror of `ConcurrentMap::call_routed` on one map: both values go in
     /// through one open deposit (one lock, counted before its unlock), then
     /// the waiting loop runs until the last value's slot is filled, and the
@@ -241,6 +253,50 @@ fn doorbell_three_callers_single_combiner() {
     assert!(
         r.considered() >= 10_000,
         "expected >= 10k distinct schedules, considered {}",
+        r.considered()
+    );
+}
+
+/// A held async call beside parking blocking calls.  One thread deposits
+/// as `submit` does, marks the deposit made, and exits without ever driving
+/// the election: a task suspended after its deposit.  The other makes a
+/// blocking call that races the whole deposit, then a second one once the
+/// deposit is marked.  Nothing holds the activation across the held call,
+/// so each blocking call either wins the election itself or waits on a
+/// combiner that is running, and never parks on a bell that no one will
+/// ring (the parks are untimed: a lost ring is a model deadlock).  The
+/// second call's combine drains the held operation if the first did not,
+/// so both callers' cells are filled and the buffer ends empty.  The space
+/// is small enough to explore without a preemption bound.
+#[test]
+fn held_async_call_beside_parking_call() {
+    let r = Model::unbounded()
+        .check(|| {
+            let front = Arc::new(Front::new(2));
+            let held = Arc::new(Mutex::new(None));
+            let deposited = Arc::new(AtomicUsize::new(0));
+            let depositor = {
+                let (front, held) = (Arc::clone(&front), Arc::clone(&held));
+                let deposited = Arc::clone(&deposited);
+                thread::spawn(move || {
+                    front.submit(1, 10, &held);
+                    deposited.store(1, Ordering::SeqCst);
+                })
+            };
+            assert_eq!(front.call(0, 20), 21);
+            while deposited.load(Ordering::SeqCst) == 0 {
+                thread::yield_now();
+            }
+            assert_eq!(front.call(0, 22), 23);
+            depositor.join().unwrap();
+            assert_eq!(held.lock().take(), Some(11), "held call's cell unfilled");
+            assert!(front.buffer.is_empty());
+        })
+        .assert_pass(10);
+    println!(
+        "held async call + blocking calls unbounded: {} schedules + {} pruned = {} considered",
+        r.schedules,
+        r.pruned,
         r.considered()
     );
 }

@@ -1,11 +1,14 @@
 //! Model-checks the never-parking result hand-off: `wsm_core::handoff::ResultCell`
-//! and the never-park waiter loop of `ConcurrentMap` — the wait of a caller
-//! that is a service task (`wsm_core::context`), and so of the `wsm_shard`
-//! router's per-shard wait (`ConcurrentMap::call_routed`) from such a caller.
+//! under the poll loop of `wsm_svc::BatchCall` — harvest, pump, harvest,
+//! self-wake — the one waiter that never parks.  Every blocking caller
+//! parks on the doorbell instead (`model_doorbell.rs`).
 //!
-//! The harness mirrors that loop exactly: deposit the op with its own
-//! sequence-stamped cell, then alternate between attempting the combiner
-//! activation and probing the cell — never parking on the doorbell.
+//! The harness mirrors that loop: deposit the op with its own
+//! sequence-stamped cell (`submit`), then alternate between one combiner
+//! election attempt (`pump`) and a probe of the cell (the harvest), with a
+//! yield standing in for the self-wake and the re-poll that follows it.
+//! Nothing ever parks on the doorbell.
+//!
 //! Invariants over every interleaving in the bound:
 //!
 //! * **single combiner** — the activation still admits one combiner at a
@@ -78,10 +81,10 @@ impl Front {
         drained
     }
 
-    /// Mirror of the never-park `ConcurrentMap::call` loop: attempt the
-    /// activation, probe the own cell, yield, repeat — no doorbell, no park.
-    /// A waiter whose op is still buffered eventually wins the activation
-    /// itself, so progress never depends on being woken.
+    /// Mirror of a `BatchCall`'s polls: attempt the activation (`pump`),
+    /// probe the own cell (harvest), yield (self-wake and re-poll), repeat —
+    /// no doorbell, no park.  A waiter whose op is still buffered eventually
+    /// wins the activation itself, so progress never depends on being woken.
     fn call(&self, shard: usize, value: usize) -> usize {
         let slot = Arc::new(ResultCell::new());
         self.keep.lock().unwrap().push(Arc::clone(&slot));

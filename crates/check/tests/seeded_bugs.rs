@@ -1,12 +1,14 @@
 //! Seeded-bug regression suite: the checker must *find* each intentionally
-//! broken protocol in `wsm_check::fixtures`, and the failing schedule it
+//! broken protocol in `wsm_check::fixtures` (and the lock-order inversion
+//! below), and the failing schedule it
 //! reports must replay deterministically to the same failure.  These are the
 //! checker's teeth — if an engine change ever makes one of these pass, the
 //! checker has lost the ability to catch the corresponding real-world bug
 //! class (and the protocol harnesses' green results mean nothing).
 
+use std::sync::Arc;
 use wsm_check::fixtures;
-use wsm_sync::Model;
+use wsm_sync::{thread, Model, Mutex};
 
 /// The PR 2 regression: `ring` bumps the doorbell generation without the
 /// gate mutex, so a waiter can check-then-sleep across the notify.  The
@@ -44,6 +46,43 @@ fn finds_ungated_sleeper_count_doorbell() {
     );
     let replayed = Model::with_bound(2)
         .replay(&failure.choices, fixtures::ungated_count_doorbell_harness)
+        .expect("replaying the failing schedule must fail again");
+    assert_eq!(replayed.message, failure.message);
+}
+
+/// Two threads take the same two mutexes in opposite orders.
+fn lock_order_inversion_harness() {
+    let a = Arc::new(Mutex::new(0u32));
+    let b = Arc::new(Mutex::new(0u32));
+    let t = {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        thread::spawn(move || {
+            let _ga = a.lock();
+            let _gb = b.lock();
+        })
+    };
+    {
+        let _gb = b.lock();
+        let _ga = a.lock();
+    }
+    t.join().unwrap();
+}
+
+/// A lock-order inversion: each thread can hold one mutex while blocking on
+/// the other.  The model must report the deadlock of two threads blocked on
+/// mutexes, not only the condvar waits of the doorbell fixtures.
+#[test]
+fn finds_lock_order_inversion_deadlock() {
+    let failure = Model::with_bound(2)
+        .check(lock_order_inversion_harness)
+        .assert_fails();
+    assert!(
+        failure.message.contains("deadlock"),
+        "expected a deadlock, got: {}",
+        failure.message
+    );
+    let replayed = Model::with_bound(2)
+        .replay(&failure.choices, lock_order_inversion_harness)
         .expect("replaying the failing schedule must fail again");
     assert_eq!(replayed.message, failure.message);
 }

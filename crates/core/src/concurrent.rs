@@ -12,10 +12,10 @@
 //! the paper sketches in Section 8.
 //!
 //! The combiner runs the batch itself, on its own thread: whoever wins the
-//! activation runs the batch, as in the paper's implicit batching.  No pool
-//! hop sits between the election and `run_batch` — the batched map's only
-//! internal fork (PESort's, above 2 048 keys) reaches the work-stealing pool
-//! by itself.
+//! activation runs the batch, as in the paper's implicit batching.  No
+//! thread hop sits between the election and `run_batch`; the batched map's
+//! only internal fork (PESort's, above 2 048 keys) is a scoped-thread
+//! `join` under `wsm-pool`'s fork budget, taken by the combiner itself.
 //!
 //! Waiting callers park on a single generation-counting [`Doorbell`]; the
 //! combiner rings it once per activation (after distributing a whole batch
@@ -27,12 +27,14 @@
 //! the caller's own sequence-stamped [`crate::handoff::ResultCell`], which
 //! the caller probes between steps of its wait.
 //!
-//! A caller that is an async service task ([`crate::context`]) never parks:
-//! it re-probes its cells and re-attempts the activation with yields
-//! escalating into a bounded exponential backoff.  Async callers that do not
-//! wait at all deposit with [`ConcurrentMap::submit_batch`] and drive the
-//! election with [`ConcurrentMap::pump`] from their polls (the `wsm-svc`
-//! front-end).
+//! Every blocking caller waits this one way, whether it runs on an OS
+//! thread, inside an executor task or under `block_on`.  Parking is safe
+//! there too, because an activation is never held across a suspension
+//! point: a caller that loses the election waits on a thread that is
+//! running, and that thread rings the doorbell when it releases.  Async
+//! callers that do not wait at all deposit with
+//! [`ConcurrentMap::submit_batch`] and drive the election with
+//! [`ConcurrentMap::pump`] from their polls (the `wsm-svc` front-end).
 //!
 //! Every request is deposited by one routine, over one map or a family of
 //! them ([`ConcurrentMap::submit_routed`]): it creates the request's result
@@ -91,57 +93,6 @@ pub enum Handoff {
 /// yields usually deliver the result without a park; large values only burn
 /// sched_yield calls.
 const SPIN_WAIT: u32 = 4;
-
-/// Longest single backoff sleep of a never-parking waiter, in microseconds.
-/// The cap keeps the hand-off latency bounded (a result deposited while the
-/// waiter sleeps is harvested at most this much later) while a long wait —
-/// e.g. a huge batch combining ahead of us — costs sleeps instead of a
-/// pegged core.
-const BACKOFF_CAP_US: u64 = 256;
-
-/// Bounded exponential backoff for the never-parking wait loop: the wait of
-/// a caller that is a service task and so must not park (see
-/// [`crate::context`]).
-///
-/// The first few pauses are plain yields (a small-batch combine finishes in
-/// microseconds, and the yield donates the CPU to the combiner on
-/// oversubscribed machines); after that each pause sleeps, doubling from
-/// 1µs up to [`BACKOFF_CAP_US`].  The pre-backoff spin burned yields
-/// forever — under a cooperative executor or on a single busy core that
-/// pegs a CPU for the whole wait, which is the blocking-hand-off bug class
-/// this bound fixes (the waiting loops stay correct without any pause at
-/// all; the backoff only shapes *where* the waiting time goes).
-struct Backoff {
-    /// Completed pause rounds.
-    round: u32,
-}
-
-impl Backoff {
-    /// Pauses 0..YIELD_ROUNDS are yields; later ones sleep.
-    const YIELD_ROUNDS: u32 = 4;
-
-    fn new() -> Self {
-        Backoff { round: 0 }
-    }
-
-    /// One wait step: yield while young, then sleep with doubling duration
-    /// up to the cap.
-    fn pause(&mut self) {
-        if self.round < Self::YIELD_ROUNDS {
-            std::thread::yield_now();
-        } else {
-            let exp = (self.round - Self::YIELD_ROUNDS).min(63);
-            let us = (1u64 << exp.min(8)).min(BACKOFF_CAP_US);
-            // lint: allow(thread_sleep) — bounded backoff, not
-            // synchronization: the surrounding loop re-probes the result
-            // cell and re-attempts the combiner election on every
-            // iteration, so correctness never depends on this sleep; it
-            // only stops a long never-parking wait from pegging a core.
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-        self.round = self.round.saturating_add(1);
-    }
-}
 
 /// Reusable combiner-side buffers: the flushed deposits, their result
 /// cells, the batch handed to the map and the results it hands back, so a
@@ -325,17 +276,10 @@ where
     /// our park is bounded by it.  If the attempt won, we combined until the
     /// buffer was empty and our own results were delivered (possibly by an
     /// earlier combiner).
-    ///
-    /// A caller polling an async service task
-    /// ([`crate::context::in_service_task`]) never parks: the parked worker
-    /// may be the only thread that would ever poll the task whose combine
-    /// rings the bell.  It waits under the bounded backoff instead.
     fn wait(&self, mut done: impl FnMut() -> bool) {
         if done() {
             return;
         }
-        let never_park = crate::context::in_service_task();
-        let mut backoff = Backoff::new();
         loop {
             let seen = self.doorbell.current();
             self.drive();
@@ -343,44 +287,26 @@ where
                 return;
             }
             // Another thread holds the combiner role.  Spin briefly before
-            // pausing: with small batches the combiner's whole cycle is
+            // parking: with small batches the combiner's whole cycle is
             // shorter than a futex sleep/wake round trip, so most results
             // arrive within a few yields.  The yield also donates the CPU to
             // the combiner on oversubscribed machines.
-            if never_park {
-                // Never park.  Spin on our own sequence-stamped cells, then
-                // loop back to re-attempt the activation (if our op is still
-                // buffered, we will eventually win the election and combine
-                // it ourselves).
-                // The pauses escalate into the bounded backoff, so a long
-                // wait costs capped sleeps rather than a pegged core.
-                for _ in 0..SPIN_WAIT {
-                    std::thread::yield_now();
-                    if done() {
-                        return;
-                    }
+            let mut delivered = false;
+            for _ in 0..SPIN_WAIT {
+                std::thread::yield_now();
+                if done() {
+                    return;
                 }
-                backoff.pause();
-            } else {
-                let mut delivered = false;
-                for _ in 0..SPIN_WAIT {
-                    std::thread::yield_now();
-                    if done() {
-                        return;
-                    }
-                    if self.doorbell.current() != seen {
-                        // A hand-off happened; re-attempt the activation
-                        // rather than parking on a generation that
-                        // already passed.
-                        delivered = true;
-                        break;
-                    }
+                if self.doorbell.current() != seen {
+                    // A hand-off happened; re-attempt the activation rather
+                    // than parking on a generation that already passed.
+                    delivered = true;
+                    break;
                 }
-                if !delivered {
-                    // Park until the next hand-off, then re-check /
-                    // re-attempt.
-                    self.doorbell.wait_past(seen);
-                }
+            }
+            if !delivered {
+                // Park until the next hand-off, then re-check / re-attempt.
+                self.doorbell.wait_past(seen);
             }
         }
     }
@@ -779,65 +705,34 @@ mod tests {
         assert_eq!(map.len(), 99);
     }
 
-    /// Runs first with doorbell-parking callers, then with every caller a
-    /// service task, which waits in the never-parking backoff loop.
     #[test]
     fn call_batch_under_contention_from_many_threads() {
-        for service_task in [false, true] {
-            let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8));
-            let threads = 6u64;
-            let per = 400u64;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let map = Arc::clone(&map);
-                    std::thread::spawn(move || {
-                        let _task = service_task.then(crate::ServiceTaskGuard::new);
-                        let base = t * 1_000_000;
-                        for chunk in 0..4 {
-                            let ops: Vec<Operation<u64, u64>> = (0..per / 4)
-                                .map(|i| {
-                                    let k = base + chunk * (per / 4) + i;
-                                    Operation::Insert(k, k + 1)
-                                })
-                                .collect();
-                            let keys: Vec<u64> = ops.iter().map(|o| *o.key()).collect();
-                            for r in map.call_batch(t as usize, ops) {
-                                assert_eq!(r, OpResult::Insert(None));
-                            }
-                            let results = map.call_batch(
-                                t as usize,
-                                keys.iter().copied().map(Operation::Search).collect(),
-                            );
-                            for (k, r) in keys.iter().zip(results) {
-                                assert_eq!(r, OpResult::Search(Some(k + 1)));
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(map.len(), (threads * per) as usize);
-        }
-    }
-
-    /// Point calls from service tasks: every caller waits in the
-    /// never-parking backoff loop, none parks on the doorbell.
-    #[test]
-    fn never_park_point_ops_under_contention() {
         let map = Arc::new(ConcurrentMap::new(M1::<u64, u64>::new(8), 8));
-        let threads = 8u64;
-        let per = 500u64;
+        let threads = 6u64;
+        let per = 400u64;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let map = Arc::clone(&map);
                 std::thread::spawn(move || {
-                    let _task = crate::ServiceTaskGuard::new();
-                    for i in 0..per {
-                        let key = t * per + i;
-                        assert_eq!(map.insert(t as usize, key, key + 1), None);
-                        assert_eq!(map.search(t as usize, key), Some(key + 1));
+                    let base = t * 1_000_000;
+                    for chunk in 0..4 {
+                        let ops: Vec<Operation<u64, u64>> = (0..per / 4)
+                            .map(|i| {
+                                let k = base + chunk * (per / 4) + i;
+                                Operation::Insert(k, k + 1)
+                            })
+                            .collect();
+                        let keys: Vec<u64> = ops.iter().map(|o| *o.key()).collect();
+                        for r in map.call_batch(t as usize, ops) {
+                            assert_eq!(r, OpResult::Insert(None));
+                        }
+                        let results = map.call_batch(
+                            t as usize,
+                            keys.iter().copied().map(Operation::Search).collect(),
+                        );
+                        for (k, r) in keys.iter().zip(results) {
+                            assert_eq!(r, OpResult::Search(Some(k + 1)));
+                        }
                     }
                 })
             })

@@ -18,7 +18,7 @@
 //! The protocol is model-checked end to end in
 //! `crates/check/tests/model_doorbell.rs` (no missed wake-up, single
 //! combiner), and two intentionally broken variants are seeded fixtures that
-//! `wsm-check` must catch: one bumps the generation *outside* the gate mutex
+//! `crates/check/tests/seeded_bugs.rs` must catch: one bumps the generation *outside* the gate mutex
 //! — the doorbell's original bug (`wsm_check::fixtures::BuggyDoorbell`) —
 //! and one reads the sleeper count outside it
 //! (`wsm_check::fixtures::UngatedCountDoorbell`).  The orderings below are

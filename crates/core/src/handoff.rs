@@ -12,16 +12,14 @@
 //!
 //! Every waiting caller probes its own cells this way.  A blocking caller
 //! yields a few times between probes before it parks on the map's shared
-//! [`crate::doorbell::Doorbell`]; a caller that must never park (a service
-//! task, see [`crate::context`]) keeps probing under a bounded backoff; an
-//! async `wsm-svc` future probes on every poll and wakes itself while any of
-//! its cells is still empty.  No caller is woken *by* its cell: the stamp is
+//! [`crate::doorbell::Doorbell`]; an async `wsm-svc` future probes on every
+//! poll and wakes itself while any of its cells is still empty.  No caller is woken *by* its cell: the stamp is
 //! the only signal the cell carries.
 //!
 //! Model harness: `crates/check/tests/model_handoff.rs` drives this cell
 //! through the full combiner election under the deterministic scheduler (and
 //! its TSO store-buffer mode), asserting delivery is exactly-once and the
-//! never-parking waiting loop cannot lose a result.  See `docs/ORDERINGS.md`.
+//! future's never-parking poll loop cannot lose a result.  See `docs/ORDERINGS.md`.
 
 use wsm_sync::{AtomicUsize, Mutex, Ordering};
 

@@ -61,7 +61,7 @@ pub mod trylock;
 
 pub use buffer::ParallelBuffer;
 pub use concurrent::{CommitHook, ConcurrentMap, Handoff};
-pub use context::{caller_hint, in_service_task, ServiceTaskGuard};
+pub use context::caller_hint;
 pub use handoff::ResultCell;
 pub use m1::M1;
 pub use m2::M2;

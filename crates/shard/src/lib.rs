@@ -46,11 +46,11 @@
 //! returns the result cells and the caller pumps from its polls.  Operations
 //! of different callers meet in whichever combiner is active on their shard.
 //!
-//! A `run_batch` from an async service task takes the same road; the one rule
-//! it needs is the shards' own, that a service task never parks (see
-//! [`wsm_core::context`]).  An activation is never held across a suspension
-//! point, so a task that loses an election is waiting on a thread that is
-//! running, and one whose operations are still buffered wins it itself.
+//! A `run_batch` from inside an executor task takes the same road and parks
+//! the same way.  An activation is never held across a suspension point, so
+//! a task that loses an election is waiting on a thread that is running,
+//! which rings the shard's doorbell when it releases; one whose operations
+//! are still buffered wins the election itself.
 //!
 //! Per-key operation order is preserved: placement is a pure function of the
 //! key (a multiplicative hash of it), so every operation on a key flows
@@ -514,32 +514,27 @@ mod tests {
         assert!(map.effective_work() > 0);
     }
 
-    /// Runs first with doorbell-parking callers, then with every caller a
-    /// service task, which waits in the never-parking backoff loop.
     #[test]
     fn concurrent_batches_from_os_threads() {
-        for service_task in [false, true] {
-            let map = sharded(4);
-            let threads = 6;
-            let per_thread = 300u64;
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let map = &map;
-                    scope.spawn(move || {
-                        let _task = service_task.then(wsm_core::ServiceTaskGuard::new);
-                        let base = t * per_thread;
-                        let keys: Vec<u64> = (base..base + per_thread).collect();
-                        let prev = map.insert_batch(keys.iter().map(|&k| (k, k + 1)).collect());
-                        assert!(prev.iter().all(Option::is_none));
-                        let got = map.get_batch(keys.clone());
-                        for (k, v) in keys.iter().zip(got) {
-                            assert_eq!(v, Some(k + 1));
-                        }
-                    });
-                }
-            });
-            assert_eq!(map.len(), (threads * per_thread) as usize);
-        }
+        let map = sharded(4);
+        let threads = 6;
+        let per_thread = 300u64;
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let map = &map;
+                scope.spawn(move || {
+                    let base = t * per_thread;
+                    let keys: Vec<u64> = (base..base + per_thread).collect();
+                    let prev = map.insert_batch(keys.iter().map(|&k| (k, k + 1)).collect());
+                    assert!(prev.iter().all(Option::is_none));
+                    let got = map.get_batch(keys.clone());
+                    for (k, v) in keys.iter().zip(got) {
+                        assert_eq!(v, Some(k + 1));
+                    }
+                });
+            }
+        });
+        assert_eq!(map.len(), (threads * per_thread) as usize);
     }
 
     #[test]
@@ -569,22 +564,6 @@ mod tests {
                     OpResult::Delete(Some(k * 2))
                 };
                 assert_eq!(cell.try_take(), Some(expect), "S={shards} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn service_task_callers_get_correct_results() {
-        // A service-task caller takes the same deposit → pump → wait road as
-        // an OS thread (only its wait never parks), at every shard count.
-        for shards in [1usize, 2, 4] {
-            let map = sharded(shards);
-            let _guard = wsm_core::ServiceTaskGuard::new();
-            let prev = map.insert_batch((0..128u64).map(|k| (k, k + 7)).collect());
-            assert!(prev.iter().all(Option::is_none));
-            let got = map.get_batch((0..128u64).collect());
-            for (k, v) in (0..128u64).zip(got) {
-                assert_eq!(v, Some(k + 7), "S={shards} k={k}");
             }
         }
     }

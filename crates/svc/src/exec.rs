@@ -16,10 +16,7 @@
 //! [`Executor::new`] spawns a fixed pool of worker threads sharing one run
 //! queue (a mutexed `VecDeque` — contention on it is dwarfed by the map work
 //! each poll performs) and one timer heap.  A task is an `Arc` holding its
-//! boxed future; the task *is* its own waker ([`Wake`] impl).  Workers
-//! bracket every poll with [`wsm_core::ServiceTaskGuard`], so map code
-//! reached from a poll knows it must not park the worker (see
-//! `wsm_core::context`).
+//! boxed future; the task *is* its own waker ([`Wake`] impl).
 //!
 //! A task's atomic state is `IDLE`, `SCHEDULED` (in the run queue),
 //! `RUNNING` (being polled) or `NOTIFIED` (woken while being polled).  Only
@@ -32,10 +29,9 @@
 //!
 //! [`block_on`] drives a future on the calling thread with a park/unpark
 //! waker (`std::thread` park tokens are sticky, so a wake that lands before
-//! the park is never lost); it too marks the thread as a service task while
-//! polling.  The park uses a bounded timeout purely as a hang backstop —
-//! correctness comes from the wake discipline, which the model checker
-//! covers.
+//! the park is never lost).  The park uses a bounded timeout purely as a
+//! hang backstop — correctness comes from the wake discipline, which the
+//! model checker covers.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -44,8 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-
-use wsm_core::ServiceTaskGuard;
 
 /// Upper bound on a worker's idle wait (and `block_on`'s park).  Purely a
 /// backstop: wakes and timer registrations notify the condvar, but a
@@ -397,8 +391,6 @@ fn poll_task(task: &Arc<Task>) {
             Some(future) => {
                 let waker = Waker::from(Arc::clone(task));
                 let mut cx = Context::from_waker(&waker);
-                // Map code reached from this poll must never park this worker.
-                let _guard = ServiceTaskGuard::new();
                 let ready = future.as_mut().poll(&mut cx).is_ready();
                 if ready {
                     *slot = None;
@@ -508,21 +500,16 @@ impl Wake for ThreadWaker {
 
 /// Drives a future to completion on the calling thread.
 ///
-/// The thread is marked as a service task while polling (the map's blocking
-/// paths then never park it — see `wsm_core::context`); between polls it
-/// parks on the std park token, which is sticky, so a wake delivered before
-/// the park is never lost.  The park carries a small timeout purely as a
-/// backstop against wake-discipline bugs.
+/// Between polls the thread parks on the std park token, which is sticky,
+/// so a wake delivered before the park is never lost.  The park carries a
+/// small timeout purely as a backstop against wake-discipline bugs.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
     let mut cx = Context::from_waker(&waker);
     let mut future = std::pin::pin!(future);
     loop {
-        {
-            let _guard = ServiceTaskGuard::new();
-            if let Poll::Ready(value) = future.as_mut().poll(&mut cx) {
-                return value;
-            }
+        if let Poll::Ready(value) = future.as_mut().poll(&mut cx) {
+            return value;
         }
         std::thread::park_timeout(IDLE_WAIT);
     }
@@ -623,16 +610,5 @@ mod tests {
             sleep.await;
         }));
         assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn tasks_see_service_context_and_callers_do_not() {
-        let exec = Executor::new(1);
-        let inside = block_on(exec.spawn(async { wsm_core::in_service_task() }));
-        assert!(inside, "executor polls must run in service-task context");
-        assert!(
-            !wsm_core::in_service_task(),
-            "context must not leak off the workers"
-        );
     }
 }

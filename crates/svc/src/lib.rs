@@ -41,9 +41,12 @@
 //! The service reads no environment knob: the caller sizes its
 //! [`Executor`] with [`Executor::new`].
 //!
-//! Blocking `ConcurrentMap`/`ShardedMap` calls issued from inside a service
-//! task degrade safely rather than deadlocking: their waits never park (see
-//! `wsm_core::context`).
+//! A blocking `ConcurrentMap`/`ShardedMap` call issued from inside a
+//! service task waits as it does on any thread: it parks on the map's
+//! doorbell, holding its worker for the wait.  It cannot deadlock, even on
+//! a single worker, because an activation is never held across a
+//! suspension point: the combiner it waits on is a running thread, which
+//! rings the doorbell when it releases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,16 +18,14 @@
 //! each shard's slice of the history is linearizable.  Each random
 //! multi-threaded history is projected onto every shard's key set (keeping
 //! per-thread order and the recorded witness intervals) and each projection
-//! is checked with the same Wing–Gong search — with callers that park on
-//! the doorbell and with callers that are service tasks (which wait in the
-//! never-parking backoff loop, see `wsm_core::context`), and through both the
-//! single-op and the batched (`run_batch`) surface.
+//! is checked with the same Wing–Gong search, through both the single-op and
+//! the batched (`run_batch`) surface.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use wsm_core::{BatchedMap, ConcurrentMap, ParallelBuffer, ServiceTaskGuard, M1, M2};
+use wsm_core::{BatchedMap, ConcurrentMap, ParallelBuffer, M1, M2};
 use wsm_shard::ShardedMap;
 
 #[path = "common/linearize.rs"]
@@ -95,13 +93,8 @@ where
 }
 
 /// Runs every thread's ops against a sharded map through its single-op API,
-/// recording witness tickets.  With `service_task`, each thread's body runs
-/// under a [`ServiceTaskGuard`].
-fn execute_sharded<M>(
-    map: &ShardedMap<u64, u64, M>,
-    per_thread: &[Vec<Op>],
-    service_task: bool,
-) -> Vec<Vec<Done>>
+/// recording witness tickets.
+fn execute_sharded<M>(map: &ShardedMap<u64, u64, M>, per_thread: &[Vec<Op>]) -> Vec<Vec<Done>>
 where
     M: BatchedMap<u64, u64> + Send,
 {
@@ -112,7 +105,6 @@ where
             .iter()
             .map(|ops| {
                 s.spawn(move || {
-                    let _task = service_task.then(ServiceTaskGuard::new);
                     ops.iter()
                         .map(|&op| {
                             let invoke = clock.fetch_add(1, Ordering::SeqCst);
@@ -148,7 +140,6 @@ fn execute_sharded_batched<M>(
     map: &ShardedMap<u64, u64, M>,
     per_thread: &[Vec<Op>],
     chunk: usize,
-    service_task: bool,
 ) -> Vec<Vec<Done>>
 where
     M: BatchedMap<u64, u64> + Send,
@@ -160,7 +151,6 @@ where
             .iter()
             .map(|ops| {
                 s.spawn(move || {
-                    let _task = service_task.then(ServiceTaskGuard::new);
                     let mut dones = Vec::with_capacity(ops.len());
                     for batch in ops.chunks(chunk.max(1)) {
                         let invoke = clock.fetch_add(1, Ordering::SeqCst);
@@ -192,32 +182,27 @@ where
     })
 }
 
-/// Executes a history against `ShardedMap` (doorbell-parking and
-/// service-task callers, single-op and batched surfaces) and asserts each
-/// shard's projected history linearizes.
+/// Executes a history against `ShardedMap` (single-op and batched surfaces)
+/// and asserts each shard's projected history linearizes.
 fn check_sharded(per_thread: &[Vec<Op>], shards: usize) {
-    for service_task in [false, true] {
-        let map = ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4));
-        let histories = execute_sharded(&map, per_thread, service_task);
-        for shard in 0..map.shards() {
-            let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
-            assert!(
-                linearizable(&projected),
-                "shard {shard}/{shards} not linearizable (service task: {service_task}, point ops): \
-                 {projected:#?}"
-            );
-        }
+    let map = ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4));
+    let histories = execute_sharded(&map, per_thread);
+    for shard in 0..map.shards() {
+        let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
+        assert!(
+            linearizable(&projected),
+            "shard {shard}/{shards} not linearizable (point ops): {projected:#?}"
+        );
+    }
 
-        let map = ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4));
-        let histories = execute_sharded_batched(&map, per_thread, 3, service_task);
-        for shard in 0..map.shards() {
-            let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
-            assert!(
-                linearizable(&projected),
-                "shard {shard}/{shards} not linearizable (service task: {service_task}, batched): \
-                 {projected:#?}"
-            );
-        }
+    let map = ShardedMap::with_shards(shards, |_| M1::<u64, u64>::new(4));
+    let histories = execute_sharded_batched(&map, per_thread, 3);
+    for shard in 0..map.shards() {
+        let projected = project_onto(&histories, |k| map.shard_of(&k) == shard);
+        assert!(
+            linearizable(&projected),
+            "shard {shard}/{shards} not linearizable (batched): {projected:#?}"
+        );
     }
 }
 
@@ -365,8 +350,8 @@ proptest! {
     }
 
     /// Random histories on the sharded front-end: every shard's projected
-    /// history must linearize, with doorbell-parking and service-task
-    /// callers and through both the single-op and the batched surface.
+    /// history must linearize, through both the single-op and the batched
+    /// surface.
     #[test]
     fn sharded_histories_linearize_per_shard(
         raw in prop::collection::vec(
@@ -390,7 +375,7 @@ proptest! {
     ) {
         let per_thread = decode_history(&raw);
         let map = ShardedMap::with_shards(1, |_| M1::<u64, u64>::new(4));
-        let histories = execute_sharded_batched(&map, &per_thread, 2, false);
+        let histories = execute_sharded_batched(&map, &per_thread, 2);
         prop_assert!(linearizable(&histories), "S=1 router: {histories:#?}");
     }
 
@@ -525,7 +510,7 @@ fn single_threaded_sharded_history_matches_oracle() {
         Op::Delete(1),
     ]];
     let map = ShardedMap::with_shards(3, |_| M1::<u64, u64>::new(4));
-    let histories = execute_sharded(&map, &ops, false);
+    let histories = execute_sharded(&map, &ops);
     let results: Vec<Option<u64>> = histories[0].iter().map(|d| d.result).collect();
     assert_eq!(
         results,
